@@ -7,7 +7,9 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use os_sim::process::Pid;
 use powerapi::actor::{Actor, ActorSystem, Context};
-use powerapi::msg::{Message, PowerReport, Topic};
+use powerapi::frame::PowerBatch;
+use powerapi::msg::{Message, Quality, Topic};
+use powerapi::telemetry::TraceId;
 use simcpu::units::{Nanos, Watts};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -24,30 +26,30 @@ struct Relay;
 
 impl Actor for Relay {
     fn handle(&mut self, msg: Message, ctx: &Context) {
-        if let Message::Power(p) = msg {
-            ctx.bus()
-                .publish(Message::Aggregate(powerapi::msg::AggregateReport {
+        if let Message::PowerBatch(b) = msg {
+            let reports = b
+                .reports()
+                .map(|p| powerapi::msg::AggregateReport {
                     timestamp: p.timestamp,
                     scope: powerapi::msg::Scope::Process(p.pid),
                     power: p.power,
                     band_w: p.band_w,
                     quality: p.quality,
                     trace: p.trace,
-                }));
+                })
+                .collect();
+            ctx.bus().publish(Message::aggregates(reports, b.trace));
         }
     }
 }
 
+/// A one-row power batch: the smallest message the estimation path
+/// carries. Built once per measurement and cloned per send (an `Arc`
+/// bump), so the loops time the bus, not the allocator.
 fn power_msg() -> Message {
-    Message::Power(PowerReport {
-        timestamp: Nanos(1),
-        pid: Pid(1),
-        power: Watts(4.2),
-        formula: "bench",
-        band_w: Watts(0.0),
-        quality: powerapi::msg::Quality::Full,
-        trace: powerapi::telemetry::TraceId::NONE,
-    })
+    let mut b = PowerBatch::with_capacity(Nanos(1), "bench", TraceId::NONE, 1);
+    b.push(Pid(1), Watts(4.2), Watts(0.0), Quality::Full);
+    Message::PowerBatch(Arc::new(b))
 }
 
 const BATCH: u64 = 10_000;
@@ -67,8 +69,9 @@ fn bench_bus_publish(c: &mut Criterion) {
                 sys
             },
             |sys| {
+                let msg = power_msg();
                 for _ in 0..BATCH {
-                    sys.bus().publish(power_msg());
+                    sys.bus().publish(msg.clone());
                 }
                 sys.shutdown(); // drain: all messages processed
             },
@@ -88,8 +91,9 @@ fn bench_bus_publish(c: &mut Criterion) {
                 sys
             },
             |sys| {
+                let msg = power_msg();
                 for _ in 0..BATCH {
-                    sys.bus().publish(power_msg());
+                    sys.bus().publish(msg.clone());
                 }
                 sys.shutdown();
             },
@@ -101,9 +105,10 @@ fn bench_bus_publish(c: &mut Criterion) {
         let mut sys = ActorSystem::new();
         let n = Arc::new(AtomicU64::new(0));
         let sink = sys.spawn("sink", Box::new(Sink(n)));
+        let msg = power_msg();
         b.iter(|| {
             for _ in 0..BATCH {
-                sink.send(power_msg());
+                sink.send(msg.clone());
             }
         });
         sys.shutdown();

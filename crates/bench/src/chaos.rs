@@ -25,12 +25,8 @@ pub struct ChaosMonkey {
 
 impl Actor for ChaosMonkey {
     fn handle(&mut self, msg: Message, _ctx: &Context) {
-        let timestamp = match &msg {
-            Message::Tick(snap) => snap.timestamp,
-            Message::Frame(frame) => frame.timestamp,
-            _ => return,
-        };
-        let Some(w) = self.plan.active(FaultKind::ActorPanic, timestamp) else {
+        let Message::Frame(frame) = msg else { return };
+        let Some(w) = self.plan.active(FaultKind::ActorPanic, frame.timestamp) else {
             return;
         };
         let start = w.start;

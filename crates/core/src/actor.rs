@@ -664,16 +664,14 @@ fn supervise(
                 // Capture what the recording needs before the message
                 // moves into the handler.
                 let queue_ns = enqueued.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                // Ticks are trace roots: the snapshot carries no id, so
-                // resolve the tick's span (opened at publish) by its
-                // timestamp — this is what puts the sensor stage on the
-                // exported trace.
+                // Ticks are trace roots: resolve the tick's span (opened
+                // at publish) by its timestamp — this is what puts the
+                // sensor stage on the exported trace.
                 let trace = match &msg {
-                    Message::Tick(snap) => ins.telemetry.trace_for_tick(snap.timestamp),
                     Message::Frame(frame) => ins.telemetry.trace_for_tick(frame.timestamp),
                     _ => msg.trace(),
                 };
-                let is_tick = matches!(msg, Message::Tick(_) | Message::Frame(_));
+                let is_tick = matches!(msg, Message::Frame(_));
                 let start = Instant::now();
                 let caught = catch_unwind(AssertUnwindSafe(|| actor.handle(msg, ctx))).is_err();
                 let handle_ns = start.elapsed().as_nanos() as u64;
@@ -787,10 +785,8 @@ impl std::fmt::Debug for ActorSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msg::{PowerReport, Quality, Scope, Topic};
-    use crate::telemetry::TraceId;
+    use crate::msg::Topic;
     use crate::testing::wait_until;
-    use os_sim::process::Pid;
     use simcpu::units::{Nanos, Watts};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
@@ -809,16 +805,9 @@ mod tests {
         }
     }
 
-    fn power_msg(w: f64) -> Message {
-        Message::Power(PowerReport {
-            timestamp: Nanos(1),
-            pid: Pid(1),
-            power: Watts(w),
-            formula: "test",
-            band_w: Watts(0.0),
-            quality: Quality::Full,
-            trace: TraceId::NONE,
-        })
+    /// The lightest message there is: a bare meter reading of `w` watts.
+    fn reading(w: f64) -> Message {
+        Message::Meter(Nanos(1), Watts(w))
     }
 
     #[test]
@@ -835,7 +824,7 @@ mod tests {
         );
         assert_eq!(a.name(), "counter");
         for i in 0..1000 {
-            assert!(a.send(power_msg(i as f64)));
+            assert!(a.send(reading(i as f64)));
         }
         let summary = sys.shutdown();
         assert_eq!(hits.load(Ordering::SeqCst), 1000, "drain before stop");
@@ -855,25 +844,17 @@ mod tests {
             }),
         );
         sys.shutdown();
-        assert!(!a.send(power_msg(1.0)));
+        assert!(!a.send(reading(1.0)));
     }
 
-    /// A two-stage pipeline: stage 1 republishes every Power message to
-    /// the Aggregate topic; stage 2 records what it sees. Shutdown order
-    /// must drain stage 1 into stage 2.
+    /// A two-stage pipeline: stage 1 republishes every Meter message to
+    /// the Rapl topic; stage 2 records what it sees. Shutdown order must
+    /// drain stage 1 into stage 2.
     struct Relay;
     impl Actor for Relay {
         fn handle(&mut self, msg: Message, ctx: &Context) {
-            if let Message::Power(p) = msg {
-                ctx.bus()
-                    .publish(Message::Aggregate(crate::msg::AggregateReport {
-                        timestamp: p.timestamp,
-                        scope: Scope::Process(p.pid),
-                        power: p.power,
-                        band_w: p.band_w,
-                        quality: p.quality,
-                        trace: p.trace,
-                    }));
+            if let Message::Meter(at, w) = msg {
+                ctx.bus().publish(Message::Rapl(at, w));
             }
         }
     }
@@ -883,8 +864,8 @@ mod tests {
     }
     impl Actor for Sink {
         fn handle(&mut self, msg: Message, _ctx: &Context) {
-            if let Message::Aggregate(a) = msg {
-                self.seen.lock().unwrap().push(a.power.as_f64());
+            if let Message::Rapl(_, w) = msg {
+                self.seen.lock().unwrap().push(w.as_f64());
             }
         }
     }
@@ -896,10 +877,10 @@ mod tests {
         // Upstream first.
         let relay = sys.spawn("relay", Box::new(Relay));
         let sink = sys.spawn("sink", Box::new(Sink { seen: seen.clone() }));
-        sys.bus().subscribe(Topic::Power, &relay);
-        sys.bus().subscribe(Topic::Aggregate, &sink);
+        sys.bus().subscribe(Topic::Meter, &relay);
+        sys.bus().subscribe(Topic::Rapl, &sink);
         for i in 0..500 {
-            sys.bus().publish(power_msg(i as f64));
+            sys.bus().publish(reading(i as f64));
         }
         sys.shutdown();
         let seen = seen.lock().unwrap();
@@ -934,11 +915,11 @@ mod tests {
     }
     impl Actor for Fragile {
         fn handle(&mut self, msg: Message, _ctx: &Context) {
-            if let Message::Power(p) = msg {
+            if let Message::Meter(_, w) = msg {
                 assert!(
-                    p.power.as_f64() < self.threshold,
+                    w.as_f64() < self.threshold,
                     "injected fault: power {} over {}",
-                    p.power.as_f64(),
+                    w.as_f64(),
                     self.threshold
                 );
                 self.handled.fetch_add(1, Ordering::SeqCst);
@@ -984,8 +965,8 @@ mod tests {
                 handled: handled.clone(),
             }),
         );
-        assert!(a.send(power_msg(1.0)));
-        a.send(power_msg(1000.0)); // boom
+        assert!(a.send(reading(1.0)));
+        a.send(reading(1000.0)); // boom
         let summary = sys.shutdown();
         assert_eq!(summary.panicked, vec!["fragile".to_string()]);
         assert_eq!(summary.panics, 1);
@@ -1018,12 +999,12 @@ mod tests {
         );
         // Two panics are absorbed by restarts; messages in between are
         // handled by the rebuilt instances.
-        a.send(power_msg(1000.0));
-        a.send(power_msg(1.0));
-        a.send(power_msg(1000.0));
-        a.send(power_msg(1.0));
+        a.send(reading(1000.0));
+        a.send(reading(1.0));
+        a.send(reading(1000.0));
+        a.send(reading(1.0));
         // Third panic exceeds the cap → actor dies.
-        a.send(power_msg(1000.0));
+        a.send(reading(1000.0));
         let summary = sys.shutdown();
         assert_eq!(built.load(Ordering::SeqCst), 3, "initial + 2 rebuilds");
         assert_eq!(handled.load(Ordering::SeqCst), 2);
@@ -1049,7 +1030,7 @@ mod tests {
             SpawnOptions::default().restart(RestartPolicy::Escalate),
         );
         assert!(!sys.escalated());
-        a.send(power_msg(1000.0));
+        a.send(reading(1000.0));
         // The escalation flag flips as soon as the thread exits; wait for
         // it rather than racing it.
         assert!(wait_until(Duration::from_secs(10), || sys.escalated()));
@@ -1080,7 +1061,7 @@ mod tests {
         // Queue a burst with one poison pill in the middle; everything
         // after the pill must still be processed by the rebuilt actor.
         for i in 0..50 {
-            a.send(power_msg(if i == 25 { 1000.0 } else { 1.0 }));
+            a.send(reading(if i == 25 { 1000.0 } else { 1.0 }));
         }
         let summary = sys.shutdown();
         assert_eq!(handled.load(Ordering::SeqCst), 49);
@@ -1130,7 +1111,7 @@ mod tests {
         );
         // Consumer is gated: the queue fills at 4, then each send evicts.
         for i in 0..20 {
-            assert!(a.send(power_msg(i as f64)), "overflow is not an error");
+            assert!(a.send(reading(i as f64)), "overflow is not an error");
         }
         assert!(a.dropped() >= 15, "evictions counted, got {}", a.dropped());
         open_gate(&gate);
@@ -1160,7 +1141,7 @@ mod tests {
                 .overflow(OverflowPolicy::DropNewest),
         );
         for i in 0..20 {
-            a.send(power_msg(i as f64));
+            a.send(reading(i as f64));
         }
         assert!(a.dropped() >= 15);
         open_gate(&gate);
@@ -1193,7 +1174,7 @@ mod tests {
                 .stage(Stage::Aggregator),
         );
         for i in 0..12 {
-            a.send(power_msg(i as f64));
+            a.send(reading(i as f64));
         }
         open_gate(&gate);
         sys.shutdown();
@@ -1236,7 +1217,7 @@ mod tests {
             std::thread::spawn(move || {
                 let mut ok = 0;
                 for i in 0..50 {
-                    if a.send(power_msg(i as f64)) {
+                    if a.send(reading(i as f64)) {
                         ok += 1;
                     }
                 }
@@ -1278,8 +1259,8 @@ mod tests {
                 backoff: Duration::ZERO,
             }),
         );
-        a.send(power_msg(1000.0));
-        a.send(power_msg(1.0));
+        a.send(reading(1000.0));
+        a.send(reading(1.0));
         // Wait until the recovery is visible.
         assert!(wait_until(Duration::from_secs(10), || {
             handled.load(Ordering::SeqCst) == 1
@@ -1308,12 +1289,8 @@ mod tests {
         // Open a span, then route a traced estimate through the actor.
         let trace = telemetry.trace_for_tick(Nanos::from_secs(1));
         assert!(trace.is_traced());
-        let mut report = power_msg(1.0);
-        if let Message::Power(p) = &mut report {
-            p.trace = trace;
-        }
-        a.send(report);
-        a.send(power_msg(2.0)); // untraced: metrics only, no hop
+        a.send(Message::aggregates(Vec::new(), trace));
+        a.send(reading(2.0)); // untraced: metrics only, no hop
         sys.shutdown();
         let reg = telemetry.registry();
         assert_eq!(
@@ -1357,7 +1334,7 @@ mod tests {
                 stopped: Arc::new(AtomicU64::new(0)),
             }),
         );
-        a.send(power_msg(1.0));
+        a.send(reading(1.0));
         sys.shutdown();
         assert_eq!(hits.load(Ordering::SeqCst), 1);
     }

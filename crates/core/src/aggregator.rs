@@ -11,11 +11,9 @@
 //! and on shutdown, so no interval is lost.
 
 use crate::actor::{Actor, Context};
-use crate::frame::AggregateBatch;
 use crate::msg::{AggregateReport, Message, PowerReport, Quality, Scope};
 use crate::telemetry::TraceId;
 use simcpu::units::{Nanos, Watts};
-use std::sync::Arc;
 
 /// Which dimensions to aggregate along (both may be enabled).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,44 +112,32 @@ impl Aggregator {
 }
 
 impl Actor for Aggregator {
+    /// One [`Message::AggregateBatch`] out per power batch in, folding
+    /// every row through the same window logic (so batches from several
+    /// publishers — the formula and self-power profiling — share one
+    /// machine window).
     fn handle(&mut self, msg: Message, ctx: &Context) {
-        match msg {
-            Message::Power(p) => {
-                self.fold(&p, &mut |a| {
-                    ctx.bus().publish(Message::Aggregate(a));
-                });
-            }
-            Message::PowerBatch(b) => {
-                // One AggregateBatch out per PowerBatch in, folding every
-                // row through the same window logic (so mixed batch and
-                // legacy inputs — e.g. self-power profiling — still share
-                // one machine window).
-                let mut reports = Vec::with_capacity(b.len() + 1);
-                for i in 0..b.len() {
-                    self.fold(&b.report(i), &mut |a| reports.push(a));
-                }
-                if !reports.is_empty() {
-                    ctx.bus()
-                        .publish(Message::AggregateBatch(Arc::new(AggregateBatch {
-                            reports,
-                            trace: b.trace,
-                        })));
-                }
-            }
-            _ => {}
+        let Message::PowerBatch(b) = msg else { return };
+        let mut reports = Vec::with_capacity(b.len() + 1);
+        for i in 0..b.len() {
+            self.fold(&b.report(i), &mut |a| reports.push(a));
+        }
+        if !reports.is_empty() {
+            ctx.bus().publish(Message::aggregates(reports, b.trace));
         }
     }
 
     fn on_stop(&mut self, ctx: &Context) {
         if let Some((ts, acc, band, q, tr)) = self.window.take() {
-            ctx.bus().publish(Message::Aggregate(AggregateReport {
+            let last = AggregateReport {
                 timestamp: ts,
                 scope: Scope::Machine,
                 power: Watts(acc.as_f64() + self.idle_w),
                 band_w: band,
                 quality: q,
                 trace: tr,
-            }));
+            };
+            ctx.bus().publish(Message::aggregates(vec![last], tr));
         }
     }
 }
@@ -160,6 +146,7 @@ impl Actor for Aggregator {
 mod tests {
     use super::*;
     use crate::actor::ActorSystem;
+    use crate::frame::PowerBatch;
     use crate::msg::Topic;
     use os_sim::process::Pid;
     use parking_lot::Mutex;
@@ -168,22 +155,19 @@ mod tests {
     struct Capture(Arc<Mutex<Vec<AggregateReport>>>);
     impl Actor for Capture {
         fn handle(&mut self, msg: Message, _ctx: &Context) {
-            if let Message::Aggregate(a) = msg {
-                self.0.lock().push(a);
+            if let Message::AggregateBatch(b) = msg {
+                self.0.lock().extend(b.reports.iter().cloned());
             }
         }
     }
 
-    fn power(ts: u64, pid: u32, w: f64) -> Message {
-        Message::Power(PowerReport {
-            timestamp: Nanos::from_secs(ts),
-            pid: Pid(pid),
-            power: Watts(w),
-            formula: "t",
-            band_w: Watts(0.0),
-            quality: crate::msg::Quality::Full,
-            trace: TraceId(ts),
-        })
+    /// One tick's power batch: `(pid, watts)` rows at `ts` seconds.
+    fn power(ts: u64, rows: &[(u32, f64)]) -> Message {
+        let mut b = PowerBatch::with_capacity(Nanos::from_secs(ts), "t", TraceId(ts), rows.len());
+        for &(pid, w) in rows {
+            b.push(Pid(pid), Watts(w), Watts(0.0), Quality::Full);
+        }
+        Message::PowerBatch(Arc::new(b))
     }
 
     fn run(dim: Dimension, idle: f64, msgs: Vec<Message>) -> Vec<AggregateReport> {
@@ -206,7 +190,7 @@ mod tests {
         let out = run(
             Dimension::pid(),
             31.48,
-            vec![power(1, 10, 2.0), power(1, 11, 3.0)],
+            vec![power(1, &[(10, 2.0), (11, 3.0)])],
         );
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(|a| matches!(a.scope, Scope::Process(_))));
@@ -221,9 +205,10 @@ mod tests {
             Dimension::timestamp(),
             31.48,
             vec![
-                power(1, 10, 2.0),
-                power(1, 11, 3.0),
-                power(2, 10, 4.0), // triggers flush of ts=1
+                // Two publishers on one tick share the ts=1 window.
+                power(1, &[(10, 2.0)]),
+                power(1, &[(11, 3.0)]),
+                power(2, &[(10, 4.0)]), // triggers flush of ts=1
             ],
         );
         // ts=1 flushed by ts=2's arrival; ts=2 flushed on shutdown.
@@ -238,7 +223,7 @@ mod tests {
 
     #[test]
     fn both_dimensions_interleave() {
-        let out = run(Dimension::both(), 0.0, vec![power(1, 10, 2.0)]);
+        let out = run(Dimension::both(), 0.0, vec![power(1, &[(10, 2.0)])]);
         assert_eq!(out.len(), 2, "one process scope + one machine flush");
         assert!(out.iter().any(|a| a.scope == Scope::Process(Pid(10))));
         assert!(out.iter().any(|a| a.scope == Scope::Machine));
@@ -248,210 +233,5 @@ mod tests {
     fn empty_run_emits_nothing() {
         let out = run(Dimension::both(), 10.0, vec![]);
         assert!(out.is_empty());
-    }
-}
-
-/// Aggregates process estimates into named control groups (cgroups /
-/// virtual machines) — the §5 target unit ("one of the suitable examples
-/// could be the virtual machines"). One aggregate per (timestamp, group);
-/// pids outside every group are ignored here (the plain [`Aggregator`]
-/// still covers them).
-#[derive(Debug, Clone)]
-pub struct GroupAggregator {
-    membership: std::collections::BTreeMap<os_sim::process::Pid, std::sync::Arc<str>>,
-    window:
-        std::collections::BTreeMap<std::sync::Arc<str>, (Nanos, Watts, Watts, Quality, TraceId)>,
-}
-
-impl GroupAggregator {
-    /// Creates the aggregator from a pid → group-name mapping.
-    pub fn new<I, S>(membership: I) -> GroupAggregator
-    where
-        I: IntoIterator<Item = (os_sim::process::Pid, S)>,
-        S: Into<String>,
-    {
-        GroupAggregator {
-            membership: membership
-                .into_iter()
-                .map(|(p, g)| (p, std::sync::Arc::from(g.into())))
-                .collect(),
-            window: std::collections::BTreeMap::new(),
-        }
-    }
-
-    /// Number of grouped pids.
-    pub fn len(&self) -> usize {
-        self.membership.len()
-    }
-
-    /// Whether no pids are grouped.
-    pub fn is_empty(&self) -> bool {
-        self.membership.is_empty()
-    }
-
-    fn take(&mut self, group: &std::sync::Arc<str>) -> Option<AggregateReport> {
-        self.window
-            .remove(group)
-            .map(|(ts, acc, band, q, tr)| AggregateReport {
-                timestamp: ts,
-                scope: Scope::Group(group.clone()),
-                power: acc,
-                band_w: band,
-                quality: q,
-                trace: tr,
-            })
-    }
-
-    /// Number of groups holding an open (unflushed) window — the churn
-    /// regression hook.
-    pub fn pending_windows(&self) -> usize {
-        self.window.len()
-    }
-
-    fn fold(&mut self, p: &PowerReport, emit: &mut impl FnMut(AggregateReport)) {
-        let Some(group) = self.membership.get(&p.pid).cloned() else {
-            return;
-        };
-        // A tick boundary flushes *every* stale window, not just this
-        // group's: a group whose last pid exited mid-run would otherwise
-        // hold its final window forever (the churn bug) — its flush
-        // would only arrive at shutdown, long after the group died.
-        let stale: Vec<std::sync::Arc<str>> = self
-            .window
-            .iter()
-            .filter(|(_, (ts, ..))| *ts != p.timestamp)
-            .map(|(g, _)| g.clone())
-            .collect();
-        for g in stale {
-            if let Some(done) = self.take(&g) {
-                emit(done);
-            }
-        }
-        match self.window.get_mut(&group) {
-            Some((_, acc, band, q, tr)) => {
-                *acc += p.power;
-                *band += p.band_w;
-                *q = (*q).min(p.quality);
-                *tr = (*tr).max(p.trace);
-            }
-            None => {
-                self.window
-                    .insert(group, (p.timestamp, p.power, p.band_w, p.quality, p.trace));
-            }
-        }
-    }
-}
-
-impl Actor for GroupAggregator {
-    fn handle(&mut self, msg: Message, ctx: &Context) {
-        match msg {
-            Message::Power(p) => {
-                self.fold(&p, &mut |a| {
-                    ctx.bus().publish(Message::Aggregate(a));
-                });
-            }
-            Message::PowerBatch(b) => {
-                let mut reports = Vec::new();
-                for i in 0..b.len() {
-                    self.fold(&b.report(i), &mut |a| reports.push(a));
-                }
-                if !reports.is_empty() {
-                    ctx.bus()
-                        .publish(Message::AggregateBatch(Arc::new(AggregateBatch {
-                            reports,
-                            trace: b.trace,
-                        })));
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn on_stop(&mut self, ctx: &Context) {
-        let groups: Vec<std::sync::Arc<str>> = self.window.keys().cloned().collect();
-        for g in groups {
-            if let Some(done) = self.take(&g) {
-                ctx.bus().publish(Message::Aggregate(done));
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod group_tests {
-    use super::*;
-    use crate::actor::ActorSystem;
-    use crate::msg::Topic;
-    use os_sim::process::Pid;
-    use parking_lot::Mutex;
-    use std::sync::Arc;
-
-    struct Capture(Arc<Mutex<Vec<AggregateReport>>>);
-    impl Actor for Capture {
-        fn handle(&mut self, msg: Message, _ctx: &Context) {
-            if let Message::Aggregate(a) = msg {
-                self.0.lock().push(a);
-            }
-        }
-    }
-
-    fn power(ts: u64, pid: u32, w: f64) -> Message {
-        Message::Power(crate::msg::PowerReport {
-            timestamp: Nanos::from_secs(ts),
-            pid: Pid(pid),
-            power: Watts(w),
-            formula: "t",
-            band_w: Watts(0.0),
-            quality: crate::msg::Quality::Full,
-            trace: TraceId::NONE,
-        })
-    }
-
-    #[test]
-    fn groups_sum_their_members_per_timestamp() {
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let mut sys = ActorSystem::new();
-        let agg = sys.spawn(
-            "groups",
-            Box::new(GroupAggregator::new(vec![
-                (Pid(1), "vm-alpha"),
-                (Pid(2), "vm-alpha"),
-                (Pid(3), "vm-beta"),
-            ])),
-        );
-        let sink = sys.spawn("sink", Box::new(Capture(seen.clone())));
-        sys.bus().subscribe(Topic::Power, &agg);
-        sys.bus().subscribe(Topic::Aggregate, &sink);
-        // ts=1: alpha gets 2+3 W, beta gets 4 W; pid 9 is ungrouped.
-        sys.bus().publish(power(1, 1, 2.0));
-        sys.bus().publish(power(1, 2, 3.0));
-        sys.bus().publish(power(1, 3, 4.0));
-        sys.bus().publish(power(1, 9, 100.0));
-        // ts=2 flushes ts=1 windows.
-        sys.bus().publish(power(2, 1, 1.0));
-        sys.bus().publish(power(2, 3, 1.5));
-        sys.shutdown();
-        let seen = seen.lock();
-        let get = |name: &str, ts: u64| {
-            seen.iter()
-                .find(|a| {
-                    a.timestamp == Nanos::from_secs(ts)
-                        && matches!(&a.scope, Scope::Group(g) if &**g == name)
-                })
-                .map(|a| a.power.as_f64())
-        };
-        assert_eq!(get("vm-alpha", 1), Some(5.0));
-        assert_eq!(get("vm-beta", 1), Some(4.0));
-        // Shutdown flushed the ts=2 windows too.
-        assert_eq!(get("vm-alpha", 2), Some(1.0));
-        assert_eq!(get("vm-beta", 2), Some(1.5));
-        assert_eq!(seen.len(), 4, "ungrouped pid 9 produced nothing");
-    }
-
-    #[test]
-    fn empty_membership_is_inert() {
-        let agg = GroupAggregator::new(Vec::<(Pid, String)>::new());
-        assert!(agg.is_empty());
-        assert_eq!(agg.len(), 0);
     }
 }

@@ -125,8 +125,9 @@ impl std::fmt::Debug for EventBus {
 mod tests {
     use super::*;
     use crate::actor::{Actor, ActorSystem, Context};
-    use crate::msg::{AggregateReport, PowerReport, Scope};
-    use os_sim::process::Pid;
+    use crate::frame::PowerBatch;
+    use crate::msg::{AggregateReport, Scope};
+    use crate::telemetry::TraceId;
     use simcpu::units::{Nanos, Watts};
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -138,26 +139,26 @@ mod tests {
     }
 
     fn power_msg() -> Message {
-        Message::Power(PowerReport {
-            timestamp: Nanos(1),
-            pid: Pid(1),
-            power: Watts(1.0),
-            formula: "t",
-            band_w: Watts(0.0),
-            quality: crate::msg::Quality::Full,
-            trace: crate::telemetry::TraceId::NONE,
-        })
+        Message::PowerBatch(Arc::new(PowerBatch::with_capacity(
+            Nanos(1),
+            "t",
+            TraceId::NONE,
+            0,
+        )))
     }
 
     fn agg_msg() -> Message {
-        Message::Aggregate(AggregateReport {
-            timestamp: Nanos(1),
-            scope: Scope::Machine,
-            power: Watts(1.0),
-            band_w: Watts(0.0),
-            quality: crate::msg::Quality::Full,
-            trace: crate::telemetry::TraceId::NONE,
-        })
+        Message::aggregates(
+            vec![AggregateReport {
+                timestamp: Nanos(1),
+                scope: Scope::Machine,
+                power: Watts(1.0),
+                band_w: Watts(0.0),
+                quality: crate::msg::Quality::Full,
+                trace: TraceId::NONE,
+            }],
+            TraceId::NONE,
+        )
     }
 
     #[test]

@@ -181,16 +181,11 @@ impl CapControlActor {
 
 impl Actor for CapControlActor {
     fn handle(&mut self, msg: Message, _ctx: &Context) {
-        match msg {
-            Message::Aggregate(a) if a.scope == Scope::Machine => {
-                self.cap.on_estimate(a.power.as_f64());
-            }
-            Message::AggregateBatch(b) => {
-                for a in b.reports.iter().filter(|a| a.scope == Scope::Machine) {
-                    self.cap.on_estimate(a.power.as_f64());
-                }
-            }
-            _ => {}
+        let Message::AggregateBatch(b) = msg else {
+            return;
+        };
+        for a in b.reports.iter().filter(|a| a.scope == Scope::Machine) {
+            self.cap.on_estimate(a.power.as_f64());
         }
     }
 }
@@ -292,16 +287,11 @@ impl RateControlActor {
 
 impl Actor for RateControlActor {
     fn handle(&mut self, msg: Message, ctx: &Context) {
-        match msg {
-            Message::Aggregate(a) if a.scope == Scope::Machine => {
-                self.on_report(&a, ctx);
-            }
-            Message::AggregateBatch(b) => {
-                for a in b.reports.iter().filter(|a| a.scope == Scope::Machine) {
-                    self.on_report(a, ctx);
-                }
-            }
-            _ => {}
+        let Message::AggregateBatch(b) = msg else {
+            return;
+        };
+        for a in b.reports.iter().filter(|a| a.scope == Scope::Machine) {
+            self.on_report(a, ctx);
         }
     }
 }
@@ -457,14 +447,17 @@ mod tests {
         );
         sys.bus().subscribe(Topic::Aggregate, &r);
         let agg = |ts: u64, q: Quality| {
-            Message::Aggregate(AggregateReport {
-                timestamp: Nanos::from_secs(ts),
-                scope: Scope::Machine,
-                power: Watts(36.0),
-                band_w: Watts(1.0),
-                quality: q,
-                trace: TraceId::NONE,
-            })
+            Message::aggregates(
+                vec![AggregateReport {
+                    timestamp: Nanos::from_secs(ts),
+                    scope: Scope::Machine,
+                    power: Watts(36.0),
+                    band_w: Watts(1.0),
+                    quality: q,
+                    trace: TraceId::NONE,
+                }],
+                TraceId::NONE,
+            )
         };
         // 10 in-band ticks climb the ladder twice (5 per step), then a
         // degraded report snaps straight back to full rate.
@@ -508,14 +501,17 @@ mod tests {
         );
         sys.bus().subscribe(Topic::Aggregate, &r);
         let agg = |ts: u64| {
-            Message::Aggregate(AggregateReport {
-                timestamp: Nanos::from_secs(ts),
-                scope: Scope::Machine,
-                power: Watts(36.0),
-                band_w: Watts(1.0),
-                quality: Quality::Full,
-                trace: TraceId::NONE,
-            })
+            Message::aggregates(
+                vec![AggregateReport {
+                    timestamp: Nanos::from_secs(ts),
+                    scope: Scope::Machine,
+                    power: Watts(36.0),
+                    band_w: Watts(1.0),
+                    quality: Quality::Full,
+                    trace: TraceId::NONE,
+                }],
+                TraceId::NONE,
+            )
         };
         for i in 1..=6 {
             sys.bus().publish(agg(i));

@@ -118,7 +118,6 @@ impl WireFrame {
     /// fleet-wide slot layout).
     pub fn fill_report(&self, i: usize, events: &[Event], out: &mut SensorReport) {
         let row = &self.rows[i];
-        out.source = crate::sensor::hpc::SOURCE;
         out.timestamp = self.timestamp;
         out.interval = self.interval;
         out.pid = row.pid;

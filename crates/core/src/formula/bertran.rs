@@ -102,8 +102,6 @@ mod tests {
         assert_eq!(f.name(), "bertran-decomposable");
         assert_eq!(f.idle_w(), 40.0);
         let report = SensorReport {
-            trace: crate::telemetry::TraceId::NONE,
-            source: crate::sensor::hpc::SOURCE,
             timestamp: Nanos::from_secs(1),
             interval: Nanos::from_secs(1),
             pid: Pid(1),

@@ -68,8 +68,6 @@ mod tests {
 
     fn report(busy_ms: u64, interval_ms: u64) -> SensorReport {
         SensorReport {
-            trace: crate::telemetry::TraceId::NONE,
-            source: crate::sensor::procfs::SOURCE,
             timestamp: Nanos::from_secs(1),
             interval: Nanos::from_millis(interval_ms),
             pid: Pid(1),

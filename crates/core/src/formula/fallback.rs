@@ -12,10 +12,10 @@
 use crate::actor::{Actor, Context};
 use crate::formula::PowerFormula;
 use crate::frame::{PowerBatch, SensorBatch};
-use crate::msg::{Message, PowerReport, Quality};
+use crate::msg::{Message, Quality};
 use crate::telemetry::EventKind;
 use os_sim::process::Pid;
-use simcpu::units::{Nanos, Watts};
+use simcpu::units::Nanos;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -24,7 +24,9 @@ pub struct FallbackFormula {
     primary: Box<dyn PowerFormula>,
     backup: Box<dyn PowerFormula>,
     max_age: Nanos,
-    /// Per-pid timestamp of the last report the primary formula consumed.
+    /// Per-pid timestamp of the last row the primary formula estimated.
+    /// Pruned against every backup-source batch, so it tracks the live
+    /// monitored set instead of every pid ever seen.
     last_primary: BTreeMap<Pid, Nanos>,
     /// Estimates served by the backup path (observability for E7).
     degraded: u64,
@@ -67,16 +69,36 @@ impl FallbackFormula {
         self.degraded
     }
 
-    /// Batched watchdog: same per-pid decisions as the per-message path,
-    /// one [`PowerBatch`] out per consumed [`SensorBatch`].
-    fn on_batch(&mut self, batch: Arc<SensorBatch>, ctx: &Context) {
+    /// Forgets every tracked pid the backup-source batch no longer
+    /// lists. That sensor lists every monitored pid every tick, so
+    /// absence means unmonitored or exited — without this the watchdog
+    /// maps grow for the life of the run under container churn. Every
+    /// listed pid is tracked by the time this runs, so equal sizes mean
+    /// equal sets and the steady state pays one comparison.
+    fn prune_to(&mut self, batch: &SensorBatch) {
+        if self.last_primary.len() == batch.rows.len() {
+            return;
+        }
+        let live: BTreeSet<Pid> = batch.rows.iter().map(|r| r.pid).collect();
+        self.last_primary.retain(|pid, _| live.contains(pid));
+        self.degraded_pids.retain(|pid| live.contains(pid));
+    }
+}
+
+impl Actor for FallbackFormula {
+    /// One [`PowerBatch`] out per consumed [`SensorBatch`]: the primary's
+    /// estimates for its own source, the backup's for pids whose primary
+    /// stream has been silent longer than `max_age`.
+    fn handle(&mut self, msg: Message, ctx: &Context) {
+        let Message::SensorBatch(batch) = msg else {
+            return;
+        };
         let ts = batch.timestamp();
         if batch.source == self.primary.source() {
             let mut out =
                 PowerBatch::with_capacity(ts, self.primary.name(), batch.trace, batch.rows.len());
             self.primary.estimate_batch(&batch, Quality::Full, &mut out);
-            // Only rows the primary actually estimated feed the watchdog —
-            // exactly the rows the legacy path inserts on.
+            // Only rows the primary actually estimated feed the watchdog.
             for &pid in &out.pids {
                 self.last_primary.insert(pid, ts);
                 if self.degraded_pids.remove(&pid) {
@@ -99,12 +121,16 @@ impl FallbackFormula {
         }
         let mut rows = Vec::new();
         for row in &batch.rows {
+            // First sighting starts the watchdog: the primary gets a full
+            // grace period before the backup may speak for this pid (also
+            // absorbs same-tick sensor ordering races).
             let last = *self.last_primary.entry(row.pid).or_insert(ts);
             if ts - last <= self.max_age {
                 continue;
             }
             rows.push(*row);
         }
+        self.prune_to(&batch);
         if rows.is_empty() {
             return;
         }
@@ -140,78 +166,6 @@ impl FallbackFormula {
     }
 }
 
-impl Actor for FallbackFormula {
-    fn handle(&mut self, msg: Message, ctx: &Context) {
-        let report = match msg {
-            Message::Sensor(report) => report,
-            Message::SensorBatch(batch) => return self.on_batch(batch, ctx),
-            _ => return,
-        };
-        if report.source == self.primary.source() {
-            if let Some(power) = self.primary.estimate(&report) {
-                self.last_primary.insert(report.pid, report.timestamp);
-                if self.degraded_pids.remove(&report.pid) {
-                    ctx.telemetry().journal().emit_at(
-                        report.timestamp,
-                        EventKind::QualityRecovered,
-                        &format!("pid-{}", report.pid.0),
-                        format!("primary formula {} resumed", self.primary.name()),
-                        report.trace,
-                    );
-                }
-                ctx.bus().publish(Message::Power(PowerReport {
-                    timestamp: report.timestamp,
-                    pid: report.pid,
-                    power,
-                    formula: self.primary.name(),
-                    band_w: Watts(self.primary.interval_w(&report)),
-                    quality: Quality::Full,
-                    trace: report.trace,
-                }));
-            }
-            return;
-        }
-        if report.source != self.backup.source() {
-            return;
-        }
-        let last = *self
-            .last_primary
-            .entry(report.pid)
-            // First sighting starts the watchdog: the primary gets a full
-            // grace period before the backup may speak for this pid (also
-            // absorbs same-tick sensor ordering races).
-            .or_insert(report.timestamp);
-        if report.timestamp - last <= self.max_age {
-            return;
-        }
-        if let Some(power) = self.backup.estimate(&report) {
-            self.degraded += 1;
-            if self.degraded_pids.insert(report.pid) {
-                ctx.telemetry().journal().emit_at(
-                    report.timestamp,
-                    EventKind::QualityDegraded,
-                    &format!("pid-{}", report.pid.0),
-                    format!(
-                        "primary silent > {} ms; serving {}",
-                        self.max_age.as_u64() / 1_000_000,
-                        self.backup.name()
-                    ),
-                    report.trace,
-                );
-            }
-            ctx.bus().publish(Message::Power(PowerReport {
-                timestamp: report.timestamp,
-                pid: report.pid,
-                power,
-                formula: self.backup.name(),
-                band_w: Watts(self.backup.interval_w(&report)),
-                quality: Quality::Degraded,
-                trace: report.trace,
-            }));
-        }
-    }
-}
-
 impl std::fmt::Debug for FallbackFormula {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FallbackFormula")
@@ -228,10 +182,11 @@ mod tests {
     use super::*;
     use crate::actor::ActorSystem;
     use crate::formula::cpuload::CpuLoadFormula;
-    use crate::msg::{CorunSplit, ProcTimeDelta, SensorReport, Topic};
+    use crate::frame::FrameBuilder;
+    use crate::msg::{PowerReport, SensorReport, Topic};
+    use crate::sensor::ProcfsSensor;
     use parking_lot::Mutex;
     use simcpu::units::Watts;
-    use std::sync::Arc;
 
     /// Primary stand-in sourcing from the HPC sensor.
     struct Hpc;
@@ -253,39 +208,47 @@ mod tests {
     struct Capture(Arc<Mutex<Vec<PowerReport>>>);
     impl Actor for Capture {
         fn handle(&mut self, msg: Message, _ctx: &Context) {
-            if let Message::Power(p) = msg {
-                self.0.lock().push(p);
+            if let Message::PowerBatch(b) = msg {
+                self.0.lock().extend(b.reports());
             }
         }
     }
 
-    fn sensor(source: &'static str, ts_s: u64, pid: u32) -> Message {
-        Message::Sensor(Arc::new(SensorReport {
+    /// One batch from `source` listing `pids`, each half-busy over a 1 s
+    /// interval.
+    fn batch(source: &'static str, ts_s: u64, pids: &[u32]) -> Message {
+        let mut b = FrameBuilder::new();
+        for &pid in pids {
+            b.push_time_row(Pid(pid), Nanos::from_millis(500), |_| {});
+        }
+        let frame = Arc::new(b.finish(
+            Nanos::from_secs(ts_s),
+            Nanos::from_secs(1),
+            Arc::from([]),
+            None,
+        ));
+        Message::SensorBatch(Arc::new(SensorBatch {
             source,
-            timestamp: Nanos::from_secs(ts_s),
-            interval: Nanos::from_secs(1),
-            pid: Pid(pid),
-            counters: Vec::new(),
-            time: ProcTimeDelta {
-                busy: Nanos::from_millis(500),
-                by_freq: Vec::new(),
-            },
-            corun: CorunSplit::default(),
-            trace: crate::telemetry::TraceId::NONE,
+            ..ProcfsSensor::observe(frame, crate::telemetry::TraceId::NONE)
         }))
+    }
+
+    fn sensor(source: &'static str, ts_s: u64, pid: u32) -> Message {
+        batch(source, ts_s, &[pid])
+    }
+
+    fn watchdog() -> FallbackFormula {
+        FallbackFormula::new(
+            Box::new(Hpc),
+            Box::new(CpuLoadFormula::new(30.0, 10.0)),
+            Nanos::from_secs(2),
+        )
     }
 
     fn run(msgs: Vec<Message>) -> Vec<PowerReport> {
         let seen = Arc::new(Mutex::new(Vec::new()));
         let mut sys = ActorSystem::new();
-        let f = sys.spawn(
-            "fallback",
-            Box::new(FallbackFormula::new(
-                Box::new(Hpc),
-                Box::new(CpuLoadFormula::new(30.0, 10.0)),
-                Nanos::from_secs(2),
-            )),
-        );
+        let f = sys.spawn("fallback", Box::new(watchdog()));
         let sink = sys.spawn("sink", Box::new(Capture(seen.clone())));
         sys.bus().subscribe(Topic::Sensor, &f);
         sys.bus().subscribe(Topic::Power, &sink);
@@ -374,12 +337,10 @@ mod tests {
     #[test]
     fn tracks_processes_independently() {
         let out = run(vec![
-            sensor(HPC, 1, 1),
-            sensor(HPC, 1, 2),
+            batch(HPC, 1, &[1, 2]),
             // pid 1 keeps its HPC stream, pid 2 loses it.
-            sensor(HPC, 4, 1),
-            sensor(PROCFS, 4, 1),
-            sensor(PROCFS, 4, 2),
+            batch(HPC, 4, &[1]),
+            batch(PROCFS, 4, &[1, 2]),
         ]);
         let pid1: Vec<_> = out.iter().filter(|p| p.pid == Pid(1)).collect();
         let pid2: Vec<_> = out.iter().filter(|p| p.pid == Pid(2)).collect();
@@ -393,14 +354,7 @@ mod tests {
         let telemetry = crate::telemetry::Telemetry::new();
         let seen = Arc::new(Mutex::new(Vec::new()));
         let mut sys = ActorSystem::with_telemetry(telemetry.clone());
-        let f = sys.spawn(
-            "fallback",
-            Box::new(FallbackFormula::new(
-                Box::new(Hpc),
-                Box::new(CpuLoadFormula::new(30.0, 10.0)),
-                Nanos::from_secs(2),
-            )),
-        );
+        let f = sys.spawn("fallback", Box::new(watchdog()));
         let sink = sys.spawn("sink", Box::new(Capture(seen.clone())));
         sys.bus().subscribe(Topic::Sensor, &f);
         sys.bus().subscribe(Topic::Power, &sink);
@@ -428,13 +382,80 @@ mod tests {
         assert_eq!(degrade.at, Nanos::from_secs(4));
     }
 
+    /// Forwards to the watchdog and records its tracked-set sizes after
+    /// every message.
+    struct Probe {
+        inner: FallbackFormula,
+        sizes: Arc<Mutex<Vec<(usize, usize)>>>,
+    }
+    impl Actor for Probe {
+        fn handle(&mut self, msg: Message, ctx: &Context) {
+            self.inner.handle(msg, ctx);
+            self.sizes.lock().push((
+                self.inner.last_primary.len(),
+                self.inner.degraded_pids.len(),
+            ));
+        }
+    }
+
+    #[test]
+    fn retired_pids_are_forgotten_and_live_estimates_unchanged() {
+        // Pid 1 lives the whole run with its HPC stream lost after t=1
+        // (so it degrades from t=4). Each tick also spawns one pid that
+        // never gets an HPC row, lives four ticks (degrading on its
+        // last) and is gone — container churn.
+        let churn = |with_churn: bool| {
+            let sizes = Arc::new(Mutex::new(Vec::new()));
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let mut sys = ActorSystem::new();
+            let f = sys.spawn(
+                "fallback",
+                Box::new(Probe {
+                    inner: watchdog(),
+                    sizes: sizes.clone(),
+                }),
+            );
+            let sink = sys.spawn("sink", Box::new(Capture(seen.clone())));
+            sys.bus().subscribe(Topic::Sensor, &f);
+            sys.bus().subscribe(Topic::Power, &sink);
+            sys.bus().publish(sensor(HPC, 1, 1));
+            for ts in 1..=40u64 {
+                let mut pids = vec![1];
+                if with_churn {
+                    pids.extend((ts.saturating_sub(3).max(1)..=ts).map(|k| 100 + k as u32));
+                }
+                sys.bus().publish(batch(PROCFS, ts, &pids));
+            }
+            sys.shutdown();
+            let live: Vec<PowerReport> = seen
+                .lock()
+                .iter()
+                .filter(|p| p.pid == Pid(1))
+                .cloned()
+                .collect();
+            let sizes = sizes.lock().clone();
+            (live, sizes)
+        };
+        let (with_churn, sizes) = churn(true);
+        let (without, _) = churn(false);
+        assert_eq!(with_churn, without, "live pid's estimates unaffected");
+        assert_eq!(with_churn.len(), 38, "t=1 primary, t=4..=40 degraded");
+        // 40 distinct short-lived pids passed through; the watchdog never
+        // tracked more than the five alive at once, nor remembered a
+        // degraded pid past its exit.
+        let (max_tracked, max_degraded) = sizes
+            .iter()
+            .fold((0, 0), |(a, b), &(t, d)| (a.max(t), b.max(d)));
+        assert_eq!(max_tracked, 5, "tracked set bounded by the live set");
+        assert_eq!(
+            max_degraded, 2,
+            "pid 1 plus the one churn pid on its last tick"
+        );
+    }
+
     #[test]
     fn accessors_and_debug() {
-        let f = FallbackFormula::new(
-            Box::new(Hpc),
-            Box::new(CpuLoadFormula::new(30.0, 10.0)),
-            Nanos::from_secs(2),
-        );
+        let f = watchdog();
         assert_eq!(f.name(), "hpc-fixed");
         assert_eq!(f.idle_w(), 30.0);
         assert_eq!(f.degraded_count(), 0);

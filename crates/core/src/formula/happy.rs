@@ -187,7 +187,7 @@ impl PowerFormula for HappyFormula {
 
 impl HappyFormula {
     /// One estimate from a co-run split at a fixed operating point —
-    /// shared by the per-report and batched paths, rates built in the
+    /// shared by the row-by-row and column paths, rates built in the
     /// reusable scratch columns.
     fn estimate_split(
         &mut self,
@@ -236,8 +236,6 @@ mod tests {
 
     fn report(solo_inst: u64, corun_inst: u64) -> SensorReport {
         SensorReport {
-            trace: crate::telemetry::TraceId::NONE,
-            source: crate::sensor::hpc::SOURCE,
             timestamp: Nanos::from_secs(1),
             interval: Nanos::from_secs(1),
             pid: Pid(1),

@@ -18,15 +18,14 @@ pub mod per_freq;
 use crate::actor::{Actor, Context};
 use crate::frame::{PowerBatch, SensorBatch};
 use crate::health::ModelHealth;
-use crate::msg::{CorunSplit, Message, PowerReport, ProcTimeDelta, Quality, SensorReport};
-use crate::telemetry::TraceId;
+use crate::msg::{CorunSplit, Message, ProcTimeDelta, Quality, SensorReport};
 use os_sim::process::Pid;
 use simcpu::units::{Nanos, Watts};
 use std::sync::Arc;
 
 /// A power-estimation strategy fed by sensor reports.
 pub trait PowerFormula: Send {
-    /// The formula's name (carried on every [`PowerReport`]).
+    /// The formula's name (carried on every [`PowerBatch`]).
     fn name(&self) -> &'static str;
 
     /// The sensor source this formula consumes (default: the HPC sensor).
@@ -49,25 +48,13 @@ pub trait PowerFormula: Send {
         0.0
     }
 
-    /// Estimates every row of a batched sensor observation, appending to
-    /// `out`. The default materialises each row into a reusable scratch
-    /// report and calls [`PowerFormula::estimate`] /
-    /// [`PowerFormula::interval_w`] on it, so batched and per-message
-    /// estimates are bit-identical by construction; hot formulas override
-    /// this to read the frame columns directly.
+    /// Estimates every row of a sensor batch, appending to `out`. The
+    /// default materialises each row into a reusable scratch report and
+    /// calls [`PowerFormula::estimate`] / [`PowerFormula::interval_w`] on
+    /// it; hot formulas override this to read the frame columns directly
+    /// and must stay bit-identical to this row-by-row reference.
     fn estimate_batch(&mut self, batch: &SensorBatch, quality: Quality, out: &mut PowerBatch) {
-        let mut scratch = scratch_report();
-        for i in 0..batch.rows.len() {
-            batch.fill_report(i, &mut scratch);
-            if let Some(power) = self.estimate(&scratch) {
-                out.push(
-                    scratch.pid,
-                    power,
-                    Watts(self.interval_w(&scratch)),
-                    quality,
-                );
-            }
-        }
+        estimate_row_by_row(self, batch, quality, out);
     }
 
     /// A fresh boxed copy of this formula, so a supervisor can rebuild a
@@ -75,27 +62,46 @@ pub trait PowerFormula: Send {
     fn boxed_clone(&self) -> Box<dyn PowerFormula>;
 }
 
+/// The row-by-row reference path (and [`PowerFormula::estimate_batch`]'s
+/// default body): materialise each row with
+/// [`SensorBatch::fill_report`], then [`PowerFormula::estimate`] +
+/// [`PowerFormula::interval_w`]. Public so tests can hold a formula's
+/// `estimate_batch` override to it.
+pub fn estimate_row_by_row<F: PowerFormula + ?Sized>(
+    formula: &mut F,
+    batch: &SensorBatch,
+    quality: Quality,
+    out: &mut PowerBatch,
+) {
+    let mut scratch = scratch_report();
+    for i in 0..batch.rows.len() {
+        batch.fill_report(i, &mut scratch);
+        if let Some(power) = formula.estimate(&scratch) {
+            let band = Watts(formula.interval_w(&scratch));
+            out.push(scratch.pid, power, band, quality);
+        }
+    }
+}
+
 /// An empty report suitable as a [`SensorBatch::fill_report`] target.
 pub(crate) fn scratch_report() -> SensorReport {
     SensorReport {
-        source: "",
         timestamp: Nanos::ZERO,
         interval: Nanos::ZERO,
         pid: Pid(0),
         counters: Vec::new(),
         time: ProcTimeDelta::default(),
         corun: CorunSplit::default(),
-        trace: TraceId::NONE,
     }
 }
 
 /// Hosts any [`PowerFormula`] as a bus actor: subscribes to sensor
-/// reports, filters by source, publishes power reports.
+/// batches, filters by source, publishes power batches.
 pub struct FormulaActor {
     formula: Box<dyn PowerFormula>,
     /// When model health is enabled, estimates are downgraded to
     /// [`Quality::Degraded`] while the live residual sits outside the
-    /// prediction band. `None` (the default) costs nothing per report.
+    /// prediction band. `None` (the default) costs nothing per tick.
     health: Option<ModelHealth>,
 }
 
@@ -121,50 +127,27 @@ impl FormulaActor {
 
 impl Actor for FormulaActor {
     fn handle(&mut self, msg: Message, ctx: &Context) {
-        let report = match msg {
-            Message::Sensor(report) => report,
-            Message::SensorBatch(batch) => {
-                if batch.source != self.formula.source() {
-                    return;
-                }
-                // Health is a per-tick property, so the whole batch shares
-                // one quality verdict (the legacy path checks per report,
-                // but within one tick the answer cannot change).
-                let quality = match &self.health {
-                    Some(h) if h.out_of_band() => Quality::Degraded,
-                    _ => Quality::Full,
-                };
-                let mut out = PowerBatch::with_capacity(
-                    batch.timestamp(),
-                    self.formula.name(),
-                    batch.trace,
-                    batch.rows.len(),
-                );
-                self.formula.estimate_batch(&batch, quality, &mut out);
-                if !out.is_empty() {
-                    ctx.bus().publish(Message::PowerBatch(Arc::new(out)));
-                }
-                return;
-            }
-            _ => return,
+        let Message::SensorBatch(batch) = msg else {
+            return;
         };
-        if report.source != self.formula.source() {
+        if batch.source != self.formula.source() {
             return;
         }
-        if let Some(power) = self.formula.estimate(&report) {
-            let quality = match &self.health {
-                Some(h) if h.out_of_band() => Quality::Degraded,
-                _ => Quality::Full,
-            };
-            ctx.bus().publish(Message::Power(PowerReport {
-                timestamp: report.timestamp,
-                pid: report.pid,
-                power,
-                formula: self.formula.name(),
-                band_w: Watts(self.formula.interval_w(&report)),
-                quality,
-                trace: report.trace,
-            }));
+        // Health is a per-tick property, so the whole batch shares one
+        // quality verdict.
+        let quality = match &self.health {
+            Some(h) if h.out_of_band() => Quality::Degraded,
+            _ => Quality::Full,
+        };
+        let mut out = PowerBatch::with_capacity(
+            batch.timestamp(),
+            self.formula.name(),
+            batch.trace,
+            batch.rows.len(),
+        );
+        self.formula.estimate_batch(&batch, quality, &mut out);
+        if !out.is_empty() {
+            ctx.bus().publish(Message::PowerBatch(Arc::new(out)));
         }
     }
 }
@@ -181,11 +164,10 @@ impl std::fmt::Debug for FormulaActor {
 mod tests {
     use super::*;
     use crate::actor::ActorSystem;
-    use crate::msg::{CorunSplit, ProcTimeDelta, Topic};
-    use os_sim::process::Pid;
+    use crate::frame::FrameBuilder;
+    use crate::msg::{PowerReport, Topic};
+    use crate::sensor::ProcfsSensor;
     use parking_lot::Mutex;
-    use simcpu::units::Nanos;
-    use std::sync::Arc;
 
     struct Fixed;
     impl PowerFormula for Fixed {
@@ -206,22 +188,25 @@ mod tests {
     struct Capture(Arc<Mutex<Vec<PowerReport>>>);
     impl Actor for Capture {
         fn handle(&mut self, msg: Message, _ctx: &Context) {
-            if let Message::Power(p) = msg {
-                self.0.lock().push(p);
+            if let Message::PowerBatch(b) = msg {
+                self.0.lock().extend(b.reports());
             }
         }
     }
 
+    /// A one-row batch for pid 9 from `source`.
     fn sensor_msg(source: &'static str) -> Message {
-        Message::Sensor(Arc::new(SensorReport {
+        let mut b = FrameBuilder::new();
+        b.push_time_row(Pid(9), Nanos::ZERO, |_| {});
+        let frame = b.finish(
+            Nanos::from_secs(1),
+            Nanos::from_secs(1),
+            Arc::from([]),
+            None,
+        );
+        Message::SensorBatch(Arc::new(SensorBatch {
             source,
-            timestamp: Nanos::from_secs(1),
-            interval: Nanos::from_secs(1),
-            pid: Pid(9),
-            counters: Vec::new(),
-            time: ProcTimeDelta::default(),
-            corun: CorunSplit::default(),
-            trace: crate::telemetry::TraceId(3),
+            ..ProcfsSensor::observe(Arc::new(frame), crate::telemetry::TraceId(3))
         }))
     }
 

@@ -16,14 +16,14 @@ use std::sync::Arc;
 /// The model's event slots resolved against one frame layout: index `i`
 /// holds where model event `i` lives in the frame's counter row. Resolved
 /// once per layout (the host reuses one `Arc<[Event]>` for the whole
-/// run), replacing the legacy per-report string-compare scan.
+/// run) instead of string-comparing event names on every row.
 #[derive(Debug, Clone, Default)]
 struct SlotCache {
     /// The layout the slots were resolved against.
     layout: Option<Arc<[Event]>>,
     /// Model-event → frame-column indices (`None` when any model event is
     /// missing from the layout — every row is then inestimable, exactly
-    /// like the legacy per-report `None`).
+    /// like [`PowerFormula::estimate`] returning `None`).
     slots: Option<Vec<usize>>,
 }
 
@@ -83,9 +83,10 @@ impl PerFrequencyFormula {
     }
 
     /// The batched estimator shared with [`BertranFormula`]: identical
-    /// arithmetic to the legacy per-report path, reading frame columns
-    /// through the resolved slots. `with_band` gates the prediction-band
-    /// column (the Bertran wrapper claims no band).
+    /// arithmetic to the row-by-row [`PowerFormula::estimate`] reference,
+    /// reading frame columns through the resolved slots. `with_band`
+    /// gates the prediction-band column (the Bertran wrapper claims no
+    /// band).
     ///
     /// [`BertranFormula`]: crate::formula::bertran::BertranFormula
     pub(crate) fn estimate_batch_cols(
@@ -280,8 +281,6 @@ mod tests {
 
     fn report(counters: &[u64; 3], by_freq: Vec<(MegaHertz, Nanos)>, busy: Nanos) -> SensorReport {
         SensorReport {
-            trace: crate::telemetry::TraceId::NONE,
-            source: crate::sensor::hpc::SOURCE,
             timestamp: Nanos::from_secs(1),
             interval: Nanos::from_secs(1),
             pid: Pid(1),

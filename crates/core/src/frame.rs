@@ -1,29 +1,25 @@
-//! Batched struct-of-arrays tick frames: the hot-path throughput engine.
+//! Struct-of-arrays tick frames: the one shape a monitoring interval
+//! travels the pipeline in.
 //!
-//! The legacy pipeline ships one [`HostSnapshot`] per tick and then fans
-//! it out into *per-process* messages — at 1 000 monitored processes a
-//! single tick costs ~3 200 bus messages, each with its own boxed
-//! `Vec<(Event, u64)>`, mailbox hop and per-message telemetry record. A
-//! [`TickFrame`] instead carries the whole interval as columns: one pid
-//! column per section plus flat value columns (counters row-major,
+//! A [`TickFrame`] carries the whole interval as columns: one pid column
+//! per section plus flat value columns (counters row-major,
 //! per-frequency residency in CSR form), so each pipeline stage handles
-//! **one** message per tick and walks cache-friendly arrays.
+//! **one** message per tick and walks cache-friendly arrays — at 1 000
+//! monitored processes a tick is four bus messages, not one per process
+//! per stage.
 //!
 //! Downstream stages keep the same shape: the sensors publish a
 //! [`SensorBatch`] (row descriptors into the shared frame), formulas a
 //! [`PowerBatch`] (watts columns), the aggregator an [`AggregateBatch`].
-//! The actor runtime — supervision, restarts, fault injection, tracing —
-//! is unchanged: batches are ordinary bus messages carrying the tick's
-//! [`TraceId`], so every PR 2–5 facility (quality tags, journal events,
-//! trace spans, post-mortem dumps) rides along per frame.
+//! Batches are ordinary bus messages carrying the tick's [`TraceId`], so
+//! supervision, fault injection, quality tags, journal events, trace
+//! spans and post-mortem dumps all ride along per frame.
 //!
 //! Frames are recycled through a [`FramePool`] free list: when the last
 //! `Arc<TickFrame>` drops, the column storage returns to the pool and the
 //! next tick reuses it — O(1) steady-state allocation per tick.
-//!
-//! [`HostSnapshot`]: crate::msg::HostSnapshot
 
-use crate::msg::{CorunSplit, HostSnapshot, PowerReport, ProcTimeDelta, Quality, SensorReport};
+use crate::msg::{CorunSplit, PowerReport, Quality, SensorReport};
 use crate::telemetry::TraceId;
 use os_sim::process::Pid;
 use parking_lot::Mutex;
@@ -48,8 +44,8 @@ pub struct FrameStorage {
     corun: Vec<CorunSplit>,
     meter: Vec<(Nanos, Watts)>,
     /// Distinct cgroup node paths referenced by `group_of` (empty on
-    /// hosts without cgroups — the legacy frame shape, byte-identical on
-    /// the wire).
+    /// hosts without cgroups, which keeps their wire payload free of any
+    /// group section).
     group_table: Vec<Arc<str>>,
     /// Per-*time*-row index into `group_table` ([`NO_ROW`] = ungrouped).
     /// Either empty (no groups) or exactly `time_pids.len()` entries.
@@ -210,81 +206,6 @@ impl TickFrame {
         self.sampling_pressure
     }
 
-    /// Converts a legacy snapshot (test/interop path; the runtime builds
-    /// frames directly from the host). Every hpc row must follow the same
-    /// event order — the order of the first row becomes the slot layout.
-    pub fn from_snapshot(snap: &HostSnapshot) -> TickFrame {
-        let events: Arc<[Event]> = snap
-            .hpc
-            .first()
-            .map(|(_, row)| row.iter().map(|(e, _)| *e).collect())
-            .unwrap_or_else(|| Arc::from([] as [Event; 0]));
-        let mut s = FrameStorage::default();
-        for (pid, row) in &snap.hpc {
-            debug_assert!(
-                row.len() == events.len()
-                    && row.iter().zip(events.iter()).all(|((e, _), l)| e == l),
-                "hpc rows must share one event layout"
-            );
-            s.hpc_pids.push(*pid);
-            s.counters.extend(row.iter().map(|(_, v)| *v));
-        }
-        s.freq_index.push(0);
-        for (pid, t) in &snap.proc_times {
-            s.time_pids.push(*pid);
-            s.busy.push(t.busy);
-            s.freqs.extend_from_slice(&t.by_freq);
-            s.freq_index.push(s.freqs.len() as u32);
-        }
-        for (pid, c) in &snap.corun {
-            s.corun_pids.push(*pid);
-            s.corun.push(*c);
-        }
-        s.meter.extend_from_slice(&snap.meter);
-        TickFrame::from_storage(
-            snap.timestamp,
-            snap.interval,
-            events,
-            snap.rapl_joules,
-            s,
-            None,
-        )
-    }
-
-    /// Converts back to the legacy representation (lossless inverse of
-    /// [`TickFrame::from_snapshot`]; cgroup columns — which snapshots
-    /// never carry — are dropped).
-    pub fn to_snapshot(&self) -> HostSnapshot {
-        HostSnapshot {
-            timestamp: self.timestamp,
-            interval: self.interval,
-            hpc: (0..self.hpc_len())
-                .map(|i| {
-                    (
-                        self.hpc_pid(i),
-                        self.events
-                            .iter()
-                            .zip(self.hpc_row(i))
-                            .map(|(e, v)| (*e, *v))
-                            .collect(),
-                    )
-                })
-                .collect(),
-            proc_times: (0..self.time_len())
-                .map(|i| (self.time_pid(i), self.time_delta(i)))
-                .collect(),
-            corun: self
-                .storage
-                .corun_pids
-                .iter()
-                .copied()
-                .zip(self.storage.corun.iter().copied())
-                .collect(),
-            meter: self.storage.meter.clone(),
-            rapl_joules: self.rapl_joules,
-        }
-    }
-
     /// Number of hpc rows.
     pub fn hpc_len(&self) -> usize {
         self.storage.hpc_pids.len()
@@ -317,19 +238,11 @@ impl TickFrame {
     }
 
     /// Per-frequency residency slice of time row `i` (positive deltas,
-    /// frequencies ascending — same contract as the legacy `by_freq`).
+    /// frequencies ascending).
     pub fn freq_slice(&self, i: usize) -> &[(MegaHertz, Nanos)] {
         let lo = self.storage.freq_index[i] as usize;
         let hi = self.storage.freq_index[i + 1] as usize;
         &self.storage.freqs[lo..hi]
-    }
-
-    /// Materialises time row `i` as a legacy [`ProcTimeDelta`].
-    pub fn time_delta(&self, i: usize) -> ProcTimeDelta {
-        ProcTimeDelta {
-            busy: self.busy(i),
-            by_freq: self.freq_slice(i).to_vec(),
-        }
     }
 
     /// Number of corun rows.
@@ -387,8 +300,8 @@ impl TickFrame {
         match pids.binary_search(&pid) {
             Ok(i) => Some(i),
             // On a sorted column a miss is a miss. Unsorted pid columns
-            // only occur in hand-built test frames; those fall back to
-            // the legacy linear scan rather than miss a row.
+            // only occur in hand-built frames; those fall back to a
+            // linear scan rather than miss a row.
             Err(_) if self.sorted => None,
             Err(_) => pids.iter().position(|p| *p == pid),
         }
@@ -544,9 +457,9 @@ impl FrameBuilder {
     }
 
     /// Tags the most recently pushed time row with its cgroup node. The
-    /// group column stays entirely absent (legacy frame shape, wire
-    /// bytes unchanged) until the first `Some` path arrives; earlier and
-    /// untagged rows count as ungrouped.
+    /// group column stays entirely absent (no group section on the wire)
+    /// until the first `Some` path arrives; earlier and untagged rows
+    /// count as ungrouped.
     pub fn set_time_group(&mut self, path: Option<&str>) {
         let row = self.storage.time_pids.len();
         debug_assert!(row > 0, "tag after push_time_row");
@@ -626,7 +539,7 @@ pub struct SensorRow {
 }
 
 /// A sensor's whole-tick observation: row descriptors over the shared
-/// frame, replacing one [`SensorReport`] message per process.
+/// frame, one per published process.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SensorBatch {
     /// Which sensor produced the batch (formulas filter on this).
@@ -650,20 +563,19 @@ impl SensorBatch {
         self.frame.interval
     }
 
-    /// Materialises row `i` into a reusable legacy [`SensorReport`] —
-    /// the compatibility shim the default [`PowerFormula::estimate_batch`]
-    /// uses so batched estimates are bit-identical to the per-message
-    /// path.
+    /// Materialises row `i` into a reusable [`SensorReport`] — what the
+    /// default [`PowerFormula::estimate_batch`] feeds to
+    /// [`PowerFormula::estimate`] row by row, and the reference the
+    /// column-reading overrides are checked against.
     ///
+    /// [`PowerFormula::estimate`]: crate::formula::PowerFormula::estimate
     /// [`PowerFormula::estimate_batch`]: crate::formula::PowerFormula::estimate_batch
     pub fn fill_report(&self, i: usize, out: &mut SensorReport) {
         let row = &self.rows[i];
         let frame = &*self.frame;
-        out.source = self.source;
         out.timestamp = frame.timestamp;
         out.interval = frame.interval;
         out.pid = row.pid;
-        out.trace = self.trace;
         out.counters.clear();
         if row.hpc != NO_ROW {
             out.counters.extend(
@@ -690,7 +602,7 @@ impl SensorBatch {
 }
 
 /// A formula's whole-tick output: one watts/band/quality entry per
-/// estimated process, replacing one [`PowerReport`] message per process.
+/// estimated process.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PowerBatch {
     /// End of the interval.
@@ -746,7 +658,7 @@ impl PowerBatch {
         self.pids.is_empty()
     }
 
-    /// Row `i` as a legacy [`PowerReport`].
+    /// Row `i` as a [`PowerReport`].
     pub fn report(&self, i: usize) -> PowerReport {
         PowerReport {
             timestamp: self.timestamp,
@@ -759,25 +671,9 @@ impl PowerBatch {
         }
     }
 
-    /// All rows as legacy reports, in order.
+    /// All rows as reports, in order.
     pub fn reports(&self) -> impl Iterator<Item = PowerReport> + '_ {
         (0..self.len()).map(|i| self.report(i))
-    }
-
-    /// Builds a batch from legacy reports (test/interop path). All
-    /// reports must share the batch's timestamp, formula and trace.
-    pub fn from_reports(
-        timestamp: Nanos,
-        formula: &'static str,
-        trace: TraceId,
-        reports: &[PowerReport],
-    ) -> PowerBatch {
-        let mut b = PowerBatch::with_capacity(timestamp, formula, trace, reports.len());
-        for r in reports {
-            debug_assert!(r.timestamp == timestamp && r.formula == formula && r.trace == trace);
-            b.push(r.pid, r.power, r.band_w, r.quality);
-        }
-        b
     }
 }
 
@@ -798,58 +694,44 @@ mod tests {
     use perf_sim::events::PAPER_EVENTS;
     use simcpu::counters::ExecDelta;
 
-    fn sample_snapshot() -> HostSnapshot {
-        HostSnapshot {
-            timestamp: Nanos::from_secs(3),
-            interval: Nanos::from_secs(1),
-            hpc: vec![
-                (Pid(1), PAPER_EVENTS.iter().map(|e| (*e, 10u64)).collect()),
-                (Pid(5), PAPER_EVENTS.iter().map(|e| (*e, 20u64)).collect()),
-            ],
-            proc_times: vec![
-                (
-                    Pid(1),
-                    ProcTimeDelta {
-                        busy: Nanos(500),
-                        by_freq: vec![(MegaHertz(1600), Nanos(200)), (MegaHertz(3300), Nanos(300))],
-                    },
-                ),
-                (
-                    Pid(5),
-                    ProcTimeDelta {
-                        busy: Nanos(900),
-                        by_freq: vec![(MegaHertz(3300), Nanos(900))],
-                    },
-                ),
-            ],
-            corun: vec![(
-                Pid(5),
-                CorunSplit {
-                    solo: ExecDelta {
-                        instructions: 7,
-                        ..ExecDelta::zero()
-                    },
-                    corun: ExecDelta::zero(),
-                    solo_time: Nanos(900),
-                    corun_time: Nanos::ZERO,
-                },
-            )],
-            meter: vec![(Nanos::from_secs(3), Watts(35.0))],
-            rapl_joules: Some(1.5),
+    /// Two hpc/time rows (pids 1 and 5), one corun row (pid 5), one
+    /// meter sample, RAPL present.
+    fn fill_sample(mut b: FrameBuilder) -> TickFrame {
+        let (pids, counters) = b.hpc_columns();
+        for (pid, v) in [(Pid(1), 10u64), (Pid(5), 20)] {
+            pids.push(pid);
+            counters.extend(PAPER_EVENTS.iter().map(|_| v));
         }
-    }
-
-    #[test]
-    fn snapshot_round_trips_losslessly() {
-        let snap = sample_snapshot();
-        let frame = TickFrame::from_snapshot(&snap);
-        frame.debug_assert_consistent();
-        assert_eq!(frame.to_snapshot(), snap);
+        b.push_time_row(Pid(1), Nanos(500), |f| {
+            f.extend([(MegaHertz(1600), Nanos(200)), (MegaHertz(3300), Nanos(300))]);
+        });
+        b.push_time_row(Pid(5), Nanos(900), |f| {
+            f.push((MegaHertz(3300), Nanos(900)));
+        });
+        b.push_corun_row(
+            Pid(5),
+            CorunSplit {
+                solo: ExecDelta {
+                    instructions: 7,
+                    ..ExecDelta::zero()
+                },
+                corun: ExecDelta::zero(),
+                solo_time: Nanos(900),
+                corun_time: Nanos::ZERO,
+            },
+        );
+        b.meter_column().push((Nanos::from_secs(3), Watts(35.0)));
+        b.finish(
+            Nanos::from_secs(3),
+            Nanos::from_secs(1),
+            PAPER_EVENTS.iter().copied().collect(),
+            Some(1.5),
+        )
     }
 
     #[test]
     fn row_lookup_uses_hint_then_search() {
-        let frame = TickFrame::from_snapshot(&sample_snapshot());
+        let frame = fill_sample(FrameBuilder::new());
         assert_eq!(frame.time_row(Pid(1), 0), Some(0));
         assert_eq!(frame.time_row(Pid(5), 0), Some(1), "hint miss → search");
         assert_eq!(frame.time_row(Pid(9), 0), None);
@@ -886,7 +768,7 @@ mod tests {
 
     #[test]
     fn fill_report_materialises_rows() {
-        let frame = Arc::new(TickFrame::from_snapshot(&sample_snapshot()));
+        let frame = Arc::new(fill_sample(FrameBuilder::new()));
         let batch = SensorBatch {
             source: "hpc",
             frame: frame.clone(),
@@ -906,22 +788,12 @@ mod tests {
             ],
             trace: TraceId(4),
         };
-        let mut scratch = SensorReport {
-            source: "",
-            timestamp: Nanos::ZERO,
-            interval: Nanos::ZERO,
-            pid: Pid(0),
-            counters: Vec::new(),
-            time: ProcTimeDelta::default(),
-            corun: CorunSplit::default(),
-            trace: TraceId::NONE,
-        };
+        let mut scratch = crate::formula::scratch_report();
         batch.fill_report(0, &mut scratch);
         assert_eq!(scratch.pid, Pid(1));
         assert_eq!(scratch.counters.len(), PAPER_EVENTS.len());
         assert_eq!(scratch.time.busy, Nanos(500));
         assert_eq!(scratch.corun, CorunSplit::default());
-        assert_eq!(scratch.trace, TraceId(4));
         batch.fill_report(1, &mut scratch);
         assert_eq!(scratch.pid, Pid(5));
         assert_eq!(scratch.counters[0].1, 20);
@@ -939,13 +811,16 @@ mod tests {
         let reports: Vec<PowerReport> = b.reports().collect();
         assert_eq!(reports[1].pid, Pid(2));
         assert_eq!(reports[1].quality, Quality::Degraded);
-        let back = PowerBatch::from_reports(Nanos(1), "f", TraceId(2), &reports);
+        let mut back = PowerBatch::with_capacity(Nanos(1), "f", TraceId(2), 2);
+        for r in &reports {
+            back.push(r.pid, r.power, r.band_w, r.quality);
+        }
         assert_eq!(back, b);
     }
 
     #[test]
     fn group_columns_are_all_or_nothing() {
-        // No tags → legacy shape.
+        // No tags → no group column at all.
         let mut b = FrameBuilder::new();
         b.push_time_row(Pid(1), Nanos(10), |_| {});
         b.set_time_group(None);
@@ -977,34 +852,10 @@ mod tests {
 
     #[test]
     fn frame_equality_ignores_pool() {
-        let snap = sample_snapshot();
-        let pooled = {
-            let pool = FramePool::new();
-            let plain = TickFrame::from_snapshot(&snap);
-            let mut b = FrameBuilder::pooled(&pool);
-            {
-                let (pids, counters) = b.hpc_columns();
-                for (pid, row) in &snap.hpc {
-                    pids.push(*pid);
-                    counters.extend(row.iter().map(|(_, v)| *v));
-                }
-            }
-            for (pid, t) in &snap.proc_times {
-                b.push_time_row(*pid, t.busy, |f| f.extend_from_slice(&t.by_freq));
-            }
-            for (pid, c) in &snap.corun {
-                b.push_corun_row(*pid, *c);
-            }
-            b.meter_column().extend_from_slice(&snap.meter);
-            let built = b.finish(
-                snap.timestamp,
-                snap.interval,
-                plain.events.clone(),
-                snap.rapl_joules,
-            );
-            assert_eq!(built, plain);
-            built.clone()
-        };
-        assert_eq!(pooled.to_snapshot(), snap);
+        let pool = FramePool::new();
+        let pooled = fill_sample(FrameBuilder::pooled(&pool));
+        let plain = fill_sample(FrameBuilder::new());
+        assert_eq!(pooled, plain);
+        assert_eq!(pooled.clone(), plain, "clones carry every column");
     }
 }

@@ -412,14 +412,6 @@ impl Actor for ResidualMonitor {
                 }
                 self.meter.push_back((at, w));
             }
-            Message::Aggregate(a) if a.scope == Scope::Machine => {
-                if let Some(metered) = self.take_meter_near(a.timestamp) {
-                    let residual = a.power.as_f64() - metered.as_f64();
-                    if residual.is_finite() {
-                        self.on_residual(a.timestamp, residual, a.band_w.as_f64(), a.trace, ctx);
-                    }
-                }
-            }
             Message::AggregateBatch(b) => {
                 for a in b.reports.iter().filter(|a| a.scope == Scope::Machine) {
                     if let Some(metered) = self.take_meter_near(a.timestamp) {
@@ -460,14 +452,17 @@ mod tests {
     use crate::telemetry::TraceId;
 
     fn aggregate(ts_s: u64, w: f64, band: f64) -> Message {
-        Message::Aggregate(AggregateReport {
-            timestamp: Nanos::from_secs(ts_s),
-            scope: Scope::Machine,
-            power: Watts(w),
-            band_w: Watts(band),
-            quality: Quality::Full,
-            trace: TraceId::NONE,
-        })
+        Message::aggregates(
+            vec![AggregateReport {
+                timestamp: Nanos::from_secs(ts_s),
+                scope: Scope::Machine,
+                power: Watts(w),
+                band_w: Watts(band),
+                quality: Quality::Full,
+                trace: TraceId::NONE,
+            }],
+            TraceId::NONE,
+        )
     }
 
     fn run_pairs(pairs: &[(f64, f64)], band: f64) -> (ModelHealthSummary, u64) {

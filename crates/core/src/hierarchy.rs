@@ -3,8 +3,7 @@
 //!
 //! [`Hierarchy`] mirrors the os-sim cgroup topology inside the
 //! middleware and owns a per-tick ledger of everything the
-//! [`HierarchyAggregator`] emitted. [`HierarchyAggregator`] generalises
-//! the flat [`crate::aggregator::GroupAggregator`]: it folds every
+//! [`HierarchyAggregator`] emitted. [`HierarchyAggregator`] folds every
 //! `PowerReport` of a timestamp into *leaf* cells (the node the pid is
 //! attached to, or the `__ungrouped__` catch-all), then rolls the cells
 //! up the tree — each parent is the exact sum of its children, bands
@@ -28,7 +27,6 @@
 //! quality floor of the root must equal the machine aggregate's floor.
 
 use crate::actor::{Actor, Context};
-use crate::frame::AggregateBatch;
 use crate::msg::{AggregateReport, Message, PowerReport, Quality, Scope};
 use crate::telemetry::{EventKind, Telemetry, TraceId};
 use os_sim::cgroup::CGroupTree;
@@ -509,8 +507,8 @@ fn rollup(
     values
 }
 
-/// The hierarchical successor of [`crate::aggregator::GroupAggregator`]:
-/// one whole-tree window per timestamp, one report per node per flush.
+/// The group aggregator: one whole-tree window per timestamp, one report
+/// per node per flush (a flat set of VMs is simply a depth-1 tree).
 /// Subscribe it to [`crate::msg::Topic::Power`].
 #[derive(Debug, Clone)]
 pub struct HierarchyAggregator {
@@ -532,13 +530,6 @@ impl HierarchyAggregator {
             hierarchy,
             window: None,
         }
-    }
-
-    /// Number of leaf cells waiting in the open window — the churn
-    /// regression hook: after any flush this is zero, so a node whose
-    /// last pid died can never linger here.
-    pub fn pending_leaves(&self) -> usize {
-        self.window.as_ref().map_or(0, |w| w.leaves.len())
     }
 
     fn fold(&mut self, p: &PowerReport, emit: &mut impl FnMut(AggregateReport)) {
@@ -581,33 +572,22 @@ impl HierarchyAggregator {
 
 impl Actor for HierarchyAggregator {
     fn handle(&mut self, msg: Message, ctx: &Context) {
-        match msg {
-            Message::Power(p) => {
-                self.fold(&p, &mut |a| {
-                    ctx.bus().publish(Message::Aggregate(a));
-                });
-            }
-            Message::PowerBatch(b) => {
-                let mut reports = Vec::new();
-                for i in 0..b.len() {
-                    self.fold(&b.report(i), &mut |a| reports.push(a));
-                }
-                if !reports.is_empty() {
-                    ctx.bus()
-                        .publish(Message::AggregateBatch(Arc::new(AggregateBatch {
-                            reports,
-                            trace: b.trace,
-                        })));
-                }
-            }
-            _ => {}
+        let Message::PowerBatch(b) = msg else { return };
+        let mut reports = Vec::new();
+        for i in 0..b.len() {
+            self.fold(&b.report(i), &mut |a| reports.push(a));
+        }
+        if !reports.is_empty() {
+            ctx.bus().publish(Message::aggregates(reports, b.trace));
         }
     }
 
     fn on_stop(&mut self, ctx: &Context) {
-        self.flush(&mut |a| {
-            ctx.bus().publish(Message::Aggregate(a));
-        });
+        let mut reports = Vec::new();
+        self.flush(&mut |a| reports.push(a));
+        if let Some(trace) = reports.last().map(|a| a.trace) {
+            ctx.bus().publish(Message::aggregates(reports, trace));
+        }
     }
 }
 

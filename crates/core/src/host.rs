@@ -1,15 +1,16 @@
 //! The host under observation: the simulated kernel plus every
 //! measurement attachment (perf session, PowerSpy meter, RAPL MSR, SMT
 //! co-run tracker). [`SimHost::step`] advances simulated time;
-//! [`SimHost::snapshot`] atomically harvests one monitoring interval for
-//! the sensor actors.
+//! [`SimHost::snapshot_frame`] atomically harvests one monitoring
+//! interval as a [`TickFrame`] — for the sensor actors, the fleet
+//! transport and calibration alike.
 //!
 //! On real hardware this role is played by the operating system itself;
 //! here it is explicit so that simulated time only advances between
 //! snapshots, never during one.
 
 use crate::frame::{FrameBuilder, FramePool, TickFrame};
-use crate::msg::{CorunSplit, HostSnapshot, ProcTimeDelta};
+use crate::msg::CorunSplit;
 use crate::telemetry::Telemetry;
 use os_sim::kernel::Kernel;
 use os_sim::process::{Pid, Tid};
@@ -198,36 +199,12 @@ impl SimHost {
         }
     }
 
-    /// Harvests the monitoring interval since the previous snapshot.
-    pub fn snapshot(&mut self) -> HostSnapshot {
-        // Snapshot harvesting is middleware work, not workload work: when
-        // a telemetry hub is attached, charge its wall time to overhead.
-        let started = self.telemetry.enabled().then(std::time::Instant::now);
-        let snap = self.snapshot_inner();
-        if let Some(t) = started {
-            self.telemetry
-                .overhead()
-                .record_snapshot(t.elapsed().as_nanos() as u64);
-        }
-        snap
-    }
-
-    /// Positive per-frequency deltas of `cur` against `prev`, updating
-    /// `prev` in place to `cur`. In steady state the frequency set is
-    /// stable, so the update is a zip over the sorted pairs with no
-    /// allocation; the rebuild path only runs when a new P-state shows
-    /// up in the accounting (a handful of times per run).
-    fn freq_deltas(
-        prev: &mut Vec<(MegaHertz, Nanos)>,
-        cur: &BTreeMap<MegaHertz, Nanos>,
-    ) -> Vec<(MegaHertz, Nanos)> {
-        let mut by_freq = Vec::new();
-        Self::freq_deltas_into(prev, cur, &mut by_freq);
-        by_freq
-    }
-
-    /// [`SimHost::freq_deltas`], appending into a shared column (the CSR
-    /// form batched frames use) instead of returning a fresh vector.
+    /// Appends the positive per-frequency deltas of `cur` against `prev`
+    /// to `by_freq`, updating `prev` in place to `cur`. In steady state
+    /// the frequency set is stable, so the update is a zip over the
+    /// sorted pairs with no allocation; the rebuild path only runs when
+    /// a new P-state shows up in the accounting (a handful of times per
+    /// run).
     fn freq_deltas_into(
         prev: &mut Vec<(MegaHertz, Nanos)>,
         cur: &BTreeMap<MegaHertz, Nanos>,
@@ -261,10 +238,8 @@ impl SimHost {
         }
     }
 
-    /// Harvests the monitoring interval as a batched [`TickFrame`],
-    /// recycling column storage through `pool`. Carries exactly the data
-    /// [`SimHost::snapshot`] would, in the same order — the legacy and
-    /// batched pipelines are interchangeable bit for bit.
+    /// Harvests the monitoring interval since the previous snapshot as a
+    /// [`TickFrame`], recycling column storage through `pool`.
     pub fn snapshot_frame(&mut self, pool: &FramePool) -> TickFrame {
         let started = self.telemetry.enabled().then(std::time::Instant::now);
         let frame = self.snapshot_frame_inner(pool);
@@ -309,7 +284,7 @@ impl SimHost {
                 Self::freq_deltas_into(prev_freq, &times.utime_per_freq, freqs);
             });
             // Hosts without cgroups never tag, so the group column stays
-            // absent and legacy frames are byte-identical on the wire.
+            // absent and their wire payload carries no group section.
             if !self.kernel.cgroups().is_empty() {
                 b.set_time_group(self.kernel.cgroup_of(pid));
             }
@@ -337,55 +312,6 @@ impl SimHost {
         // the stamp is idempotent with the in-process pipeline's ids.
         frame.set_trace(self.telemetry.trace_for_tick(now));
         frame
-    }
-
-    fn snapshot_inner(&mut self) -> HostSnapshot {
-        let now = self.kernel.machine().now();
-        let interval = now - self.last_snapshot;
-        self.last_snapshot = now;
-
-        let hpc = self
-            .monitor
-            .sample()
-            .into_iter()
-            .map(|s| (s.pid, s.deltas))
-            .collect();
-
-        // Per-process CPU-time deltas against the previous snapshot.
-        let mut proc_times = Vec::new();
-        for pid in self.monitor.tracked() {
-            let Some(times) = self.kernel.accounting().process(pid) else {
-                continue;
-            };
-            let (prev_busy, prev_freq) = self
-                .proc_prev
-                .entry(pid)
-                .or_insert_with(|| (Nanos::ZERO, Vec::new()));
-            let busy = times.utime.saturating_sub(*prev_busy);
-            *prev_busy = times.utime;
-            let by_freq = Self::freq_deltas(prev_freq, &times.utime_per_freq);
-            proc_times.push((pid, ProcTimeDelta { busy, by_freq }));
-        }
-
-        let corun = std::mem::take(&mut self.corun_acc).into_iter().collect();
-        let meter = std::mem::take(&mut self.meter_buf);
-
-        let rapl_joules = self.rapl.as_ref().map(|r| {
-            let cur = r.read_raw();
-            let d = Rapl::delta_joules(self.rapl_prev, cur);
-            self.rapl_prev = cur;
-            d
-        });
-
-        HostSnapshot {
-            timestamp: now,
-            interval,
-            hpc,
-            proc_times,
-            corun,
-            meter,
-            rapl_joules,
-        }
     }
 }
 
@@ -431,31 +357,30 @@ mod tests {
         for _ in 0..100 {
             host.step(MS);
         }
-        let snap = host.snapshot();
+        let snap = host.snapshot_frame(&FramePool::new());
+        snap.debug_assert_consistent();
         assert_eq!(snap.interval, Nanos::from_millis(100));
-        let (p, counters) = &snap.hpc[0];
-        assert_eq!(*p, pid);
-        assert!(counters.iter().any(|(_, v)| *v > 0));
-        let (_, times) = &snap.proc_times[0];
-        assert_eq!(times.busy, Nanos::from_millis(100));
-        assert!(!times.by_freq.is_empty());
-        assert!(!snap.meter.is_empty(), "meter sampled at 10 Hz");
+        assert_eq!(snap.hpc_pid(0), pid);
+        assert!(snap.hpc_row(0).iter().any(|v| *v > 0));
+        assert_eq!(snap.busy(0), Nanos::from_millis(100));
+        assert!(!snap.freq_slice(0).is_empty());
+        assert!(!snap.meter().is_empty(), "meter sampled at 10 Hz");
         assert_eq!(snap.timestamp, Nanos::from_millis(100));
     }
 
     #[test]
     fn second_snapshot_is_a_fresh_interval() {
         let (mut host, _) = host_with(WorkUnit::cpu_intensive(0.5), 1);
+        let pool = FramePool::new();
         for _ in 0..50 {
             host.step(MS);
         }
-        let s1 = host.snapshot();
+        let b1 = host.snapshot_frame(&pool).busy(0).as_u64() as f64;
+        assert_eq!(pool.pooled(), 1, "storage recycled");
         for _ in 0..50 {
             host.step(MS);
         }
-        let s2 = host.snapshot();
-        let b1 = s1.proc_times[0].1.busy.as_u64() as f64;
-        let b2 = s2.proc_times[0].1.busy.as_u64() as f64;
+        let b2 = host.snapshot_frame(&pool).busy(0).as_u64() as f64;
         assert!((b2 / b1 - 1.0).abs() < 0.2, "deltas, not cumulative");
     }
 
@@ -466,9 +391,9 @@ mod tests {
         for _ in 0..20 {
             host.step(MS);
         }
-        let snap = host.snapshot();
-        let (p, split) = &snap.corun[0];
-        assert_eq!(*p, pid);
+        let snap = host.snapshot_frame(&FramePool::new());
+        assert_eq!(snap.corun_row(pid, 0), Some(0));
+        let split = snap.corun_split(0);
         assert!(split.corun_time > Nanos::ZERO);
         assert!(split.corun.instructions > 0);
         assert_eq!(split.solo_time, Nanos::ZERO, "no solo time at full load");
@@ -478,8 +403,7 @@ mod tests {
         for _ in 0..20 {
             host.step(MS);
         }
-        let snap = host.snapshot();
-        let (_, split) = &snap.corun[0];
+        let split = host.snapshot_frame(&FramePool::new()).corun_split(0);
         assert!(split.solo_time > Nanos::ZERO);
         assert_eq!(split.corun_time, Nanos::ZERO);
     }
@@ -491,8 +415,7 @@ mod tests {
         for _ in 0..100 {
             host.step(MS);
         }
-        let snap = host.snapshot();
-        let j = snap.rapl_joules.unwrap();
+        let j = host.snapshot_frame(&FramePool::new()).rapl_joules.unwrap();
         // 100 ms of a busy i3 package: between 0.3 J (idle-ish) and 5 J.
         assert!(j > 0.3 && j < 5.0, "rapl measured {j} J");
 
@@ -502,46 +425,27 @@ mod tests {
     }
 
     #[test]
-    fn unmonitor_removes_from_snapshots() {
+    fn unmonitor_removes_from_frames() {
         let (mut host, pid) = host_with(WorkUnit::cpu_intensive(1.0), 1);
         host.step(MS);
         host.unmonitor(pid);
-        let snap = host.snapshot();
-        assert!(snap.hpc.is_empty());
-        assert!(snap.proc_times.is_empty());
+        let snap = host.snapshot_frame(&FramePool::new());
+        assert_eq!(snap.hpc_len(), 0);
+        assert_eq!(snap.time_len(), 0);
         assert!(host.monitored().is_empty());
-    }
-
-    #[test]
-    fn snapshot_frame_matches_legacy_snapshot() {
-        // Two identically-driven hosts: the batched frame must carry
-        // exactly what the legacy snapshot carries.
-        let (mut legacy, _) = host_with(WorkUnit::cpu_intensive(1.0), 4);
-        let (mut batched, _) = host_with(WorkUnit::cpu_intensive(1.0), 4);
-        let pool = FramePool::new();
-        for round in 0..3 {
-            for _ in 0..40 {
-                legacy.step(MS);
-                batched.step(MS);
-            }
-            let snap = legacy.snapshot();
-            let frame = batched.snapshot_frame(&pool);
-            frame.debug_assert_consistent();
-            assert_eq!(frame.to_snapshot(), snap, "round {round}");
-            drop(frame);
-            assert_eq!(pool.pooled(), 1, "storage recycled");
-        }
     }
 
     #[test]
     fn meter_samples_drain_once() {
         let (mut host, _) = host_with(WorkUnit::cpu_intensive(1.0), 1);
+        let pool = FramePool::new();
         for _ in 0..200 {
             host.step(MS);
         }
-        let s1 = host.snapshot();
-        assert!(!s1.meter.is_empty());
-        let s2 = host.snapshot();
-        assert!(s2.meter.is_empty(), "already drained");
+        assert!(!host.snapshot_frame(&pool).meter().is_empty());
+        assert!(
+            host.snapshot_frame(&pool).meter().is_empty(),
+            "already drained"
+        );
     }
 }

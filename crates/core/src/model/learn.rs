@@ -249,17 +249,15 @@ pub fn calibrate_cpuload(machine: MachineConfig, cfg: &LearnConfig) -> Result<Cp
     for _ in 0..steps {
         host.step(q);
     }
-    let snap = host.snapshot();
-    if snap.meter.is_empty() {
-        return Err(Error::InsufficientSamples { got: 0, needed: 1 });
+    let snap = host.snapshot_frame(&crate::frame::FramePool::new());
+    let power = crate::model::sampling::mean_meter_w(&snap)
+        .ok_or(Error::InsufficientSamples { got: 0, needed: 1 })?;
+    let load = if snap.time_len() > 0 {
+        snap.busy(0).as_secs_f64() / snap.interval.as_secs_f64()
+    } else {
+        1.0
     }
-    let power = snap.meter.iter().map(|(_, w)| w.as_f64()).sum::<f64>() / snap.meter.len() as f64;
-    let load = snap
-        .proc_times
-        .first()
-        .map(|(_, t)| t.busy.as_secs_f64() / snap.interval.as_secs_f64())
-        .unwrap_or(1.0)
-        .max(0.05);
+    .max(0.05);
     Ok(CpuLoadFormula::new(idle, (power - idle).max(0.0) / load))
 }
 

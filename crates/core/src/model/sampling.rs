@@ -3,6 +3,7 @@
 //! the PowerSpy meter measures; each monitoring window becomes one
 //! `(counter rates, wall watts)` observation.
 
+use crate::frame::{FramePool, TickFrame};
 use crate::host::SimHost;
 use crate::{Error, Result};
 use mathkit::matrix::Matrix;
@@ -254,11 +255,16 @@ pub fn measure_idle(
     for _ in 0..steps {
         host.step(quantum);
     }
-    let snap = host.snapshot();
-    if snap.meter.is_empty() {
-        return Err(Error::InsufficientSamples { got: 0, needed: 1 });
-    }
-    Ok(snap.meter.iter().map(|(_, w)| w.as_f64()).sum::<f64>() / snap.meter.len() as f64)
+    mean_meter_w(&host.snapshot_frame(&FramePool::new()))
+        .ok_or(Error::InsufficientSamples { got: 0, needed: 1 })
+}
+
+/// Mean of the meter samples a frame carries, in arrival order (`None`
+/// when the interval completed no meter window).
+pub(crate) fn mean_meter_w(frame: &TickFrame) -> Option<f64> {
+    let meter = frame.meter();
+    (!meter.is_empty())
+        .then(|| meter.iter().map(|(_, w)| w.as_f64()).sum::<f64>() / meter.len() as f64)
 }
 
 /// One independent unit of sweep work: a `(frequency, SMT level, grid
@@ -337,49 +343,39 @@ fn sample_cell(
     let label = point.label(threads);
     let event_counters: Vec<Option<simcpu::counters::HwCounter>> =
         cfg.events.iter().map(|e| e.counter()).collect();
+    let pool = FramePool::new();
 
     let q = cfg.quantum.as_u64().max(1);
     // Warmup, then discard the first window.
     for _ in 0..(cfg.warmup.as_u64() / q).max(1) {
         host.step(Nanos(q));
     }
-    let _ = host.snapshot();
+    drop(host.snapshot_frame(&pool));
 
     let mut samples = Vec::with_capacity(cfg.samples_per_point);
     for _ in 0..cfg.samples_per_point {
         for _ in 0..(cfg.sample_period.as_u64() / q).max(1) {
             host.step(Nanos(q));
         }
-        let snap = host.snapshot();
+        let snap = host.snapshot_frame(&pool);
         let interval_s = snap.interval.as_secs_f64();
-        if interval_s <= 0.0 || snap.meter.is_empty() {
+        if interval_s <= 0.0 {
             continue;
         }
-        let power_w =
-            snap.meter.iter().map(|(_, w)| w.as_f64()).sum::<f64>() / snap.meter.len() as f64;
-        // Borrow the monitored process's counters out of the snapshot
-        // instead of cloning the whole vector every window.
-        let counters: &[(Event, u64)] = snap
-            .hpc
-            .iter()
-            .find(|(p, _)| *p == pid)
-            .map_or(&[], |(_, c)| c.as_slice());
-        let rates: Vec<f64> = cfg
-            .events
-            .iter()
-            .map(|e| {
-                counters
-                    .iter()
-                    .find(|(x, _)| x == e)
-                    .map(|(_, v)| *v as f64 / interval_s)
-                    .unwrap_or(0.0)
-            })
+        let Some(power_w) = mean_meter_w(&snap) else {
+            continue;
+        };
+        // The monitored process's counter row, borrowed from the frame
+        // (its slot layout is `cfg.events`; an untracked pid reads zero).
+        let counters: &[u64] = (0..snap.hpc_len())
+            .find(|&i| snap.hpc_pid(i) == pid)
+            .map_or(&[], |i| snap.hpc_row(i));
+        let rates: Vec<f64> = (0..cfg.events.len())
+            .map(|slot| counters.get(slot).map_or(0.0, |v| *v as f64 / interval_s))
             .collect();
         let split = snap
-            .corun
-            .iter()
-            .find(|(p, _)| *p == pid)
-            .map(|(_, c)| *c)
+            .corun_row(pid, 0)
+            .map(|row| snap.corun_split(row))
             .unwrap_or_default();
         let raw_rates = |d: &simcpu::counters::ExecDelta| -> Vec<f64> {
             event_counters

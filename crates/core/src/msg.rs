@@ -1,6 +1,10 @@
 //! Bus message types. One enum covers every topic so actors stay
-//! object-safe and the bus stays simple; each variant is cheap to clone
-//! (snapshots travel behind `Arc`).
+//! object-safe and the bus stays simple, and every [`Topic`] carries
+//! exactly one [`Message`] variant (DESIGN.md tabulates who publishes and
+//! consumes each), so a handler needs one arm per topic it subscribes
+//! to. Each variant is cheap to clone (whole-tick payloads travel behind
+//! `Arc`); the row structs ([`SensorReport`], [`PowerReport`],
+//! [`AggregateReport`]) are what one row of a batch materialises to.
 
 use crate::frame::{AggregateBatch, PowerBatch, SensorBatch, TickFrame};
 use crate::telemetry::TraceId;
@@ -13,11 +17,11 @@ use std::sync::Arc;
 /// Topics actors can subscribe to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Topic {
-    /// Monitoring clock ticks (carrying the host snapshot).
+    /// Monitoring clock ticks (carrying the tick frame).
     Tick,
-    /// Per-process sensor reports.
+    /// Per-tick sensor observations.
     Sensor,
-    /// Per-process power estimations.
+    /// Per-tick power estimations.
     Power,
     /// Aggregated estimations.
     Aggregate,
@@ -63,28 +67,6 @@ impl Topic {
     }
 }
 
-/// Everything a monitoring tick observed about the host, gathered
-/// atomically while simulated time was paused. Sensors slice it into
-/// per-process reports.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HostSnapshot {
-    /// End of the monitoring interval.
-    pub timestamp: Nanos,
-    /// Interval length.
-    pub interval: Nanos,
-    /// Per-process HPC interval samples (multiplex-scaled deltas).
-    pub hpc: Vec<(Pid, Vec<(Event, u64)>)>,
-    /// Per-process CPU time consumed this interval, split by frequency.
-    pub proc_times: Vec<(Pid, ProcTimeDelta)>,
-    /// Per-process raw event deltas split by SMT co-run state (the
-    /// HT-aware sensor extension HaPPy-style formulas need).
-    pub corun: Vec<(Pid, CorunSplit)>,
-    /// Wall-power meter samples that completed during the interval.
-    pub meter: Vec<(Nanos, Watts)>,
-    /// RAPL package energy consumed during the interval, when supported.
-    pub rapl_joules: Option<f64>,
-}
-
 /// Per-process CPU time deltas for one interval.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProcTimeDelta {
@@ -107,12 +89,11 @@ pub struct CorunSplit {
     pub corun_time: Nanos,
 }
 
-/// A sensor's per-process observation for one interval.
+/// A sensor's per-process observation for one interval: one row of a
+/// [`SensorBatch`], materialised (the batch carries the source tag and
+/// the tick trace the rows share).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SensorReport {
-    /// Which sensor produced the report (formulas filter on this so the
-    /// HPC formula never consumes a CPU-load report and vice versa).
-    pub source: &'static str,
     /// End of the interval.
     pub timestamp: Nanos,
     /// Interval length.
@@ -125,9 +106,6 @@ pub struct SensorReport {
     pub time: ProcTimeDelta,
     /// SMT co-run split (zeroed when the sensor does not track it).
     pub corun: CorunSplit,
-    /// The tick trace this report belongs to, stamped by the sensor
-    /// ([`TraceId::NONE`] when telemetry is off).
-    pub trace: TraceId,
 }
 
 /// How trustworthy an estimation is, given the health of its inputs.
@@ -217,50 +195,40 @@ pub struct AggregateReport {
     pub trace: TraceId,
 }
 
-/// The bus message.
+/// The bus message: one variant per [`Topic`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
-    /// A monitoring tick with its snapshot.
-    Tick(Arc<HostSnapshot>),
-    /// A sensor report.
-    Sensor(Arc<SensorReport>),
-    /// A power estimation.
-    Power(PowerReport),
-    /// An aggregated estimation.
-    Aggregate(AggregateReport),
+    /// A monitoring tick: the whole interval in struct-of-arrays form.
+    Frame(Arc<TickFrame>),
+    /// A sensor's whole-tick observation.
+    SensorBatch(Arc<SensorBatch>),
+    /// A formula's whole-tick estimates.
+    PowerBatch(Arc<PowerBatch>),
+    /// An aggregator's output for one tick (or its shutdown flush).
+    AggregateBatch(Arc<AggregateBatch>),
     /// A meter sample (timestamp, watts).
     Meter(Nanos, Watts),
     /// A RAPL package-power sample (timestamp, average watts over the
     /// interval).
     Rapl(Nanos, Watts),
-    /// A monitoring tick in batched struct-of-arrays form (the hot-path
-    /// replacement for [`Message::Tick`]).
-    Frame(Arc<TickFrame>),
-    /// A sensor's whole-tick observation (replaces one
-    /// [`Message::Sensor`] per process).
-    SensorBatch(Arc<SensorBatch>),
-    /// A formula's whole-tick estimates (replaces one
-    /// [`Message::Power`] per process).
-    PowerBatch(Arc<PowerBatch>),
-    /// An aggregator's whole-tick output (replaces one
-    /// [`Message::Aggregate`] per scope).
-    AggregateBatch(Arc<AggregateBatch>),
 }
 
 impl Message {
+    /// Wraps folded aggregates as the one message shape the aggregate
+    /// topic carries.
+    pub fn aggregates(reports: Vec<AggregateReport>, trace: TraceId) -> Message {
+        Message::AggregateBatch(Arc::new(AggregateBatch { reports, trace }))
+    }
+
     /// The topic a message belongs on.
     pub fn topic(&self) -> Topic {
         match self {
-            Message::Tick(_) => Topic::Tick,
-            Message::Sensor(_) => Topic::Sensor,
-            Message::Power(_) => Topic::Power,
-            Message::Aggregate(_) => Topic::Aggregate,
-            Message::Meter(_, _) => Topic::Meter,
-            Message::Rapl(_, _) => Topic::Rapl,
             Message::Frame(_) => Topic::Tick,
             Message::SensorBatch(_) => Topic::Sensor,
             Message::PowerBatch(_) => Topic::Power,
             Message::AggregateBatch(_) => Topic::Aggregate,
+            Message::Meter(_, _) => Topic::Meter,
+            Message::Rapl(_, _) => Topic::Rapl,
         }
     }
 
@@ -269,15 +237,10 @@ impl Message {
     /// sensor stamp onward).
     pub fn trace(&self) -> TraceId {
         match self {
-            Message::Sensor(r) => r.trace,
-            Message::Power(p) => p.trace,
-            Message::Aggregate(a) => a.trace,
             Message::SensorBatch(b) => b.trace,
             Message::PowerBatch(b) => b.trace,
             Message::AggregateBatch(b) => b.trace,
-            Message::Tick(_) | Message::Frame(_) | Message::Meter(_, _) | Message::Rapl(_, _) => {
-                TraceId::NONE
-            }
+            Message::Frame(_) | Message::Meter(_, _) | Message::Rapl(_, _) => TraceId::NONE,
         }
     }
 }
@@ -288,48 +251,43 @@ mod tests {
 
     #[test]
     fn topics_match_variants() {
-        let snap = Arc::new(HostSnapshot {
-            timestamp: Nanos(1),
-            interval: Nanos(1),
-            hpc: Vec::new(),
-            proc_times: Vec::new(),
-            corun: Vec::new(),
-            meter: Vec::new(),
-            rapl_joules: None,
-        });
-        assert_eq!(Message::Tick(snap.clone()).topic(), Topic::Tick);
-        let sr = Arc::new(SensorReport {
+        use crate::frame::{FrameBuilder, SensorBatch};
+        let frame = Arc::new(FrameBuilder::new().finish(
+            Nanos(1),
+            Nanos(1),
+            Arc::from([] as [Event; 0]),
+            None,
+        ));
+        let tick = Message::Frame(frame.clone());
+        assert_eq!(tick.topic(), Topic::Tick);
+        assert_eq!(tick.trace(), TraceId::NONE);
+        let sensor_msg = Message::SensorBatch(Arc::new(SensorBatch {
             source: "hpc",
-            timestamp: Nanos(1),
-            interval: Nanos(1),
-            pid: Pid(1),
-            counters: Vec::new(),
-            time: ProcTimeDelta::default(),
-            corun: CorunSplit::default(),
+            frame,
+            rows: Vec::new(),
             trace: TraceId(7),
-        });
-        let sensor_msg = Message::Sensor(sr);
+        }));
         assert_eq!(sensor_msg.topic(), Topic::Sensor);
         assert_eq!(sensor_msg.trace(), TraceId(7));
-        let power_msg = Message::Power(PowerReport {
-            timestamp: Nanos(1),
-            pid: Pid(1),
-            power: Watts(1.0),
-            formula: "x",
-            band_w: Watts(0.0),
-            quality: Quality::Full,
-            trace: TraceId(7),
-        });
+        let power_msg = Message::PowerBatch(Arc::new(PowerBatch::with_capacity(
+            Nanos(1),
+            "x",
+            TraceId(7),
+            0,
+        )));
         assert_eq!(power_msg.topic(), Topic::Power);
         assert_eq!(power_msg.trace(), TraceId(7));
-        let agg_msg = Message::Aggregate(AggregateReport {
-            timestamp: Nanos(1),
-            scope: Scope::Machine,
-            power: Watts(1.0),
-            band_w: Watts(0.0),
-            quality: Quality::Full,
-            trace: TraceId(7),
-        });
+        let agg_msg = Message::aggregates(
+            vec![AggregateReport {
+                timestamp: Nanos(1),
+                scope: Scope::Machine,
+                power: Watts(1.0),
+                band_w: Watts(0.0),
+                quality: Quality::Full,
+                trace: TraceId(7),
+            }],
+            TraceId(7),
+        );
         assert_eq!(agg_msg.topic(), Topic::Aggregate);
         assert_eq!(agg_msg.trace(), TraceId(7));
         assert_eq!(Message::Meter(Nanos(1), Watts(2.0)).topic(), Topic::Meter);

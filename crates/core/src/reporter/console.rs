@@ -33,7 +33,7 @@ impl<W: Write + Send> ConsoleReporter<W> {
     }
 }
 
-/// One aggregate rendered exactly as the per-message path always has.
+/// One aggregate as a console line.
 fn agg_line(a: &AggregateReport) -> String {
     // Flag non-primary estimates so a human scanning the log
     // sees degradation without checking another stream.
@@ -72,7 +72,6 @@ fn agg_line(a: &AggregateReport) -> String {
 impl<W: Write + Send> Actor for ConsoleReporter<W> {
     fn handle(&mut self, msg: Message, _ctx: &Context) {
         let line = match msg {
-            Message::Aggregate(a) => agg_line(&a),
             Message::AggregateBatch(b) => {
                 for a in &b.reports {
                     let _ = writeln!(self.out, "{}", agg_line(a));
@@ -131,22 +130,27 @@ mod tests {
         for topic in [Topic::Aggregate, Topic::Meter, Topic::Rapl] {
             sys.bus().subscribe(topic, &r);
         }
-        sys.bus().publish(Message::Aggregate(AggregateReport {
-            timestamp: Nanos::from_secs(2),
-            scope: Scope::Process(Pid(42)),
-            power: Watts(3.5),
-            band_w: Watts(0.0),
-            quality: crate::msg::Quality::Full,
-            trace: crate::telemetry::TraceId::NONE,
-        }));
-        sys.bus().publish(Message::Aggregate(AggregateReport {
-            timestamp: Nanos::from_secs(2),
-            scope: Scope::Machine,
-            power: Watts(36.0),
-            band_w: Watts(1.25),
-            quality: crate::msg::Quality::Degraded,
-            trace: crate::telemetry::TraceId::NONE,
-        }));
+        sys.bus().publish(Message::aggregates(
+            vec![
+                AggregateReport {
+                    timestamp: Nanos::from_secs(2),
+                    scope: Scope::Process(Pid(42)),
+                    power: Watts(3.5),
+                    band_w: Watts(0.0),
+                    quality: crate::msg::Quality::Full,
+                    trace: crate::telemetry::TraceId::NONE,
+                },
+                AggregateReport {
+                    timestamp: Nanos::from_secs(2),
+                    scope: Scope::Machine,
+                    power: Watts(36.0),
+                    band_w: Watts(1.25),
+                    quality: crate::msg::Quality::Degraded,
+                    trace: crate::telemetry::TraceId::NONE,
+                },
+            ],
+            crate::telemetry::TraceId::NONE,
+        ));
         sys.bus()
             .publish(Message::Meter(Nanos::from_secs(2), Watts(35.1)));
         sys.bus()

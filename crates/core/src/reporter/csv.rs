@@ -80,7 +80,6 @@ impl<W: Write + Send> CsvReporter<W> {
 impl<W: Write + Send> Actor for CsvReporter<W> {
     fn handle(&mut self, msg: Message, _ctx: &Context) {
         match msg {
-            Message::Aggregate(a) => self.aggregate_row(&a),
             Message::AggregateBatch(b) => {
                 for a in &b.reports {
                     self.aggregate_row(a);
@@ -143,14 +142,17 @@ mod tests {
         let r = sys.spawn("csv", Box::new(CsvReporter::new(buf)));
         sys.bus().subscribe(Topic::Aggregate, &r);
         sys.bus().subscribe(Topic::Meter, &r);
-        sys.bus().publish(Message::Aggregate(AggregateReport {
-            timestamp: Nanos::from_secs(1),
-            scope: Scope::Process(Pid(5)),
-            power: Watts(2.25),
-            band_w: Watts(0.84),
-            quality: crate::msg::Quality::Degraded,
-            trace: TraceId(42),
-        }));
+        sys.bus().publish(Message::aggregates(
+            vec![AggregateReport {
+                timestamp: Nanos::from_secs(1),
+                scope: Scope::Process(Pid(5)),
+                power: Watts(2.25),
+                band_w: Watts(0.84),
+                quality: crate::msg::Quality::Degraded,
+                trace: TraceId(42),
+            }],
+            TraceId(42),
+        ));
         sys.bus()
             .publish(Message::Meter(Nanos::from_secs(1), Watts(33.0)));
         sys.shutdown();

@@ -83,7 +83,6 @@ impl<W: Write + Send> Actor for InfluxReporter<W> {
         use crate::msg::Quality;
         use crate::telemetry::TraceId;
         match msg {
-            Message::Aggregate(a) => self.aggregate_point(&a),
             Message::AggregateBatch(b) => {
                 for a in &b.reports {
                     self.aggregate_point(a);
@@ -147,22 +146,27 @@ mod tests {
         for t in [Topic::Aggregate, Topic::Meter, Topic::Rapl] {
             sys.bus().subscribe(t, &r);
         }
-        sys.bus().publish(Message::Aggregate(AggregateReport {
-            timestamp: Nanos::from_secs(1),
-            scope: Scope::Process(Pid(42)),
-            power: Watts(3.5),
-            band_w: Watts(0.7),
-            quality: crate::msg::Quality::Full,
-            trace: crate::telemetry::TraceId(6),
-        }));
-        sys.bus().publish(Message::Aggregate(AggregateReport {
-            timestamp: Nanos::from_secs(1),
-            scope: Scope::Group(Arc::from("vm-alpha")),
-            power: Watts(7.25),
-            band_w: Watts(0.0),
-            quality: crate::msg::Quality::Degraded,
-            trace: crate::telemetry::TraceId(6),
-        }));
+        sys.bus().publish(Message::aggregates(
+            vec![
+                AggregateReport {
+                    timestamp: Nanos::from_secs(1),
+                    scope: Scope::Process(Pid(42)),
+                    power: Watts(3.5),
+                    band_w: Watts(0.7),
+                    quality: crate::msg::Quality::Full,
+                    trace: crate::telemetry::TraceId(6),
+                },
+                AggregateReport {
+                    timestamp: Nanos::from_secs(1),
+                    scope: Scope::Group(Arc::from("vm-alpha")),
+                    power: Watts(7.25),
+                    band_w: Watts(0.0),
+                    quality: crate::msg::Quality::Degraded,
+                    trace: crate::telemetry::TraceId(6),
+                },
+            ],
+            crate::telemetry::TraceId(6),
+        ));
         sys.bus()
             .publish(Message::Meter(Nanos::from_secs(1), Watts(35.1)));
         sys.shutdown();

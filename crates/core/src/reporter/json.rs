@@ -62,7 +62,6 @@ fn obj(
 impl<W: Write + Send> Actor for JsonReporter<W> {
     fn handle(&mut self, msg: Message, _ctx: &Context) {
         let line = match msg {
-            Message::Aggregate(a) => return self.aggregate_line(&a),
             Message::AggregateBatch(b) => {
                 for a in &b.reports {
                     self.aggregate_line(a);
@@ -126,14 +125,17 @@ mod tests {
         let r = sys.spawn("json", Box::new(JsonReporter::new(buf)));
         sys.bus().subscribe(Topic::Aggregate, &r);
         sys.bus().subscribe(Topic::Rapl, &r);
-        sys.bus().publish(Message::Aggregate(AggregateReport {
-            timestamp: Nanos::from_millis(1500),
-            scope: Scope::Machine,
-            power: Watts(36.48),
-            band_w: Watts(1.2),
-            quality: crate::msg::Quality::Full,
-            trace: TraceId(9),
-        }));
+        sys.bus().publish(Message::aggregates(
+            vec![AggregateReport {
+                timestamp: Nanos::from_millis(1500),
+                scope: Scope::Machine,
+                power: Watts(36.48),
+                band_w: Watts(1.2),
+                quality: crate::msg::Quality::Full,
+                trace: TraceId(9),
+            }],
+            TraceId(9),
+        ));
         sys.bus()
             .publish(Message::Rapl(Nanos::from_secs(2), Watts(9.0)));
         sys.shutdown();

@@ -62,7 +62,6 @@ impl Actor for MemoryReporter {
     fn handle(&mut self, msg: Message, _ctx: &Context) {
         let mut store = self.handle.store.lock();
         match msg {
-            Message::Aggregate(a) => store.aggregates.push(a),
             Message::AggregateBatch(b) => store.aggregates.extend(b.reports.iter().cloned()),
             Message::Meter(at, w) => store.meter.push((at, w)),
             Message::Rapl(at, w) => store.rapl.push((at, w)),
@@ -86,14 +85,17 @@ mod tests {
         for topic in [Topic::Aggregate, Topic::Meter, Topic::Rapl] {
             sys.bus().subscribe(topic, &r);
         }
-        sys.bus().publish(Message::Aggregate(AggregateReport {
-            timestamp: Nanos::from_secs(1),
-            scope: Scope::Machine,
-            power: Watts(35.0),
-            band_w: Watts(0.0),
-            quality: crate::msg::Quality::Full,
-            trace: crate::telemetry::TraceId::NONE,
-        }));
+        sys.bus().publish(Message::aggregates(
+            vec![AggregateReport {
+                timestamp: Nanos::from_secs(1),
+                scope: Scope::Machine,
+                power: Watts(35.0),
+                band_w: Watts(0.0),
+                quality: crate::msg::Quality::Full,
+                trace: crate::telemetry::TraceId::NONE,
+            }],
+            crate::telemetry::TraceId::NONE,
+        ));
         sys.bus()
             .publish(Message::Meter(Nanos::from_secs(1), Watts(34.2)));
         sys.bus()

@@ -42,16 +42,12 @@ impl<W: Write + Send> TelemetryReporter<W> {
 
 impl<W: Write + Send> Actor for TelemetryReporter<W> {
     fn handle(&mut self, msg: Message, ctx: &Context) {
-        let timestamp = match &msg {
-            Message::Tick(snap) => snap.timestamp,
-            Message::Frame(frame) => frame.timestamp,
-            _ => return,
-        };
+        let Message::Frame(frame) = msg else { return };
         self.ticks += 1;
         if !self.ticks.is_multiple_of(self.every) {
             return;
         }
-        let line = ctx.telemetry().json_snapshot(timestamp);
+        let line = ctx.telemetry().json_snapshot(frame.timestamp);
         let _ = writeln!(self.out, "{line}");
     }
 
@@ -64,7 +60,8 @@ impl<W: Write + Send> Actor for TelemetryReporter<W> {
 mod tests {
     use super::*;
     use crate::actor::{ActorSystem, SpawnOptions};
-    use crate::msg::{HostSnapshot, Topic};
+    use crate::frame::FrameBuilder;
+    use crate::msg::Topic;
     use crate::telemetry::{Stage, Telemetry};
     use parking_lot::Mutex;
     use simcpu::units::Nanos;
@@ -83,15 +80,12 @@ mod tests {
     }
 
     fn tick(s: u64) -> Message {
-        Message::Tick(Arc::new(HostSnapshot {
-            timestamp: Nanos::from_secs(s),
-            interval: Nanos::from_secs(1),
-            hpc: Vec::new(),
-            proc_times: Vec::new(),
-            corun: Vec::new(),
-            meter: Vec::new(),
-            rapl_joules: None,
-        }))
+        Message::Frame(Arc::new(FrameBuilder::new().finish(
+            Nanos::from_secs(s),
+            Nanos::from_secs(1),
+            Arc::from([]),
+            None,
+        )))
     }
 
     #[test]

@@ -32,10 +32,10 @@ use crate::aggregator::{Aggregator, Dimension};
 use crate::control::{RateControlActor, RecalibrationTrigger};
 use crate::formula::fallback::FallbackFormula;
 use crate::formula::{FormulaActor, PowerFormula};
-use crate::frame::FramePool;
+use crate::frame::{FramePool, PowerBatch};
 use crate::health::{HealthConfig, ModelHealth, ModelHealthSummary, ResidualMonitor};
 use crate::host::SimHost;
-use crate::msg::{AggregateReport, Message, PowerReport, Quality, Scope, Topic};
+use crate::msg::{AggregateReport, Message, Quality, Scope, Topic};
 use crate::reporter::{
     ConsoleReporter, CsvReporter, InfluxReporter, JsonReporter, MemoryHandle, MemoryReporter,
     TelemetryReporter,
@@ -88,7 +88,6 @@ pub struct PowerApiBuilder {
     post_mortem_dir: Option<PathBuf>,
     post_mortem_window: Nanos,
     post_mortem_always: bool,
-    batched: bool,
 }
 
 impl PowerApiBuilder {
@@ -124,7 +123,6 @@ impl PowerApiBuilder {
             post_mortem_dir: None,
             post_mortem_window: Nanos::from_secs(60),
             post_mortem_always: false,
-            batched: true,
         }
     }
 
@@ -408,20 +406,6 @@ impl PowerApiBuilder {
         self
     }
 
-    /// Toggles the batched hot path (default: on). When on, each
-    /// monitoring tick travels the pipeline as one struct-of-arrays
-    /// [`TickFrame`] and the stages exchange columnar batches; when off,
-    /// the legacy per-report message flow runs instead. Both paths
-    /// produce bit-identical estimates — the flag exists for A/B
-    /// benchmarking and as an escape hatch.
-    ///
-    /// [`TickFrame`]: crate::frame::TickFrame
-    #[must_use]
-    pub fn batched(mut self, batched: bool) -> PowerApiBuilder {
-        self.batched = batched;
-        self
-    }
-
     /// Assembles and starts the actor pipeline.
     ///
     /// # Errors
@@ -679,7 +663,6 @@ impl PowerApiBuilder {
                 .map(|dir| (dir, self.post_mortem_window, self.post_mortem_always)),
             fault_prev_meter: MeterFaultStats::default(),
             fault_prev_counters: CounterFaultStats::default(),
-            batched: self.batched,
             pool: FramePool::new(),
         })
     }
@@ -717,9 +700,6 @@ pub struct PowerApi {
     fault_prev_meter: MeterFaultStats,
     /// PMU fault stats at the previous tick boundary.
     fault_prev_counters: CounterFaultStats,
-    /// Whether ticks travel as struct-of-arrays frames (default) or as
-    /// the legacy nested snapshots.
-    batched: bool,
     /// Free list recycling frame storage across ticks — O(1) allocation
     /// in the steady state.
     pool: FramePool,
@@ -794,18 +774,10 @@ impl PowerApi {
                         .overhead()
                         .record_host(t.elapsed().as_nanos() as u64);
                 }
-                let tick = if self.batched {
-                    let mut frame = self.host.snapshot_frame(&self.pool);
-                    frame.set_sampling_factor(self.sampling.as_ref().map_or(1, |s| s.factor()));
-                    frame.set_sampling_pressure(self.host.sampling_pressure().ratio());
-                    let timestamp = frame.timestamp;
-                    (Message::Frame(Arc::new(frame)), timestamp)
-                } else {
-                    let snapshot = self.host.snapshot();
-                    let timestamp = snapshot.timestamp;
-                    (Message::Tick(Arc::new(snapshot)), timestamp)
-                };
-                let (msg, timestamp) = tick;
+                let mut frame = self.host.snapshot_frame(&self.pool);
+                frame.set_sampling_factor(self.sampling.as_ref().map_or(1, |s| s.factor()));
+                frame.set_sampling_pressure(self.host.sampling_pressure().ratio());
+                let timestamp = frame.timestamp;
                 if instrumented {
                     // Advance the flight-recorder clock first so every
                     // event this tick provokes carries its timestamp.
@@ -817,7 +789,7 @@ impl PowerApi {
                 // snaps the rate back on the tick that opened it.
                 self.journal_fault_deltas(timestamp);
                 let observed_before = self.sampling.as_ref().map(|s| s.observed());
-                bus.publish(msg);
+                bus.publish(Message::Frame(Arc::new(frame)));
                 if let Some(wpc) = self.profile_self.filter(|_| instrumented) {
                     self.publish_self_power(&bus, timestamp, wpc);
                 }
@@ -939,8 +911,9 @@ impl PowerApi {
     }
 
     /// Publishes the middleware's own consumption since the previous tick
-    /// as a synthetic per-process estimate: `wpc` watts scaled by the
-    /// fraction of one core the actor handlers kept busy (wall time).
+    /// as a synthetic per-process estimate (a one-row power batch): `wpc`
+    /// watts scaled by the fraction of one core the actor handlers kept
+    /// busy (wall time).
     fn publish_self_power(&mut self, bus: &crate::bus::EventBus, timestamp: Nanos, wpc: f64) {
         let busy = self.telemetry.overhead().handle_ns();
         let wall = self.self_wall_prev.elapsed().as_nanos() as u64;
@@ -948,15 +921,15 @@ impl PowerApi {
         self.self_busy_prev = busy;
         self.self_wall_prev = Instant::now();
         let utilisation = busy_delta as f64 / wall.max(1) as f64;
-        bus.publish(Message::Power(PowerReport {
-            timestamp,
-            pid: SELF_PID,
-            power: Watts(wpc * utilisation),
-            formula: SELF_FORMULA,
-            band_w: Watts(0.0),
-            quality: Quality::Full,
-            trace: self.telemetry.trace_for_tick(timestamp),
-        }));
+        let trace = self.telemetry.trace_for_tick(timestamp);
+        let mut own = PowerBatch::with_capacity(timestamp, SELF_FORMULA, trace, 1);
+        own.push(
+            SELF_PID,
+            Watts(wpc * utilisation),
+            Watts(0.0),
+            Quality::Full,
+        );
+        bus.publish(Message::PowerBatch(Arc::new(own)));
     }
 
     /// The observability hub (disabled unless the builder enabled it).
@@ -1175,7 +1148,7 @@ impl RunOutcome {
     }
 
     /// One named group's estimates as `(timestamp, watts)`, time-ordered
-    /// (see [`crate::aggregator::GroupAggregator`]).
+    /// (see [`PowerApiBuilder::hierarchy`]).
     pub fn group_estimates(&self, group: &str) -> Vec<(Nanos, Watts)> {
         let mut v: Vec<(Nanos, Watts)> = self
             .reports

@@ -6,15 +6,16 @@
 
 use crate::actor::{Actor, Context};
 use crate::frame::{SensorBatch, SensorRow, TickFrame, NO_ROW};
-use crate::msg::{CorunSplit, Message, SensorReport};
+use crate::msg::Message;
+use crate::telemetry::TraceId;
 use simcpu::units::Nanos;
 use std::sync::Arc;
 
-/// Source tag carried on this sensor's reports.
+/// Source tag carried on this sensor's batches.
 pub const SOURCE: &str = "hpc";
 
 /// The sensor actor. Stateless: everything it needs arrives in the tick
-/// snapshot.
+/// frame.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HpcSensor;
 
@@ -26,10 +27,9 @@ impl HpcSensor {
 }
 
 impl HpcSensor {
-    /// Batched path: one [`SensorBatch`] of row descriptors over the
-    /// shared frame instead of one report message per process.
-    fn on_frame(&self, frame: Arc<TickFrame>, ctx: &Context) {
-        let trace = ctx.telemetry().trace_for_tick(frame.timestamp);
+    /// What this sensor sees in a frame: one row per counted process,
+    /// joined to its time and co-run rows.
+    pub fn observe(frame: Arc<TickFrame>, trace: TraceId) -> SensorBatch {
         let mut rows = Vec::with_capacity(frame.hpc_len());
         // All sections are ascending by pid, so row lookups advance a
         // cursor instead of scanning.
@@ -41,8 +41,12 @@ impl HpcSensor {
                 time_cur = t + 1;
             }
             let busy = time.map(|t| frame.busy(t)).unwrap_or(Nanos::ZERO);
-            // Same PMU-stall rule as the legacy path: CPU time burned but
-            // zero on every counter → publish nothing for the row.
+            // A process that burned CPU time but retired zero on every
+            // counter means the PMU stalled (or reset mid-read). Publish
+            // nothing for the row: absence is the signal the downstream
+            // staleness watchdog keys its HPC→cpu-load fallback on, and a
+            // zeroed row would instead be trusted as "this process drew
+            // 0 W".
             if busy > Nanos::ZERO
                 && !frame.events.is_empty()
                 && frame.hpc_row(i).iter().all(|v| *v == 0)
@@ -60,65 +64,25 @@ impl HpcSensor {
                 corun: corun.map_or(NO_ROW, |c| c as u32),
             });
         }
-        // Publishing an empty batch would defeat the staleness watchdog:
-        // absence of data is the fallback trigger, exactly as on the
-        // legacy path.
-        if rows.is_empty() {
-            return;
+        SensorBatch {
+            source: SOURCE,
+            frame,
+            rows,
+            trace,
         }
-        ctx.bus()
-            .publish(Message::SensorBatch(Arc::new(SensorBatch {
-                source: SOURCE,
-                frame,
-                rows,
-                trace,
-            })));
     }
 }
 
 impl Actor for HpcSensor {
     fn handle(&mut self, msg: Message, ctx: &Context) {
-        let snap = match msg {
-            Message::Tick(snap) => snap,
-            Message::Frame(frame) => return self.on_frame(frame, ctx),
-            _ => return,
-        };
-        // One trace per tick, shared by every sensor on the same snapshot.
-        let trace = ctx.telemetry().trace_for_tick(snap.timestamp);
-        for (pid, counters) in &snap.hpc {
-            let time = snap
-                .proc_times
-                .iter()
-                .find(|(p, _)| p == pid)
-                .map(|(_, t)| t.clone())
-                .unwrap_or_default();
-            // A process that burned CPU time but retired zero on every
-            // counter means the PMU stalled (or reset mid-read). Publish
-            // nothing: absence is the signal the downstream staleness
-            // watchdog keys its HPC→cpu-load fallback on, and a zeroed
-            // report would instead be trusted as "this process drew 0 W".
-            if time.busy > Nanos::ZERO
-                && !counters.is_empty()
-                && counters.iter().all(|(_, v)| *v == 0)
-            {
-                continue;
-            }
-            let corun = snap
-                .corun
-                .iter()
-                .find(|(p, _)| p == pid)
-                .map(|(_, c)| *c)
-                .unwrap_or_else(CorunSplit::default);
-            ctx.bus().publish(Message::Sensor(Arc::new(SensorReport {
-                source: SOURCE,
-                timestamp: snap.timestamp,
-                interval: snap.interval,
-                pid: *pid,
-                counters: counters.clone(),
-                time,
-                corun,
-                trace,
-            })));
+        let Message::Frame(frame) = msg else { return };
+        // One trace per tick, shared by every sensor on the same frame.
+        let trace = ctx.telemetry().trace_for_tick(frame.timestamp);
+        let batch = HpcSensor::observe(frame, trace);
+        // An empty batch would defeat the staleness watchdog: absence of
+        // data is the fallback trigger.
+        if !batch.rows.is_empty() {
+            ctx.bus().publish(Message::SensorBatch(Arc::new(batch)));
         }
     }
 }
@@ -127,74 +91,76 @@ impl Actor for HpcSensor {
 mod tests {
     use super::*;
     use crate::actor::ActorSystem;
-    use crate::msg::{HostSnapshot, ProcTimeDelta, Topic};
+    use crate::frame::FrameBuilder;
+    use crate::msg::Topic;
     use os_sim::process::Pid;
     use parking_lot::Mutex;
     use perf_sim::events::PAPER_EVENTS;
-    use simcpu::units::{MegaHertz, Nanos};
+    use simcpu::units::MegaHertz;
 
-    struct Capture(Arc<Mutex<Vec<SensorReport>>>);
+    struct Capture(Arc<Mutex<Vec<Arc<SensorBatch>>>>);
     impl Actor for Capture {
         fn handle(&mut self, msg: Message, _ctx: &Context) {
-            if let Message::Sensor(r) = msg {
-                self.0.lock().push((*r).clone());
+            if let Message::SensorBatch(b) = msg {
+                self.0.lock().push(b);
             }
         }
     }
 
-    fn snapshot_with_two_pids() -> Arc<HostSnapshot> {
-        Arc::new(HostSnapshot {
-            timestamp: Nanos::from_secs(1),
-            interval: Nanos::from_secs(1),
-            hpc: vec![
-                (Pid(1), vec![(PAPER_EVENTS[0], 100)]),
-                (Pid(2), vec![(PAPER_EVENTS[0], 200)]),
-            ],
-            proc_times: vec![(
-                Pid(1),
-                ProcTimeDelta {
-                    busy: Nanos(500),
-                    by_freq: vec![(MegaHertz(3300), Nanos(500))],
-                },
-            )],
-            corun: Vec::new(),
-            meter: Vec::new(),
-            rapl_joules: None,
-        })
+    /// Pids 1 and 2 counted (100 / 200 on one event), pid 3 stalled
+    /// (busy but all-zero); only pid 1 and 3 have a time row.
+    fn frame_with_three_pids() -> Message {
+        let mut b = FrameBuilder::new();
+        let (pids, counters) = b.hpc_columns();
+        pids.extend([Pid(1), Pid(2), Pid(3)]);
+        counters.extend([100, 200, 0]);
+        b.push_time_row(Pid(1), Nanos(500), |f| {
+            f.push((MegaHertz(3300), Nanos(500)));
+        });
+        b.push_time_row(Pid(3), Nanos(400), |_| {});
+        Message::Frame(Arc::new(b.finish(
+            Nanos::from_secs(1),
+            Nanos::from_secs(1),
+            Arc::from([PAPER_EVENTS[0]]),
+            None,
+        )))
     }
 
-    #[test]
-    fn publishes_one_report_per_monitored_pid() {
+    fn run(topic: Topic, msg: Message) -> Vec<Arc<SensorBatch>> {
         let seen = Arc::new(Mutex::new(Vec::new()));
         let mut sys = ActorSystem::new();
         let sensor = sys.spawn("hpc", Box::new(HpcSensor::new()));
         let sink = sys.spawn("sink", Box::new(Capture(seen.clone())));
-        sys.bus().subscribe(Topic::Tick, &sensor);
+        sys.bus().subscribe(topic, &sensor);
         sys.bus().subscribe(Topic::Sensor, &sink);
-        sys.bus().publish(Message::Tick(snapshot_with_two_pids()));
+        sys.bus().publish(msg);
         sys.shutdown();
-        let seen = seen.lock();
-        assert_eq!(seen.len(), 2);
-        assert!(seen.iter().all(|r| r.source == SOURCE));
-        let r1 = seen.iter().find(|r| r.pid == Pid(1)).unwrap();
-        assert_eq!(r1.counters[0].1, 100);
-        assert_eq!(r1.time.busy, Nanos(500));
-        // Pid 2 had no proc-time entry: defaults to zero time.
-        let r2 = seen.iter().find(|r| r.pid == Pid(2)).unwrap();
-        assert_eq!(r2.time.busy, Nanos::ZERO);
+        let out = seen.lock().clone();
+        out
+    }
+
+    #[test]
+    fn publishes_one_row_per_counted_pid() {
+        let seen = run(Topic::Tick, frame_with_three_pids());
+        assert_eq!(seen.len(), 1, "one batch per tick");
+        let batch = &seen[0];
+        assert_eq!(batch.source, SOURCE);
+        let mut report = crate::formula::scratch_report();
+        batch.fill_report(0, &mut report);
+        assert_eq!(report.pid, Pid(1));
+        assert_eq!(report.counters[0].1, 100);
+        assert_eq!(report.time.busy, Nanos(500));
+        // Pid 2 had no time row: defaults to zero time.
+        batch.fill_report(1, &mut report);
+        assert_eq!(report.pid, Pid(2));
+        assert_eq!(report.time.busy, Nanos::ZERO);
+        // Pid 3 burned CPU with every counter at zero: PMU stall, no row.
+        assert_eq!(batch.rows.len(), 2);
     }
 
     #[test]
     fn ignores_non_tick_messages() {
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let mut sys = ActorSystem::new();
-        let sensor = sys.spawn("hpc", Box::new(HpcSensor::new()));
-        let sink = sys.spawn("sink", Box::new(Capture(seen.clone())));
-        sys.bus().subscribe(Topic::Meter, &sensor);
-        sys.bus().subscribe(Topic::Sensor, &sink);
-        sys.bus()
-            .publish(Message::Meter(Nanos(1), simcpu::Watts(1.0)));
-        sys.shutdown();
-        assert!(seen.lock().is_empty());
+        let seen = run(Topic::Meter, Message::Meter(Nanos(1), simcpu::Watts(1.0)));
+        assert!(seen.is_empty());
     }
 }

@@ -1,10 +1,10 @@
 //! Sensor actors: each subscribes to [`Topic::Tick`], slices the tick's
-//! [`HostSnapshot`] from its own angle, and publishes downstream messages
+//! [`TickFrame`] from its own angle, and publishes downstream messages
 //! ("Sensor monitors the metrics of a given process and then publish a
 //! sensor message to the event bus" — §3).
 //!
 //! [`Topic::Tick`]: crate::msg::Topic::Tick
-//! [`HostSnapshot`]: crate::msg::HostSnapshot
+//! [`TickFrame`]: crate::frame::TickFrame
 
 pub mod hpc;
 pub mod powerspy;

@@ -18,12 +18,8 @@ impl PowerSpySensor {
 
 impl Actor for PowerSpySensor {
     fn handle(&mut self, msg: Message, ctx: &Context) {
-        let samples = match &msg {
-            Message::Tick(snap) => &snap.meter[..],
-            Message::Frame(frame) => frame.meter(),
-            _ => return,
-        };
-        for &(at, power) in samples {
+        let Message::Frame(frame) = msg else { return };
+        for &(at, power) in frame.meter() {
             ctx.bus().publish(Message::Meter(at, power));
         }
     }
@@ -33,7 +29,8 @@ impl Actor for PowerSpySensor {
 mod tests {
     use super::*;
     use crate::actor::ActorSystem;
-    use crate::msg::{HostSnapshot, Topic};
+    use crate::frame::FrameBuilder;
+    use crate::msg::Topic;
     use parking_lot::Mutex;
     use simcpu::units::{Nanos, Watts};
     use std::sync::Arc;
@@ -55,19 +52,17 @@ mod tests {
         let sink = sys.spawn("sink", Box::new(Capture(seen.clone())));
         sys.bus().subscribe(Topic::Tick, &sensor);
         sys.bus().subscribe(Topic::Meter, &sink);
-        let snap = Arc::new(HostSnapshot {
-            timestamp: Nanos::from_secs(3),
-            interval: Nanos::from_secs(1),
-            hpc: Vec::new(),
-            proc_times: Vec::new(),
-            corun: Vec::new(),
-            meter: vec![
-                (Nanos::from_millis(2500), Watts(31.4)),
-                (Nanos::from_millis(3000), Watts(35.2)),
-            ],
-            rapl_joules: None,
-        });
-        sys.bus().publish(Message::Tick(snap));
+        let mut b = FrameBuilder::new();
+        b.meter_column().extend([
+            (Nanos::from_millis(2500), Watts(31.4)),
+            (Nanos::from_millis(3000), Watts(35.2)),
+        ]);
+        sys.bus().publish(Message::Frame(Arc::new(b.finish(
+            Nanos::from_secs(3),
+            Nanos::from_secs(1),
+            Arc::from([]),
+            None,
+        ))));
         sys.shutdown();
         let seen = seen.lock();
         assert_eq!(seen.len(), 2);

@@ -1,6 +1,6 @@
 //! The RAPL sensor: converts the interval's package-energy delta into an
 //! average package power and publishes it. Only produces data on machines
-//! whose snapshot carries RAPL readings (Sandy Bridge onward) — the
+//! whose frames carry RAPL readings (Sandy Bridge onward) — the
 //! architecture dependence the paper criticizes, reproduced.
 
 use crate::actor::{Actor, Context};
@@ -20,20 +20,16 @@ impl RaplSensor {
 
 impl Actor for RaplSensor {
     fn handle(&mut self, msg: Message, ctx: &Context) {
-        let (timestamp, interval, joules) = match &msg {
-            Message::Tick(snap) => (snap.timestamp, snap.interval, snap.rapl_joules),
-            Message::Frame(frame) => (frame.timestamp, frame.interval, frame.rapl_joules),
-            _ => return,
-        };
-        let Some(joules) = joules else {
+        let Message::Frame(frame) = msg else { return };
+        let Some(joules) = frame.rapl_joules else {
             return;
         };
-        let secs = interval.as_secs_f64();
+        let secs = frame.interval.as_secs_f64();
         if secs <= 0.0 {
             return;
         }
         ctx.bus()
-            .publish(Message::Rapl(timestamp, Watts(joules / secs)));
+            .publish(Message::Rapl(frame.timestamp, Watts(joules / secs)));
     }
 }
 
@@ -41,7 +37,8 @@ impl Actor for RaplSensor {
 mod tests {
     use super::*;
     use crate::actor::ActorSystem;
-    use crate::msg::{HostSnapshot, Topic};
+    use crate::frame::FrameBuilder;
+    use crate::msg::Topic;
     use parking_lot::Mutex;
     use simcpu::units::Nanos;
     use std::sync::Arc;
@@ -55,16 +52,13 @@ mod tests {
         }
     }
 
-    fn snap(rapl_joules: Option<f64>) -> Arc<HostSnapshot> {
-        Arc::new(HostSnapshot {
-            timestamp: Nanos::from_secs(5),
-            interval: Nanos::from_secs(2),
-            hpc: Vec::new(),
-            proc_times: Vec::new(),
-            corun: Vec::new(),
-            meter: Vec::new(),
+    fn tick(rapl_joules: Option<f64>) -> Message {
+        Message::Frame(Arc::new(FrameBuilder::new().finish(
+            Nanos::from_secs(5),
+            Nanos::from_secs(2),
+            Arc::from([]),
             rapl_joules,
-        })
+        )))
     }
 
     #[test]
@@ -75,8 +69,8 @@ mod tests {
         let sink = sys.spawn("sink", Box::new(Capture(seen.clone())));
         sys.bus().subscribe(Topic::Tick, &sensor);
         sys.bus().subscribe(Topic::Rapl, &sink);
-        sys.bus().publish(Message::Tick(snap(Some(30.0))));
-        sys.bus().publish(Message::Tick(snap(None)));
+        sys.bus().publish(tick(Some(30.0)));
+        sys.bus().publish(tick(None));
         sys.shutdown();
         let seen = seen.lock();
         assert_eq!(seen.len(), 1, "no message without rapl support");

@@ -1,18 +1,26 @@
-//! Property tests for the batched tick-frame representation: a
-//! [`TickFrame`] must be a lossless re-encoding of the legacy
-//! [`HostSnapshot`], and the batched pipeline must produce outcomes
-//! bit-identical to the per-message legacy pipeline it replaced.
+//! Property tests for the tick-frame pipeline: row lookups and pool
+//! recycling over generated frames, every column-reading formula path
+//! against the row-by-row reference, and the end-to-end pipeline against
+//! vectors frozen from the per-report message flow before it was deleted.
 
 use os_sim::kernel::Kernel;
 use os_sim::process::Pid;
 use os_sim::task::SteadyTask;
 use perf_sim::events::Event;
+use powerapi::actor::{Actor, ActorSystem, Context};
+use powerapi::fleet::envelope::fnv1a64;
+use powerapi::formula::bertran::{bertran_events, BertranFormula};
+use powerapi::formula::cpuload::CpuLoadFormula;
+use powerapi::formula::fallback::FallbackFormula;
+use powerapi::formula::happy::{HappyFormula, HappyModel};
 use powerapi::formula::per_freq::PerFrequencyFormula;
-use powerapi::frame::{PowerBatch, TickFrame};
+use powerapi::formula::{estimate_row_by_row, PowerFormula};
+use powerapi::frame::{FrameBuilder, FramePool, PowerBatch, SensorBatch, TickFrame};
 use powerapi::model::power_model::PerFrequencyPowerModel;
-use powerapi::msg::{CorunSplit, HostSnapshot, PowerReport, ProcTimeDelta, Quality};
+use powerapi::msg::{CorunSplit, Message, PowerReport, ProcTimeDelta, Quality, Scope, Topic};
 use powerapi::prelude::Dimension;
 use powerapi::runtime::{PowerApi, RunOutcome};
+use powerapi::sensor::{HpcSensor, ProcfsSensor};
 use powerapi::telemetry::TraceId;
 use proptest::prelude::*;
 use simcpu::counters::{ExecDelta, HwCounter};
@@ -20,16 +28,14 @@ use simcpu::fault::{FaultKind, FaultPlan, FaultWindow};
 use simcpu::presets;
 use simcpu::units::{MegaHertz, Nanos, Watts};
 use simcpu::workunit::WorkUnit;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
-/// A small event layout every generated hpc row follows.
+/// The event layout every generated hpc row follows: a prefix of the
+/// Bertran component set, so short layouts exercise the "model event
+/// missing" path.
 fn layout(n: usize) -> Vec<Event> {
-    [
-        Event::Hardware(HwCounter::Instructions),
-        Event::Hardware(HwCounter::Cycles),
-        Event::Hardware(HwCounter::CacheMisses),
-        Event::Hardware(HwCounter::BranchInstructions),
-    ][..n]
-        .to_vec()
+    bertran_events()[..n].to_vec()
 }
 
 fn exec_delta(seed: u64) -> ExecDelta {
@@ -57,11 +63,26 @@ fn pid_set(max: usize) -> impl Strategy<Value = Vec<Pid>> {
     })
 }
 
+/// One generated monitoring interval, section by section: what the
+/// strategies fill and [`fill_truncated`] feeds through a
+/// [`FrameBuilder`].
+#[derive(Debug, Clone)]
+struct Interval {
+    timestamp: Nanos,
+    interval: Nanos,
+    events: Arc<[Event]>,
+    hpc: Vec<(Pid, Vec<u64>)>,
+    times: Vec<(Pid, ProcTimeDelta)>,
+    corun: Vec<(Pid, CorunSplit)>,
+    meter: Vec<(Nanos, Watts)>,
+    rapl_joules: Option<f64>,
+}
+
 #[allow(clippy::type_complexity)]
-fn snapshot() -> impl Strategy<Value = HostSnapshot> {
+fn interval() -> impl Strategy<Value = Interval> {
     (
         (
-            1usize..=4,
+            1usize..=5,
             pid_set(12),
             pid_set(12),
             pid_set(6),
@@ -75,11 +96,11 @@ fn snapshot() -> impl Strategy<Value = HostSnapshot> {
             1u64..100_000_000_000,
         ),
     )
-        .prop_map(build_snapshot)
+        .prop_map(build_interval)
 }
 
 #[allow(clippy::type_complexity)]
-fn build_snapshot(
+fn build_interval(
     (
         (n_events, hpc_pids, time_pids, corun_pids, values),
         (busys, freq_counts, meter, rapl, timestamp),
@@ -87,96 +108,118 @@ fn build_snapshot(
         (usize, Vec<Pid>, Vec<Pid>, Vec<Pid>, Vec<u64>),
         (Vec<u64>, Vec<usize>, Vec<(u64, u64)>, Option<f64>, u64),
     ),
-) -> HostSnapshot {
+) -> Interval {
+    let hpc = hpc_pids
+        .iter()
+        .enumerate()
+        .map(|(i, &pid)| {
+            let row = (0..n_events)
+                .map(|j| values[(i * n_events + j) % values.len()])
+                .collect();
+            (pid, row)
+        })
+        .collect();
+    let times = time_pids
+        .iter()
+        .enumerate()
+        .map(|(i, &pid)| {
+            let by_freq = (0..freq_counts[i % freq_counts.len()])
+                .map(|k| {
+                    (
+                        MegaHertz(1600 + 500 * k as u32),
+                        Nanos(1 + busys[i % busys.len()] / (k as u64 + 2)),
+                    )
+                })
+                .collect();
+            (
+                pid,
+                ProcTimeDelta {
+                    busy: Nanos(busys[i % busys.len()]),
+                    by_freq,
+                },
+            )
+        })
+        .collect();
+    let corun = corun_pids
+        .iter()
+        .enumerate()
+        .map(|(i, &pid)| {
+            (
+                pid,
+                CorunSplit {
+                    solo: exec_delta(values[i % values.len()]),
+                    corun: exec_delta(values[(i + 7) % values.len()]),
+                    solo_time: Nanos(busys[i % busys.len()] / 2),
+                    corun_time: Nanos(busys[(i + 3) % busys.len()] / 3),
+                },
+            )
+        })
+        .collect();
+    Interval {
+        timestamp: Nanos(timestamp),
+        interval: Nanos(timestamp / 2 + 1),
+        events: layout(n_events).into(),
+        hpc,
+        times,
+        corun,
+        meter: meter
+            .into_iter()
+            .map(|(at, w)| (Nanos(at), Watts(w as f64 / 10.0)))
+            .collect(),
+        rapl_joules: rapl,
+    }
+}
+
+/// Fills a builder from an interval, keeping only a prefix of each
+/// section — the shape a sensor emits when a fault cuts sampling short
+/// mid-frame — and seals it.
+fn fill_truncated(
+    mut b: FrameBuilder,
+    iv: &Interval,
+    keep: (usize, usize, usize, usize),
+) -> TickFrame {
+    let (keep_hpc, keep_time, keep_corun, keep_meter) = keep;
     {
-        let events = layout(n_events);
-        let hpc = hpc_pids
-            .iter()
-            .enumerate()
-            .map(|(i, &pid)| {
-                let row = events
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &e)| (e, values[(i * n_events + j) % values.len()]))
-                    .collect();
-                (pid, row)
-            })
-            .collect();
-        let proc_times = time_pids
-            .iter()
-            .enumerate()
-            .map(|(i, &pid)| {
-                let by_freq = (0..freq_counts[i % freq_counts.len()])
-                    .map(|k| {
-                        (
-                            MegaHertz(1600 + 500 * k as u32),
-                            Nanos(1 + busys[i % busys.len()] / (k as u64 + 2)),
-                        )
-                    })
-                    .collect();
-                (
-                    pid,
-                    ProcTimeDelta {
-                        busy: Nanos(busys[i % busys.len()]),
-                        by_freq,
-                    },
-                )
-            })
-            .collect();
-        let corun = corun_pids
-            .iter()
-            .enumerate()
-            .map(|(i, &pid)| {
-                (
-                    pid,
-                    CorunSplit {
-                        solo: exec_delta(values[i % values.len()]),
-                        corun: exec_delta(values[(i + 7) % values.len()]),
-                        solo_time: Nanos(busys[i % busys.len()] / 2),
-                        corun_time: Nanos(busys[(i + 3) % busys.len()] / 3),
-                    },
-                )
-            })
-            .collect();
-        HostSnapshot {
-            timestamp: Nanos(timestamp),
-            interval: Nanos(timestamp / 2 + 1),
-            hpc,
-            proc_times,
-            corun,
-            meter: meter
-                .into_iter()
-                .map(|(at, w)| (Nanos(at), Watts(w as f64 / 10.0)))
-                .collect(),
-            rapl_joules: rapl,
+        let (pids, counters) = b.hpc_columns();
+        for (pid, row) in iv.hpc.iter().take(keep_hpc) {
+            pids.push(*pid);
+            counters.extend_from_slice(row);
         }
     }
+    for (pid, dt) in iv.times.iter().take(keep_time) {
+        b.push_time_row(*pid, dt.busy, |f| f.extend_from_slice(&dt.by_freq));
+    }
+    for &(pid, split) in iv.corun.iter().take(keep_corun) {
+        b.push_corun_row(pid, split);
+    }
+    b.meter_column()
+        .extend(iv.meter.iter().take(keep_meter).copied());
+    b.finish(iv.timestamp, iv.interval, iv.events.clone(), iv.rapl_joules)
+}
+
+const ALL: (usize, usize, usize, usize) = (usize::MAX, usize::MAX, usize::MAX, usize::MAX);
+
+/// The whole interval as a frame on fresh storage.
+fn frame_of(iv: &Interval) -> TickFrame {
+    fill_truncated(FrameBuilder::new(), iv, ALL)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The frame is a lossless re-encoding: converting any legacy
-    /// snapshot to columns and back reproduces it exactly.
-    #[test]
-    fn frame_round_trips_legacy_snapshot(snap in snapshot()) {
-        let frame = TickFrame::from_snapshot(&snap);
-        frame.debug_assert_consistent();
-        prop_assert_eq!(frame.to_snapshot(), snap);
-    }
-
-    /// Row lookups agree with the legacy linear scans regardless of the
-    /// pid-column order (sorted columns answer via binary search,
+    /// Row lookups agree with linear scans of what was pushed, regardless
+    /// of the pid-column order (sorted columns answer via binary search,
     /// unsorted hand-built ones via the fallback scan).
     #[test]
-    fn row_lookups_match_linear_scan(snap in snapshot()) {
-        let frame = TickFrame::from_snapshot(&snap);
-        for &(pid, ref expect) in &snap.proc_times {
+    fn row_lookups_match_linear_scan(iv in interval()) {
+        let frame = frame_of(&iv);
+        frame.debug_assert_consistent();
+        for &(pid, ref expect) in &iv.times {
             let row = frame.time_row(pid, usize::MAX).expect("present pid found");
             prop_assert_eq!(frame.time_pid(row), pid);
             prop_assert_eq!(frame.busy(row), expect.busy);
         }
-        for &(pid, expect) in &snap.corun {
+        for &(pid, expect) in &iv.corun {
             let row = frame.corun_row(pid, 0).expect("present pid found");
             prop_assert_eq!(frame.corun_split(row), expect);
         }
@@ -186,7 +229,7 @@ proptest! {
         prop_assert_eq!(frame.corun_row(absent, 3), None);
     }
 
-    /// Power columns round-trip losslessly to legacy per-pid reports.
+    /// Power columns round-trip losslessly to per-pid reports.
     #[test]
     fn power_batch_round_trips_reports(
         rows in proptest::collection::vec(
@@ -208,56 +251,14 @@ proptest! {
                 trace,
             })
             .collect();
-        let batch = PowerBatch::from_reports(Nanos(timestamp), "prop", trace, &reports);
+        let mut batch = PowerBatch::with_capacity(Nanos(timestamp), "prop", trace, reports.len());
+        for r in &reports {
+            batch.push(r.pid, r.power, r.band_w, r.quality);
+        }
         prop_assert_eq!(batch.len(), reports.len());
         let back: Vec<PowerReport> = batch.reports().collect();
         prop_assert_eq!(back, reports);
     }
-}
-
-/// Fills a builder from a snapshot, keeping only a prefix of each
-/// section — the shape a sensor emits when a fault cuts sampling short
-/// mid-frame — and seals it.
-fn fill_truncated(
-    mut b: powerapi::frame::FrameBuilder,
-    snap: &HostSnapshot,
-    keep: (usize, usize, usize, usize),
-    events: &std::sync::Arc<[Event]>,
-) -> TickFrame {
-    let (keep_hpc, keep_time, keep_corun, keep_meter) = keep;
-    {
-        let (pids, counters) = b.hpc_columns();
-        for (pid, row) in snap.hpc.iter().take(keep_hpc) {
-            pids.push(*pid);
-            counters.extend(row.iter().map(|&(_, v)| v));
-        }
-    }
-    for (pid, dt) in snap.proc_times.iter().take(keep_time) {
-        b.push_time_row(*pid, dt.busy, |f| f.extend_from_slice(&dt.by_freq));
-    }
-    for &(pid, split) in snap.corun.iter().take(keep_corun) {
-        b.push_corun_row(pid, split);
-    }
-    b.meter_column()
-        .extend(snap.meter.iter().take(keep_meter).copied());
-    b.finish(
-        snap.timestamp,
-        snap.interval,
-        events.clone(),
-        snap.rapl_joules,
-    )
-}
-
-/// The counter slot layout a generated snapshot's hpc rows follow.
-fn snapshot_events(snap: &HostSnapshot) -> std::sync::Arc<[Event]> {
-    snap.hpc
-        .first()
-        .map(|(_, row)| row.iter().map(|&(e, _)| e).collect())
-        .unwrap_or_else(|| std::sync::Arc::from([] as [Event; 0]))
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Pool-recycled storage must never leak a previous frame's columns
     /// into a later, fault-truncated frame. The gauntlet: a build
@@ -267,13 +268,11 @@ proptest! {
     /// bit-identical to the same truncated frame built on fresh storage.
     #[test]
     fn recycled_storage_never_leaks_into_truncated_frames(
-        first in snapshot(),
-        second in snapshot(),
+        first in interval(),
+        second in interval(),
         fracs in (0u8..=100, 0u8..=100, 0u8..=100, 0u8..=100),
     ) {
-        use powerapi::frame::{FrameBuilder, FramePool};
         let pool = FramePool::new();
-        let first_events = snapshot_events(&first);
 
         // A fault aborts a build mid-frame: partially filled, never
         // sealed. The pool must not inherit the half-written block.
@@ -282,15 +281,14 @@ proptest! {
             let (pids, counters) = b.hpc_columns();
             for (pid, row) in &first.hpc {
                 pids.push(*pid);
-                counters.extend(row.iter().map(|&(_, v)| v));
+                counters.extend_from_slice(row);
             }
             drop(b);
         }
         prop_assert_eq!(pool.pooled(), 0, "abandoned builds must not reach the pool");
 
         // A full frame cycles through the pool, leaving dirty storage.
-        let all = (usize::MAX, usize::MAX, usize::MAX, usize::MAX);
-        let full = fill_truncated(FrameBuilder::pooled(&pool), &first, all, &first_events);
+        let full = fill_truncated(FrameBuilder::pooled(&pool), &first, ALL);
         drop(full);
         prop_assert_eq!(pool.pooled(), 1);
 
@@ -299,22 +297,196 @@ proptest! {
         // breaks equality with the fresh-storage build.
         let keep = (
             second.hpc.len() * fracs.0 as usize / 100,
-            second.proc_times.len() * fracs.1 as usize / 100,
+            second.times.len() * fracs.1 as usize / 100,
             second.corun.len() * fracs.2 as usize / 100,
             second.meter.len() * fracs.3 as usize / 100,
         );
-        let second_events = snapshot_events(&second);
-        let recycled = fill_truncated(FrameBuilder::pooled(&pool), &second, keep, &second_events);
+        let recycled = fill_truncated(FrameBuilder::pooled(&pool), &second, keep);
         recycled.debug_assert_consistent();
-        let fresh = fill_truncated(FrameBuilder::new(), &second, keep, &second_events);
+        let fresh = fill_truncated(FrameBuilder::new(), &second, keep);
         prop_assert_eq!(&recycled, &fresh);
-        prop_assert_eq!(recycled.time_len(), keep.1.min(second.proc_times.len()));
+        prop_assert_eq!(recycled.time_len(), keep.1.min(second.times.len()));
+    }
+}
+
+/// The HPC sensor's view of a frame, minus its first `stalled` rows (a
+/// PMU stall silences them).
+fn hpc_batch(frame: &Arc<TickFrame>, stalled: usize) -> SensorBatch {
+    let mut batch = HpcSensor::observe(frame.clone(), TraceId::NONE);
+    batch.rows.drain(..stalled.min(batch.rows.len()));
+    batch
+}
+
+/// The procfs sensor's view of a frame.
+fn procfs_batch(frame: &Arc<TickFrame>) -> SensorBatch {
+    ProcfsSensor::observe(frame.clone(), TraceId::NONE)
+}
+
+/// The reference every `estimate_batch` override is held to: the trait's
+/// default body, run on formulas that override the default.
+fn row_by_row(formula: &mut dyn PowerFormula, batch: &SensorBatch, quality: Quality) -> PowerBatch {
+    let mut out = PowerBatch::with_capacity(batch.timestamp(), formula.name(), batch.trace, 0);
+    estimate_row_by_row(formula, batch, quality, &mut out);
+    out
+}
+
+/// One power row, comparable bit for bit: `(formula, pid, watts bits,
+/// band bits, quality)`.
+type PowerRow = (&'static str, Pid, u64, u64, Quality);
+
+fn power_rows(b: &PowerBatch) -> Vec<PowerRow> {
+    (0..b.len())
+        .map(|i| {
+            (
+                b.formula,
+                b.pids[i],
+                b.watts[i].as_f64().to_bits(),
+                b.band_w[i].as_f64().to_bits(),
+                b.quality[i],
+            )
+        })
+        .collect()
+}
+
+/// Two modelled frequencies (generated residency also visits 2.1 and
+/// 2.6 GHz, so nearest-model lookups are exercised) with distinct
+/// residual sigmas, over the first `n` Bertran events.
+fn model(n: usize) -> PerFrequencyPowerModel {
+    let coefs = [2.22e-9, 1.1e-9, 2.48e-8, 1.87e-7, 3.3e-9];
+    let mut m = PerFrequencyPowerModel::from_parts(
+        31.48,
+        layout(n).iter().map(|e| e.to_string()).collect(),
+        vec![
+            (
+                MegaHertz(1600),
+                coefs[..n].iter().map(|c| c / 2.0).collect(),
+            ),
+            (MegaHertz(3300), coefs[..n].to_vec()),
+        ],
+    )
+    .expect("consistent parts");
+    m.set_residual_sigma(MegaHertz(1600), 0.2);
+    m.set_residual_sigma(MegaHertz(3300), 0.5);
+    m
+}
+
+fn happy() -> HappyFormula {
+    HappyFormula::new(
+        HappyModel::from_parts(
+            30.0,
+            vec![HwCounter::Instructions, HwCounter::CacheMisses],
+            vec![
+                (MegaHertz(1600), vec![1.0e-9, 1.0e-7], vec![0.6e-9, 0.7e-7]),
+                (MegaHertz(3300), vec![2.2e-9, 1.9e-7], vec![1.3e-9, 1.2e-7]),
+            ],
+        )
+        .expect("consistent parts"),
+    )
+}
+
+/// Collects every power row published on the bus, in order.
+struct PowerSink(Arc<Mutex<Vec<PowerRow>>>);
+impl Actor for PowerSink {
+    fn handle(&mut self, msg: Message, _ctx: &Context) {
+        if let Message::PowerBatch(b) = msg {
+            self.0.lock().expect("sink lock").extend(power_rows(&b));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every `estimate_batch` override reads the frame columns directly;
+    /// each must equal the row-by-row reference bit for bit, pid for pid
+    /// — over hpc-shaped rows, time-only rows, missing sections, layouts
+    /// that lack a model event, and unsorted pid columns.
+    #[test]
+    fn estimate_batch_overrides_match_row_by_row(iv in interval(), degraded in 0u8..2) {
+        let frame = Arc::new(frame_of(&iv));
+        let quality = if degraded == 1 { Quality::Degraded } else { Quality::Full };
+        let formulas: [Box<dyn PowerFormula>; 3] = [
+            Box::new(PerFrequencyFormula::new(model(3))),
+            Box::new(BertranFormula::new(model(5))),
+            Box::new(happy()),
+        ];
+        for mut formula in formulas {
+            for batch in [hpc_batch(&frame, 0), procfs_batch(&frame)] {
+                let mut cols =
+                    PowerBatch::with_capacity(batch.timestamp(), formula.name(), batch.trace, 0);
+                formula.estimate_batch(&batch, quality, &mut cols);
+                let rows = row_by_row(&mut *formula.boxed_clone(), &batch, quality);
+                prop_assert_eq!(power_rows(&cols), power_rows(&rows), "on {} rows", batch.source);
+            }
+        }
+    }
+
+    /// The fallback watchdog's batch decisions — primary while its rows
+    /// flow, backup once a pid's primary stream has been silent longer
+    /// than `max_age` — equal a per-row watchdog built from nothing but
+    /// `fill_report` + `estimate` + `interval_w`. Four ticks of the same
+    /// interval; from the second tick on a PMU stall silences the first
+    /// `stalled` hpc rows, so those pids degrade on the fourth.
+    #[test]
+    fn fallback_watchdog_matches_row_by_row(iv in interval(), stalled in 0usize..6) {
+        let max_age = Nanos::from_millis(1500);
+        let mut primary = PerFrequencyFormula::new(model(3));
+        let mut backup = CpuLoadFormula::new(31.48, 12.0);
+
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let mut sys = ActorSystem::new();
+        let watchdog = sys.spawn(
+            "fallback",
+            Box::new(FallbackFormula::new(
+                primary.boxed_clone(),
+                backup.boxed_clone(),
+                max_age,
+            )),
+        );
+        let sink = sys.spawn("sink", Box::new(PowerSink(seen.clone())));
+        sys.bus().subscribe(Topic::Sensor, &watchdog);
+        sys.bus().subscribe(Topic::Power, &sink);
+
+        let mut last_primary: BTreeMap<Pid, Nanos> = BTreeMap::new();
+        let mut expect = Vec::new();
+        for tick in 0..4u64 {
+            let mut at = iv.clone();
+            at.timestamp = iv.timestamp + Nanos::from_secs(tick);
+            let frame = Arc::new(frame_of(&at));
+            let hpc_rows = hpc_batch(&frame, if tick == 0 { 0 } else { stalled });
+            let time_rows = procfs_batch(&frame);
+
+            let full = row_by_row(&mut primary, &hpc_rows, Quality::Full);
+            for &pid in &full.pids {
+                last_primary.insert(pid, at.timestamp);
+            }
+            let silent = SensorBatch {
+                rows: time_rows
+                    .rows
+                    .iter()
+                    .filter(|r| {
+                        let last = *last_primary.entry(r.pid).or_insert(at.timestamp);
+                        at.timestamp - last > max_age
+                    })
+                    .copied()
+                    .collect(),
+                ..time_rows.clone()
+            };
+            let degraded = row_by_row(&mut backup, &silent, Quality::Degraded);
+            expect.extend(power_rows(&full));
+            expect.extend(power_rows(&degraded));
+
+            sys.bus().publish(Message::SensorBatch(Arc::new(hpc_rows)));
+            sys.bus().publish(Message::SensorBatch(Arc::new(time_rows)));
+        }
+        sys.shutdown();
+        prop_assert_eq!(&*seen.lock().expect("sink lock"), &expect);
     }
 }
 
 /// Runs one end-to-end pipeline over a deterministic kernel and returns
 /// its collected outcome.
-fn run_pipeline(batched: bool, faults: Option<FaultPlan>) -> RunOutcome {
+fn run_pipeline(faults: Option<FaultPlan>) -> RunOutcome {
     let mut kernel = Kernel::new(presets::intel_i3_2120());
     let pids: Vec<_> = (0..24)
         .map(|i| {
@@ -333,8 +505,7 @@ fn run_pipeline(batched: bool, faults: Option<FaultPlan>) -> RunOutcome {
         .dimension(Dimension::both())
         .report_to_memory()
         .quantum(Nanos::from_millis(2))
-        .clock_period(Nanos::from_millis(500))
-        .batched(batched);
+        .clock_period(Nanos::from_millis(500));
     if let Some(plan) = faults {
         builder = builder.fault_plan(plan);
     }
@@ -346,35 +517,74 @@ fn run_pipeline(batched: bool, faults: Option<FaultPlan>) -> RunOutcome {
     papi.finish().expect("finish")
 }
 
-/// The tentpole's safety proof in miniature: the batched pipeline and the
-/// legacy per-message pipeline fold to bit-identical aggregates, meter
-/// readings and RAPL readings over a clean run.
-#[test]
-fn batched_and_legacy_pipelines_agree_clean() {
-    let batched = run_pipeline(true, None);
-    let legacy = run_pipeline(false, None);
-    assert!(!batched.reports.is_empty());
-    assert_eq!(batched.reports, legacy.reports);
-    assert_eq!(batched.meter, legacy.meter);
-    assert_eq!(batched.rapl, legacy.rapl);
+/// What a run reported, as three lines — per stream, the row count and
+/// an FNV-1a digest over the rows in arrival order: `(timestamp, scope,
+/// power bits, band bits, quality)` for aggregates, `(timestamp, watts
+/// bits)` for meter and RAPL samples.
+fn fingerprint(out: &RunOutcome) -> String {
+    let mut reports = Vec::new();
+    for r in &out.reports {
+        reports.extend_from_slice(&r.timestamp.as_u64().to_le_bytes());
+        match &r.scope {
+            Scope::Process(pid) => {
+                reports.push(0);
+                reports.extend_from_slice(&pid.0.to_le_bytes());
+            }
+            Scope::Group(g) => {
+                reports.push(1);
+                reports.extend_from_slice(g.as_bytes());
+            }
+            Scope::Machine => reports.push(2),
+        }
+        reports.extend_from_slice(&r.power.as_f64().to_bits().to_le_bytes());
+        reports.extend_from_slice(&r.band_w.as_f64().to_bits().to_le_bytes());
+        reports.push(r.quality as u8);
+    }
+    let samples = |rows: &[(Nanos, Watts)]| {
+        let mut bytes = Vec::new();
+        for (at, w) in rows {
+            bytes.extend_from_slice(&at.as_u64().to_le_bytes());
+            bytes.extend_from_slice(&w.as_f64().to_bits().to_le_bytes());
+        }
+        fnv1a64(&bytes)
+    };
+    format!(
+        "reports {} {:016x}\nmeter {} {:016x}\nrapl {} {:016x}\n",
+        out.reports.len(),
+        fnv1a64(&reports),
+        out.meter.len(),
+        samples(&out.meter),
+        out.rapl.len(),
+        samples(&out.rapl),
+    )
 }
 
-/// Same equivalence under an active fault schedule (a PMU stall window,
-/// the e7-style scenario): degraded-quality paths must also agree.
+/// The frame pipeline reproduces, bit for bit and in order, what the
+/// per-report message flow reported for the same clean run. The vector
+/// under `golden/` was blessed from that flow before it was deleted, so
+/// it cannot be re-blessed: a mismatch means the pipeline's output
+/// changed, and a deliberate change must argue why the new digest is
+/// right.
 #[test]
-fn batched_and_legacy_pipelines_agree_under_faults() {
-    let plan = || {
-        FaultPlan::from_windows(vec![FaultWindow {
-            kind: FaultKind::CounterStall,
-            start: Nanos::from_secs(2),
-            end: Nanos::from_secs(4),
-            magnitude: 0.0,
-        }])
-    };
-    let batched = run_pipeline(true, Some(plan()));
-    let legacy = run_pipeline(false, Some(plan()));
-    assert!(!batched.reports.is_empty());
-    assert_eq!(batched.reports, legacy.reports);
-    assert_eq!(batched.meter, legacy.meter);
-    assert_eq!(batched.rapl, legacy.rapl);
+fn pipeline_matches_frozen_vectors_clean() {
+    assert_eq!(
+        fingerprint(&run_pipeline(None)),
+        include_str!("golden/pipeline_clean.txt")
+    );
+}
+
+/// Same under an active fault schedule (a PMU stall window, the e7-style
+/// scenario): the rows the stall silences must stay silenced.
+#[test]
+fn pipeline_matches_frozen_vectors_under_faults() {
+    let plan = FaultPlan::from_windows(vec![FaultWindow {
+        kind: FaultKind::CounterStall,
+        start: Nanos::from_secs(2),
+        end: Nanos::from_secs(4),
+        magnitude: 0.0,
+    }]);
+    assert_eq!(
+        fingerprint(&run_pipeline(Some(plan))),
+        include_str!("golden/pipeline_under_faults.txt")
+    );
 }

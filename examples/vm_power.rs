@@ -8,10 +8,9 @@
 
 use powerapi_suite::os_sim::kernel::Kernel;
 use powerapi_suite::os_sim::task::SteadyTask;
-use powerapi_suite::powerapi::aggregator::GroupAggregator;
 use powerapi_suite::powerapi::formula::per_freq::PerFrequencyFormula;
+use powerapi_suite::powerapi::hierarchy::Hierarchy;
 use powerapi_suite::powerapi::model::learn::{learn_model, LearnConfig};
-use powerapi_suite::powerapi::msg::Topic;
 use powerapi_suite::powerapi::runtime::PowerApi;
 use powerapi_suite::simcpu::presets;
 use powerapi_suite::simcpu::units::Nanos;
@@ -44,25 +43,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     kernel.pin_process(cache, vec![0, 1])?;
     kernel.pin_process(batch, vec![2, 3])?;
 
-    // Group membership for the aggregator, straight from the kernel.
-    let membership: Vec<_> = ["vm-alpha", "vm-beta"]
-        .iter()
-        .flat_map(|g| {
-            kernel
-                .pids_in_group(g)
-                .into_iter()
-                .map(move |p| (p, g.to_string()))
-        })
-        .collect();
+    // One hierarchy node per VM, membership straight from the kernel.
+    let vms = Hierarchy::new(model.idle_w());
+    for vm in ["vm-alpha", "vm-beta"] {
+        for pid in kernel.pids_in_group(vm) {
+            vms.attach(pid, vm);
+        }
+    }
 
     let mut papi = PowerApi::builder(kernel)
         .formula(PerFrequencyFormula::new(model))
         .report_to_memory()
-        .with_actor(
-            "vm-aggregator",
-            Box::new(GroupAggregator::new(membership)),
-            vec![Topic::Power],
-        )
+        .hierarchy(&vms)
         .build()?;
     for pid in [web, cache, batch] {
         papi.monitor(pid)?;

@@ -3,19 +3,19 @@
 //! the conservation ledger that proves no watt escapes — including under
 //! container churn and degraded sensor quality.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use powerapi_suite::os_sim::kernel::Kernel;
 use powerapi_suite::os_sim::process::Pid;
 use powerapi_suite::os_sim::task::SteadyTask;
-use powerapi_suite::powerapi::actor::{Actor, ActorSystem, Context};
-use powerapi_suite::powerapi::aggregator::GroupAggregator;
+use powerapi_suite::powerapi::actor::ActorSystem;
 use powerapi_suite::powerapi::formula::cpuload::CpuLoadFormula;
 use powerapi_suite::powerapi::formula::per_freq::PerFrequencyFormula;
 use powerapi_suite::powerapi::formula::PowerFormula;
+use powerapi_suite::powerapi::frame::PowerBatch;
 use powerapi_suite::powerapi::hierarchy::{Hierarchy, HierarchyAggregator, ROOT, UNGROUPED};
 use powerapi_suite::powerapi::model::power_model::PerFrequencyPowerModel;
-use powerapi_suite::powerapi::msg::{AggregateReport, Message, PowerReport, Quality, Scope, Topic};
+use powerapi_suite::powerapi::msg::{Message, Quality, Scope, Topic};
 use powerapi_suite::powerapi::runtime::PowerApi;
 use powerapi_suite::powerapi::telemetry::TraceId;
 use powerapi_suite::powerapi::testing::wait_until;
@@ -173,77 +173,49 @@ fn conservation_survives_degraded_quality() {
     assert!(degraded > 0, "the stall must degrade some root flushes");
 }
 
-/// Captures aggregate reports published on the bus.
-struct Capture(Arc<Mutex<Vec<AggregateReport>>>);
-impl Actor for Capture {
-    fn handle(&mut self, msg: Message, _ctx: &Context) {
-        if let Message::Aggregate(a) = msg {
-            self.0.lock().expect("capture lock").push(a);
-        }
+/// One tick's power batch: `(pid, watts)` rows at `ts_ms`.
+fn power(ts_ms: u64, rows: &[(u32, f64)]) -> Message {
+    let mut b =
+        PowerBatch::with_capacity(Nanos::from_millis(ts_ms), "t", TraceId::NONE, rows.len());
+    for &(pid, w) in rows {
+        b.push(Pid(pid), Watts(w), Watts(0.0), Quality::Full);
     }
+    Message::PowerBatch(Arc::new(b))
 }
 
-fn power(ts_ms: u64, pid: u32, w: f64) -> Message {
-    Message::Power(PowerReport {
-        timestamp: Nanos::from_millis(ts_ms),
-        pid: Pid(pid),
-        power: Watts(w),
-        formula: "t",
-        band_w: Watts(0.0),
-        quality: Quality::Full,
-        trace: TraceId::NONE,
-    })
-}
-
-/// The churn regression: a group whose last pid dies mid-window must be
-/// flushed at the next tick boundary — by any other group's traffic —
-/// never held until shutdown.
+/// A flat set of VMs is a depth-1 tree: each group is the sum of its
+/// members per timestamp, and a pid outside every group lands in the
+/// catch-all instead of vanishing.
 #[test]
-fn dying_process_never_leaves_a_stale_group_window() {
-    let seen = Arc::new(Mutex::new(Vec::new()));
+fn groups_sum_their_members_per_timestamp() {
+    let vms = Hierarchy::new(0.0);
+    vms.attach(Pid(1), "vm-alpha");
+    vms.attach(Pid(2), "vm-alpha");
+    vms.attach(Pid(3), "vm-beta");
     let mut sys = ActorSystem::new();
-    let agg = sys.spawn(
-        "groups",
-        Box::new(GroupAggregator::new(vec![
-            (Pid(1), "vm-dying"),
-            (Pid(2), "vm-survivor"),
-        ])),
-    );
-    let sink = sys.spawn("sink", Box::new(Capture(seen.clone())));
+    let agg = sys.spawn("groups", Box::new(HierarchyAggregator::new(vms.clone())));
     sys.bus().subscribe(Topic::Power, &agg);
-    sys.bus().subscribe(Topic::Aggregate, &sink);
-
-    // Tick 1: both groups active. Then pid 1 dies; tick 2 carries only
-    // the survivor.
-    sys.bus().publish(power(500, 1, 3.0));
-    sys.bus().publish(power(500, 2, 2.0));
-    sys.bus().publish(power(1000, 2, 2.5));
-
-    // vm-dying's ts=500 window must flush NOW, forced by the survivor's
-    // tick-2 report — long before shutdown.
-    let flushed = wait_until(Duration::from_secs(5), || {
-        seen.lock().expect("lock").iter().any(|a| {
-            a.timestamp == Nanos::from_millis(500)
-                && matches!(&a.scope, Scope::Group(g) if &**g == "vm-dying")
-        })
-    });
-    assert!(
-        flushed,
-        "dead group's final window lingered in the window map: {:?}",
-        seen.lock().expect("lock")
-    );
+    // Tick 1: alpha gets 2+3 W, beta gets 4 W; pid 9 is ungrouped.
+    sys.bus()
+        .publish(power(500, &[(1, 2.0), (2, 3.0), (3, 4.0), (9, 100.0)]));
+    // Tick 2 flushes the tick-1 window; shutdown flushes tick 2.
+    sys.bus().publish(power(1000, &[(1, 1.0), (3, 1.5)]));
     sys.shutdown();
-    let seen = seen.lock().expect("lock");
-    let dying: Vec<_> = seen
-        .iter()
-        .filter(|a| matches!(&a.scope, Scope::Group(g) if &**g == "vm-dying"))
-        .collect();
-    assert_eq!(dying.len(), 1, "exactly one flush for the dead group");
-    assert_eq!(dying[0].power, Watts(3.0));
+    let ledger = vms.ledger();
+    let emitted = |tick: usize, node: &str| ledger[tick].nodes[node].power_w;
+    assert_eq!(ledger.len(), 2);
+    assert_eq!(emitted(0, "vm-alpha"), 5.0);
+    assert_eq!(emitted(0, "vm-beta"), 4.0);
+    assert_eq!(emitted(0, UNGROUPED), 100.0);
+    assert_eq!(emitted(1, "vm-alpha"), 1.0);
+    assert_eq!(emitted(1, "vm-beta"), 1.5);
+    assert_eq!(emitted(1, UNGROUPED), 0.0);
+    vms.conservation().expect("ledger conserves");
 }
 
-/// Same churn law one layer up: a hierarchy leaf whose pid died flushes
-/// with the next tick and the ledger still conserves.
+/// The churn law: a hierarchy leaf whose pid died flushes with the next
+/// tick — forced by any other node's traffic, never held until shutdown
+/// — and the ledger still conserves.
 #[test]
 fn dying_process_never_leaves_a_stale_hierarchy_leaf() {
     let hierarchy = Hierarchy::new(0.0);
@@ -257,12 +229,11 @@ fn dying_process_never_leaves_a_stale_hierarchy_leaf() {
     );
     sys.bus().subscribe(Topic::Power, &agg);
 
-    sys.bus().publish(power(500, 1, 4.0));
-    sys.bus().publish(power(500, 2, 1.0));
+    sys.bus().publish(power(500, &[(1, 4.0), (2, 1.0)]));
     // Pid 1 dies between ticks — its reports simply stop; only the
     // survivor speaks at tick 2. (Membership detach is the supervisor's
     // asynchronous business and must not be needed for the flush.)
-    sys.bus().publish(power(1000, 2, 1.5));
+    sys.bus().publish(power(1000, &[(2, 1.5)]));
 
     // The ts=500 whole-tree window (including the dead leaf) must be in
     // the ledger before shutdown, flushed by the survivor's report.

@@ -145,30 +145,35 @@ struct Row {
 /// round trip can compare with `==`, not a tolerance.
 fn fixture() -> (Vec<Message>, Vec<Row>) {
     let msgs = vec![
-        Message::Aggregate(AggregateReport {
-            timestamp: Nanos::from_millis(1500),
-            scope: Scope::Process(Pid(7)),
-            power: Watts(2.25),
-            band_w: Watts(0.75),
-            quality: Quality::Degraded,
-            trace: TraceId(42),
-        }),
-        Message::Aggregate(AggregateReport {
-            timestamp: Nanos::from_secs(2),
-            scope: Scope::Machine,
-            power: Watts(33.5),
-            band_w: Watts(1.5),
-            quality: Quality::Full,
-            trace: TraceId(43),
-        }),
-        Message::Aggregate(AggregateReport {
-            timestamp: Nanos::from_secs(2),
-            scope: Scope::Group(Arc::from("browsers")),
-            power: Watts(10.125),
-            band_w: Watts(0.0),
-            quality: Quality::Stale,
-            trace: TraceId(44),
-        }),
+        Message::aggregates(
+            vec![
+                AggregateReport {
+                    timestamp: Nanos::from_millis(1500),
+                    scope: Scope::Process(Pid(7)),
+                    power: Watts(2.25),
+                    band_w: Watts(0.75),
+                    quality: Quality::Degraded,
+                    trace: TraceId(42),
+                },
+                AggregateReport {
+                    timestamp: Nanos::from_secs(2),
+                    scope: Scope::Machine,
+                    power: Watts(33.5),
+                    band_w: Watts(1.5),
+                    quality: Quality::Full,
+                    trace: TraceId(43),
+                },
+                AggregateReport {
+                    timestamp: Nanos::from_secs(2),
+                    scope: Scope::Group(Arc::from("browsers")),
+                    power: Watts(10.125),
+                    band_w: Watts(0.0),
+                    quality: Quality::Stale,
+                    trace: TraceId(44),
+                },
+            ],
+            TraceId(44),
+        ),
         Message::Meter(Nanos::from_secs(2), Watts(35.75)),
         Message::Rapl(Nanos::from_secs(2), Watts(9.5)),
     ];

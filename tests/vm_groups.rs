@@ -1,19 +1,24 @@
 //! VM-level power attribution end to end (§5 future work): control
-//! groups in the kernel, group aggregation in the middleware.
+//! groups in the kernel, group aggregation in the middleware (a flat set
+//! of VMs is a depth-1 hierarchy).
 
 use powerapi_suite::os_sim::kernel::Kernel;
+use powerapi_suite::os_sim::process::Pid;
 use powerapi_suite::os_sim::task::SteadyTask;
-use powerapi_suite::powerapi::aggregator::GroupAggregator;
 use powerapi_suite::powerapi::formula::per_freq::PerFrequencyFormula;
+use powerapi_suite::powerapi::formula::PowerFormula;
+use powerapi_suite::powerapi::hierarchy::Hierarchy;
 use powerapi_suite::powerapi::model::power_model::PerFrequencyPowerModel;
-use powerapi_suite::powerapi::msg::Topic;
-use powerapi_suite::powerapi::runtime::PowerApi;
+use powerapi_suite::powerapi::msg::Scope;
+use powerapi_suite::powerapi::runtime::{PowerApi, RunOutcome};
 use powerapi_suite::simcpu::presets;
 use powerapi_suite::simcpu::units::Nanos;
 use powerapi_suite::simcpu::workunit::WorkUnit;
 
-#[test]
-fn group_power_equals_sum_of_member_processes() {
+/// Two VMs — alpha (pids `a`, `b`) and beta (pid `c`) — as a depth-1
+/// hierarchy, monitored for eight 500 ms ticks under the default
+/// dimension: per-process reports plus machine aggregates.
+fn run_two_vms() -> (RunOutcome, Hierarchy, [Pid; 3]) {
     let mut kernel = Kernel::new(presets::intel_i3_2120());
     let a = kernel.spawn_in_group(
         "a",
@@ -30,30 +35,30 @@ fn group_power_equals_sum_of_member_processes() {
         "vm-beta",
         vec![SteadyTask::boxed(WorkUnit::cpu_intensive(0.4))],
     );
-    let membership: Vec<_> = [("vm-alpha", a), ("vm-alpha", b), ("vm-beta", c)]
-        .into_iter()
-        .map(|(g, p)| (p, g.to_string()))
-        .collect();
+    let formula = PerFrequencyFormula::new(PerFrequencyPowerModel::paper_i3_example());
+    let vms = Hierarchy::new(formula.idle_w());
+    for (vm, pid) in [("vm-alpha", a), ("vm-alpha", b), ("vm-beta", c)] {
+        vms.attach(pid, vm);
+    }
 
     let mut papi = PowerApi::builder(kernel)
-        .formula(PerFrequencyFormula::new(
-            PerFrequencyPowerModel::paper_i3_example(),
-        ))
+        .formula(formula)
         .report_to_memory()
         .quantum(Nanos::from_millis(2))
         .clock_period(Nanos::from_millis(500))
-        .with_actor(
-            "vm-aggregator",
-            Box::new(GroupAggregator::new(membership)),
-            vec![Topic::Power],
-        )
+        .hierarchy(&vms)
         .build()
         .expect("pipeline builds");
     for pid in [a, b, c] {
         papi.monitor(pid).expect("monitor");
     }
     papi.run_for(Nanos::from_secs(4)).expect("run");
-    let outcome = papi.finish().expect("shutdown");
+    (papi.finish().expect("shutdown"), vms, [a, b, c])
+}
+
+#[test]
+fn group_power_equals_sum_of_member_processes() {
+    let (outcome, _, [a, b, _]) = run_two_vms();
 
     let alpha = outcome.group_estimates("vm-alpha");
     let beta = outcome.group_estimates("vm-beta");
@@ -112,79 +117,32 @@ fn pinned_groups_respect_their_cpu_budgets() {
     }
 }
 
-/// The legacy flat group path is bit-identical alongside the hierarchy:
-/// both aggregators fold the same per-actor FIFO power stream, so a
-/// hierarchy leaf must reproduce the flat `GroupAggregator`'s numbers
-/// bit-for-bit — the hierarchical upgrade cannot perturb the old path.
+/// Each depth-1 hierarchy leaf equals, to the bit, the sum of its member
+/// pids' process-scope reports at that timestamp, added in arrival order
+/// — an oracle independent of the hierarchy's own ledger (the plain
+/// aggregator forwards every process estimate untouched, and both
+/// aggregators fold the same FIFO power stream).
 #[test]
 fn hierarchy_leaves_match_flat_groups_bit_for_bit() {
-    use powerapi_suite::powerapi::formula::PowerFormula;
-    use powerapi_suite::powerapi::hierarchy::Hierarchy;
-
-    let mut kernel = Kernel::new(presets::intel_i3_2120());
-    let a = kernel.spawn_in_group(
-        "a",
-        "vm-alpha",
-        vec![SteadyTask::boxed(WorkUnit::cpu_intensive(0.9))],
-    );
-    let b = kernel.spawn_in_group(
-        "b",
-        "vm-alpha",
-        vec![SteadyTask::boxed(WorkUnit::memory_intensive(65_536.0, 0.7))],
-    );
-    let c = kernel.spawn_in_group(
-        "c",
-        "vm-beta",
-        vec![SteadyTask::boxed(WorkUnit::cpu_intensive(0.4))],
-    );
-    let membership: Vec<_> = [("vm-alpha", a), ("vm-alpha", b), ("vm-beta", c)]
-        .into_iter()
-        .map(|(g, p)| (p, g.to_string()))
-        .collect();
-
-    let formula = PerFrequencyFormula::new(PerFrequencyPowerModel::paper_i3_example());
-    // Same pids, hierarchical paths (distinct names so the two
-    // aggregators' report streams stay distinguishable).
-    let hierarchy = Hierarchy::new(formula.idle_w());
-    hierarchy.attach(a, "tenant/vm-alpha");
-    hierarchy.attach(b, "tenant/vm-alpha");
-    hierarchy.attach(c, "tenant/vm-beta");
-
-    let mut papi = PowerApi::builder(kernel)
-        .formula(formula)
-        .report_to_memory()
-        .quantum(Nanos::from_millis(2))
-        .clock_period(Nanos::from_millis(500))
-        .with_actor(
-            "vm-aggregator",
-            Box::new(GroupAggregator::new(membership)),
-            vec![Topic::Power],
-        )
-        .hierarchy(&hierarchy)
-        .build()
-        .expect("pipeline builds");
-    for pid in [a, b, c] {
-        papi.monitor(pid).expect("monitor");
-    }
-    papi.run_for(Nanos::from_secs(4)).expect("run");
-    let outcome = papi.finish().expect("shutdown");
+    let (outcome, hierarchy, [a, b, c]) = run_two_vms();
 
     hierarchy.assert_conserved(&outcome.reports);
-    for (flat, leaf) in [
-        ("vm-alpha", "tenant/vm-alpha"),
-        ("vm-beta", "tenant/vm-beta"),
-    ] {
-        let flat_est = outcome.group_estimates(flat);
+    for (leaf, members) in [("vm-alpha", &[a, b][..]), ("vm-beta", &[c][..])] {
         let leaf_est = outcome.group_estimates(leaf);
-        assert_eq!(flat_est.len(), 8, "one flat aggregate per tick");
-        assert_eq!(flat_est.len(), leaf_est.len());
-        for ((fts, fw), (lts, lw)) in flat_est.iter().zip(&leaf_est) {
-            assert_eq!(fts, lts, "same window boundaries");
+        assert_eq!(leaf_est.len(), 8, "one {leaf} aggregate per tick");
+        for (ts, lw) in &leaf_est {
+            let sum = outcome
+                .reports
+                .iter()
+                .filter(|r| {
+                    r.timestamp == *ts
+                        && matches!(r.scope, Scope::Process(pid) if members.contains(&pid))
+                })
+                .fold(0.0, |acc, r| acc + r.power.as_f64());
             assert_eq!(
-                fw.as_f64().to_bits(),
                 lw.as_f64().to_bits(),
-                "{flat} at {fts:?}: flat {} W vs hierarchy leaf {} W",
-                fw.as_f64(),
+                sum.to_bits(),
+                "{leaf} at {ts:?}: leaf {} W vs member sum {sum} W",
                 lw.as_f64()
             );
         }
