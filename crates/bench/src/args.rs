@@ -1,19 +1,18 @@
 //! Shared command-line flag parsing for the experiment binaries.
 //!
-//! Every `eN` binary understands the same flags, parsed the same way:
+//! Every `eN` binary understands the same four flags, parsed here once:
 //!
 //! * `--quick` — CI smoke mode: smaller sweeps, shorter runs, separate
 //!   `.quick` golden snapshots;
-//! * `--check` — regression-gate mode: compare against recorded
-//!   baselines/goldens without rewriting them;
-//! * `--bless` — rewrite golden snapshots from this run (consumed by
-//!   [`Golden::settle`](crate::golden::Golden::settle), surfaced here so
-//!   benches can branch on it);
+//! * `--check` — compare this run against the committed golden snapshot
+//!   and exit nonzero on drift; writes nothing;
+//! * `--bless` — rewrite the golden snapshot from this run: the only
+//!   flag under which a binary writes a committed file (mutually
+//!   exclusive with `--check`);
 //! * `--dump-trace <path>` — write the run's Chrome trace-event JSON.
 //!
-//! Hand-rolled per-binary parsing drifted (e7/e9/e10 each re-scanned
-//! `std::env::args`); this module is the single implementation they all
-//! share — and `e12_fleet` gets for free.
+//! [`Golden::settle`](crate::golden::Golden::settle) consumes the parsed
+//! `check`/`bless` pair.
 
 use std::path::PathBuf;
 
@@ -22,9 +21,9 @@ use std::path::PathBuf;
 pub struct BenchArgs {
     /// `--quick`: CI smoke mode.
     pub quick: bool,
-    /// `--check`: regression gate, no baseline rewrite.
+    /// `--check`: compare against the golden snapshot, write nothing.
     pub check: bool,
-    /// `--bless`: rewrite golden snapshots.
+    /// `--bless`: rewrite the golden snapshot.
     pub bless: bool,
     /// `--dump-trace <path>`: Chrome trace destination.
     pub dump_trace: Option<PathBuf>,
@@ -35,9 +34,7 @@ impl BenchArgs {
     ///
     /// # Panics
     ///
-    /// Panics when `--dump-trace` is the last argument (no path
-    /// follows) — matching the historical behaviour of
-    /// `dump_trace_flag`.
+    /// As [`BenchArgs::from_args`].
     pub fn parse() -> BenchArgs {
         BenchArgs::from_args(std::env::args().skip(1))
     }
@@ -46,7 +43,9 @@ impl BenchArgs {
     ///
     /// # Panics
     ///
-    /// Panics when `--dump-trace` has no following path argument.
+    /// Panics when `--dump-trace` has no following path argument, and
+    /// when `--bless` and `--check` are both given — before the
+    /// experiment runs, not minutes later when the golden is settled.
     pub fn from_args(args: impl IntoIterator<Item = String>) -> BenchArgs {
         let mut parsed = BenchArgs::default();
         let mut args = args.into_iter();
@@ -66,6 +65,10 @@ impl BenchArgs {
                 _ => {}
             }
         }
+        assert!(
+            !(parsed.bless && parsed.check),
+            "--bless and --check are mutually exclusive"
+        );
         parsed
     }
 }
@@ -87,8 +90,8 @@ mod tests {
     fn flags_parse_in_any_order() {
         let a = parse(&["--check", "--quick"]);
         assert!(a.quick && a.check && !a.bless);
-        let b = parse(&["--quick", "--bless", "--check"]);
-        assert!(b.quick && b.check && b.bless);
+        let b = parse(&["--bless", "--quick"]);
+        assert!(b.quick && !b.check && b.bless);
     }
 
     #[test]
@@ -103,6 +106,12 @@ mod tests {
         let a = parse(&["--verbose", "--quick", "positional"]);
         assert!(a.quick);
         assert!(!a.check);
+    }
+
+    #[test]
+    #[should_panic(expected = "mutually exclusive")]
+    fn bless_with_check_panics() {
+        parse(&["--quick", "--bless", "--check"]);
     }
 
     #[test]

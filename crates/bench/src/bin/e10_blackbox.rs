@@ -12,8 +12,8 @@
 //! i3 model with a fixed cpu-load backup and the whole experiment is a
 //! single run.
 //!
-//! Run: `cargo run --release -p bench-suite --bin e10_blackbox [--quick]`
-//! Data: `BENCH_blackbox.json` (repo root, committed as evidence)
+//! Run: `cargo run --release -p bench-suite --bin e10_blackbox [--quick] [--check|--bless]`
+//! Evidence: `tests/golden/e10_blackbox[.quick].golden`
 
 use bench_suite::chaos::{chaos_fault_config, quiet_chaos_panics, ChaosMonkey, CHAOS_SEED};
 use bench_suite::{dump_trace, row, section, BenchArgs, Evaluation, Golden};
@@ -24,11 +24,10 @@ use powerapi::model::power_model::PerFrequencyPowerModel;
 use powerapi::msg::Topic;
 use powerapi::runtime::{PowerApi, RunOutcome};
 use powerapi::telemetry::export::parse_json;
-use powerapi::telemetry::{chrome_trace_from, parse_jsonl, EventKind, JournalEvent, Telemetry};
+use powerapi::telemetry::{parse_jsonl, EventKind, JournalEvent, Telemetry};
 use simcpu::fault::{FaultKind, FaultPlan};
 use simcpu::presets;
 use simcpu::units::Nanos;
-use std::io::Write;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use workloads::specjbb::{self, SpecJbbConfig};
@@ -173,13 +172,7 @@ fn main() {
         .filter(|s| tracks.contains(*s))
         .count();
 
-    // Re-export cost, measured on the live hub (same span + journal set
-    // the dump saw).
-    let export_started = std::time::Instant::now();
-    let export = chrome_trace_from(&telemetry);
-    let export_ms = export_started.elapsed().as_secs_f64() * 1e3;
-
-    println!("  [3/3] scoring and writing evidence…");
+    println!("  [3/3] scoring…");
     section("dump contents vs fault injection");
     for (kind, n) in &counts {
         row(&format!("{kind:?}"), format!("{n} journal event(s)"));
@@ -200,8 +193,6 @@ fn main() {
         "pipeline stages named in trace",
         format!("{stages_named}/{}", PIPELINE_STAGES.len()),
     );
-    row("chrome export", format!("{export_ms:.2} ms"));
-    row("chrome export size", format!("{} bytes", export.len()));
 
     let panics_journaled = journal
         .iter()
@@ -221,48 +212,6 @@ fn main() {
         && report.events > 0
         && report.spans > 0;
 
-    let json_path = std::path::Path::new("BENCH_blackbox.json");
-    let mut f = std::fs::File::create(json_path).expect("evidence file");
-    writeln!(f, "{{").expect("write");
-    writeln!(f, "  \"experiment\": \"e10_blackbox\",").expect("write");
-    writeln!(f, "  \"quick\": {quick},").expect("write");
-    writeln!(f, "  \"chaos_seed\": {CHAOS_SEED},").expect("write");
-    writeln!(f, "  \"duration_s\": {},", jbb.duration.as_secs_f64()).expect("write");
-    writeln!(f, "  \"fault_windows\": {},", plan.windows().len()).expect("write");
-    writeln!(
-        f,
-        "  \"kinds_injected\": [{}],",
-        injected
-            .iter()
-            .map(|k| format!("\"{k:?}\""))
-            .collect::<Vec<_>>()
-            .join(", ")
-    )
-    .expect("write");
-    writeln!(
-        f,
-        "  \"kinds_captured\": [{}],",
-        captured
-            .iter()
-            .map(|(k, _)| format!("\"{k:?}\""))
-            .collect::<Vec<_>>()
-            .join(", ")
-    )
-    .expect("write");
-    writeln!(f, "  \"journal_events_in_dump\": {},", report.events).expect("write");
-    writeln!(f, "  \"fault_events_journaled\": {faults_journaled},").expect("write");
-    writeln!(f, "  \"actor_panics_journaled\": {panics_journaled},").expect("write");
-    writeln!(f, "  \"actor_restarts_journaled\": {restarts_journaled},").expect("write");
-    writeln!(f, "  \"trace_spans_in_dump\": {},", report.spans).expect("write");
-    writeln!(f, "  \"trace_stages_named\": {stages_named},").expect("write");
-    writeln!(f, "  \"dump_bytes\": {},", report.bytes).expect("write");
-    writeln!(f, "  \"dump_reason\": \"{}\",", report.reason).expect("write");
-    writeln!(f, "  \"chrome_export_ms\": {export_ms:.3},").expect("write");
-    writeln!(f, "  \"chrome_export_bytes\": {},", export.len()).expect("write");
-    writeln!(f, "  \"verdict\": \"{}\"", if ok { "PASS" } else { "FAIL" }).expect("write");
-    writeln!(f, "}}").expect("write");
-    println!("        wrote {}", json_path.display());
-
     println!();
     println!(
         "E10 verdict: {} ({}/{} fault kinds reconstructed from the dump, \
@@ -281,11 +230,7 @@ fn main() {
     // quality-degrade transitions, which depend on where actor restarts
     // land relative to in-flight ticks across real threads, so it
     // carries a loose tolerance.
-    let mut golden = Golden::new(if quick {
-        "e10_blackbox.quick"
-    } else {
-        "e10_blackbox"
-    });
+    let mut golden = Golden::new("e10_blackbox", args.quick);
     golden.push_exact("fault_windows", plan.windows().len() as f64);
     golden.push_exact("kinds_injected", injected.len() as f64);
     golden.push_exact("kinds_captured", captured.len() as f64);
@@ -294,9 +239,5 @@ fn main() {
     golden.push_exact("actor_restarts_journaled", restarts_journaled as f64);
     golden.push_exact("trace_stages_named", stages_named as f64);
     golden.push_tol("journal_events_in_dump", report.events as f64, 0.25);
-    golden.settle();
-
-    if !ok {
-        std::process::exit(1);
-    }
+    golden.finish(&args, ok);
 }

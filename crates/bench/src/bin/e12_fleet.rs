@@ -18,28 +18,22 @@
 //!
 //! Run:   `cargo run --release -p bench-suite --bin e12_fleet`
 //! Quick: `... -- --quick`   (CI smoke: 40 hosts, shorter run)
-//! Gate:  `... -- --check`   (golden check + frames/s regression guard)
-//! Data:  `BENCH_fleet.json` (repo root, committed as evidence)
+//! Gate:  `... -- --check`   (compare against the golden)
+//! Evidence: `tests/golden/e12_fleet[.quick].golden`
 
-use bench_suite::fleetsim::{
-    self, fleet_faults, json_number, percentile, FleetSpec, FLEET_SEED, WARMUP_TICKS,
-};
+use bench_suite::fleetsim::{self, fleet_faults, percentile, FleetSpec, WARMUP_TICKS};
 use bench_suite::{row, section, BenchArgs, Golden};
 use powerapi::fleet::{FleetHop, FleetStats, HostId, LinkFaultPlan, ShardConfig, SloConfig};
 use powerapi::formula::per_freq::PerFrequencyFormula;
 use powerapi::model::learn::{learn_model, LearnConfig};
 use powerapi::telemetry::{EventKind, Telemetry};
 use simcpu::presets;
-use std::io::Write;
 
 /// Acceptance bound: faulty-arm MAE within this factor of clean.
 const MAX_ERROR_RATIO: f64 = 1.10;
-/// Regression-guard tolerance: fail when >20 % below the recorded value.
-const GUARD_DROP: f64 = 0.20;
-/// The guard scenario is fixed (quick-sized, clean links) so full runs
-/// record and CI re-measures the same workload.
-const GUARD_HOSTS: usize = 40;
-const GUARD_TICKS: u64 = 24;
+/// The saturated arm is fixed (quick-sized) under both schedules.
+const SAT_HOSTS: usize = 40;
+const SAT_TICKS: u64 = 24;
 
 /// Everything one arm produces.
 struct Arm {
@@ -52,7 +46,6 @@ struct Arm {
     stale_mean: f64,
     stale_max: f64,
     shard_shed: u64,
-    wall_s: f64,
     telemetry: Telemetry,
     /// Per-frame journey hops (for `--dump-trace`).
     hops: Vec<FleetHop>,
@@ -109,7 +102,6 @@ fn run_arm(
         stale_mean,
         stale_max,
         shard_shed: run.fleet.shard_shed_by().iter().sum(),
-        wall_s: run.wall_s,
         hops: run.fleet.journeys().snapshot(),
         tick_ns: run.fleet.tick_ns(),
         telemetry: run.telemetry,
@@ -128,11 +120,11 @@ fn main() {
 
     let (hosts, ticks, shards) = if quick { (40, 24, 4) } else { (200, 60, 8) };
 
-    println!("  [1/5] learning the energy profile on the i3 testbed…");
+    println!("  [1/4] learning the energy profile on the i3 testbed…");
     let model = learn_model(presets::intel_i3_2120(), &LearnConfig::quick()).expect("learning");
     let formula = PerFrequencyFormula::new(model);
 
-    println!("  [2/5] clean arm: {hosts} hosts × {ticks} ticks, {shards} shards, perfect links…");
+    println!("  [2/4] clean arm: {hosts} hosts × {ticks} ticks, {shards} shards, perfect links…");
     let clean = run_arm(
         hosts,
         ticks,
@@ -142,7 +134,7 @@ fn main() {
         &formula,
     );
 
-    println!("  [3/5] faulty arm: 5 % loss, dup/corrupt/reorder, 2 partitions, dark windows…");
+    println!("  [3/4] faulty arm: 5 % loss, dup/corrupt/reorder, 2 partitions, dark windows…");
     let faulty = run_arm(
         hosts,
         ticks,
@@ -157,10 +149,10 @@ fn main() {
         fleetsim::dump_fleet_trace(&faulty.telemetry, &faulty.hops, faulty.tick_ns, path);
     }
 
-    println!("  [4/5] saturated arm: every host into one under-provisioned shard…");
+    println!("  [4/4] saturated arm: every host into one under-provisioned shard…");
     let saturated = run_arm(
-        GUARD_HOSTS,
-        GUARD_TICKS,
+        SAT_HOSTS,
+        SAT_TICKS,
         1,
         ShardConfig {
             ingest_cap: 16,
@@ -170,19 +162,6 @@ fn main() {
         LinkFaultPlan::none(),
         &formula,
     );
-
-    println!("  [5/5] guard run, scoring and writing evidence…");
-    // Fixed-size clean run for the wall-clock regression guard (the arm
-    // sizes change with --quick; this one never does).
-    let guard = run_arm(
-        GUARD_HOSTS,
-        GUARD_TICKS,
-        4,
-        ShardConfig::default(),
-        LinkFaultPlan::none(),
-        &formula,
-    );
-    let guard_frames_per_s = guard.stats.applied as f64 / guard.wall_s.max(1e-9);
 
     let s = faulty.stats;
     let journal = faulty.telemetry.journal();
@@ -253,10 +232,6 @@ fn main() {
         "saturated arm: shard sheds",
         format!("{} (still conserved)", saturated.shard_shed),
     );
-    row(
-        "guard frames/s (clean, fixed size)",
-        format!("{guard_frames_per_s:.0}"),
-    );
 
     let ok = ratio <= MAX_ERROR_RATIO
         && s.dropped_fault > 0
@@ -274,76 +249,6 @@ fn main() {
         && prom.contains("powerapi_fleet_retransmits_total")
         && prom.contains("powerapi_fleet_shard_shed_total{shard=\"0\"}");
 
-    let json_path = std::path::Path::new("BENCH_fleet.json");
-    if args.check {
-        // Regression guard: compare against the committed evidence file
-        // without rewriting it (mirrors E11's gate).
-        let recorded = std::fs::read_to_string(json_path)
-            .ok()
-            .as_deref()
-            .and_then(|t| json_number(t, "guard_frames_per_s"))
-            .unwrap_or_else(|| {
-                eprintln!("no guard_frames_per_s in BENCH_fleet.json — run e12_fleet first");
-                std::process::exit(2);
-            });
-        let floor = recorded * (1.0 - GUARD_DROP);
-        section("E12 frames/s regression guard");
-        row("recorded frames/s", format!("{recorded:.0}"));
-        row("measured frames/s", format!("{guard_frames_per_s:.0}"));
-        row("floor (−20 %)", format!("{floor:.0}"));
-        if guard_frames_per_s < floor {
-            println!();
-            println!("E12 guard: FAIL ({guard_frames_per_s:.0} frames/s vs floor {floor:.0})");
-            std::process::exit(1);
-        }
-        println!();
-        println!("E12 guard: PASS ({guard_frames_per_s:.0} frames/s vs floor {floor:.0})");
-    } else {
-        let mut f = std::fs::File::create(json_path).expect("evidence file");
-        writeln!(f, "{{").expect("write");
-        writeln!(f, "  \"experiment\": \"e12_fleet\",").expect("write");
-        writeln!(f, "  \"quick\": {quick},").expect("write");
-        writeln!(f, "  \"hosts\": {hosts},").expect("write");
-        writeln!(f, "  \"ticks\": {ticks},").expect("write");
-        writeln!(f, "  \"shards\": {shards},").expect("write");
-        writeln!(f, "  \"fleet_seed\": {FLEET_SEED},").expect("write");
-        writeln!(f, "  \"clean_mae_w\": {:.4},", clean.mae_w).expect("write");
-        writeln!(f, "  \"faulty_mae_w\": {:.4},", faulty.mae_w).expect("write");
-        writeln!(f, "  \"error_ratio\": {ratio:.4},").expect("write");
-        writeln!(f, "  \"transport_divergence_w\": {divergence_w:.4},").expect("write");
-        writeln!(f, "  \"clean_lag_p50_ticks\": {},", clean.lag_p50).expect("write");
-        writeln!(f, "  \"clean_lag_p99_ticks\": {},", clean.lag_p99).expect("write");
-        writeln!(f, "  \"faulty_lag_p50_ticks\": {},", faulty.lag_p50).expect("write");
-        writeln!(f, "  \"faulty_lag_p99_ticks\": {},", faulty.lag_p99).expect("write");
-        writeln!(f, "  \"staleness_mean\": {:.4},", faulty.stale_mean).expect("write");
-        writeln!(f, "  \"staleness_max\": {:.4},", faulty.stale_max).expect("write");
-        writeln!(f, "  \"frames_produced\": {},", s.produced).expect("write");
-        writeln!(f, "  \"transmissions\": {},", s.transmissions).expect("write");
-        writeln!(f, "  \"retransmits\": {},", s.retransmits).expect("write");
-        writeln!(f, "  \"dup_injected\": {},", s.dup_injected).expect("write");
-        writeln!(f, "  \"dropped_fault\": {},", s.dropped_fault).expect("write");
-        writeln!(f, "  \"dropped_partition\": {},", s.dropped_partition).expect("write");
-        writeln!(f, "  \"dropped_queue\": {},", s.dropped_queue).expect("write");
-        writeln!(f, "  \"dark_lost\": {},", s.dark_lost).expect("write");
-        writeln!(f, "  \"sender_shed\": {},", s.sender_shed).expect("write");
-        writeln!(f, "  \"shard_shed\": {},", s.shard_shed).expect("write");
-        writeln!(f, "  \"corrupt_frames\": {},", s.corrupt_frames).expect("write");
-        writeln!(f, "  \"applied\": {},", s.applied).expect("write");
-        writeln!(f, "  \"dup_discarded\": {},", s.dup_discarded).expect("write");
-        writeln!(f, "  \"abandoned\": {},", s.abandoned).expect("write");
-        writeln!(f, "  \"stale_transitions\": {},", s.stale_transitions).expect("write");
-        writeln!(f, "  \"recoveries\": {},", s.recoveries).expect("write");
-        writeln!(f, "  \"saturated_shard_shed\": {},", saturated.shard_shed).expect("write");
-        writeln!(f, "  \"journal_shed_events\": {shed_events},").expect("write");
-        writeln!(f, "  \"journal_retry_events\": {retry_events},").expect("write");
-        writeln!(f, "  \"journal_timeout_events\": {timeout_events},").expect("write");
-        writeln!(f, "  \"journal_partition_events\": {partition_events},").expect("write");
-        writeln!(f, "  \"guard_frames_per_s\": {guard_frames_per_s:.2},").expect("write");
-        writeln!(f, "  \"verdict\": \"{}\"", if ok { "PASS" } else { "FAIL" }).expect("write");
-        writeln!(f, "}}").expect("write");
-        println!("        wrote {}", json_path.display());
-    }
-
     println!();
     println!(
         "E12 verdict: {} (error ratio {ratio:.3}x <= {MAX_ERROR_RATIO}x, \
@@ -356,11 +261,7 @@ fn main() {
     // Everything the single-threaded fleet simulation derives is exact;
     // only the error metrics are floats (still deterministic — default
     // tolerance absorbs compiler float-contraction drift only).
-    let mut golden = Golden::new(if quick {
-        "e12_fleet.quick"
-    } else {
-        "e12_fleet"
-    });
+    let mut golden = Golden::new("e12_fleet", args.quick);
     golden.push("clean_mae_w", clean.mae_w);
     golden.push("faulty_mae_w", faulty.mae_w);
     golden.push("error_ratio", ratio);
@@ -389,9 +290,8 @@ fn main() {
     golden.push("staleness_max", faulty.stale_max);
     golden.push_exact("saturated_shard_shed", saturated.shard_shed as f64);
     golden.push_exact("journal_partition_events", partition_events as f64);
-    golden.settle();
-
-    if !ok {
-        std::process::exit(1);
-    }
+    golden.push_exact("journal_shed_events", shed_events as f64);
+    golden.push_exact("journal_retry_events", retry_events as f64);
+    golden.push_exact("journal_timeout_events", timeout_events as f64);
+    golden.finish(&args, ok);
 }

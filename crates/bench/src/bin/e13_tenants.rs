@@ -28,8 +28,8 @@
 //!
 //! Run:   `cargo run --release -p bench-suite --bin e13_tenants`
 //! Quick: `... -- --quick`   (CI smoke: shorter runs)
-//! Gate:  `... -- --check`   (golden check + reports/s regression guard)
-//! Data:  `BENCH_tenants.json` (repo root, committed as evidence)
+//! Gate:  `... -- --check`   (compare against the golden)
+//! Evidence: `tests/golden/e13_tenants[.quick].golden`
 
 use bench_suite::{row, section, BenchArgs, Golden};
 use os_sim::kernel::Kernel;
@@ -50,13 +50,9 @@ use simcpu::fault::{FaultKind, FaultPlan, FaultWindow};
 use simcpu::presets;
 use simcpu::units::Nanos;
 use simcpu::workunit::WorkUnit;
-use std::io::Write;
-use std::time::Instant;
 
 /// Acceptance bound: churn-arm MAE within this factor of the control.
 const MAX_ERROR_RATIO: f64 = 1.10;
-/// Regression-guard tolerance: fail when >20 % below the recorded value.
-const GUARD_DROP: f64 = 0.20;
 /// Cgroup shares: the noisy arm's gold tenant outweighs bronze 4:1.
 const GOLD_SHARES: u64 = 4096;
 const BRONZE_SHARES: u64 = 1024;
@@ -274,20 +270,6 @@ fn fleet_source(index: usize) -> Box<dyn FrameSource> {
     Box::new(SimHostSource::new(host, Nanos::from_millis(250), 4))
 }
 
-/// Pulls `"key": <number>` out of flat JSON (the evidence file is written
-/// by this binary with globally unique keys, so no real parser needed).
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| {
-            c != '-' && c != '+' && c != '.' && c != 'e' && c != 'E' && !c.is_ascii_digit()
-        })
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 #[allow(clippy::too_many_lines)]
 fn main() {
     let args = BenchArgs::parse();
@@ -440,24 +422,6 @@ fn main() {
         "fleet per-tenant ledger leaks: tenants {tenant_sum} W vs hosts {host_active} W"
     );
 
-    // Roll-up throughput guard: replay the conservation audit (which
-    // re-runs the roll-up per flush, single-threaded and CPU-bound —
-    // stable wall clock, unlike the threaded pipeline) over a fixed-size
-    // ledger until ≥0.5 s has elapsed. The arm sizes change with
-    // --quick; this run never does.
-    let (kernel, pids) = noisy_kernel();
-    let guard = run_arm(kernel, pids, 8, FaultPlan::none(), false, None);
-    let mut audits = 0u64;
-    let t0 = Instant::now();
-    while t0.elapsed().as_secs_f64() < 0.5 {
-        guard
-            .hierarchy
-            .conservation()
-            .expect("guard ledger conserves");
-        audits += guard.ticks as u64;
-    }
-    let guard_audits_per_s = audits as f64 / t0.elapsed().as_secs_f64();
-
     section("conservation audit (every arm, every tick)");
     row("noisy arm ticks audited", noisy.ticks);
     row("bursty arm ticks audited", bursty.ticks);
@@ -493,10 +457,6 @@ fn main() {
         ),
     );
     row("fleet ledger closure", format!("{fleet_closure:.2e} W"));
-    row(
-        "guard conservation audits/s",
-        format!("{guard_audits_per_s:.0}"),
-    );
 
     let ok = watt_skew > 1.5
         && degraded_flushes > 0
@@ -505,70 +465,6 @@ fn main() {
         && gold_fleet.hosts == fleet_hosts
         && bronze_fleet.hosts == fleet_hosts / 2
         && !paths.is_empty();
-
-    let json_path = std::path::Path::new("BENCH_tenants.json");
-    if args.check {
-        // Regression guard: compare against the committed evidence file
-        // without rewriting it (mirrors E12's gate).
-        let recorded = std::fs::read_to_string(json_path)
-            .ok()
-            .as_deref()
-            .and_then(|t| json_number(t, "guard_audits_per_s"))
-            .unwrap_or_else(|| {
-                eprintln!("no guard_audits_per_s in BENCH_tenants.json — run e13_tenants first");
-                std::process::exit(2);
-            });
-        let floor = recorded * (1.0 - GUARD_DROP);
-        section("E13 conservation-audit regression guard");
-        row("recorded audits/s", format!("{recorded:.0}"));
-        row("measured audits/s", format!("{guard_audits_per_s:.0}"));
-        row("floor (−20 %)", format!("{floor:.0}"));
-        if guard_audits_per_s < floor {
-            println!();
-            println!("E13 guard: FAIL ({guard_audits_per_s:.0} audits/s vs floor {floor:.0})");
-            std::process::exit(1);
-        }
-        println!();
-        println!("E13 guard: PASS ({guard_audits_per_s:.0} audits/s vs floor {floor:.0})");
-    } else {
-        let mut file = std::fs::File::create(json_path).expect("evidence file");
-        writeln!(file, "{{").expect("write");
-        writeln!(file, "  \"experiment\": \"e13_tenants\",").expect("write");
-        writeln!(file, "  \"quick\": {quick},").expect("write");
-        writeln!(file, "  \"noisy_secs\": {noisy_secs},").expect("write");
-        writeln!(file, "  \"bursty_secs\": {bursty_secs},").expect("write");
-        writeln!(file, "  \"churn_chunks\": {churn_chunks},").expect("write");
-        writeln!(file, "  \"noisy_ticks_audited\": {},", noisy.ticks).expect("write");
-        writeln!(file, "  \"bursty_ticks_audited\": {},", bursty.ticks).expect("write");
-        writeln!(file, "  \"churn_ticks_audited\": {},", churn.ticks).expect("write");
-        writeln!(file, "  \"control_ticks_audited\": {},", control.ticks).expect("write");
-        writeln!(file, "  \"noisy_gold_w\": {gold_w:.4},").expect("write");
-        writeln!(file, "  \"noisy_bronze_w\": {bronze_w:.4},").expect("write");
-        writeln!(file, "  \"noisy_watt_skew\": {watt_skew:.4},").expect("write");
-        writeln!(file, "  \"noisy_mae_w\": {:.4},", noisy.mae_w).expect("write");
-        writeln!(file, "  \"bursty_mae_w\": {:.4},", bursty.mae_w).expect("write");
-        writeln!(file, "  \"bursty_degraded_flushes\": {degraded_flushes},").expect("write");
-        writeln!(file, "  \"churn_spawned\": {spawned},").expect("write");
-        writeln!(file, "  \"churn_mae_w\": {:.4},", churn.mae_w).expect("write");
-        writeln!(file, "  \"control_mae_w\": {:.4},", control.mae_w).expect("write");
-        writeln!(file, "  \"error_ratio\": {error_ratio:.4},").expect("write");
-        writeln!(file, "  \"fleet_hosts\": {fleet_hosts},").expect("write");
-        writeln!(file, "  \"fleet_ticks\": {fleet_ticks},").expect("write");
-        writeln!(file, "  \"fleet_tenant_paths\": {},", paths.len()).expect("write");
-        writeln!(file, "  \"fleet_gold_w\": {:.4},", gold_fleet.power_w).expect("write");
-        writeln!(file, "  \"fleet_bronze_w\": {:.4},", bronze_fleet.power_w).expect("write");
-        writeln!(file, "  \"fleet_stray_w\": {:.4},", stray_fleet.power_w).expect("write");
-        writeln!(file, "  \"fleet_closure_w\": {fleet_closure:.2e},").expect("write");
-        writeln!(file, "  \"guard_audits_per_s\": {guard_audits_per_s:.2},").expect("write");
-        writeln!(
-            file,
-            "  \"verdict\": \"{}\"",
-            if ok { "PASS" } else { "FAIL" }
-        )
-        .expect("write");
-        writeln!(file, "}}").expect("write");
-        println!("        wrote {}", json_path.display());
-    }
 
     println!();
     println!(
@@ -587,11 +483,7 @@ fn main() {
     // re-sync lands in a different (equally conserved) leaf. The bursty
     // arm is excluded entirely: degradation onset shifts by ±1 tick with
     // the cross-sensor interleave (conservation holds either way).
-    let mut golden = Golden::new(if quick {
-        "e13_tenants.quick"
-    } else {
-        "e13_tenants"
-    });
+    let mut golden = Golden::new("e13_tenants", args.quick);
     golden.push("noisy_gold_w", gold_w);
     golden.push("noisy_bronze_w", bronze_w);
     golden.push("noisy_mae_w", noisy.mae_w);
@@ -605,9 +497,5 @@ fn main() {
     golden.push("fleet_gold_w", gold_fleet.power_w);
     golden.push("fleet_bronze_w", bronze_fleet.power_w);
     golden.push("fleet_stray_w", stray_fleet.power_w);
-    golden.settle();
-
-    if !ok {
-        std::process::exit(1);
-    }
+    golden.finish(&args, ok);
 }

@@ -21,12 +21,10 @@
 //!
 //! Run:   `cargo run --release -p bench-suite --bin e14_fleet_observe`
 //! Quick: `... -- --quick`   (CI smoke: 40 hosts, shorter run)
-//! Gate:  `... -- --check`   (golden check + journeys/s regression guard)
-//! Data:  `BENCH_fleet_observe.json` (repo root, committed as evidence)
+//! Gate:  `... -- --check`   (compare against the golden)
+//! Evidence: `tests/golden/e14_fleet_observe[.quick].golden`
 
-use bench_suite::fleetsim::{
-    self, fleet_faults, json_number, percentile, FleetRun, FleetSpec, WARMUP_TICKS,
-};
+use bench_suite::fleetsim::{self, fleet_faults, percentile, FleetRun, FleetSpec, WARMUP_TICKS};
 use bench_suite::{row, section, BenchArgs, Golden};
 use powerapi::fleet::{LinkFaultPlan, ProvenanceReport, ShardConfig, SloConfig};
 use powerapi::formula::per_freq::PerFrequencyFormula;
@@ -36,17 +34,12 @@ use powerapi::telemetry::{write_post_mortem_with_fleet, EventKind};
 use simcpu::presets;
 use simcpu::units::Nanos;
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 /// Acceptance bound: fraction of produced frames whose journey must
 /// reconstruct end-to-end from the dump alone.
 const MIN_RECONSTRUCTED: f64 = 0.95;
-/// Regression-guard tolerance: fail when >20 % below the recorded value.
-const GUARD_DROP: f64 = 0.20;
-/// The saturated arm is fixed (quick-sized) so full runs record and CI
-/// re-measures the same workload — and so its dump feeds the guard.
+/// The saturated arm is fixed (quick-sized) under both schedules.
 const SAT_HOSTS: usize = 40;
 const SAT_TICKS: u64 = 24;
 
@@ -349,17 +342,6 @@ fn main() {
         .sum::<f64>()
         / scored.len().max(1) as f64;
 
-    // Reconstruction throughput guard: re-parse and regroup the fixed
-    // saturated dump until ≥0.5 s has elapsed. The clean/faulty arm
-    // sizes change with --quick; this dump never does.
-    let sat_trace = std::fs::read_to_string(dump_root.join("saturated/trace.json")).expect("dump");
-    let mut journeys = 0u64;
-    let t0 = Instant::now();
-    while t0.elapsed().as_secs_f64() < 0.5 {
-        journeys += journey_tracks(&sat_trace).len() as u64;
-    }
-    let guard_journeys_per_s = journeys as f64 / t0.elapsed().as_secs_f64();
-
     section("journey reconstruction (from dump files only)");
     for (label, r) in [
         ("clean", &clean_r),
@@ -408,10 +390,6 @@ fn main() {
         ),
     );
     row("clean fleet MAE", format!("{clean_mae_w:.3} W"));
-    row(
-        "guard journeys/s (saturated dump)",
-        format!("{guard_journeys_per_s:.0}"),
-    );
 
     let ok = clean_r.ratio() >= MIN_RECONSTRUCTED
         && faulty_r.ratio() >= MIN_RECONSTRUCTED
@@ -431,95 +409,6 @@ fn main() {
         && report.hosts.len() == hosts
         && clean_r.burn_alerts == 0;
 
-    let json_path = std::path::Path::new("BENCH_fleet_observe.json");
-    if args.check {
-        // Regression guard: compare against the committed evidence file
-        // without rewriting it (mirrors E12's gate).
-        let recorded = std::fs::read_to_string(json_path)
-            .ok()
-            .as_deref()
-            .and_then(|t| json_number(t, "guard_journeys_per_s"))
-            .unwrap_or_else(|| {
-                eprintln!(
-                    "no guard_journeys_per_s in BENCH_fleet_observe.json — run e14_fleet_observe first"
-                );
-                std::process::exit(2);
-            });
-        let floor = recorded * (1.0 - GUARD_DROP);
-        section("E14 journey-reconstruction regression guard");
-        row("recorded journeys/s", format!("{recorded:.0}"));
-        row("measured journeys/s", format!("{guard_journeys_per_s:.0}"));
-        row("floor (−20 %)", format!("{floor:.0}"));
-        if guard_journeys_per_s < floor {
-            println!();
-            println!("E14 guard: FAIL ({guard_journeys_per_s:.0} journeys/s vs floor {floor:.0})");
-            std::process::exit(1);
-        }
-        println!();
-        println!("E14 guard: PASS ({guard_journeys_per_s:.0} journeys/s vs floor {floor:.0})");
-    } else {
-        let mut f = std::fs::File::create(json_path).expect("evidence file");
-        writeln!(f, "{{").expect("write");
-        writeln!(f, "  \"experiment\": \"e14_fleet_observe\",").expect("write");
-        writeln!(f, "  \"quick\": {quick},").expect("write");
-        writeln!(f, "  \"hosts\": {hosts},").expect("write");
-        writeln!(f, "  \"ticks\": {ticks},").expect("write");
-        writeln!(f, "  \"shards\": {shards},").expect("write");
-        writeln!(f, "  \"clean_produced\": {},", clean_r.produced).expect("write");
-        writeln!(f, "  \"clean_tracks\": {},", clean_r.tracks).expect("write");
-        writeln!(f, "  \"clean_fate_decided\": {},", clean_r.fate_decided).expect("write");
-        writeln!(f, "  \"clean_in_flight\": {},", clean_r.in_flight).expect("write");
-        writeln!(
-            f,
-            "  \"clean_reconstructed_ratio\": {:.4},",
-            clean_r.ratio()
-        )
-        .expect("write");
-        writeln!(f, "  \"faulty_produced\": {},", faulty_r.produced).expect("write");
-        writeln!(f, "  \"faulty_tracks\": {},", faulty_r.tracks).expect("write");
-        writeln!(f, "  \"faulty_fate_decided\": {},", faulty_r.fate_decided).expect("write");
-        writeln!(f, "  \"faulty_in_flight\": {},", faulty_r.in_flight).expect("write");
-        writeln!(f, "  \"faulty_malformed\": {},", faulty_r.malformed).expect("write");
-        writeln!(
-            f,
-            "  \"faulty_reconstructed_ratio\": {:.4},",
-            faulty_r.ratio()
-        )
-        .expect("write");
-        writeln!(
-            f,
-            "  \"faulty_retransmit_tracks\": {},",
-            faulty_r.retransmit_tracks
-        )
-        .expect("write");
-        writeln!(f, "  \"saturated_produced\": {},", sat_r.produced).expect("write");
-        writeln!(f, "  \"saturated_tracks\": {},", sat_r.tracks).expect("write");
-        writeln!(
-            f,
-            "  \"saturated_reconstructed_ratio\": {:.4},",
-            sat_r.ratio()
-        )
-        .expect("write");
-        writeln!(f, "  \"saturated_burn_alerts\": {},", sat_r.burn_alerts).expect("write");
-        writeln!(
-            f,
-            "  \"saturated_budget_exhausted\": {},",
-            sat_r.budget_exhausted
-        )
-        .expect("write");
-        writeln!(f, "  \"faulty_slo_violations\": {slo_violations},").expect("write");
-        writeln!(f, "  \"saturated_slo_violations\": {sat_violations},").expect("write");
-        writeln!(f, "  \"faulty_lag_p50_ticks\": {lag_p50},").expect("write");
-        writeln!(f, "  \"faulty_lag_p99_ticks\": {lag_p99},").expect("write");
-        writeln!(f, "  \"explain_hosts\": {},", report.hosts.len()).expect("write");
-        writeln!(f, "  \"explain_retransmits\": {explain_retransmits},").expect("write");
-        writeln!(f, "  \"clean_mae_w\": {clean_mae_w:.4},").expect("write");
-        writeln!(f, "  \"guard_journeys_per_s\": {guard_journeys_per_s:.2},").expect("write");
-        writeln!(f, "  \"verdict\": \"{}\"", if ok { "PASS" } else { "FAIL" }).expect("write");
-        writeln!(f, "}}").expect("write");
-        println!("        wrote {}", json_path.display());
-    }
-
     println!();
     println!(
         "E14 verdict: {} ({:.1}/{:.1}/{:.1} % journeys reconstructed, {} burn alerts, \
@@ -538,11 +427,7 @@ fn main() {
 
     // Everything the single-threaded fleet derives is exact; the ratios
     // are integer quotients and the MAE is deterministic float math.
-    let mut golden = Golden::new(if quick {
-        "e14_fleet_observe.quick"
-    } else {
-        "e14_fleet_observe"
-    });
+    let mut golden = Golden::new("e14_fleet_observe", args.quick);
     golden.push_exact("clean_produced", clean_r.produced as f64);
     golden.push_exact("clean_tracks", clean_r.tracks as f64);
     golden.push_exact("clean_fate_decided", clean_r.fate_decided as f64);
@@ -569,9 +454,5 @@ fn main() {
     golden.push_exact("explain_hosts", report.hosts.len() as f64);
     golden.push_exact("explain_retransmits", f64::from(explain_retransmits));
     golden.push("clean_mae_w", clean_mae_w);
-    golden.settle();
-
-    if !ok {
-        std::process::exit(1);
-    }
+    golden.finish(&args, ok);
 }

@@ -60,17 +60,9 @@ fn main() {
         print!("{}", Spec::of(&cfg));
     }
 
-    let mut golden = Golden::new(if args.quick {
-        "e1_table1.quick"
-    } else {
-        "e1_table1"
-    });
+    let mut golden = Golden::new("e1_table1", args.quick);
     golden.push_exact("rows_checked", paper.len() as f64);
     golden.push_exact("rows_matched", f64::from(ok));
     golden.push_exact("frequency_mhz", f64::from(spec.frequency.0));
-    golden.settle();
-
-    if !ok {
-        std::process::exit(1);
-    }
+    golden.finish(&args, ok);
 }

@@ -118,11 +118,7 @@ fn main() {
         report.median_ape,
         trend
     );
-    let mut golden = Golden::new(if args.quick {
-        "e3_figure3.quick"
-    } else {
-        "e3_figure3"
-    });
+    let mut golden = Golden::new("e3_figure3", args.quick);
     golden.push_exact("aligned_samples", actual.len() as f64);
     golden.push("median_ape_pct", report.median_ape);
     golden.push("mape_pct", report.mape);
@@ -130,9 +126,5 @@ fn main() {
     golden.push("trend_pearson", trend);
     golden.push("mean_meter_w", mean_meter);
     golden.push("mean_estimate_w", mean_est);
-    golden.settle();
-
-    if !ok {
-        std::process::exit(1);
-    }
+    golden.finish(&args, ok);
 }

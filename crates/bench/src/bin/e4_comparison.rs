@@ -209,20 +209,12 @@ fn main() {
         "E4 verdict: {} (simple-arch {bertran_avg:.1}% < HT-aware {happy_avg:.1}% < generic {generic_med:.1}%; aware beats oblivious on SMT: {happy_smt_avg:.1}% < {obl_smt_avg:.1}%)",
         if ok { "SHAPE REPRODUCED" } else { "MISMATCH" }
     );
-    let mut golden = Golden::new(if quick {
-        "e4_comparison.quick"
-    } else {
-        "e4_comparison"
-    });
+    let mut golden = Golden::new("e4_comparison", args.quick);
     golden.push("bertran_avg_mape_pct", bertran_avg);
     golden.push("happy_avg_mape_pct", happy_avg);
     golden.push("oblivious_avg_mape_pct", obl_avg);
     golden.push("happy_smt_avg_mape_pct", happy_smt_avg);
     golden.push("oblivious_smt_avg_mape_pct", obl_smt_avg);
     golden.push("generic_median_ape_pct", generic_med);
-    golden.settle();
-
-    if !ok {
-        std::process::exit(1);
-    }
+    golden.finish(&args, ok);
 }

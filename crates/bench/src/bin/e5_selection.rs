@@ -164,11 +164,7 @@ fn main() {
         "E5 verdict: {} (automatic selection matches or beats the fixed triple, as §5 anticipates)",
         if ok { "SHAPE REPRODUCED" } else { "MISMATCH" }
     );
-    let mut golden = Golden::new(if quick {
-        "e5_selection.quick"
-    } else {
-        "e5_selection"
-    });
+    let mut golden = Golden::new("e5_selection", args.quick);
     golden.push_exact("counters_ranked", ranking.len() as f64);
     golden.push("top_rho_abs", ranking[0].1.abs());
     for (label, jbb_med, spec_avg) in &results {
@@ -179,9 +175,5 @@ fn main() {
         golden.push(format!("{key}_jbb_median_ape_pct"), *jbb_med);
         golden.push(format!("{key}_spec_avg_mape_pct"), *spec_avg);
     }
-    golden.settle();
-
-    if !ok {
-        std::process::exit(1);
-    }
+    golden.finish(&args, ok);
 }

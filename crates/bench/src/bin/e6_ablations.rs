@@ -192,11 +192,7 @@ fn main() {
             "MISMATCH"
         }
     );
-    let mut golden = Golden::new(if quick {
-        "e6_ablations.quick"
-    } else {
-        "e6_ablations"
-    });
+    let mut golden = Golden::new("e6_ablations", args.quick);
     golden.push("per_freq_median_ape_pct", pf_err);
     golden.push("global_median_ape_pct", g_err);
     golden.push("smt_aware_corun_mape_pct", aware_corun);
@@ -205,9 +201,5 @@ fn main() {
     golden.push("mux_deviation_1slot_pct", devs[0]);
     golden.push("mux_deviation_2slot_pct", devs[1]);
     golden.push("mux_deviation_3slot_pct", devs[2]);
-    golden.settle();
-
-    if !ok {
-        std::process::exit(1);
-    }
+    golden.finish(&args, ok);
 }

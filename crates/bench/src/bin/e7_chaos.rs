@@ -6,8 +6,8 @@
 //! HPC stream is stalled) and finish with a median error within 2× of the
 //! fault-free baseline.
 //!
-//! Run: `cargo run --release -p bench-suite --bin e7_chaos [--quick]`
-//! Data: `BENCH_chaos.json` (repo root, committed as evidence)
+//! Run: `cargo run --release -p bench-suite --bin e7_chaos [--quick] [--check|--bless]`
+//! Evidence: `tests/golden/e7_chaos[.quick].golden`
 
 use bench_suite::chaos::{chaos_fault_config, quiet_chaos_panics, ChaosMonkey, CHAOS_SEED};
 use bench_suite::{dump_trace, row, score_outcome, section, BenchArgs, Evaluation, Golden};
@@ -21,7 +21,6 @@ use powerapi::telemetry::Telemetry;
 use simcpu::fault::FaultPlan;
 use simcpu::presets;
 use simcpu::units::Nanos;
-use std::io::Write;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use workloads::specjbb::{self, SpecJbbConfig};
@@ -132,7 +131,7 @@ fn main() {
     let chaos = run_pipeline(model, backup, &jbb, plan.clone());
     let chaos_report = score_outcome(&chaos.outcome).expect("chaos score");
 
-    println!("  [4/4] scoring and writing evidence…");
+    println!("  [4/4] scoring…");
     if let Some(path) = &args.dump_trace {
         dump_trace(&chaos.telemetry, path);
     }
@@ -196,60 +195,6 @@ fn main() {
         && !health.escalated
         && ratio <= 2.0;
 
-    let json_path = std::path::Path::new("BENCH_chaos.json");
-    let mut f = std::fs::File::create(json_path).expect("evidence file");
-    writeln!(f, "{{").expect("write");
-    writeln!(f, "  \"experiment\": \"e7_chaos\",").expect("write");
-    writeln!(f, "  \"quick\": {quick},").expect("write");
-    writeln!(f, "  \"chaos_seed\": {CHAOS_SEED},").expect("write");
-    writeln!(f, "  \"duration_s\": {},", jbb.duration.as_secs_f64()).expect("write");
-    writeln!(f, "  \"fault_windows\": {},", plan.windows().len()).expect("write");
-    writeln!(
-        f,
-        "  \"fault_kinds_fired\": [{}],",
-        kinds_fired
-            .iter()
-            .map(|k| format!("\"{k}\""))
-            .collect::<Vec<_>>()
-            .join(", ")
-    )
-    .expect("write");
-    writeln!(
-        f,
-        "  \"meter_samples_lost\": {},",
-        m.dropped + m.disconnected
-    )
-    .expect("write");
-    writeln!(f, "  \"meter_frames_corrupted\": {},", m.corrupted).expect("write");
-    writeln!(f, "  \"pmu_stalled_ticks\": {},", c.stalled_ticks).expect("write");
-    writeln!(f, "  \"pmu_spurious_resets\": {},", c.spurious_resets).expect("write");
-    writeln!(f, "  \"slot_revoked_ticks\": {},", c.revoked_slot_ticks).expect("write");
-    writeln!(f, "  \"supervised_restarts\": {},", health.restarts).expect("write");
-    writeln!(f, "  \"actor_panics_caught\": {},", health.panics).expect("write");
-    writeln!(f, "  \"actors_dead\": {},", health.panicked.len()).expect("write");
-    writeln!(
-        f,
-        "  \"degraded_estimates\": {},",
-        chaos.outcome.degraded_reports()
-    )
-    .expect("write");
-    writeln!(
-        f,
-        "  \"baseline_median_ape_pct\": {:.4},",
-        base_report.median_ape
-    )
-    .expect("write");
-    writeln!(
-        f,
-        "  \"chaos_median_ape_pct\": {:.4},",
-        chaos_report.median_ape
-    )
-    .expect("write");
-    writeln!(f, "  \"error_ratio\": {ratio:.4},").expect("write");
-    writeln!(f, "  \"verdict\": \"{}\"", if ok { "PASS" } else { "FAIL" }).expect("write");
-    writeln!(f, "}}").expect("write");
-    println!("        wrote {}", json_path.display());
-
     println!();
     println!(
         "E7 verdict: {} ({} fault kinds fired >= 3, {} restart(s) >= 1, \
@@ -269,7 +214,7 @@ fn main() {
     // count depend on where actor restarts land relative to in-flight
     // ticks (real threads, not simulated ones), so they carry explicit
     // loose tolerances instead of the default 1e-6.
-    let mut golden = Golden::new(if quick { "e7_chaos.quick" } else { "e7_chaos" });
+    let mut golden = Golden::new("e7_chaos", args.quick);
     golden.push_exact("fault_windows", plan.windows().len() as f64);
     golden.push_exact("fault_kinds_fired", kinds_fired.len() as f64);
     golden.push_exact("meter_samples_lost", (m.dropped + m.disconnected) as f64);
@@ -286,9 +231,5 @@ fn main() {
     );
     golden.push_tol("baseline_median_ape_pct", base_report.median_ape, 0.05);
     golden.push_tol("chaos_median_ape_pct", chaos_report.median_ape, 0.05);
-    golden.settle();
-
-    if !ok {
-        std::process::exit(1);
-    }
+    golden.finish(&args, ok);
 }

@@ -23,15 +23,21 @@
 //! seed/host/seq/attempt, so both arms replay bit-identical fleets and
 //! the wall-time delta is pure tracing cost — held to the same < 3 %.
 //!
+//! This is the one experiment that times the host, and it does so as a
+//! *paired ratio* (on vs off, interleaved, same process) rather than an
+//! absolute floor; every other host-time judgement lives in `benchmark/`.
+//!
 //! Run: `cargo run --release -p bench-suite --bin e8_overhead`
-//! Data: `BENCH_overhead.json` (repo root, committed as evidence)
+//! Evidence: `tests/golden/e8_overhead[.quick].golden` (simulated shape)
+//! and `BENCH_overhead.json` (the measured percentages, repo root).
 //!
 //! Flags (shared [`BenchArgs`] contract): `--quick` shrinks the replay
-//! and fleet arms for CI smoke; `--check` gates against the committed
-//! evidence without rewriting it; `--dump-trace <path>` exports the
-//! instrumented run's Chrome trace; `--bless` rewrites goldens.
+//! and fleet arms for CI smoke; `--check` gates against the golden and
+//! the committed `BENCH_overhead.json`, writing nothing; `--bless`
+//! rewrites the golden and, on the full schedule, `BENCH_overhead.json`;
+//! `--dump-trace <path>` exports the instrumented run's Chrome trace.
 
-use bench_suite::fleetsim::{self, fleet_faults, json_number, FleetSpec};
+use bench_suite::fleetsim::{self, fleet_faults, FleetSpec};
 use bench_suite::{dump_trace, row, section, BenchArgs, Golden};
 use os_sim::kernel::Kernel;
 use powerapi::fleet::{ShardConfig, SloConfig};
@@ -77,6 +83,20 @@ impl Write for CountingSink {
     fn flush(&mut self) -> std::io::Result<()> {
         Ok(())
     }
+}
+
+/// Pulls `"key": <number>` out of flat JSON (`BENCH_overhead.json` is
+/// written below with globally unique keys, so no real parser needed).
+fn json_number(text: &str, key: &str) -> Option<f64> {
+    let needle = format!("\"{key}\":");
+    let at = text.find(&needle)? + needle.len();
+    let rest = text[at..].trim_start();
+    let end = rest
+        .find(|c: char| {
+            c != '-' && c != '+' && c != '.' && c != 'e' && c != 'E' && !c.is_ascii_digit()
+        })
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
 }
 
 /// One replay of the SPECjbb excerpt; returns wall seconds + outcome.
@@ -306,13 +326,13 @@ fn main() {
         && staged
         && traced_fleet;
 
-    let json_path = std::path::Path::new("BENCH_overhead.json");
+    let json_path = &bench_suite::golden::repo_root().join("BENCH_overhead.json");
     if args.check {
         // Regression gate: the committed evidence must still claim the
         // full-schedule budget, and this run (at its own schedule's
         // budget) must reproduce the structural claims. Never rewrites.
         let text = std::fs::read_to_string(json_path).unwrap_or_else(|e| {
-            eprintln!("cannot read BENCH_overhead.json: {e} — run e8_overhead first");
+            eprintln!("cannot read BENCH_overhead.json: {e} — run e8_overhead --bless first");
             std::process::exit(2);
         });
         let recorded_pct = json_number(&text, "overhead_pct").unwrap_or_else(|| {
@@ -347,7 +367,9 @@ fn main() {
             std::process::exit(1);
         }
         println!("E8 guard: PASS");
-    } else {
+    } else if args.bless && !quick {
+        // One writer, as for the golden — and only the full schedule,
+        // the only one the 3 % claim is ever made from.
         let mut f = std::fs::File::create(json_path).expect("evidence file");
         writeln!(f, "{{").expect("write");
         writeln!(f, "  \"experiment\": \"e8_overhead\",").expect("write");
@@ -417,11 +439,7 @@ fn main() {
 
     // Wall-derived percentages never belong in a golden set; the
     // simulation-derived shape of the instrumented run does.
-    let mut golden = Golden::new(if quick {
-        "e8_overhead.quick"
-    } else {
-        "e8_overhead"
-    });
+    let mut golden = Golden::new("e8_overhead", args.quick);
     golden.push_exact("ticks_traced", t.ticks_traced as f64);
     golden.push_exact("self_power_reports", self_trace.len() as f64);
     golden.push_exact("fleet_journey_hops", fleet_hops as f64);
@@ -430,9 +448,5 @@ fn main() {
     golden.push_tol("journal_events", hub.journal().emitted() as f64, 0.34);
     golden.push_exact("self_attributed", f64::from(attributed));
     golden.push_exact("all_stages_instrumented", f64::from(staged));
-    golden.settle();
-
-    if !ok {
-        std::process::exit(1);
-    }
+    golden.finish(&args, ok);
 }

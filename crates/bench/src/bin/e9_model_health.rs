@@ -11,8 +11,8 @@
 //!   the model stays matched for the whole run and the detectors must
 //!   stay silent (zero false alarms).
 //!
-//! Run: `cargo run --release -p bench-suite --bin e9_model_health [--quick]`
-//! Data: `BENCH_model_health.json` (repo root, committed as evidence)
+//! Run: `cargo run --release -p bench-suite --bin e9_model_health [--quick] [--check|--bless]`
+//! Evidence: `tests/golden/e9_model_health[.quick].golden`
 
 use bench_suite::{dump_trace, row, section, BenchArgs, Golden};
 use powerapi::formula::per_freq::PerFrequencyFormula;
@@ -25,7 +25,6 @@ use simcpu::power::PowerModel;
 use simcpu::presets;
 use simcpu::units::Nanos;
 use simcpu::workunit::WorkUnit;
-use std::io::Write;
 
 /// The i3 testbed with thermal leakage removed: what the calibration
 /// sweep effectively sees (short, cold bursts). Mirrors
@@ -124,7 +123,7 @@ fn main() {
     let (drift, drift_telemetry) = run_arm(presets::intel_i3_2120(), model, duration);
     let dh = &drift.model_health;
 
-    println!("  [4/4] scoring and writing evidence…");
+    println!("  [4/4] scoring…");
     if let Some(path) = &args.dump_trace {
         dump_trace(&drift_telemetry, path);
     }
@@ -158,33 +157,6 @@ fn main() {
         && ch.alarms == 0
         && ch.recalibrations == 0;
 
-    let json_path = std::path::Path::new("BENCH_model_health.json");
-    let mut f = std::fs::File::create(json_path).expect("evidence file");
-    writeln!(f, "{{").expect("write");
-    writeln!(f, "  \"experiment\": \"e9_model_health\",").expect("write");
-    writeln!(f, "  \"quick\": {quick},").expect("write");
-    writeln!(f, "  \"duration_s\": {},", duration.as_secs_f64()).expect("write");
-    writeln!(f, "  \"thermal_tau_s\": 30.0,").expect("write");
-    writeln!(f, "  \"control_residual_ticks\": {},", ch.ticks).expect("write");
-    writeln!(f, "  \"control_false_alarms\": {},", ch.alarms).expect("write");
-    writeln!(f, "  \"control_bias_w\": {:.4},", ch.bias_w).expect("write");
-    writeln!(f, "  \"drift_residual_ticks\": {},", dh.ticks).expect("write");
-    writeln!(f, "  \"drift_alarms\": {},", dh.alarms).expect("write");
-    writeln!(
-        f,
-        "  \"drift_out_of_band_ticks\": {},",
-        dh.out_of_band_ticks
-    )
-    .expect("write");
-    writeln!(f, "  \"drift_bias_w\": {:.4},", dh.bias_w).expect("write");
-    writeln!(f, "  \"drift_mae_w\": {:.4},", dh.mae_w).expect("write");
-    writeln!(f, "  \"detection_latency_s\": {first_alarm_s:.1},").expect("write");
-    writeln!(f, "  \"recalibration_requests\": {},", dh.recalibrations).expect("write");
-    writeln!(f, "  \"degraded_estimates\": {},", drift.degraded_reports()).expect("write");
-    writeln!(f, "  \"verdict\": \"{}\"", if ok { "PASS" } else { "FAIL" }).expect("write");
-    writeln!(f, "}}").expect("write");
-    println!("        wrote {}", json_path.display());
-
     println!();
     println!(
         "E9 verdict: {} ({} drift alarm(s) >= 1, first at {first_alarm_s:.0} s <= {} s, \
@@ -204,11 +176,7 @@ fn main() {
     // tolerances, following E7's precedent for thread-timing-coupled
     // metrics. Alarm presence and the control arm's zero are hard claims
     // and stay exact.
-    let mut golden = Golden::new(if quick {
-        "e9_model_health.quick"
-    } else {
-        "e9_model_health"
-    });
+    let mut golden = Golden::new("e9_model_health", args.quick);
     golden.push_exact("control_false_alarms", ch.alarms as f64);
     golden.push_exact("control_recalibrations", ch.recalibrations as f64);
     golden.push_exact("drift_alarmed", f64::from(u8::from(dh.alarms >= 1)));
@@ -222,9 +190,5 @@ fn main() {
     golden.push_tol("drift_out_of_band_ticks", dh.out_of_band_ticks as f64, 0.25);
     golden.push_tol("drift_bias_w", dh.bias_w, 0.10);
     golden.push_tol("drift_mae_w", dh.mae_w, 0.10);
-    golden.settle();
-
-    if !ok {
-        std::process::exit(1);
-    }
+    golden.finish(&args, ok);
 }

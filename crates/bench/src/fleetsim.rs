@@ -166,21 +166,6 @@ pub fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// Pulls `"key": <number>` out of flat JSON (the evidence files are
-/// written by the experiment binaries with globally unique keys, so no
-/// real parser needed).
-pub fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| {
-            c != '-' && c != '+' && c != '.' && c != 'e' && c != 'E' && !c.is_ascii_digit()
-        })
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// One chaos arm's shape: everything that distinguishes clean from
 /// faulty from saturated, with the SLO declaration the observability
 /// plane tracks.
@@ -222,7 +207,8 @@ pub struct FleetRun {
     pub reports: Vec<FleetTickReport>,
     /// The telemetry hub the fleet journaled into.
     pub telemetry: Telemetry,
-    /// Wall-clock seconds spent inside `Fleet::run`.
+    /// Wall-clock seconds spent inside `Fleet::run` (read by E8's paired
+    /// tracing-on/off arms only).
     pub wall_s: f64,
 }
 

@@ -1,13 +1,15 @@
 //! Golden-trace harness: each experiment binary records its key metrics
-//! into a [`Golden`] set and calls [`Golden::settle`] last thing. With
-//! `--bless` the set is written to `tests/golden/<name>.golden`; with
-//! `--check` the run is compared against that committed file and the
-//! process exits nonzero on drift. Without either flag the harness is
-//! silent, so casual `cargo run`s behave exactly as before.
+//! into a [`Golden`] set and calls [`Golden::finish`] last thing. The
+//! file `tests/golden/<exp>[.quick].golden` is the one committed piece of
+//! evidence an experiment has: `--bless` writes it (and is the only flag
+//! under which a binary writes anything under version control), `--check`
+//! compares the run against it and exits nonzero on drift — nothing
+//! else — and a run with neither flag touches no committed file.
 //!
 //! Only *deterministic* metrics belong in a golden set: everything the
 //! seeded simulation derives (errors, counts, coefficients) qualifies;
-//! wall-clock timings (e.g. E2's sweep milliseconds) never do.
+//! host wall-clock time never does — that is `benchmark/`'s to judge
+//! (`run.sh --compare`), under repetition and recorded spread.
 //!
 //! In between sit metrics whose *value* is seeded but whose exact tally
 //! is coupled to real thread scheduling — E7's degraded-report count
@@ -27,6 +29,7 @@
 //! Values are written in Rust's shortest round-trip `f64` form, so a
 //! `rel_tol` of `0` means bit-exact reproduction.
 
+use crate::BenchArgs;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -50,10 +53,12 @@ pub struct Entry {
 #[derive(Debug, Clone)]
 pub struct Golden {
     name: String,
+    /// Where the snapshot lives (`tests/golden` at the repository root).
+    dir: PathBuf,
     entries: Vec<Entry>,
 }
 
-/// What `settle` decided to do, for callers that want to report it.
+/// What [`Golden::settle`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Settled {
     /// No `--check`/`--bless` flag: nothing happened.
@@ -65,12 +70,17 @@ pub enum Settled {
 }
 
 impl Golden {
-    /// Starts a set named after the experiment (`e3_figure3`); quick
-    /// variants use a distinct name (`e7_chaos.quick`) so both schedules
-    /// can hold goldens side by side.
-    pub fn new(name: impl Into<String>) -> Golden {
+    /// Starts a set named after the experiment binary (`e3_figure3`);
+    /// the quick schedule gets a distinct name (`e3_figure3.quick`) so
+    /// both schedules hold goldens side by side.
+    pub fn new(experiment: &str, quick: bool) -> Golden {
         Golden {
-            name: name.into(),
+            name: if quick {
+                format!("{experiment}.quick")
+            } else {
+                experiment.to_string()
+            },
+            dir: repo_root().join("tests").join("golden"),
             entries: Vec::new(),
         }
     }
@@ -103,10 +113,7 @@ impl Golden {
     /// The file this set belongs to: `tests/golden/<name>.golden` at the
     /// repository root.
     pub fn path(&self) -> PathBuf {
-        repo_root()
-            .join("tests")
-            .join("golden")
-            .join(format!("{}.golden", self.name))
+        self.dir.join(format!("{}.golden", self.name))
     }
 
     /// Renders the set in the golden file format.
@@ -124,52 +131,67 @@ impl Golden {
         out
     }
 
-    /// Applies the `--check`/`--bless` CLI contract and reports what it
-    /// did. On `--check` drift, prints every mismatch and exits with
-    /// status 3 (distinct from the experiments' own shape-verdict 1).
-    pub fn settle(&self) -> Settled {
-        let args: Vec<String> = std::env::args().collect();
-        if args.iter().any(|a| a == "--bless") {
-            let path = self.path();
-            std::fs::create_dir_all(path.parent().expect("golden dir has a parent"))
-                .expect("create golden dir");
-            std::fs::write(&path, self.render()).expect("write golden file");
-            println!(
-                "golden: blessed {} ({} metrics)",
-                path.display(),
-                self.entries.len()
-            );
-            return Settled::Blessed;
-        }
-        if args.iter().any(|a| a == "--check") {
-            let path = self.path();
-            let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                eprintln!(
-                    "golden: cannot read {}: {e} (run with --bless first)",
-                    path.display()
+    /// Applies the `--check`/`--bless` contract: bless writes the golden
+    /// file, check compares against it, neither does nothing.
+    ///
+    /// # Errors
+    ///
+    /// Both flags at once, an unreadable or malformed golden file, or
+    /// drift under `--check` (one line per mismatch).
+    pub fn settle(&self, args: &BenchArgs) -> Result<Settled, String> {
+        let path = self.path();
+        match (args.bless, args.check) {
+            (true, true) => Err("--bless and --check are mutually exclusive".to_string()),
+            (false, false) => Ok(Settled::Silent),
+            (true, false) => {
+                std::fs::create_dir_all(&self.dir)
+                    .and_then(|()| std::fs::write(&path, self.render()))
+                    .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+                println!(
+                    "golden: blessed {} ({} metrics)",
+                    path.display(),
+                    self.entries.len()
                 );
-                std::process::exit(3);
-            });
-            let expected = parse(&text).unwrap_or_else(|e| {
-                eprintln!("golden: malformed {}: {e}", path.display());
-                std::process::exit(3);
-            });
-            let drift = diff(&expected, &self.entries);
-            if drift.is_empty() {
+                Ok(Settled::Blessed)
+            }
+            (false, true) => {
+                let text = std::fs::read_to_string(&path).map_err(|e| {
+                    format!(
+                        "cannot read {}: {e} (run with --bless first)",
+                        path.display()
+                    )
+                })?;
+                let expected =
+                    parse(&text).map_err(|e| format!("malformed {}: {e}", path.display()))?;
+                let drift = diff(&expected, &self.entries);
+                if !drift.is_empty() {
+                    return Err(format!(
+                        "DRIFT against {}:\n  {}",
+                        path.display(),
+                        drift.join("\n  ")
+                    ));
+                }
                 println!(
                     "golden: {} metrics match {}",
                     self.entries.len(),
                     path.display()
                 );
-                return Settled::Matched;
+                Ok(Settled::Matched)
             }
-            eprintln!("golden: DRIFT against {}:", path.display());
-            for line in &drift {
-                eprintln!("  {line}");
-            }
+        }
+    }
+
+    /// The tail every experiment shares: settle the golden — on error
+    /// print it and exit with status 3 — then exit 1 if the experiment's
+    /// own shape verdict failed.
+    pub fn finish(&self, args: &BenchArgs, ok: bool) {
+        if let Err(e) = self.settle(args) {
+            eprintln!("golden: {e}");
             std::process::exit(3);
         }
-        Settled::Silent
+        if !ok {
+            std::process::exit(1);
+        }
     }
 }
 
@@ -261,7 +283,7 @@ mod tests {
 
     #[test]
     fn render_and_parse_round_trip() {
-        let mut g = Golden::new("unit");
+        let mut g = Golden::new("unit", false);
         g.push("median_ape_pct", 15.123456789012345);
         g.push_exact("rows", 13.0);
         g.push_tol("idle_w", 31.48, 1e-3);
@@ -331,5 +353,59 @@ mod tests {
         assert!(parse("k one 0\n").unwrap_err().contains("line 1"));
         assert!(parse("k 1 0 extra\n").is_err());
         assert!(parse("k 1 -0.5\n").is_err());
+    }
+
+    /// Every file under `dir`, recursively, sorted.
+    fn files_under(dir: &std::path::Path) -> Vec<PathBuf> {
+        let mut out = Vec::new();
+        for entry in std::fs::read_dir(dir).expect("read_dir") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                out.extend(files_under(&path));
+            } else {
+                out.push(path);
+            }
+        }
+        out.sort();
+        out
+    }
+
+    /// The one-writer rule: with the process cwd and the golden directory
+    /// both inside an empty temp dir, a plain run and `--check` create no
+    /// file, `--bless` creates exactly the golden, and both flags at once
+    /// are refused. (The only test in this crate that touches the cwd.)
+    #[test]
+    fn only_bless_writes_and_it_writes_only_the_golden() {
+        let tmp = std::env::temp_dir().join(format!("golden-settle-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&tmp);
+        std::fs::create_dir_all(tmp.join("cwd")).expect("temp dir");
+        let old_cwd = std::env::current_dir().expect("cwd");
+        std::env::set_current_dir(tmp.join("cwd")).expect("chdir");
+
+        let mut g = Golden::new("unit", true);
+        g.dir = tmp.join("golden");
+        g.push_exact("rows", 13.0);
+        let flags = |check, bless| BenchArgs {
+            check,
+            bless,
+            ..BenchArgs::default()
+        };
+
+        assert_eq!(g.settle(&flags(false, false)), Ok(Settled::Silent));
+        let missing = g.settle(&flags(true, false)).unwrap_err();
+        assert!(missing.contains("run with --bless first"), "{missing}");
+        assert!(g.settle(&flags(true, true)).is_err(), "both flags refused");
+        assert_eq!(files_under(&tmp), Vec::<PathBuf>::new());
+
+        assert_eq!(g.settle(&flags(false, true)), Ok(Settled::Blessed));
+        assert_eq!(files_under(&tmp), [tmp.join("golden/unit.quick.golden")]);
+        assert_eq!(g.settle(&flags(true, false)), Ok(Settled::Matched));
+        g.push_exact("extra", 1.0);
+        let drift = g.settle(&flags(true, false)).unwrap_err();
+        assert!(drift.contains("new metric extra"), "{drift}");
+        assert_eq!(files_under(&tmp), [tmp.join("golden/unit.quick.golden")]);
+
+        std::env::set_current_dir(old_cwd).expect("chdir back");
+        std::fs::remove_dir_all(&tmp).expect("clean up");
     }
 }

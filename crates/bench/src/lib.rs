@@ -1,7 +1,9 @@
-//! Shared harness for the experiment binaries (`e1`–`e5`, one per paper
-//! table/figure) and the Criterion micro-benchmarks. Each binary prints
-//! the paper's numbers next to the reproduction's so the comparison is
-//! one `cargo run` away.
+//! Shared harness for the `eN_*` experiment binaries (one per paper
+//! table/figure or later claim). Each binary prints the paper's numbers
+//! next to the reproduction's, ends with a `verdict:` line, and records
+//! its deterministic statistics in one [`Golden`] set — the committed
+//! evidence of the experiment. Host time is not measured here: that is
+//! `benchmark/`'s job (`e8_overhead`'s paired on/off ratio excepted).
 
 pub mod args;
 pub mod chaos;
@@ -107,19 +109,6 @@ pub fn score_outcome(outcome: &RunOutcome) -> Result<ErrorReport, powerapi::Erro
     let est = outcome.estimate_trace();
     let (actual, predicted) = meter.align(&est);
     Ok(ErrorReport::compute(&actual, &predicted)?)
-}
-
-/// Parses the optional `--dump-trace <path>` flag the experiment
-/// binaries share: after the run, the pipeline's Chrome trace-event
-/// JSON is written to `<path>` for Perfetto / `chrome://tracing`.
-/// (Thin wrapper over [`BenchArgs::parse`] for binaries that only need
-/// this one flag.)
-///
-/// # Panics
-///
-/// Panics when `--dump-trace` is the last argument (no path follows).
-pub fn dump_trace_flag() -> Option<std::path::PathBuf> {
-    BenchArgs::parse().dump_trace
 }
 
 /// Writes the hub's Chrome trace-event JSON to `path` (creating parent

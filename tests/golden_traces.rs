@@ -15,6 +15,11 @@
 //!    This is minutes of work (full learning campaigns), so it is opt-in
 //!    here and wired into CI as its own job.
 //!
+//! Neither layer keeps a list of experiments: the snapshots required are
+//! the binaries in `crates/bench/src/bin/` (each needs a full and a
+//! `.quick` golden), and the runs are the snapshots present
+//! (`eN_name[.quick].golden` → `--bin eN_name [--quick] --check`).
+//!
 //! The root test package cannot depend on `bench-suite` (it would drag the
 //! bench binaries into every `cargo test`), so layer 1 re-implements the
 //! tiny parser and cross-checks it against the files the real harness
@@ -27,14 +32,28 @@ fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
-fn golden_files() -> Vec<PathBuf> {
-    let mut files: Vec<PathBuf> = std::fs::read_dir(golden_dir())
-        .expect("tests/golden exists — bless with `cargo run -p bench-suite --bin e1_table1 -- --bless` etc.")
+/// The files in `dir` with extension `ext`, sorted.
+fn files_with_ext(dir: &Path, ext: &str) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("{} is not readable: {e}", dir.display()))
         .map(|e| e.expect("dir entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "golden"))
+        .filter(|p| p.extension().is_some_and(|x| x == ext))
         .collect();
     files.sort();
     files
+}
+
+fn golden_files() -> Vec<PathBuf> {
+    files_with_ext(&golden_dir(), "golden")
+}
+
+/// File names without their extension: `eN_name[.quick]` for a golden,
+/// `eN_name` for a binary's source.
+fn stems(files: &[PathBuf]) -> Vec<String> {
+    files
+        .iter()
+        .map(|p| p.file_stem().expect("stem").to_string_lossy().into_owned())
+        .collect()
 }
 
 /// Mirror of `bench_suite::golden::parse` — `key value rel_tol` triples.
@@ -103,45 +122,30 @@ fn every_committed_golden_file_is_well_formed() {
 
 #[test]
 fn expected_experiments_have_snapshots() {
-    let names: HashSet<String> = golden_files()
-        .iter()
-        .map(|p| p.file_stem().expect("stem").to_string_lossy().into_owned())
-        .collect();
-    for required in [
-        "e1_table1",
-        "e1_table1.quick",
-        "e2_model",
-        "e2_model.quick",
-        "e3_figure3",
-        "e3_figure3.quick",
-        "e4_comparison",
-        "e4_comparison.quick",
-        "e5_selection",
-        "e5_selection.quick",
-        "e6_ablations",
-        "e6_ablations.quick",
-        "e7_chaos.quick",
-        "e8_overhead.quick",
-        "e9_model_health.quick",
-        "e10_blackbox.quick",
-        "e12_fleet.quick",
-        "e13_tenants",
-        "e13_tenants.quick",
-        "e14_fleet_observe",
-        "e14_fleet_observe.quick",
-        "e15_adaptive",
-        "e15_adaptive.quick",
-    ] {
+    let names = stems(&golden_files());
+    let bin_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/bench/src/bin");
+    let bins = stems(&files_with_ext(&bin_dir, "rs"));
+    assert!(!bins.is_empty(), "no experiment binaries found");
+    for bin in &bins {
+        for required in [bin.clone(), format!("{bin}.quick")] {
+            assert!(
+                names.contains(&required),
+                "missing snapshot tests/golden/{required}.golden (run the binary with --bless)"
+            );
+        }
+    }
+    for name in &names {
+        let bin = name.strip_suffix(".quick").unwrap_or(name);
         assert!(
-            names.contains(required),
-            "missing snapshot tests/golden/{required}.golden (run the binary with --bless)"
+            bins.iter().any(|b| b == bin),
+            "tests/golden/{name}.golden has no binary crates/bench/src/bin/{bin}.rs"
         );
     }
 }
 
-/// Full drift check: re-run every experiment and compare against its
-/// snapshot. Opt-in (`RUN_GOLDEN=1`) — this runs complete learning
-/// campaigns and takes minutes. CI runs it as a dedicated job.
+/// Full drift check: re-run every experiment against every snapshot it
+/// has. Opt-in (`RUN_GOLDEN=1`) — this runs complete learning campaigns
+/// and takes minutes. CI runs it as a dedicated job.
 #[test]
 fn golden_traces_match_when_requested() {
     if std::env::var("RUN_GOLDEN").as_deref() != Ok("1") {
@@ -149,34 +153,16 @@ fn golden_traces_match_when_requested() {
         return;
     }
     let repo = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let runs: &[(&str, &[&str])] = &[
-        ("e1_table1", &["--check"]),
-        ("e2_model", &["--check"]),
-        ("e3_figure3", &["--check"]),
-        ("e4_comparison", &["--check"]),
-        ("e5_selection", &["--check"]),
-        ("e6_ablations", &["--check"]),
-        ("e1_table1", &["--quick", "--check"]),
-        ("e2_model", &["--quick", "--check"]),
-        ("e3_figure3", &["--quick", "--check"]),
-        ("e4_comparison", &["--quick", "--check"]),
-        ("e5_selection", &["--quick", "--check"]),
-        ("e6_ablations", &["--quick", "--check"]),
-        ("e7_chaos", &["--quick", "--check"]),
-        ("e8_overhead", &["--quick", "--check"]),
-        ("e9_model_health", &["--quick", "--check"]),
-        ("e10_blackbox", &["--quick", "--check"]),
-        ("e12_fleet", &["--quick", "--check"]),
-        ("e13_tenants", &["--quick", "--check"]),
-        ("e14_fleet_observe", &["--quick", "--check"]),
-        ("e15_adaptive", &["--quick", "--check"]),
-    ];
-    for (bin, args) in runs {
+    for name in stems(&golden_files()) {
+        let (bin, args): (&str, &[&str]) = match name.strip_suffix(".quick") {
+            Some(bin) => (bin, &["--quick", "--check"]),
+            None => (&name, &["--check"]),
+        };
         eprintln!("golden: checking {bin} {}", args.join(" "));
         let status = std::process::Command::new("cargo")
             .current_dir(repo)
             .args(["run", "--release", "-p", "bench-suite", "--bin", bin, "--"])
-            .args(*args)
+            .args(args)
             .status()
             .expect("spawn cargo run");
         assert!(
