@@ -9,12 +9,12 @@
 //! the shard — a corrupt frame is counted and retransmitted, never
 //! silently applied.
 
-use crate::frame::TickFrame;
-use crate::msg::SensorReport;
+use crate::frame::{FrameBuilder, TickFrame, NO_ROW};
 use crate::telemetry::TraceId;
 use os_sim::process::Pid;
 use perf_sim::events::Event;
 use simcpu::units::{MegaHertz, Nanos};
+use std::sync::Arc;
 
 /// A fleet host identity (dense, 0-based).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -63,6 +63,12 @@ pub enum WireError {
     Truncated,
     /// The FNV-1a trailer does not match the payload bytes.
     Checksum,
+    /// A row's group index is neither `u32::MAX` (ungrouped) nor inside
+    /// the payload's group table.
+    GroupIndex,
+    /// The payload's counter slot count differs from the receiver's
+    /// event layout (the two ends disagree on the protocol).
+    Layout,
 }
 
 impl std::fmt::Display for WireError {
@@ -70,64 +76,40 @@ impl std::fmt::Display for WireError {
         match self {
             WireError::Truncated => write!(f, "payload truncated"),
             WireError::Checksum => write!(f, "checksum mismatch"),
+            WireError::GroupIndex => write!(f, "group index outside the group table"),
+            WireError::Layout => write!(f, "event layout mismatch"),
         }
     }
 }
 
-/// One decoded per-process row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireRow {
-    /// The observed process.
-    pub pid: Pid,
-    /// CPU time consumed over the interval.
-    pub busy: Nanos,
-    /// Scaled HPC deltas in the fleet-wide event slot order (zeros when
-    /// the process had no counter row this tick).
-    pub counters: Vec<u64>,
-    /// Busy time split by core frequency.
-    pub by_freq: Vec<(MegaHertz, Nanos)>,
+/// A decoded payload: the interval's header scalars plus its frame
+/// columns, not yet bound to an event layout — the wire carries only the
+/// slot *count*; which event each slot holds is agreed out of band.
+#[derive(Debug)]
+pub struct DecodedFrame {
+    timestamp: Nanos,
+    interval: Nanos,
+    n_events: usize,
+    columns: FrameBuilder,
 }
 
-/// A decoded payload: everything a shard formula needs to estimate the
-/// host's processes for one interval.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireFrame {
-    /// End of the monitoring interval.
-    pub timestamp: Nanos,
-    /// Interval length.
-    pub interval: Nanos,
-    /// Per-process rows, pid-ascending.
-    pub rows: Vec<WireRow>,
-    /// Distinct cgroup node paths (empty when the host has no cgroups —
-    /// the legacy payload shape).
-    pub groups: Vec<std::sync::Arc<str>>,
-    /// Per-row index into `groups` (`u32::MAX` = ungrouped); empty when
-    /// the payload carries no group section.
-    pub group_of: Vec<u32>,
-}
-
-impl WireFrame {
-    /// The cgroup node of row `i` (`None` for ungrouped rows and for
-    /// group-less payloads).
-    pub fn group_of(&self, i: usize) -> Option<&std::sync::Arc<str>> {
-        let idx = *self.group_of.get(i)?;
-        self.groups.get(idx as usize)
-    }
-    /// Materialises row `i` into a reusable scratch report in the shape
-    /// shard formulas expect (HPC source, counters zipped with the
-    /// fleet-wide slot layout).
-    pub fn fill_report(&self, i: usize, events: &[Event], out: &mut SensorReport) {
-        let row = &self.rows[i];
-        out.timestamp = self.timestamp;
-        out.interval = self.interval;
-        out.pid = row.pid;
-        out.counters.clear();
-        out.counters
-            .extend(events.iter().copied().zip(row.counters.iter().copied()));
-        out.time.busy = row.busy;
-        out.time.by_freq.clear();
-        out.time.by_freq.extend_from_slice(&row.by_freq);
-        out.corun = Default::default();
+impl DecodedFrame {
+    /// Seals the columns into a [`TickFrame`] under the receiver's slot
+    /// layout. Every time row has an hpc row at the same index (the wire
+    /// joins them, zeros for a process without counters); the corun and
+    /// meter sections and RAPL do not travel.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Layout`] when the payload's rows are not
+    /// `events.len()` counters wide.
+    pub fn seal(self, events: Arc<[Event]>) -> Result<TickFrame, WireError> {
+        if events.len() != self.n_events {
+            return Err(WireError::Layout);
+        }
+        Ok(self
+            .columns
+            .finish(self.timestamp, self.interval, events, None))
     }
 }
 
@@ -223,7 +205,9 @@ pub fn encode_frame(frame: &TickFrame) -> Vec<u8> {
         }
     }
     // Optional cgroup section — only frames from cgrouped hosts carry
-    // it, so legacy payloads stay byte-identical.
+    // it, so legacy payloads stay byte-identical: the path table, then
+    // the frame's own group-index column (`NO_ROW` is the wire's
+    // `u32::MAX` "ungrouped").
     if frame.has_groups() {
         let table = frame.group_table();
         put_u16(&mut out, table.len() as u16);
@@ -232,11 +216,7 @@ pub fn encode_frame(frame: &TickFrame) -> Vec<u8> {
             put_u16(&mut out, bytes.len() as u16);
             out.extend_from_slice(bytes);
         }
-        for i in 0..frame.time_len() {
-            let idx = match frame.group_of_row(i) {
-                Some(g) => table.iter().position(|t| t == g).expect("in table") as u32,
-                None => u32::MAX,
-            };
+        for &idx in frame.group_indices() {
             put_u32(&mut out, idx);
         }
     }
@@ -245,9 +225,11 @@ pub fn encode_frame(frame: &TickFrame) -> Vec<u8> {
     out
 }
 
-/// Decodes a wire payload, verifying the checksum *first* so corrupted
-/// length fields can never drive the parser out of bounds.
-pub fn decode_frame(payload: &[u8]) -> Result<WireFrame, WireError> {
+/// Decodes a wire payload straight into frame columns, verifying the
+/// checksum *first* so in-flight corruption never reaches the parser.
+/// The parser still trusts no length field: a checksummed payload can
+/// come from a sender that disagrees on the format.
+pub fn decode_frame(payload: &[u8]) -> Result<DecodedFrame, WireError> {
     if payload.len() < 8 {
         return Err(WireError::Truncated);
     }
@@ -261,61 +243,55 @@ pub fn decode_frame(payload: &[u8]) -> Result<WireFrame, WireError> {
     let interval = Nanos(r.u64()?);
     let n_events = r.u16()? as usize;
     let n_rows = r.u32()? as usize;
-    let mut rows = Vec::with_capacity(n_rows.min(4096));
+    let mut columns = FrameBuilder::new();
     for _ in 0..n_rows {
         let pid = Pid(r.u32()?);
         let busy = Nanos(r.u64()?);
-        let mut counters = Vec::with_capacity(n_events);
+        let (pids, counters) = columns.hpc_columns();
+        pids.push(pid);
         for _ in 0..n_events {
             counters.push(r.u64()?);
         }
-        let n_freq = r.u16()? as usize;
-        let mut by_freq = Vec::with_capacity(n_freq);
-        for _ in 0..n_freq {
-            let mhz = MegaHertz(r.u32()?);
-            let ns = Nanos(r.u64()?);
-            by_freq.push((mhz, ns));
-        }
-        rows.push(WireRow {
-            pid,
-            busy,
-            counters,
-            by_freq,
+        let n_freq = r.u16()?;
+        let mut residency: Result<(), WireError> = Ok(());
+        columns.push_time_row(pid, busy, |freqs| {
+            residency = (0..n_freq).try_for_each(|_| {
+                freqs.push((MegaHertz(r.u32()?), Nanos(r.u64()?)));
+                Ok(())
+            });
         });
+        residency?;
     }
     // Optional cgroup section (present only for cgrouped hosts): path
     // table then one u32 group index per row (`u32::MAX` = ungrouped).
-    let mut groups = Vec::new();
-    let mut group_of = Vec::new();
     if r.at < body.len() {
         let n_groups = r.u16()? as usize;
-        groups.reserve(n_groups.min(4096));
+        let (table, group_of) = columns.group_columns();
         for _ in 0..n_groups {
             let len = r.u16()? as usize;
-            let bytes = r.take(len)?;
-            let path = std::str::from_utf8(bytes).map_err(|_| WireError::Truncated)?;
-            groups.push(std::sync::Arc::<str>::from(path));
+            let path = std::str::from_utf8(r.take(len)?).map_err(|_| WireError::Truncated)?;
+            table.push(Arc::from(path));
         }
-        group_of.reserve(n_rows.min(4096));
         for _ in 0..n_rows {
-            group_of.push(r.u32()?);
+            let idx = r.u32()?;
+            if idx != NO_ROW && idx as usize >= n_groups {
+                return Err(WireError::GroupIndex);
+            }
+            group_of.push(idx);
         }
     }
-    Ok(WireFrame {
+    Ok(DecodedFrame {
         timestamp,
         interval,
-        rows,
-        groups,
-        group_of,
+        n_events,
+        columns,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::FrameBuilder;
     use simcpu::counters::HwCounter;
-    use std::sync::Arc;
 
     fn sample_frame() -> TickFrame {
         let events: Arc<[Event]> = Arc::from([
@@ -343,19 +319,38 @@ mod tests {
         b.finish(Nanos(10_000), Nanos(1_000), events, Some(1.5))
     }
 
+    /// `body` (no trailer) with a freshly computed checksum, so a
+    /// doctored payload reaches the structural parser.
+    fn resealed(mut body: Vec<u8>) -> Vec<u8> {
+        let sum = fnv1a64(&body);
+        put_u64(&mut body, sum);
+        body
+    }
+
     #[test]
-    fn encode_decode_round_trips() {
+    fn seal_binds_the_layout_or_rejects_it() {
         let frame = sample_frame();
-        let wire = decode_frame(&encode_frame(&frame)).expect("decode");
-        assert_eq!(wire.timestamp, Nanos(10_000));
-        assert_eq!(wire.interval, Nanos(1_000));
-        assert_eq!(wire.rows.len(), 3);
-        assert_eq!(wire.rows[0].pid, Pid(3));
-        assert_eq!(wire.rows[0].counters, vec![100, 7]);
-        assert_eq!(wire.rows[0].by_freq.len(), 2);
-        assert_eq!(wire.rows[1].pid, Pid(5));
-        assert_eq!(wire.rows[1].counters, vec![0, 0]);
-        assert_eq!(wire.rows[2].busy, Nanos(900));
+        let bytes = encode_frame(&frame);
+        let sealed = decode_frame(&bytes)
+            .and_then(|d| d.seal(frame.events.clone()))
+            .expect("matching layout");
+        assert_eq!(
+            (sealed.timestamp, sealed.interval),
+            (Nanos(10_000), Nanos(1_000))
+        );
+        assert_eq!((sealed.time_len(), sealed.hpc_len()), (3, 3));
+        assert_eq!(sealed.hpc_row(0), [100, 7]);
+        assert_eq!(sealed.freq_slice(0).len(), 2);
+        assert_eq!((sealed.time_pid(1), sealed.hpc_pid(1)), (Pid(5), Pid(5)));
+        assert_eq!(sealed.hpc_row(1), [0, 0], "no counter row travels as zeros");
+        assert_eq!(sealed.busy(2), Nanos(900));
+        // A receiver built with a different event list must not read the
+        // counters against the wrong columns.
+        for n in [0, 1, 3] {
+            let other: Arc<[Event]> = vec![frame.events[0]; n].into();
+            let refused = decode_frame(&bytes).and_then(|d| d.seal(other));
+            assert_eq!(refused.err(), Some(WireError::Layout), "{n} events");
+        }
     }
 
     #[test]
@@ -380,24 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn fill_report_matches_row() {
-        let frame = sample_frame();
-        let events: Vec<Event> = frame.events.iter().copied().collect();
-        let wire = decode_frame(&encode_frame(&frame)).expect("decode");
-        let mut scratch = crate::formula::scratch_report();
-        wire.fill_report(0, &events, &mut scratch);
-        assert_eq!(scratch.pid, Pid(3));
-        assert_eq!(scratch.counters, vec![(events[0], 100), (events[1], 7)]);
-        assert_eq!(scratch.time.busy, Nanos(500));
-        assert_eq!(scratch.time.by_freq.len(), 2);
-        // Refilling with a smaller row must not leak the previous row.
-        wire.fill_report(1, &events, &mut scratch);
-        assert_eq!(scratch.pid, Pid(5));
-        assert_eq!(scratch.counters, vec![(events[0], 0), (events[1], 0)]);
-        assert!(scratch.time.by_freq.is_empty());
-    }
-
-    #[test]
     fn host_id_displays_dense() {
         assert_eq!(HostId(17).to_string(), "host-17");
     }
@@ -410,7 +387,9 @@ mod tests {
             pids.push(Pid(3));
             counters.push(100);
         }
-        b.push_time_row(Pid(3), Nanos(500), |_| {});
+        b.push_time_row(Pid(3), Nanos(500), |freqs| {
+            freqs.push((MegaHertz(3300), Nanos(500)));
+        });
         b.set_time_group(Some("tenant-a/svc-web"));
         b.push_time_row(Pid(5), Nanos(40), |_| {});
         b.set_time_group(None); // ungrouped row
@@ -420,13 +399,69 @@ mod tests {
     }
 
     #[test]
-    fn group_section_round_trips() {
+    fn group_index_outside_the_table_is_rejected() {
         let frame = grouped_frame();
-        let wire = decode_frame(&encode_frame(&frame)).expect("decode");
-        assert_eq!(wire.rows.len(), 3);
-        assert_eq!(wire.group_of(0).map(|g| &**g), Some("tenant-a/svc-web"));
-        assert_eq!(wire.group_of(1), None);
-        assert_eq!(wire.group_of(2).map(|g| &**g), Some("tenant-b"));
+        let bytes = encode_frame(&frame);
+        let body = &bytes[..bytes.len() - 8];
+        // The body ends in one u32 group index per row; the table holds
+        // two paths, so 2 is the first index outside it.
+        let last = body.len() - 4;
+        assert_eq!(body[last..], 1u32.to_le_bytes(), "row 2 is tenant-b");
+        for (idx, expect) in [
+            (2u32, Some(WireError::GroupIndex)),
+            (u32::MAX - 1, Some(WireError::GroupIndex)),
+            (u32::MAX, None),
+            (0, None),
+        ] {
+            let mut doctored = body.to_vec();
+            doctored[last..].copy_from_slice(&idx.to_le_bytes());
+            let decoded = decode_frame(&resealed(doctored));
+            assert_eq!(decoded.as_ref().err().copied(), expect, "index {idx}");
+            if let Ok(d) = decoded {
+                let sealed = d.seal(frame.events.clone()).expect("layout");
+                let leaf = sealed.group_of_row(2).map(|g| &**g);
+                assert_eq!(leaf, (idx == 0).then_some("tenant-a/svc-web"));
+            }
+        }
+    }
+
+    /// Every byte of a valid body — so every length field: `n_events`,
+    /// `n_rows`, a row's `n_freq`, `n_groups`, a path length, a group
+    /// index — overwritten with boundary values under a recomputed
+    /// checksum: the structural parser, not the trailer, is what runs,
+    /// and it answers `Err` or a consistent frame, never a panic.
+    #[test]
+    fn doctored_length_fields_never_panic() {
+        let (mut refused, mut accepted) = (0, 0);
+        for frame in [sample_frame(), grouped_frame()] {
+            let bytes = encode_frame(&frame);
+            let body = &bytes[..bytes.len() - 8];
+            for at in 0..body.len() {
+                for v in [
+                    0x00,
+                    0x01,
+                    0x7f,
+                    0x80,
+                    0xff,
+                    body[at] ^ 0x40,
+                    body[at].wrapping_add(1),
+                ] {
+                    let mut doctored = body.to_vec();
+                    doctored[at] = v;
+                    match decode_frame(&resealed(doctored)) {
+                        Err(_) => refused += 1,
+                        Ok(d) => {
+                            let events: Arc<[Event]> = vec![frame.events[0]; d.n_events].into();
+                            let sealed = d.seal(events).expect("layout sized to the payload");
+                            sealed.debug_assert_consistent();
+                            assert_eq!(sealed.hpc_len(), sealed.time_len());
+                            accepted += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(refused > 100 && accepted > 100, "{refused} / {accepted}");
     }
 
     #[test]
@@ -444,10 +479,12 @@ mod tests {
         }
         expect += 8; // checksum trailer
         assert_eq!(bytes.len(), expect);
-        let wire = decode_frame(&bytes).expect("decode");
-        assert!(wire.groups.is_empty());
-        assert!(wire.group_of.is_empty());
-        assert_eq!(wire.group_of(0), None);
+        let sealed = decode_frame(&bytes)
+            .and_then(|d| d.seal(frame.events.clone()))
+            .expect("decode");
+        assert!(!sealed.has_groups());
+        assert!(sealed.group_table().is_empty());
+        assert_eq!(sealed.group_of_row(0), None);
     }
 
     #[test]

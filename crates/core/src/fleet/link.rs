@@ -1,7 +1,7 @@
 //! One host's uplink to the estimator service: a bounded in-flight queue
 //! with configurable latency and deterministic jitter, through which the
-//! [`LinkFaultPlan`](super::fault::LinkFaultPlan) injects drop,
-//! duplicate, reorder and corrupt faults. Partition windows sever the
+//! [`LinkFaultPlan`] injects drop, duplicate, reorder and corrupt
+//! faults. Partition windows sever the
 //! link outright.
 //!
 //! The link is simulation plumbing, not a reliability layer: it loses

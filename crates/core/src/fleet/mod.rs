@@ -34,7 +34,7 @@ pub mod observe;
 pub mod retry;
 pub mod shard;
 
-pub use envelope::{decode_frame, encode_frame, FrameEnvelope, HostId, WireError, WireFrame};
+pub use envelope::{decode_frame, encode_frame, DecodedFrame, FrameEnvelope, HostId, WireError};
 pub use fault::{LinkFaultConfig, LinkFaultKind, LinkFaultPlan, LinkWindow};
 pub use link::{Link, LinkConfig, SendOutcome};
 pub use observe::{

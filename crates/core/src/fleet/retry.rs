@@ -2,9 +2,9 @@
 //! backoff + deterministic jitter and a bounded retransmit budget, plus
 //! credit-based flow control toward the estimator shards.
 //!
-//! Credits are implicit: a sender may hold at most
-//! [`credits`](SenderState::credits) unacknowledged frames. Every fresh
-//! transmission consumes one slot; an ack (or an exhausted budget)
+//! Credits are implicit: a sender may hold at most `credits` (the
+//! allowance [`SenderState::new`] is given) unacknowledged frames. Every
+//! fresh transmission consumes one slot; an ack (or an exhausted budget)
 //! releases it. Because the slot count *is* the credit count, the
 //! classic double-release bugs (ack racing a timeout) cannot occur —
 //! there is no separate counter to corrupt.

@@ -1,6 +1,7 @@
 //! The sharded central estimator: each shard owns a contiguous slice of
 //! the host space (static modulo routing), decodes incoming frame
-//! envelopes, runs the power formula over their rows, and tracks
+//! envelopes back into [`TickFrame`](crate::frame::TickFrame) columns,
+//! runs the power formula's `estimate_batch` over them, and tracks
 //! per-host freshness so a silent host degrades to a quality-tagged
 //! last-known-good estimate with a widening prediction band instead of
 //! vanishing from the fleet aggregate.
@@ -14,7 +15,9 @@
 use super::envelope::{decode_frame, FrameEnvelope, HostId};
 use crate::actor::OverflowPolicy;
 use crate::formula::PowerFormula;
-use crate::msg::{Quality, SensorReport};
+use crate::frame::{PowerBatch, SensorBatch};
+use crate::msg::Quality;
+use crate::sensor::ProcfsSensor;
 use crate::telemetry::TraceId;
 use perf_sim::events::Event;
 use std::collections::{BTreeMap, VecDeque};
@@ -165,7 +168,6 @@ pub struct EstimatorShard {
     /// [`HostTrack`] stays `Copy`; absent for hosts whose frames carry
     /// no group section.
     tenant_tracks: BTreeMap<u32, Vec<(Arc<str>, f64, f64)>>,
-    scratch: SensorReport,
 }
 
 /// Segment-aware "is `node` at-or-under `path`" (so `tenant-a` matches
@@ -194,7 +196,6 @@ impl EstimatorShard {
             ingest: VecDeque::new(),
             tracks: BTreeMap::new(),
             tenant_tracks: BTreeMap::new(),
-            scratch: crate::formula::scratch_report(),
         }
     }
 
@@ -233,16 +234,16 @@ impl EstimatorShard {
         let (ingested_at, env) = self.ingest.pop_front()?;
         let host = env.host;
         let trace = env.trace;
-        let wire = match decode_frame(&env.payload) {
-            Ok(w) => w,
-            Err(_) => {
-                return Some(ProcessOutcome::Corrupt {
-                    host,
-                    seq: env.seq,
-                    trace,
-                    attempt: env.attempt,
-                });
-            }
+        // Sealed under this shard's own layout `Arc`, the same one every
+        // frame, so the formulas resolve their event slots once.
+        let sealed = decode_frame(&env.payload).and_then(|d| d.seal(self.events.clone()));
+        let Ok(frame) = sealed else {
+            return Some(ProcessOutcome::Corrupt {
+                host,
+                seq: env.seq,
+                trace,
+                attempt: env.attempt,
+            });
         };
         let known = self.tracks.get(&host.0);
         if let Some(t) = known {
@@ -261,26 +262,50 @@ impl EstimatorShard {
         // The staleness flag persists across the apply so the next
         // `refresh_staleness` pass reports the recovery transition.
         let was_stale = known.is_some_and(|t| t.stale);
+        // The procfs sensor's one-row-per-time-row view with each row's
+        // counters joined in: the wire carries them at the row's own
+        // index (zeros for a process that had none). Not
+        // `HpcSensor::observe` — that drops busy rows whose counters are
+        // all zero, which the shard estimates (0 W with a band).
+        let mut batch = SensorBatch {
+            source: crate::sensor::hpc::SOURCE,
+            ..ProcfsSensor::observe(Arc::new(frame), trace)
+        };
+        for row in &mut batch.rows {
+            row.hpc = row.time;
+        }
+        let mut out = PowerBatch::with_capacity(
+            batch.timestamp(),
+            self.formula.name(),
+            trace,
+            batch.rows.len(),
+        );
+        self.formula.estimate_batch(&batch, Quality::Full, &mut out);
+        let frame = &*batch.frame;
         let mut active = 0.0;
         let mut band = 0.0;
         let mut groups: Vec<(Arc<str>, f64, f64)> = Vec::new();
-        let grouped = !wire.groups.is_empty();
+        let grouped = frame.has_groups();
         let ungrouped: Arc<str> = Arc::from(crate::hierarchy::UNGROUPED);
-        for i in 0..wire.rows.len() {
-            wire.fill_report(i, &self.events, &mut self.scratch);
-            if let Some(w) = self.formula.estimate(&self.scratch) {
-                let row_band = self.formula.interval_w(&self.scratch);
-                active += w.as_f64();
-                band += row_band;
-                if grouped {
-                    let leaf = wire.group_of(i).unwrap_or(&ungrouped);
-                    match groups.iter_mut().find(|(g, _, _)| g == leaf) {
-                        Some(slot) => {
-                            slot.1 += w.as_f64();
-                            slot.2 += row_band;
-                        }
-                        None => groups.push((leaf.clone(), w.as_f64(), row_band)),
+        let mut time_rows = 0..frame.time_len();
+        for k in 0..out.len() {
+            let (w, row_band) = (out.watts[k].as_f64(), out.band_w[k].as_f64());
+            active += w;
+            band += row_band;
+            if grouped {
+                // Estimates come back in row order, minus the rows the
+                // formula could not estimate; the row's group index names
+                // its leaf.
+                let leaf = time_rows
+                    .find(|&i| frame.time_pid(i) == out.pids[k])
+                    .and_then(|i| frame.group_of_row(i))
+                    .unwrap_or(&ungrouped);
+                match groups.iter_mut().find(|(g, _, _)| g == leaf) {
+                    Some(slot) => {
+                        slot.1 += w;
+                        slot.2 += row_band;
                     }
+                    None => groups.push((leaf.clone(), w, row_band)),
                 }
             }
         }
@@ -331,20 +356,25 @@ impl EstimatorShard {
     /// frame from that host is applied.
     pub fn estimate(&self, host: HostId, now: u64) -> Option<HostEstimate> {
         let t = self.tracks.get(&host.0)?;
+        Some(self.held(t, now, t.power_w, t.band_w))
+    }
+
+    /// Hold-and-widen: a value last refreshed by `t`'s frame is held as
+    /// is until the staleness deadline, then tagged [`Quality::Stale`]
+    /// with its band widened per tick of further silence.
+    fn held(&self, t: &HostTrack, now: u64, power_w: f64, band_w: f64) -> HostEstimate {
         let age = now.saturating_sub(t.last_update);
-        if age > self.cfg.stale_after_ticks {
+        let (band_w, quality) = if age > self.cfg.stale_after_ticks {
             let widened = age - self.cfg.stale_after_ticks;
-            Some(HostEstimate {
-                power_w: t.power_w,
-                band_w: t.band_w + self.cfg.widen_w_per_tick * widened as f64,
-                quality: Quality::Stale,
-            })
+            let band_w = band_w + self.cfg.widen_w_per_tick * widened as f64;
+            (band_w, Quality::Stale)
         } else {
-            Some(HostEstimate {
-                power_w: t.power_w,
-                band_w: t.band_w,
-                quality: Quality::Full,
-            })
+            (band_w, Quality::Full)
+        };
+        HostEstimate {
+            power_w,
+            band_w,
+            quality,
         }
     }
 
@@ -358,7 +388,7 @@ impl EstimatorShard {
     /// any tenant). `None` until a grouped frame from that host is
     /// applied, and `None` when the host's last frame had no leaf under
     /// `path` (so absent tenants never degrade a fleet roll-up);
-    /// staleness holds and widens exactly like [`estimate`].
+    /// staleness holds and widens exactly like [`EstimatorShard::estimate`].
     pub fn tenant_estimate(&self, host: HostId, now: u64, path: &str) -> Option<HostEstimate> {
         let t = self.tracks.get(&host.0)?;
         let groups = self.tenant_tracks.get(&host.0)?;
@@ -375,21 +405,7 @@ impl EstimatorShard {
         if matched == 0 {
             return None;
         }
-        let age = now.saturating_sub(t.last_update);
-        if age > self.cfg.stale_after_ticks {
-            let widened = age - self.cfg.stale_after_ticks;
-            Some(HostEstimate {
-                power_w,
-                band_w: band_w + self.cfg.widen_w_per_tick * widened as f64,
-                quality: Quality::Stale,
-            })
-        } else {
-            Some(HostEstimate {
-                power_w,
-                band_w,
-                quality: Quality::Full,
-            })
-        }
+        Some(self.held(t, now, power_w, band_w))
     }
 
     /// Every cgroup leaf path this shard currently attributes power to,
@@ -425,16 +441,25 @@ mod tests {
     use os_sim::process::Pid;
     use simcpu::units::Nanos;
 
-    fn frame_payload(busy_ms: u64) -> Vec<u8> {
+    /// One encoded frame of `(pid, busy ms, cgroup)` rows in `events`'
+    /// layout (no counter rows, so the wire carries zeros).
+    fn payload_of(rows: &[(u32, u64, Option<&str>)], events: &[Event]) -> Vec<u8> {
         let mut b = FrameBuilder::new();
-        b.push_time_row(Pid(1), Nanos::from_millis(busy_ms), |_| {});
+        for &(pid, busy_ms, group) in rows {
+            b.push_time_row(Pid(pid), Nanos::from_millis(busy_ms), |_| {});
+            b.set_time_group(group);
+        }
         let frame = b.finish(
             Nanos::from_secs(1),
             Nanos::from_millis(1000),
-            Arc::from([] as [Event; 0]),
+            Arc::from(events),
             None,
         );
         encode_frame(&frame)
+    }
+
+    fn frame_payload(busy_ms: u64) -> Vec<u8> {
+        payload_of(&[(1, busy_ms, None)], &[])
     }
 
     fn envelope(host: u32, seq: u64, busy_ms: u64) -> FrameEnvelope {
@@ -524,6 +549,89 @@ mod tests {
     }
 
     #[test]
+    fn well_checksummed_but_mismatched_payloads_are_corrupt() {
+        let mut s = shard(ShardConfig::default());
+        // A sender counting one event against this shard's none: its
+        // rows must not be read against the wrong columns.
+        let wide = payload_of(&[(1, 500, None)], &[perf_sim::events::PAPER_EVENTS[0]]);
+        // A group index pointing outside the payload's one-path table
+        // (the body ends in the per-row indices), checksum recomputed.
+        let grouped = payload_of(&[(1, 500, Some("tenant-a"))], &[]);
+        let mut stray = grouped[..grouped.len() - 8].to_vec();
+        let last = stray.len() - 4;
+        stray[last..].copy_from_slice(&7u32.to_le_bytes());
+        let sum = crate::fleet::envelope::fnv1a64(&stray);
+        stray.extend_from_slice(&sum.to_le_bytes());
+        for (seq, payload) in [wide, stray].into_iter().enumerate() {
+            let env = FrameEnvelope {
+                payload,
+                ..envelope(1, seq as u64, 0)
+            };
+            s.ingest(env, 0);
+            let out = s.process_one(1);
+            assert!(
+                matches!(out, Some(ProcessOutcome::Corrupt { seq: got, .. }) if got == seq as u64),
+                "{out:?}"
+            );
+            assert!(s.estimate(HostId(1), 1).is_none(), "never applied");
+        }
+        // The untampered grouped payload applies.
+        let env = FrameEnvelope {
+            payload: grouped,
+            ..envelope(1, 2, 0)
+        };
+        s.ingest(env, 1);
+        assert!(matches!(
+            s.process_one(1),
+            Some(ProcessOutcome::Applied { .. })
+        ));
+        assert!(s.tenant_estimate(HostId(1), 1, "tenant-a").is_some());
+    }
+
+    /// 1 W for every odd pid; even pids are inestimable.
+    struct OddPidsOnly;
+    impl PowerFormula for OddPidsOnly {
+        fn name(&self) -> &'static str {
+            "odd-pids-only"
+        }
+        fn idle_w(&self) -> f64 {
+            0.0
+        }
+        fn estimate(&mut self, r: &crate::msg::SensorReport) -> Option<simcpu::units::Watts> {
+            (r.pid.0 % 2 == 1).then_some(simcpu::units::Watts(1.0))
+        }
+        fn boxed_clone(&self) -> Box<dyn PowerFormula> {
+            Box::new(OddPidsOnly)
+        }
+    }
+
+    #[test]
+    fn skipped_rows_do_not_shift_tenant_attribution() {
+        let mut s = EstimatorShard::new(
+            0,
+            ShardConfig::default(),
+            Box::new(OddPidsOnly),
+            Arc::from([] as [Event; 0]),
+        );
+        let rows = [
+            (1, 500, Some("tenant-a")),
+            (2, 500, Some("tenant-a")),
+            (3, 500, Some("tenant-b")),
+        ];
+        let env = FrameEnvelope {
+            payload: payload_of(&rows, &[]),
+            ..envelope(0, 0, 0)
+        };
+        s.ingest(env, 0);
+        s.process_one(0);
+        // The second estimate is pid 3's, not the second row's.
+        for tenant in ["tenant-a", "tenant-b"] {
+            let est = s.tenant_estimate(HostId(0), 0, tenant).unwrap();
+            assert_eq!(est.power_w, 1.0, "{tenant}");
+        }
+    }
+
+    #[test]
     fn stale_hosts_hold_value_and_widen_band() {
         let cfg = ShardConfig {
             stale_after_ticks: 2,
@@ -563,31 +671,17 @@ mod tests {
             ..ShardConfig::default()
         });
         // Two tenants plus one ungrouped pid; formula idle 30 + 10·load.
-        let mut b = FrameBuilder::new();
-        b.push_time_row(Pid(1), Nanos::from_millis(400), |_| {});
-        b.set_time_group(Some("tenant-a/svc-web"));
-        b.push_time_row(Pid(2), Nanos::from_millis(200), |_| {});
-        b.set_time_group(Some("tenant-a/svc-db"));
-        b.push_time_row(Pid(3), Nanos::from_millis(100), |_| {});
-        b.set_time_group(Some("tenant-b"));
-        b.push_time_row(Pid(4), Nanos::from_millis(300), |_| {});
-        let frame = b.finish(
-            Nanos::from_secs(1),
-            Nanos::from_millis(1000),
-            Arc::from([] as [Event; 0]),
-            None,
-        );
-        s.ingest(
-            FrameEnvelope {
-                host: HostId(0),
-                seq: 0,
-                sent_at: Nanos(0),
-                trace: TraceId(7),
-                attempt: 0,
-                payload: encode_frame(&frame),
-            },
-            0,
-        );
+        let rows = [
+            (1, 400, Some("tenant-a/svc-web")),
+            (2, 200, Some("tenant-a/svc-db")),
+            (3, 100, Some("tenant-b")),
+            (4, 300, None),
+        ];
+        let env = FrameEnvelope {
+            payload: payload_of(&rows, &[]),
+            ..envelope(0, 0, 0)
+        };
+        s.ingest(env, 0);
         s.process_one(1);
 
         // Subtree query rolls svc-web + svc-db into tenant-a.

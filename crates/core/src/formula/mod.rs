@@ -23,7 +23,14 @@ use os_sim::process::Pid;
 use simcpu::units::{Nanos, Watts};
 use std::sync::Arc;
 
-/// A power-estimation strategy fed by sensor reports.
+/// A power-estimation strategy fed by sensor batches.
+///
+/// [`PowerFormula::estimate_batch`] is the one estimation call production
+/// code makes — the host's [`FormulaActor`] and the fleet's estimator
+/// shards alike. [`PowerFormula::estimate`] + [`PowerFormula::interval_w`]
+/// are the row-level *definition* a formula author writes. Only
+/// [`estimate_row_by_row`] calls them: it is the default `estimate_batch`
+/// body and the reference every column-reading override is held to.
 pub trait PowerFormula: Send {
     /// The formula's name (carried on every [`PowerBatch`]).
     fn name(&self) -> &'static str;
@@ -37,7 +44,9 @@ pub trait PowerFormula: Send {
     fn idle_w(&self) -> f64;
 
     /// Estimates the *active* power of the reported process over the
-    /// report's interval, or `None` when the report is unusable.
+    /// report's interval, or `None` when the report is unusable. The
+    /// row-level definition: reached only through
+    /// [`estimate_row_by_row`], never called on the live path directly.
     fn estimate(&mut self, report: &SensorReport) -> Option<Watts>;
 
     /// Half-width of the prediction interval around an estimate for this
@@ -48,11 +57,13 @@ pub trait PowerFormula: Send {
         0.0
     }
 
-    /// Estimates every row of a sensor batch, appending to `out`. The
-    /// default materialises each row into a reusable scratch report and
-    /// calls [`PowerFormula::estimate`] / [`PowerFormula::interval_w`] on
-    /// it; hot formulas override this to read the frame columns directly
-    /// and must stay bit-identical to this row-by-row reference.
+    /// Estimates every row of a sensor batch, appending to `out` in row
+    /// order (rows the formula cannot estimate are skipped) — the entry
+    /// point every caller uses. The default materialises each row into a
+    /// reusable scratch report and calls [`PowerFormula::estimate`] /
+    /// [`PowerFormula::interval_w`] on it; hot formulas override this to
+    /// read the frame columns directly and must stay bit-identical to
+    /// this row-by-row reference.
     fn estimate_batch(&mut self, batch: &SensorBatch, quality: Quality, out: &mut PowerBatch) {
         estimate_row_by_row(self, batch, quality, out);
     }

@@ -281,6 +281,12 @@ impl TickFrame {
         }
     }
 
+    /// The per-time-row index into [`TickFrame::group_table`]
+    /// ([`NO_ROW`] = ungrouped); empty for frames without group columns.
+    pub(crate) fn group_indices(&self) -> &[u32] {
+        &self.storage.group_of
+    }
+
     /// Finds `pid`'s time row. `hint` is checked first: all sections are
     /// in ascending-pid order from the same tracked set, so a row's index
     /// in one section usually matches its index in another.
@@ -480,6 +486,14 @@ impl FrameBuilder {
             self.storage.group_of.push(NO_ROW);
         }
         self.storage.group_of.push(idx);
+    }
+
+    /// The group columns, for bulk filling by a decoder that already
+    /// holds them in column form: the path table, and one table index
+    /// per time row ([`NO_ROW`] = ungrouped; none at all for a frame
+    /// without groups).
+    pub(crate) fn group_columns(&mut self) -> (&mut Vec<Arc<str>>, &mut Vec<u32>) {
+        (&mut self.storage.group_table, &mut self.storage.group_of)
     }
 
     /// Appends one corun row.

@@ -3,12 +3,13 @@
 //! the runtime writes when a run goes sideways.
 //!
 //! The Chrome trace lays the pipeline out as one process (`pid` 1) with
-//! one track per [`Stage`] (`tid` = stage index): every recorded [`Hop`]
-//! becomes a `"X"` complete event whose duration is the handle time, and
-//! every [`JournalEvent`] becomes a `"i"` instant on a dedicated
-//! `journal` track ([`JOURNAL_TID`]). All timed events are globally
-//! sorted by timestamp before serialisation, so per-track timestamps are
-//! monotonically non-decreasing by construction.
+//! one track per [`Stage`] (`tid` = stage index): every recorded
+//! [`Hop`](crate::telemetry::Hop) becomes a `"X"` complete event whose
+//! duration is the handle time, and every [`JournalEvent`] becomes a
+//! `"i"` instant on a dedicated `journal` track ([`JOURNAL_TID`]). All
+//! timed events are globally sorted by timestamp before serialisation,
+//! so per-track timestamps are monotonically non-decreasing by
+//! construction.
 //!
 //! Everything here is hand-rolled (encoder *and* a small recursive-
 //! descent JSON reader) so dumps can be parsed back and asserted on

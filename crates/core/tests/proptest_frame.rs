@@ -1,7 +1,8 @@
 //! Property tests for the tick-frame pipeline: row lookups and pool
 //! recycling over generated frames, every column-reading formula path
-//! against the row-by-row reference, and the end-to-end pipeline against
-//! vectors frozen from the per-report message flow before it was deleted.
+//! against the row-by-row reference, the fleet wire format and shard
+//! over the same frames, and the end-to-end pipeline against vectors
+//! frozen from the per-report message flow before it was deleted.
 
 use os_sim::kernel::Kernel;
 use os_sim::process::Pid;
@@ -9,13 +10,19 @@ use os_sim::task::SteadyTask;
 use perf_sim::events::Event;
 use powerapi::actor::{Actor, ActorSystem, Context};
 use powerapi::fleet::envelope::fnv1a64;
+use powerapi::fleet::{
+    decode_frame, encode_frame, EstimatorShard, FrameEnvelope, HostId, ProcessOutcome, ShardConfig,
+};
 use powerapi::formula::bertran::{bertran_events, BertranFormula};
 use powerapi::formula::cpuload::CpuLoadFormula;
 use powerapi::formula::fallback::FallbackFormula;
 use powerapi::formula::happy::{HappyFormula, HappyModel};
 use powerapi::formula::per_freq::PerFrequencyFormula;
 use powerapi::formula::{estimate_row_by_row, PowerFormula};
-use powerapi::frame::{FrameBuilder, FramePool, PowerBatch, SensorBatch, TickFrame};
+use powerapi::frame::{
+    FrameBuilder, FramePool, PowerBatch, SensorBatch, SensorRow, TickFrame, NO_ROW,
+};
+use powerapi::hierarchy::UNGROUPED;
 use powerapi::model::power_model::PerFrequencyPowerModel;
 use powerapi::msg::{CorunSplit, Message, PowerReport, ProcTimeDelta, Quality, Scope, Topic};
 use powerapi::prelude::Dimension;
@@ -72,11 +79,22 @@ struct Interval {
     interval: Nanos,
     events: Arc<[Event]>,
     hpc: Vec<(Pid, Vec<u64>)>,
-    times: Vec<(Pid, ProcTimeDelta)>,
+    /// Per time row: pid, CPU time, and the cgroup leaf it is tagged
+    /// with (all `None` on a host without cgroups).
+    times: Vec<(Pid, ProcTimeDelta, Option<&'static str>)>,
     corun: Vec<(Pid, CorunSplit)>,
     meter: Vec<(Nanos, Watts)>,
     rapl_joules: Option<f64>,
 }
+
+/// What a time row can be tagged with: ungrouped, or one of three leaves
+/// under two tenants.
+const LEAVES: [Option<&str>; 4] = [
+    None,
+    Some("tenant-a/svc-web"),
+    Some("tenant-a/svc-db"),
+    Some("tenant-b"),
+];
 
 #[allow(clippy::type_complexity)]
 fn interval() -> impl Strategy<Value = Interval> {
@@ -94,6 +112,7 @@ fn interval() -> impl Strategy<Value = Interval> {
             prop::collection::vec((0u64..10_000_000_000, 0u64..200), 0..5),
             (0u8..2, 0.0f64..500.0).prop_map(|(some, v)| (some == 1).then_some(v)),
             1u64..100_000_000_000,
+            (0u8..2, prop::collection::vec(0usize..LEAVES.len(), 12)),
         ),
     )
         .prop_map(build_interval)
@@ -103,10 +122,17 @@ fn interval() -> impl Strategy<Value = Interval> {
 fn build_interval(
     (
         (n_events, hpc_pids, time_pids, corun_pids, values),
-        (busys, freq_counts, meter, rapl, timestamp),
+        (busys, freq_counts, meter, rapl, timestamp, (cgroups, tags)),
     ): (
         (usize, Vec<Pid>, Vec<Pid>, Vec<Pid>, Vec<u64>),
-        (Vec<u64>, Vec<usize>, Vec<(u64, u64)>, Option<f64>, u64),
+        (
+            Vec<u64>,
+            Vec<usize>,
+            Vec<(u64, u64)>,
+            Option<f64>,
+            u64,
+            (u8, Vec<usize>),
+        ),
     ),
 ) -> Interval {
     let hpc = hpc_pids
@@ -137,6 +163,7 @@ fn build_interval(
                     busy: Nanos(busys[i % busys.len()]),
                     by_freq,
                 },
+                LEAVES[tags[i % tags.len()] * cgroups as usize],
             )
         })
         .collect();
@@ -186,8 +213,9 @@ fn fill_truncated(
             counters.extend_from_slice(row);
         }
     }
-    for (pid, dt) in iv.times.iter().take(keep_time) {
+    for (pid, dt, leaf) in iv.times.iter().take(keep_time) {
         b.push_time_row(*pid, dt.busy, |f| f.extend_from_slice(&dt.by_freq));
+        b.set_time_group(*leaf);
     }
     for &(pid, split) in iv.corun.iter().take(keep_corun) {
         b.push_corun_row(pid, split);
@@ -214,7 +242,7 @@ proptest! {
     fn row_lookups_match_linear_scan(iv in interval()) {
         let frame = frame_of(&iv);
         frame.debug_assert_consistent();
-        for &(pid, ref expect) in &iv.times {
+        for &(pid, ref expect, _) in &iv.times {
             let row = frame.time_row(pid, usize::MAX).expect("present pid found");
             prop_assert_eq!(frame.time_pid(row), pid);
             prop_assert_eq!(frame.busy(row), expect.busy);
@@ -306,6 +334,22 @@ proptest! {
         let fresh = fill_truncated(FrameBuilder::new(), &second, keep);
         prop_assert_eq!(&recycled, &fresh);
         prop_assert_eq!(recycled.time_len(), keep.1.min(second.times.len()));
+    }
+
+    /// Decoding fills the very columns the encoder reads: a payload,
+    /// decoded and sealed under its layout, re-encodes to the same bytes
+    /// — with and without a group column, sorted pid columns or not.
+    #[test]
+    fn reencoding_a_decoded_frame_reproduces_the_payload(iv in interval()) {
+        let frame = frame_of(&iv);
+        let payload = encode_frame(&frame);
+        let sealed = decode_frame(&payload)
+            .and_then(|d| d.seal(iv.events.clone()))
+            .expect("own payloads decode");
+        sealed.debug_assert_consistent();
+        prop_assert_eq!(sealed.time_len(), frame.time_len());
+        prop_assert_eq!(sealed.has_groups(), frame.has_groups());
+        prop_assert_eq!(encode_frame(&sealed), payload);
     }
 }
 
@@ -481,6 +525,123 @@ proptest! {
         }
         sys.shutdown();
         prop_assert_eq!(&*seen.lock().expect("sink lock"), &expect);
+    }
+}
+
+/// The interval as the wire carries it, built without the codec: every
+/// time row, ascending by pid as a host harvests them, with its counters
+/// joined in at the same index — zeros for a process that has none.
+fn wire_frame(iv: &Interval) -> TickFrame {
+    let mut times = iv.times.clone();
+    times.sort_by_key(|(pid, ..)| *pid);
+    let zeros = vec![0; iv.events.len()];
+    let mut b = FrameBuilder::new();
+    for (pid, dt, leaf) in &times {
+        let row = iv.hpc.iter().find(|(p, _)| p == pid);
+        let (pids, counters) = b.hpc_columns();
+        pids.push(*pid);
+        counters.extend_from_slice(row.map_or(&zeros, |(_, row)| row));
+        b.push_time_row(*pid, dt.busy, |f| f.extend_from_slice(&dt.by_freq));
+        b.set_time_group(*leaf);
+    }
+    b.finish(iv.timestamp, iv.interval, iv.events.clone(), None)
+}
+
+/// What a shard must book for a wire frame: `(active watts, band,
+/// watts per leaf)` folded in row order from the row-by-row reference,
+/// one sensor row per wire row.
+fn reference_books(
+    formula: &mut dyn PowerFormula,
+    wire: &Arc<TickFrame>,
+) -> (f64, f64, BTreeMap<&'static str, f64>) {
+    let rows = (0..wire.time_len() as u32)
+        .map(|i| SensorRow {
+            pid: wire.time_pid(i as usize),
+            hpc: i,
+            time: i,
+            corun: NO_ROW,
+        })
+        .collect();
+    let batch = SensorBatch {
+        source: "hpc",
+        frame: wire.clone(),
+        rows,
+        trace: TraceId::NONE,
+    };
+    let estimates = row_by_row(formula, &batch, Quality::Full);
+    let (mut active, mut band) = (0.0, 0.0);
+    let mut leaves = BTreeMap::new();
+    for i in 0..estimates.len() {
+        let watts = estimates.watts[i].as_f64();
+        active += watts;
+        band += estimates.band_w[i].as_f64();
+        if wire.has_groups() {
+            let row = wire.time_row(estimates.pids[i], 0).expect("a wire row");
+            let leaf = wire.group_of_row(row).map(|g| &**g);
+            let leaf = LEAVES
+                .iter()
+                .find(|l| **l == leaf)
+                .expect("a generated leaf");
+            *leaves.entry(leaf.unwrap_or(UNGROUPED)).or_insert(0.0) += watts;
+        }
+    }
+    (active, band, leaves)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A shard fed one encoded frame books exactly what folding the
+    /// row-by-row reference over the wire's rows gives: host watts and
+    /// band and every leaf's watts, to the bit. Two column-reading
+    /// formulas (the per-frequency one also on layouts that lack a model
+    /// event) and one on the trait's default body; rows that burned CPU
+    /// on all-zero counters and grouped/ungrouped mixes included.
+    #[test]
+    fn shard_books_match_row_by_row_fold(iv in interval()) {
+        let wire = Arc::new(wire_frame(&iv));
+        let payload = encode_frame(&wire);
+        // The encoder's pid join makes the same rows out of a host's own
+        // ascending sections, where only some pids have counters.
+        let mut host = iv.clone();
+        host.hpc.sort_by_key(|(pid, _)| *pid);
+        host.times.sort_by_key(|(pid, ..)| *pid);
+        prop_assert_eq!(&encode_frame(&frame_of(&host)), &payload);
+
+        let formulas: [Box<dyn PowerFormula>; 3] = [
+            Box::new(PerFrequencyFormula::new(model(3))),
+            Box::new(happy()),
+            Box::new(CpuLoadFormula::new(31.48, 12.0)),
+        ];
+        for formula in formulas {
+            let (active, band, leaves) = reference_books(&mut *formula.boxed_clone(), &wire);
+            let power_w = formula.idle_w() + active;
+
+            let host = HostId(0);
+            let mut shard =
+                EstimatorShard::new(0, ShardConfig::default(), formula, iv.events.clone());
+            shard.ingest(
+                FrameEnvelope {
+                    host,
+                    seq: 0,
+                    sent_at: Nanos::ZERO,
+                    trace: TraceId(1),
+                    attempt: 0,
+                    payload: payload.clone(),
+                },
+                0,
+            );
+            let outcome = shard.process_one(0);
+            prop_assert!(matches!(outcome, Some(ProcessOutcome::Applied { .. })));
+            let track = shard.track(host).expect("applied");
+            prop_assert_eq!(track.power_w.to_bits(), power_w.to_bits());
+            prop_assert_eq!(track.band_w.to_bits(), band.to_bits());
+            for leaf in LEAVES.map(|l| l.unwrap_or(UNGROUPED)) {
+                let booked = shard.tenant_estimate(host, 0, leaf).map(|e| e.power_w.to_bits());
+                let expect = leaves.get(leaf).map(|w| w.to_bits());
+                prop_assert_eq!(booked, expect, "leaf {}", leaf);
+            }
+        }
     }
 }
 

@@ -30,64 +30,6 @@ impl IntervalSample {
     }
 }
 
-/// Per-interval counter deltas rolled up to one cgroup node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GroupSample {
-    /// Full node path (`tenant-a/svc-web`), or `tenant-a` for the rolled
-    /// up ancestor.
-    pub group: std::sync::Arc<str>,
-    /// `(event, summed scaled delta)` pairs in first-seen event order.
-    pub deltas: Vec<(Event, u64)>,
-}
-
-impl GroupSample {
-    /// Looks up one event's summed delta.
-    pub fn get(&self, event: Event) -> Option<u64> {
-        self.deltas
-            .iter()
-            .find(|(e, _)| *e == event)
-            .map(|(_, v)| *v)
-    }
-}
-
-/// Rolls per-process interval samples up a cgroup hierarchy: each
-/// process's deltas are added to its node *and every ancestor* of that
-/// node, so `tenant-a` carries the sum of `tenant-a/svc-web` and
-/// `tenant-a/svc-db`. Processes without a node are skipped (the
-/// middleware's `__ungrouped__` ledger catches their power instead).
-/// Results are path-ordered.
-pub fn aggregate_groups<F>(samples: &[IntervalSample], node_of: F) -> Vec<GroupSample>
-where
-    F: Fn(Pid) -> Option<std::sync::Arc<str>>,
-{
-    let mut acc: BTreeMap<std::sync::Arc<str>, Vec<(Event, u64)>> = BTreeMap::new();
-    for s in samples {
-        let Some(node) = node_of(s.pid) else { continue };
-        let path = &*node;
-        let prefixes = path
-            .char_indices()
-            .filter_map(|(i, c)| (c == '/').then_some(&path[..i]))
-            .chain(std::iter::once(path));
-        for prefix in prefixes {
-            let slot = match acc.get_mut(prefix) {
-                Some(m) => m,
-                None => acc.entry(std::sync::Arc::from(prefix)).or_default(),
-            };
-            // Event lists are a handful of entries; a linear probe beats
-            // a side map and keeps first-seen event order.
-            for &(event, delta) in &s.deltas {
-                match slot.iter_mut().find(|(e, _)| *e == event) {
-                    Some((_, v)) => *v += delta,
-                    None => slot.push((event, delta)),
-                }
-            }
-        }
-    }
-    acc.into_iter()
-        .map(|(group, deltas)| GroupSample { group, deltas })
-        .collect()
-}
-
 /// Multiplexing pressure observed over one sampling pass: how many
 /// counters were read and how much of their enabled time they actually
 /// spent scheduled on the PMU. `time_enabled / time_running` is the
@@ -350,58 +292,6 @@ mod tests {
                 .unwrap()
         };
         assert!(get(busy) > 5 * get(lazy), "busy process dominates");
-    }
-
-    #[test]
-    fn group_aggregation_rolls_up_to_ancestors() {
-        use std::sync::Arc;
-        let ev = PAPER_EVENTS[0];
-        let samples = vec![
-            IntervalSample {
-                pid: Pid(1),
-                deltas: vec![(ev, 100)],
-            },
-            IntervalSample {
-                pid: Pid(2),
-                deltas: vec![(ev, 30)],
-            },
-            IntervalSample {
-                pid: Pid(3),
-                deltas: vec![(ev, 7)],
-            },
-            IntervalSample {
-                pid: Pid(4),
-                deltas: vec![(ev, 999)], // ungrouped: must not appear
-            },
-        ];
-        let node_of = |pid: Pid| -> Option<Arc<str>> {
-            match pid.0 {
-                1 => Some(Arc::from("tenant-a/svc-web")),
-                2 => Some(Arc::from("tenant-a/svc-db")),
-                3 => Some(Arc::from("tenant-b/svc-batch")),
-                _ => None,
-            }
-        };
-        let groups = aggregate_groups(&samples, node_of);
-        let get = |path: &str| {
-            groups
-                .iter()
-                .find(|g| &*g.group == path)
-                .and_then(|g| g.get(ev))
-        };
-        assert_eq!(get("tenant-a/svc-web"), Some(100));
-        assert_eq!(get("tenant-a/svc-db"), Some(30));
-        // Conservation: the parent carries exactly the sum of its
-        // children — the invariant the middleware's hierarchy re-proves
-        // in watts.
-        assert_eq!(get("tenant-a"), Some(130));
-        assert_eq!(get("tenant-b"), Some(7));
-        assert!(get("__ungrouped__").is_none(), "pid 4 has no node");
-        // Path-ordered output.
-        let paths: Vec<&str> = groups.iter().map(|g| &*g.group).collect();
-        let mut sorted = paths.clone();
-        sorted.sort_unstable();
-        assert_eq!(paths, sorted);
     }
 
     #[test]
