@@ -133,6 +133,15 @@ fn run_arm(
     // reconciliation against the machine aggregator (power above idle,
     // flush counts, quality floors).
     hierarchy.assert_conserved(&outcome.reports);
+    // One window per tick: a batch of an older tick arriving late would
+    // split one into partial sums under a repeated timestamp.
+    let mut stamps: Vec<Nanos> = outcome
+        .machine_estimates()
+        .iter()
+        .map(|(at, _)| *at)
+        .collect();
+    stamps.dedup();
+    assert_eq!(hierarchy.ticks(), stamps.len(), "a window was split");
 
     let mae_w = bench_suite::score_outcome(&outcome).expect("score").mae;
     Arm {
@@ -477,12 +486,12 @@ fn main() {
         control.ticks,
     );
 
-    // Only deterministic metrics: the pipeline is sim-clocked and the
-    // fleet is single-threaded. The churn arm's per-tenant split is
-    // excluded — a boundary tick folded before vs after a membership
-    // re-sync lands in a different (equally conserved) leaf. The bursty
-    // arm is excluded entirely: degradation onset shifts by ±1 tick with
-    // the cross-sensor interleave (conservation holds either way).
+    // Only deterministic metrics: the pipeline is sim-clocked, the
+    // sensor stage publishes each tick's sources in one fixed order, and
+    // the fleet is single-threaded. The churn arm's per-tenant split is
+    // excluded — the main thread's `sync_cgroups` races the aggregator
+    // thread, so a boundary tick folded before vs after a membership
+    // re-sync lands in a different (equally conserved) leaf.
     let mut golden = Golden::new("e13_tenants", args.quick);
     golden.push("noisy_gold_w", gold_w);
     golden.push("noisy_bronze_w", bronze_w);
@@ -497,5 +506,8 @@ fn main() {
     golden.push("fleet_gold_w", gold_fleet.power_w);
     golden.push("fleet_bronze_w", bronze_fleet.power_w);
     golden.push("fleet_stray_w", stray_fleet.power_w);
+    golden.push_exact("bursty_ticks", bursty.ticks as f64);
+    golden.push_exact("bursty_degraded_flushes", degraded_flushes as f64);
+    golden.push("bursty_mae_w", bursty.mae_w);
     golden.finish(&args, ok);
 }

@@ -7,8 +7,10 @@
 //!   into one machine-scoped aggregate, adding the machine idle floor
 //!   once (the paper's `31.48 + Σ…` form, comparable to the wall meter).
 //!
-//! Timestamp aggregation flushes a window when a newer timestamp arrives
-//! and on shutdown, so no interval is lost.
+//! Timestamp aggregation flushes a window when a different timestamp
+//! arrives and on shutdown, so no interval is lost — and relies on the
+//! [sensor stage's ordering guarantee](crate::sensor) (tick *T*'s power
+//! batches all arrive before tick *T+1*'s) to flush each window whole.
 
 use crate::actor::{Actor, Context};
 use crate::msg::{AggregateReport, Message, PowerReport, Quality, Scope};

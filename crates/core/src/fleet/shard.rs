@@ -17,7 +17,7 @@ use crate::actor::OverflowPolicy;
 use crate::formula::PowerFormula;
 use crate::frame::{PowerBatch, SensorBatch};
 use crate::msg::Quality;
-use crate::sensor::ProcfsSensor;
+use crate::sensor::{hpc, procfs};
 use crate::telemetry::TraceId;
 use perf_sim::events::Event;
 use std::collections::{BTreeMap, VecDeque};
@@ -262,14 +262,14 @@ impl EstimatorShard {
         // The staleness flag persists across the apply so the next
         // `refresh_staleness` pass reports the recovery transition.
         let was_stale = known.is_some_and(|t| t.stale);
-        // The procfs sensor's one-row-per-time-row view with each row's
+        // The procfs source's one-row-per-time-row view with each row's
         // counters joined in: the wire carries them at the row's own
         // index (zeros for a process that had none). Not
-        // `HpcSensor::observe` — that drops busy rows whose counters are
+        // `hpc::observe` — that drops busy rows whose counters are
         // all zero, which the shard estimates (0 W with a band).
         let mut batch = SensorBatch {
-            source: crate::sensor::hpc::SOURCE,
-            ..ProcfsSensor::observe(Arc::new(frame), trace)
+            source: hpc::SOURCE,
+            ..procfs::observe(Arc::new(frame), trace)
         };
         for row in &mut batch.rows {
             row.hpc = row.time;

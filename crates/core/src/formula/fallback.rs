@@ -4,9 +4,9 @@
 //! they stop — tagging the fallback estimates [`Quality::Degraded`] so
 //! consumers know the number came from the weaker metric.
 //!
-//! The trigger is *absence*: when the PMU stalls or resets, the HPC sensor
-//! stops publishing for the affected process (see `sensor::hpc`), while
-//! the procfs sensor keeps reporting CPU time. This actor watches both
+//! The trigger is *absence*: when the PMU stalls or resets, the hpc
+//! source stops listing the affected process (see `sensor::hpc`), while
+//! the procfs source keeps reporting CPU time. This actor watches both
 //! streams and keys the fallback on the age of the last usable HPC report.
 
 use crate::actor::{Actor, Context};
@@ -28,8 +28,6 @@ pub struct FallbackFormula {
     /// Pruned against every backup-source batch, so it tracks the live
     /// monitored set instead of every pid ever seen.
     last_primary: BTreeMap<Pid, Nanos>,
-    /// Estimates served by the backup path (observability for E7).
-    degraded: u64,
     /// Pids currently served by the backup path, so the flight recorder
     /// sees one event per degrade/recover *transition*, not per estimate.
     degraded_pids: BTreeSet<Pid>,
@@ -49,7 +47,6 @@ impl FallbackFormula {
             backup,
             max_age: max_age.max(Nanos(1)),
             last_primary: BTreeMap::new(),
-            degraded: 0,
             degraded_pids: BTreeSet::new(),
         }
     }
@@ -62,11 +59,6 @@ impl FallbackFormula {
     /// The primary formula's idle floor.
     pub fn idle_w(&self) -> f64 {
         self.primary.idle_w()
-    }
-
-    /// How many estimates the backup path has served.
-    pub fn degraded_count(&self) -> u64 {
-        self.degraded
     }
 
     /// Forgets every tracked pid the backup-source batch no longer
@@ -122,10 +114,12 @@ impl Actor for FallbackFormula {
         let mut rows = Vec::new();
         for row in &batch.rows {
             // First sighting starts the watchdog: the primary gets a full
-            // grace period before the backup may speak for this pid (also
-            // absorbs same-tick sensor ordering races).
+            // grace period before the backup may speak for this pid. The
+            // sensor stage publishes primary before backup, tick by tick,
+            // so `last` never leads `ts`; on a bus wired otherwise a late,
+            // older backup batch reads as age zero, not as 2⁶⁴ ns.
             let last = *self.last_primary.entry(row.pid).or_insert(ts);
-            if ts - last <= self.max_age {
+            if ts.saturating_sub(last) <= self.max_age {
                 continue;
             }
             rows.push(*row);
@@ -145,7 +139,6 @@ impl Actor for FallbackFormula {
         self.backup
             .estimate_batch(&filtered, Quality::Degraded, &mut out);
         for &pid in &out.pids {
-            self.degraded += 1;
             if self.degraded_pids.insert(pid) {
                 ctx.telemetry().journal().emit_at(
                     ts,
@@ -172,7 +165,7 @@ impl std::fmt::Debug for FallbackFormula {
             .field("primary", &self.primary.name())
             .field("backup", &self.backup.name())
             .field("max_age", &self.max_age)
-            .field("degraded", &self.degraded)
+            .field("degraded_pids", &self.degraded_pids.len())
             .finish()
     }
 }
@@ -184,7 +177,7 @@ mod tests {
     use crate::formula::cpuload::CpuLoadFormula;
     use crate::frame::FrameBuilder;
     use crate::msg::{PowerReport, SensorReport, Topic};
-    use crate::sensor::ProcfsSensor;
+    use crate::sensor::procfs;
     use parking_lot::Mutex;
     use simcpu::units::Watts;
 
@@ -229,7 +222,7 @@ mod tests {
         ));
         Message::SensorBatch(Arc::new(SensorBatch {
             source,
-            ..ProcfsSensor::observe(frame, crate::telemetry::TraceId::NONE)
+            ..procfs::observe(frame, crate::telemetry::TraceId::NONE)
         }))
     }
 
@@ -365,10 +358,17 @@ mod tests {
             sensor(PROCFS, 4, 1), // degrade transition
             sensor(PROCFS, 5, 1), // still degraded: no second event
             sensor(HPC, 6, 1),    // recover transition
+            // Out of order, older than the last primary estimate: its age
+            // saturates at zero instead of wrapping to 2⁶⁴ ns of silence,
+            // so no estimate, no second degrade event, no panic.
+            sensor(PROCFS, 5, 1),
         ] {
             sys.bus().publish(m);
         }
-        sys.shutdown();
+        assert!(sys.shutdown().is_clean());
+        let served: Vec<Quality> = seen.lock().iter().map(|p| p.quality).collect();
+        let (d, f) = (Quality::Degraded, Quality::Full);
+        assert_eq!(served, [f, d, d, f], "t=1, 4, 5, 6 — not the late batch");
         use crate::telemetry::EventKind;
         let journal = telemetry.journal();
         assert_eq!(journal.count(EventKind::QualityDegraded), 1);
@@ -458,7 +458,6 @@ mod tests {
         let f = watchdog();
         assert_eq!(f.name(), "hpc-fixed");
         assert_eq!(f.idle_w(), 30.0);
-        assert_eq!(f.degraded_count(), 0);
         assert!(format!("{f:?}").contains("cpu-load"));
     }
 }

@@ -177,7 +177,7 @@ mod tests {
     use crate::actor::ActorSystem;
     use crate::frame::FrameBuilder;
     use crate::msg::{PowerReport, Topic};
-    use crate::sensor::ProcfsSensor;
+    use crate::sensor::procfs;
     use parking_lot::Mutex;
 
     struct Fixed;
@@ -217,7 +217,7 @@ mod tests {
         );
         Message::SensorBatch(Arc::new(SensorBatch {
             source,
-            ..ProcfsSensor::observe(Arc::new(frame), crate::telemetry::TraceId(3))
+            ..procfs::observe(Arc::new(frame), crate::telemetry::TraceId(3))
         }))
     }
 

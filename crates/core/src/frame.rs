@@ -245,11 +245,6 @@ impl TickFrame {
         &self.storage.freqs[lo..hi]
     }
 
-    /// Number of corun rows.
-    pub fn corun_len(&self) -> usize {
-        self.storage.corun_pids.len()
-    }
-
     /// Corun split of corun row `i`.
     pub fn corun_split(&self, i: usize) -> CorunSplit {
         self.storage.corun[i]

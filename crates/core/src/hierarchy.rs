@@ -25,6 +25,9 @@
 //!
 //! All three keep holding while fault windows degrade `Quality`: the
 //! quality floor of the root must equal the machine aggregate's floor.
+//! Like the plain aggregator, it flushes a tick when the next timestamp
+//! arrives and relies on the [sensor stage's ordering
+//! guarantee](crate::sensor) for exactly one flush per tick.
 
 use crate::actor::{Actor, Context};
 use crate::msg::{AggregateReport, Message, PowerReport, Quality, Scope};

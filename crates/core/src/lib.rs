@@ -5,19 +5,23 @@
 //! investment, on top of learned per-frequency CPU power models.
 //!
 //! The architecture follows the paper's Figure 2. Four kinds of actor
-//! components run concurrently, connected by an event bus:
+//! components run concurrently, connected by an event bus — one actor
+//! type per kind; what varies inside a stage (sensor source, formula,
+//! text format) is a pure function or a value:
 //!
 //! * **[`sensor`]** — monitors the metrics of a given process (hardware
 //!   performance counters through the perf/libpfm4 substrate, `/proc` CPU
-//!   load, the PowerSpy meter, RAPL) and publishes sensor messages;
+//!   load, the PowerSpy meter, RAPL) and publishes sensor messages, every
+//!   source of a tick in one fixed order;
 //! * **[`formula`]** — turns sensor messages into power estimations (the
 //!   learned per-frequency HPC model, plus the baselines the paper
 //!   compares against: CPU-load-based, Bertran-style decomposable,
 //!   HaPPy-style hyperthread-aware, RAPL passthrough);
 //! * **[`aggregator`]** — folds process-level estimates along a dimension
 //!   (per PID, or whole machine per timestamp);
-//! * **[`reporter`]** — renders the estimates (console, CSV, JSON, or an
-//!   in-memory trace for programmatic use).
+//! * **[`reporter`]** — renders the estimates (console, CSV, JSON lines
+//!   or InfluxDB line protocol as text, or an in-memory trace for
+//!   programmatic use).
 //!
 //! The **[`model`]** module implements the Figure 1 learning process:
 //! stress workloads × every DVFS frequency × (HPC rates, wall power) →

@@ -1,35 +1,17 @@
 //! Reporter actors: "converts the power estimations produced by the
-//! library into a suitable format" (§3). Six formats: an in-memory trace
-//! for programmatic use, human-readable console lines, CSV, JSON lines,
-//! InfluxDB line protocol (the production PowerAPI export target), and a
-//! telemetry self-observation stream (the middleware reporting on
-//! itself). All of them also record meter and RAPL samples when subscribed
-//! to those topics, so measured-vs-estimated comparisons come for free.
+//! library into a suitable format" (§3). Three actor types: an in-memory
+//! trace for programmatic use ([`MemoryReporter`]), a text writer
+//! ([`TextReporter`]) in one of four [`Format`]s — human-readable console
+//! lines, CSV, JSON lines, InfluxDB line protocol (the production
+//! PowerAPI export target) — and a telemetry self-observation stream
+//! ([`TelemetryReporter`], the middleware reporting on itself). The first
+//! two also record meter and RAPL samples when subscribed to those
+//! topics, so measured-vs-estimated comparisons come for free.
 
-pub mod console;
-pub mod csv;
-pub mod influx;
-pub mod json;
 pub mod memory;
 pub mod telemetry;
+pub mod text;
 
-/// Renders an aggregate scope into a reusable buffer — the text reporters
-/// keep one `String` across ticks instead of allocating per report.
-pub(crate) fn scope_label(scope: &crate::msg::Scope, buf: &mut String) {
-    use std::fmt::Write;
-    buf.clear();
-    match scope {
-        crate::msg::Scope::Process(pid) => {
-            let _ = write!(buf, "pid{}", pid.0);
-        }
-        crate::msg::Scope::Group(g) => buf.push_str(g),
-        crate::msg::Scope::Machine => buf.push_str("machine"),
-    }
-}
-
-pub use console::ConsoleReporter;
-pub use csv::CsvReporter;
-pub use influx::InfluxReporter;
-pub use json::JsonReporter;
 pub use memory::{MemoryHandle, MemoryReporter};
 pub use telemetry::TelemetryReporter;
+pub use text::{Format, TextReporter};

@@ -36,11 +36,8 @@ use crate::frame::{FramePool, PowerBatch};
 use crate::health::{HealthConfig, ModelHealth, ModelHealthSummary, ResidualMonitor};
 use crate::host::SimHost;
 use crate::msg::{AggregateReport, Message, Quality, Scope, Topic};
-use crate::reporter::{
-    ConsoleReporter, CsvReporter, InfluxReporter, JsonReporter, MemoryHandle, MemoryReporter,
-    TelemetryReporter,
-};
-use crate::sensor::{HpcSensor, PowerSpySensor, ProcfsSensor, RaplSensor};
+use crate::reporter::{Format, MemoryHandle, MemoryReporter, TelemetryReporter, TextReporter};
+use crate::sensor::SensorStage;
 use crate::telemetry::export::{self, PostMortemReport};
 use crate::telemetry::{EventKind, Stage, Telemetry, TelemetrySummary, SELF_FORMULA, SELF_PID};
 use crate::{Error, Result};
@@ -59,6 +56,10 @@ use std::time::{Duration, Instant};
 /// A rebuildable actor constructor, as supervisors need after a panic.
 type ActorFactory = Box<dyn FnMut() -> Box<dyn crate::actor::Actor> + Send>;
 
+/// What the memory and text reporters subscribe to: the estimates and
+/// both measured streams.
+const REPORTED: &[Topic] = &[Topic::Aggregate, Topic::Meter, Topic::Rapl];
+
 /// Builder for a [`PowerApi`] instance.
 pub struct PowerApiBuilder {
     kernel: Kernel,
@@ -70,11 +71,9 @@ pub struct PowerApiBuilder {
     meter: PowerSpyConfig,
     dimension: Option<Dimension>,
     idle_override: Option<f64>,
-    memory: bool,
-    console: bool,
-    csv: Option<Box<dyn Write + Send>>,
-    json: Option<Box<dyn Write + Send>>,
-    influx: Option<Box<dyn Write + Send>>,
+    /// The built-in reporters asked for: actor name, actor, topics.
+    reporters: Vec<(&'static str, Box<dyn crate::actor::Actor>, &'static [Topic])>,
+    memory: Option<MemoryHandle>,
     extra: Vec<(String, Box<dyn crate::actor::Actor>, Vec<Topic>)>,
     extra_supervised: Vec<(String, ActorFactory, Vec<Topic>)>,
     faults: FaultPlan,
@@ -82,7 +81,6 @@ pub struct PowerApiBuilder {
     degrade: Option<(Box<dyn PowerFormula>, Nanos)>,
     telemetry: bool,
     profile_self: Option<f64>,
-    telemetry_out: Option<Box<dyn Write + Send>>,
     model_health: Option<HealthConfig>,
     adaptive: Option<SamplingConfig>,
     post_mortem_dir: Option<PathBuf>,
@@ -102,11 +100,8 @@ impl PowerApiBuilder {
             meter: PowerSpyConfig::default(),
             dimension: None,
             idle_override: None,
-            memory: false,
-            console: false,
-            csv: None,
-            json: None,
-            influx: None,
+            reporters: Vec::new(),
+            memory: None,
             extra: Vec::new(),
             extra_supervised: Vec::new(),
             faults: FaultPlan::none(),
@@ -117,7 +112,6 @@ impl PowerApiBuilder {
             degrade: None,
             telemetry: true,
             profile_self: None,
-            telemetry_out: None,
             model_health: None,
             adaptive: None,
             post_mortem_dir: None,
@@ -200,35 +194,55 @@ impl PowerApiBuilder {
     /// return data).
     #[must_use]
     pub fn report_to_memory(mut self) -> PowerApiBuilder {
-        self.memory = true;
-        self
+        let reporter = MemoryReporter::new();
+        self.memory = Some(reporter.handle());
+        self.reporter("reporter-memory", reporter, REPORTED)
     }
 
     /// Adds the console reporter (stdout).
     #[must_use]
-    pub fn report_to_console(mut self) -> PowerApiBuilder {
-        self.console = true;
-        self
+    pub fn report_to_console(self) -> PowerApiBuilder {
+        self.text_reporter("reporter-console", Format::Console, std::io::stdout())
     }
 
     /// Adds a CSV reporter writing to `out`.
     #[must_use]
-    pub fn report_to_csv(mut self, out: impl Write + Send + 'static) -> PowerApiBuilder {
-        self.csv = Some(Box::new(out));
-        self
+    pub fn report_to_csv(self, out: impl Write + Send + 'static) -> PowerApiBuilder {
+        self.text_reporter("reporter-csv", Format::Csv, out)
     }
 
     /// Adds a JSON-lines reporter writing to `out`.
     #[must_use]
-    pub fn report_to_json(mut self, out: impl Write + Send + 'static) -> PowerApiBuilder {
-        self.json = Some(Box::new(out));
-        self
+    pub fn report_to_json(self, out: impl Write + Send + 'static) -> PowerApiBuilder {
+        self.text_reporter("reporter-json", Format::Json, out)
     }
 
     /// Adds an InfluxDB line-protocol reporter writing to `out`.
     #[must_use]
-    pub fn report_to_influx(mut self, out: impl Write + Send + 'static) -> PowerApiBuilder {
-        self.influx = Some(Box::new(out));
+    pub fn report_to_influx(self, out: impl Write + Send + 'static) -> PowerApiBuilder {
+        self.text_reporter("reporter-influx", Format::Influx, out)
+    }
+
+    fn text_reporter(
+        self,
+        name: &'static str,
+        format: Format,
+        out: impl Write + Send + 'static,
+    ) -> PowerApiBuilder {
+        self.reporter(name, TextReporter::new(format, out), REPORTED)
+    }
+
+    /// Lists a built-in reporter for [`PowerApiBuilder::build`] to spawn.
+    /// Asking for the same reporter again replaces it, as every other
+    /// setter does.
+    fn reporter(
+        mut self,
+        name: &'static str,
+        actor: impl crate::actor::Actor + 'static,
+        topics: &'static [Topic],
+    ) -> PowerApiBuilder {
+        self.reporters.retain(|(listed, ..)| *listed != name);
+        self.reporters.push((name, Box::new(actor), topics));
         self
     }
 
@@ -342,9 +356,12 @@ impl PowerApiBuilder {
     /// snapshot of the middleware's own health per monitoring tick,
     /// written to `out`.
     #[must_use]
-    pub fn report_telemetry_to(mut self, out: impl Write + Send + 'static) -> PowerApiBuilder {
-        self.telemetry_out = Some(Box::new(out));
-        self
+    pub fn report_telemetry_to(self, out: impl Write + Send + 'static) -> PowerApiBuilder {
+        self.reporter(
+            "reporter-telemetry",
+            TelemetryReporter::new(out),
+            &[Topic::Tick],
+        )
     }
 
     /// Enables online model-health monitoring: a [`ResidualMonitor`]
@@ -461,25 +478,18 @@ impl PowerApiBuilder {
         }
 
         // Spawn pipeline stages upstream-first so shutdown drains them.
-        // Sensors and formulas are supervised: their factories rebuild
-        // them after a handler panic, per the configured restart policy.
+        // The sensor stage and the formulas are supervised: their
+        // factories rebuild them after a handler panic, per the configured
+        // restart policy.
         let mut system = ActorSystem::with_telemetry(telemetry.clone());
         let bus = system.bus().clone();
         let options = SpawnOptions::default().restart(self.restart);
-        type Factory = Box<dyn FnMut() -> Box<dyn crate::actor::Actor> + Send>;
-        let sensors: [(&str, Factory); 4] = [
-            ("sensor-hpc", Box::new(|| Box::new(HpcSensor::new()))),
-            ("sensor-procfs", Box::new(|| Box::new(ProcfsSensor::new()))),
-            (
-                "sensor-powerspy",
-                Box::new(|| Box::new(PowerSpySensor::new())),
-            ),
-            ("sensor-rapl", Box::new(|| Box::new(RaplSensor::new()))),
-        ];
-        for (name, factory) in sensors {
-            let r = system.spawn_supervised(name, factory, options.stage(Stage::Sensor));
-            bus.subscribe(Topic::Tick, &r);
-        }
+        let sensor = system.spawn_supervised(
+            "sensor",
+            || Box::new(SensorStage),
+            options.stage(Stage::Sensor),
+        );
+        bus.subscribe(Topic::Tick, &sensor);
         // Model-health plumbing: one shared handle the monitor writes and
         // the formulas read, plus the recalibration hook. All `None`-cost
         // when the builder didn't ask for it.
@@ -583,62 +593,11 @@ impl PowerApiBuilder {
         }
 
         let reporter_opts = SpawnOptions::default().stage(Stage::Reporter);
-        let mut memory_handle = None;
-        if self.memory {
-            let reporter = MemoryReporter::new();
-            memory_handle = Some(reporter.handle());
-            let r = system.spawn_with("reporter-memory", Box::new(reporter), reporter_opts);
-            for t in [Topic::Aggregate, Topic::Meter, Topic::Rapl] {
+        for (name, actor, topics) in self.reporters {
+            let r = system.spawn_with(name, actor, reporter_opts);
+            for &t in topics {
                 bus.subscribe(t, &r);
             }
-        }
-        if self.console {
-            let r = system.spawn_with(
-                "reporter-console",
-                Box::new(ConsoleReporter::stdout()),
-                reporter_opts,
-            );
-            for t in [Topic::Aggregate, Topic::Meter, Topic::Rapl] {
-                bus.subscribe(t, &r);
-            }
-        }
-        if let Some(out) = self.csv {
-            let r = system.spawn_with(
-                "reporter-csv",
-                Box::new(CsvReporter::new(out)),
-                reporter_opts,
-            );
-            for t in [Topic::Aggregate, Topic::Meter, Topic::Rapl] {
-                bus.subscribe(t, &r);
-            }
-        }
-        if let Some(out) = self.json {
-            let r = system.spawn_with(
-                "reporter-json",
-                Box::new(JsonReporter::new(out)),
-                reporter_opts,
-            );
-            for t in [Topic::Aggregate, Topic::Meter, Topic::Rapl] {
-                bus.subscribe(t, &r);
-            }
-        }
-        if let Some(out) = self.influx {
-            let r = system.spawn_with(
-                "reporter-influx",
-                Box::new(InfluxReporter::new(out)),
-                reporter_opts,
-            );
-            for t in [Topic::Aggregate, Topic::Meter, Topic::Rapl] {
-                bus.subscribe(t, &r);
-            }
-        }
-        if let Some(out) = self.telemetry_out {
-            let r = system.spawn_with(
-                "reporter-telemetry",
-                Box::new(TelemetryReporter::new(out)),
-                reporter_opts,
-            );
-            bus.subscribe(Topic::Tick, &r);
         }
 
         let next_boundary = host.kernel().machine().now() + self.clock_period;
@@ -648,7 +607,7 @@ impl PowerApiBuilder {
             quantum: self.quantum,
             clock_period: self.clock_period,
             next_boundary,
-            memory: memory_handle,
+            memory: self.memory,
             telemetry,
             profile_self: self.profile_self,
             self_busy_prev: 0,
@@ -1327,6 +1286,24 @@ mod tests {
     }
 
     #[test]
+    fn default_pipeline_runs_one_actor_per_stage() {
+        let (kernel, _) = busy_kernel();
+        let papi = PowerApi::builder(kernel)
+            .formula(paper_formula())
+            .report_to_memory()
+            .report_to_csv(std::io::sink())
+            .report_to_csv(std::io::sink())
+            .build()
+            .unwrap();
+        let health = papi.system.as_ref().expect("running").health();
+        let named = |p: &str| health.iter().filter(|h| h.name.starts_with(p)).count();
+        assert_eq!(named("sensor"), 1, "one sensor stage");
+        assert_eq!(named("reporter-csv"), 1, "asked for twice, listed once");
+        assert_eq!(health.len(), 5, "+ formula, aggregator, memory reporter");
+        papi.finish().unwrap();
+    }
+
+    #[test]
     fn zero_slots_is_a_build_error_not_a_silent_clamp() {
         let (kernel, _) = busy_kernel();
         let err = PowerApi::builder(kernel)
@@ -1586,7 +1563,7 @@ mod tests {
         let events = crate::telemetry::parse_jsonl(&jsonl).unwrap();
         assert!(events
             .iter()
-            .any(|e| e.kind == EventKind::ActorStart && e.subject == "sensor-hpc"));
+            .any(|e| e.kind == EventKind::ActorStart && e.subject == "sensor"));
         assert!(
             events
                 .iter()

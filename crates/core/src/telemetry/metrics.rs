@@ -5,7 +5,7 @@
 //!
 //! Naming follows the Prometheus convention: snake-case metric names with
 //! optional `{label="value"}` suffixes, e.g.
-//! `powerapi_actor_handled_total{actor="sensor-hpc"}`. The full string is
+//! `powerapi_actor_handled_total{actor="sensor"}`. The full string is
 //! the registry key; [`MetricsRegistry::render_prometheus`] groups series
 //! of the same base name under one `# TYPE` header.
 
@@ -344,15 +344,6 @@ impl MetricsRegistry {
         reg.gauges
             .iter()
             .map(|(k, v)| (k.clone(), v.get()))
-            .collect()
-    }
-
-    /// Every histogram as `(full_name, handle)`, name-ordered.
-    pub fn histogram_values(&self) -> Vec<(String, Histogram)> {
-        let reg = self.inner.lock().expect("metrics registry");
-        reg.histograms
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
             .collect()
     }
 

@@ -176,8 +176,9 @@ impl Tracer {
     }
 
     /// Returns the trace id for a tick timestamp, assigning the next id
-    /// (and opening its span) on first sight. Every sensor handling the
-    /// same tick therefore stamps the same id.
+    /// (and opening its span) on first sight. Everyone stamping the same
+    /// tick — the sensor stage, the runtime's fault journal — therefore
+    /// stamps the same id.
     pub fn trace_for_tick(&self, ts: Nanos) -> TraceId {
         let mut state = self.state.lock().expect("tracer");
         if let Some(&id) = state.ticks.get(&ts.as_u64()) {

@@ -27,7 +27,7 @@ use powerapi::model::power_model::PerFrequencyPowerModel;
 use powerapi::msg::{CorunSplit, Message, PowerReport, ProcTimeDelta, Quality, Scope, Topic};
 use powerapi::prelude::Dimension;
 use powerapi::runtime::{PowerApi, RunOutcome};
-use powerapi::sensor::{HpcSensor, ProcfsSensor};
+use powerapi::sensor::{hpc, procfs};
 use powerapi::telemetry::TraceId;
 use proptest::prelude::*;
 use simcpu::counters::{ExecDelta, HwCounter};
@@ -356,14 +356,14 @@ proptest! {
 /// The HPC sensor's view of a frame, minus its first `stalled` rows (a
 /// PMU stall silences them).
 fn hpc_batch(frame: &Arc<TickFrame>, stalled: usize) -> SensorBatch {
-    let mut batch = HpcSensor::observe(frame.clone(), TraceId::NONE);
+    let mut batch = hpc::observe(frame.clone(), TraceId::NONE);
     batch.rows.drain(..stalled.min(batch.rows.len()));
     batch
 }
 
 /// The procfs sensor's view of a frame.
 fn procfs_batch(frame: &Arc<TickFrame>) -> SensorBatch {
-    ProcfsSensor::observe(frame.clone(), TraceId::NONE)
+    procfs::observe(frame.clone(), TraceId::NONE)
 }
 
 /// The reference every `estimate_batch` override is held to: the trait's

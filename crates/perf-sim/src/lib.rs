@@ -45,7 +45,6 @@
 pub mod events;
 pub mod monitor;
 pub mod pfm;
-pub mod sampling;
 pub mod session;
 
 mod error;

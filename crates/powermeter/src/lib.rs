@@ -6,8 +6,6 @@
 //!   the Alciom PowerSpy the paper samples ground truth with — an
 //!   integrating sampler with Gaussian measurement noise, ADC
 //!   quantization, and a small ASCII frame protocol;
-//! * [`device`]: the meter's command/response session protocol (identify,
-//!   calibrate, start/stop streaming) with a matching client;
 //! * [`trace`]: timestamped power traces with alignment/resampling and
 //!   summary statistics (what Figure 3 plots);
 //! * [`rapl`]: an Intel RAPL emulation — MSR-style energy counters with
@@ -30,7 +28,6 @@
 //! assert!((samples[0].power.as_f64() - 30.0).abs() < 1.0);
 //! ```
 
-pub mod device;
 pub mod powerspy;
 pub mod rapl;
 pub mod trace;

@@ -13,13 +13,10 @@
 //!   al. comparison suite;
 //! * [`happy`]: HaPPy-style hyperthread co-run pairs, the Zhai et al.
 //!   comparison scenario;
-//! * [`replay`]: utilization-trace replay (diurnal curves, recorded
-//!   monitoring exports) over any base workload;
 //! * [`phases`]: the phase-scripting machinery all of the above build on.
 
 pub mod happy;
 pub mod phases;
-pub mod replay;
 pub mod speccpu;
 pub mod specjbb;
 pub mod stress;

@@ -4,11 +4,14 @@
 //! ordering are deterministic; these tests pin that down.)
 
 use powerapi_suite::os_sim::kernel::Kernel;
-use powerapi_suite::os_sim::task::SteadyTask;
+use powerapi_suite::os_sim::task::{PeriodicTask, SteadyTask};
+use powerapi_suite::powerapi::formula::cpuload::CpuLoadFormula;
 use powerapi_suite::powerapi::formula::per_freq::PerFrequencyFormula;
 use powerapi_suite::powerapi::model::learn::{learn_model, LearnConfig};
 use powerapi_suite::powerapi::model::power_model::PerFrequencyPowerModel;
+use powerapi_suite::powerapi::msg::{Quality, Scope};
 use powerapi_suite::powerapi::runtime::{PowerApi, RunOutcome};
+use powerapi_suite::simcpu::fault::{FaultKind, FaultPlan, FaultWindow};
 use powerapi_suite::simcpu::presets;
 use powerapi_suite::simcpu::units::Nanos;
 use powerapi_suite::simcpu::workunit::WorkUnit;
@@ -91,4 +94,88 @@ fn kernel_simulation_is_deterministic_without_any_seed() {
         (powers, k.machine().machine_energy())
     };
     assert_eq!(run(), run());
+}
+
+/// Duty-cycled processes under two counter-stall windows, the primary
+/// formula degrading to cpu-load after 1.5 s of silence: the path where
+/// the order of a tick's hpc and procfs batches decides who estimates.
+fn run_degraded() -> RunOutcome {
+    let mut kernel = Kernel::new(presets::intel_i3_2120());
+    let pids: Vec<_> = [(2_000u64, 0.7), (5_000, 0.4), (8_000, 0.3), (3_000, 0.5)]
+        .into_iter()
+        .enumerate()
+        .map(|(i, (period_ms, duty))| {
+            kernel.spawn(
+                format!("svc-{i}"),
+                vec![PeriodicTask::boxed(
+                    WorkUnit::cpu_intensive(0.6 + 0.1 * i as f64),
+                    Nanos::from_millis(period_ms),
+                    duty,
+                )],
+            )
+        })
+        .collect();
+    let stall = |start_s: u64, end_s: u64| FaultWindow {
+        kind: FaultKind::CounterStall,
+        start: Nanos::from_secs(start_s),
+        end: Nanos::from_secs(end_s),
+        magnitude: 0.0,
+    };
+    let mut papi = PowerApi::builder(kernel)
+        .formula(PerFrequencyFormula::new(
+            PerFrequencyPowerModel::paper_i3_example(),
+        ))
+        .degrade_to(CpuLoadFormula::new(30.0, 25.0), Nanos::from_millis(1500))
+        .fault_plan(FaultPlan::from_windows(vec![stall(3, 6), stall(6, 12)]))
+        .report_to_memory()
+        .quantum(Nanos::from_millis(2))
+        .clock_period(Nanos::from_millis(500))
+        .build()
+        .expect("pipeline builds");
+    for pid in pids {
+        papi.monitor(pid).expect("monitor");
+    }
+    papi.run_for(Nanos::from_secs(12)).expect("run");
+    papi.finish().expect("shutdown")
+}
+
+#[test]
+fn degraded_pipeline_is_deterministic() {
+    // Floats by bits: "equal" must mean the same report, not a close one.
+    let reports = |out: &RunOutcome| -> Vec<_> {
+        out.reports
+            .iter()
+            .map(|r| {
+                (
+                    r.timestamp,
+                    r.scope.clone(),
+                    r.power.as_f64().to_bits(),
+                    r.band_w.as_f64().to_bits(),
+                    r.quality,
+                    r.trace,
+                )
+            })
+            .collect()
+    };
+    let first = run_degraded();
+    assert!(
+        first.reports.iter().any(|r| r.quality == Quality::Degraded),
+        "the stall windows must hand estimation to the backup"
+    );
+    // One machine window per tick: a late batch of an older tick would
+    // flush a partial sum and repeat (or reorder) a timestamp.
+    let machine: Vec<Nanos> = first
+        .reports
+        .iter()
+        .filter(|r| r.scope == Scope::Machine)
+        .map(|r| r.timestamp)
+        .collect();
+    assert!(
+        machine.windows(2).all(|w| w[0] < w[1]),
+        "machine timestamps strictly increase: {machine:?}"
+    );
+    let expected = reports(&first);
+    for run in 1..5 {
+        assert_eq!(reports(&run_degraded()), expected, "run {run} diverged");
+    }
 }

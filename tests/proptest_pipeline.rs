@@ -158,20 +158,16 @@ proptest! {
     // count modest so the suite stays interactive.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The conservation invariant survives chaos, in its streaming form.
+    /// The conservation invariant survives chaos.
     ///
-    /// Under fault injection the degraded (procfs-sourced) estimates can
-    /// arrive at the aggregator out of timestamp order relative to the
-    /// primary (HPC-sourced) stream — the two sensors are independent
-    /// actors, so their streams skew when ticks outpace the pipeline.
-    /// The aggregator then splits a tick across several machine
-    /// aggregates, each folding a disjoint subset of that tick's process
-    /// estimates and re-stating the idle floor once. What must *never*
-    /// break is conservation across the partition: per timestamp, the
-    /// machine aggregates above idle sum to exactly the process
-    /// estimates, no power lost or double-counted, and the worst machine
-    /// quality equals the worst process quality folded anywhere in the
-    /// tick.
+    /// Under fault injection a tick's estimates come partly from the
+    /// primary (hpc-sourced) and partly from the degraded
+    /// (procfs-sourced) batch. The sensor stage publishes both in one
+    /// fixed order, tick by tick, so the aggregator folds them into one
+    /// window: per timestamp there is exactly one machine aggregate, its
+    /// power above idle is exactly the sum of the process estimates — no
+    /// power lost or double-counted — and its quality equals the worst
+    /// process quality folded anywhere in the tick.
     #[test]
     fn conservation_holds_under_fault_injection(
         works in prop::collection::vec(work_unit(), 1..4),
@@ -233,6 +229,7 @@ proptest! {
                 .iter()
                 .filter(|r| r.timestamp == ts && matches!(r.scope, Scope::Process(_)))
                 .collect();
+            prop_assert_eq!(machines.len(), 1, "window split at {:?}", ts);
             let above_idle: f64 = machines
                 .iter()
                 .map(|r| r.power.as_f64() - idle)
@@ -240,9 +237,7 @@ proptest! {
             let process_sum: f64 = procs.iter().map(|r| r.power.as_f64()).sum();
             prop_assert!(
                 (above_idle - process_sum).abs() < 1e-6,
-                "Σ machine-above-idle {above_idle} != Σ process {process_sum} at {ts:?} \
-                 ({} machine aggregates)",
-                machines.len()
+                "machine-above-idle {above_idle} != Σ process {process_sum} at {ts:?}"
             );
             let machine_worst = machines.iter().map(|r| r.quality).min();
             let process_worst = procs.iter().map(|r| r.quality).min();

@@ -11,7 +11,7 @@ use powerapi_suite::powerapi::actor::ActorSystem;
 use powerapi_suite::powerapi::formula::per_freq::PerFrequencyFormula;
 use powerapi_suite::powerapi::model::power_model::PerFrequencyPowerModel;
 use powerapi_suite::powerapi::msg::{AggregateReport, Message, Quality, Scope, Topic};
-use powerapi_suite::powerapi::reporter::{CsvReporter, InfluxReporter, JsonReporter};
+use powerapi_suite::powerapi::reporter::{Format, TextReporter};
 use powerapi_suite::powerapi::runtime::PowerApi;
 use powerapi_suite::powerapi::telemetry::TraceId;
 use powerapi_suite::simcpu::presets;
@@ -225,7 +225,7 @@ fn run_reporter(actor: Box<dyn powerapi_suite::powerapi::actor::Actor>, buf: &Sh
 #[test]
 fn csv_rows_round_trip_exactly() {
     let buf = SharedBuf::default();
-    let text = run_reporter(Box::new(CsvReporter::new(buf.clone())), &buf);
+    let text = run_reporter(Box::new(TextReporter::new(Format::Csv, buf.clone())), &buf);
     let mut lines = text.lines();
     assert_eq!(
         lines.next(),
@@ -252,7 +252,7 @@ fn csv_rows_round_trip_exactly() {
 #[test]
 fn json_lines_round_trip_exactly() {
     let buf = SharedBuf::default();
-    let text = run_reporter(Box::new(JsonReporter::new(buf.clone())), &buf);
+    let text = run_reporter(Box::new(TextReporter::new(Format::Json, buf.clone())), &buf);
     // The schema is flat with a fixed key order, so a field-splitting
     // parser is an honest JSON reader for these lines.
     let parsed: Vec<Row> = text
@@ -284,7 +284,10 @@ fn json_lines_round_trip_exactly() {
 #[test]
 fn influx_points_round_trip_exactly() {
     let buf = SharedBuf::default();
-    let text = run_reporter(Box::new(InfluxReporter::new(buf.clone())), &buf);
+    let text = run_reporter(
+        Box::new(TextReporter::new(Format::Influx, buf.clone())),
+        &buf,
+    );
     let parsed: Vec<Row> = text
         .lines()
         .map(|l| {
