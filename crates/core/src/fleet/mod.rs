@@ -253,16 +253,72 @@ struct FleetMetrics {
     shard_shed: Vec<Counter>,
     /// End-to-end lag (original send → applied) of every applied frame,
     /// in fleet ticks.
-    lag: Histogram,
+    lag: Tally,
     /// Transmissions each acked frame needed minus one (0 = delivered
     /// first try).
-    retransmit_count: Histogram,
+    retransmit_count: Tally,
     /// Per-host delivery age at link exit, in ticks (retransmit waits
     /// included — this is the age of the *data*, not of one datagram).
-    link_latency: Vec<Histogram>,
+    link_latency: Vec<Tally>,
     /// Per-shard ticks a frame waited in the ingest queue before the
     /// tick budget reached it.
-    shard_service: Vec<Histogram>,
+    shard_service: Vec<Tally>,
+}
+
+/// How often [`Fleet::run`] refreshes the registry mirrors, in ticks.
+pub const MIRROR_EVERY: u64 = 16;
+
+/// A histogram fed through a tally. Frames share a few small lags, link
+/// latencies, queue waits and attempt counts: counting them in a plain
+/// array and recording each distinct value once per refresh
+/// ([`Fleet::sync_metrics`], one [`Histogram::record_n`]) spares the
+/// shared histogram two atomic read-modify-writes per frame.
+struct Tally {
+    hist: Histogram,
+    counts: [u32; 16],
+}
+
+impl Tally {
+    fn new(hist: Histogram) -> Tally {
+        Tally {
+            hist,
+            counts: [0; 16],
+        }
+    }
+
+    fn record(&mut self, v: u64) {
+        let slot = usize::try_from(v).ok().and_then(|v| self.counts.get_mut(v));
+        match slot {
+            Some(n) => *n += 1,
+            None => self.hist.record(v),
+        }
+    }
+
+    fn flush(&mut self) {
+        for (v, n) in self.counts.iter_mut().enumerate() {
+            if *n > 0 {
+                self.hist.record_n(v as u64, u64::from(*n));
+                *n = 0;
+            }
+        }
+    }
+}
+
+/// Whole ticks from the tick `sent_at` falls in to tick `now` (0 for a
+/// send time in the future) — `now - sent_at / tick_ns`, found by
+/// stepping back from `now`: a frame in flight is a few ticks old, and a
+/// 64-bit division costs more than the rest of a frame's bookkeeping.
+fn age_ticks(now: u64, sent_at: Nanos, tick_ns: u64) -> u64 {
+    if let Some(mut start) = now.checked_mul(tick_ns) {
+        for age in 0..=8 {
+            if start <= sent_at.as_u64() {
+                return age;
+            }
+            // Above `sent_at`, so a positive multiple of `tick_ns`.
+            start -= tick_ns;
+        }
+    }
+    now.saturating_sub(sent_at.as_u64() / tick_ns)
 }
 
 /// The fleet orchestrator: owns hosts, links, senders and shards, and
@@ -332,23 +388,26 @@ impl Fleet {
                         reg.counter(&format!("powerapi_fleet_shard_shed_total{{shard=\"{i}\"}}"))
                     })
                     .collect(),
-                lag: reg.histogram_with_bounds("powerapi_fleet_lag_ticks", &TICK_BOUNDS),
-                retransmit_count: reg
-                    .histogram_with_bounds("powerapi_fleet_retransmit_count", &COUNT_BOUNDS),
+                lag: Tally::new(
+                    reg.histogram_with_bounds("powerapi_fleet_lag_ticks", &TICK_BOUNDS),
+                ),
+                retransmit_count: Tally::new(
+                    reg.histogram_with_bounds("powerapi_fleet_retransmit_count", &COUNT_BOUNDS),
+                ),
                 link_latency: (0..hosts)
                     .map(|h| {
-                        reg.histogram_with_bounds(
+                        Tally::new(reg.histogram_with_bounds(
                             &format!("powerapi_fleet_link_latency_ticks{{host=\"host-{h}\"}}"),
                             &TICK_BOUNDS,
-                        )
+                        ))
                     })
                     .collect(),
                 shard_service: (0..shards.len())
                     .map(|i| {
-                        reg.histogram_with_bounds(
+                        Tally::new(reg.histogram_with_bounds(
                             &format!("powerapi_fleet_shard_service_ticks{{shard=\"{i}\"}}"),
                             &TICK_BOUNDS,
-                        )
+                        ))
                     })
                     .collect(),
             }
@@ -529,16 +588,24 @@ impl Fleet {
         })
     }
 
-    /// Advances the whole fleet one tick.
+    /// Advances the whole fleet one tick. The registry mirrors of the
+    /// fleet's counters and histograms are current when it returns.
     pub fn tick(&mut self) -> FleetTickReport {
+        let report = self.step();
+        self.sync_metrics();
+        report
+    }
+
+    fn step(&mut self) -> FleetTickReport {
         self.now += 1;
         let now = self.now;
         let sim_now = Nanos(now.saturating_mul(self.cfg.tick.as_u64()));
         let journal = self.telemetry.journal();
         journal.set_now(sim_now);
         // Fleet-level events with no single frame to blame (partition
-        // windows, SLO alerts) journal on the tick's own trace.
-        let tick_trace = self.telemetry.trace_for_tick(sim_now);
+        // windows, SLO alerts) journal on the tick's own trace — opened
+        // by the first such event, so an uneventful tick opens none.
+        let tick_trace = || self.telemetry.trace_for_tick(sim_now);
 
         // 1. Acks that completed their return trip release send credits.
         let mut i = 0;
@@ -547,7 +614,7 @@ impl Fleet {
                 let ack = self.acks.swap_remove(i);
                 if let Some(released) = self.senders[ack.host.0 as usize].ack(ack.seq) {
                     self.stats.acked += 1;
-                    if let Some(m) = &self.metrics {
+                    if let Some(m) = &mut self.metrics {
                         m.retransmit_count.record(u64::from(released.attempt));
                     }
                 }
@@ -567,7 +634,7 @@ impl Fleet {
                         "{what} ticks {}..{} hosts {}..{}",
                         w.start, w.end, w.host_lo, w.host_hi
                     ),
-                    tick_trace,
+                    tick_trace(),
                 );
             }
         }
@@ -729,9 +796,8 @@ impl Fleet {
             self.delivery_scratch.clear();
             self.links[h].take_due(now, &mut self.delivery_scratch);
             for env in self.delivery_scratch.drain(..) {
-                if let Some(m) = &self.metrics {
-                    let sent_tick = env.sent_at.as_u64() / tick_ns;
-                    m.link_latency[h].record(now.saturating_sub(sent_tick));
+                if let Some(m) = &mut self.metrics {
+                    m.link_latency[h].record(age_ticks(now, env.sent_at, tick_ns));
                 }
                 let s = shard::route(env.host, self.shards.len());
                 match self.shards[s].ingest(env, now) {
@@ -776,11 +842,10 @@ impl Fleet {
                         queued_ticks,
                     } => {
                         self.stats.applied += 1;
-                        let sent_tick = sent_at.as_u64() / self.cfg.tick.as_u64().max(1);
-                        let lag = now.saturating_sub(sent_tick);
+                        let lag = age_ticks(now, sent_at, tick_ns);
                         self.lag_ticks.push(lag);
                         self.slo.observe(lag);
-                        if let Some(m) = &self.metrics {
+                        if let Some(m) = &mut self.metrics {
                             m.lag.record(lag);
                             m.shard_service[s].record(queued_ticks);
                         }
@@ -916,7 +981,7 @@ impl Fleet {
                     self.slo.total_violations().min(self.cfg.slo.error_budget),
                     self.cfg.slo.error_budget,
                 ),
-                tick_trace,
+                tick_trace(),
             );
         }
         if slo_out.exhausted_now {
@@ -929,11 +994,10 @@ impl Fleet {
                     self.cfg.slo.error_budget,
                     self.slo.total_samples(),
                 ),
-                tick_trace,
+                tick_trace(),
             );
         }
 
-        self.sync_metrics();
         FleetTickReport {
             tick: now,
             timestamp: sim_now,
@@ -947,9 +1011,22 @@ impl Fleet {
         }
     }
 
-    /// Runs `ticks` fleet ticks, collecting every report.
+    /// Runs `ticks` fleet ticks, collecting every report. The registry
+    /// mirrors are refreshed every [`MIRROR_EVERY`]th tick on the way —
+    /// for whoever scrapes them from another thread — and are current
+    /// when it returns.
     pub fn run(&mut self, ticks: u64) -> Vec<FleetTickReport> {
-        (0..ticks).map(|_| self.tick()).collect()
+        let reports = (0..ticks)
+            .map(|_| {
+                let report = self.step();
+                if self.now.is_multiple_of(MIRROR_EVERY) {
+                    self.sync_metrics();
+                }
+                report
+            })
+            .collect();
+        self.sync_metrics();
+        reports
     }
 
     /// Proves the frame accounting reconciles exactly — every produced
@@ -1006,9 +1083,13 @@ impl Fleet {
     }
 
     fn sync_metrics(&mut self) {
-        let Some(m) = &self.metrics else {
+        let Some(m) = &mut self.metrics else {
             return;
         };
+        m.lag.flush();
+        m.retransmit_count.flush();
+        m.link_latency.iter_mut().for_each(Tally::flush);
+        m.shard_service.iter_mut().for_each(Tally::flush);
         let (s, p) = (&self.stats, &self.synced);
         m.produced.add(s.produced - p.produced);
         m.transmissions.add(s.transmissions - p.transmissions);
@@ -1307,5 +1388,60 @@ mod tests {
         let dump = telemetry.render_prometheus();
         assert!(dump.contains("powerapi_fleet_frames_produced_total 10"));
         assert!(dump.contains("powerapi_fleet_transmissions_total"));
+    }
+
+    #[test]
+    fn age_in_ticks_matches_the_division() {
+        let by_division = |now: u64, sent: u64, tick: u64| now.saturating_sub(sent / tick);
+        for tick in [1, 7, 250_000_000, 1u64 << 56] {
+            for now in [0u64, 1, 2, 9, 10, 40] {
+                // Every tick boundary up to two ticks into the future,
+                // one ns either side.
+                for k in 0..=now + 2 {
+                    for sent in [k * tick, (k * tick).saturating_sub(1), k * tick + 1] {
+                        assert_eq!(
+                            age_ticks(now, Nanos(sent), tick),
+                            by_division(now, sent, tick),
+                            "now {now} sent {sent} tick {tick}"
+                        );
+                    }
+                }
+            }
+        }
+        // A clock too large to multiply out falls back to dividing.
+        assert_eq!(age_ticks(u64::MAX, Nanos(20), 10), u64::MAX - 2);
+    }
+
+    /// The registry mirrors are whole whenever `tick` or `run` returns:
+    /// the tallied lag histogram has exactly the samples `lag_samples`
+    /// has, values beyond the tally's range included.
+    #[test]
+    fn tallied_histograms_are_current_whenever_the_fleet_returns() {
+        let telemetry = Telemetry::new();
+        let mut cfg = FleetConfig::default();
+        cfg.link.latency_ticks = 20;
+        let sources: Vec<Box<dyn FrameSource>> = (0..3)
+            .map(|_| {
+                Box::new(FlatSource {
+                    interval: Nanos::from_millis(1000),
+                    ticks: 0,
+                }) as Box<dyn FrameSource>
+            })
+            .collect();
+        let formula = CpuLoadFormula::new(30.0, 20.0);
+        let mut fleet = Fleet::new(cfg, &formula, sources, telemetry.clone());
+        let lag = telemetry
+            .registry()
+            .histogram_with_bounds("powerapi_fleet_lag_ticks", &TICK_BOUNDS);
+        for _ in 0..40 {
+            fleet.tick();
+            assert_eq!(lag.count(), fleet.lag_samples().len() as u64);
+            assert_eq!(lag.sum(), fleet.lag_samples().iter().sum::<u64>());
+        }
+        assert!(lag.count() > 0 && lag.max() >= 20, "lags past the tally");
+        // And when a run that ends between two refreshes returns.
+        fleet.run(MIRROR_EVERY + 5);
+        assert_eq!(lag.count(), fleet.lag_samples().len() as u64);
+        assert_eq!(lag.sum(), fleet.lag_samples().iter().sum::<u64>());
     }
 }

@@ -127,10 +127,12 @@ pub struct JourneyLog {
 pub const JOURNEY_CAP: usize = 262_144;
 
 impl JourneyLog {
-    /// An empty log bounded at `cap` hops.
+    /// An empty log bounded at `cap` hops, with room for the first few
+    /// thousand up front (grown from nothing, a 3 000-hop run re-copied
+    /// its log a dozen times).
     pub fn new(cap: usize) -> JourneyLog {
         JourneyLog {
-            hops: VecDeque::new(),
+            hops: VecDeque::with_capacity(cap.min(4096)),
             cap: cap.max(1),
             evicted: 0,
             enabled: true,

@@ -126,19 +126,30 @@ impl SimHost {
         self.meter.fault_stats()
     }
 
-    /// Starts monitoring a process's counters.
+    /// Starts monitoring a process's counters. Its time rows start from
+    /// the CPU time it has consumed so far, as its counters start from 0:
+    /// the first frame after a late (or repeated) `monitor` covers the
+    /// monitored span only, not everything since spawn.
     ///
     /// # Errors
     ///
     /// Propagates perf-session errors.
     pub fn monitor(&mut self, pid: Pid) -> crate::Result<()> {
         self.monitor.track(pid)?;
+        let accounting = self.kernel.accounting();
+        self.proc_prev.entry(pid).or_insert_with(|| {
+            accounting.process(pid).map_or_else(Default::default, |t| {
+                let per_freq = t.utime_per_freq.iter().map(|(&f, &at)| (f, at));
+                (t.utime, per_freq.collect())
+            })
+        });
         Ok(())
     }
 
-    /// Stops monitoring a process.
+    /// Stops monitoring a process and forgets its baselines.
     pub fn unmonitor(&mut self, pid: Pid) {
         self.monitor.untrack(pid);
+        self.proc_prev.remove(&pid);
     }
 
     /// Pids currently monitored.
@@ -274,10 +285,7 @@ impl SimHost {
             let Some(times) = self.kernel.accounting().process(pid) else {
                 continue;
             };
-            let (prev_busy, prev_freq) = self
-                .proc_prev
-                .entry(pid)
-                .or_insert_with(|| (Nanos::ZERO, Vec::new()));
+            let (prev_busy, prev_freq) = self.proc_prev.entry(pid).or_default();
             let busy = times.utime.saturating_sub(*prev_busy);
             *prev_busy = times.utime;
             b.push_time_row(pid, busy, |freqs| {
@@ -433,6 +441,50 @@ mod tests {
         assert_eq!(snap.hpc_len(), 0);
         assert_eq!(snap.time_len(), 0);
         assert!(host.monitored().is_empty());
+    }
+
+    #[test]
+    fn baselines_are_only_kept_for_monitored_pids() {
+        let (mut host, resident) = host_with(WorkUnit::cpu_intensive(0.5), 1);
+        let pool = FramePool::new();
+        for round in 0..50 {
+            let task = SteadyTask::boxed(WorkUnit::cpu_intensive(1.0));
+            let pid = host.kernel_mut().spawn(format!("job{round}"), vec![task]);
+            host.monitor(pid).unwrap();
+            for _ in 0..5 {
+                host.step(MS);
+            }
+            assert_eq!(host.snapshot_frame(&pool).time_len(), 2);
+            host.kernel_mut().kill(pid).unwrap();
+            host.unmonitor(pid);
+            assert_eq!(host.monitored(), vec![resident]);
+            assert_eq!(host.proc_prev.len(), 1, "round {round}");
+        }
+    }
+
+    #[test]
+    fn remonitored_pid_reports_only_the_monitored_span() {
+        let (mut host, pid) = host_with(WorkUnit::cpu_intensive(1.0), 2);
+        let pool = FramePool::new();
+        host.unmonitor(pid);
+        for _ in 0..300 {
+            host.step(MS);
+        }
+        host.snapshot_frame(&pool);
+        host.monitor(pid).unwrap();
+        for _ in 0..10 {
+            host.step(MS);
+        }
+        // Monitoring again mid-interval must not reset the baseline.
+        host.monitor(pid).unwrap();
+        for _ in 0..10 {
+            host.step(MS);
+        }
+        let frame = host.snapshot_frame(&pool);
+        assert_eq!(frame.interval, Nanos::from_millis(20));
+        assert_eq!(frame.busy(0), Nanos::from_millis(40), "2 threads × 20 ms");
+        let by_freq: u64 = frame.freq_slice(0).iter().map(|(_, t)| t.as_u64()).sum();
+        assert_eq!(by_freq, frame.busy(0).as_u64());
     }
 
     #[test]

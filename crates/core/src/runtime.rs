@@ -32,14 +32,14 @@ use crate::aggregator::{Aggregator, Dimension};
 use crate::control::{RateControlActor, RecalibrationTrigger};
 use crate::formula::fallback::FallbackFormula;
 use crate::formula::{FormulaActor, PowerFormula};
-use crate::frame::{FramePool, PowerBatch};
+use crate::frame::FramePool;
 use crate::health::{HealthConfig, ModelHealth, ModelHealthSummary, ResidualMonitor};
 use crate::host::SimHost;
-use crate::msg::{AggregateReport, Message, Quality, Scope, Topic};
-use crate::reporter::{Format, MemoryHandle, MemoryReporter, TelemetryReporter, TextReporter};
+use crate::msg::{AggregateReport, Message, Scope, Topic};
+use crate::reporter::{Format, MemoryHandle, MemoryReporter, TextReporter};
 use crate::sensor::SensorStage;
 use crate::telemetry::export::{self, PostMortemReport};
-use crate::telemetry::{EventKind, Stage, Telemetry, TelemetrySummary, SELF_FORMULA, SELF_PID};
+use crate::telemetry::{EventKind, Stage, Telemetry, TelemetrySummary, SELF_PID};
 use crate::{Error, Result};
 use os_sim::kernel::Kernel;
 use os_sim::process::Pid;
@@ -80,6 +80,7 @@ pub struct PowerApiBuilder {
     restart: RestartPolicy,
     degrade: Option<(Box<dyn PowerFormula>, Nanos)>,
     telemetry: bool,
+    telemetry_out: Option<Box<dyn Write + Send>>,
     profile_self: Option<f64>,
     model_health: Option<HealthConfig>,
     adaptive: Option<SamplingConfig>,
@@ -111,6 +112,7 @@ impl PowerApiBuilder {
             },
             degrade: None,
             telemetry: true,
+            telemetry_out: None,
             profile_self: None,
             model_health: None,
             adaptive: None,
@@ -352,16 +354,15 @@ impl PowerApiBuilder {
         self
     }
 
-    /// Adds the telemetry self-observation reporter: one JSON-lines
-    /// snapshot of the middleware's own health per monitoring tick,
-    /// written to `out`.
+    /// Streams the middleware's own health to `out`: one JSON-lines
+    /// [`Telemetry::json_snapshot`] per monitoring tick, written by the
+    /// tick loop itself (the line reads the hub, not the tick's messages,
+    /// so it needs no actor — and no thread woken every tick — of its
+    /// own) and flushed by [`PowerApi::finish`].
     #[must_use]
-    pub fn report_telemetry_to(self, out: impl Write + Send + 'static) -> PowerApiBuilder {
-        self.reporter(
-            "reporter-telemetry",
-            TelemetryReporter::new(out),
-            &[Topic::Tick],
-        )
+    pub fn report_telemetry_to(mut self, out: impl Write + Send + 'static) -> PowerApiBuilder {
+        self.telemetry_out = Some(Box::new(out));
+        self
     }
 
     /// Enables online model-health monitoring: a [`ResidualMonitor`]
@@ -484,9 +485,12 @@ impl PowerApiBuilder {
         let mut system = ActorSystem::with_telemetry(telemetry.clone());
         let bus = system.bus().clone();
         let options = SpawnOptions::default().restart(self.restart);
+        // Self-profiling reads the hub's busy time: nothing to read on a
+        // dark one.
+        let profile_self = self.profile_self.filter(|_| telemetry.enabled());
         let sensor = system.spawn_supervised(
             "sensor",
-            || Box::new(SensorStage),
+            move || Box::new(SensorStage::new(profile_self)),
             options.stage(Stage::Sensor),
         );
         bus.subscribe(Topic::Tick, &sensor);
@@ -609,9 +613,7 @@ impl PowerApiBuilder {
             next_boundary,
             memory: self.memory,
             telemetry,
-            profile_self: self.profile_self,
-            self_busy_prev: 0,
-            self_wall_prev: Instant::now(),
+            telemetry_out: self.telemetry_out,
             model_health: model_health.map(|(_, h, t)| (h, t)),
             sampling,
             selfcost,
@@ -636,11 +638,9 @@ pub struct PowerApi {
     next_boundary: Nanos,
     memory: Option<MemoryHandle>,
     telemetry: Telemetry,
-    profile_self: Option<f64>,
-    /// Middleware busy-ns already attributed to a self report.
-    self_busy_prev: u64,
-    /// Wall instant of the previous self report (or of build).
-    self_wall_prev: Instant,
+    /// Where [`PowerApiBuilder::report_telemetry_to`] streams the hub's
+    /// per-tick snapshot lines.
+    telemetry_out: Option<Box<dyn Write + Send>>,
     /// Shared model-health handle + recalibration hook (when enabled).
     model_health: Option<(ModelHealth, RecalibrationTrigger)>,
     /// The adaptive sampling controller (when enabled): the runtime
@@ -749,10 +749,10 @@ impl PowerApi {
                 self.journal_fault_deltas(timestamp);
                 let observed_before = self.sampling.as_ref().map(|s| s.observed());
                 bus.publish(Message::Frame(Arc::new(frame)));
-                if let Some(wpc) = self.profile_self.filter(|_| instrumented) {
-                    self.publish_self_power(&bus, timestamp, wpc);
-                }
                 self.settle_selfcost_tick();
+                if let Some(out) = &mut self.telemetry_out {
+                    let _ = writeln!(out, "{}", self.telemetry.json_snapshot(timestamp));
+                }
                 self.advance_boundary(observed_before);
                 batch = instrumented.then(Instant::now);
             }
@@ -869,28 +869,6 @@ impl PowerApi {
         self.selfcost_prev_snapshot = snap;
     }
 
-    /// Publishes the middleware's own consumption since the previous tick
-    /// as a synthetic per-process estimate (a one-row power batch): `wpc`
-    /// watts scaled by the fraction of one core the actor handlers kept
-    /// busy (wall time).
-    fn publish_self_power(&mut self, bus: &crate::bus::EventBus, timestamp: Nanos, wpc: f64) {
-        let busy = self.telemetry.overhead().handle_ns();
-        let wall = self.self_wall_prev.elapsed().as_nanos() as u64;
-        let busy_delta = busy.saturating_sub(self.self_busy_prev);
-        self.self_busy_prev = busy;
-        self.self_wall_prev = Instant::now();
-        let utilisation = busy_delta as f64 / wall.max(1) as f64;
-        let trace = self.telemetry.trace_for_tick(timestamp);
-        let mut own = PowerBatch::with_capacity(timestamp, SELF_FORMULA, trace, 1);
-        own.push(
-            SELF_PID,
-            Watts(wpc * utilisation),
-            Watts(0.0),
-            Quality::Full,
-        );
-        bus.publish(Message::PowerBatch(Arc::new(own)));
-    }
-
     /// The observability hub (disabled unless the builder enabled it).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
@@ -938,6 +916,9 @@ impl PowerApi {
             .take()
             .ok_or_else(|| Error::Middleware("finish called twice".into()))?;
         let health = system.shutdown();
+        if let Some(out) = &mut self.telemetry_out {
+            let _ = out.flush();
+        }
         let (reports, meter, rapl) = match &self.memory {
             Some(h) => (h.aggregates(), h.meter(), h.rapl()),
             None => (Vec::new(), Vec::new(), Vec::new()),
@@ -1396,6 +1377,47 @@ mod tests {
         assert_eq!(out.telemetry.messages_handled, 0);
         assert!(out.reports.iter().all(|r| !r.trace.is_traced()));
         assert_eq!(out.machine_estimates().len(), 2, "estimation unaffected");
+    }
+
+    #[test]
+    fn telemetry_lines_stream_one_per_tick_lit_or_dark() {
+        #[derive(Clone, Default)]
+        struct SharedBuf(Arc<parking_lot::Mutex<Vec<u8>>>);
+        impl Write for SharedBuf {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.lock().extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        for lit in [true, false] {
+            let (kernel, pid) = busy_kernel();
+            let buf = SharedBuf::default();
+            let mut papi = PowerApi::builder(kernel)
+                .formula(paper_formula())
+                .telemetry(lit)
+                .report_telemetry_to(buf.clone())
+                .report_to_memory()
+                .quantum(Nanos::from_millis(5))
+                .clock_period(Nanos::from_millis(500))
+                .build()
+                .unwrap();
+            papi.monitor(pid).unwrap();
+            papi.run_for(Nanos::from_secs(2)).unwrap();
+            papi.finish().unwrap();
+            let text = String::from_utf8(buf.0.lock().clone()).unwrap();
+            let lines: Vec<&str> = text.lines().collect();
+            assert_eq!(lines.len(), 4, "one snapshot per tick:\n{text}");
+            for (i, l) in lines.iter().enumerate() {
+                assert!(l.starts_with('{') && l.ends_with('}'), "{l}");
+                let at = format!("\"sim_time_s\":{:.3}", 0.5 * (i + 1) as f64);
+                assert!(l.contains(&at), "{l}");
+                assert!(l.contains(&format!("\"enabled\":{lit}")), "{l}");
+                assert!(l.contains("\"messages\":"), "{l}");
+            }
+        }
     }
 
     #[test]

@@ -4,20 +4,27 @@
 //! each [`TickFrame`] from every angle the pipeline consumes. What varies
 //! per source is a pure slicing function ([`hpc::observe`],
 //! [`procfs::observe`]); the actor only fixes the order they publish in.
+//! With [`profile_self`] on it also senses the one thing no frame
+//! carries, the middleware's own busy time, and publishes it as the
+//! synthetic [`SELF_PID`] process's power — from here rather than from
+//! the tick loop, which would pay for waking the aggregator's thread once
+//! more every tick.
 //!
 //! # Ordering guarantee
 //!
-//! For every frame the stage publishes, in this order, the hpc
-//! [`SensorBatch`], the procfs [`SensorBatch`], every meter sample and the
-//! RAPL sample, and it finishes frame *T* before it touches frame *T+1*.
-//! Mailboxes are FIFO, so Sensor → Formula → Aggregator is one ordered
-//! chain: primary source before backup source, tick by tick.
-//! [`FallbackFormula`], [`Aggregator`] and [`HierarchyAggregator`] rely on
-//! it — a late batch of an older tick would split a window. Not covered:
-//! messages on a shorter path — `profile_self`'s one-row power batch (tick
-//! loop → aggregators) and the meter/RAPL rows (stage → reporters) may
-//! overtake a tick's estimates.
+//! For every frame the stage publishes, in this order, the middleware's
+//! own one-row [`PowerBatch`] (when profiling), the hpc [`SensorBatch`],
+//! the procfs [`SensorBatch`], every meter sample and the RAPL sample, and
+//! it finishes frame *T* before it touches frame *T+1*. Mailboxes are
+//! FIFO, so Sensor → Formula → Aggregator is one ordered chain: primary
+//! source before backup source, tick by tick. [`FallbackFormula`],
+//! [`Aggregator`] and [`HierarchyAggregator`] rely on it — a late batch of
+//! an older tick would split a window. Not covered: messages on a shorter
+//! path — the self-power batch (stage → aggregators) and the meter/RAPL
+//! rows (stage → reporters) may overtake an *earlier* tick's estimates.
 //!
+//! [`profile_self`]: crate::runtime::PowerApiBuilder::profile_self
+//! [`PowerBatch`]: crate::frame::PowerBatch
 //! [`Topic::Tick`]: crate::msg::Topic::Tick
 //! [`TickFrame`]: crate::frame::TickFrame
 //! [`SensorBatch`]: crate::frame::SensorBatch
@@ -29,20 +36,60 @@ pub mod hpc;
 pub mod procfs;
 
 use crate::actor::{Actor, Context};
-use crate::msg::Message;
+use crate::frame::PowerBatch;
+use crate::msg::{Message, Quality};
+use crate::telemetry::{SELF_FORMULA, SELF_PID};
 use simcpu::units::Watts;
 use std::sync::Arc;
+use std::time::Instant;
 
-/// The sensor actor. Stateless: everything it needs arrives in the tick
-/// frame.
-#[derive(Debug, Clone, Copy)]
-pub struct SensorStage;
+/// The sensor actor. Everything it publishes of the monitored system
+/// arrives in the tick frame; its only state is the baseline of the
+/// middleware's own busy time.
+#[derive(Debug)]
+pub struct SensorStage {
+    /// Watts attributed to one fully busy middleware core (`None`: no
+    /// self-profiling).
+    self_watts_per_core: Option<f64>,
+    /// Handler busy-ns already attributed, and when.
+    self_busy_prev: u64,
+    self_wall_prev: Instant,
+}
+
+impl SensorStage {
+    /// A stage that, with `self_watts_per_core` set, also reports the
+    /// middleware itself: that many watts scaled by the fraction of one
+    /// core the actor handlers kept busy (wall time) since the previous
+    /// tick. Needs an enabled telemetry hub to read the busy time from.
+    pub fn new(self_watts_per_core: Option<f64>) -> SensorStage {
+        SensorStage {
+            self_watts_per_core,
+            self_busy_prev: 0,
+            self_wall_prev: Instant::now(),
+        }
+    }
+}
 
 impl Actor for SensorStage {
     fn handle(&mut self, msg: Message, ctx: &Context) {
         let Message::Frame(frame) = msg else { return };
         // One trace per tick, shared by every batch cut from the frame.
         let trace = ctx.telemetry().trace_for_tick(frame.timestamp);
+        if let Some(wpc) = self.self_watts_per_core {
+            let busy = ctx.telemetry().overhead().handle_ns();
+            let wall = self.self_wall_prev.elapsed().as_nanos() as u64;
+            let utilisation = busy.saturating_sub(self.self_busy_prev) as f64 / wall.max(1) as f64;
+            self.self_busy_prev = busy;
+            self.self_wall_prev = Instant::now();
+            let mut own = PowerBatch::with_capacity(frame.timestamp, SELF_FORMULA, trace, 1);
+            own.push(
+                SELF_PID,
+                Watts(wpc * utilisation),
+                Watts(0.0),
+                Quality::Full,
+            );
+            ctx.bus().publish(Message::PowerBatch(Arc::new(own)));
+        }
         for observe in [hpc::observe, procfs::observe] {
             let batch = observe(frame.clone(), trace);
             // An empty batch would defeat the staleness watchdog: absence
@@ -89,15 +136,23 @@ mod tests {
     }
 
     /// Publishes `msgs` on the bus with the stage subscribed to `topic`
-    /// and returns everything it emitted on `Sensor`, `Meter` and `Rapl`,
-    /// in arrival order.
+    /// and returns everything it emitted on `Power`, `Sensor`, `Meter`
+    /// and `Rapl`, in arrival order.
     fn run(topic: Topic, msgs: Vec<Message>) -> Vec<Message> {
+        run_stage(ActorSystem::new(), SensorStage::new(None), topic, msgs)
+    }
+
+    fn run_stage(
+        mut sys: ActorSystem,
+        stage: SensorStage,
+        topic: Topic,
+        msgs: Vec<Message>,
+    ) -> Vec<Message> {
         let seen = Arc::new(Mutex::new(Vec::new()));
-        let mut sys = ActorSystem::new();
-        let stage = sys.spawn("sensor", Box::new(SensorStage));
+        let stage = sys.spawn("sensor", Box::new(stage));
         let sink = sys.spawn("sink", Box::new(Capture(seen.clone())));
         sys.bus().subscribe(topic, &stage);
-        for t in [Topic::Sensor, Topic::Meter, Topic::Rapl] {
+        for t in [Topic::Power, Topic::Sensor, Topic::Meter, Topic::Rapl] {
             sys.bus().subscribe(t, &sink);
         }
         for m in msgs {
@@ -174,6 +229,36 @@ mod tests {
         assert!(run(Topic::Tick, vec![bare]).is_empty());
         let other = Message::aggregates(vec![], crate::telemetry::TraceId::NONE);
         assert!(run(Topic::Aggregate, vec![other]).is_empty());
+    }
+
+    /// With self-profiling on, each frame's first message is the
+    /// middleware's own one-row power batch, on the frame's timestamp and
+    /// trace; without it (the default `run`) nothing reaches `Power`.
+    #[test]
+    fn self_profile_leads_every_frame() {
+        let sys = ActorSystem::with_telemetry(crate::telemetry::Telemetry::new());
+        let stage = SensorStage::new(Some(10.0));
+        let seen = run_stage(sys, stage, Topic::Tick, vec![frame(2), frame(4)]);
+        assert_eq!(seen.len(), 12, "five sensed messages per frame + its own");
+        for (first, ts) in [(&seen[0], 2), (&seen[6], 4)] {
+            let Message::PowerBatch(own) = first else {
+                panic!("self batch first: {seen:?}");
+            };
+            let rows: Vec<_> = own.reports().collect();
+            assert_eq!(rows.len(), 1);
+            assert_eq!(rows[0].pid, SELF_PID);
+            assert_eq!(rows[0].formula, SELF_FORMULA);
+            assert_eq!(rows[0].timestamp, Nanos::from_secs(ts));
+            assert!(rows[0].trace.is_traced());
+            // The sink's handler time is busy time too, so only the
+            // bounds are exact: no more than wall time on one core each
+            // for the two actors.
+            assert!((0.0..=20.0).contains(&rows[0].power.as_f64()), "{rows:?}");
+        }
+        let unprofiled = run(Topic::Tick, vec![frame(2)]);
+        assert!(unprofiled
+            .iter()
+            .all(|m| !matches!(m, Message::PowerBatch(_))));
     }
 
     /// Every meter sample relayed, RAPL watts = joules / interval, and

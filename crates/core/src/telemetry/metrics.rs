@@ -10,6 +10,7 @@
 //! of the same base name under one `# TYPE` header.
 
 use std::collections::BTreeMap;
+use std::ops::Bound::{Included, Unbounded};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -23,9 +24,11 @@ impl Counter {
         self.0.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Adds `n`.
+    /// Adds `n` (nothing to write for 0, the usual delta of a rare event).
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        if n != 0 {
+            self.0.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     /// Current value.
@@ -95,10 +98,10 @@ pub const COUNT_BOUNDS: [u64; 8] = [0, 1, 2, 3, 4, 6, 8, 16];
 #[derive(Debug)]
 struct HistogramCore {
     bounds: &'static [u64],
-    /// One slot per bound plus the overflow bucket.
+    /// One slot per bound plus the overflow bucket; their total is the
+    /// observation count, so `record` keeps no separate tally.
     counts: Vec<AtomicU64>,
     sum: AtomicU64,
-    count: AtomicU64,
     max: AtomicU64,
 }
 
@@ -122,28 +125,46 @@ impl Histogram {
             bounds,
             counts: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
             sum: AtomicU64::new(0),
-            count: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }))
     }
 
+    fn bucket(&self, v: u64) -> &AtomicU64 {
+        let idx = self.0.bounds.partition_point(|&b| b < v);
+        &self.0.counts[idx]
+    }
+
     /// Records one observation.
     pub fn record(&self, v: u64) {
-        let idx = self
-            .0
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(self.0.bounds.len());
-        self.0.counts[idx].fetch_add(1, Ordering::Relaxed);
-        self.0.sum.fetch_add(v, Ordering::Relaxed);
-        self.0.count.fetch_add(1, Ordering::Relaxed);
-        self.0.max.fetch_max(v, Ordering::Relaxed);
+        self.record_n(v, 1);
+    }
+
+    /// Records `n` observations of the same value at the price of one:
+    /// two atomic adds, and a third read-modify-write only when `v` is a
+    /// new maximum.
+    pub fn record_n(&self, v: u64, n: u64) {
+        self.bucket(v).fetch_add(n, Ordering::Relaxed);
+        self.0.sum.fetch_add(v * n, Ordering::Relaxed);
+        if v > self.0.max.load(Ordering::Relaxed) {
+            self.0.max.fetch_max(v, Ordering::Relaxed);
+        }
+    }
+
+    /// Takes back an observation recorded earlier (a tracked quantity
+    /// that moved: forget its old value, record the new one). The
+    /// maximum is a high-water mark and stays.
+    pub fn forget(&self, v: u64) {
+        self.bucket(v).fetch_sub(1, Ordering::Relaxed);
+        self.0.sum.fetch_sub(v, Ordering::Relaxed);
     }
 
     /// Number of observations.
     pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
+        self.0
+            .counts
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Sum of all observations.
@@ -329,22 +350,24 @@ impl MetricsRegistry {
             .clone()
     }
 
-    /// Every counter as `(full_name, value)`, name-ordered.
-    pub fn counter_values(&self) -> Vec<(String, u64)> {
+    /// Visits every counter whose full name starts with `prefix` as
+    /// `(full_name, value)`, name-ordered. The registry stays locked for
+    /// the walk, so `visit` must not register.
+    pub fn for_each_counter(&self, prefix: &str, mut visit: impl FnMut(&str, u64)) {
         let reg = self.inner.lock().expect("metrics registry");
-        reg.counters
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect()
+        let series = reg.counters.range::<str, _>((Included(prefix), Unbounded));
+        for (name, c) in series.take_while(|(name, _)| name.starts_with(prefix)) {
+            visit(name, c.get());
+        }
     }
 
-    /// Every gauge as `(full_name, value)`, name-ordered.
-    pub fn gauge_values(&self) -> Vec<(String, i64)> {
+    /// Visits every gauge under `prefix`, by the same rules.
+    pub fn for_each_gauge(&self, prefix: &str, mut visit: impl FnMut(&str, i64)) {
         let reg = self.inner.lock().expect("metrics registry");
-        reg.gauges
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect()
+        let series = reg.gauges.range::<str, _>((Included(prefix), Unbounded));
+        for (name, g) in series.take_while(|(name, _)| name.starts_with(prefix)) {
+            visit(name, g.get());
+        }
     }
 
     /// Renders the whole registry in the Prometheus text exposition
@@ -426,6 +449,11 @@ mod tests {
         assert_eq!(h.quantile(0.5), 0, "empty");
         for v in [100, 200, 300, 400, 2_000, 200_000_000] {
             h.record(v);
+        }
+        // Several at once, and taking observations back.
+        h.record_n(7_000, 3);
+        for v in [7_000, 7_000, 7_000] {
+            h.forget(v);
         }
         assert_eq!(h.count(), 6);
         assert_eq!(h.max(), 200_000_000);

@@ -164,25 +164,24 @@ impl Telemetry {
             })
             .filter(|s| s.latency.count > 0)
             .collect();
-        let e2e = self.inner.tracer.end_to_end_latencies();
-        let sum_or = |name: &str| -> u64 {
+        let end_to_end = LatencyStats::of(self.inner.tracer.end_to_end());
+        // Per-actor series of one family, summed.
+        let sum_of = |family: &str| {
+            let mut total = 0;
             self.inner
                 .registry
-                .counter_values()
-                .iter()
-                .filter(|(k, _)| k.starts_with(name))
-                .map(|(_, v)| v)
-                .sum()
+                .for_each_counter(family, |_, v| total += v);
+            total
         };
         TelemetrySummary {
             enabled: true,
             stages,
-            end_to_end: LatencyStats::of_samples(&e2e),
-            ticks_traced: e2e.len() as u64,
-            messages_handled: sum_or("powerapi_actor_handled_total"),
-            messages_dropped: sum_or("powerapi_actor_dropped_total"),
-            restarts: sum_or("powerapi_actor_restarts_total"),
-            panics: sum_or("powerapi_actor_panics_total"),
+            end_to_end,
+            ticks_traced: end_to_end.count,
+            messages_handled: sum_of("powerapi_actor_handled_total"),
+            messages_dropped: sum_of("powerapi_actor_dropped_total"),
+            restarts: sum_of("powerapi_actor_restarts_total"),
+            panics: sum_of("powerapi_actor_panics_total"),
             journal_events: self.inner.journal.emitted(),
             journal_dropped: self.inner.journal.dropped(),
             overhead: self.inner.overhead.summary(),
@@ -191,86 +190,92 @@ impl Telemetry {
     }
 
     /// One JSON object summarising the current counters/latencies — the
-    /// line format [`TelemetryReporter`] emits per tick.
+    /// line [`report_telemetry_to`] streams per tick. Costs a walk of the
+    /// histogram buckets and of the registry's counters and gauges,
+    /// whatever the number of ticks traced so far.
     ///
-    /// [`TelemetryReporter`]: crate::reporter::telemetry::TelemetryReporter
+    /// [`report_telemetry_to`]: crate::runtime::PowerApiBuilder::report_telemetry_to
     pub fn json_snapshot(&self, sim_time: Nanos) -> String {
         use std::fmt::Write;
-        let mut out = String::with_capacity(256);
+        let mut out = String::with_capacity(1024);
         let _ = write!(
             out,
             "{{\"sim_time_s\":{:.3},\"enabled\":{}",
             sim_time.as_secs_f64(),
             self.inner.enabled
         );
-        let e2e = LatencyStats::of_samples(&self.inner.tracer.end_to_end_latencies());
-        let _ = write!(
-            out,
-            ",\"ticks_traced\":{},\"e2e_p50_ns\":{},\"e2e_p95_ns\":{}",
-            e2e.count, e2e.p50_ns, e2e.p95_ns
-        );
+        let e2e = self.inner.tracer.end_to_end();
+        json_field(&mut out, &["ticks_traced"], e2e.count());
+        json_field(&mut out, &["e2e_p50_ns"], e2e.quantile(0.5));
+        json_field(&mut out, &["e2e_p95_ns"], e2e.quantile(0.95));
         for stage in Stage::ALL {
             let h = &self.inner.stage_handle_ns[stage.index()];
-            if h.count() == 0 {
+            let handled = h.count();
+            if handled == 0 {
                 continue;
             }
-            let _ = write!(
-                out,
-                ",\"{}_handled\":{},\"{}_p50_ns\":{},\"{}_p95_ns\":{}",
-                stage.label(),
-                h.count(),
-                stage.label(),
-                h.quantile(0.5),
-                stage.label(),
-                h.quantile(0.95)
-            );
+            json_field(&mut out, &[stage.label(), "_handled"], handled);
+            json_field(&mut out, &[stage.label(), "_p50_ns"], h.quantile(0.5));
+            json_field(&mut out, &[stage.label(), "_p95_ns"], h.quantile(0.95));
         }
         // Quantile trio matches the Prometheus dump's `_p50/_p95/_p99`
         // rows; omitted while empty (see `Histogram::quantile`).
         let lag = &self.inner.tick_lag_ns;
         if lag.count() > 0 {
-            let _ = write!(
-                out,
-                ",\"tick_lag_p50_ns\":{},\"tick_lag_p95_ns\":{},\"tick_lag_p99_ns\":{}",
-                lag.quantile(0.5),
-                lag.quantile(0.95),
-                lag.quantile(0.99)
-            );
+            json_field(&mut out, &["tick_lag_p50_ns"], lag.quantile(0.5));
+            json_field(&mut out, &["tick_lag_p95_ns"], lag.quantile(0.95));
+            json_field(&mut out, &["tick_lag_p99_ns"], lag.quantile(0.99));
         }
         // Model-health metrics, present once the residual monitor has
         // registered them (keys: model_residual_mw, model_bias_mw,
         // model_mae_mw, model_*_total).
-        for (name, v) in self.inner.registry.gauge_values() {
-            if let Some(key) = name.strip_prefix("powerapi_model_") {
-                let _ = write!(out, ",\"model_{key}\":{v}");
-            }
-        }
+        let registry = &self.inner.registry;
+        registry.for_each_gauge("powerapi_model_", |name, v| {
+            let _ = write!(out, ",\"{}\":{v}", &name["powerapi_".len()..]);
+        });
+        registry.for_each_counter("powerapi_model_", |name, v| {
+            json_field(&mut out, &[&name["powerapi_".len()..]], v);
+        });
         // Self-cost ledger columns ride along once registered. Label
         // series flatten into the key (`stage_ns_total{stage="formula"}`
         // → `stage_ns_total_formula`) so the line stays valid JSON.
-        for (name, v) in self.inner.registry.counter_values() {
-            if let Some(key) = name.strip_prefix("powerapi_model_") {
-                let _ = write!(out, ",\"model_{key}\":{v}");
-            } else if let Some(key) = name.strip_prefix("powerapi_selfcost_") {
-                match key.split_once('{') {
-                    Some((base, labels)) => {
-                        let value = labels.split('"').nth(1).unwrap_or("");
-                        let _ = write!(out, ",\"selfcost_{base}_{value}\":{v}");
-                    }
-                    None => {
-                        let _ = write!(out, ",\"selfcost_{key}\":{v}");
-                    }
+        registry.for_each_counter("powerapi_selfcost_", |name, v| {
+            let key = &name["powerapi_".len()..];
+            match key.split_once('{') {
+                Some((base, labels)) => {
+                    let value = labels.split('"').nth(1).unwrap_or("");
+                    json_field(&mut out, &[base, "_", value], v);
                 }
+                None => json_field(&mut out, &[key], v),
             }
-        }
+        });
         let o = self.inner.overhead.summary();
-        let _ = write!(
-            out,
-            ",\"messages\":{},\"middleware_busy_ns\":{},\"middleware_share\":{:.4}}}",
-            o.messages, o.middleware_busy_ns, o.middleware_share
-        );
+        json_field(&mut out, &["messages"], o.messages);
+        json_field(&mut out, &["middleware_busy_ns"], o.middleware_busy_ns);
+        let _ = write!(out, ",\"middleware_share\":{:.4}}}", o.middleware_share);
         out
     }
+}
+
+/// Appends `,"<key parts…>":<v>` to a JSON line. Digits by hand: the
+/// line is written every tick from the tick loop's own thread, and
+/// `core::fmt` was half of what its thirty-odd integers cost.
+fn json_field(out: &mut String, key: &[&str], v: u64) {
+    out.push_str(",\"");
+    key.iter().for_each(|part| out.push_str(part));
+    out.push_str("\":");
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = v;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
 impl std::fmt::Debug for Telemetry {
@@ -305,27 +310,6 @@ impl LatencyStats {
             p50_ns: h.quantile(0.5),
             p95_ns: h.quantile(0.95),
             max_ns: h.max(),
-        }
-    }
-
-    /// Exact stats over raw samples (used for end-to-end latencies, which
-    /// are few enough to keep unbucketed).
-    pub fn of_samples(samples: &[u64]) -> LatencyStats {
-        if samples.is_empty() {
-            return LatencyStats::default();
-        }
-        let mut sorted = samples.to_vec();
-        sorted.sort_unstable();
-        let q = |f: f64| {
-            let idx = ((f * (sorted.len() - 1) as f64).round() as usize).min(sorted.len() - 1);
-            sorted[idx]
-        };
-        LatencyStats {
-            count: sorted.len() as u64,
-            mean_ns: sorted.iter().sum::<u64>() / sorted.len() as u64,
-            p50_ns: q(0.5),
-            p95_ns: q(0.95),
-            max_ns: *sorted.last().expect("non-empty"),
         }
     }
 }
@@ -441,13 +425,12 @@ mod tests {
     }
 
     #[test]
-    fn latency_stats_of_samples_are_exact() {
-        let s = LatencyStats::of_samples(&[100, 300, 200]);
-        assert_eq!(s.count, 3);
-        assert_eq!(s.p50_ns, 200);
-        assert_eq!(s.max_ns, 300);
-        assert_eq!(s.mean_ns, 200);
-        assert_eq!(LatencyStats::of_samples(&[]), LatencyStats::default());
+    fn json_fields_spell_every_integer() {
+        let mut out = String::new();
+        json_field(&mut out, &["a"], 0);
+        json_field(&mut out, &["b", "_", "c"], 9_007);
+        json_field(&mut out, &["max"], u64::MAX);
+        assert_eq!(out, format!(",\"a\":0,\"b_c\":9007,\"max\":{}", u64::MAX));
     }
 
     #[test]

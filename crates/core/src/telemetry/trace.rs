@@ -5,7 +5,7 @@
 //! end-to-end pipeline latency and its per-stage breakdown are measurable
 //! per tick.
 
-use crate::telemetry::metrics::Counter;
+use crate::telemetry::metrics::{Counter, Histogram};
 use simcpu::units::Nanos;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -147,6 +147,9 @@ pub struct Tracer {
     /// `powerapi_trace_hops_dropped_total` — hops recorded against a trace
     /// whose span was already evicted.
     hops_dropped: Counter,
+    /// End-to-end latency of every tick that saw a hop, moved along hop
+    /// by hop, so reading it never walks the span store.
+    end_to_end: Histogram,
 }
 
 impl Default for Tracer {
@@ -172,6 +175,7 @@ impl Tracer {
             }),
             spans_evicted,
             hops_dropped,
+            end_to_end: Histogram::latency(),
         }
     }
 
@@ -221,6 +225,12 @@ impl Tracer {
         let mut state = self.state.lock().expect("tracer");
         if let Some(span) = state.spans.get_mut(&trace.0) {
             let at_ns = span.origin.elapsed().as_nanos() as u64;
+            // Hops land in completion order: the newest one is the
+            // tick's end-to-end latency so far and replaces the last.
+            if let Some(last) = span.hops.last() {
+                self.end_to_end.forget(last.at_ns);
+            }
+            self.end_to_end.record(at_ns);
             span.hops.push(Hop {
                 stage,
                 actor: actor.clone(),
@@ -259,17 +269,10 @@ impl Tracer {
             .collect()
     }
 
-    /// End-to-end latencies (ns) of every span that saw at least one hop,
-    /// oldest first.
-    pub fn end_to_end_latencies(&self) -> Vec<u64> {
-        self.state
-            .lock()
-            .expect("tracer")
-            .spans
-            .values()
-            .filter(|s| !s.hops.is_empty())
-            .map(TraceSpan::end_to_end_ns)
-            .collect()
+    /// End-to-end latency (tick publish → last completed hop) of every
+    /// tick that saw at least one hop, evicted spans included.
+    pub fn end_to_end(&self) -> &Histogram {
+        &self.end_to_end
     }
 }
 
@@ -318,7 +321,11 @@ mod tests {
         assert_eq!(spans[0].hops[0].stage, Stage::Sensor);
         assert_eq!(spans[0].hops[1].queue_ns, 50);
         assert!(spans[0].end_to_end_ns() >= spans[0].hops[0].at_ns);
-        assert_eq!(t.end_to_end_latencies().len(), 1);
+        // One tick traced, however many hops it took; its latency is its
+        // last hop's.
+        assert_eq!(t.end_to_end().count(), 1);
+        assert_eq!(t.end_to_end().sum(), spans[0].hops[1].at_ns);
+        assert_eq!(t.end_to_end().max(), spans[0].end_to_end_ns());
     }
 
     #[test]

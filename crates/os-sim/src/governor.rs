@@ -109,12 +109,15 @@ impl CpufreqGovernor for Ondemand {
             self.current.resize(core + 1, None);
         }
         let cur = self.current[core].unwrap_or_else(|| table.min().frequency());
-        let freqs = table.frequencies();
-        let idx = freqs.iter().position(|&f| f == cur).unwrap_or(0);
+        let states = table.states();
+        let idx = states
+            .iter()
+            .position(|s| s.frequency() == cur)
+            .unwrap_or(0);
         let next = if utilization > self.up_threshold {
-            *freqs.last().expect("non-empty table")
+            table.max().frequency()
         } else if utilization < self.down_threshold && idx > 0 {
-            freqs[idx - 1]
+            states[idx - 1].frequency()
         } else {
             cur
         };

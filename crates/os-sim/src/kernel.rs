@@ -71,6 +71,12 @@ pub struct Kernel {
     processes: BTreeMap<Pid, Process>,
     next_pid: u32,
     next_tid: u32,
+    /// Per-CPU scratch of the tick in flight, reused every quantum: the
+    /// work unit the picked thread asked for (`None` when it slept or
+    /// finished instead, or nothing was picked), the hosting core's
+    /// frequency.
+    work: Vec<Option<WorkUnit>>,
+    cpu_freqs: Vec<MegaHertz>,
 }
 
 impl Kernel {
@@ -90,6 +96,8 @@ impl Kernel {
             processes: BTreeMap::new(),
             next_pid: 100,
             next_tid: 1000,
+            work: Vec::with_capacity(cpus),
+            cpu_freqs: Vec::with_capacity(cpus),
             machine,
         }
     }
@@ -356,18 +364,17 @@ impl Kernel {
         let now = self.machine.now();
 
         // 1. Scheduling decisions.
-        let picks = self.scheduler.pick();
-        let mut work: Vec<Option<WorkUnit>> = vec![None; n_cpus];
-        let mut who: Vec<Option<Tid>> = vec![None; n_cpus];
+        self.scheduler.pick();
+        self.work.clear();
+        self.work.resize(n_cpus, None);
         let mut done: Vec<Tid> = Vec::new();
-        for (cpu, pick) in picks.into_iter().enumerate() {
-            let Some(tid) = pick else { continue };
+        for cpu in 0..n_cpus {
+            let Some(tid) = self.scheduler.picked(cpu) else {
+                continue;
+            };
             let entry = self.threads.get_mut(&tid).expect("scheduler is in sync");
             match entry.behavior.next_slice(now, dt) {
-                Slice::Run(w) => {
-                    work[cpu] = Some(w);
-                    who[cpu] = Some(tid);
-                }
+                Slice::Run(w) => self.work[cpu] = Some(w),
                 Slice::Sleep => {
                     // The slot idles this tick; charging the sleeper keeps
                     // it from monopolizing future picks.
@@ -386,8 +393,7 @@ impl Kernel {
             let c = core.as_usize();
             let util = topo
                 .threads_of(core)
-                .iter()
-                .map(|t| self.machine.utilization(*t).unwrap_or(0.0))
+                .map(|t| self.machine.utilization(t).unwrap_or(0.0))
                 .fold(0.0f64, f64::max);
             let f = self.governor.select(c, util, self.machine.pstates());
             self.machine
@@ -398,41 +404,42 @@ impl Kernel {
                 .expect("core index in range");
         }
 
-        // 3. Execute on the machine.
-        let assignment: Vec<Option<&WorkUnit>> = work.iter().map(|w| w.as_ref()).collect();
+        // 3. Execute on the machine. The borrowed view of `work` is the
+        // one per-tick vector that cannot be parked in the struct.
+        let assignment: Vec<Option<&WorkUnit>> = self.work.iter().map(Option::as_ref).collect();
         let report = self.machine.tick(&assignment, dt.as_u64());
 
         // 4. Attribution + accounting.
-        let mut records = Vec::new();
-        let cpu_freqs: Vec<MegaHertz> = (0..n_cpus)
-            .map(|cpu| self.machine.frequency(cpu / smt))
-            .collect();
+        let mut records = Vec::with_capacity(self.work.iter().flatten().count());
+        self.cpu_freqs.clear();
+        self.cpu_freqs
+            .extend((0..n_cpus).map(|cpu| self.machine.frequency(cpu / smt)));
         for cpu in 0..n_cpus {
-            let Some(tid) = who[cpu] else { continue };
+            let (Some(tid), Some(work)) = (self.scheduler.picked(cpu), &self.work[cpu]) else {
+                continue;
+            };
             let entry = self.threads.get_mut(&tid).expect("ran this tick");
-            let busy =
-                Nanos((dt.as_u64() as f64 * work[cpu].as_ref().expect("ran").intensity()) as u64);
+            let busy = Nanos((dt.as_u64() as f64 * work.intensity()) as u64);
             entry.stats.record_run(CpuId(cpu), dt, busy);
             self.scheduler.charge(tid, dt);
             self.accounting
-                .record_run(entry.pid, CpuId(cpu), cpu_freqs[cpu], dt, busy);
+                .record_run(entry.pid, CpuId(cpu), self.cpu_freqs[cpu], dt, busy);
             records.push(RunRecord {
                 pid: entry.pid,
                 tid,
                 cpu: CpuId(cpu),
-                frequency: cpu_freqs[cpu],
+                frequency: self.cpu_freqs[cpu],
                 delta: report.deltas[cpu],
                 slice: dt,
                 busy,
             });
         }
-        self.accounting.tick(dt, &cpu_freqs);
+        self.accounting.tick(dt, &self.cpu_freqs);
         for core in topo.cores() {
             let c = core.as_usize();
             let busy = topo
                 .threads_of(core)
-                .iter()
-                .any(|t| who[t.as_usize()].is_some());
+                .any(|t| self.work[t.as_usize()].is_some());
             self.idle.observe(c, busy, dt);
         }
 

@@ -50,7 +50,7 @@ proptest! {
         }
         let mut runs = vec![0u32; n_threads];
         for _ in 0..rounds {
-            for t in s.pick().into_iter().flatten() {
+            for t in s.pick().to_vec().into_iter().flatten() {
                 runs[t.0 as usize] += 1;
                 s.charge(t, Nanos(1_000_000));
             }

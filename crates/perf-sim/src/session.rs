@@ -8,6 +8,7 @@ use crate::events::Event;
 use crate::{Error, Result};
 use os_sim::kernel::KernelReport;
 use os_sim::process::Pid;
+use simcpu::counters::ExecDelta;
 use simcpu::fault::{FaultKind, FaultPlan};
 use simcpu::units::Nanos;
 use std::collections::BTreeMap;
@@ -84,6 +85,16 @@ struct CounterState {
     time_running: Nanos,
 }
 
+/// What the session keeps per process with at least one open counter; it
+/// goes when the pid's last counter closes, so the index stays as large
+/// as the monitored set however many pids come and go.
+#[derive(Debug, Clone, Default)]
+struct PidCounters {
+    ids: Vec<CounterId>,
+    /// Ticks this pid's groups have been scheduled: the round-robin cursor.
+    rotation: u64,
+}
+
 /// A perf session over one simulated kernel.
 ///
 /// Counters live in a slab indexed by [`CounterId`] (ids are handed out
@@ -100,11 +111,25 @@ pub struct PerfSession {
     counters: Vec<Option<CounterState>>,
     open_count: usize,
     next_id: u64,
-    by_pid: BTreeMap<Pid, Vec<CounterId>>,
-    rotation: BTreeMap<Pid, u64>,
+    by_pid: BTreeMap<Pid, PidCounters>,
     faults: FaultPlan,
     fault_stats: CounterFaultStats,
     in_reset_window: bool,
+    /// Scratch of [`PerfSession::observe`], reused every tick: the tick's
+    /// records summed per pid, and one pid's groups with whether each got
+    /// onto the PMU.
+    ran: Vec<(Pid, ExecDelta, Nanos)>,
+    groups: Vec<(GroupId, bool)>,
+}
+
+/// Ids are handed out sequentially from 1, so a counter's slab slot is
+/// `id - 1`; closed counters leave a `None` hole (ids never recycle).
+fn slot(counters: &[Option<CounterState>], id: CounterId) -> Option<&CounterState> {
+    counters.get(id.0.checked_sub(1)? as usize)?.as_ref()
+}
+
+fn slot_mut(counters: &mut [Option<CounterState>], id: CounterId) -> Option<&mut CounterState> {
+    counters.get_mut(id.0.checked_sub(1)? as usize)?.as_mut()
 }
 
 impl PerfSession {
@@ -124,23 +149,12 @@ impl PerfSession {
             open_count: 0,
             next_id: 1,
             by_pid: BTreeMap::new(),
-            rotation: BTreeMap::new(),
             faults: FaultPlan::none(),
             fault_stats: CounterFaultStats::default(),
             in_reset_window: false,
+            ran: Vec::new(),
+            groups: Vec::new(),
         }
-    }
-
-    /// Ids are handed out sequentially from 1, so a counter's slab slot is
-    /// `id - 1`; closed counters leave a `None` hole (ids never recycle).
-    fn slot(&self, id: CounterId) -> Option<&CounterState> {
-        self.counters.get(id.0.checked_sub(1)? as usize)?.as_ref()
-    }
-
-    fn slot_mut(&mut self, id: CounterId) -> Option<&mut CounterState> {
-        self.counters
-            .get_mut(id.0.checked_sub(1)? as usize)?
-            .as_mut()
     }
 
     /// Installs a fault plan; only counter-side kinds (stall, spurious
@@ -219,7 +233,11 @@ impl PerfSession {
             self.open_count += 1;
             ids.push(id);
         }
-        self.by_pid.entry(pid).or_default().extend_from_slice(&ids);
+        self.by_pid
+            .entry(pid)
+            .or_default()
+            .ids
+            .extend_from_slice(&ids);
         Ok(ids)
     }
 
@@ -229,7 +247,7 @@ impl PerfSession {
     ///
     /// [`Error::BadCounter`] for unknown ids.
     pub fn set_enabled(&mut self, id: CounterId, enabled: bool) -> Result<()> {
-        self.slot_mut(id)
+        slot_mut(&mut self.counters, id)
             .map(|c| c.enabled = enabled)
             .ok_or(Error::BadCounter(id))
     }
@@ -250,9 +268,9 @@ impl PerfSession {
             return Err(Error::BadCounter(id));
         };
         self.open_count -= 1;
-        if let Some(ids) = self.by_pid.get_mut(&state.pid) {
-            ids.retain(|&i| i != id);
-            if ids.is_empty() {
+        if let Some(of_pid) = self.by_pid.get_mut(&state.pid) {
+            of_pid.ids.retain(|&i| i != id);
+            if of_pid.ids.is_empty() {
                 self.by_pid.remove(&state.pid);
             }
         }
@@ -275,7 +293,7 @@ impl PerfSession {
     ///
     /// [`Error::BadCounter`] for unknown ids.
     pub fn read(&self, id: CounterId) -> Result<ScaledValue> {
-        let c = self.slot(id).ok_or(Error::BadCounter(id))?;
+        let c = slot(&self.counters, id).ok_or(Error::BadCounter(id))?;
         let scaled = if c.time_running == Nanos::ZERO {
             0
         } else {
@@ -297,7 +315,7 @@ impl PerfSession {
     ///
     /// [`Error::BadCounter`] for unknown ids.
     pub fn reset(&mut self, id: CounterId) -> Result<()> {
-        let c = self.slot_mut(id).ok_or(Error::BadCounter(id))?;
+        let c = slot_mut(&mut self.counters, id).ok_or(Error::BadCounter(id))?;
         c.value = 0;
         c.time_enabled = Nanos::ZERO;
         c.time_running = Nanos::ZERO;
@@ -352,51 +370,47 @@ impl PerfSession {
         };
 
         // Aggregate per pid: a multi-threaded process contributes the sum
-        // of its threads' deltas but only one slice of wall time.
-        let mut per_pid: BTreeMap<Pid, (simcpu::counters::ExecDelta, Nanos)> = BTreeMap::new();
+        // of its threads' deltas but only one slice of wall time. A tick
+        // has at most one record per logical CPU, so a scan finds the pid.
+        self.ran.clear();
         for rec in &report.records {
-            let entry = per_pid
-                .entry(rec.pid)
-                .or_insert((simcpu::counters::ExecDelta::zero(), Nanos::ZERO));
-            entry.0 += rec.delta;
-            entry.1 = entry.1.max(rec.slice);
+            match self.ran.iter_mut().find(|(pid, ..)| *pid == rec.pid) {
+                Some((_, delta, slice)) => {
+                    *delta += rec.delta;
+                    *slice = (*slice).max(rec.slice);
+                }
+                None => self.ran.push((rec.pid, rec.delta, rec.slice)),
+            }
         }
 
-        for (pid, (delta, slice)) in per_pid {
+        for &(pid, delta, slice) in &self.ran {
             // Only this pid's counters matter — the per-pid index keeps a
             // tick O(counters of processes that ran), not O(all counters).
-            let Some(ids) = self.by_pid.get(&pid).cloned() else {
+            let Some(of_pid) = self.by_pid.get_mut(&pid) else {
                 continue;
             };
+            let mine = || of_pid.ids.iter().filter_map(|&id| slot(&self.counters, id));
 
             // Groups attached to this pid with at least one enabled member.
-            let mut groups: Vec<GroupId> = ids
-                .iter()
-                .filter_map(|&id| self.slot(id))
-                .filter(|c| c.enabled)
-                .map(|c| c.group)
-                .collect();
-            groups.sort_unstable();
-            groups.dedup();
-            if groups.is_empty() {
+            self.groups.clear();
+            self.groups
+                .extend(mine().filter(|c| c.enabled).map(|c| (c.group, false)));
+            self.groups.sort_unstable();
+            self.groups.dedup();
+            if self.groups.is_empty() {
                 continue;
             }
 
             // Round-robin group scheduling under the slot budget.
-            let rot = self.rotation.entry(pid).or_insert(0);
-            let start = (*rot as usize) % groups.len();
-            *rot += 1;
-            let mut scheduled: Vec<GroupId> = Vec::new();
+            let start = (of_pid.rotation as usize) % self.groups.len();
+            of_pid.rotation += 1;
             let mut used = 0usize;
-            for i in 0..groups.len() {
-                let g = groups[(start + i) % groups.len()];
-                let size = ids
-                    .iter()
-                    .filter_map(|&id| self.slot(id))
-                    .filter(|c| c.group == g && c.enabled)
-                    .count();
+            for i in 0..self.groups.len() {
+                let at = (start + i) % self.groups.len();
+                let g = self.groups[at].0;
+                let size = mine().filter(|c| c.group == g && c.enabled).count();
                 if used + size <= slot_budget {
-                    scheduled.push(g);
+                    self.groups[at].1 = true;
                     used += size;
                 }
                 if used == slot_budget {
@@ -404,13 +418,15 @@ impl PerfSession {
                 }
             }
 
-            for &id in &ids {
-                let Some(c) = self.slot_mut(id) else { continue };
+            for &id in &of_pid.ids {
+                let Some(c) = slot_mut(&mut self.counters, id) else {
+                    continue;
+                };
                 if !c.enabled || stalled {
                     continue;
                 }
                 c.time_enabled += slice;
-                if scheduled.contains(&c.group) {
+                if self.groups.contains(&(c.group, true)) {
                     c.time_running += slice;
                     if let Some(target) = c.event.counter() {
                         c.value += delta.get(target);
@@ -622,6 +638,32 @@ mod tests {
         assert!(matches!(s.close(id), Err(Error::BadCounter(_))));
         assert!(matches!(s.reset(id), Err(Error::BadCounter(_))));
         assert!(matches!(s.set_enabled(id, true), Err(Error::BadCounter(_))));
+    }
+
+    #[test]
+    fn per_pid_state_goes_with_the_last_counter() {
+        let mut k = Kernel::new(presets::intel_i3_2120());
+        let mut s = PerfSession::new(2);
+        let work = WorkUnit::cpu_intensive(1.0);
+        let resident = k.spawn("resident", vec![SteadyTask::boxed(work)]);
+        s.open(resident, Event::Hardware(HwCounter::Cycles))
+            .unwrap();
+        for round in 0..50 {
+            let pid = k.spawn(format!("job{round}"), vec![SteadyTask::boxed(work)]);
+            let ids: Vec<CounterId> = PAPER_EVENTS
+                .iter()
+                .map(|&e| s.open(pid, e).unwrap())
+                .collect();
+            for _ in 0..3 {
+                s.observe(&k.tick(MS));
+            }
+            assert!(s.by_pid[&pid].rotation > 0, "multiplexed while it ran");
+            k.kill(pid).unwrap();
+            for id in ids {
+                s.close(id).unwrap();
+            }
+            assert_eq!(s.by_pid.keys().collect::<Vec<_>>(), [&resident]);
+        }
     }
 
     #[test]

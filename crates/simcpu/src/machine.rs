@@ -66,6 +66,8 @@ pub struct Machine {
     banks: Vec<CounterBank>,
     residency: Vec<Residency>,
     last_busy: Vec<f64>,
+    /// Per-core activity of the tick in flight (scratch, reused).
+    slices: Vec<CoreSlice>,
     time: Nanos,
     temp_c: f64,
     temp_ref_c: f64,
@@ -95,6 +97,7 @@ impl Machine {
             banks: vec![CounterBank::new(); cpus],
             residency: vec![Residency::new(); cores],
             last_busy: vec![0.0; cpus],
+            slices: Vec::with_capacity(cores),
             time: Nanos::ZERO,
             temp_c: temp0,
             temp_ref_c: temp0,
@@ -260,15 +263,11 @@ impl Machine {
         };
         let active_cores = topo
             .cores()
-            .filter(|c| {
-                topo.threads_of(*c)
-                    .iter()
-                    .any(|t| busy_of(t.as_usize()) > 0.0)
-            })
+            .filter(|c| topo.threads_of(*c).any(|t| busy_of(t.as_usize()) > 0.0))
             .count();
 
         let mut deltas = vec![ExecDelta::zero(); n_cpus];
-        let mut slices = Vec::with_capacity(topo.physical_cores());
+        self.slices.clear();
 
         for core in topo.cores() {
             let threads = topo.threads_of(core);
@@ -281,12 +280,11 @@ impl Machine {
 
             let mut thread_busy = [0.0f64; 2];
             let mut thread_deltas = [ExecDelta::zero(), ExecDelta::zero()];
-            for (slot, t) in threads.iter().enumerate() {
+            for (slot, t) in threads.clone().enumerate() {
                 let i = t.as_usize();
                 let sibling_busy = threads
-                    .iter()
-                    .enumerate()
-                    .any(|(s2, t2)| s2 != slot && busy_of(t2.as_usize()) > 0.0);
+                    .clone()
+                    .any(|t2| t2 != t && busy_of(t2.as_usize()) > 0.0);
                 if let Some(work) = assignment.get(i).copied().flatten() {
                     let ctx = ExecContext {
                         pstate,
@@ -316,7 +314,7 @@ impl Machine {
                 Nanos((dt_ns as f64 * (1.0 - core_busy)) as u64),
             );
 
-            slices.push(CoreSlice {
+            self.slices.push(CoreSlice {
                 pstate,
                 thread_busy,
                 deltas: thread_deltas,
@@ -324,7 +322,7 @@ impl Machine {
             });
         }
 
-        let breakdown = self.config.power.slice_power(&slices, dt);
+        let breakdown = self.config.power.slice_power(&self.slices, dt);
         // Temperature-dependent leakage: follows load history, not
         // counters — the history-dependent error source real linear
         // models face (McCullough et al., the paper's ref. [5]).

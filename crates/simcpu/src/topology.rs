@@ -97,21 +97,21 @@ impl Topology {
         Ok(CoreId(cpu.0 / self.threads_per_core))
     }
 
-    /// The logical CPUs on a core (the SMT sibling set).
+    /// The logical CPUs on a core (the SMT sibling set): a contiguous
+    /// range of ids, so asking costs nothing.
     ///
     /// # Panics
     ///
     /// Panics when `core` is out of range.
-    pub fn threads_of(&self, core: CoreId) -> Vec<CpuId> {
+    pub fn threads_of(&self, core: CoreId) -> impl Iterator<Item = CpuId> + Clone {
         assert!(
             core.0 < self.physical_cores(),
             "core {} out of range ({})",
             core.0,
             self.physical_cores()
         );
-        (0..self.threads_per_core)
-            .map(|t| CpuId(core.0 * self.threads_per_core + t))
-            .collect()
+        let first = core.0 * self.threads_per_core;
+        (first..first + self.threads_per_core).map(CpuId)
     }
 
     /// The SMT sibling of a logical CPU (`None` without SMT).
@@ -179,7 +179,7 @@ mod tests {
         assert_eq!(t.sibling_of(CpuId(0)).unwrap(), Some(CpuId(1)));
         assert_eq!(t.sibling_of(CpuId(1)).unwrap(), Some(CpuId(0)));
         assert_eq!(t.sibling_of(CpuId(3)).unwrap(), Some(CpuId(2)));
-        assert_eq!(t.threads_of(CoreId(1)), vec![CpuId(2), CpuId(3)]);
+        assert!(t.threads_of(CoreId(1)).eq([CpuId(2), CpuId(3)]));
     }
 
     #[test]
@@ -187,7 +187,7 @@ mod tests {
         let t = Topology::new(1, 2, 1).unwrap();
         assert!(!t.has_smt());
         assert_eq!(t.sibling_of(CpuId(0)).unwrap(), None);
-        assert_eq!(t.threads_of(CoreId(1)), vec![CpuId(1)]);
+        assert!(t.threads_of(CoreId(1)).eq([CpuId(1)]));
     }
 
     #[test]

@@ -1,6 +1,13 @@
 //! Phase scripting: a workload as a time-ordered sequence of
 //! `(work unit, duration)` phases, optionally looping, runnable as an
 //! [`os_sim::task::TaskBehavior`].
+//!
+//! The kernel asks every scheduled thread for its work unit once per
+//! quantum, so [`PhaseScript::at`] is on the simulator's hottest path. A
+//! script keeps the running sum of its phase durations beside the phases
+//! (maintained by [`PhaseScript::then`], the only way a phase gets in),
+//! which makes the lookup a stateless binary search and the total O(1),
+//! however long the script is (SPECjbb's is ~270 phases per thread).
 
 use os_sim::task::{Slice, TaskBehavior};
 use simcpu::units::Nanos;
@@ -26,6 +33,8 @@ impl Phase {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PhaseScript {
     phases: Vec<Phase>,
+    /// `ends[i]` is when phase `i` ends, from the start of an iteration.
+    ends: Vec<Nanos>,
     repeat: bool,
 }
 
@@ -38,6 +47,7 @@ impl PhaseScript {
     /// Appends a phase (builder style).
     pub fn then(mut self, work: WorkUnit, duration: Nanos) -> PhaseScript {
         self.phases.push(Phase::new(work, duration));
+        self.ends.push(self.total_duration() + duration);
         self
     }
 
@@ -54,7 +64,7 @@ impl PhaseScript {
 
     /// Total scripted duration (one iteration).
     pub fn total_duration(&self) -> Nanos {
-        Nanos(self.phases.iter().map(|p| p.duration.as_u64()).sum())
+        self.ends.last().copied().unwrap_or(Nanos::ZERO)
     }
 
     /// The work unit active `elapsed` into the script, or `None` when the
@@ -72,14 +82,10 @@ impl PhaseScript {
         } else {
             elapsed
         };
-        let mut acc = Nanos::ZERO;
-        for p in &self.phases {
-            acc += p.duration;
-            if t < acc {
-                return Some(p.work);
-            }
-        }
-        None
+        // The first phase that ends after `t`; zero-length phases end
+        // with their predecessor and are never active.
+        let active = self.ends.partition_point(|&end| end <= t);
+        Some(self.phases[active].work)
     }
 }
 
@@ -125,8 +131,95 @@ impl TaskBehavior for PhasedTask {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     const SEC: Nanos = Nanos(1_000_000_000);
+
+    impl PhaseScript {
+        /// The oracle: re-sum the durations and scan for the active phase.
+        fn at_by_scan(&self, elapsed: Nanos) -> Option<WorkUnit> {
+            let total = Nanos(self.phases.iter().map(|p| p.duration.as_u64()).sum());
+            if total == Nanos::ZERO {
+                return None;
+            }
+            let t = if self.repeat {
+                Nanos(elapsed.as_u64() % total.as_u64())
+            } else if elapsed >= total {
+                return None;
+            } else {
+                elapsed
+            };
+            let mut acc = Nanos::ZERO;
+            for p in &self.phases {
+                acc += p.duration;
+                if t < acc {
+                    return Some(p.work);
+                }
+            }
+            None
+        }
+    }
+
+    /// Every instant where the answer can change, ± 1 ns: each phase
+    /// boundary, the total, and the same offsets into later iterations.
+    fn probes(script: &PhaseScript) -> Vec<Nanos> {
+        let total = script.phases().iter().map(|p| p.duration.as_u64()).sum();
+        let mut edges = vec![0u64, total];
+        let mut acc = 0;
+        for p in script.phases() {
+            acc += p.duration.as_u64();
+            edges.push(acc);
+        }
+        let mut out = Vec::new();
+        for lap in [0, 1, 2, 7] {
+            for &e in &edges {
+                let at = lap * total + e;
+                out.extend([at.saturating_sub(1), at, at + 1].map(Nanos));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn indexed_lookup_matches_the_linear_scan() {
+        let mut rng = StdRng::seed_from_u64(2014);
+        let mut scripts = vec![
+            PhaseScript::new(),
+            PhaseScript::new().then(cpu(0.5), SEC),
+            PhaseScript::new().then(cpu(0.5), Nanos::ZERO),
+            PhaseScript::new()
+                .then(cpu(0.1), Nanos::ZERO)
+                .then(cpu(0.2), Nanos(1))
+                .then(cpu(0.3), Nanos::ZERO)
+                .then(cpu(0.4), Nanos::ZERO)
+                .then(cpu(0.5), Nanos(2))
+                .then(cpu(0.6), Nanos::ZERO),
+        ];
+        for _ in 0..200 {
+            let mut s = PhaseScript::new();
+            for _ in 0..rng.gen_range(0..40) {
+                let duration = match rng.gen_range(0..4) {
+                    0 => 0,
+                    1 => rng.gen_range(1..4u64),
+                    _ => rng.gen_range(1..5_000_000_000u64),
+                };
+                s = s.then(cpu(rng.gen_range(0.0..1.0)), Nanos(duration));
+            }
+            scripts.push(s);
+        }
+        for script in scripts {
+            for script in [script.clone(), script.repeating()] {
+                assert_eq!(
+                    script.total_duration(),
+                    Nanos(script.phases().iter().map(|p| p.duration.as_u64()).sum())
+                );
+                for at in probes(&script) {
+                    assert_eq!(script.at(at), script.at_by_scan(at), "{at:?} in {script:?}");
+                }
+            }
+        }
+    }
 
     fn cpu(i: f64) -> WorkUnit {
         WorkUnit::cpu_intensive(i)

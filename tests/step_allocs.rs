@@ -1,0 +1,132 @@
+//! Allocation pin for the simulator's per-quantum path: a count, not a
+//! stopwatch, so it reads the same on any box and cannot creep back
+//! unnoticed between benchmark runs. Its own test binary because it
+//! installs a counting `#[global_allocator]`; the count is per thread, so
+//! the harness's other threads cannot disturb it.
+
+use os_sim::kernel::Kernel;
+use os_sim::task::{SteadyTask, TaskBehavior};
+use perf_sim::events::PAPER_EVENTS;
+use powerapi::host::SimHost;
+use powermeter::powerspy::PowerSpyConfig;
+use powermeter::rapl::Rapl;
+use simcpu::presets;
+use simcpu::units::{Nanos, Watts};
+use simcpu::workunit::WorkUnit;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use workloads::specjbb::{self, SpecJbbConfig};
+
+thread_local! {
+    // Const-initialised and without a destructor: reading it from inside
+    // the allocator neither allocates nor registers anything.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAllocator;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter touches no allocator
+// state.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: the caller's obligations are passed through to `System`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+fn note() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations (alloc, alloc_zeroed, realloc) this thread makes in `f`.
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+const MS: Nanos = Nanos(1_000_000);
+
+#[test]
+fn a_steady_state_step_allocates_only_what_its_reports_return() {
+    let mut kernel = Kernel::new(presets::intel_i3_2120());
+    let mut pids = Vec::new();
+    for (i, intensity) in [0.9, 0.6, 0.3].into_iter().enumerate() {
+        let task = SteadyTask::boxed(WorkUnit::cpu_intensive(intensity));
+        pids.push(kernel.spawn(format!("steady{i}"), vec![task]));
+    }
+    let jbb = SpecJbbConfig {
+        threads: 4,
+        duration: Nanos::from_secs(100),
+        ..SpecJbbConfig::default()
+    };
+    pids.push(kernel.spawn("jbb", specjbb::tasks(&jbb)));
+    let mut host = SimHost::new(kernel, PAPER_EVENTS.to_vec(), 4, PowerSpyConfig::default());
+    for pid in pids {
+        host.monitor(pid).unwrap();
+    }
+    // Warm-up: every P-state, C-state and accounting key has been seen.
+    for _ in 0..2_000 {
+        host.step(MS);
+    }
+
+    const QUANTA: u64 = 1_000;
+    let total = allocations_in(|| {
+        for _ in 0..QUANTA {
+            host.step(MS);
+        }
+    });
+    // What is left is what the reports hand their callers by value —
+    // `TickReport::deltas` and `KernelReport::records` — plus the kernel's
+    // borrowed view of the work it scheduled, and once a second the
+    // meter's one-sample `Vec`.
+    let per_quantum = total as f64 / QUANTA as f64;
+    assert!(
+        per_quantum <= 4.0,
+        "SimHost::step allocates {per_quantum} times per quantum"
+    );
+}
+
+#[test]
+fn the_meters_and_the_phase_lookup_do_not_allocate() {
+    let mut rapl = Rapl::open(&presets::intel_i3_2120()).unwrap();
+    let rapl_allocs = allocations_in(|| {
+        for dt in [400_000, 1_000_000, 250_000_000, 150_000_000_000] {
+            rapl.observe(Watts(42.0), Nanos(dt));
+        }
+    });
+    assert_eq!(rapl_allocs, 0, "Rapl::observe");
+
+    let jbb = SpecJbbConfig::default();
+    let mut tasks: Vec<Box<dyn TaskBehavior>> = specjbb::tasks(&jbb);
+    let slice_allocs = allocations_in(|| {
+        for task in &mut tasks {
+            for second in 0..3_000 {
+                std::hint::black_box(task.next_slice(Nanos::from_secs(second), MS));
+            }
+        }
+    });
+    assert_eq!(slice_allocs, 0, "PhasedTask::next_slice");
+}
