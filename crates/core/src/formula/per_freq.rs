@@ -142,7 +142,7 @@ impl PerFrequencyFormula {
                 if usable && attributed == 0 {
                     rates.clear();
                     rates.extend(deltas.iter().map(|d| d / interval_s));
-                    let f = self.model.frequencies()[0];
+                    let f = self.model.first_frequency();
                     match self.model.predict_active(f, &rates) {
                         Ok(p) => total += p,
                         Err(_) => usable = false,
@@ -156,7 +156,7 @@ impl PerFrequencyFormula {
                     .iter()
                     .max_by_key(|(_, t)| t.as_u64())
                     .map(|&(f, _)| f)
-                    .unwrap_or_else(|| self.model.frequencies()[0]);
+                    .unwrap_or_else(|| self.model.first_frequency());
                 self.model.prediction_band_w(dominant, PREDICTION_Z)
             } else {
                 0.0
@@ -178,7 +178,7 @@ impl PerFrequencyFormula {
             .iter()
             .max_by_key(|(_, t)| t.as_u64())
             .map(|&(f, _)| f)
-            .unwrap_or_else(|| self.model.frequencies()[0])
+            .unwrap_or_else(|| self.model.first_frequency())
     }
 
     /// Extracts the report's counter deltas in model-event order
@@ -236,7 +236,7 @@ impl PowerFormula for PerFrequencyFormula {
         // truncation) falls to the nearest model of the first frequency.
         if attributed == 0 {
             let rates: Vec<f64> = deltas.iter().map(|d| d / interval_s).collect();
-            let f = self.model.frequencies()[0];
+            let f = self.model.first_frequency();
             total += self.model.predict_active(f, &rates).ok()?;
         }
         Some(Watts(total))

@@ -32,6 +32,9 @@ pub struct SimHost {
     meter_buf: Vec<(Nanos, Watts)>,
     corun_acc: BTreeMap<Pid, CorunSplit>,
     proc_prev: BTreeMap<Pid, (Nanos, Vec<(MegaHertz, Nanos)>)>,
+    /// Monitored pids the kernel had never run when last looked at
+    /// (sorted): no accounting entry, hence no time row.
+    unscheduled: Vec<Pid>,
     last_snapshot: Nanos,
     telemetry: Telemetry,
     events_arc: Arc<[Event]>,
@@ -64,6 +67,7 @@ impl SimHost {
             meter_buf: Vec::new(),
             corun_acc: BTreeMap::new(),
             proc_prev: BTreeMap::new(),
+            unscheduled: Vec::new(),
             last_snapshot: kernel.machine().now(),
             telemetry: Telemetry::disabled(),
             kernel,
@@ -136,9 +140,14 @@ impl SimHost {
     /// Propagates perf-session errors.
     pub fn monitor(&mut self, pid: Pid) -> crate::Result<()> {
         self.monitor.track(pid)?;
-        let accounting = self.kernel.accounting();
+        let times = self.kernel.accounting().process(pid);
+        if times.is_none() {
+            if let Err(at) = self.unscheduled.binary_search(&pid) {
+                self.unscheduled.insert(at, pid);
+            }
+        }
         self.proc_prev.entry(pid).or_insert_with(|| {
-            accounting.process(pid).map_or_else(Default::default, |t| {
+            times.map_or_else(Default::default, |t| {
                 let per_freq = t.utime_per_freq.iter().map(|(&f, &at)| (f, at));
                 (t.utime, per_freq.collect())
             })
@@ -150,6 +159,9 @@ impl SimHost {
     pub fn unmonitor(&mut self, pid: Pid) {
         self.monitor.untrack(pid);
         self.proc_prev.remove(&pid);
+        if let Ok(at) = self.unscheduled.binary_search(&pid) {
+            self.unscheduled.remove(at);
+        }
     }
 
     /// Pids currently monitored.
@@ -253,7 +265,7 @@ impl SimHost {
     /// [`TickFrame`], recycling column storage through `pool`.
     pub fn snapshot_frame(&mut self, pool: &FramePool) -> TickFrame {
         let started = self.telemetry.enabled().then(std::time::Instant::now);
-        let frame = self.snapshot_frame_inner(pool);
+        let frame = self.snapshot_frame_inner(pool, Self::time_rows);
         if let Some(t) = started {
             self.telemetry
                 .overhead()
@@ -262,7 +274,75 @@ impl SimHost {
         frame
     }
 
-    fn snapshot_frame_inner(&mut self, pool: &FramePool) -> TickFrame {
+    /// The time section: one row per tracked pid the kernel has ever run,
+    /// per-frequency residency appended straight into the shared CSR
+    /// column. `busy` and the residencies only move when the kernel
+    /// emits a record for the pid, and the keys of `corun_acc` are
+    /// exactly the pids with a record since the last snapshot — so only
+    /// those read accounting and their baselines; every other row is the
+    /// zero row.
+    fn time_rows(&mut self, pids: &[Pid], b: &mut FrameBuilder) {
+        // Hosts without cgroups never tag, so the group column stays
+        // absent and their wire payload carries no group section.
+        let grouped = !self.kernel.cgroups().is_empty();
+        let mut ran = self.corun_acc.keys().copied().peekable();
+        for &pid in pids {
+            while ran.next_if(|&r| r < pid).is_some() {}
+            if ran.next_if_eq(&pid).is_some() {
+                let Some(times) = self.kernel.accounting().process(pid) else {
+                    continue;
+                };
+                if let Ok(at) = self.unscheduled.binary_search(&pid) {
+                    self.unscheduled.remove(at);
+                }
+                let (prev_busy, prev_freq) = self.proc_prev.entry(pid).or_default();
+                let busy = times.utime.saturating_sub(*prev_busy);
+                *prev_busy = times.utime;
+                b.push_time_row(pid, busy, |freqs| {
+                    Self::freq_deltas_into(prev_freq, &times.utime_per_freq, freqs);
+                });
+            } else if self.unscheduled.binary_search(&pid).is_ok() {
+                continue;
+            } else {
+                b.push_time_row(pid, Nanos::ZERO, |_| {});
+            }
+            if grouped {
+                b.set_time_group(self.kernel.cgroup_of(pid));
+            }
+        }
+    }
+
+    /// The time section as it was before the dirty set: accounting and
+    /// baselines read for every tracked pid. What [`Self::time_rows`]
+    /// must reproduce column for column.
+    #[cfg(test)]
+    fn time_rows_by_full_walk(&mut self, pids: &[Pid], b: &mut FrameBuilder) {
+        for &pid in pids {
+            let Some(times) = self.kernel.accounting().process(pid) else {
+                continue;
+            };
+            let (prev_busy, prev_freq) = self.proc_prev.entry(pid).or_default();
+            let busy = times.utime.saturating_sub(*prev_busy);
+            *prev_busy = times.utime;
+            b.push_time_row(pid, busy, |freqs| {
+                Self::freq_deltas_into(prev_freq, &times.utime_per_freq, freqs);
+            });
+            if !self.kernel.cgroups().is_empty() {
+                b.set_time_group(self.kernel.cgroup_of(pid));
+            }
+        }
+    }
+
+    #[cfg(test)]
+    fn snapshot_frame_by_full_walk(&mut self, pool: &FramePool) -> TickFrame {
+        self.snapshot_frame_inner(pool, Self::time_rows_by_full_walk)
+    }
+
+    fn snapshot_frame_inner(
+        &mut self,
+        pool: &FramePool,
+        time_rows: fn(&mut SimHost, &[Pid], &mut FrameBuilder),
+    ) -> TickFrame {
         let now = self.kernel.machine().now();
         let interval = now - self.last_snapshot;
         self.last_snapshot = now;
@@ -278,25 +358,7 @@ impl SimHost {
             self.monitor.sample_into(&mut pids, counters);
             hpc_pids.extend_from_slice(&pids);
         }
-
-        // time section: same tracked set, per-frequency residency appended
-        // straight into the shared CSR column.
-        for &pid in &pids {
-            let Some(times) = self.kernel.accounting().process(pid) else {
-                continue;
-            };
-            let (prev_busy, prev_freq) = self.proc_prev.entry(pid).or_default();
-            let busy = times.utime.saturating_sub(*prev_busy);
-            *prev_busy = times.utime;
-            b.push_time_row(pid, busy, |freqs| {
-                Self::freq_deltas_into(prev_freq, &times.utime_per_freq, freqs);
-            });
-            // Hosts without cgroups never tag, so the group column stays
-            // absent and their wire payload carries no group section.
-            if !self.kernel.cgroups().is_empty() {
-                b.set_time_group(self.kernel.cgroup_of(pid));
-            }
-        }
+        time_rows(self, &pids, &mut b);
         self.pid_scratch = pids;
 
         for (&pid, split) in &self.corun_acc {
@@ -499,5 +561,163 @@ mod tests {
             host.snapshot_frame(&pool).meter().is_empty(),
             "already drained"
         );
+    }
+
+    /// One frame of the dirty-set harvest against one of the full walk.
+    fn assert_same_frame(fast: &TickFrame, full: &TickFrame, tick: usize) {
+        assert_eq!(fast.time_len(), full.time_len(), "tick {tick}: time rows");
+        for i in 0..full.time_len() {
+            let pid = full.time_pid(i);
+            assert_eq!(fast.time_pid(i), pid, "tick {tick}, row {i}");
+            assert_eq!(fast.busy(i), full.busy(i), "tick {tick}, {pid}: busy");
+            assert_eq!(
+                fast.freq_slice(i),
+                full.freq_slice(i),
+                "tick {tick}, {pid}: residency"
+            );
+            assert_eq!(
+                fast.group_of_row(i),
+                full.group_of_row(i),
+                "tick {tick}, {pid}: group"
+            );
+        }
+        fast.debug_assert_consistent();
+        assert_eq!(fast, full, "tick {tick}: the other sections");
+    }
+
+    #[test]
+    fn dirty_set_harvest_equals_the_full_walk_every_tick() {
+        use os_sim::task::{FnTask, PeriodicTask, Slice, TimedTask};
+
+        // Two identical worlds, stepped and steered in lockstep; `fast`
+        // harvests through the dirty set, `full` through the oracle.
+        struct World {
+            host: SimHost,
+            steady: Pid,
+            never: Pid,
+            late_riser: Pid,
+            late_monitored: Pid,
+            flaky: Pid,
+            killed: Pid,
+        }
+        fn world() -> World {
+            let light = WorkUnit::cpu_intensive(0.3);
+            let bursty = |period_ms, duty| {
+                vec![PeriodicTask::boxed(
+                    WorkUnit::cpu_intensive(0.6),
+                    Nanos::from_millis(period_ms),
+                    duty,
+                )]
+            };
+            let sleep_until = |wake: Nanos, work| {
+                FnTask::boxed("riser", move |now, _| match now < wake {
+                    true => Slice::Sleep,
+                    false => Slice::Run(work),
+                })
+            };
+            // Ondemand governor: the light start sits at the lowest
+            // P-state, the load that wakes at 150 ms drags every running
+            // pid onto frequencies its baseline has never seen.
+            let mut k = Kernel::new(presets::intel_i3_2120());
+            k.cgroup_create("tenants/a", 1024);
+            let steady = k.spawn("steady", vec![SteadyTask::boxed(light)]);
+            let never = k.spawn("never", vec![FnTask::boxed("zz", |_, _| Slice::Sleep)]);
+            let late_riser = k.spawn(
+                "late-riser",
+                vec![sleep_until(Nanos::from_millis(90), light)],
+            );
+            let late_monitored = k.spawn("late-monitored", bursty(40, 0.5));
+            let flaky = k.spawn("flaky", bursty(25, 0.4));
+            let tagged = k.spawn_in_cgroup("tagged", "tenants/a", bursty(60, 0.3));
+            let killed = k.spawn_in_cgroup("killed", "tenants/a/web", bursty(30, 0.5));
+            let short = k.spawn(
+                "short",
+                vec![TimedTask::boxed(light, Nanos::from_millis(30))],
+            );
+            let heavy = WorkUnit::cpu_intensive(1.0);
+            let load = k.spawn(
+                "load",
+                (0..4)
+                    .map(|_| sleep_until(Nanos::from_millis(150), heavy))
+                    .collect(),
+            );
+            let sparse: Vec<Pid> = (0..6)
+                .map(|i| k.spawn(format!("sparse{i}"), bursty(70 + 13 * i, 0.1)))
+                .collect();
+            let mut host = SimHost::new(
+                k,
+                PAPER_EVENTS.to_vec(),
+                4,
+                PowerSpyConfig::default().with_sample_period(Nanos::from_millis(10)),
+            );
+            let monitored = [
+                steady, never, late_riser, flaky, tagged, killed, short, load,
+            ];
+            for pid in monitored.into_iter().chain(sparse) {
+                host.monitor(pid).unwrap();
+            }
+            World {
+                host,
+                steady,
+                never,
+                late_riser,
+                late_monitored,
+                flaky,
+                killed,
+            }
+        }
+
+        let (mut fast, mut full) = (world(), world());
+        let (fast_pool, full_pool) = (FramePool::new(), FramePool::new());
+        let mut seed = 2014u64;
+        let mut steady_freqs = Vec::new();
+        let (mut mixed_groups, mut riser_absent, mut riser_appeared) = (false, false, false);
+        for tick in 0..400 {
+            seed = crate::fleet::fault::splitmix64(seed);
+            // 0 quanta: two snapshots with no step between them.
+            let quanta = seed % 5;
+            for w in [&mut fast, &mut full] {
+                match tick {
+                    120 => w.host.monitor(w.late_monitored).unwrap(),
+                    150 => w.host.unmonitor(w.flaky),
+                    200 => w.host.monitor(w.flaky).unwrap(),
+                    230 => w.host.kernel_mut().kill(w.killed).unwrap(),
+                    _ => {}
+                }
+                for _ in 0..quanta {
+                    w.host.step(MS);
+                }
+            }
+            let a = fast.host.snapshot_frame(&fast_pool);
+            let b = full.host.snapshot_frame_by_full_walk(&full_pool);
+            assert_same_frame(&a, &b, tick);
+
+            // The scenario reaches what it is there for.
+            assert_eq!(a.time_row(fast.never, 0), None, "never ran: no time row");
+            match a.time_row(fast.late_riser, 0) {
+                None => riser_absent = true,
+                Some(_) => riser_appeared = riser_absent,
+            }
+            mixed_groups |=
+                a.has_groups() && (0..a.time_len()).any(|i| a.group_of_row(i).is_none());
+            if let Some(row) = a.time_row(fast.steady, 0) {
+                for (f, _) in a.freq_slice(row) {
+                    if !steady_freqs.contains(f) {
+                        steady_freqs.push(*f);
+                    }
+                }
+            }
+        }
+        assert!(mixed_groups, "tagged and untagged rows shared a frame");
+        assert!(
+            riser_appeared,
+            "a monitored pid went from never-run to running"
+        );
+        assert!(
+            steady_freqs.len() > 1,
+            "a P-state appeared after the baseline: {steady_freqs:?}"
+        );
+        assert_eq!(fast.host.proc_prev, full.host.proc_prev);
+        assert_eq!(fast.host.unscheduled, vec![fast.never]);
     }
 }

@@ -96,6 +96,14 @@ impl PerFrequencyPowerModel {
         self.per_freq.keys().map(|&f| MegaHertz(f)).collect()
     }
 
+    /// The lowest modeled frequency — where the formula places a row that
+    /// carries no residency split. Unlike `frequencies()[0]` it does not
+    /// allocate: the formula asks once per idle row.
+    pub fn first_frequency(&self) -> MegaHertz {
+        let first = self.per_freq.keys().next();
+        MegaHertz(*first.expect("non-empty by construction"))
+    }
+
     /// Coefficients for an exact frequency.
     pub fn coefficients(&self, f: MegaHertz) -> Option<&[f64]> {
         self.per_freq.get(&f.as_u32()).map(|v| v.as_slice())
@@ -409,6 +417,7 @@ mod tests {
         let m = PerFrequencyPowerModel::paper_i3_example();
         assert_eq!(m.event_names().len(), 3);
         assert_eq!(m.frequencies(), vec![MegaHertz(3300)]);
+        assert_eq!(m.first_frequency(), MegaHertz(3300));
         assert!(m.coefficients(MegaHertz(1600)).is_none());
     }
 }

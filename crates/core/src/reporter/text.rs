@@ -9,6 +9,7 @@ use crate::actor::{Actor, Context};
 use crate::msg::{Message, Quality, Scope};
 use crate::telemetry::TraceId;
 use simcpu::units::{Nanos, Watts};
+use std::cmp::Ordering;
 use std::io::Write;
 
 /// The line formats a [`TextReporter`] writes.
@@ -36,7 +37,7 @@ struct Row<'a> {
     at: Nanos,
     /// `estimate`, `powerspy` or `rapl`.
     kind: &'static str,
-    scope: &'a str,
+    scope: &'a [u8],
     power: Watts,
     band: Watts,
     quality: Quality,
@@ -45,7 +46,7 @@ struct Row<'a> {
 
 impl Row<'_> {
     /// A measurement row: no band, full quality, untraced.
-    fn measured(at: Nanos, kind: &'static str, scope: &'static str, power: Watts) -> Row<'static> {
+    fn measured(at: Nanos, kind: &'static str, scope: &'static [u8], power: Watts) -> Row<'static> {
         Row {
             at,
             kind,
@@ -60,25 +61,116 @@ impl Row<'_> {
 
 const CSV_HEADER: &[u8] = b"time_s,kind,scope,power_w,band_w,quality,trace\n";
 
-// Each format function appends one line; writing to a `Vec<u8>` cannot
-// fail, hence the ignored results.
+/// The smallest double the kernel hands to `core::fmt`: 2⁵³. As bit
+/// patterns compare, everything with the sign bit set (negatives, `-0.0`),
+/// the infinities and every NaN also sit at or above it.
+const FALLBACK_BITS: u64 = 0x4340_0000_0000_0000;
 
-fn console_line(r: &Row<'_>, buf: &mut Vec<u8>) {
+/// The fraction field of a double's bit pattern.
+const FRACTION: u64 = (1 << 52) - 1;
+
+/// Appends `v` as `{v}` prints it.
+fn push_u64(mut v: u64, buf: &mut Vec<u8>) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    buf.extend_from_slice(&digits[i..]);
+}
+
+/// Appends `x` as `{x:width$.N$}` prints it: the exact decimal expansion
+/// of the double, rounded half-to-even at `N` fractional digits and
+/// right-aligned to `width`. A double below 2⁵³ is `m · 2^-shift` with
+/// `m < 2⁵³`, so `m · 10^N` fits a `u64` and the shifted-out bits are the
+/// exact remainder the rounding decides on. The few inputs outside that
+/// form go through `core::fmt`, which is also what the tests hold the
+/// kernel to.
+fn push_fixed<const N: usize>(x: f64, width: usize, buf: &mut Vec<u8>) {
+    const { assert!(N >= 1 && N <= 3, "2^53 * 10^N must fit a u64") };
+    let bits = x.to_bits();
+    if bits >= FALLBACK_BITS {
+        let _ = write!(buf, "{x:width$.N$}");
+        return;
+    }
+    let (exponent, fraction) = ((bits >> 52) as u32, bits & FRACTION);
+    let (m, shift) = match exponent {
+        0 => (fraction, 1074),
+        e => (fraction | 1 << 52, 1075 - e),
+    };
+    let scaled = m * 10u64.pow(N as u32);
+    // Past 63 bits the whole product is remainder, and below one half.
+    let mut q = if shift >= 64 {
+        0
+    } else {
+        let q = scaled >> shift;
+        let remainder = scaled - (q << shift);
+        match (remainder << 1).cmp(&(1 << shift)) {
+            Ordering::Less => q,
+            Ordering::Equal => q + (q & 1),
+            Ordering::Greater => q + 1,
+        }
+    };
+    // At most 19 digits (2⁵³ · 10³ < 10¹⁹) and the point.
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    let mut put = |b| {
+        i -= 1;
+        digits[i] = b;
+    };
+    for _ in 0..N {
+        put(b'0' + (q % 10) as u8);
+        q /= 10;
+    }
+    put(b'.');
+    loop {
+        put(b'0' + (q % 10) as u8);
+        q /= 10;
+        if q == 0 {
+            break;
+        }
+    }
+    let text = &digits[i..];
+    buf.resize(buf.len() + width.saturating_sub(text.len()), b' ');
+    buf.extend_from_slice(text);
+}
+
+/// The row's timestamp as `format` prints it.
+fn push_time(at: Nanos, format: Format, buf: &mut Vec<u8>) {
+    match format {
+        Format::Console => push_fixed::<3>(at.as_secs_f64(), 10, buf),
+        Format::Csv | Format::Json => push_fixed::<3>(at.as_secs_f64(), 0, buf),
+        Format::Influx => push_u64(at.as_u64(), buf),
+    }
+}
+
+fn console_line(time: &[u8], r: &Row<'_>, buf: &mut Vec<u8>) {
     // Estimates are labelled by their scope, measurements by their kind.
     let (label, verb) = match r.kind {
-        "powerspy" => (r.kind, "measured"),
-        "rapl" => (r.kind, "package "),
+        "powerspy" => (r.kind.as_bytes(), "measured"),
+        "rapl" => (r.kind.as_bytes(), "package "),
         _ => (r.scope, r.kind),
     };
-    let _ = write!(
-        buf,
-        "[{:10.3}s] {label:<10} {verb} {:.2} W",
-        r.at.as_secs_f64(),
-        r.power.as_f64()
-    );
+    buf.push(b'[');
+    buf.extend_from_slice(time);
+    buf.extend_from_slice(b"s] ");
+    // `{label:<10}` pads to ten characters, not bytes.
+    let chars = label.iter().filter(|&&b| b & 0xC0 != 0x80).count();
+    buf.extend_from_slice(label);
+    buf.resize(buf.len() + 10usize.saturating_sub(chars) + 1, b' ');
+    buf.extend_from_slice(verb.as_bytes());
+    buf.push(b' ');
+    push_fixed::<2>(r.power.as_f64(), 0, buf);
+    buf.extend_from_slice(b" W");
     // Show the prediction interval when the formula claims one.
     if r.band.as_f64() > 0.0 {
-        let _ = write!(buf, " ±{:.2}", r.band.as_f64());
+        buf.extend_from_slice(" ±".as_bytes());
+        push_fixed::<2>(r.band.as_f64(), 0, buf);
     }
     // Flag non-primary estimates so a human scanning the log sees
     // degradation without checking another stream.
@@ -89,63 +181,89 @@ fn console_line(r: &Row<'_>, buf: &mut Vec<u8>) {
     });
 }
 
-fn csv_line(r: &Row<'_>, buf: &mut Vec<u8>) {
-    let _ = writeln!(
-        buf,
-        "{:.3},{},{},{:.3},{:.3},{},{}",
-        r.at.as_secs_f64(),
-        r.kind,
-        r.scope,
-        r.power.as_f64(),
-        r.band.as_f64(),
-        r.quality.label(),
-        r.trace
-    );
+fn csv_line(time: &[u8], r: &Row<'_>, buf: &mut Vec<u8>) {
+    buf.extend_from_slice(time);
+    buf.push(b',');
+    buf.extend_from_slice(r.kind.as_bytes());
+    buf.push(b',');
+    buf.extend_from_slice(r.scope);
+    buf.push(b',');
+    push_fixed::<3>(r.power.as_f64(), 0, buf);
+    buf.push(b',');
+    push_fixed::<3>(r.band.as_f64(), 0, buf);
+    buf.push(b',');
+    buf.extend_from_slice(r.quality.label().as_bytes());
+    buf.push(b',');
+    push_u64(r.trace.0, buf);
+    buf.push(b'\n');
 }
 
 /// Hand-rolled: the schema is flat, and `kind`, `scope` and the quality
 /// label are generated identifiers (`[a-z0-9-]+`), never user input, so
 /// no escaping is required.
-fn json_line(r: &Row<'_>, buf: &mut Vec<u8>) {
-    let _ = writeln!(
-        buf,
-        "{{\"time_s\":{:.3},\"kind\":\"{}\",\"scope\":\"{}\",\"power_w\":{:.3},\"band_w\":{:.3},\"quality\":\"{}\",\"trace\":{}}}",
-        r.at.as_secs_f64(),
-        r.kind,
-        r.scope,
-        r.power.as_f64(),
-        r.band.as_f64(),
-        r.quality.label(),
-        r.trace
-    );
+fn json_line(time: &[u8], r: &Row<'_>, buf: &mut Vec<u8>) {
+    buf.extend_from_slice(b"{\"time_s\":");
+    buf.extend_from_slice(time);
+    buf.extend_from_slice(b",\"kind\":\"");
+    buf.extend_from_slice(r.kind.as_bytes());
+    buf.extend_from_slice(b"\",\"scope\":\"");
+    buf.extend_from_slice(r.scope);
+    buf.extend_from_slice(b"\",\"power_w\":");
+    push_fixed::<3>(r.power.as_f64(), 0, buf);
+    buf.extend_from_slice(b",\"band_w\":");
+    push_fixed::<3>(r.band.as_f64(), 0, buf);
+    buf.extend_from_slice(b",\"quality\":\"");
+    buf.extend_from_slice(r.quality.label().as_bytes());
+    buf.extend_from_slice(b"\",\"trace\":");
+    push_u64(r.trace.0, buf);
+    buf.extend_from_slice(b"}\n");
 }
 
-fn influx_line(r: &Row<'_>, buf: &mut Vec<u8>) {
-    let _ = writeln!(
-        buf,
-        "power,scope={},kind={},quality={} power_w={:.3},band_w={:.3},trace={}i {}",
-        r.scope,
-        r.kind,
-        r.quality.label(),
-        r.power.as_f64(),
-        r.band.as_f64(),
-        r.trace,
-        r.at.as_u64()
-    );
+fn influx_line(time: &[u8], r: &Row<'_>, buf: &mut Vec<u8>) {
+    buf.extend_from_slice(b"power,scope=");
+    buf.extend_from_slice(r.scope);
+    buf.extend_from_slice(b",kind=");
+    buf.extend_from_slice(r.kind.as_bytes());
+    buf.extend_from_slice(b",quality=");
+    buf.extend_from_slice(r.quality.label().as_bytes());
+    buf.extend_from_slice(b" power_w=");
+    push_fixed::<3>(r.power.as_f64(), 0, buf);
+    buf.extend_from_slice(b",band_w=");
+    push_fixed::<3>(r.band.as_f64(), 0, buf);
+    buf.extend_from_slice(b",trace=");
+    push_u64(r.trace.0, buf);
+    buf.extend_from_slice(b"i ");
+    buf.extend_from_slice(time);
+    buf.push(b'\n');
+}
+
+/// Appends one line of `format` around the rendered timestamp `time`.
+fn push_line(format: Format, time: &[u8], row: &Row<'_>, buf: &mut Vec<u8>) {
+    match format {
+        Format::Console => console_line(time, row, buf),
+        Format::Csv => csv_line(time, row, buf),
+        Format::Json => json_line(time, row, buf),
+        Format::Influx => influx_line(time, row, buf),
+    }
 }
 
 /// Renders an aggregate scope into a reused label buffer. The console
 /// shows a pid the way [`os_sim::process::Pid`] displays; the
 /// machine-readable formats keep the label free of spaces.
-fn label_scope(scope: &Scope, format: Format, label: &mut String) {
-    use std::fmt::Write;
+fn label_scope(scope: &Scope, format: Format, label: &mut Vec<u8>) {
     label.clear();
-    let _ = match scope {
-        Scope::Process(pid) if format == Format::Console => write!(label, "{pid}"),
-        Scope::Process(pid) => write!(label, "pid{}", pid.0),
-        Scope::Group(g) => label.write_str(g),
-        Scope::Machine => label.write_str("machine"),
-    };
+    match scope {
+        Scope::Process(pid) => {
+            let prefix: &[u8] = match format {
+                Format::Console => b"pid ",
+                _ => b"pid",
+            };
+            label.extend_from_slice(prefix);
+            push_u64(u64::from(pid.0), label);
+        }
+        Scope::Group(g) => label.extend_from_slice(g.as_bytes()),
+        Scope::Machine => label.extend_from_slice(b"machine"),
+    }
 }
 
 /// The reporter actor.
@@ -157,7 +275,11 @@ pub struct TextReporter<W: Write + Send> {
     /// The lines of the message being handled, written out in one call.
     buf: Vec<u8>,
     /// Scope label of the aggregate being flattened.
-    scope: String,
+    scope: Vec<u8>,
+    /// The timestamp `time` was rendered from: a batch repeats one
+    /// timestamp on every row, so it is rendered once and copied.
+    time_at: Option<Nanos>,
+    time: Vec<u8>,
 }
 
 impl<W: Write + Send> TextReporter<W> {
@@ -168,7 +290,9 @@ impl<W: Write + Send> TextReporter<W> {
             format,
             header_due: format == Format::Csv,
             buf: Vec::new(),
-            scope: String::new(),
+            scope: Vec::new(),
+            time_at: None,
+            time: Vec::new(),
         }
     }
 }
@@ -181,12 +305,12 @@ impl<W: Write + Send> Actor for TextReporter<W> {
             if std::mem::take(&mut self.header_due) {
                 self.buf.extend_from_slice(CSV_HEADER);
             }
-            match self.format {
-                Format::Console => console_line(row, &mut self.buf),
-                Format::Csv => csv_line(row, &mut self.buf),
-                Format::Json => json_line(row, &mut self.buf),
-                Format::Influx => influx_line(row, &mut self.buf),
+            if self.time_at != Some(row.at) {
+                self.time_at = Some(row.at);
+                self.time.clear();
+                push_time(row.at, self.format, &mut self.time);
             }
+            push_line(self.format, &self.time, row, &mut self.buf);
         };
         match msg {
             Message::AggregateBatch(b) => {
@@ -203,8 +327,8 @@ impl<W: Write + Send> Actor for TextReporter<W> {
                     });
                 }
             }
-            Message::Meter(at, w) => line(&Row::measured(at, "powerspy", "machine", w)),
-            Message::Rapl(at, w) => line(&Row::measured(at, "rapl", "package", w)),
+            Message::Meter(at, w) => line(&Row::measured(at, "powerspy", b"machine", w)),
+            Message::Rapl(at, w) => line(&Row::measured(at, "rapl", b"package", w)),
             _ => return,
         }
         let _ = self.out.write_all(&self.buf);
@@ -219,6 +343,7 @@ impl<W: Write + Send> Actor for TextReporter<W> {
 mod tests {
     use super::*;
     use crate::actor::ActorSystem;
+    use crate::fleet::fault::splitmix64;
     use crate::msg::{AggregateReport, Topic};
     use os_sim::process::Pid;
     use parking_lot::Mutex;
@@ -367,6 +492,211 @@ power,scope=machine,kind=powerspy,quality=full power_w=35.100,band_w=0.000,trace
             sys.shutdown();
             let text = String::from_utf8(buf.0.lock().clone()).unwrap();
             assert_eq!(text, expected, "{format:?}");
+        }
+    }
+    /// The formats as `core::fmt` writes them — what every line the
+    /// kernel builds must equal byte for byte.
+    fn line_by_fmt(format: Format, scope: &Scope, r: &Row<'_>) -> String {
+        let (at, power, band) = (r.at.as_secs_f64(), r.power.as_f64(), r.band.as_f64());
+        let (kind, quality, trace) = (r.kind, r.quality.label(), r.trace);
+        let scope = match (scope, r.kind) {
+            (_, "powerspy") => "machine".to_string(),
+            (_, "rapl") => "package".to_string(),
+            (Scope::Process(pid), _) if format == Format::Console => format!("{pid}"),
+            (Scope::Process(pid), _) => format!("pid{}", pid.0),
+            (Scope::Group(g), _) => g.to_string(),
+            (Scope::Machine, _) => "machine".to_string(),
+        };
+        match format {
+            Format::Console => {
+                let (label, verb) = match kind {
+                    "powerspy" => (kind, "measured"),
+                    "rapl" => (kind, "package "),
+                    _ => (scope.as_str(), kind),
+                };
+                let band = match band > 0.0 {
+                    true => format!(" ±{band:.2}"),
+                    false => String::new(),
+                };
+                let flag = match r.quality {
+                    Quality::Full => "",
+                    Quality::Degraded => " [degraded]",
+                    Quality::Stale => " [stale]",
+                };
+                format!("[{at:10.3}s] {label:<10} {verb} {power:.2} W{band}{flag}\n")
+            }
+            Format::Csv => {
+                format!("{at:.3},{kind},{scope},{power:.3},{band:.3},{quality},{trace}\n")
+            }
+            Format::Json => format!(
+                "{{\"time_s\":{at:.3},\"kind\":\"{kind}\",\"scope\":\"{scope}\",\"power_w\":{power:.3},\"band_w\":{band:.3},\"quality\":\"{quality}\",\"trace\":{trace}}}\n"
+            ),
+            Format::Influx => format!(
+                "power,scope={scope},kind={kind},quality={quality} power_w={power:.3},band_w={band:.3},trace={trace}i {}\n",
+                r.at.as_u64()
+            ),
+        }
+    }
+
+    /// The next draw of the differential sweeps' seeded bit source.
+    fn draw(state: &mut u64) -> u64 {
+        *state = splitmix64(*state);
+        *state
+    }
+
+    #[test]
+    fn every_line_equals_core_fmt_on_seeded_rows() {
+        use Quality::{Degraded, Full, Stale};
+        let mut seed = 2014;
+        let mut label = Vec::new();
+        for i in 0..4_000 {
+            let mut next = || draw(&mut seed);
+            let scope = match next() % 4 {
+                0 => Scope::Machine,
+                1 => Scope::Group(Arc::from(["vm-alpha", "café", "/tenants/a/b/c"][i % 3])),
+                _ => Scope::Process(Pid(next() as u32 >> (next() % 32))),
+            };
+            let (kind, scope_bytes): (_, Option<&'static [u8]>) = match next() % 8 {
+                0 => ("powerspy", Some(b"machine")),
+                1 => ("rapl", Some(b"package")),
+                _ => ("estimate", None),
+            };
+            // Watts to the milliwatt and off it, idle rows, the odd
+            // negative estimate; bands mostly absent.
+            let watts = |r: u64| match r % 5 {
+                0 => 0.0,
+                1 => (r % 500_000) as f64 / 1000.0,
+                2 => -((r % 9_000) as f64) / 16.0,
+                _ => (r >> 11) as f64 / (1u64 << 45) as f64,
+            };
+            let (power, band) = (watts(next()), watts(next()).max(0.0));
+            let at = Nanos(next() >> (next() % 40 + 8));
+            for format in [Format::Console, Format::Csv, Format::Json, Format::Influx] {
+                label_scope(&scope, format, &mut label);
+                let row = Row {
+                    at,
+                    kind,
+                    scope: scope_bytes.unwrap_or(&label),
+                    power: Watts(power),
+                    band: Watts(band),
+                    quality: [Full, Degraded, Stale][i % 3],
+                    trace: TraceId(next() >> (next() % 64)),
+                };
+                let (mut time, mut got) = (Vec::new(), Vec::new());
+                push_time(at, format, &mut time);
+                push_line(format, &time, &row, &mut got);
+                let want = line_by_fmt(format, &scope, &row);
+                assert_eq!(String::from_utf8_lossy(&got), want, "row {i}, {format:?}");
+            }
+        }
+    }
+
+    /// `push_fixed::<N>(x, width)` against `format!("{x:width$.N$}")`.
+    fn check<const N: usize>(x: f64, width: usize) {
+        let mut got = Vec::new();
+        push_fixed::<N>(x, width, &mut got);
+        assert_eq!(
+            String::from_utf8_lossy(&got),
+            format!("{x:width$.N$}"),
+            "x = {x:e} (bits {:#018x}), N = {N}, width = {width}",
+            x.to_bits()
+        );
+    }
+
+    /// The three shapes the formats use.
+    fn check_all(x: f64) {
+        check::<2>(x, 0);
+        check::<3>(x, 0);
+        check::<3>(x, 10);
+    }
+
+    /// The sweep is sized for `cargo test --release -p powerapi
+    /// reporter::text` (3 M comparisons); the debug build keeps a sample.
+    #[test]
+    fn kernel_equals_core_fmt_on_seeded_bit_patterns() {
+        let rounds = if cfg!(debug_assertions) {
+            8_000
+        } else {
+            250_000
+        };
+        let mut seed = 2014;
+        for _ in 0..rounds {
+            let r = draw(&mut seed);
+            // Any pattern at all: both signs, NaNs, infinities, 1e±300.
+            check_all(f64::from_bits(r));
+            // Magnitudes a report carries, 2⁻²⁴ up to past the fallback.
+            let exponent = 1023 - 24 + (r >> 52) % 80;
+            check_all(f64::from_bits(exponent << 52 | r & FRACTION));
+            check_all(f64::from_bits(r & FRACTION));
+            // Half-steps of the last printed digit: exact ties where the
+            // double holds them, a hair off where it cannot.
+            check_all((r % 20_000_000_000) as f64 / 2000.0);
+        }
+    }
+
+    #[test]
+    fn kernel_equals_core_fmt_at_every_edge() {
+        let two53 = f64::from_bits(FALLBACK_BITS);
+        assert_eq!(two53, 9_007_199_254_740_992.0);
+        let mut edges = vec![0.0, -0.0, 0.5, 0.05, 0.005, 0.0005, 0.00049999, 1.0, 35.1];
+        // Zero, the subnormals, the smallest normal.
+        edges.extend([1, FRACTION / 2, FRACTION, FRACTION + 1].map(f64::from_bits));
+        // Ties: (2k+1)/16 is (2k+1)·62.5 thousandths, (2k+1)/8 is
+        // (2k+1)·12.5 hundredths; k runs through both parities of the
+        // digit before the tie.
+        for k in 0..4_000 {
+            edges.extend([f64::from(2 * k + 1) / 16.0, f64::from(2 * k + 1) / 8.0]);
+        }
+        edges.extend([0.0625, 0.1875, 1234.5625, 1234.4375, 0.125, 0.375]);
+        // The carry into a new leading digit: 9.9995 → 10.000 or 9.999.
+        for k in 0..=16 {
+            let p = 10f64.powi(k);
+            edges.extend([p, p - 0.0005, p - 0.005, p - 0.5, p + 0.9995]);
+        }
+        // The fallback boundary, from the last half-integers up.
+        edges.extend([
+            two53 / 2.0 - 0.5,
+            two53 / 2.0,
+            two53 - 1.0,
+            two53,
+            two53 + 2.0,
+        ]);
+        // What only the fallback arm sees.
+        edges.extend([-1.5, -0.0005, -1234.5625, f64::MAX, f64::MIN, f64::NAN]);
+        edges.extend([f64::INFINITY, f64::NEG_INFINITY]);
+        for x in edges {
+            // And the doubles either side of each: a hair off a tie
+            // must round by the hair.
+            for step in -3i64..=3 {
+                check_all(f64::from_bits(x.to_bits().wrapping_add(step as u64)));
+            }
+        }
+    }
+
+    #[test]
+    fn padding_equals_core_fmt_below_at_and_above_the_width() {
+        // 5, 9, 10 and 11 characters at three digits; one that grows a
+        // digit by rounding; the fallback arm's.
+        let values = [1.5, 99999.999, 123456.789, 1234567.891, 999999.9996];
+        let fallback = [-1.5, 9.1e15, f64::NAN, f64::INFINITY];
+        for x in values.into_iter().chain(fallback) {
+            for width in [0, 1, 5, 9, 10, 11, 12, 30] {
+                check::<2>(x, width);
+                check::<3>(x, width);
+            }
+        }
+    }
+
+    #[test]
+    fn push_u64_equals_display() {
+        let mut values = vec![0, 9, u64::from(u32::MAX), u64::MAX];
+        for k in 1..20 {
+            values.extend([10u64.pow(k) - 1, 10u64.pow(k)]);
+        }
+        for v in values {
+            let mut got = Vec::new();
+            push_u64(v, &mut got);
+            assert_eq!(String::from_utf8_lossy(&got), v.to_string());
         }
     }
 }

@@ -1,13 +1,21 @@
-//! Allocation pin for the simulator's per-quantum path: a count, not a
-//! stopwatch, so it reads the same on any box and cannot creep back
-//! unnoticed between benchmark runs. Its own test binary because it
-//! installs a counting `#[global_allocator]`; the count is per thread, so
-//! the harness's other threads cannot disturb it.
+//! Allocation pins for the simulator's per-quantum path and the
+//! pipeline's per-row paths: a count, not a stopwatch, so it reads the
+//! same on any box and cannot creep back unnoticed between benchmark
+//! runs. Its own test binary because it installs a counting
+//! `#[global_allocator]`; the count is per thread, so the harness's other
+//! threads cannot disturb it.
 
 use os_sim::kernel::Kernel;
 use os_sim::task::{SteadyTask, TaskBehavior};
 use perf_sim::events::PAPER_EVENTS;
+use powerapi::formula::per_freq::PerFrequencyFormula;
+use powerapi::formula::PowerFormula;
+use powerapi::frame::{FramePool, PowerBatch};
 use powerapi::host::SimHost;
+use powerapi::model::power_model::PerFrequencyPowerModel;
+use powerapi::msg::Quality;
+use powerapi::sensor::hpc;
+use powerapi::telemetry::TraceId;
 use powermeter::powerspy::PowerSpyConfig;
 use powermeter::rapl::Rapl;
 use simcpu::presets;
@@ -15,6 +23,7 @@ use simcpu::units::{Nanos, Watts};
 use simcpu::workunit::WorkUnit;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 use workloads::specjbb::{self, SpecJbbConfig};
 
 thread_local! {
@@ -129,4 +138,82 @@ fn the_meters_and_the_phase_lookup_do_not_allocate() {
         }
     });
     assert_eq!(slice_allocs, 0, "PhasedTask::next_slice");
+}
+
+/// The sparse host of the benchmark's `host-wide`: 1 000 monitored
+/// single-thread processes sharing four CPUs at a 100 ms quantum, ten
+/// quanta to the tick — so about 40 of a frame's 1 000 rows ran.
+fn wide_host() -> SimHost {
+    let mut kernel = Kernel::new(presets::intel_i3_2120());
+    let pids: Vec<_> = (0..1_000)
+        .map(|i| {
+            let work = WorkUnit::cpu_intensive(0.3 + 0.6 * f64::from(i % 7) / 7.0);
+            kernel.spawn(format!("p{i}"), vec![SteadyTask::boxed(work)])
+        })
+        .collect();
+    let mut host = SimHost::new(kernel, PAPER_EVENTS.to_vec(), 4, PowerSpyConfig::default());
+    for pid in pids {
+        host.monitor(pid).unwrap();
+    }
+    host
+}
+
+fn wide_tick(host: &mut SimHost) {
+    for _ in 0..10 {
+        host.step(Nanos::from_millis(100));
+    }
+}
+
+#[test]
+fn a_steady_state_snapshot_into_a_warm_pool_does_not_allocate() {
+    let mut host = wide_host();
+    let pool = FramePool::new();
+    // Warm-up: every process has had its turn (25 ticks a round), the
+    // pool holds a frame and its columns have reached their size.
+    for _ in 0..80 {
+        wide_tick(&mut host);
+        drop(host.snapshot_frame(&pool));
+    }
+    let mut total = 0;
+    for _ in 0..50 {
+        wide_tick(&mut host);
+        total += allocations_in(|| {
+            let frame = host.snapshot_frame(&pool);
+            assert_eq!(frame.time_len(), 1_000);
+        });
+    }
+    assert_eq!(total, 0, "SimHost::snapshot_frame over 50 ticks");
+}
+
+#[test]
+fn estimating_a_batch_allocates_the_same_for_any_number_of_idle_rows() {
+    let mut host = wide_host();
+    let pool = FramePool::new();
+    for _ in 0..30 {
+        wide_tick(&mut host);
+        drop(host.snapshot_frame(&pool));
+    }
+    wide_tick(&mut host);
+    let frame = Arc::new(host.snapshot_frame(&pool));
+    let idle = (0..frame.time_len())
+        .filter(|&i| frame.busy(i) == Nanos::ZERO)
+        .count();
+    assert!(idle >= 950, "{idle} idle rows of {}", frame.time_len());
+
+    let mut formula = PerFrequencyFormula::new(PerFrequencyPowerModel::paper_i3_example());
+    let mut allocations_over = |rows: usize| {
+        let mut batch = hpc::observe(frame.clone(), TraceId::NONE);
+        batch.rows.truncate(rows);
+        let mut out = PowerBatch::with_capacity(frame.timestamp, "test", TraceId::NONE, rows);
+        let n = allocations_in(|| formula.estimate_batch(&batch, Quality::Full, &mut out));
+        assert_eq!(out.len(), rows);
+        n
+    };
+    // The first call sizes the formula's scratch and resolves its slots.
+    allocations_over(1_000);
+    assert_eq!(
+        allocations_over(1_000),
+        allocations_over(100),
+        "an idle row must not cost an allocation"
+    );
 }
