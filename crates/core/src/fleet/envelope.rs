@@ -5,11 +5,11 @@
 //! process, in the fleet-wide event slot layout), wraps it in a
 //! [`FrameEnvelope`] carrying the host id, a per-host sequence number and
 //! the sim-clock send timestamp, and hands it to the link. The payload
-//! ends in an FNV-1a checksum so in-flight corruption is *detected* at
-//! the shard — a corrupt frame is counted and retransmitted, never
-//! silently applied.
+//! ends in a word-folded integrity sum ([`wire_sum`]) so in-flight
+//! corruption is *detected* at the shard — a corrupt frame is counted and
+//! retransmitted, never silently applied.
 
-use crate::frame::{FrameBuilder, TickFrame, NO_ROW};
+use crate::frame::{FrameBuilder, FramePool, TickFrame, NO_ROW};
 use crate::telemetry::TraceId;
 use os_sim::process::Pid;
 use perf_sim::events::Event;
@@ -61,7 +61,7 @@ pub struct FrameEnvelope {
 pub enum WireError {
     /// The payload is shorter than its length fields claim.
     Truncated,
-    /// The FNV-1a trailer does not match the payload bytes.
+    /// The [`wire_sum`] trailer does not match the payload bytes.
     Checksum,
     /// A row's group index is neither `u32::MAX` (ungrouped) nor inside
     /// the payload's group table.
@@ -116,7 +116,11 @@ impl DecodedFrame {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a over a byte slice (the payload integrity trailer).
+/// Byte-serial FNV-1a: the frozen-vector digest
+/// (`tests/proptest_frame.rs` fingerprints the pipeline's reports with
+/// it) and a harness layer metric — not the wire trailer, which is
+/// [`wire_sum`]. One dependent multiply per *byte* makes it a latency
+/// chain of `len` multiplies, which is why it left the wire path.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
     for &b in bytes {
@@ -124,6 +128,55 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// Odd, so multiplying by it is a bijection of `u64` (2⁶⁴ / φ).
+const FOLD_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One fold step: a bijection of `h` for a fixed `w` and of `w` for a
+/// fixed `h` (xor, xor-shift by half the width and an odd multiply each
+/// are). The xor-shift brings the high half down before the multiply,
+/// which only ever carries upwards — without it a flipped top bit would
+/// stay a lone top bit that the same flip in the lane's next word cancels.
+#[inline]
+fn fold(h: u64, w: u64) -> u64 {
+    let x = h ^ w;
+    (x ^ (x >> 32)).wrapping_mul(FOLD_MUL)
+}
+
+/// The payload integrity trailer: the body folded eight bytes at a time.
+///
+/// The body's aligned little-endian 8-byte words go alternately to two
+/// lanes, each a chain of steps
+/// `fold(h, w) = ((h ^ w) ^ ((h ^ w) >> 32)) · K` (`K` odd, mod 2⁶⁴); the
+/// 0–7 tail bytes, zero-padded, are the second lane's last word, and the
+/// sum is `fold(fold(body.len(), a), b)` of the two lane states. Because
+/// every step is a bijection of the state and injective in its word, two
+/// bodies of one length that differ inside a single aligned word
+/// **always** have different sums — the differing step separates that
+/// lane's states and no later step, the closing two included, can rejoin
+/// them — and so do a body and itself with zero bytes appended inside the
+/// last word (the lanes agree, the lengths do not). A link fault flips
+/// one byte, so it is always caught, in the body or in the trailer
+/// itself; wider damage is left to 64 bits of mixing, as it was under
+/// FNV-1a. A lane's multiply waits only for the same lane's previous one:
+/// one per *word* is an eighth of FNV-1a's dependency chain, and two
+/// independent chains halve it again.
+pub fn wire_sum(body: &[u8]) -> u64 {
+    let (mut a, mut b) = (FNV_OFFSET, FOLD_MUL);
+    let mut pairs = body.chunks_exact(16);
+    for p in &mut pairs {
+        a = fold(a, le_u64(&p[..8]));
+        b = fold(b, le_u64(&p[8..]));
+    }
+    let mut rest = pairs.remainder().chunks_exact(8);
+    if let Some(w) = rest.next() {
+        a = fold(a, le_u64(w));
+    }
+    let mut tail = [0u8; 8];
+    tail[..rest.remainder().len()].copy_from_slice(rest.remainder());
+    b = fold(b, u64::from_le_bytes(tail));
+    fold(fold(body.len() as u64, a), b)
 }
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {
@@ -136,6 +189,18 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn le_u16(b: &[u8]) -> u16 {
+    u16::from_le_bytes(b.try_into().expect("two bytes"))
+}
+
+fn le_u32(b: &[u8]) -> u32 {
+    u32::from_le_bytes(b.try_into().expect("four bytes"))
+}
+
+fn le_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b.try_into().expect("eight bytes"))
 }
 
 struct Reader<'a> {
@@ -155,15 +220,15 @@ impl<'a> Reader<'a> {
     }
 
     fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        self.take(2).map(le_u16)
     }
 
     fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        self.take(4).map(le_u32)
     }
 
     fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        self.take(8).map(le_u64)
     }
 }
 
@@ -173,15 +238,23 @@ impl<'a> Reader<'a> {
 /// (zeros when a process has no counter row, e.g. its slot was revoked).
 pub fn encode_frame(frame: &TickFrame) -> Vec<u8> {
     let n_events = frame.events.len();
-    let mut out = Vec::with_capacity(16 + frame.time_len() * (12 + 8 * n_events) + 8);
+    let rows = frame.time_len();
+    // The exact payload size, so the buffer is allocated once.
+    let freq_pairs: usize = (0..rows).map(|i| frame.freq_slice(i).len()).sum();
+    let mut len = 22 + rows * (14 + 8 * n_events) + 12 * freq_pairs + 8;
+    if frame.has_groups() {
+        let paths: usize = frame.group_table().iter().map(|p| 2 + p.len()).sum();
+        len += 2 + paths + 4 * rows;
+    }
+    let mut out = Vec::with_capacity(len);
     put_u64(&mut out, frame.timestamp.as_u64());
     put_u64(&mut out, frame.interval.as_u64());
     put_u16(&mut out, n_events as u16);
-    put_u32(&mut out, frame.time_len() as u32);
+    put_u32(&mut out, rows as u32);
     // Both pid columns are ascending, so a single forward cursor joins
     // hpc rows to time rows in one pass.
     let mut hpc_i = 0usize;
-    for i in 0..frame.time_len() {
+    for i in 0..rows {
         let pid = frame.time_pid(i);
         put_u32(&mut out, pid.0);
         put_u64(&mut out, frame.busy(i).as_u64());
@@ -193,9 +266,7 @@ pub fn encode_frame(frame: &TickFrame) -> Vec<u8> {
                 put_u64(&mut out, v);
             }
         } else {
-            for _ in 0..n_events {
-                put_u64(&mut out, 0);
-            }
+            out.resize(out.len() + 8 * n_events, 0);
         }
         let freqs = frame.freq_slice(i);
         put_u16(&mut out, freqs.len() as u16);
@@ -220,47 +291,114 @@ pub fn encode_frame(frame: &TickFrame) -> Vec<u8> {
             put_u32(&mut out, idx);
         }
     }
-    let sum = fnv1a64(&out);
+    let sum = wire_sum(&out);
     put_u64(&mut out, sum);
+    debug_assert_eq!(out.len(), len, "the size computed up front is exact");
     out
 }
 
-/// Decodes a wire payload straight into frame columns, verifying the
-/// checksum *first* so in-flight corruption never reaches the parser.
-/// The parser still trusts no length field: a checksummed payload can
-/// come from a sender that disagrees on the format.
-pub fn decode_frame(payload: &[u8]) -> Result<DecodedFrame, WireError> {
+/// Splits off and verifies the trailer, so in-flight corruption never
+/// reaches the parser.
+fn verified_body(payload: &[u8]) -> Result<&[u8], WireError> {
     if payload.len() < 8 {
         return Err(WireError::Truncated);
     }
     let (body, trailer) = payload.split_at(payload.len() - 8);
-    let claimed = u64::from_le_bytes(trailer.try_into().unwrap());
-    if fnv1a64(body) != claimed {
+    if wire_sum(body) != le_u64(trailer) {
         return Err(WireError::Checksum);
     }
+    Ok(body)
+}
+
+/// Decodes a wire payload straight into fresh frame columns, verifying
+/// the checksum *first* so in-flight corruption never reaches the parser.
+/// The parser still trusts no length field: a checksummed payload can
+/// come from a sender that disagrees on the format.
+pub fn decode_frame(payload: &[u8]) -> Result<DecodedFrame, WireError> {
+    parse(verified_body(payload)?, FrameBuilder::new(), |path| {
+        Arc::from(path)
+    })
+}
+
+/// Group paths a [`FrameDecoder`] remembers; a sender naming more pays
+/// an allocation per further path per frame, the receiver's memory stays
+/// bounded.
+const INTERNED_PATHS: usize = 64;
+
+/// A receiver's reusable decoder: [`decode_frame`] into columns recycled
+/// through its own [`FramePool`] (a sealed frame returns them when it
+/// drops) and group paths interned across frames, so once warm a frame
+/// decodes without touching the allocator.
+#[derive(Debug, Default)]
+pub struct FrameDecoder {
+    pool: FramePool,
+    paths: Vec<Arc<str>>,
+}
+
+impl FrameDecoder {
+    /// A decoder with an empty pool.
+    pub fn new() -> FrameDecoder {
+        FrameDecoder::default()
+    }
+
+    /// [`decode_frame`], into recycled columns. A payload refused by the
+    /// checksum costs no storage block; one refused by the parser, or a
+    /// [`DecodedFrame`] dropped unsealed, frees its block instead of
+    /// recycling it (the pool never inherits a half-built frame).
+    pub fn decode(&mut self, payload: &[u8]) -> Result<DecodedFrame, WireError> {
+        let body = verified_body(payload)?;
+        let paths = &mut self.paths;
+        parse(body, FrameBuilder::pooled(&self.pool), |path| {
+            if let Some(known) = paths.iter().find(|p| &***p == path) {
+                return known.clone();
+            }
+            let fresh: Arc<str> = Arc::from(path);
+            if paths.len() < INTERNED_PATHS {
+                paths.push(fresh.clone());
+            }
+            fresh
+        })
+    }
+}
+
+/// The one structural parser: a verified body into `columns`, group
+/// paths through `intern`.
+fn parse(
+    body: &[u8],
+    mut columns: FrameBuilder,
+    mut intern: impl FnMut(&str) -> Arc<str>,
+) -> Result<DecodedFrame, WireError> {
     let mut r = Reader { bytes: body, at: 0 };
     let timestamp = Nanos(r.u64()?);
     let interval = Nanos(r.u64()?);
     let n_events = r.u16()? as usize;
     let n_rows = r.u32()? as usize;
-    let mut columns = FrameBuilder::new();
+    // The fixed part of a row: pid, busy, the counters, the pair count. A
+    // row count the body cannot hold is refused before it sizes anything.
+    let row_len = 14 + 8 * n_events;
+    let rest = body.len() - r.at;
+    if n_rows > rest / row_len {
+        return Err(WireError::Truncated);
+    }
+    // What the fixed parts leave bounds the frequency pairs, twelve
+    // bytes each.
+    columns.reserve_rows(n_rows, n_events, (rest - n_rows * row_len) / 12);
     for _ in 0..n_rows {
-        let pid = Pid(r.u32()?);
-        let busy = Nanos(r.u64()?);
+        // One bounds check for the fixed part, one for the pairs.
+        let fixed = r.take(row_len)?;
+        let pid = Pid(le_u32(&fixed[..4]));
+        let busy = Nanos(le_u64(&fixed[4..12]));
         let (pids, counters) = columns.hpc_columns();
         pids.push(pid);
-        for _ in 0..n_events {
-            counters.push(r.u64()?);
-        }
-        let n_freq = r.u16()?;
-        let mut residency: Result<(), WireError> = Ok(());
+        counters.extend(fixed[12..row_len - 2].chunks_exact(8).map(le_u64));
+        let pairs = r.take(12 * usize::from(le_u16(&fixed[row_len - 2..])))?;
         columns.push_time_row(pid, busy, |freqs| {
-            residency = (0..n_freq).try_for_each(|_| {
-                freqs.push((MegaHertz(r.u32()?), Nanos(r.u64()?)));
-                Ok(())
-            });
+            freqs.extend(
+                pairs
+                    .chunks_exact(12)
+                    .map(|p| (MegaHertz(le_u32(&p[..4])), Nanos(le_u64(&p[4..])))),
+            );
         });
-        residency?;
     }
     // Optional cgroup section (present only for cgrouped hosts): path
     // table then one u32 group index per row (`u32::MAX` = ungrouped).
@@ -270,8 +408,9 @@ pub fn decode_frame(payload: &[u8]) -> Result<DecodedFrame, WireError> {
         for _ in 0..n_groups {
             let len = r.u16()? as usize;
             let path = std::str::from_utf8(r.take(len)?).map_err(|_| WireError::Truncated)?;
-            table.push(Arc::from(path));
+            table.push(intern(path));
         }
+        group_of.reserve(n_rows);
         for _ in 0..n_rows {
             let idx = r.u32()?;
             if idx != NO_ROW && idx as usize >= n_groups {
@@ -322,7 +461,7 @@ mod tests {
     /// `body` (no trailer) with a freshly computed checksum, so a
     /// doctored payload reaches the structural parser.
     fn resealed(mut body: Vec<u8>) -> Vec<u8> {
-        let sum = fnv1a64(&body);
+        let sum = wire_sum(&body);
         put_u64(&mut body, sum);
         body
     }
@@ -353,17 +492,135 @@ mod tests {
         }
     }
 
+    /// Every single-byte damage a link can do — `corrupt_payload` flips
+    /// one bit of one byte, anywhere in the payload, trailer included —
+    /// is refused, and by the trailer rather than by the parser's luck.
     #[test]
-    fn any_flipped_byte_is_detected() {
-        let bytes = encode_frame(&sample_frame());
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x40;
-            assert!(
-                decode_frame(&bad).is_err(),
-                "flip at byte {i} went undetected"
-            );
+    fn every_single_bit_flip_is_a_checksum_error() {
+        for frame in [sample_frame(), grouped_frame()] {
+            let bytes = encode_frame(&frame);
+            for i in 0..bytes.len() {
+                for bit in 0..8 {
+                    let mut bad = bytes.clone();
+                    bad[i] ^= 1 << bit;
+                    assert_eq!(
+                        decode_frame(&bad).err(),
+                        Some(WireError::Checksum),
+                        "bit {bit} of byte {i} went undetected"
+                    );
+                }
+            }
         }
+    }
+
+    /// The guarantee `wire_sum` documents, swept rather than sampled:
+    /// whatever replaces one aligned word of the body (or its short tail),
+    /// the sum moves.
+    #[test]
+    fn any_substitution_inside_one_aligned_word_moves_the_sum() {
+        let bytes = encode_frame(&grouped_frame());
+        let body = &bytes[..bytes.len() - 8];
+        let sum = wire_sum(body);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        // Sized for the optimized CI step; the debug run keeps a sample.
+        let rounds = if cfg!(debug_assertions) { 64 } else { 16_384 };
+        for (w, word) in body.chunks(8).enumerate() {
+            for round in 0..rounds {
+                // xorshift64: a different non-zero pattern every round,
+                // plus the edge words.
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let new = match round {
+                    0 => 0u64,
+                    1 => u64::MAX,
+                    _ => x,
+                }
+                .to_le_bytes();
+                if new[..word.len()] == *word {
+                    continue;
+                }
+                let mut other = body.to_vec();
+                other[8 * w..8 * w + word.len()].copy_from_slice(&new[..word.len()]);
+                assert_ne!(wire_sum(&other), sum, "word {w}, round {round}");
+            }
+        }
+    }
+
+    /// The tail is zero-padded into a word, so the length has to be part
+    /// of the sum: a body never shares one with itself plus zero bytes.
+    #[test]
+    fn trailing_zero_bytes_move_the_sum() {
+        let bytes = encode_frame(&sample_frame());
+        for len in [0, 1, 7, 8, 9, 15, 16, bytes.len() - 8] {
+            let body = &bytes[..len];
+            let mut longer = body.to_vec();
+            for extra in 1..=24 {
+                longer.push(0);
+                assert_ne!(wire_sum(&longer), wire_sum(body), "{len} + {extra} zeros");
+            }
+        }
+        assert_ne!(wire_sum(&[]), wire_sum(&[0]));
+    }
+
+    /// `fnv1a64` is off the wire path but still the digest of the frozen
+    /// pipeline vectors: it stays byte-exact FNV-1a.
+    #[test]
+    fn fnv1a64_keeps_its_published_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    /// A decoder's recycled columns and interned paths hold nothing over
+    /// from the frame before: every payload decodes to what fresh storage
+    /// gives, whichever payload the block served last.
+    #[test]
+    fn pooled_decode_equals_fresh_decode() {
+        let frames = [grouped_frame(), sample_frame(), grouped_frame()];
+        let mut decoder = FrameDecoder::new();
+        for frame in frames.iter().chain(frames.iter().rev()) {
+            let bytes = encode_frame(frame);
+            let pooled = decoder
+                .decode(&bytes)
+                .and_then(|d| d.seal(frame.events.clone()))
+                .expect("pooled decode");
+            let fresh = decode_frame(&bytes)
+                .and_then(|d| d.seal(frame.events.clone()))
+                .expect("fresh decode");
+            pooled.debug_assert_consistent();
+            assert_eq!(pooled, fresh);
+            assert_eq!(encode_frame(&pooled), bytes);
+        }
+        assert_eq!(decoder.pool.pooled(), 1, "one block serves every frame");
+        assert_eq!(decoder.paths.len(), 2, "each path interned once");
+        // A refused payload takes no block out of circulation.
+        assert_eq!(decoder.decode(&[0; 40]).err(), Some(WireError::Checksum));
+        assert_eq!(decoder.pool.pooled(), 1);
+    }
+
+    /// A sender naming more paths than the decoder interns still decodes
+    /// exactly; the decoder's memory stays bounded.
+    #[test]
+    fn interning_is_bounded() {
+        let events: Arc<[Event]> = Arc::from([] as [Event; 0]);
+        let mut decoder = FrameDecoder::new();
+        for batch in 0..3u32 {
+            let mut b = FrameBuilder::new();
+            for row in 0..40u32 {
+                b.push_time_row(Pid(row + 1), Nanos(1), |_| {});
+                b.set_time_group(Some(&format!("tenant-{batch}/svc-{row}")));
+            }
+            let frame = b.finish(Nanos(1), Nanos(1), events.clone(), None);
+            let bytes = encode_frame(&frame);
+            let pooled = decoder
+                .decode(&bytes)
+                .and_then(|d| d.seal(events.clone()))
+                .expect("decode");
+            assert_eq!(encode_frame(&pooled), bytes);
+            assert!(decoder.paths.len() <= INTERNED_PATHS);
+        }
+        assert_eq!(decoder.paths.len(), INTERNED_PATHS);
     }
 
     #[test]
@@ -429,10 +686,12 @@ mod tests {
     /// `n_rows`, a row's `n_freq`, `n_groups`, a path length, a group
     /// index — overwritten with boundary values under a recomputed
     /// checksum: the structural parser, not the trailer, is what runs,
-    /// and it answers `Err` or a consistent frame, never a panic.
+    /// and it answers `Err` or a consistent frame, never a panic — into
+    /// fresh columns and into a decoder's recycled ones alike.
     #[test]
     fn doctored_length_fields_never_panic() {
         let (mut refused, mut accepted) = (0, 0);
+        let mut decoder = FrameDecoder::new();
         for frame in [sample_frame(), grouped_frame()] {
             let bytes = encode_frame(&frame);
             let body = &bytes[..bytes.len() - 8];
@@ -448,15 +707,22 @@ mod tests {
                 ] {
                     let mut doctored = body.to_vec();
                     doctored[at] = v;
-                    match decode_frame(&resealed(doctored)) {
-                        Err(_) => refused += 1,
-                        Ok(d) => {
+                    let doctored = resealed(doctored);
+                    match (decode_frame(&doctored), decoder.decode(&doctored)) {
+                        (Err(fresh), Err(pooled)) => {
+                            assert_eq!(fresh, pooled);
+                            refused += 1;
+                        }
+                        (Ok(d), Ok(pooled)) => {
                             let events: Arc<[Event]> = vec![frame.events[0]; d.n_events].into();
-                            let sealed = d.seal(events).expect("layout sized to the payload");
+                            let sealed =
+                                d.seal(events.clone()).expect("layout sized to the payload");
                             sealed.debug_assert_consistent();
                             assert_eq!(sealed.hpc_len(), sealed.time_len());
+                            assert_eq!(pooled.seal(events).as_ref(), Ok(&sealed));
                             accepted += 1;
                         }
+                        (fresh, pooled) => panic!("byte {at} = {v}: {fresh:?} but {pooled:?}"),
                     }
                 }
             }
@@ -485,18 +751,5 @@ mod tests {
         assert!(!sealed.has_groups());
         assert!(sealed.group_table().is_empty());
         assert_eq!(sealed.group_of_row(0), None);
-    }
-
-    #[test]
-    fn grouped_payload_corruption_is_detected() {
-        let bytes = encode_frame(&grouped_frame());
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x40;
-            assert!(
-                decode_frame(&bad).is_err(),
-                "flip at byte {i} went undetected"
-            );
-        }
     }
 }

@@ -33,7 +33,8 @@ pub enum LinkFaultKind {
     Duplicate,
     /// A frame is delayed past later frames.
     Reorder,
-    /// Payload bytes are flipped in flight (detected by checksum).
+    /// One payload bit is flipped in flight (always detected by the
+    /// `wire_sum` trailer).
     Corrupt,
     /// A window during which a host range exchanges nothing with the
     /// estimator (both directions, acks included).

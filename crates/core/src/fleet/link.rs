@@ -74,6 +74,9 @@ pub struct Link {
     cfg: LinkConfig,
     plan: Arc<LinkFaultPlan>,
     queue: Vec<InFlight>,
+    /// Scratch of [`Link::take_due`]: the frames due this tick, sorted
+    /// here before they are handed over. Empty between calls.
+    due: Vec<InFlight>,
     next_order: u64,
 }
 
@@ -85,6 +88,7 @@ impl Link {
             cfg,
             plan,
             queue: Vec::new(),
+            due: Vec::new(),
             next_order: 0,
         }
     }
@@ -150,22 +154,24 @@ impl Link {
         if self.plan.partitioned(self.host, now) {
             return;
         }
-        let mut due: Vec<InFlight> = Vec::new();
         let mut i = 0;
         while i < self.queue.len() {
             if self.queue[i].due <= now {
-                due.push(self.queue.swap_remove(i));
+                self.due.push(self.queue.swap_remove(i));
             } else {
                 i += 1;
             }
         }
-        due.sort_by_key(|f| (f.due, f.order));
-        out.extend(due.into_iter().map(|f| f.env));
+        // Keys are unique (`order` is), so the unstable sort gives the
+        // same order as a stable one, without its merge buffer.
+        self.due.sort_unstable_by_key(|f| (f.due, f.order));
+        out.extend(self.due.drain(..).map(|f| f.env));
     }
 }
 
-/// Flips one payload byte (position and mask derived from the fault
-/// hash), guaranteeing the decoded checksum no longer matches.
+/// Flips one bit of one payload byte (position and mask derived from the
+/// fault hash). The change sits inside one aligned word of the body or
+/// inside the trailer, which `envelope::wire_sum` always detects.
 fn corrupt_payload(payload: &mut [u8], h: u64) {
     if payload.is_empty() {
         return;

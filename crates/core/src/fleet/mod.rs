@@ -34,7 +34,9 @@ pub mod observe;
 pub mod retry;
 pub mod shard;
 
-pub use envelope::{decode_frame, encode_frame, DecodedFrame, FrameEnvelope, HostId, WireError};
+pub use envelope::{
+    decode_frame, encode_frame, DecodedFrame, FrameDecoder, FrameEnvelope, HostId, WireError,
+};
 pub use fault::{LinkFaultConfig, LinkFaultKind, LinkFaultPlan, LinkWindow};
 pub use link::{Link, LinkConfig, SendOutcome};
 pub use observe::{
@@ -646,13 +648,9 @@ impl Fleet {
             let host = HostId(h as u32);
 
             for seq in self.senders[h].expired(now) {
-                let p = self.senders[h]
-                    .pending
-                    .get(&seq)
-                    .expect("expired seq")
-                    .clone();
-                let trace = p.env.trace;
-                if p.attempt >= self.cfg.retry.max_retries {
+                let p = self.senders[h].pending.get_mut(&seq).expect("expired seq");
+                let (trace, tried) = (p.env.trace, p.attempt);
+                if tried >= self.cfg.retry.max_retries {
                     self.senders[h].pending.remove(&seq);
                     self.stats.abandoned += 1;
                     journal.emit(
@@ -660,7 +658,7 @@ impl Fleet {
                         &host.to_string(),
                         format!(
                             "seq {seq} abandoned after {} transmissions (budget exhausted)",
-                            p.attempt + 1
+                            tried + 1
                         ),
                         trace,
                     );
@@ -669,18 +667,17 @@ impl Fleet {
                         host,
                         seq,
                         trace,
-                        attempt: p.attempt,
+                        attempt: tried,
                         stage: HopStage::Abandon,
                     });
                     continue;
                 }
-                let attempt = p.attempt + 1;
-                let deadline = self.cfg.retry.deadline(now, attempt, &self.plan, host, seq);
-                {
-                    let p = self.senders[h].pending.get_mut(&seq).expect("expired seq");
-                    p.attempt = attempt;
-                    p.deadline = deadline;
-                }
+                let attempt = tried + 1;
+                p.attempt = attempt;
+                p.deadline = self.cfg.retry.deadline(now, attempt, &self.plan, host, seq);
+                // The link may mangle what it carries: it gets a copy,
+                // the canonical envelope stays pending.
+                let env = p.env.clone();
                 self.stats.retransmits += 1;
                 journal.emit(
                     EventKind::FleetRetry,
@@ -688,7 +685,7 @@ impl Fleet {
                     format!("seq {seq} retransmit, attempt {attempt}"),
                     trace,
                 );
-                let stage = record_send(&mut self.stats, self.links[h].send(p.env, attempt, now));
+                let stage = record_send(&mut self.stats, self.links[h].send(env, attempt, now));
                 self.journeys.record(FleetHop {
                     tick: now,
                     host,

@@ -12,12 +12,12 @@
 //! caller so the fleet can count and journal it — shedding is loud by
 //! design.
 
-use super::envelope::{decode_frame, FrameEnvelope, HostId};
+use super::envelope::{FrameDecoder, FrameEnvelope, HostId};
 use crate::actor::OverflowPolicy;
 use crate::formula::PowerFormula;
-use crate::frame::{PowerBatch, SensorBatch};
+use crate::frame::{PowerBatch, SensorBatch, SensorRow, NO_ROW};
 use crate::msg::Quality;
-use crate::sensor::{hpc, procfs};
+use crate::sensor::hpc;
 use crate::telemetry::TraceId;
 use perf_sim::events::Event;
 use std::collections::{BTreeMap, VecDeque};
@@ -168,6 +168,14 @@ pub struct EstimatorShard {
     /// [`HostTrack`] stays `Copy`; absent for hosts whose frames carry
     /// no group section.
     tenant_tracks: BTreeMap<u32, Vec<(Arc<str>, f64, f64)>>,
+    /// Per-frame scratch, reused so a warm apply allocates only the
+    /// frame's `Arc`: the decoder's recycled columns and interned paths,
+    /// the row descriptors handed to the formula, its output columns, and
+    /// the catch-all leaf name.
+    decoder: FrameDecoder,
+    rows: Vec<SensorRow>,
+    out: Option<PowerBatch>,
+    ungrouped: Arc<str>,
 }
 
 /// Segment-aware "is `node` at-or-under `path`" (so `tenant-a` matches
@@ -196,6 +204,10 @@ impl EstimatorShard {
             ingest: VecDeque::new(),
             tracks: BTreeMap::new(),
             tenant_tracks: BTreeMap::new(),
+            decoder: FrameDecoder::new(),
+            rows: Vec::new(),
+            out: None,
+            ungrouped: Arc::from(crate::hierarchy::UNGROUPED),
         }
     }
 
@@ -236,7 +248,10 @@ impl EstimatorShard {
         let trace = env.trace;
         // Sealed under this shard's own layout `Arc`, the same one every
         // frame, so the formulas resolve their event slots once.
-        let sealed = decode_frame(&env.payload).and_then(|d| d.seal(self.events.clone()));
+        let sealed = self
+            .decoder
+            .decode(&env.payload)
+            .and_then(|d| d.seal(self.events.clone()));
         let Ok(frame) = sealed else {
             return Some(ProcessOutcome::Corrupt {
                 host,
@@ -262,44 +277,64 @@ impl EstimatorShard {
         // The staleness flag persists across the apply so the next
         // `refresh_staleness` pass reports the recovery transition.
         let was_stale = known.is_some_and(|t| t.stale);
-        // The procfs source's one-row-per-time-row view with each row's
-        // counters joined in: the wire carries them at the row's own
-        // index (zeros for a process that had none). Not
-        // `hpc::observe` — that drops busy rows whose counters are
-        // all zero, which the shard estimates (0 W with a band).
-        let mut batch = SensorBatch {
+        // One row per time row with its counters joined in: the wire
+        // carries them at the row's own index (zeros for a process that
+        // had none). Not `hpc::observe` — that drops busy rows whose
+        // counters are all zero, which the shard estimates (0 W with a
+        // band).
+        let mut rows = std::mem::take(&mut self.rows);
+        rows.clear();
+        rows.extend((0..frame.time_len()).map(|i| SensorRow {
+            pid: frame.time_pid(i),
+            hpc: i as u32,
+            time: i as u32,
+            corun: NO_ROW,
+        }));
+        let batch = SensorBatch {
             source: hpc::SOURCE,
-            ..procfs::observe(Arc::new(frame), trace)
-        };
-        for row in &mut batch.rows {
-            row.hpc = row.time;
-        }
-        let mut out = PowerBatch::with_capacity(
-            batch.timestamp(),
-            self.formula.name(),
+            frame: Arc::new(frame),
+            rows,
             trace,
-            batch.rows.len(),
-        );
+        };
+        let (timestamp, formula) = (batch.timestamp(), self.formula.name());
+        let mut out = match self.out.take() {
+            Some(mut out) => {
+                (out.timestamp, out.formula, out.trace) = (timestamp, formula, trace);
+                out.pids.clear();
+                out.watts.clear();
+                out.band_w.clear();
+                out.quality.clear();
+                out
+            }
+            None => PowerBatch::with_capacity(timestamp, formula, trace, batch.rows.len()),
+        };
         self.formula.estimate_batch(&batch, Quality::Full, &mut out);
         let frame = &*batch.frame;
         let mut active = 0.0;
         let mut band = 0.0;
-        let mut groups: Vec<(Arc<str>, f64, f64)> = Vec::new();
-        let grouped = frame.has_groups();
-        let ungrouped: Arc<str> = Arc::from(crate::hierarchy::UNGROUPED);
+        // The host's previous books are overwritten in place; a host that
+        // stopped carrying cgroups must not keep stale tenant attribution.
+        let mut groups = if frame.has_groups() {
+            let groups = self.tenant_tracks.entry(host.0).or_default();
+            groups.clear();
+            Some(groups)
+        } else {
+            self.tenant_tracks.remove(&host.0);
+            None
+        };
         let mut time_rows = 0..frame.time_len();
         for k in 0..out.len() {
             let (w, row_band) = (out.watts[k].as_f64(), out.band_w[k].as_f64());
             active += w;
             band += row_band;
-            if grouped {
+            if let Some(groups) = &mut groups {
                 // Estimates come back in row order, minus the rows the
                 // formula could not estimate; the row's group index names
                 // its leaf.
                 let leaf = time_rows
                     .find(|&i| frame.time_pid(i) == out.pids[k])
                     .and_then(|i| frame.group_of_row(i))
-                    .unwrap_or(&ungrouped);
+                    .unwrap_or(&self.ungrouped);
                 match groups.iter_mut().find(|(g, _, _)| g == leaf) {
                     Some(slot) => {
                         slot.1 += w;
@@ -309,13 +344,9 @@ impl EstimatorShard {
                 }
             }
         }
-        if grouped {
-            self.tenant_tracks.insert(host.0, groups);
-        } else {
-            // A host that stopped carrying cgroups must not keep stale
-            // tenant attribution on the books.
-            self.tenant_tracks.remove(&host.0);
-        }
+        // Dropping the frame returns its columns to the decoder's pool.
+        self.rows = batch.rows;
+        self.out = Some(out);
         self.tracks.insert(
             host.0,
             HostTrack {
@@ -560,7 +591,7 @@ mod tests {
         let mut stray = grouped[..grouped.len() - 8].to_vec();
         let last = stray.len() - 4;
         stray[last..].copy_from_slice(&7u32.to_le_bytes());
-        let sum = crate::fleet::envelope::fnv1a64(&stray);
+        let sum = crate::fleet::envelope::wire_sum(&stray);
         stray.extend_from_slice(&sum.to_le_bytes());
         for (seq, payload) in [wide, stray].into_iter().enumerate() {
             let env = FrameEnvelope {

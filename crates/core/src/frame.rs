@@ -441,6 +441,21 @@ impl FrameBuilder {
         (&mut self.storage.hpc_pids, &mut self.storage.counters)
     }
 
+    /// Sizes the hpc and time columns ahead of a bulk fill of `rows`
+    /// rows in both sections, `counters` counters wide, holding at most
+    /// `freq_pairs` residency entries between them — for a decoder that
+    /// has read the row count, so fresh storage grows once per column
+    /// and recycled storage not at all.
+    pub(crate) fn reserve_rows(&mut self, rows: usize, counters: usize, freq_pairs: usize) {
+        let s = &mut self.storage;
+        s.hpc_pids.reserve(rows);
+        s.counters.reserve(rows * counters);
+        s.time_pids.reserve(rows);
+        s.busy.reserve(rows);
+        s.freq_index.reserve(rows);
+        s.freqs.reserve(freq_pairs);
+    }
+
     /// Appends one time row; `fill` appends that row's per-frequency
     /// residency entries to the shared column.
     pub fn push_time_row(

@@ -9,9 +9,10 @@ use os_sim::process::Pid;
 use os_sim::task::SteadyTask;
 use perf_sim::events::Event;
 use powerapi::actor::{Actor, ActorSystem, Context};
-use powerapi::fleet::envelope::fnv1a64;
+use powerapi::fleet::envelope::{fnv1a64, wire_sum};
 use powerapi::fleet::{
-    decode_frame, encode_frame, EstimatorShard, FrameEnvelope, HostId, ProcessOutcome, ShardConfig,
+    decode_frame, encode_frame, EstimatorShard, FrameDecoder, FrameEnvelope, HostId,
+    ProcessOutcome, ShardConfig, WireError,
 };
 use powerapi::formula::bertran::{bertran_events, BertranFormula};
 use powerapi::formula::cpuload::CpuLoadFormula;
@@ -350,6 +351,65 @@ proptest! {
         prop_assert_eq!(sealed.time_len(), frame.time_len());
         prop_assert_eq!(sealed.has_groups(), frame.has_groups());
         prop_assert_eq!(encode_frame(&sealed), payload);
+    }
+
+    /// What a link does to a payload — `corrupt_payload` flips one bit of
+    /// one byte, anywhere, trailer included — and any other damage that
+    /// stays inside one aligned word of the body is refused by the
+    /// trailer, not by the parser's luck; and since a short tail is
+    /// zero-padded into a word, a body never shares a sum with itself
+    /// plus zero bytes.
+    #[test]
+    fn single_word_damage_is_always_a_checksum_error(
+        iv in interval(),
+        words in prop::collection::vec((0usize..1_000_000, 0u64..=u64::MAX), 32),
+        zeros in 1usize..40,
+    ) {
+        let payload = encode_frame(&frame_of(&iv));
+        for at in 0..payload.len() {
+            for bit in 0..8 {
+                let mut bad = payload.clone();
+                bad[at] ^= 1 << bit;
+                prop_assert_eq!(decode_frame(&bad).err(), Some(WireError::Checksum));
+            }
+        }
+        let body = &payload[..payload.len() - 8];
+        for (pick, value) in words {
+            let at = 8 * (pick % body.len().div_ceil(8));
+            let end = (at + 8).min(body.len());
+            let new = &value.to_le_bytes()[..end - at];
+            if body[at..end] == *new {
+                continue;
+            }
+            let mut bad = payload.clone();
+            bad[at..end].copy_from_slice(new);
+            prop_assert_eq!(decode_frame(&bad).err(), Some(WireError::Checksum));
+        }
+        let mut padded = body.to_vec();
+        padded.resize(body.len() + zeros, 0);
+        prop_assert_ne!(wire_sum(&padded), wire_sum(body));
+    }
+
+    /// A shard's decoder — columns recycled from whatever frame it
+    /// decoded last, group paths interned across frames — gives, column
+    /// for column, the frame a decode into fresh storage gives.
+    #[test]
+    fn pooled_decode_equals_fresh_decode(first in interval(), second in interval()) {
+        let mut decoder = FrameDecoder::new();
+        for iv in [&first, &second, &first] {
+            let payload = encode_frame(&frame_of(iv));
+            let pooled = decoder
+                .decode(&payload)
+                .and_then(|d| d.seal(iv.events.clone()))
+                .expect("own payloads decode");
+            let fresh = decode_frame(&payload)
+                .and_then(|d| d.seal(iv.events.clone()))
+                .expect("own payloads decode");
+            pooled.debug_assert_consistent();
+            prop_assert_eq!(&pooled, &fresh);
+            prop_assert_eq!(pooled.group_table(), fresh.group_table());
+            prop_assert_eq!(encode_frame(&pooled), payload);
+        }
     }
 }
 

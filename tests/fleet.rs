@@ -10,11 +10,14 @@ use powerapi_suite::os_sim::task::SteadyTask;
 use powerapi_suite::perf_sim::events::PAPER_EVENTS;
 use powerapi_suite::powerapi::fleet::SimHostSource;
 use powerapi_suite::powerapi::fleet::{
-    Fleet, FleetConfig, LinkFaultConfig, LinkFaultKind, LinkFaultPlan, LinkWindow,
+    encode_frame, EstimatorShard, Fleet, FleetConfig, FrameEnvelope, FrameSource, HopStage, HostId,
+    Link, LinkConfig, LinkFaultConfig, LinkFaultKind, LinkFaultPlan, LinkWindow, ProcessOutcome,
+    ShardConfig,
 };
 use powerapi_suite::powerapi::formula::cpuload::CpuLoadFormula;
+use powerapi_suite::powerapi::frame::FramePool;
 use powerapi_suite::powerapi::host::SimHost;
-use powerapi_suite::powerapi::telemetry::{EventKind, Telemetry};
+use powerapi_suite::powerapi::telemetry::{EventKind, Telemetry, TraceId};
 use powerapi_suite::powermeter::powerspy::PowerSpyConfig;
 use powerapi_suite::simcpu::presets;
 use powerapi_suite::simcpu::units::Nanos;
@@ -467,4 +470,139 @@ fn explain_provenance_round_trips_exactly() {
     let round = ProvenanceReport::from_json(&json).expect("provenance JSON parses");
     assert_eq!(report, round, "parse(serialize(r)) == r, exactly");
     assert_eq!(round.to_json(), json, "serialization is a fixed point");
+}
+
+/// A network that mostly damages: a quarter of the transmissions
+/// corrupted, with duplicates (a copy made *after* the damage), reorders
+/// and drops mixed in.
+fn corrupting_plan() -> LinkFaultPlan {
+    LinkFaultPlan::from_parts(
+        0x0BAD_B175,
+        &LinkFaultConfig {
+            drop_rate: 0.05,
+            duplicate_rate: 0.10,
+            corrupt_rate: 0.25,
+            reorder_rate: 0.10,
+            ..LinkFaultConfig::default()
+        },
+        Vec::new(),
+    )
+}
+
+/// The checked zero: over real links into a real shard, count the
+/// deliveries whose bytes differ from what the sender encoded, and what
+/// the shard did with each. None is applied or acked as a duplicate,
+/// every one is refused, and no intact delivery is refused.
+#[test]
+fn no_frame_damaged_in_flight_is_ever_applied() {
+    const FRAMES: u64 = 150;
+    let plan = std::sync::Arc::new(corrupting_plan());
+    let mut shard = EstimatorShard::new(
+        0,
+        ShardConfig::default(),
+        Box::new(CpuLoadFormula::new(30.0, 25.0)),
+        PAPER_EVENTS.iter().copied().collect(),
+    );
+    let pool = FramePool::new();
+    let mut sources: Vec<_> = (0..HOSTS).map(grouped_source).collect();
+    let mut links: Vec<Link> = (0..HOSTS)
+        .map(|h| Link::new(HostId(h as u32), LinkConfig::default(), plan.clone()))
+        .collect();
+    // sent[host][seq]: the bytes the sender encoded.
+    let mut sent: Vec<Vec<Vec<u8>>> = vec![Vec::new(); HOSTS];
+    let (mut damaged, mut refused, mut accepted, mut accepted_damaged) = (0u64, 0u64, 0u64, 0u64);
+    let mut due = Vec::new();
+    // A few ticks past the last send, so the links drain.
+    for now in 1..=FRAMES + 8 {
+        for h in 0..HOSTS {
+            if now <= FRAMES {
+                let payload = encode_frame(&sources[h].produce(&pool));
+                let env = FrameEnvelope {
+                    host: HostId(h as u32),
+                    seq: sent[h].len() as u64,
+                    sent_at: Nanos(now),
+                    trace: TraceId(now),
+                    attempt: 0,
+                    payload: payload.clone(),
+                };
+                sent[h].push(payload);
+                links[h].send(env, 0, now);
+            }
+            links[h].take_due(now, &mut due);
+        }
+        for env in due.drain(..) {
+            let differs = env.payload != sent[env.host.0 as usize][env.seq as usize];
+            damaged += u64::from(differs);
+            shard.ingest(env, now);
+            match shard.process_one(now).expect("just ingested") {
+                ProcessOutcome::Corrupt { .. } => {
+                    assert!(differs, "an intact delivery was refused");
+                    refused += 1;
+                }
+                ProcessOutcome::Applied { .. } | ProcessOutcome::Duplicate { .. } => {
+                    accepted += 1;
+                    accepted_damaged += u64::from(differs);
+                }
+            }
+        }
+    }
+    assert_eq!(accepted_damaged, 0, "damaged frames accepted");
+    assert_eq!(refused, damaged, "every damaged delivery is refused");
+    assert!(
+        damaged > 150 && accepted > 500,
+        "the schedule has teeth: {damaged} damaged, {accepted} accepted"
+    );
+}
+
+/// The same count on a whole fleet, from its own books: the link damages
+/// exactly the transmissions the plan names, so every copy a shard
+/// applied or acked must be one the plan left intact, and
+/// `corrupt_frames` must be the number of damaged copies shards
+/// processed — retransmits and link duplicates included.
+#[test]
+fn corrupt_frames_counts_every_damaged_delivery_and_nothing_else() {
+    let plan = corrupting_plan();
+    let cfg = FleetConfig {
+        shards: 2,
+        events: PAPER_EVENTS.to_vec(),
+        fault: plan.clone(),
+        ..FleetConfig::default()
+    };
+    let sources = (0..HOSTS).map(|i| grouped_source(i) as _).collect();
+    let formula = CpuLoadFormula::new(30.0, 25.0);
+    let mut fleet = Fleet::new(cfg, &formula, sources, Telemetry::new());
+    fleet.run(4 * TICKS);
+    fleet.assert_conserved();
+    assert_eq!(
+        fleet.journeys().evicted(),
+        0,
+        "every hop is still on the log"
+    );
+
+    let (mut damaged_processed, mut processed) = (0u64, 0u64);
+    for hop in fleet.journeys().hops() {
+        let damaged = plan.corrupts(hop.host, hop.seq, hop.attempt);
+        match hop.stage {
+            HopStage::Apply { .. } | HopStage::Duplicate { .. } => {
+                assert!(!damaged, "a damaged copy was accepted: {hop:?}");
+                processed += 1;
+            }
+            HopStage::Corrupt { .. } => {
+                assert!(damaged, "an intact copy was refused: {hop:?}");
+                damaged_processed += 1;
+                processed += 1;
+            }
+            _ => {}
+        }
+    }
+    let stats = fleet.stats();
+    assert_eq!(stats.corrupt_frames, damaged_processed);
+    assert_eq!(
+        stats.applied + stats.dup_discarded + stats.corrupt_frames,
+        processed
+    );
+    assert!(
+        damaged_processed > 100,
+        "{damaged_processed} damaged copies"
+    );
 }

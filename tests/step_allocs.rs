@@ -1,16 +1,20 @@
-//! Allocation pins for the simulator's per-quantum path and the
-//! pipeline's per-row paths: a count, not a stopwatch, so it reads the
-//! same on any box and cannot creep back unnoticed between benchmark
-//! runs. Its own test binary because it installs a counting
-//! `#[global_allocator]`; the count is per thread, so the harness's other
-//! threads cannot disturb it.
+//! Allocation pins for the simulator's per-quantum path, the pipeline's
+//! per-row paths and the fleet's per-frame transport path: a count, not a
+//! stopwatch, so it reads the same on any box and cannot creep back
+//! unnoticed between benchmark runs. Its own test binary because it
+//! installs a counting `#[global_allocator]`; the count is per thread, so
+//! the harness's other threads cannot disturb it.
 
 use os_sim::kernel::Kernel;
+use os_sim::process::Pid;
 use os_sim::task::{SteadyTask, TaskBehavior};
-use perf_sim::events::PAPER_EVENTS;
+use perf_sim::events::{Event, PAPER_EVENTS};
+use powerapi::fleet::{
+    encode_frame, EstimatorShard, FrameDecoder, FrameEnvelope, HostId, ProcessOutcome, ShardConfig,
+};
 use powerapi::formula::per_freq::PerFrequencyFormula;
 use powerapi::formula::PowerFormula;
-use powerapi::frame::{FramePool, PowerBatch};
+use powerapi::frame::{FrameBuilder, FramePool, PowerBatch, TickFrame};
 use powerapi::host::SimHost;
 use powerapi::model::power_model::PerFrequencyPowerModel;
 use powerapi::msg::Quality;
@@ -18,8 +22,9 @@ use powerapi::sensor::hpc;
 use powerapi::telemetry::TraceId;
 use powermeter::powerspy::PowerSpyConfig;
 use powermeter::rapl::Rapl;
+use simcpu::counters::HwCounter;
 use simcpu::presets;
-use simcpu::units::{Nanos, Watts};
+use simcpu::units::{MegaHertz, Nanos, Watts};
 use simcpu::workunit::WorkUnit;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -216,4 +221,93 @@ fn estimating_a_batch_allocates_the_same_for_any_number_of_idle_rows() {
         allocations_over(100),
         "an idle row must not cost an allocation"
     );
+}
+
+/// The four-counter layout the transport pins ship: the paper's three
+/// model events and one the model does not read.
+fn wire_layout() -> Arc<[Event]> {
+    let mut events = PAPER_EVENTS.to_vec();
+    events.push(Event::Hardware(HwCounter::BranchMisses));
+    events.into()
+}
+
+/// The `fleet-faulty` frame shape: 16 busy processes, two residency
+/// pairs each, under two tenants and a stray when `grouped`.
+fn wire_frame(events: &Arc<[Event]>, grouped: bool) -> TickFrame {
+    let mut b = FrameBuilder::new();
+    for row in 0..16u32 {
+        let (pids, counters) = b.hpc_columns();
+        pids.push(Pid(100 + row));
+        counters.extend((0..events.len() as u64).map(|e| 1_000_000 * u64::from(row + 1) + e));
+        b.push_time_row(Pid(100 + row), Nanos::from_millis(400), |freqs| {
+            freqs.push((MegaHertz(1600), Nanos::from_millis(100)));
+            freqs.push((MegaHertz(3300), Nanos::from_millis(300)));
+        });
+        if grouped {
+            b.set_time_group(match row {
+                0..=8 => Some("tenant-gold/svc-web"),
+                9..=14 => Some("tenant-bronze/svc-batch"),
+                _ => None,
+            });
+        }
+    }
+    b.finish(
+        Nanos::from_secs(7),
+        Nanos::from_secs(1),
+        events.clone(),
+        None,
+    )
+}
+
+#[test]
+fn a_warm_transport_path_allocates_the_payload_and_the_frame_arc() {
+    let events = wire_layout();
+    for grouped in [false, true] {
+        let frame = wire_frame(&events, grouped);
+        let mut payload = Vec::new();
+        let encode = allocations_in(|| payload = encode_frame(&frame));
+        assert_eq!(encode, 1, "encode_frame sizes its buffer once");
+
+        // Warm: the pool holds a block, the group paths are interned.
+        let mut decoder = FrameDecoder::new();
+        let decode = |decoder: &mut FrameDecoder| {
+            let sealed = decoder
+                .decode(&payload)
+                .and_then(|d| d.seal(events.clone()))
+                .expect("own payloads decode");
+            assert_eq!((sealed.time_len(), sealed.has_groups()), (16, grouped));
+        };
+        decode(&mut decoder);
+        let warm_decode = allocations_in(|| decode(&mut decoder));
+        assert_eq!(warm_decode, 0, "warm decode, grouped: {grouped}");
+
+        let formula = PerFrequencyFormula::new(PerFrequencyPowerModel::paper_i3_example());
+        let mut shard =
+            EstimatorShard::new(0, ShardConfig::default(), Box::new(formula), events.clone());
+        let mut apply = |seq: u64| {
+            let env = FrameEnvelope {
+                host: HostId(3),
+                seq,
+                sent_at: Nanos::from_secs(seq),
+                trace: TraceId(seq + 1),
+                attempt: 0,
+                payload: payload.clone(),
+            };
+            shard.ingest(env, seq);
+            let mut outcome = None;
+            let n = allocations_in(|| outcome = shard.process_one(seq));
+            assert!(matches!(outcome, Some(ProcessOutcome::Applied { .. })));
+            n
+        };
+        // The first applies open the host's books and size the scratch.
+        apply(0);
+        apply(1);
+        for seq in 2..6 {
+            let warm_apply = apply(seq);
+            assert_eq!(
+                warm_apply, 1,
+                "a warm apply allocates the frame's Arc, grouped: {grouped}"
+            );
+        }
+    }
 }
