@@ -1,7 +1,18 @@
-//! The lightweight actor runtime: each actor owns a FIFO mailbox and runs
-//! on its own thread, processing messages event-driven — the property the
-//! paper leans on for real-time estimation ("an actor … can handle
-//! millions of messages per second"; see the `middleware` bench).
+//! The lightweight actor runtime: each actor owns a FIFO mailbox and
+//! processes its messages event-driven — the property the paper leans on
+//! for real-time estimation ("an actor … can handle millions of messages
+//! per second"; see the `middleware` bench). All the actors of an
+//! [`ActorSystem`] share **one event-loop thread** (`actor-loop`): every
+//! message is one entry in the loop's queue, and the loop runs handlers
+//! to completion, one at a time, in global arrival order. A pipeline tick
+//! therefore costs one cross-thread wake-up — the producer's — however
+//! many stages it crosses, and what a handler publishes is handled only
+//! after the handler has returned.
+//!
+//! Arrival order gives every mailbox FIFO delivery, and more: a message
+//! sent before another is handled before it, whoever the receivers are.
+//! The [sensor stage](crate::sensor)'s "frame *T* before frame *T+1*"
+//! contract holds by construction.
 //!
 //! The runtime is *supervised*: a panic inside [`Actor::handle`] is caught
 //! and handled per the actor's [`RestartPolicy`] — rebuild the actor from
@@ -11,29 +22,31 @@
 //! [`ActorSystem::health`].
 //!
 //! Shutdown is ordered: [`ActorSystem::shutdown`] stops actors in spawn
-//! order, joining each before stopping the next. Spawning pipeline stages
-//! upstream-first therefore guarantees every in-flight message drains
-//! through the whole pipeline before the system stops. `shutdown` returns
-//! a [`ShutdownSummary`] naming any actor that died panicking instead of
-//! swallowing the `JoinHandle` result.
+//! order, each once everything sent to it so far has been handled.
+//! Spawning pipeline stages upstream-first therefore guarantees every
+//! in-flight message drains through the whole pipeline before the system
+//! stops. `shutdown` returns a [`ShutdownSummary`] naming any actor that
+//! died panicking. Dropping the system without calling it stops the
+//! actors the same way and discards the summary.
 
 use crate::bus::EventBus;
 use crate::msg::Message;
 use crate::telemetry::{Counter, EventKind, Gauge, Histogram, Journal, Stage, Telemetry, TraceId};
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// A unit of concurrent, event-driven message processing.
+/// A unit of event-driven message processing.
 pub trait Actor: Send {
     /// Handles one message. Publishing to `ctx.bus()` is how results move
-    /// down the pipeline.
+    /// down the pipeline; what it publishes is handled after it returns.
     fn handle(&mut self, msg: Message, ctx: &Context);
 
-    /// Called once after the last message, before the thread exits.
+    /// Called once after the last message, before the actor is dropped.
     fn on_stop(&mut self, _ctx: &Context) {}
 }
 
@@ -66,8 +79,12 @@ impl Context {
 /// What a full mailbox does with the next message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OverflowPolicy {
-    /// The sender blocks until space frees up. Lossless; backpressure
-    /// propagates upstream (and a publish can stall the publisher).
+    /// A sender outside the event loop blocks until space frees up.
+    /// Lossless; backpressure propagates to whoever feeds the pipeline.
+    /// A send made *by a handler* never blocks — the loop would be
+    /// waiting for itself — and is admitted over capacity instead, so
+    /// the bound inside the pipeline is the capacity plus one handler's
+    /// fan-out.
     #[default]
     Block,
     /// Evict the oldest queued message to admit the newest (ring-buffer
@@ -89,7 +106,9 @@ pub enum RestartPolicy {
     Restart {
         /// Lifetime cap on rebuilds.
         max: u32,
-        /// Pause before each rebuild (crash-loop damper).
+        /// Pause before each rebuild (crash-loop damper). The whole
+        /// event loop pauses with it: downstream of a restarting stage a
+        /// FIFO chain has nothing to do anyway.
         backoff: Duration,
     },
     /// The actor dies *and* the failure is flagged system-wide
@@ -143,12 +162,24 @@ impl SpawnOptions {
     }
 }
 
+/// One entry of the event loop's queue.
 enum Envelope {
-    /// A message plus its enqueue instant (present only when the system
-    /// is instrumented, so the uninstrumented hot path never reads the
-    /// clock).
-    Message(Message, Option<Instant>),
-    Stop,
+    /// A message for actor `to`, plus its enqueue instant (present only
+    /// when the system is instrumented, so the uninstrumented hot path
+    /// never reads the clock).
+    Message {
+        to: usize,
+        msg: Message,
+        enqueued: Option<Instant>,
+    },
+    /// A newly spawned actor moving in; ids are handed out in spawn
+    /// order, so it becomes the loop's next resident.
+    Spawn(Box<Resident>),
+    /// Everything sent to actor `.0` before this point has been handled:
+    /// the loop queues one for itself per actor while shutting down.
+    Drained(usize),
+    /// Stop every actor in spawn order, then exit.
+    Shutdown,
 }
 
 /// Live mailbox gauges, mirrored into the metrics registry, plus the
@@ -162,49 +193,24 @@ struct MailboxMetrics {
     /// per actor.
     stage_shed: Counter,
     journal: Journal,
-    owner: Arc<str>,
 }
 
-/// A bounded MPSC mailbox on std primitives (the vendored channel stub is
-/// unbounded-only). `Stop` bypasses the capacity check so shutdown can
-/// never deadlock behind a full queue.
+/// What an actor's senders, its supervisor and [`ActorSystem::health`]
+/// share: the mailbox's fixed bound and the live counters. The queued
+/// messages themselves sit in the loop's queue.
 struct Mailbox {
-    inner: Mutex<MailboxInner>,
-    not_empty: Condvar,
-    not_full: Condvar,
+    name: Arc<str>,
     capacity: Option<usize>,
     policy: OverflowPolicy,
     dropped: AtomicU64,
+    restarts: AtomicU64,
+    panics: AtomicU64,
     /// Registry mirrors (depth gauge, drop counter); `None` keeps the
     /// uninstrumented hot path free of clock reads and gauge updates.
     metrics: Option<MailboxMetrics>,
 }
 
-struct MailboxInner {
-    queue: VecDeque<Envelope>,
-    closed: bool,
-}
-
 impl Mailbox {
-    fn new(
-        capacity: Option<usize>,
-        policy: OverflowPolicy,
-        metrics: Option<MailboxMetrics>,
-    ) -> Mailbox {
-        Mailbox {
-            inner: Mutex::new(MailboxInner {
-                queue: VecDeque::new(),
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity,
-            policy,
-            dropped: AtomicU64::new(0),
-            metrics,
-        }
-    }
-
     fn note_drop(&self) {
         self.dropped.fetch_add(1, Ordering::Relaxed);
         if let Some(m) = &self.metrics {
@@ -212,151 +218,171 @@ impl Mailbox {
             m.stage_shed.inc();
             m.journal.emit(
                 EventKind::MailboxDrop,
-                &m.owner,
+                &self.name,
                 "bounded mailbox shed a message",
                 TraceId::NONE,
             );
         }
     }
-
-    /// Enqueues a message; `false` once the mailbox is closed. Under
-    /// `DropOldest`/`DropNewest` a full queue still returns `true` — the
-    /// actor is alive, the loss is recorded in the drop counter.
-    fn send(&self, msg: Message) -> bool {
-        let enqueued = self.metrics.as_ref().map(|_| Instant::now());
-        let mut inner = self.inner.lock().expect("mailbox lock");
-        if inner.closed {
-            return false;
-        }
-        if let Some(cap) = self.capacity {
-            if inner.queue.len() >= cap {
-                match self.policy {
-                    OverflowPolicy::Block => {
-                        while inner.queue.len() >= cap && !inner.closed {
-                            inner = self.not_full.wait(inner).expect("mailbox lock");
-                        }
-                        if inner.closed {
-                            return false;
-                        }
-                    }
-                    OverflowPolicy::DropOldest => {
-                        // Never evict a queued Stop: losing it would leak
-                        // the actor thread at shutdown.
-                        match inner.queue.pop_front() {
-                            Some(Envelope::Stop) => {
-                                inner.queue.push_front(Envelope::Stop);
-                                self.note_drop();
-                                return true;
-                            }
-                            Some(Envelope::Message(..)) => {
-                                self.note_drop();
-                                if let Some(m) = &self.metrics {
-                                    m.depth.dec();
-                                }
-                            }
-                            None => {}
-                        }
-                    }
-                    OverflowPolicy::DropNewest => {
-                        self.note_drop();
-                        return true;
-                    }
-                }
-            }
-        }
-        inner.queue.push_back(Envelope::Message(msg, enqueued));
-        drop(inner);
-        if let Some(m) = &self.metrics {
-            m.depth.inc();
-        }
-        self.not_empty.notify_one();
-        true
-    }
-
-    /// Enqueues `Stop` behind the current backlog, ignoring capacity.
-    fn send_stop(&self) {
-        let mut inner = self.inner.lock().expect("mailbox lock");
-        if inner.closed {
-            return;
-        }
-        inner.queue.push_back(Envelope::Stop);
-        drop(inner);
-        self.not_empty.notify_one();
-    }
-
-    /// Blocks for the next envelope; `None` once closed and drained.
-    fn recv(&self) -> Option<Envelope> {
-        let mut inner = self.inner.lock().expect("mailbox lock");
-        loop {
-            if let Some(env) = inner.queue.pop_front() {
-                drop(inner);
-                if let (Some(m), Envelope::Message(..)) = (&self.metrics, &env) {
-                    m.depth.dec();
-                }
-                self.not_full.notify_one();
-                return Some(env);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self.not_empty.wait(inner).expect("mailbox lock");
-        }
-    }
-
-    /// Closes the mailbox, waking blocked senders and the receiver.
-    fn close(&self) {
-        self.inner.lock().expect("mailbox lock").closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
 }
 
-/// Shared per-actor counters, updated live by the mailbox and the
-/// supervision loop.
-#[derive(Default)]
-struct ActorCounters {
-    restarts: AtomicU64,
-    panics: AtomicU64,
+/// One mailbox as the queue's lock sees it.
+struct Slot {
+    /// Messages queued for the actor.
+    depth: usize,
+    /// Cleared when the actor stops or dies: later sends are refused.
+    open: bool,
+}
+
+struct LoopState {
+    /// Every actor's pending mail, in arrival order.
+    queue: VecDeque<Envelope>,
+    /// Whether the loop sleeps on `wake`; the send that finds it set
+    /// clears it and notifies, so a running loop costs its senders no
+    /// system call.
+    parked: bool,
+    /// `Block` senders asleep on `room`.
+    blocked: usize,
+    /// By actor id.
+    slots: Vec<Slot>,
+}
+
+/// What the event loop shares with every [`ActorRef`].
+struct Shared {
+    state: Mutex<LoopState>,
+    /// The loop parks here when its queue runs dry.
+    wake: Condvar,
+    /// `Block` senders wait here for room in their mailbox.
+    room: Condvar,
+}
+
+thread_local! {
+    /// The address of the [`Shared`] whose handlers run on this thread
+    /// (0 on every other thread): how a `Block` send knows it would be
+    /// waiting for itself.
+    static RUNNING_LOOP: Cell<usize> = const { Cell::new(0) };
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, LoopState> {
+        // Handlers run outside the lock, so no panic can poison it.
+        self.state.lock().expect("the loop's queue lock")
+    }
+
+    /// Queues `env`, waking the loop if it sleeps.
+    fn push(&self, mut state: MutexGuard<'_, LoopState>, env: Envelope) {
+        state.queue.push_back(env);
+        let wake = std::mem::take(&mut state.parked);
+        drop(state);
+        if wake {
+            self.wake.notify_one();
+        }
+    }
+
+    /// Closes mailbox `id`, waking any sender blocked on it.
+    fn close(&self, id: usize) {
+        let mut state = self.lock();
+        state.slots[id].open = false;
+        let blocked = state.blocked > 0;
+        drop(state);
+        if blocked {
+            self.room.notify_all();
+        }
+    }
 }
 
 /// Address of a running actor: send it messages, or hold it in the bus's
 /// subscription lists.
 #[derive(Clone)]
 pub struct ActorRef {
+    shared: Arc<Shared>,
+    id: usize,
     mailbox: Arc<Mailbox>,
-    name: Arc<str>,
 }
 
 impl ActorRef {
     /// Enqueues a message; returns `false` when the actor has stopped.
+    /// Under `DropOldest`/`DropNewest` a full mailbox still returns
+    /// `true` — the actor is alive, the loss is recorded in the drop
+    /// counter.
     pub fn send(&self, msg: Message) -> bool {
-        self.mailbox.send(msg)
+        let mailbox = &*self.mailbox;
+        let enqueued = mailbox.metrics.as_ref().map(|_| Instant::now());
+        let mut evicted = None;
+        let mut state = self.shared.lock();
+        loop {
+            let slot = &state.slots[self.id];
+            if !slot.open {
+                return false;
+            }
+            if mailbox.capacity.is_none_or(|cap| slot.depth < cap) {
+                break;
+            }
+            match mailbox.policy {
+                OverflowPolicy::Block => {
+                    let this_loop = Arc::as_ptr(&self.shared) as usize;
+                    if RUNNING_LOOP.with(Cell::get) == this_loop {
+                        break;
+                    }
+                    state.blocked += 1;
+                    state = self.shared.room.wait(state).expect("the loop's queue lock");
+                    state.blocked -= 1;
+                }
+                OverflowPolicy::DropOldest => {
+                    let oldest = state
+                        .queue
+                        .iter()
+                        .position(|e| matches!(e, Envelope::Message { to, .. } if *to == self.id))
+                        .expect("a full mailbox has queued mail");
+                    evicted = state.queue.remove(oldest);
+                    state.slots[self.id].depth -= 1;
+                    break;
+                }
+                OverflowPolicy::DropNewest => {
+                    drop(state);
+                    mailbox.note_drop();
+                    return true;
+                }
+            }
+        }
+        state.slots[self.id].depth += 1;
+        let to = self.id;
+        self.shared
+            .push(state, Envelope::Message { to, msg, enqueued });
+        if let Some(m) = &mailbox.metrics {
+            m.depth.inc();
+        }
+        // The evicted message is dropped out here: freeing a frame must
+        // not run under the queue lock.
+        if evicted.is_some() {
+            mailbox.note_drop();
+            if let Some(m) = &mailbox.metrics {
+                m.depth.dec();
+            }
+        }
+        true
     }
 
     /// The actor's name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.mailbox.name
     }
 
     /// Messages this actor's mailbox has dropped to overflow.
     pub fn dropped(&self) -> u64 {
         self.mailbox.dropped.load(Ordering::Relaxed)
     }
-
-    fn stop(&self) {
-        self.mailbox.send_stop();
-    }
 }
 
 impl std::fmt::Debug for ActorRef {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ActorRef")
-            .field("name", &self.name)
+            .field("name", &self.mailbox.name)
             .finish()
     }
 }
 
-/// How one actor's thread ended.
+/// How one actor ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ExitKind {
     /// Drained and stopped cleanly.
@@ -380,10 +406,10 @@ pub struct ActorHealth {
     pub panics: u64,
 }
 
-/// What [`ActorSystem::shutdown`] observed while joining the actors.
+/// What [`ActorSystem::shutdown`] observed while stopping the actors.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShutdownSummary {
-    /// Names of actors whose thread ended in an unrecovered panic.
+    /// Names of actors that ended in an unrecovered panic.
     pub panicked: Vec<String>,
     /// Total supervised restarts across all actors.
     pub restarts: u64,
@@ -403,16 +429,14 @@ impl ShutdownSummary {
     }
 }
 
-struct ActorEntry {
-    actor_ref: ActorRef,
-    handle: JoinHandle<ExitKind>,
-    counters: Arc<ActorCounters>,
-}
-
-/// Owns the actor threads and the event bus.
+/// Owns the event loop, its actors and the event bus.
 pub struct ActorSystem {
     bus: EventBus,
-    actors: Vec<ActorEntry>,
+    shared: Arc<Shared>,
+    /// The loop thread; `None` once it has been stopped and joined.
+    thread: Option<JoinHandle<Vec<ExitKind>>>,
+    /// In spawn order; the index is the actor's id.
+    actors: Vec<ActorRef>,
     escalated: Arc<AtomicU64>,
     telemetry: Telemetry,
 }
@@ -428,10 +452,32 @@ impl ActorSystem {
     /// actor gets mailbox-depth gauges, handled/dropped counters, latency
     /// histograms and trace hops recorded into the hub.
     pub fn with_telemetry(telemetry: Telemetry) -> ActorSystem {
+        let shared = Arc::new(Shared {
+            state: Mutex::new(LoopState {
+                queue: VecDeque::new(),
+                parked: false,
+                blocked: 0,
+                slots: Vec::new(),
+            }),
+            wake: Condvar::new(),
+            room: Condvar::new(),
+        });
+        let escalated = Arc::new(AtomicU64::new(0));
+        let event_loop = EventLoop {
+            shared: shared.clone(),
+            residents: Vec::new(),
+            escalated: escalated.clone(),
+        };
+        let thread = std::thread::Builder::new()
+            .name("actor-loop".into())
+            .spawn(move || event_loop.run())
+            .expect("spawning the actor loop thread");
         ActorSystem {
             bus: EventBus::with_telemetry(telemetry.clone()),
+            shared,
+            thread: Some(thread),
             actors: Vec::new(),
-            escalated: Arc::new(AtomicU64::new(0)),
+            escalated,
             telemetry,
         }
     }
@@ -447,7 +493,7 @@ impl ActorSystem {
         &self.bus
     }
 
-    /// Number of live actors.
+    /// Number of actors spawned.
     pub fn len(&self) -> usize {
         self.actors.len()
     }
@@ -466,19 +512,18 @@ impl ActorSystem {
     pub fn health(&self) -> Vec<ActorHealth> {
         self.actors
             .iter()
-            .map(|e| ActorHealth {
-                name: e.actor_ref.name().to_string(),
-                dropped: e.actor_ref.dropped(),
-                restarts: e.counters.restarts.load(Ordering::Relaxed),
-                panics: e.counters.panics.load(Ordering::Relaxed),
+            .map(|a| ActorHealth {
+                name: a.name().to_string(),
+                dropped: a.dropped(),
+                restarts: a.mailbox.restarts.load(Ordering::Relaxed),
+                panics: a.mailbox.panics.load(Ordering::Relaxed),
             })
             .collect()
     }
 
-    /// Spawns an actor on its own thread with default options (unbounded
-    /// mailbox, `Stop` on panic — the pre-supervision behaviour). **Spawn
-    /// pipeline stages in upstream-to-downstream order** so shutdown
-    /// drains correctly.
+    /// Spawns an actor with default options (unbounded mailbox, `Stop` on
+    /// panic — the pre-supervision behaviour). **Spawn pipeline stages in
+    /// upstream-to-downstream order** so shutdown drains correctly.
     pub fn spawn(&mut self, name: impl Into<String>, actor: Box<dyn Actor>) -> ActorRef {
         self.spawn_with(name, actor, SpawnOptions::default())
     }
@@ -500,8 +545,9 @@ impl ActorSystem {
         )
     }
 
-    /// Spawns a supervised actor built (and, under `Restart`, rebuilt)
-    /// from `factory`, with an explicitly configured mailbox.
+    /// Spawns a supervised actor built here (and, under `Restart`,
+    /// rebuilt on the loop thread) from `factory`, with an explicitly
+    /// configured mailbox.
     pub fn spawn_supervised(
         &mut self,
         name: impl Into<String>,
@@ -521,7 +567,6 @@ impl ActorSystem {
                         options.stage.label()
                     )),
                     journal: self.telemetry.journal().clone(),
-                    owner: name.clone(),
                 }),
                 Some(ActorInstruments {
                     stage: options.stage,
@@ -544,71 +589,64 @@ impl ActorSystem {
         } else {
             (None, None)
         };
-        let mailbox = Arc::new(Mailbox::new(
-            options.capacity,
-            options.overflow,
-            mailbox_metrics,
-        ));
-        let actor_ref = ActorRef {
-            mailbox: mailbox.clone(),
+        let mailbox = Arc::new(Mailbox {
             name: name.clone(),
-        };
-        let ctx = Context {
-            bus: self.bus.clone(),
-            name: name.clone(),
-            telemetry: self.telemetry.clone(),
-        };
-        let counters = Arc::new(ActorCounters::default());
-        let thread_counters = counters.clone();
-        let escalated = self.escalated.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("actor-{name}"))
-            .spawn(move || {
-                let exit = supervise(
-                    &mut factory,
-                    &ctx,
-                    &mailbox,
-                    options.restart,
-                    &thread_counters,
-                    instruments.as_ref(),
-                );
-                if exit == ExitKind::Escalated {
-                    escalated.fetch_add(1, Ordering::Relaxed);
-                }
-                // Whatever the exit path, wake blocked senders.
-                mailbox.close();
-                exit
-            })
-            .expect("spawning an actor thread");
-        self.actors.push(ActorEntry {
-            actor_ref: actor_ref.clone(),
-            handle,
-            counters,
+            capacity: options.capacity,
+            policy: options.overflow,
+            dropped: AtomicU64::new(0),
+            restarts: AtomicU64::new(0),
+            panics: AtomicU64::new(0),
+            metrics: mailbox_metrics,
         });
+        let actor = factory();
+        self.telemetry
+            .journal()
+            .emit(EventKind::ActorStart, &name, "spawned", TraceId::NONE);
+        let resident = Resident {
+            mailbox: mailbox.clone(),
+            ctx: Context {
+                bus: self.bus.clone(),
+                name,
+                telemetry: self.telemetry.clone(),
+            },
+            factory: Box::new(factory),
+            policy: options.restart,
+            instruments,
+            actor: Some(actor),
+            exit: ExitKind::Clean,
+        };
+        let actor_ref = ActorRef {
+            shared: self.shared.clone(),
+            id: self.actors.len(),
+            mailbox,
+        };
+        let mut state = self.shared.lock();
+        state.slots.push(Slot {
+            depth: 0,
+            open: true,
+        });
+        self.shared.push(state, Envelope::Spawn(Box::new(resident)));
+        self.actors.push(actor_ref.clone());
         actor_ref
     }
 
-    /// Stops every actor in spawn order, joining each before stopping the
-    /// next, so in-flight messages drain through the pipeline. Returns
-    /// which actors panicked (plus drop/restart totals) rather than
-    /// discarding the join results.
-    pub fn shutdown(self) -> ShutdownSummary {
+    /// Stops every actor in spawn order — each after everything sent to
+    /// it so far has been handled, so in-flight messages drain through
+    /// the pipeline — and joins the loop. Returns which actors panicked
+    /// (plus drop/restart totals).
+    pub fn shutdown(mut self) -> ShutdownSummary {
+        let exits = self.stop_loop();
         let mut summary = ShutdownSummary::default();
-        for entry in self.actors {
-            entry.actor_ref.stop();
-            let exit = entry.handle.join().unwrap_or(ExitKind::Panicked);
-            // Counters are read only after the join: the actor may still
-            // be draining (and restarting) between stop() and exit.
-            summary.dropped += entry.actor_ref.dropped();
-            summary.restarts += entry.counters.restarts.load(Ordering::Relaxed);
-            summary.panics += entry.counters.panics.load(Ordering::Relaxed);
-            match exit {
+        for (i, actor) in self.actors.iter().enumerate() {
+            summary.dropped += actor.dropped();
+            summary.restarts += actor.mailbox.restarts.load(Ordering::Relaxed);
+            summary.panics += actor.mailbox.panics.load(Ordering::Relaxed);
+            // A loop that did not come back took its actors with it.
+            match exits.get(i).copied().unwrap_or(ExitKind::Panicked) {
                 ExitKind::Clean => {}
-                ExitKind::Panicked => {
-                    summary.panicked.push(entry.actor_ref.name().to_string());
-                }
+                ExitKind::Panicked => summary.panicked.push(actor.name().to_string()),
                 ExitKind::Escalated => {
-                    summary.panicked.push(entry.actor_ref.name().to_string());
+                    summary.panicked.push(actor.name().to_string());
                     summary.escalated = true;
                 }
             }
@@ -622,10 +660,28 @@ impl ActorSystem {
         }
         summary
     }
+
+    /// Runs the ordered stop and joins the loop thread; how each actor
+    /// ended, by id (empty when already stopped).
+    fn stop_loop(&mut self) -> Vec<ExitKind> {
+        let Some(thread) = self.thread.take() else {
+            return Vec::new();
+        };
+        self.shared.push(self.shared.lock(), Envelope::Shutdown);
+        thread.join().unwrap_or_default()
+    }
 }
 
-/// Per-actor telemetry handles, created once at spawn so the supervision
-/// loop never touches the registry's mutex.
+impl Drop for ActorSystem {
+    /// A system dropped without [`ActorSystem::shutdown`] still stops its
+    /// actors in order and joins the loop, so no thread outlives it.
+    fn drop(&mut self) {
+        self.stop_loop();
+    }
+}
+
+/// Per-actor telemetry handles, created once at spawn so the event loop
+/// never touches the registry's mutex.
 struct ActorInstruments {
     stage: Stage,
     handled: Counter,
@@ -638,133 +694,231 @@ struct ActorInstruments {
     telemetry: Telemetry,
 }
 
-/// The per-thread supervision loop: run the actor, catch panics, apply
-/// the restart policy.
-fn supervise(
-    factory: &mut dyn FnMut() -> Box<dyn Actor>,
-    ctx: &Context,
-    mailbox: &Mailbox,
+/// An actor as the event loop holds it: the live instance, what rebuilds
+/// it, and how it is supervised and observed.
+struct Resident {
+    mailbox: Arc<Mailbox>,
+    ctx: Context,
+    factory: Box<dyn FnMut() -> Box<dyn Actor> + Send>,
     policy: RestartPolicy,
-    counters: &ActorCounters,
-    instruments: Option<&ActorInstruments>,
-) -> ExitKind {
-    let journal = ctx.telemetry.journal();
-    let mut actor = factory();
-    journal.emit(EventKind::ActorStart, &ctx.name, "spawned", TraceId::NONE);
-    loop {
-        let panicked = loop {
-            let Some(env) = mailbox.recv() else {
-                break false;
-            };
-            let (msg, enqueued) = match env {
-                Envelope::Message(msg, enqueued) => (msg, enqueued),
-                Envelope::Stop => break false,
-            };
-            let caught = if let Some(ins) = instruments {
-                // Capture what the recording needs before the message
-                // moves into the handler.
-                let queue_ns = enqueued.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                // Ticks are trace roots: resolve the tick's span (opened
-                // at publish) by its timestamp — this is what puts the
-                // sensor stage on the exported trace.
-                let trace = match &msg {
-                    Message::Frame(frame) => ins.telemetry.trace_for_tick(frame.timestamp),
-                    _ => msg.trace(),
-                };
-                let is_tick = matches!(msg, Message::Frame(_));
-                let start = Instant::now();
-                let caught = catch_unwind(AssertUnwindSafe(|| actor.handle(msg, ctx))).is_err();
-                let handle_ns = start.elapsed().as_nanos() as u64;
-                ins.handled.inc();
-                ins.handle_ns.record(handle_ns);
-                ins.queue_ns.record(queue_ns);
-                ins.stage_handle_ns.record(handle_ns);
-                if is_tick {
-                    // How far behind the monitoring clock this actor ran.
-                    ins.tick_lag_ns.record(queue_ns);
-                }
-                ins.telemetry.overhead().record_handle(handle_ns);
-                ins.telemetry
-                    .tracer()
-                    .record_hop(trace, ins.stage, &ctx.name, queue_ns, handle_ns);
-                caught
-            } else {
-                catch_unwind(AssertUnwindSafe(|| actor.handle(msg, ctx))).is_err()
-            };
-            if caught {
-                break true;
-            }
-        };
-        if !panicked {
-            // A panicking on_stop still counts against the actor, but
-            // there is nothing left to restart.
-            if catch_unwind(AssertUnwindSafe(|| actor.on_stop(ctx))).is_err() {
-                counters.panics.fetch_add(1, Ordering::Relaxed);
-                if let Some(ins) = instruments {
-                    ins.panics.inc();
-                }
-                journal.emit(
-                    EventKind::ActorPanic,
-                    &ctx.name,
-                    "panicked in on_stop",
-                    TraceId::NONE,
-                );
-                return ExitKind::Panicked;
-            }
-            journal.emit(
-                EventKind::ActorStop,
-                &ctx.name,
-                "exited cleanly",
-                TraceId::NONE,
-            );
-            return ExitKind::Clean;
-        }
-        counters.panics.fetch_add(1, Ordering::Relaxed);
-        if let Some(ins) = instruments {
+    instruments: Option<ActorInstruments>,
+    /// `None` once the actor has stopped or died; mail still queued for
+    /// it is discarded.
+    actor: Option<Box<dyn Actor>>,
+    exit: ExitKind,
+}
+
+impl Resident {
+    fn note_panic(&self, what: &'static str) {
+        self.mailbox.panics.fetch_add(1, Ordering::Relaxed);
+        if let Some(ins) = &self.instruments {
             ins.panics.inc();
         }
-        journal.emit(
-            EventKind::ActorPanic,
-            &ctx.name,
-            "panicked in handle",
-            TraceId::NONE,
-        );
-        match policy {
-            RestartPolicy::Stop => return ExitKind::Panicked,
+        let journal = self.ctx.telemetry.journal();
+        journal.emit(EventKind::ActorPanic, &self.ctx.name, what, TraceId::NONE);
+    }
+
+    /// Runs the handler on one message; whether it panicked.
+    fn deliver(&mut self, msg: Message, enqueued: Option<Instant>) -> bool {
+        let Some(actor) = self.actor.as_mut() else {
+            return false;
+        };
+        let ctx = &self.ctx;
+        let Some(ins) = &self.instruments else {
+            return catch_unwind(AssertUnwindSafe(|| actor.handle(msg, ctx))).is_err();
+        };
+        // Capture what the recording needs before the message moves
+        // into the handler.
+        let queue_ns = enqueued.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        // Ticks are trace roots: resolve the tick's span (opened at
+        // publish) by its timestamp — this is what puts the sensor stage
+        // on the exported trace.
+        let trace = match &msg {
+            Message::Frame(frame) => ins.telemetry.trace_for_tick(frame.timestamp),
+            _ => msg.trace(),
+        };
+        let is_tick = matches!(msg, Message::Frame(_));
+        let start = Instant::now();
+        let caught = catch_unwind(AssertUnwindSafe(|| actor.handle(msg, ctx))).is_err();
+        let handle_ns = start.elapsed().as_nanos() as u64;
+        ins.handled.inc();
+        ins.handle_ns.record(handle_ns);
+        ins.queue_ns.record(queue_ns);
+        ins.stage_handle_ns.record(handle_ns);
+        if is_tick {
+            // How far behind the monitoring clock this actor ran.
+            ins.tick_lag_ns.record(queue_ns);
+        }
+        ins.telemetry.overhead().record_handle(handle_ns);
+        ins.telemetry
+            .tracer()
+            .record_hop(trace, ins.stage, &ctx.name, queue_ns, handle_ns);
+        caught
+    }
+
+    /// Applies the restart policy after a handler panic; how the actor
+    /// ended if it did not survive.
+    fn supervise(&mut self) -> Option<ExitKind> {
+        self.note_panic("panicked in handle");
+        let journal = self.ctx.telemetry.journal();
+        let (max, backoff) = match self.policy {
+            RestartPolicy::Stop => return Some(ExitKind::Panicked),
             RestartPolicy::Escalate => {
                 journal.emit(
                     EventKind::ActorEscalate,
-                    &ctx.name,
+                    &self.ctx.name,
                     "supervisor escalated the failure",
                     TraceId::NONE,
                 );
-                return ExitKind::Escalated;
+                return Some(ExitKind::Escalated);
             }
-            RestartPolicy::Restart { max, backoff } => {
-                if counters.restarts.load(Ordering::Relaxed) >= u64::from(max) {
-                    return ExitKind::Panicked;
-                }
-                if backoff > Duration::ZERO {
-                    std::thread::sleep(backoff);
-                }
-                // The poisoned instance is dropped; state comes back
-                // fresh from the factory.
-                actor = factory();
-                counters.restarts.fetch_add(1, Ordering::Relaxed);
-                if let Some(ins) = instruments {
-                    ins.restarts.inc();
-                }
-                journal.emit(
-                    EventKind::ActorRestart,
-                    &ctx.name,
-                    format!(
-                        "rebuilt after panic (restart #{})",
-                        counters.restarts.load(Ordering::Relaxed)
-                    ),
-                    TraceId::NONE,
-                );
+            RestartPolicy::Restart { max, backoff } => (max, backoff),
+        };
+        if self.mailbox.restarts.load(Ordering::Relaxed) >= u64::from(max) {
+            return Some(ExitKind::Panicked);
+        }
+        if backoff > Duration::ZERO {
+            std::thread::sleep(backoff);
+        }
+        // The poisoned instance is dropped; state comes back fresh from
+        // the factory. A factory that cannot rebuild (a one-shot actor
+        // spawned under `Restart`) ends the actor like a spent cap.
+        let factory = &mut self.factory;
+        let Ok(fresh) = catch_unwind(AssertUnwindSafe(factory)) else {
+            return Some(ExitKind::Panicked);
+        };
+        self.actor = Some(fresh);
+        let restarts = self.mailbox.restarts.fetch_add(1, Ordering::Relaxed) + 1;
+        if let Some(ins) = &self.instruments {
+            ins.restarts.inc();
+        }
+        journal.emit(
+            EventKind::ActorRestart,
+            &self.ctx.name,
+            format!("rebuilt after panic (restart #{restarts})"),
+            TraceId::NONE,
+        );
+        None
+    }
+
+    /// The ordered stop: `on_stop`, then the instance is dropped.
+    fn stop(&mut self) {
+        let Some(mut actor) = self.actor.take() else {
+            return;
+        };
+        // A panicking on_stop still counts against the actor, but there
+        // is nothing left to restart.
+        if catch_unwind(AssertUnwindSafe(|| actor.on_stop(&self.ctx))).is_err() {
+            self.note_panic("panicked in on_stop");
+            self.exit = ExitKind::Panicked;
+            return;
+        }
+        self.ctx.telemetry.journal().emit(
+            EventKind::ActorStop,
+            &self.ctx.name,
+            "exited cleanly",
+            TraceId::NONE,
+        );
+    }
+}
+
+/// The one thread every actor of a system runs on.
+struct EventLoop {
+    shared: Arc<Shared>,
+    /// By actor id.
+    residents: Vec<Resident>,
+    escalated: Arc<AtomicU64>,
+}
+
+impl EventLoop {
+    fn run(mut self) -> Vec<ExitKind> {
+        RUNNING_LOOP.with(|l| l.set(Arc::as_ptr(&self.shared) as usize));
+        loop {
+            match self.next() {
+                Envelope::Shutdown => break,
+                env => self.dispatch(env),
             }
         }
+        // The system is gone, so nobody spawns any more: stop each actor
+        // once the mail queued ahead of its marker has been handled —
+        // which is when its upstream, stopped just before, has flushed.
+        for id in 0..self.residents.len() {
+            self.shared.push(self.shared.lock(), Envelope::Drained(id));
+            loop {
+                match self.next() {
+                    Envelope::Drained(i) if i == id => break,
+                    env => self.dispatch(env),
+                }
+            }
+            self.residents[id].stop();
+            self.shared.close(id);
+        }
+        self.residents.iter().map(|r| r.exit).collect()
+    }
+
+    /// The next envelope in arrival order, parking while there is none.
+    fn next(&self) -> Envelope {
+        let mut state = self.shared.lock();
+        loop {
+            if let Some(env) = state.queue.pop_front() {
+                if let Envelope::Message { to, .. } = &env {
+                    state.slots[*to].depth -= 1;
+                    if state.blocked > 0 {
+                        drop(state);
+                        self.shared.room.notify_all();
+                    }
+                }
+                return env;
+            }
+            state.parked = true;
+            state = self.shared.wake.wait(state).expect("the loop's queue lock");
+            state.parked = false;
+        }
+    }
+
+    fn dispatch(&mut self, env: Envelope) {
+        match env {
+            Envelope::Message { to, msg, enqueued } => {
+                let resident = &mut self.residents[to];
+                if let Some(m) = &resident.mailbox.metrics {
+                    m.depth.dec();
+                }
+                if !resident.deliver(msg, enqueued) {
+                    return;
+                }
+                if let Some(exit) = resident.supervise() {
+                    resident.actor = None;
+                    resident.exit = exit;
+                    if exit == ExitKind::Escalated {
+                        self.escalated.fetch_add(1, Ordering::Relaxed);
+                    }
+                    self.shared.close(to);
+                }
+            }
+            Envelope::Spawn(resident) => self.residents.push(*resident),
+            // Markers the loop reads in `run`.
+            Envelope::Drained(_) | Envelope::Shutdown => {}
+        }
+    }
+}
+
+impl Drop for EventLoop {
+    /// However the loop ends, nothing can be delivered any more: refuse
+    /// every later send and release blocked senders and queued mail.
+    fn drop(&mut self) {
+        // Not `lock()`: this also runs while the loop unwinds, and a
+        // `Drop` must not panic on the poison that leaves behind.
+        let mut state = match self.shared.state.lock() {
+            Ok(state) => state,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        for slot in &mut state.slots {
+            slot.open = false;
+        }
+        let undelivered = std::mem::take(&mut state.queue);
+        drop(state);
+        self.shared.room.notify_all();
+        drop(undelivered);
     }
 }
 
@@ -1238,6 +1392,225 @@ mod tests {
         assert_eq!(sent, 50);
         assert_eq!(summary.dropped, 0, "Block loses nothing");
         assert_eq!(seen.load(Ordering::SeqCst), 50);
+    }
+
+    /// Who handled how many watts, in handling order.
+    type Log = Arc<Mutex<Vec<(&'static str, f64)>>>;
+
+    /// Appends its tag and the watts it was sent to a shared log; its
+    /// `on_stop` logs infinity.
+    struct Logger {
+        tag: &'static str,
+        log: Log,
+    }
+    impl Actor for Logger {
+        fn handle(&mut self, msg: Message, _ctx: &Context) {
+            if let Message::Meter(_, w) | Message::Rapl(_, w) = msg {
+                self.log.lock().unwrap().push((self.tag, w.as_f64()));
+            }
+        }
+        fn on_stop(&mut self, _ctx: &Context) {
+            self.log.lock().unwrap().push((self.tag, f64::INFINITY));
+        }
+    }
+
+    /// A system whose loop is held inside a gated handler, so a test can
+    /// queue mail in an order it chose before any of it is handled.
+    fn held_system() -> (ActorSystem, Arc<(Mutex<bool>, Condvar)>) {
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let mut sys = ActorSystem::new();
+        let holder = sys.spawn(
+            "holder",
+            Box::new(Gated {
+                gate: gate.clone(),
+                seen: Arc::new(AtomicU64::new(0)),
+            }),
+        );
+        holder.send(reading(0.0));
+        (sys, gate)
+    }
+
+    #[test]
+    fn mail_is_handled_in_arrival_order_across_actors() {
+        let (mut sys, gate) = held_system();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut spawn = |tag| {
+            let log = log.clone();
+            sys.spawn(tag, Box::new(Logger { tag, log }))
+        };
+        let (a, b, c) = (spawn("a"), spawn("b"), spawn("c"));
+        let order = [&a, &b, &b, &c, &a, &c, &c, &a, &b, &a];
+        for (i, actor) in order.iter().enumerate() {
+            assert!(actor.send(reading(i as f64)));
+        }
+        open_gate(&gate);
+        sys.shutdown();
+        let sent = order.iter().enumerate();
+        let want: Vec<_> = sent
+            .map(|(i, actor)| (actor.name().to_string(), i as f64))
+            .chain(["a", "b", "c"].map(|tag| (tag.to_string(), f64::INFINITY)))
+            .collect();
+        let got: Vec<_> = log
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|&(tag, w)| (tag.to_string(), w))
+            .collect();
+        assert_eq!(got, want, "arrival order, then on_stop in spawn order");
+    }
+
+    /// Publishes every meter reading `copies` times as a RAPL one, then
+    /// logs that it is done with it.
+    struct LoggingRelay {
+        copies: usize,
+        log: Log,
+    }
+    impl Actor for LoggingRelay {
+        fn handle(&mut self, msg: Message, ctx: &Context) {
+            if let Message::Meter(at, w) = msg {
+                for _ in 0..self.copies {
+                    assert_eq!(ctx.bus().publish(Message::Rapl(at, w)), 1);
+                }
+                self.log.lock().unwrap().push(("relay", w.as_f64()));
+            }
+        }
+    }
+
+    /// A relay publishing `copies` per reading into a `sink` whose
+    /// mailbox is `options`; the log they share.
+    fn relay_into_sink(copies: usize, options: SpawnOptions) -> (ActorSystem, Log) {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut sys = ActorSystem::new();
+        let relay = LoggingRelay {
+            copies,
+            log: log.clone(),
+        };
+        let relay = sys.spawn("relay", Box::new(relay));
+        let sink = Logger {
+            tag: "sink",
+            log: log.clone(),
+        };
+        let sink = sys.spawn_with("sink", Box::new(sink), options);
+        sys.bus().subscribe(Topic::Meter, &relay);
+        sys.bus().subscribe(Topic::Rapl, &sink);
+        (sys, log)
+    }
+
+    #[test]
+    fn what_a_handler_publishes_runs_after_it_returns() {
+        let (sys, log) = relay_into_sink(1, SpawnOptions::default());
+        for i in 0..50 {
+            sys.bus().publish(reading(f64::from(i)));
+        }
+        sys.shutdown();
+        let log = log.lock().unwrap();
+        for i in 0..50 {
+            let at = |tag| log.iter().position(|&e| e == (tag, f64::from(i)));
+            assert!(at("relay") < at("sink"), "reading {i}: {log:?}");
+        }
+    }
+
+    #[test]
+    fn a_handler_sending_past_a_block_bound_is_admitted_not_deadlocked() {
+        let block = SpawnOptions::default()
+            .bounded(2)
+            .overflow(OverflowPolicy::Block);
+        let (sys, log) = relay_into_sink(10, block);
+        for i in 0..5 {
+            sys.bus().publish(reading(f64::from(i)));
+        }
+        let summary = sys.shutdown();
+        let sunk = log.lock().unwrap().iter().filter(|e| e.0 == "sink").count();
+        assert_eq!(sunk, 5 * 10 + 1, "every copy, and the sink's on_stop");
+        assert_eq!(summary.dropped, 0, "Block loses nothing");
+    }
+
+    /// Answers a reading of `w ≥ 1` watts with two of `w − 1`, to
+    /// whoever takes meter readings — itself.
+    struct Doubling(Arc<AtomicU64>);
+    impl Actor for Doubling {
+        fn handle(&mut self, msg: Message, ctx: &Context) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            if let Message::Meter(at, w) = msg {
+                if w.as_f64() >= 1.0 {
+                    for _ in 0..2 {
+                        ctx.bus()
+                            .publish(Message::Meter(at, Watts(w.as_f64() - 1.0)));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_actor_may_overfill_its_own_block_mailbox() {
+        let handled = Arc::new(AtomicU64::new(0));
+        let mut sys = ActorSystem::new();
+        let doubling = sys.spawn_with(
+            "doubling",
+            Box::new(Doubling(handled.clone())),
+            SpawnOptions::default()
+                .bounded(1)
+                .overflow(OverflowPolicy::Block),
+        );
+        sys.bus().subscribe(Topic::Meter, &doubling);
+        sys.bus().publish(reading(4.0));
+        // Not left to shutdown: a stop cuts off mail the actor sends
+        // itself afterwards.
+        assert!(wait_until(Duration::from_secs(10), || {
+            handled.load(Ordering::SeqCst) == 1 + 2 + 4 + 8 + 16
+        }));
+        assert_eq!(sys.shutdown().dropped, 0);
+    }
+
+    #[test]
+    fn a_dead_actor_has_its_mail_discarded_and_later_sends_refused() {
+        let _quiet = quiet_panics();
+        let (mut sys, gate) = held_system();
+        let handled = Arc::new(AtomicU64::new(0));
+        let fragile = Fragile {
+            threshold: 100.0,
+            handled: handled.clone(),
+        };
+        let fragile = sys.spawn("fragile", Box::new(fragile));
+        let bystander = Counter {
+            hits: Arc::new(AtomicU64::new(0)),
+            stopped: Arc::new(AtomicU64::new(0)),
+        };
+        let hits = bystander.hits.clone();
+        let bystander = sys.spawn("bystander", Box::new(bystander));
+        // Queued behind the poison pill while the loop is held.
+        assert!(fragile.send(reading(1000.0)));
+        for _ in 0..3 {
+            assert!(fragile.send(reading(1.0)));
+            assert!(bystander.send(reading(1.0)));
+        }
+        open_gate(&gate);
+        assert!(wait_until(Duration::from_secs(10), || {
+            !fragile.send(reading(1.0))
+        }));
+        let summary = sys.shutdown();
+        assert_eq!(handled.load(Ordering::SeqCst), 0, "nothing after the pill");
+        assert_eq!(hits.load(Ordering::SeqCst), 3, "the loop carries on");
+        assert_eq!(summary.panicked, vec!["fragile".to_string()]);
+        assert_eq!((summary.panics, summary.restarts), (1, 0));
+    }
+
+    #[test]
+    fn dropping_the_system_stops_the_actors_in_order_and_joins_the_loop() {
+        let (sys, log) = relay_into_sink(1, SpawnOptions::default());
+        let relay = sys.actors[0].clone();
+        for i in 0..100 {
+            sys.bus().publish(reading(f64::from(i)));
+        }
+        // The loop owns the actors, and each of them a handle on the log.
+        drop(sys);
+        assert_eq!(Arc::strong_count(&log), 1, "the loop is gone, joined");
+        assert!(!relay.send(reading(1.0)), "as after shutdown()");
+        let log = log.lock().unwrap();
+        let sunk = log.iter().filter(|e| e.0 == "sink").count();
+        assert_eq!(sunk, 100 + 1, "drained, then stopped");
+        assert_eq!(log.last(), Some(&("sink", f64::INFINITY)));
     }
 
     #[test]

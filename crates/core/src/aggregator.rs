@@ -2,7 +2,8 @@
 //! dimension, like the PID or the timestamp" (§3).
 //!
 //! * **PID dimension** — forwards each process estimate as a
-//!   process-scoped aggregate;
+//!   process-scoped aggregate: the formula's [`PowerBatch`] rides along
+//!   inside the [`AggregateBatch`] untouched, no row is rebuilt;
 //! * **timestamp dimension** — folds all estimates sharing a timestamp
 //!   into one machine-scoped aggregate, adding the machine idle floor
 //!   once (the paper's `31.48 + Σ…` form, comparable to the wall meter).
@@ -13,9 +14,11 @@
 //! batches all arrive before tick *T+1*'s) to flush each window whole.
 
 use crate::actor::{Actor, Context};
-use crate::msg::{AggregateReport, Message, PowerReport, Quality, Scope};
+use crate::frame::{AggregateBatch, PowerBatch};
+use crate::msg::{AggregateReport, Message, Quality, Scope};
 use crate::telemetry::TraceId;
 use simcpu::units::{Nanos, Watts};
+use std::sync::Arc;
 
 /// Which dimensions to aggregate along (both may be enabled).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,12 +55,35 @@ impl Dimension {
     }
 }
 
+/// The machine sum of one timestamp, still open.
+#[derive(Debug, Clone, Copy)]
+struct Window {
+    timestamp: Nanos,
+    power: Watts,
+    band_w: Watts,
+    quality: Quality,
+    trace: TraceId,
+}
+
+impl Window {
+    fn close(self, idle_w: f64) -> AggregateReport {
+        AggregateReport {
+            timestamp: self.timestamp,
+            scope: Scope::Machine,
+            power: Watts(self.power.as_f64() + idle_w),
+            band_w: self.band_w,
+            quality: self.quality,
+            trace: self.trace,
+        }
+    }
+}
+
 /// The actor.
 #[derive(Debug, Clone)]
 pub struct Aggregator {
     dimension: Dimension,
     idle_w: f64,
-    window: Option<(Nanos, Watts, Watts, Quality, TraceId)>,
+    window: Option<Window>,
 }
 
 impl Aggregator {
@@ -71,75 +97,73 @@ impl Aggregator {
         }
     }
 
-    fn fold(&mut self, p: &PowerReport, emit: &mut impl FnMut(AggregateReport)) {
-        if self.dimension.per_process {
-            emit(AggregateReport {
-                timestamp: p.timestamp,
-                scope: Scope::Process(p.pid),
-                power: p.power,
-                band_w: p.band_w,
-                quality: p.quality,
-                trace: p.trace,
-            });
+    /// Folds one power batch into what the aggregator publishes for it
+    /// (`None` when that is nothing): the batch itself under the PID
+    /// dimension, and the machine aggregate its first row closed, folded
+    /// right after that row.
+    pub fn fold(&mut self, batch: Arc<PowerBatch>) -> Option<AggregateBatch> {
+        if batch.is_empty() {
+            return None;
         }
+        let mut closed = None;
         if self.dimension.machine {
-            match &mut self.window {
-                Some((ts, acc, band, q, tr)) if *ts == p.timestamp => {
-                    *acc += p.power;
-                    *band += p.band_w;
-                    *q = (*q).min(p.quality);
+            // A batch's rows share its timestamp and trace, so only its
+            // first row can turn the window over; the sums then run down
+            // the columns in row order.
+            let summed = match &mut self.window {
+                Some(w) if w.timestamp == batch.timestamp => {
                     // Trace ids are monotone per tick: keep the newest.
-                    *tr = (*tr).max(p.trace);
+                    w.trace = w.trace.max(batch.trace);
+                    0
                 }
-                Some((ts, acc, band, q, tr)) => {
-                    let done = AggregateReport {
-                        timestamp: *ts,
-                        scope: Scope::Machine,
-                        power: Watts(acc.as_f64() + self.idle_w),
-                        band_w: *band,
-                        quality: *q,
-                        trace: *tr,
+                window => {
+                    let opened = Window {
+                        timestamp: batch.timestamp,
+                        power: batch.watts[0],
+                        band_w: batch.band_w[0],
+                        quality: batch.quality[0],
+                        trace: batch.trace,
                     };
-                    *ts = p.timestamp;
-                    *acc = p.power;
-                    *band = p.band_w;
-                    *q = p.quality;
-                    *tr = p.trace;
-                    emit(done);
+                    closed = window.replace(opened).map(|w| w.close(self.idle_w));
+                    1
                 }
-                None => self.window = Some((p.timestamp, p.power, p.band_w, p.quality, p.trace)),
+            };
+            let w = self.window.as_mut().expect("opened above");
+            for i in summed..batch.len() {
+                w.power += batch.watts[i];
+                w.band_w += batch.band_w[i];
+                w.quality = w.quality.min(batch.quality[i]);
             }
         }
+        let per_process = self.dimension.per_process;
+        let mut out = match per_process {
+            true => AggregateBatch::forwarding(batch),
+            false => AggregateBatch::explicit(Vec::new(), batch.trace),
+        };
+        if let Some(machine) = closed {
+            out.push_after(usize::from(per_process), machine);
+        }
+        (!out.is_empty()).then_some(out)
     }
 }
 
 impl Actor for Aggregator {
-    /// One [`Message::AggregateBatch`] out per power batch in, folding
-    /// every row through the same window logic (so batches from several
+    /// One [`Message::AggregateBatch`] out per power batch in, every
+    /// batch folded through the same window (so batches from several
     /// publishers — the formula and self-power profiling — share one
     /// machine window).
     fn handle(&mut self, msg: Message, ctx: &Context) {
         let Message::PowerBatch(b) = msg else { return };
-        let mut reports = Vec::with_capacity(b.len() + 1);
-        for i in 0..b.len() {
-            self.fold(&b.report(i), &mut |a| reports.push(a));
-        }
-        if !reports.is_empty() {
-            ctx.bus().publish(Message::aggregates(reports, b.trace));
+        if let Some(out) = self.fold(b) {
+            ctx.bus().publish(Message::AggregateBatch(Arc::new(out)));
         }
     }
 
     fn on_stop(&mut self, ctx: &Context) {
-        if let Some((ts, acc, band, q, tr)) = self.window.take() {
-            let last = AggregateReport {
-                timestamp: ts,
-                scope: Scope::Machine,
-                power: Watts(acc.as_f64() + self.idle_w),
-                band_w: band,
-                quality: q,
-                trace: tr,
-            };
-            ctx.bus().publish(Message::aggregates(vec![last], tr));
+        if let Some(w) = self.window.take() {
+            let trace = w.trace;
+            ctx.bus()
+                .publish(Message::aggregates(vec![w.close(self.idle_w)], trace));
         }
     }
 }
@@ -148,8 +172,8 @@ impl Actor for Aggregator {
 mod tests {
     use super::*;
     use crate::actor::ActorSystem;
-    use crate::frame::PowerBatch;
-    use crate::msg::Topic;
+    use crate::fleet::fault::splitmix64;
+    use crate::msg::{PowerReport, Topic};
     use os_sim::process::Pid;
     use parking_lot::Mutex;
     use std::sync::Arc;
@@ -158,7 +182,7 @@ mod tests {
     impl Actor for Capture {
         fn handle(&mut self, msg: Message, _ctx: &Context) {
             if let Message::AggregateBatch(b) = msg {
-                self.0.lock().extend(b.reports.iter().cloned());
+                self.0.lock().extend(b.iter());
             }
         }
     }
@@ -229,6 +253,170 @@ mod tests {
         assert_eq!(out.len(), 2, "one process scope + one machine flush");
         assert!(out.iter().any(|a| a.scope == Scope::Process(Pid(10))));
         assert!(out.iter().any(|a| a.scope == Scope::Machine));
+    }
+
+    /// The displaced fold, kept as the oracle: every row materialised
+    /// and folded on its own, every aggregate a struct in one `Vec`.
+    struct RowFold {
+        dimension: Dimension,
+        idle_w: f64,
+        window: Option<(Nanos, Watts, Watts, Quality, TraceId)>,
+    }
+
+    impl RowFold {
+        fn fold(&mut self, p: &PowerReport, emit: &mut impl FnMut(AggregateReport)) {
+            if self.dimension.per_process {
+                emit(AggregateReport {
+                    timestamp: p.timestamp,
+                    scope: Scope::Process(p.pid),
+                    power: p.power,
+                    band_w: p.band_w,
+                    quality: p.quality,
+                    trace: p.trace,
+                });
+            }
+            if self.dimension.machine {
+                match &mut self.window {
+                    Some((ts, acc, band, q, tr)) if *ts == p.timestamp => {
+                        *acc += p.power;
+                        *band += p.band_w;
+                        *q = (*q).min(p.quality);
+                        *tr = (*tr).max(p.trace);
+                    }
+                    Some((ts, acc, band, q, tr)) => {
+                        let done = AggregateReport {
+                            timestamp: *ts,
+                            scope: Scope::Machine,
+                            power: Watts(acc.as_f64() + self.idle_w),
+                            band_w: *band,
+                            quality: *q,
+                            trace: *tr,
+                        };
+                        *ts = p.timestamp;
+                        *acc = p.power;
+                        *band = p.band_w;
+                        *q = p.quality;
+                        *tr = p.trace;
+                        emit(done);
+                    }
+                    None => {
+                        self.window = Some((p.timestamp, p.power, p.band_w, p.quality, p.trace));
+                    }
+                }
+            }
+        }
+
+        /// What one batch publishes (empty: nothing).
+        fn batch(&mut self, b: &PowerBatch) -> Vec<AggregateReport> {
+            let mut reports = Vec::new();
+            for i in 0..b.len() {
+                self.fold(&b.report(i), &mut |a| reports.push(a));
+            }
+            reports
+        }
+
+        /// What `on_stop` publishes.
+        fn flush(&mut self) -> Vec<AggregateReport> {
+            let last = self.window.take();
+            last.map(|(ts, acc, band, q, tr)| AggregateReport {
+                timestamp: ts,
+                scope: Scope::Machine,
+                power: Watts(acc.as_f64() + self.idle_w),
+                band_w: band,
+                quality: q,
+                trace: tr,
+            })
+            .into_iter()
+            .collect()
+        }
+    }
+
+    /// Seeded power batches: ticks that advance, repeat (a second
+    /// publisher on the tick) or stay empty; watts that do not sum
+    /// exactly, so the order of the additions shows in the bits.
+    fn generated_batches(mut seed: u64, count: usize) -> Vec<Arc<PowerBatch>> {
+        let mut next = move || {
+            seed = splitmix64(seed);
+            seed
+        };
+        let mut tick = 1;
+        (0..count)
+            .map(|_| {
+                tick += next() % 3;
+                let rows = [0, 1, 1, 2, 5, 17][(next() % 6) as usize];
+                let at = Nanos::from_secs(tick);
+                let mut b = PowerBatch::with_capacity(at, "generated", TraceId(next() % 9), rows);
+                for _ in 0..rows {
+                    let quality = [Quality::Full, Quality::Degraded, Quality::Stale];
+                    b.push(
+                        Pid(next() as u32 % 5_000),
+                        Watts((next() % 100_000) as f64 / 7.0),
+                        Watts((next() % 1_000) as f64 / 3.0),
+                        quality[(next() % 3) as usize],
+                    );
+                }
+                Arc::new(b)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn forwarded_batches_read_back_as_the_row_fold_built_them() {
+        for dimension in [Dimension::pid(), Dimension::timestamp(), Dimension::both()] {
+            let batches = generated_batches(2014, 300);
+            let mut oracle = RowFold {
+                dimension,
+                idle_w: 31.48,
+                window: None,
+            };
+            let mut agg = Aggregator::new(dimension, 31.48);
+            let mut published = Vec::new();
+            for (i, batch) in batches.iter().enumerate() {
+                let want = oracle.batch(batch);
+                let got = agg.fold(batch.clone());
+                assert_eq!(got.is_none(), want.is_empty(), "batch {i}, {dimension:?}");
+                let got = got.map_or(Vec::new(), |out| {
+                    assert_eq!(out.trace, batch.trace);
+                    assert_eq!(out.len(), want.len());
+                    out.iter().collect()
+                });
+                assert_eq!(got, want, "batch {i}, {dimension:?}");
+                published.extend(want);
+            }
+            // The same through the actor, its shutdown flush included.
+            published.extend(oracle.flush());
+            let msgs = batches.into_iter().map(Message::PowerBatch).collect();
+            assert_eq!(run(dimension, 31.48, msgs), published, "{dimension:?}");
+        }
+    }
+
+    #[test]
+    fn the_machine_aggregate_sits_where_the_row_fold_emitted_it() {
+        let out = run(
+            Dimension::both(),
+            0.0,
+            vec![
+                power(1, &[(10, 2.0), (11, 3.0)]),
+                power(2, &[(10, 4.0), (11, 5.0), (12, 6.0)]),
+            ],
+        );
+        let scopes: Vec<_> = out
+            .iter()
+            .map(|a| (a.timestamp.as_u64() / 1_000_000_000, a.scope.clone()))
+            .collect();
+        let pid = |p| Scope::Process(Pid(p));
+        assert_eq!(
+            scopes,
+            vec![
+                (1, pid(10)),
+                (1, pid(11)),
+                (2, pid(10)),
+                (1, Scope::Machine),
+                (2, pid(11)),
+                (2, pid(12)),
+                (2, Scope::Machine),
+            ]
+        );
     }
 
     #[test]

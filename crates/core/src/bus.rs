@@ -2,18 +2,20 @@
 //! Sensors → Formulas → Aggregators → Reporters. Publishing clones the
 //! message into every subscriber's mailbox (messages are `Arc`-backed, so
 //! clones are cheap).
+//!
+//! Each topic's subscribers are one immutable list, replaced whole by
+//! `subscribe`/`unsubscribe`: a publish takes a reference to the current
+//! list and sends from it, allocating nothing and holding no lock while
+//! it delivers.
 
 use crate::actor::ActorRef;
 use crate::msg::{Message, Topic};
 use crate::telemetry::{Counter, Telemetry};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 
-#[derive(Default)]
-struct BusInner {
-    subs: HashMap<Topic, Vec<ActorRef>>,
-}
+/// One topic's subscribers, in subscription order.
+type Subscribers = Mutex<Arc<[ActorRef]>>;
 
 /// Per-topic traffic counters, pre-resolved at construction so `publish`
 /// never formats metric names or touches the registry mutex.
@@ -25,7 +27,8 @@ struct BusCounters {
 /// A cloneable handle to the shared bus.
 #[derive(Clone, Default)]
 pub struct EventBus {
-    inner: Arc<Mutex<BusInner>>,
+    /// By [`Topic::index`].
+    topics: Arc<[Subscribers; 6]>,
     counters: Option<Arc<BusCounters>>,
 }
 
@@ -49,7 +52,7 @@ impl EventBus {
             ))
         };
         EventBus {
-            inner: Arc::default(),
+            topics: Arc::default(),
             counters: Some(Arc::new(BusCounters {
                 published: Topic::ALL.map(|t| counter("published", t)),
                 delivered: Topic::ALL.map(|t| counter("delivered", t)),
@@ -60,63 +63,55 @@ impl EventBus {
     /// Subscribes an actor to a topic. Duplicate subscriptions deliver
     /// duplicate messages (like any pub/sub, subscribe once).
     pub fn subscribe(&self, topic: Topic, actor: &ActorRef) {
-        self.inner
-            .lock()
-            .subs
-            .entry(topic)
-            .or_default()
-            .push(actor.clone());
+        let mut list = self.topics[topic.index()].lock();
+        *list = list.iter().chain([actor]).cloned().collect();
     }
 
     /// Removes every subscription of the named actor from a topic.
     pub fn unsubscribe(&self, topic: Topic, actor: &ActorRef) {
-        if let Some(list) = self.inner.lock().subs.get_mut(&topic) {
-            list.retain(|a| a.name() != actor.name());
-        }
+        let mut list = self.topics[topic.index()].lock();
+        *list = list
+            .iter()
+            .filter(|a| a.name() != actor.name())
+            .cloned()
+            .collect();
     }
 
     /// Publishes a message to its topic ([`Message::topic`]); returns how
     /// many subscribers received it.
     pub fn publish(&self, msg: Message) -> usize {
-        let topic = msg.topic();
+        let topic = msg.topic().index();
         if let Some(c) = &self.counters {
-            c.published[topic.index()].inc();
+            c.published[topic].inc();
         }
-        let subs: Vec<ActorRef> = {
-            let inner = self.inner.lock();
-            match inner.subs.get(&topic) {
-                Some(list) => list.clone(),
-                None => return 0,
-            }
+        let subscribers = self.topics[topic].lock().clone();
+        // The last subscriber takes the message itself, not a clone.
+        let Some((last, rest)) = subscribers.split_last() else {
+            return 0;
         };
         let mut delivered = 0;
-        for actor in &subs {
-            if actor.send(msg.clone()) {
-                delivered += 1;
-            }
+        for actor in rest {
+            delivered += u64::from(actor.send(msg.clone()));
         }
+        delivered += u64::from(last.send(msg));
         if let Some(c) = &self.counters {
-            c.delivered[topic.index()].add(delivered);
+            c.delivered[topic].add(delivered);
         }
         delivered as usize
     }
 
     /// Number of subscribers on a topic.
     pub fn subscriber_count(&self, topic: Topic) -> usize {
-        self.inner.lock().subs.get(&topic).map_or(0, |l| l.len())
+        self.topics[topic.index()].lock().len()
     }
 }
 
 impl std::fmt::Debug for EventBus {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
-        let mut total = 0;
-        for list in inner.subs.values() {
-            total += list.len();
-        }
+        let counts = Topic::ALL.map(|t| self.subscriber_count(t));
         f.debug_struct("EventBus")
-            .field("topics", &inner.subs.len())
-            .field("subscriptions", &total)
+            .field("topics", &counts.iter().filter(|&&n| n > 0).count())
+            .field("subscriptions", &counts.iter().sum::<usize>())
             .finish()
     }
 }

@@ -107,65 +107,79 @@ impl PerFrequencyFormula {
         };
         let mut deltas = std::mem::take(&mut self.deltas);
         let mut rates = std::mem::take(&mut self.rates);
+        // Rows without a residency split all take the first model
+        // frequency's band: looked up when the first of them asks.
+        let mut unsplit_band = None;
         for row in &batch.rows {
             if row.hpc == NO_ROW {
                 continue;
             }
-            let counters = frame.hpc_row(row.hpc as usize);
-            deltas.clear();
-            deltas.extend(slots.iter().map(|&s| counters[s] as f64));
             let (busy, freqs) = if row.time != NO_ROW {
                 let t = row.time as usize;
                 (frame.busy(t).as_u64(), frame.freq_slice(t))
             } else {
                 (0, &[] as &[(MegaHertz, Nanos)])
             };
-            let watts = if busy == 0 || deltas.iter().all(|d| *d == 0.0) {
+            // A row that did not run is 0 W whatever it counted, so its
+            // counters are read only if it ran — on a wide host, few do.
+            let watts = if busy == 0 {
                 Some(Watts::ZERO)
             } else {
-                let mut total = 0.0;
-                let mut attributed = 0u64;
-                let mut usable = true;
-                for &(f, t) in freqs {
-                    let share = t.as_u64() as f64 / busy as f64;
-                    attributed += t.as_u64();
-                    rates.clear();
-                    rates.extend(deltas.iter().map(|d| d * share / interval_s));
-                    match self.model.predict_active(f, &rates) {
-                        Ok(p) => total += p,
-                        Err(_) => {
-                            usable = false;
-                            break;
-                        }
-                    }
-                }
-                if usable && attributed == 0 {
-                    rates.clear();
-                    rates.extend(deltas.iter().map(|d| d / interval_s));
-                    let f = self.model.first_frequency();
-                    match self.model.predict_active(f, &rates) {
-                        Ok(p) => total += p,
-                        Err(_) => usable = false,
-                    }
-                }
-                usable.then_some(Watts(total))
+                let counters = frame.hpc_row(row.hpc as usize);
+                deltas.clear();
+                deltas.extend(slots.iter().map(|&s| counters[s] as f64));
+                self.active_watts(busy, freqs, interval_s, &deltas, &mut rates)
             };
             let Some(watts) = watts else { continue };
-            let band = if with_band {
-                let dominant = freqs
-                    .iter()
-                    .max_by_key(|(_, t)| t.as_u64())
-                    .map(|&(f, _)| f)
-                    .unwrap_or_else(|| self.model.first_frequency());
-                self.model.prediction_band_w(dominant, PREDICTION_Z)
-            } else {
+            let band = if !with_band {
                 0.0
+            } else if let Some(&(f, _)) = freqs.iter().max_by_key(|(_, t)| t.as_u64()) {
+                self.model.prediction_band_w(f, PREDICTION_Z)
+            } else {
+                *unsplit_band.get_or_insert_with(|| {
+                    let f = self.model.first_frequency();
+                    self.model.prediction_band_w(f, PREDICTION_Z)
+                })
             };
             out.push(row.pid, watts, Watts(band), quality);
         }
         self.deltas = deltas;
         self.rates = rates;
         self.slots.slots = Some(slots);
+    }
+
+    /// The active power of a row that ran `busy` ns split as `freqs`,
+    /// from its counter `deltas` in model-event order: counters are
+    /// attributed to frequencies by residency share and each frequency's
+    /// model applied to its share (`None` when the model cannot take the
+    /// rates). `rates` is scratch.
+    fn active_watts(
+        &self,
+        busy: u64,
+        freqs: &[(MegaHertz, Nanos)],
+        interval_s: f64,
+        deltas: &[f64],
+        rates: &mut Vec<f64>,
+    ) -> Option<Watts> {
+        if deltas.iter().all(|d| *d == 0.0) {
+            return Some(Watts::ZERO);
+        }
+        let mut total = 0.0;
+        let mut attributed = 0u64;
+        for &(f, t) in freqs {
+            let share = t.as_u64() as f64 / busy as f64;
+            attributed += t.as_u64();
+            rates.clear();
+            rates.extend(deltas.iter().map(|d| d * share / interval_s));
+            total += self.model.predict_active(f, rates).ok()?;
+        }
+        if attributed == 0 {
+            rates.clear();
+            rates.extend(deltas.iter().map(|d| d / interval_s));
+            let f = self.model.first_frequency();
+            total += self.model.predict_active(f, rates).ok()?;
+        }
+        Some(Watts(total))
     }
 
     /// The frequency the process spent most of its busy time at this

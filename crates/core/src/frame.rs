@@ -10,7 +10,9 @@
 //!
 //! Downstream stages keep the same shape: the sensors publish a
 //! [`SensorBatch`] (row descriptors into the shared frame), formulas a
-//! [`PowerBatch`] (watts columns), the aggregator an [`AggregateBatch`].
+//! [`PowerBatch`] (watts columns), the aggregator an [`AggregateBatch`]
+//! (the same watts columns, forwarded, plus the few aggregates it
+//! computed).
 //! Batches are ordinary bus messages carrying the tick's [`TraceId`], so
 //! supervision, fault injection, quality tags, journal events, trace
 //! spans and post-mortem dumps all ride along per frame.
@@ -19,12 +21,13 @@
 //! `Arc<TickFrame>` drops, the column storage returns to the pool and the
 //! next tick reuses it — O(1) steady-state allocation per tick.
 
-use crate::msg::{CorunSplit, PowerReport, Quality, SensorReport};
+use crate::msg::{AggregateReport, CorunSplit, PowerReport, Quality, Scope, SensorReport};
 use crate::telemetry::TraceId;
 use os_sim::process::Pid;
 use parking_lot::Mutex;
 use perf_sim::events::Event;
 use simcpu::units::{MegaHertz, Nanos, Watts};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Sentinel for "this row has no entry in that section".
@@ -695,21 +698,123 @@ impl PowerBatch {
         }
     }
 
+    /// Row `i` as the per-process aggregate it is forwarded as.
+    pub fn aggregate(&self, i: usize) -> AggregateReport {
+        AggregateReport {
+            timestamp: self.timestamp,
+            scope: Scope::Process(self.pids[i]),
+            power: self.watts[i],
+            band_w: self.band_w[i],
+            quality: self.quality[i],
+            trace: self.trace,
+        }
+    }
+
     /// All rows as reports, in order.
     pub fn reports(&self) -> impl Iterator<Item = PowerReport> + '_ {
         (0..self.len()).map(|i| self.report(i))
     }
 }
 
-/// An aggregator's whole-tick output. Aggregates are heterogeneous
-/// (process/group/machine scopes), so the batch stays an array-of-structs
-/// — the win is one message per tick, not a column layout.
+/// An aggregator's whole-tick output, in fold order. The per-process
+/// estimates — all but a handful of a tick's rows — are not rebuilt: the
+/// batch **forwards the formula's columns** as it was handed them, and
+/// carries as structs only what the aggregator computed itself (the
+/// machine flush, group sums), each with the position it was folded at.
+/// [`AggregateBatch::iter`] reads both back as one sequence.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AggregateBatch {
-    /// The folded aggregates, in fold order.
-    pub reports: Vec<crate::msg::AggregateReport>,
+    /// The per-process estimates, forwarded: row `i` reads as an
+    /// aggregate of scope [`Scope::Process`]`(pids[i])` carrying the
+    /// batch's timestamp and trace.
+    pub forwarded: Option<Arc<PowerBatch>>,
+    /// Every other aggregate, in fold order — where consumers of the
+    /// machine and group scopes find them.
+    pub reports: Vec<AggregateReport>,
+    /// How many forwarded rows were folded before `reports[i]`; as long
+    /// as `reports` and ascending.
+    folded_at: Vec<u32>,
     /// The newest tick trace folded in.
     pub trace: TraceId,
+}
+
+impl AggregateBatch {
+    /// A batch of `reports` alone.
+    pub fn explicit(reports: Vec<AggregateReport>, trace: TraceId) -> AggregateBatch {
+        AggregateBatch {
+            forwarded: None,
+            folded_at: vec![0; reports.len()],
+            reports,
+            trace,
+        }
+    }
+
+    /// A batch forwarding every row of `batch` under its trace; what the
+    /// aggregator folds out of the rows is added with
+    /// [`AggregateBatch::push_after`].
+    pub fn forwarding(batch: Arc<PowerBatch>) -> AggregateBatch {
+        AggregateBatch {
+            trace: batch.trace,
+            forwarded: Some(batch),
+            reports: Vec::new(),
+            folded_at: Vec::new(),
+        }
+    }
+
+    /// Appends `report` as folded once `rows` forwarded rows had been
+    /// (no fewer than for the report before it).
+    pub fn push_after(&mut self, rows: usize, report: AggregateReport) {
+        debug_assert!(self.folded_at.last().is_none_or(|&at| at as usize <= rows));
+        self.folded_at.push(rows as u32);
+        self.reports.push(report);
+    }
+
+    fn forwarded_rows(&self) -> usize {
+        self.forwarded.as_ref().map_or(0, |b| b.len())
+    }
+
+    /// Forwarded rows plus explicit reports.
+    pub fn len(&self) -> usize {
+        self.forwarded_rows() + self.reports.len()
+    }
+
+    /// Whether the batch reports nothing.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The batch as alternating runs, in fold order: a range of
+    /// forwarded rows (possibly empty), then the explicit report folded
+    /// after them — `None` closing the last run.
+    pub fn runs(&self) -> impl Iterator<Item = (Range<usize>, Option<&AggregateReport>)> + '_ {
+        let rows = self.forwarded_rows();
+        let mut explicit = self.reports.iter().zip(&self.folded_at);
+        // Where the next run starts; `None` once the closing run is out.
+        let mut next = Some(0);
+        std::iter::from_fn(move || {
+            let start = next?;
+            Some(match explicit.next() {
+                Some((report, &at)) => {
+                    let end = (at as usize).clamp(start, rows);
+                    next = Some(end);
+                    (start..end, Some(report))
+                }
+                None => {
+                    next = None;
+                    (start..rows, None)
+                }
+            })
+        })
+    }
+
+    /// Every aggregate, in fold order.
+    pub fn iter(&self) -> impl Iterator<Item = AggregateReport> + '_ {
+        self.runs().flat_map(move |(run, report)| {
+            let forwarded = self.forwarded.as_deref();
+            run.filter_map(move |i| forwarded.map(|b| b.aggregate(i)))
+                .chain(report.cloned())
+        })
+    }
 }
 
 #[cfg(test)]
@@ -840,6 +945,48 @@ mod tests {
             back.push(r.pid, r.power, r.band_w, r.quality);
         }
         assert_eq!(back, b);
+    }
+
+    #[test]
+    fn aggregate_batch_reads_back_in_fold_order() {
+        let machine = |secs| AggregateReport {
+            timestamp: Nanos::from_secs(secs),
+            scope: Scope::Machine,
+            power: Watts(30.0 + secs as f64),
+            band_w: Watts(0.0),
+            quality: Quality::Full,
+            trace: TraceId(secs),
+        };
+        let mut rows = PowerBatch::with_capacity(Nanos::from_secs(9), "f", TraceId(9), 4);
+        for pid in 0..4 {
+            rows.push(Pid(pid), Watts(1.0), Watts(0.1), Quality::Degraded);
+        }
+        let mut batch = AggregateBatch::forwarding(Arc::new(rows));
+        assert_eq!((batch.len(), batch.trace), (4, TraceId(9)));
+        for (after, secs) in [(0, 1), (2, 2), (2, 3), (4, 4)] {
+            batch.push_after(after, machine(secs));
+        }
+        let order: Vec<_> = batch
+            .iter()
+            .map(|a| match a.scope {
+                Scope::Process(pid) => {
+                    assert_eq!((a.timestamp, a.trace), (Nanos::from_secs(9), TraceId(9)));
+                    assert_eq!((a.band_w, a.quality), (Watts(0.1), Quality::Degraded));
+                    format!("p{}", pid.0)
+                }
+                _ => format!("m{}", a.trace.0),
+            })
+            .collect();
+        assert_eq!(order, ["m1", "p0", "p1", "m2", "m3", "p2", "p3", "m4"]);
+        assert_eq!(batch.len(), 8);
+        let runs: Vec<_> = batch.runs().map(|(run, r)| (run, r.is_some())).collect();
+        let want = [(0..0, true), (0..2, true), (2..2, true), (2..4, true)];
+        assert_eq!(runs[..4], want);
+        assert_eq!(runs[4], (4..4, false));
+
+        let explicit = AggregateBatch::explicit(vec![machine(1), machine(2)], TraceId(2));
+        assert_eq!(explicit.iter().collect::<Vec<_>>(), explicit.reports);
+        assert!(AggregateBatch::explicit(Vec::new(), TraceId::NONE).is_empty());
     }
 
     #[test]

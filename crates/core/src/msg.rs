@@ -217,7 +217,7 @@ impl Message {
     /// Wraps folded aggregates as the one message shape the aggregate
     /// topic carries.
     pub fn aggregates(reports: Vec<AggregateReport>, trace: TraceId) -> Message {
-        Message::AggregateBatch(Arc::new(AggregateBatch { reports, trace }))
+        Message::AggregateBatch(Arc::new(AggregateBatch::explicit(reports, trace)))
     }
 
     /// The topic a message belongs on.

@@ -62,7 +62,7 @@ impl Actor for MemoryReporter {
     fn handle(&mut self, msg: Message, _ctx: &Context) {
         let mut store = self.handle.store.lock();
         match msg {
-            Message::AggregateBatch(b) => store.aggregates.extend(b.reports.iter().cloned()),
+            Message::AggregateBatch(b) => store.aggregates.extend(b.iter()),
             Message::Meter(at, w) => store.meter.push((at, w)),
             Message::Rapl(at, w) => store.rapl.push((at, w)),
             _ => {}

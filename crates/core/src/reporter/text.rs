@@ -1,13 +1,22 @@
-//! The text reporter: flattens every message it receives into one
-//! seven-field `Row` and writes it in one of four [`Format`]s, to any
+//! The text reporter: flattens every message it receives into
+//! seven-field rows and writes them in one of four [`Format`]s, to any
 //! `Write + Send` target (stdout, a file, a test's buffer). Meter and
 //! RAPL rows carry band 0, `full` quality and trace 0 (measurements, not
 //! traced estimates). `band_w` is the prediction-interval half-width —
 //! feed the CSV column to gnuplot's `errorbars`.
+//!
+//! In every format a line is *head · scope · tail*, and only the scope
+//! differs between most rows of a batch: a thousand-process tick reports
+//! some forty rows that ran and nine hundred and sixty idle ones with
+//! the same time, 0 W, band, quality and trace. Head and tail are
+//! therefore rendered once per run of rows that share those fields and
+//! copied around each row's scope.
 
 use crate::actor::{Actor, Context};
-use crate::msg::{Message, Quality, Scope};
+use crate::frame::PowerBatch;
+use crate::msg::{AggregateReport, Message, Quality, Scope};
 use crate::telemetry::TraceId;
+use os_sim::process::Pid;
 use simcpu::units::{Nanos, Watts};
 use std::cmp::Ordering;
 use std::io::Write;
@@ -32,29 +41,87 @@ pub enum Format {
     Influx,
 }
 
-/// One reported value, format-independent.
-struct Row<'a> {
+/// What a row reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Estimate,
+    PowerSpy,
+    Rapl,
+}
+
+impl Kind {
+    fn label(self) -> &'static [u8] {
+        match self {
+            Kind::Estimate => b"estimate",
+            Kind::PowerSpy => b"powerspy",
+            Kind::Rapl => b"rapl",
+        }
+    }
+}
+
+/// Everything a row reports but its scope — what head and tail are
+/// rendered from. The watts compare as bit patterns: `-0.0` prints
+/// differently from `0.0`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Fields {
     at: Nanos,
-    /// `estimate`, `powerspy` or `rapl`.
-    kind: &'static str,
-    scope: &'a [u8],
-    power: Watts,
-    band: Watts,
+    kind: Kind,
+    power: u64,
+    band: u64,
     quality: Quality,
     trace: TraceId,
 }
 
-impl Row<'_> {
-    /// A measurement row: no band, full quality, untraced.
-    fn measured(at: Nanos, kind: &'static str, scope: &'static [u8], power: Watts) -> Row<'static> {
-        Row {
+impl Fields {
+    /// Row `i` of a forwarded power batch.
+    fn of_row(rows: &PowerBatch, i: usize) -> Fields {
+        Fields {
+            at: rows.timestamp,
+            kind: Kind::Estimate,
+            power: rows.watts[i].as_f64().to_bits(),
+            band: rows.band_w[i].as_f64().to_bits(),
+            quality: rows.quality[i],
+            trace: rows.trace,
+        }
+    }
+
+    fn of_report(a: &AggregateReport) -> Fields {
+        Fields {
+            at: a.timestamp,
+            kind: Kind::Estimate,
+            power: a.power.as_f64().to_bits(),
+            band: a.band_w.as_f64().to_bits(),
+            quality: a.quality,
+            trace: a.trace,
+        }
+    }
+
+    /// A measurement: no band, full quality, untraced.
+    fn measured(at: Nanos, kind: Kind, power: Watts) -> Fields {
+        Fields {
             at,
             kind,
-            scope,
-            power,
-            band: Watts(0.0),
+            power: power.as_f64().to_bits(),
+            band: 0f64.to_bits(),
             quality: Quality::Full,
             trace: TraceId::NONE,
+        }
+    }
+}
+
+/// A row's scope, as it arrives.
+#[derive(Debug, Clone, Copy)]
+enum Label<'a> {
+    Pid(Pid),
+    Text(&'a [u8]),
+}
+
+impl Label<'_> {
+    fn of(scope: &Scope) -> Label<'_> {
+        match scope {
+            Scope::Process(pid) => Label::Pid(*pid),
+            Scope::Group(g) => Label::Text(g.as_bytes()),
+            Scope::Machine => Label::Text(b"machine"),
         }
     }
 }
@@ -149,137 +216,214 @@ fn push_time(at: Nanos, format: Format, buf: &mut Vec<u8>) {
     }
 }
 
-fn console_line(time: &[u8], r: &Row<'_>, buf: &mut Vec<u8>) {
-    // Estimates are labelled by their scope, measurements by their kind.
-    let (label, verb) = match r.kind {
-        "powerspy" => (r.kind.as_bytes(), "measured"),
-        "rapl" => (r.kind.as_bytes(), "package "),
-        _ => (r.scope, r.kind),
-    };
-    buf.push(b'[');
-    buf.extend_from_slice(time);
-    buf.extend_from_slice(b"s] ");
-    // `{label:<10}` pads to ten characters, not bytes.
-    let chars = label.iter().filter(|&&b| b & 0xC0 != 0x80).count();
-    buf.extend_from_slice(label);
-    buf.resize(buf.len() + 10usize.saturating_sub(chars) + 1, b' ');
-    buf.extend_from_slice(verb.as_bytes());
-    buf.push(b' ');
-    push_fixed::<2>(r.power.as_f64(), 0, buf);
-    buf.extend_from_slice(b" W");
-    // Show the prediction interval when the formula claims one.
-    if r.band.as_f64() > 0.0 {
-        buf.extend_from_slice(" ±".as_bytes());
-        push_fixed::<2>(r.band.as_f64(), 0, buf);
-    }
-    // Flag non-primary estimates so a human scanning the log sees
-    // degradation without checking another stream.
-    buf.extend_from_slice(match r.quality {
-        Quality::Full => b"\n",
-        Quality::Degraded => b" [degraded]\n",
-        Quality::Stale => b" [stale]\n",
-    });
-}
-
-fn csv_line(time: &[u8], r: &Row<'_>, buf: &mut Vec<u8>) {
-    buf.extend_from_slice(time);
-    buf.push(b',');
-    buf.extend_from_slice(r.kind.as_bytes());
-    buf.push(b',');
-    buf.extend_from_slice(r.scope);
-    buf.push(b',');
-    push_fixed::<3>(r.power.as_f64(), 0, buf);
-    buf.push(b',');
-    push_fixed::<3>(r.band.as_f64(), 0, buf);
-    buf.push(b',');
-    buf.extend_from_slice(r.quality.label().as_bytes());
-    buf.push(b',');
-    push_u64(r.trace.0, buf);
-    buf.push(b'\n');
-}
-
-/// Hand-rolled: the schema is flat, and `kind`, `scope` and the quality
-/// label are generated identifiers (`[a-z0-9-]+`), never user input, so
-/// no escaping is required.
-fn json_line(time: &[u8], r: &Row<'_>, buf: &mut Vec<u8>) {
-    buf.extend_from_slice(b"{\"time_s\":");
-    buf.extend_from_slice(time);
-    buf.extend_from_slice(b",\"kind\":\"");
-    buf.extend_from_slice(r.kind.as_bytes());
-    buf.extend_from_slice(b"\",\"scope\":\"");
-    buf.extend_from_slice(r.scope);
-    buf.extend_from_slice(b"\",\"power_w\":");
-    push_fixed::<3>(r.power.as_f64(), 0, buf);
-    buf.extend_from_slice(b",\"band_w\":");
-    push_fixed::<3>(r.band.as_f64(), 0, buf);
-    buf.extend_from_slice(b",\"quality\":\"");
-    buf.extend_from_slice(r.quality.label().as_bytes());
-    buf.extend_from_slice(b"\",\"trace\":");
-    push_u64(r.trace.0, buf);
-    buf.extend_from_slice(b"}\n");
-}
-
-fn influx_line(time: &[u8], r: &Row<'_>, buf: &mut Vec<u8>) {
-    buf.extend_from_slice(b"power,scope=");
-    buf.extend_from_slice(r.scope);
-    buf.extend_from_slice(b",kind=");
-    buf.extend_from_slice(r.kind.as_bytes());
-    buf.extend_from_slice(b",quality=");
-    buf.extend_from_slice(r.quality.label().as_bytes());
-    buf.extend_from_slice(b" power_w=");
-    push_fixed::<3>(r.power.as_f64(), 0, buf);
-    buf.extend_from_slice(b",band_w=");
-    push_fixed::<3>(r.band.as_f64(), 0, buf);
-    buf.extend_from_slice(b",trace=");
-    push_u64(r.trace.0, buf);
-    buf.extend_from_slice(b"i ");
-    buf.extend_from_slice(time);
-    buf.push(b'\n');
-}
-
-/// Appends one line of `format` around the rendered timestamp `time`.
-fn push_line(format: Format, time: &[u8], row: &Row<'_>, buf: &mut Vec<u8>) {
+/// What a line opens with, up to where its scope goes.
+fn push_head(format: Format, time: &[u8], kind: Kind, buf: &mut Vec<u8>) {
     match format {
-        Format::Console => console_line(time, row, buf),
-        Format::Csv => csv_line(time, row, buf),
-        Format::Json => json_line(time, row, buf),
-        Format::Influx => influx_line(time, row, buf),
+        Format::Console => {
+            buf.push(b'[');
+            buf.extend_from_slice(time);
+            buf.extend_from_slice(b"s] ");
+        }
+        Format::Csv => {
+            buf.extend_from_slice(time);
+            buf.push(b',');
+            buf.extend_from_slice(kind.label());
+            buf.push(b',');
+        }
+        // Hand-rolled: the schema is flat, and `kind`, `scope` and the
+        // quality label are generated identifiers (`[a-z0-9-]+`), never
+        // user input, so no escaping is required.
+        Format::Json => {
+            buf.extend_from_slice(b"{\"time_s\":");
+            buf.extend_from_slice(time);
+            buf.extend_from_slice(b",\"kind\":\"");
+            buf.extend_from_slice(kind.label());
+            buf.extend_from_slice(b"\",\"scope\":\"");
+        }
+        Format::Influx => buf.extend_from_slice(b"power,scope="),
     }
 }
 
-/// Renders an aggregate scope into a reused label buffer. The console
-/// shows a pid the way [`os_sim::process::Pid`] displays; the
+/// The row's scope. The console shows a pid the way
+/// [`os_sim::process::Pid`] displays, labels measurements by their kind
+/// rather than their scope, and pads to ten characters; the
 /// machine-readable formats keep the label free of spaces.
-fn label_scope(scope: &Scope, format: Format, label: &mut Vec<u8>) {
-    label.clear();
-    match scope {
-        Scope::Process(pid) => {
-            let prefix: &[u8] = match format {
-                Format::Console => b"pid ",
-                _ => b"pid",
-            };
-            label.extend_from_slice(prefix);
-            push_u64(u64::from(pid.0), label);
+fn push_label(format: Format, kind: Kind, label: Label<'_>, buf: &mut Vec<u8>) {
+    let console = format == Format::Console;
+    let start = buf.len();
+    match label {
+        _ if console && kind != Kind::Estimate => buf.extend_from_slice(kind.label()),
+        Label::Pid(pid) => {
+            buf.extend_from_slice(if console { b"pid " } else { b"pid" });
+            push_u64(u64::from(pid.0), buf);
         }
-        Scope::Group(g) => label.extend_from_slice(g.as_bytes()),
-        Scope::Machine => label.extend_from_slice(b"machine"),
+        Label::Text(text) => buf.extend_from_slice(text),
+    }
+    if console {
+        // `{label:<10}` pads to ten characters, not bytes.
+        let chars = buf[start..].iter().filter(|&&b| b & 0xC0 != 0x80).count();
+        buf.resize(buf.len() + 10usize.saturating_sub(chars) + 1, b' ');
+    }
+}
+
+/// What follows the scope, through the newline.
+fn push_tail(format: Format, time: &[u8], f: &Fields, buf: &mut Vec<u8>) {
+    let (power, band) = (f64::from_bits(f.power), f64::from_bits(f.band));
+    let quality = f.quality.label().as_bytes();
+    match format {
+        Format::Console => {
+            buf.extend_from_slice(match f.kind {
+                Kind::Estimate => b"estimate ",
+                Kind::PowerSpy => b"measured ",
+                Kind::Rapl => b"package  ",
+            });
+            push_fixed::<2>(power, 0, buf);
+            buf.extend_from_slice(b" W");
+            // Show the prediction interval when the formula claims one.
+            if band > 0.0 {
+                buf.extend_from_slice(" ±".as_bytes());
+                push_fixed::<2>(band, 0, buf);
+            }
+            // Flag non-primary estimates so a human scanning the log sees
+            // degradation without checking another stream.
+            buf.extend_from_slice(match f.quality {
+                Quality::Full => b"\n",
+                Quality::Degraded => b" [degraded]\n",
+                Quality::Stale => b" [stale]\n",
+            });
+        }
+        Format::Csv => {
+            buf.push(b',');
+            push_fixed::<3>(power, 0, buf);
+            buf.push(b',');
+            push_fixed::<3>(band, 0, buf);
+            buf.push(b',');
+            buf.extend_from_slice(quality);
+            buf.push(b',');
+            push_u64(f.trace.0, buf);
+            buf.push(b'\n');
+        }
+        Format::Json => {
+            buf.extend_from_slice(b"\",\"power_w\":");
+            push_fixed::<3>(power, 0, buf);
+            buf.extend_from_slice(b",\"band_w\":");
+            push_fixed::<3>(band, 0, buf);
+            buf.extend_from_slice(b",\"quality\":\"");
+            buf.extend_from_slice(quality);
+            buf.extend_from_slice(b"\",\"trace\":");
+            push_u64(f.trace.0, buf);
+            buf.extend_from_slice(b"}\n");
+        }
+        Format::Influx => {
+            buf.extend_from_slice(b",kind=");
+            buf.extend_from_slice(f.kind.label());
+            buf.extend_from_slice(b",quality=");
+            buf.extend_from_slice(quality);
+            buf.extend_from_slice(b" power_w=");
+            push_fixed::<3>(power, 0, buf);
+            buf.extend_from_slice(b",band_w=");
+            push_fixed::<3>(band, 0, buf);
+            buf.extend_from_slice(b",trace=");
+            push_u64(f.trace.0, buf);
+            buf.extend_from_slice(b"i ");
+            buf.extend_from_slice(time);
+            buf.push(b'\n');
+        }
+    }
+}
+
+/// The lines of one message, and what consecutive rows reuse.
+struct Lines {
+    format: Format,
+    /// Whether the CSV header row is still owed.
+    header_due: bool,
+    /// The lines of the message being handled, written out in one call.
+    buf: Vec<u8>,
+    /// The fields `head` and `tail` were rendered from, `time` from
+    /// their timestamp — which changes once a tick, the others more often.
+    shared: Option<Fields>,
+    time: Vec<u8>,
+    head: Vec<u8>,
+    tail: Vec<u8>,
+    /// How many times the tail was rendered rather than copied.
+    #[cfg(test)]
+    tails_rendered: usize,
+}
+
+impl Lines {
+    fn new(format: Format) -> Lines {
+        Lines {
+            format,
+            header_due: format == Format::Csv,
+            buf: Vec::new(),
+            shared: None,
+            time: Vec::new(),
+            head: Vec::new(),
+            tail: Vec::new(),
+            #[cfg(test)]
+            tails_rendered: 0,
+        }
+    }
+
+    fn push_row(&mut self, fields: Fields, label: Label<'_>) {
+        if std::mem::take(&mut self.header_due) {
+            self.buf.extend_from_slice(CSV_HEADER);
+        }
+        if self.shared != Some(fields) {
+            if self.shared.map(|f| f.at) != Some(fields.at) {
+                self.time.clear();
+                push_time(fields.at, self.format, &mut self.time);
+            }
+            self.head.clear();
+            push_head(self.format, &self.time, fields.kind, &mut self.head);
+            self.tail.clear();
+            push_tail(self.format, &self.time, &fields, &mut self.tail);
+            self.shared = Some(fields);
+            #[cfg(test)]
+            {
+                self.tails_rendered += 1;
+            }
+        }
+        self.buf.extend_from_slice(&self.head);
+        push_label(self.format, fields.kind, label, &mut self.buf);
+        self.buf.extend_from_slice(&self.tail);
+    }
+
+    /// Renders `msg` into `buf`; `false` for a message no format prints.
+    fn render(&mut self, msg: &Message) -> bool {
+        self.buf.clear();
+        match msg {
+            Message::AggregateBatch(b) => {
+                for (run, report) in b.runs() {
+                    // The forwarded rows are read as the columns they are.
+                    if let Some(rows) = b.forwarded.as_deref() {
+                        for i in run {
+                            self.push_row(Fields::of_row(rows, i), Label::Pid(rows.pids[i]));
+                        }
+                    }
+                    if let Some(a) = report {
+                        self.push_row(Fields::of_report(a), Label::of(&a.scope));
+                    }
+                }
+            }
+            Message::Meter(at, w) => self.push_row(
+                Fields::measured(*at, Kind::PowerSpy, *w),
+                Label::Text(b"machine"),
+            ),
+            Message::Rapl(at, w) => self.push_row(
+                Fields::measured(*at, Kind::Rapl, *w),
+                Label::Text(b"package"),
+            ),
+            _ => return false,
+        }
+        true
     }
 }
 
 /// The reporter actor.
 pub struct TextReporter<W: Write + Send> {
     out: W,
-    format: Format,
-    /// Whether the CSV header row is still owed.
-    header_due: bool,
-    /// The lines of the message being handled, written out in one call.
-    buf: Vec<u8>,
-    /// Scope label of the aggregate being flattened.
-    scope: Vec<u8>,
-    /// The timestamp `time` was rendered from: a batch repeats one
-    /// timestamp on every row, so it is rendered once and copied.
-    time_at: Option<Nanos>,
-    time: Vec<u8>,
+    lines: Lines,
 }
 
 impl<W: Write + Send> TextReporter<W> {
@@ -287,51 +431,16 @@ impl<W: Write + Send> TextReporter<W> {
     pub fn new(format: Format, out: W) -> TextReporter<W> {
         TextReporter {
             out,
-            format,
-            header_due: format == Format::Csv,
-            buf: Vec::new(),
-            scope: Vec::new(),
-            time_at: None,
-            time: Vec::new(),
+            lines: Lines::new(format),
         }
     }
 }
 
 impl<W: Write + Send> Actor for TextReporter<W> {
     fn handle(&mut self, msg: Message, _ctx: &Context) {
-        self.buf.clear();
-        // Borrows the fields it names, leaving `self.scope` free.
-        let mut line = |row: &Row<'_>| {
-            if std::mem::take(&mut self.header_due) {
-                self.buf.extend_from_slice(CSV_HEADER);
-            }
-            if self.time_at != Some(row.at) {
-                self.time_at = Some(row.at);
-                self.time.clear();
-                push_time(row.at, self.format, &mut self.time);
-            }
-            push_line(self.format, &self.time, row, &mut self.buf);
-        };
-        match msg {
-            Message::AggregateBatch(b) => {
-                for a in &b.reports {
-                    label_scope(&a.scope, self.format, &mut self.scope);
-                    line(&Row {
-                        at: a.timestamp,
-                        kind: "estimate",
-                        scope: &self.scope,
-                        power: a.power,
-                        band: a.band_w,
-                        quality: a.quality,
-                        trace: a.trace,
-                    });
-                }
-            }
-            Message::Meter(at, w) => line(&Row::measured(at, "powerspy", b"machine", w)),
-            Message::Rapl(at, w) => line(&Row::measured(at, "rapl", b"package", w)),
-            _ => return,
+        if self.lines.render(&msg) {
+            let _ = self.out.write_all(&self.lines.buf);
         }
-        let _ = self.out.write_all(&self.buf);
     }
 
     fn on_stop(&mut self, _ctx: &Context) {
@@ -344,10 +453,194 @@ mod tests {
     use super::*;
     use crate::actor::ActorSystem;
     use crate::fleet::fault::splitmix64;
-    use crate::msg::{AggregateReport, Topic};
-    use os_sim::process::Pid;
+    use crate::frame::AggregateBatch;
+    use crate::msg::Topic;
     use parking_lot::Mutex;
     use std::sync::Arc;
+
+    /// One reported value, format-independent — the unit of the displaced
+    /// per-row renderer, kept as the oracle the run renderer is held to (and
+    /// itself held to `core::fmt` below).
+    struct Row<'a> {
+        at: Nanos,
+        /// `estimate`, `powerspy` or `rapl`.
+        kind: &'static str,
+        scope: &'a [u8],
+        power: Watts,
+        band: Watts,
+        quality: Quality,
+        trace: TraceId,
+    }
+
+    impl Row<'_> {
+        /// A measurement row: no band, full quality, untraced.
+        fn measured(
+            at: Nanos,
+            kind: &'static str,
+            scope: &'static [u8],
+            power: Watts,
+        ) -> Row<'static> {
+            Row {
+                at,
+                kind,
+                scope,
+                power,
+                band: Watts(0.0),
+                quality: Quality::Full,
+                trace: TraceId::NONE,
+            }
+        }
+    }
+
+    fn console_line(time: &[u8], r: &Row<'_>, buf: &mut Vec<u8>) {
+        // Estimates are labelled by their scope, measurements by their kind.
+        let (label, verb) = match r.kind {
+            "powerspy" => (r.kind.as_bytes(), "measured"),
+            "rapl" => (r.kind.as_bytes(), "package "),
+            _ => (r.scope, r.kind),
+        };
+        buf.push(b'[');
+        buf.extend_from_slice(time);
+        buf.extend_from_slice(b"s] ");
+        // `{label:<10}` pads to ten characters, not bytes.
+        let chars = label.iter().filter(|&&b| b & 0xC0 != 0x80).count();
+        buf.extend_from_slice(label);
+        buf.resize(buf.len() + 10usize.saturating_sub(chars) + 1, b' ');
+        buf.extend_from_slice(verb.as_bytes());
+        buf.push(b' ');
+        push_fixed::<2>(r.power.as_f64(), 0, buf);
+        buf.extend_from_slice(b" W");
+        // Show the prediction interval when the formula claims one.
+        if r.band.as_f64() > 0.0 {
+            buf.extend_from_slice(" ±".as_bytes());
+            push_fixed::<2>(r.band.as_f64(), 0, buf);
+        }
+        // Flag non-primary estimates so a human scanning the log sees
+        // degradation without checking another stream.
+        buf.extend_from_slice(match r.quality {
+            Quality::Full => b"\n",
+            Quality::Degraded => b" [degraded]\n",
+            Quality::Stale => b" [stale]\n",
+        });
+    }
+
+    fn csv_line(time: &[u8], r: &Row<'_>, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(time);
+        buf.push(b',');
+        buf.extend_from_slice(r.kind.as_bytes());
+        buf.push(b',');
+        buf.extend_from_slice(r.scope);
+        buf.push(b',');
+        push_fixed::<3>(r.power.as_f64(), 0, buf);
+        buf.push(b',');
+        push_fixed::<3>(r.band.as_f64(), 0, buf);
+        buf.push(b',');
+        buf.extend_from_slice(r.quality.label().as_bytes());
+        buf.push(b',');
+        push_u64(r.trace.0, buf);
+        buf.push(b'\n');
+    }
+
+    /// Hand-rolled: the schema is flat, and `kind`, `scope` and the quality
+    /// label are generated identifiers (`[a-z0-9-]+`), never user input, so
+    /// no escaping is required.
+    fn json_line(time: &[u8], r: &Row<'_>, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(b"{\"time_s\":");
+        buf.extend_from_slice(time);
+        buf.extend_from_slice(b",\"kind\":\"");
+        buf.extend_from_slice(r.kind.as_bytes());
+        buf.extend_from_slice(b"\",\"scope\":\"");
+        buf.extend_from_slice(r.scope);
+        buf.extend_from_slice(b"\",\"power_w\":");
+        push_fixed::<3>(r.power.as_f64(), 0, buf);
+        buf.extend_from_slice(b",\"band_w\":");
+        push_fixed::<3>(r.band.as_f64(), 0, buf);
+        buf.extend_from_slice(b",\"quality\":\"");
+        buf.extend_from_slice(r.quality.label().as_bytes());
+        buf.extend_from_slice(b"\",\"trace\":");
+        push_u64(r.trace.0, buf);
+        buf.extend_from_slice(b"}\n");
+    }
+
+    fn influx_line(time: &[u8], r: &Row<'_>, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(b"power,scope=");
+        buf.extend_from_slice(r.scope);
+        buf.extend_from_slice(b",kind=");
+        buf.extend_from_slice(r.kind.as_bytes());
+        buf.extend_from_slice(b",quality=");
+        buf.extend_from_slice(r.quality.label().as_bytes());
+        buf.extend_from_slice(b" power_w=");
+        push_fixed::<3>(r.power.as_f64(), 0, buf);
+        buf.extend_from_slice(b",band_w=");
+        push_fixed::<3>(r.band.as_f64(), 0, buf);
+        buf.extend_from_slice(b",trace=");
+        push_u64(r.trace.0, buf);
+        buf.extend_from_slice(b"i ");
+        buf.extend_from_slice(time);
+        buf.push(b'\n');
+    }
+
+    /// Appends one line of `format` around the rendered timestamp `time`.
+    fn push_line(format: Format, time: &[u8], row: &Row<'_>, buf: &mut Vec<u8>) {
+        match format {
+            Format::Console => console_line(time, row, buf),
+            Format::Csv => csv_line(time, row, buf),
+            Format::Json => json_line(time, row, buf),
+            Format::Influx => influx_line(time, row, buf),
+        }
+    }
+
+    /// Renders an aggregate scope into a reused label buffer. The console
+    /// shows a pid the way [`os_sim::process::Pid`] displays; the
+    /// machine-readable formats keep the label free of spaces.
+    fn label_scope(scope: &Scope, format: Format, label: &mut Vec<u8>) {
+        label.clear();
+        match scope {
+            Scope::Process(pid) => {
+                let prefix: &[u8] = match format {
+                    Format::Console => b"pid ",
+                    _ => b"pid",
+                };
+                label.extend_from_slice(prefix);
+                push_u64(u64::from(pid.0), label);
+            }
+            Scope::Group(g) => label.extend_from_slice(g.as_bytes()),
+            Scope::Machine => label.extend_from_slice(b"machine"),
+        }
+    }
+
+    /// The displaced actor body: every row of `msg` rendered on its own.
+    fn render_by_row(format: Format, header_due: &mut bool, msg: &Message) -> Vec<u8> {
+        let (mut buf, mut label, mut time) = (Vec::new(), Vec::new(), Vec::new());
+        let mut line = |row: &Row<'_>| {
+            if std::mem::take(header_due) {
+                buf.extend_from_slice(CSV_HEADER);
+            }
+            time.clear();
+            push_time(row.at, format, &mut time);
+            push_line(format, &time, row, &mut buf);
+        };
+        match msg {
+            Message::AggregateBatch(b) => {
+                for a in b.iter() {
+                    label_scope(&a.scope, format, &mut label);
+                    line(&Row {
+                        at: a.timestamp,
+                        kind: "estimate",
+                        scope: &label,
+                        power: a.power,
+                        band: a.band_w,
+                        quality: a.quality,
+                        trace: a.trace,
+                    });
+                }
+            }
+            Message::Meter(at, w) => line(&Row::measured(*at, "powerspy", b"machine", *w)),
+            Message::Rapl(at, w) => line(&Row::measured(*at, "rapl", b"package", *w)),
+            _ => {}
+        }
+        buf
+    }
 
     /// A Write target tests can read back from.
     #[derive(Clone, Default)]
@@ -588,6 +881,158 @@ power,scope=machine,kind=powerspy,quality=full power_w=35.100,band_w=0.000,trace
                 let want = line_by_fmt(format, &scope, &row);
                 assert_eq!(String::from_utf8_lossy(&got), want, "row {i}, {format:?}");
             }
+        }
+    }
+
+    /// Watts a batch can carry: a small palette, so neighbouring rows
+    /// often share a tail — idle zeros, values the kernel rounds, and the
+    /// ones it hands to `core::fmt`.
+    fn palette(r: u64) -> f64 {
+        const FEW: [f64; 10] = [
+            0.0,
+            0.0,
+            0.0,
+            3.5,
+            0.0005,
+            12.3456789,
+            -0.0,
+            -2.5,
+            f64::NAN,
+            9.1e15,
+        ];
+        match r % 16 {
+            i @ 0..10 => FEW[i as usize],
+            10 => f64::from_bits(FALLBACK_BITS),
+            11 => f64::INFINITY,
+            _ => (r >> 20) as f64 / 4096.0,
+        }
+    }
+
+    /// One generated aggregate batch: forwarded rows or none, explicit
+    /// machine, group and process reports folded in between them, some
+    /// on another timestamp or trace than the rows around them.
+    fn generated_batch(seed: &mut u64, at: Nanos) -> AggregateBatch {
+        use Quality::{Degraded, Full, Stale};
+        let mut next = || draw(seed);
+        let trace = TraceId([0, 0, 7, next() >> (next() % 64)][(next() % 4) as usize]);
+        let rows = [0, 0, 1, 2, 5, 40][(next() % 6) as usize];
+        let mut power = PowerBatch::with_capacity(at, "generated", trace, rows);
+        let (mut watts, mut band, mut quality) = (0.0, 0.0, Full);
+        for i in 0..rows {
+            // Mostly a repeat of the row before: runs of equal tails,
+            // broken at seeded places.
+            if next() % 4 == 0 {
+                (watts, band) = (palette(next()), palette(next()).max(0.0));
+                quality = [Full, Full, Degraded, Stale][(next() % 4) as usize];
+            }
+            let pid = Pid((next() as u32 >> (next() % 32)) + i as u32);
+            power.push(pid, Watts(watts), Watts(band), quality);
+        }
+        let forwarded = next() % 4 != 0;
+        let mut batch = match forwarded {
+            true => AggregateBatch::forwarding(Arc::new(power)),
+            false => AggregateBatch::explicit(Vec::new(), trace),
+        };
+        let mut folded = 0;
+        for _ in 0..next() % 4 {
+            folded = (folded + (next() % 3) as usize).min(if forwarded { rows } else { 0 });
+            let scope = match next() % 3 {
+                0 => Scope::Machine,
+                1 => Scope::Group(Arc::from(["vm-alpha", "café"][(next() % 2) as usize])),
+                _ => Scope::Process(Pid(next() as u32 % 100_000)),
+            };
+            // The window an aggregate closes is the tick before.
+            let timestamp = match next() % 2 {
+                0 => at,
+                _ => Nanos(at.as_u64().saturating_sub(1_000_000_000)),
+            };
+            batch.push_after(
+                folded,
+                AggregateReport {
+                    timestamp,
+                    scope,
+                    power: Watts(palette(next())),
+                    band_w: Watts(palette(next()).max(0.0)),
+                    quality: [Full, Degraded, Stale][(next() % 3) as usize],
+                    trace: [trace, TraceId::NONE][(next() % 2) as usize],
+                },
+            );
+        }
+        batch
+    }
+
+    #[test]
+    fn runs_render_what_every_row_rendered_alone_does() {
+        let rounds = if cfg!(debug_assertions) { 400 } else { 20_000 };
+        for format in [Format::Console, Format::Csv, Format::Json, Format::Influx] {
+            let mut seed = 2014;
+            let mut lines = Lines::new(format);
+            let mut header_due = format == Format::Csv;
+            let mut rows = 0;
+            for round in 0..rounds {
+                // Ticks mostly advance; sometimes two messages share one.
+                let at = Nanos((round - round % 3) * 250_000_000 + draw(&mut seed) % 2);
+                let msg = match draw(&mut seed) % 5 {
+                    0 => Message::Meter(at, Watts(palette(draw(&mut seed)))),
+                    1 => Message::Rapl(at, Watts(palette(draw(&mut seed)))),
+                    _ => Message::AggregateBatch(Arc::new(generated_batch(&mut seed, at))),
+                };
+                assert!(lines.render(&msg));
+                let want = render_by_row(format, &mut header_due, &msg);
+                assert_eq!(
+                    String::from_utf8_lossy(&lines.buf),
+                    String::from_utf8_lossy(&want),
+                    "round {round}, {format:?}: {msg:?}"
+                );
+                rows += want.iter().filter(|&&b| b == b'\n').count();
+            }
+            assert!(
+                lines.tails_rendered * 4 < rows * 3,
+                "{format:?}: {} tails for {rows} rows — the sweep must exercise reuse",
+                lines.tails_rendered
+            );
+        }
+    }
+
+    #[test]
+    fn a_wide_tick_renders_one_tail_per_run() {
+        // `host-wide`'s shape: 1 000 rows, the 40 that ran on top, the
+        // machine aggregate of the tick before folded after the first.
+        let at = Nanos::from_secs(7);
+        let mut power = PowerBatch::with_capacity(at, "wide", TraceId(8), 1_000);
+        for i in 0..1_000u32 {
+            let watts = if i < 40 {
+                1.0 + f64::from(i) / 8.0
+            } else {
+                0.0
+            };
+            power.push(Pid(100 + i), Watts(watts), Watts(0.7), Quality::Full);
+        }
+        let mut batch = AggregateBatch::forwarding(Arc::new(power));
+        batch.push_after(
+            1,
+            AggregateReport {
+                timestamp: Nanos::from_secs(6),
+                scope: Scope::Machine,
+                power: Watts(36.5),
+                band_w: Watts(28.0),
+                quality: Quality::Full,
+                trace: TraceId(7),
+            },
+        );
+        let msg = Message::AggregateBatch(Arc::new(batch));
+        for format in [Format::Console, Format::Csv, Format::Json, Format::Influx] {
+            let mut lines = Lines::new(format);
+            assert!(lines.render(&msg));
+            assert_eq!(
+                lines.buf,
+                render_by_row(format, &mut (format == Format::Csv), &msg)
+            );
+            assert!(
+                lines.tails_rendered <= 42,
+                "{format:?}: {} tails for 40 active rows, one idle run and one machine row",
+                lines.tails_rendered
+            );
         }
     }
 

@@ -7,16 +7,17 @@
 //! With [`profile_self`] on it also senses the one thing no frame
 //! carries, the middleware's own busy time, and publishes it as the
 //! synthetic [`SELF_PID`] process's power — from here rather than from
-//! the tick loop, which would pay for waking the aggregator's thread once
-//! more every tick.
+//! the tick loop, which would pay for one more cross-thread send every
+//! tick.
 //!
 //! # Ordering guarantee
 //!
 //! For every frame the stage publishes, in this order, the middleware's
 //! own one-row [`PowerBatch`] (when profiling), the hpc [`SensorBatch`],
 //! the procfs [`SensorBatch`], every meter sample and the RAPL sample, and
-//! it finishes frame *T* before it touches frame *T+1*. Mailboxes are
-//! FIFO, so Sensor → Formula → Aggregator is one ordered chain: primary
+//! it finishes frame *T* before it touches frame *T+1*. The actor loop
+//! handles messages in arrival order ([`crate::actor`]), so Sensor →
+//! Formula → Aggregator is one ordered chain: primary
 //! source before backup source, tick by tick. [`FallbackFormula`],
 //! [`Aggregator`] and [`HierarchyAggregator`] rely on it — a late batch of
 //! an older tick would split a window. Not covered: messages on a shorter

@@ -1,14 +1,16 @@
 //! Allocation pins for the simulator's per-quantum path, the pipeline's
-//! per-row paths and the fleet's per-frame transport path: a count, not a
-//! stopwatch, so it reads the same on any box and cannot creep back
-//! unnoticed between benchmark runs. Its own test binary because it
-//! installs a counting `#[global_allocator]`; the count is per thread, so
-//! the harness's other threads cannot disturb it.
+//! per-row and per-message paths and the fleet's per-frame transport
+//! path: a count, not a stopwatch, so it reads the same on any box and
+//! cannot creep back unnoticed between benchmark runs. Its own test binary
+//! because it installs a counting `#[global_allocator]`; the count is per
+//! thread, so the harness's other threads cannot disturb it.
 
 use os_sim::kernel::Kernel;
 use os_sim::process::Pid;
 use os_sim::task::{SteadyTask, TaskBehavior};
 use perf_sim::events::{Event, PAPER_EVENTS};
+use powerapi::actor::{Actor, ActorSystem, Context};
+use powerapi::aggregator::{Aggregator, Dimension};
 use powerapi::fleet::{
     encode_frame, EstimatorShard, FrameDecoder, FrameEnvelope, HostId, ProcessOutcome, ShardConfig,
 };
@@ -17,7 +19,7 @@ use powerapi::formula::PowerFormula;
 use powerapi::frame::{FrameBuilder, FramePool, PowerBatch, TickFrame};
 use powerapi::host::SimHost;
 use powerapi::model::power_model::PerFrequencyPowerModel;
-use powerapi::msg::Quality;
+use powerapi::msg::{Message, Quality, Topic};
 use powerapi::sensor::hpc;
 use powerapi::telemetry::TraceId;
 use powermeter::powerspy::PowerSpyConfig;
@@ -220,6 +222,63 @@ fn estimating_a_batch_allocates_the_same_for_any_number_of_idle_rows() {
         allocations_over(1_000),
         allocations_over(100),
         "an idle row must not cost an allocation"
+    );
+}
+
+#[test]
+fn aggregating_a_batch_forwards_its_rows_instead_of_rebuilding_them() {
+    let batch = |rows: u32, at: u64| {
+        let mut b = PowerBatch::with_capacity(Nanos::from_secs(at), "test", TraceId(at), 1_000);
+        for pid in 0..rows {
+            b.push(Pid(pid), Watts(1.5), Watts(0.7), Quality::Full);
+        }
+        Arc::new(b)
+    };
+    let mut aggregator = Aggregator::new(Dimension::both(), 31.48);
+    let mut allocations_over = |rows: u32, at: u64| {
+        let batch = batch(rows, at);
+        let mut out = None;
+        let n = allocations_in(|| out = aggregator.fold(batch));
+        // Every row and the machine aggregate of the tick before.
+        let out = out.expect("a non-empty batch publishes");
+        assert_eq!(out.len(), rows as usize + usize::from(at > 1));
+        n
+    };
+    allocations_over(1_000, 1);
+    let wide = allocations_over(1_000, 2);
+    assert_eq!(
+        wide,
+        allocations_over(10, 3),
+        "a forwarded row must not cost an allocation"
+    );
+    assert!(wide <= 2, "{wide} allocations for one machine aggregate");
+}
+
+struct Discard;
+
+impl Actor for Discard {
+    fn handle(&mut self, _msg: Message, _ctx: &Context) {}
+}
+
+#[test]
+fn a_publish_allocates_no_subscriber_list() {
+    let mut system = ActorSystem::new();
+    for name in ["first", "second"] {
+        let actor = system.spawn(name, Box::new(Discard));
+        system.bus().subscribe(Topic::Meter, &actor);
+    }
+    const PUBLISHES: u64 = 1_000;
+    let total = allocations_in(|| {
+        for i in 0..PUBLISHES {
+            let delivered = system.bus().publish(Message::Meter(Nanos(i), Watts(1.0)));
+            assert_eq!(delivered, 2);
+        }
+    });
+    system.shutdown();
+    // What is left is the loop's queue doubling while it runs behind.
+    assert!(
+        total <= 16,
+        "{total} allocations over {PUBLISHES} publishes"
     );
 }
 
