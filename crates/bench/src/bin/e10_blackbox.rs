@@ -29,7 +29,6 @@ use simcpu::fault::{FaultKind, FaultPlan};
 use simcpu::presets;
 use simcpu::units::Nanos;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 use workloads::specjbb::{self, SpecJbbConfig};
 
 /// Backup formula constants (i3 ballpark; E10 checks observability, not
@@ -64,10 +63,7 @@ fn run_flight_recorded(
             Nanos::from_millis(2500),
         )
         .fault_plan(plan)
-        .supervision(RestartPolicy::Restart {
-            max: 16,
-            backoff: Duration::ZERO,
-        })
+        .supervision(RestartPolicy::Restart { max: 16 })
         .with_supervised_actor(
             "chaos-monkey",
             move || {

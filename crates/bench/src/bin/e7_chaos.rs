@@ -22,7 +22,6 @@ use simcpu::fault::FaultPlan;
 use simcpu::presets;
 use simcpu::units::Nanos;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 use workloads::specjbb::{self, SpecJbbConfig};
 
 struct ChaosRun {
@@ -52,10 +51,7 @@ fn run_pipeline(
         .formula(PerFrequencyFormula::new(model))
         .degrade_to(backup, Nanos::from_millis(2500))
         .fault_plan(plan)
-        .supervision(RestartPolicy::Restart {
-            max: 16,
-            backoff: Duration::ZERO,
-        })
+        .supervision(RestartPolicy::Restart { max: 16 })
         .with_supervised_actor(
             "chaos-monkey",
             move || {

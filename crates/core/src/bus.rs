@@ -4,9 +4,9 @@
 //! clones are cheap).
 //!
 //! Each topic's subscribers are one immutable list, replaced whole by
-//! `subscribe`/`unsubscribe`: a publish takes a reference to the current
-//! list and sends from it, allocating nothing and holding no lock while
-//! it delivers.
+//! `subscribe` (lists are built once, while the pipeline is assembled): a
+//! publish takes a reference to the current list and sends from it,
+//! allocating nothing and holding no lock while it delivers.
 
 use crate::actor::ActorRef;
 use crate::msg::{Message, Topic};
@@ -65,16 +65,6 @@ impl EventBus {
     pub fn subscribe(&self, topic: Topic, actor: &ActorRef) {
         let mut list = self.topics[topic.index()].lock();
         *list = list.iter().chain([actor]).cloned().collect();
-    }
-
-    /// Removes every subscription of the named actor from a topic.
-    pub fn unsubscribe(&self, topic: Topic, actor: &ActorRef) {
-        let mut list = self.topics[topic.index()].lock();
-        *list = list
-            .iter()
-            .filter(|a| a.name() != actor.name())
-            .cloned()
-            .collect();
     }
 
     /// Publishes a message to its topic ([`Message::topic`]); returns how
@@ -189,20 +179,6 @@ mod tests {
         sys.shutdown();
         assert_eq!(n1.load(Ordering::SeqCst), 10);
         assert_eq!(n2.load(Ordering::SeqCst), 10);
-    }
-
-    #[test]
-    fn unsubscribe_stops_delivery() {
-        let mut sys = ActorSystem::new();
-        let n = Arc::new(AtomicU64::new(0));
-        let a = sys.spawn("s", Box::new(Tally(n.clone())));
-        sys.bus().subscribe(Topic::Power, &a);
-        sys.bus().publish(power_msg());
-        sys.bus().unsubscribe(Topic::Power, &a);
-        assert_eq!(sys.bus().subscriber_count(Topic::Power), 0);
-        assert_eq!(sys.bus().publish(power_msg()), 0);
-        sys.shutdown();
-        assert_eq!(n.load(Ordering::SeqCst), 1);
     }
 
     #[test]

@@ -7,13 +7,14 @@
 //! vanishing from the fleet aggregate.
 //!
 //! Shards are load-shedding consumers: a bounded ingest queue governed
-//! by the actor runtime's [`OverflowPolicy`] plus a per-tick processing
-//! budget model a saturated service. Every shed is surfaced to the
-//! caller so the fleet can count and journal it — shedding is loud by
-//! design.
+//! by an [`OverflowPolicy`] plus a per-tick processing budget model a
+//! saturated service. This is the one queue in the crate that sheds —
+//! frames arrive here from outside at a rate the shard does not set,
+//! while the [actor runtime](crate::actor)'s queue has no bound. Every
+//! shed is surfaced to the caller so the fleet can count and journal
+//! it — shedding is loud by design.
 
 use super::envelope::{FrameDecoder, FrameEnvelope, HostId};
-use crate::actor::OverflowPolicy;
 use crate::formula::PowerFormula;
 use crate::frame::{PowerBatch, SensorBatch, SensorRow, NO_ROW};
 use crate::msg::Quality;
@@ -28,6 +29,17 @@ pub fn route(host: HostId, shards: usize) -> usize {
     host.0 as usize % shards.max(1)
 }
 
+/// What a full ingest queue does with the next frame. A simulated
+/// network ingress cannot block its sender, so both choices shed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OverflowPolicy {
+    /// Evict the oldest queued frame to admit the newest (ring-buffer
+    /// semantics; freshest data wins — right for periodic sensor ticks).
+    DropOldest,
+    /// Reject the incoming frame, keeping the queued backlog.
+    DropNewest,
+}
+
 /// Shard service knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardConfig {
@@ -36,10 +48,8 @@ pub struct ShardConfig {
     /// Frames one shard may process per fleet tick (models estimator
     /// CPU; the rest waits, building queueing lag).
     pub tick_budget: usize,
-    /// What to do when ingest overflows. The fleet simulation is
-    /// non-blocking, so [`OverflowPolicy::Block`] degrades to
-    /// `DropNewest` here (a blocked network ingress *is* a tail drop);
-    /// both still surface the shed frame to the caller.
+    /// What to do when ingest overflows; either way the shed frame is
+    /// surfaced to the caller.
     pub overflow: OverflowPolicy,
     /// Unacked-frame allowance granted to each sender (credit-based
     /// flow control; see [`super::retry::SenderState`]).
@@ -234,9 +244,7 @@ impl EstimatorShard {
                 self.ingest.push_back((now, env));
                 IngestOutcome::Shed(old)
             }
-            // Block cannot block a simulated network ingress; tail-drop
-            // instead (documented on `ShardConfig::overflow`).
-            OverflowPolicy::DropNewest | OverflowPolicy::Block => IngestOutcome::Shed(env),
+            OverflowPolicy::DropNewest => IngestOutcome::Shed(env),
         }
     }
 

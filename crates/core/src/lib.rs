@@ -31,7 +31,7 @@
 //!
 //! The **[`actor`]** and **[`bus`]** modules provide the lightweight
 //! event-driven runtime ("an actor … can handle millions of messages per
-//! second" — benchmarked in the bench-suite crate).
+//! second"): one event-loop thread, one queue with no bound.
 //!
 //! ## Quickstart
 //!

@@ -2,7 +2,7 @@
 //! severity-tagged structured events recording everything *notable* that
 //! happens to the pipeline — actor lifecycle (start/restart/escalate/
 //! stop), injected faults surfaced by the sensor substrates, quality
-//! downgrades, drift alarms and recalibration triggers, and mailbox
+//! downgrades, drift alarms and recalibration triggers, and fleet
 //! shedding. Each event is stamped with the tick's [`TraceId`] where one
 //! is in scope, so journal lines join against [`Tracer`] spans in the
 //! Chrome-trace export (see [`export`]).
@@ -33,7 +33,7 @@ pub const JOURNAL_CAP: usize = 16_384;
 pub enum Severity {
     /// Expected lifecycle (actor start/stop, requested dumps).
     Info,
-    /// Degradation the pipeline absorbed (restart, shed message, fault
+    /// Degradation the pipeline absorbed (restart, shed frame, fault
     /// window, quality downgrade, drift alarm).
     Warn,
     /// Something died or escalated.
@@ -75,8 +75,6 @@ pub enum EventKind {
     ActorRestart,
     /// The supervisor gave up and escalated.
     ActorEscalate,
-    /// A bounded mailbox shed a message.
-    MailboxDrop,
     /// An injected fault window touched the meter or the PMU this tick.
     FaultInjected,
     /// The fallback formula started serving degraded estimates for a pid.
@@ -114,13 +112,12 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, for tests and exhaustive tallies.
-    pub const ALL: [EventKind; 19] = [
+    pub const ALL: [EventKind; 18] = [
         EventKind::ActorStart,
         EventKind::ActorStop,
         EventKind::ActorPanic,
         EventKind::ActorRestart,
         EventKind::ActorEscalate,
-        EventKind::MailboxDrop,
         EventKind::FaultInjected,
         EventKind::QualityDegraded,
         EventKind::QualityRecovered,
@@ -144,7 +141,6 @@ impl EventKind {
             EventKind::ActorPanic => "actor-panic",
             EventKind::ActorRestart => "actor-restart",
             EventKind::ActorEscalate => "actor-escalate",
-            EventKind::MailboxDrop => "mailbox-drop",
             EventKind::FaultInjected => "fault-injected",
             EventKind::QualityDegraded => "quality-degraded",
             EventKind::QualityRecovered => "quality-recovered",
@@ -175,7 +171,6 @@ impl EventKind {
             | EventKind::HierarchyViolation
             | EventKind::SloBudgetExhausted => Severity::Error,
             EventKind::ActorRestart
-            | EventKind::MailboxDrop
             | EventKind::FaultInjected
             | EventKind::QualityDegraded
             | EventKind::QualityRecovered
@@ -437,8 +432,8 @@ mod tests {
         for i in 0..10u64 {
             j.emit_at(
                 Nanos(i),
-                EventKind::MailboxDrop,
-                "agg",
+                EventKind::FleetShed,
+                "shard-0",
                 format!("{i}"),
                 TraceId::NONE,
             );

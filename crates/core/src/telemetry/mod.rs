@@ -179,7 +179,6 @@ impl Telemetry {
             end_to_end,
             ticks_traced: end_to_end.count,
             messages_handled: sum_of("powerapi_actor_handled_total"),
-            messages_dropped: sum_of("powerapi_actor_dropped_total"),
             restarts: sum_of("powerapi_actor_restarts_total"),
             panics: sum_of("powerapi_actor_panics_total"),
             journal_events: self.inner.journal.emitted(),
@@ -339,8 +338,6 @@ pub struct TelemetrySummary {
     pub ticks_traced: u64,
     /// Messages handled across all actors.
     pub messages_handled: u64,
-    /// Messages dropped by bounded mailboxes.
-    pub messages_dropped: u64,
     /// Supervised restarts.
     pub restarts: u64,
     /// Panics caught in handlers.

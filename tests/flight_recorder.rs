@@ -147,6 +147,42 @@ fn escalate_policy_fires_post_mortem_dump_with_escalation_event() {
     std::fs::remove_dir_all(&dump_dir).ok();
 }
 
+/// DESIGN.md's "Event kinds" table is the catalogue of the journal's
+/// vocabulary: it lists every kind `EventKind::ALL` holds, at the
+/// severity the kind is journaled at, and names nothing the journal
+/// would refuse to parse.
+#[test]
+fn design_md_event_kinds_table_matches_the_journal() {
+    let design = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("DESIGN.md");
+    let design = std::fs::read_to_string(design).expect("read DESIGN.md");
+    let (_, section) = design
+        .split_once("\n### Event kinds\n")
+        .expect("DESIGN.md has an \"Event kinds\" section");
+    let section = section.split("\n#").next().expect("split yields a head");
+    // `| `label` | severity | emitted by |`
+    let listed: BTreeMap<&str, &str> = section
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `"))
+        .map(|row| {
+            let (label, rest) = row.split_once('`').expect("closing backtick");
+            let severity = rest.split('|').nth(1).expect("a severity cell").trim();
+            (label, severity)
+        })
+        .collect();
+    for (label, severity) in &listed {
+        let kind = EventKind::from_label(label)
+            .unwrap_or_else(|| panic!("the table names {label:?}, which is no EventKind"));
+        assert_eq!(*severity, kind.severity().label(), "severity of {label}");
+    }
+    for kind in EventKind::ALL {
+        assert!(
+            listed.contains_key(kind.label()),
+            "{} is missing from DESIGN.md's \"Event kinds\" table",
+            kind.label()
+        );
+    }
+}
+
 /// Characters chosen to stress the exporter: JSON escapes, control
 /// characters, multi-byte and astral-plane text, and JSON syntax.
 const PALETTE: [char; 16] = [

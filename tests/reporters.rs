@@ -53,8 +53,8 @@ fn csv_json_and_influx_agree_on_the_same_run() {
         ))
         .report_to_memory()
         .report_to_csv(csv.clone())
-        .report_to_json(json.clone())
-        .report_to_influx(influx.clone())
+        .report_to(Format::Json, json.clone())
+        .report_to(Format::Influx, influx.clone())
         .quantum(Nanos::from_millis(2))
         .clock_period(Nanos::from_millis(500))
         .build()
