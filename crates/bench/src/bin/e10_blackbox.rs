@@ -79,10 +79,9 @@ fn run_flight_recorded(
         .report_to_memory()
         .quantum(eval.quantum)
         .clock_period(eval.clock)
-        // The flight recorder proper: always dump, window = whole run.
+        // The flight recorder proper: an armed recorder dumps at every
+        // finish, the whole retained journal.
         .post_mortem_to(dump_dir)
-        .post_mortem_always(true)
-        .post_mortem_window(jbb.duration)
         .build()
         .expect("pipeline");
     papi.monitor(pid).expect("monitor");
@@ -136,7 +135,7 @@ fn main() {
     let report = outcome
         .flight_recorder
         .as_ref()
-        .expect("post_mortem_always guarantees a dump");
+        .expect("an armed flight recorder always dumps");
 
     println!("  [2/3] reading the dump back ({} )…", report.dir.display());
     let journal_text =

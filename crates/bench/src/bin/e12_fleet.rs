@@ -157,7 +157,6 @@ fn main() {
         ShardConfig {
             ingest_cap: 16,
             tick_budget: 8,
-            ..ShardConfig::default()
         },
         LinkFaultPlan::none(),
         &formula,

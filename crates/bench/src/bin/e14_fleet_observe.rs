@@ -32,7 +32,6 @@ use powerapi::model::learn::{learn_model, LearnConfig};
 use powerapi::telemetry::export::{parse_json, Json};
 use powerapi::telemetry::{write_post_mortem_with_fleet, EventKind};
 use simcpu::presets;
-use simcpu::units::Nanos;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -221,7 +220,6 @@ fn run_and_dump(spec: FleetSpec, formula: &PerFrequencyFormula, dir: &Path) -> F
         &run.telemetry,
         &run.fleet.journeys().snapshot(),
         run.fleet.tick_ns(),
-        Nanos(0),
         reason,
     )
     .expect("post-mortem dump");
@@ -287,13 +285,11 @@ fn main() {
             shard: ShardConfig {
                 ingest_cap: 16,
                 tick_budget: 8,
-                ..ShardConfig::default()
             },
             fault: LinkFaultPlan::none(),
             slo: SloConfig {
                 error_budget: 16,
                 burn_alert_violations: 4,
-                ..SloConfig::default()
             },
         },
         &formula,

@@ -32,7 +32,7 @@ use bench_suite::{dump_trace, row, score_outcome, section, BenchArgs, Golden};
 use powerapi::formula::per_freq::PerFrequencyFormula;
 use powerapi::model::learn::{learn_model, LearnConfig};
 use powerapi::model::power_model::PerFrequencyPowerModel;
-use powerapi::prelude::{HealthConfig, SamplingConfig, SelfCostSummary};
+use powerapi::prelude::{SamplingConfig, SelfCostSummary};
 use powerapi::runtime::PowerApi;
 use powerapi::telemetry::{dump_jsonl, parse_jsonl, EventKind};
 use simcpu::machine::MachineConfig;
@@ -81,18 +81,6 @@ fn cold_i3() -> MachineConfig {
         .thermal_leak_w_per_c(0.0)
         .build();
     machine
-}
-
-/// E9's detector tuning (slack above stationary fit bias, far below the
-/// thermal-leak drift).
-fn health_config() -> HealthConfig {
-    HealthConfig {
-        cusum_slack_w: 5.0,
-        cusum_threshold_w: 15.0,
-        ph_delta_w: 1.5,
-        ph_lambda_w: 45.0,
-        ..HealthConfig::default()
-    }
 }
 
 /// A full-rate pin: the ledger prices the run but the controller never
@@ -173,7 +161,7 @@ fn run_drift(
     let pid = kernel.spawn("steady-load", tasks);
     let mut builder = PowerApi::builder(kernel)
         .formula(PerFrequencyFormula::new(model))
-        .model_health(health_config())
+        .model_health()
         .events(perf_sim::events::PAPER_EVENTS.to_vec())
         .slots(4)
         .report_to_memory()

@@ -18,7 +18,6 @@ use bench_suite::{dump_trace, row, section, BenchArgs, Golden};
 use powerapi::formula::per_freq::PerFrequencyFormula;
 use powerapi::model::learn::{learn_model, LearnConfig};
 use powerapi::model::power_model::PerFrequencyPowerModel;
-use powerapi::prelude::HealthConfig;
 use powerapi::runtime::{PowerApi, RunOutcome};
 use simcpu::machine::MachineConfig;
 use simcpu::power::PowerModel;
@@ -44,24 +43,14 @@ fn cold_i3() -> MachineConfig {
     machine
 }
 
-/// The monitor's tuning for this experiment. The detector slack sits
-/// above the model's worst stationary bias at full co-run load (≈4 W of
-/// fit error — this corner of the calibration grid fits worst) and far
-/// below the ≈15–18 W thermal-leakage drift (0.30 W/°C amplified by the
+/// Full-load steady run (both hyperthreads of both cores busy) with the
+/// residual monitor enabled. Its fixed tuning (`powerapi::health`'s
+/// constants) is this experiment's: the detector slack sits above the
+/// model's worst stationary bias at full co-run load (≈4 W of fit error
+/// — this corner of the calibration grid fits worst) and far below the
+/// ≈15–18 W thermal-leakage drift (0.30 W/°C amplified by the
 /// leakage→power→temperature feedback), so the two arms separate
 /// cleanly.
-fn health_config() -> HealthConfig {
-    HealthConfig {
-        cusum_slack_w: 5.0,
-        cusum_threshold_w: 15.0,
-        ph_delta_w: 1.5,
-        ph_lambda_w: 45.0,
-        ..HealthConfig::default()
-    }
-}
-
-/// Full-load steady run (both hyperthreads of both cores busy) with the
-/// residual monitor enabled.
 fn run_arm(
     machine: MachineConfig,
     model: PerFrequencyPowerModel,
@@ -74,7 +63,7 @@ fn run_arm(
     let pid = kernel.spawn("steady-load", tasks);
     let mut papi = PowerApi::builder(kernel)
         .formula(PerFrequencyFormula::new(model))
-        .model_health(health_config())
+        .model_health()
         .events(perf_sim::events::PAPER_EVENTS.to_vec())
         .slots(4)
         .report_to_memory()

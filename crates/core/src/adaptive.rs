@@ -18,11 +18,14 @@
 //!   downgrade suggests the model needs watching again. Every transition
 //!   journals as [`EventKind::RateChange`] with its cause and evidence.
 //!
-//! The decision rule is deterministic and seeded: a xorshift64 draw adds
-//! 0..=`inband_jitter` extra required in-band ticks per backoff so a
-//! fleet of hosts with different seeds de-synchronises its rate drops,
-//! while identical seeds over identical schedules replay bit-identical
-//! transition journals (the e15 goldens rely on this).
+//! The decision rule is deterministic: a xorshift64 stream from the one
+//! [`JITTER_SEED`] adds 0..=[`INBAND_JITTER`] extra required in-band
+//! ticks per backoff, so identical schedules replay bit-identical
+//! transition journals (the e15 goldens rely on this). Every controller
+//! draws the same stream — the jitter varies the streak from one backoff
+//! to the next, not from one host to another. A caller chooses only the
+//! ladder ceiling and the slot cap ([`SamplingConfig`]); the rest of the
+//! tuning is the constants below.
 //!
 //! [`SELF_PID`]: crate::telemetry::SELF_PID
 //! [`ResidualMonitor`]: crate::health::ResidualMonitor
@@ -155,45 +158,45 @@ impl SelfCostSummary {
     }
 }
 
-/// Tuning for the closed-loop sampling controller.
+/// Minimum observed ticks between any two transitions — the hysteresis
+/// window that stops the controller flapping.
+pub const HYSTERESIS_TICKS: u32 = 3;
+
+/// Consecutive in-band ticks required before each backoff step.
+pub const INBAND_TICKS: u32 = 5;
+
+/// Extra in-band ticks (0..=jitter) drawn per backoff from the seeded
+/// stream.
+pub const INBAND_JITTER: u32 = 2;
+
+/// Early-warning threshold as a fraction of the out-of-band envelope: a
+/// live residual beyond `GUARD_FRACTION × (band + margin)` counts as a
+/// breach even though it is still technically in band. The guard must
+/// trip while the residual *plus one stretched period of drift growth*
+/// still sits inside the change detectors' slack — a quarter of the
+/// envelope leaves that room at the 8× ceiling, so a backed-off monitor
+/// detects drift as fast as an always-on one.
+pub const GUARD_FRACTION: f64 = 0.25;
+
+/// Seed of the deterministic jitter stream (non-zero, as xorshift64
+/// needs).
+pub const JITTER_SEED: u64 = 0x005e_ed0f_ada9;
+
+/// What a caller chooses about the closed-loop sampling controller.
 #[derive(Debug, Clone)]
 pub struct SamplingConfig {
     /// Ceiling of the period ladder: the monitoring period stretches
     /// 1× → 2× → 4× … up to `max_factor` × the configured clock period.
     pub max_factor: u32,
-    /// Minimum observed ticks between any two transitions — the
-    /// hysteresis window that stops the controller flapping.
-    pub hysteresis_ticks: u32,
-    /// Consecutive in-band ticks required before each backoff step.
-    pub inband_ticks: u32,
-    /// Seeded extra in-band ticks (0..=jitter) drawn per backoff so a
-    /// fleet with distinct seeds de-synchronises its rate drops.
-    pub inband_jitter: u32,
     /// PMU slot cap to apply while backed off (`None` = keep all slots).
     pub shed_slots: Option<usize>,
-    /// Early-warning threshold as a fraction of the out-of-band envelope:
-    /// a live residual beyond `guard_fraction × (band + margin)` counts
-    /// as a breach even though it is still technically in band. The guard
-    /// must trip while the residual *plus one stretched period of drift
-    /// growth* still sits inside the change detectors' slack — a quarter
-    /// of the envelope leaves that room at the 8× ceiling, so a backed-off
-    /// monitor detects drift as fast as an always-on one. ≥ 1.0 disables
-    /// the guard (only the hard out-of-band breach remains).
-    pub guard_fraction: f64,
-    /// Seed of the deterministic jitter stream.
-    pub seed: u64,
 }
 
 impl Default for SamplingConfig {
     fn default() -> SamplingConfig {
         SamplingConfig {
             max_factor: 8,
-            hysteresis_ticks: 3,
-            inband_ticks: 5,
-            inband_jitter: 2,
             shed_slots: None,
-            guard_fraction: 0.25,
-            seed: 0x005e_ed0f_ada9,
         }
     }
 }
@@ -207,9 +210,9 @@ pub enum RateCause {
     DriftAlarm,
     /// The live residual left the prediction band: snap to full rate.
     OutOfBand,
-    /// The live residual crossed the early-warning guard (a configured
-    /// fraction of the band): snap to full rate before the detectors
-    /// starve.
+    /// The live residual crossed the early-warning guard
+    /// ([`GUARD_FRACTION`] of the band): snap to full rate before the
+    /// detectors starve.
     NearBand,
     /// Estimates arrived at degraded quality: snap to full rate.
     QualityDegraded,
@@ -271,6 +274,12 @@ fn xorshift64(rng: &mut u64) -> u64 {
     x
 }
 
+/// The in-band streak the next backoff requires: the base plus the next
+/// draw of the jitter stream.
+fn required_inband(rng: &mut u64) -> u32 {
+    INBAND_TICKS + (xorshift64(rng) % (u64::from(INBAND_JITTER) + 1)) as u32
+}
+
 /// Shared handle between the [`RateControlActor`] (which decides), the
 /// runtime (which stretches the tick boundary and sheds slots) and tests
 /// (which read the state). Mirrors [`PowerCap`]: one shared state, an
@@ -287,13 +296,8 @@ pub struct SamplingController {
 impl SamplingController {
     /// Creates the controller at full rate.
     pub fn new(cfg: SamplingConfig) -> SamplingController {
-        let mut rng = cfg.seed | 1; // xorshift64 must not start at 0
-        let jitter = if cfg.inband_jitter == 0 {
-            0
-        } else {
-            (xorshift64(&mut rng) % (cfg.inband_jitter as u64 + 1)) as u32
-        };
-        let required_inband = cfg.inband_ticks.max(1) + jitter;
+        let mut rng = JITTER_SEED;
+        let required_inband = required_inband(&mut rng);
         SamplingController {
             cfg,
             state: Arc::new(Mutex::new(SamplingState {
@@ -317,16 +321,6 @@ impl SamplingController {
     /// The slot cap to apply while backed off.
     pub fn shed_slots(&self) -> Option<usize> {
         self.cfg.shed_slots
-    }
-
-    /// The early-warning residual guard, as a fraction of the band.
-    pub fn guard_fraction(&self) -> f64 {
-        self.cfg.guard_fraction
-    }
-
-    /// The configured hysteresis window, in observed ticks.
-    pub fn hysteresis_ticks(&self) -> u32 {
-        self.cfg.hysteresis_ticks
     }
 
     /// Total transitions so far.
@@ -358,7 +352,7 @@ impl SamplingController {
     /// seeded requirement *and* the hysteresis window to have passed
     /// since the previous transition.
     pub fn observe(&self, breach: Option<RateCause>) -> Option<RateTransition> {
-        let cfg = &self.cfg;
+        let ceiling = self.cfg.max_factor.max(1);
         let mut s = self.state.lock();
         s.observed += 1;
         s.ticks_since_transition = s.ticks_since_transition.saturating_add(1);
@@ -384,22 +378,17 @@ impl SamplingController {
             return None;
         }
         s.consecutive_inband = s.consecutive_inband.saturating_add(1);
-        if s.factor < cfg.max_factor.max(1)
-            && s.ticks_since_transition >= cfg.hysteresis_ticks
+        if s.factor < ceiling
+            && s.ticks_since_transition >= HYSTERESIS_TICKS
             && s.consecutive_inband >= s.required_inband
         {
             let old = s.factor;
             let streak = s.consecutive_inband;
-            s.factor = (s.factor * 2).min(cfg.max_factor.max(1));
+            s.factor = (s.factor * 2).min(ceiling);
             s.ticks_since_transition = 0;
             s.consecutive_inband = 0;
             s.transitions += 1;
-            let jitter = if cfg.inband_jitter == 0 {
-                0
-            } else {
-                (xorshift64(&mut s.rng) % (cfg.inband_jitter as u64 + 1)) as u32
-            };
-            s.required_inband = cfg.inband_ticks.max(1) + jitter;
+            s.required_inband = required_inband(&mut s.rng);
             return Some(RateTransition {
                 old_factor: old,
                 new_factor: s.factor,
@@ -415,11 +404,15 @@ impl SamplingController {
 mod tests {
     use super::*;
 
-    fn cfg_no_jitter() -> SamplingConfig {
-        SamplingConfig {
-            inband_jitter: 0,
-            ..SamplingConfig::default()
+    /// Feeds in-band ticks until the controller reaches `factor`.
+    fn climb_to(c: &SamplingController, factor: u32) {
+        for _ in 0..100 {
+            if c.factor() == factor {
+                return;
+            }
+            c.observe(None);
         }
+        panic!("never reached factor {factor}");
     }
 
     #[test]
@@ -454,7 +447,7 @@ mod tests {
 
     #[test]
     fn controller_backs_off_after_sustained_inband() {
-        let c = SamplingController::new(cfg_no_jitter());
+        let c = SamplingController::new(SamplingConfig::default());
         assert_eq!(c.factor(), 1);
         let mut transitions = Vec::new();
         for _ in 0..30 {
@@ -462,24 +455,21 @@ mod tests {
                 transitions.push(t);
             }
         }
-        // 5 in-band ticks per step: 1→2 at tick 5, 2→4 at 10, 4→8 at 15.
+        // At most 5 + 2 in-band ticks per step: three steps to the 8×
+        // ceiling within 21 ticks.
         assert_eq!(c.factor(), 8, "reached the ladder ceiling");
         assert_eq!(transitions.len(), 3);
         assert!(transitions
             .iter()
             .all(|t| t.cause == RateCause::InBand && t.new_factor == t.old_factor * 2));
-        assert_eq!(transitions[0].inband_streak, 5);
         assert_eq!(c.transitions(), 3);
         assert_eq!(c.observed(), 30);
     }
 
     #[test]
     fn breaches_snap_to_full_rate_immediately() {
-        let c = SamplingController::new(cfg_no_jitter());
-        for _ in 0..10 {
-            c.observe(None);
-        }
-        assert_eq!(c.factor(), 4);
+        let c = SamplingController::new(SamplingConfig::default());
+        climb_to(&c, 4);
         let t = c.observe(Some(RateCause::DriftAlarm)).expect("snap back");
         assert_eq!(
             (t.old_factor, t.new_factor, t.cause),
@@ -493,11 +483,8 @@ mod tests {
 
     #[test]
     fn fault_note_overrides_an_inband_tick() {
-        let c = SamplingController::new(cfg_no_jitter());
-        for _ in 0..10 {
-            c.observe(None);
-        }
-        assert_eq!(c.factor(), 4);
+        let c = SamplingController::new(SamplingConfig::default());
+        climb_to(&c, 4);
         c.note_fault();
         let t = c.observe(None).expect("fault snaps back");
         assert_eq!(t.cause, RateCause::FaultWindow);
@@ -507,33 +494,32 @@ mod tests {
     }
 
     #[test]
-    fn transitions_respect_the_hysteresis_window() {
-        // Make the streak requirement looser than the hysteresis so the
-        // hysteresis is the binding constraint.
-        let c = SamplingController::new(SamplingConfig {
-            hysteresis_ticks: 10,
-            inband_ticks: 1,
-            inband_jitter: 0,
-            ..SamplingConfig::default()
-        });
+    fn backoffs_wait_for_the_seeded_streak_and_the_hysteresis_window() {
+        let c = SamplingController::new(SamplingConfig::default());
         let mut gap = 0u32;
+        let mut streaks = Vec::new();
         for _ in 0..40 {
             gap += 1;
-            if c.observe(None).is_some() {
-                assert!(gap >= 10, "transition after only {gap} ticks");
+            if let Some(t) = c.observe(None) {
+                // On a clean run the streak and the gap are the same
+                // count: both restart at every backoff.
+                assert_eq!(t.inband_streak, gap);
+                assert!(gap >= HYSTERESIS_TICKS, "transition after only {gap} ticks");
+                assert!(
+                    (INBAND_TICKS..=INBAND_TICKS + INBAND_JITTER).contains(&gap),
+                    "streak {gap} outside the jitter band"
+                );
+                streaks.push(gap);
                 gap = 0;
             }
         }
-        assert!(c.transitions() >= 2, "the ladder still climbs");
+        assert_eq!(streaks.len(), 3, "the ladder climbs to its ceiling");
     }
 
     #[test]
     fn identical_seeds_replay_identical_decisions() {
-        let run = |seed: u64| -> Vec<(u64, RateTransition)> {
-            let c = SamplingController::new(SamplingConfig {
-                seed,
-                ..SamplingConfig::default()
-            });
+        let run = || -> Vec<(u64, RateTransition)> {
+            let c = SamplingController::new(SamplingConfig::default());
             let mut out = Vec::new();
             for i in 0..200u64 {
                 // A fixed breach schedule exercises both directions.
@@ -544,18 +530,14 @@ mod tests {
             }
             out
         };
-        assert_eq!(run(7), run(7), "same seed, same schedule, same journal");
-        assert!(!run(7).is_empty());
-        // Jitter makes distinct seeds diverge on this schedule. (Not
-        // guaranteed for every seed pair; these two differ.)
-        assert_ne!(run(1), run(2));
+        assert_eq!(run(), run(), "same seed, same schedule, same journal");
+        assert!(!run().is_empty());
     }
 
     #[test]
     fn max_factor_one_pins_full_rate() {
         let c = SamplingController::new(SamplingConfig {
             max_factor: 1,
-            inband_jitter: 0,
             ..SamplingConfig::default()
         });
         for _ in 0..50 {

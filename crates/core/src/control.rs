@@ -14,7 +14,7 @@
 //! granularity.
 
 use crate::actor::{Actor, Context};
-use crate::adaptive::{RateCause, RateTransition, SamplingController};
+use crate::adaptive::{RateCause, RateTransition, SamplingController, GUARD_FRACTION};
 use crate::health::ModelHealth;
 use crate::msg::{AggregateReport, Message, Quality, Scope};
 use crate::telemetry::EventKind;
@@ -94,11 +94,17 @@ struct TriggerState {
     last_fired: Option<Nanos>,
 }
 
+/// Minimum simulated time between two recalibration requests: a
+/// sustained drift alarms again and again, and one thermal time constant
+/// of the simulated i3 collapses each burst into one request.
+pub const RECALIBRATION_COOLDOWN: Nanos = Nanos::from_secs(30);
+
 /// Control hook the model-health monitor pulls when drift is detected:
 /// "this model no longer matches the hardware — schedule a calibration
 /// sweep". The consumer (an operator loop, or [`RunOutcome`] at the end
-/// of a run) polls [`take_pending`]; a cooldown collapses the alarm
-/// bursts a sustained drift produces into one request per window.
+/// of a run) polls [`take_pending`]; [`RECALIBRATION_COOLDOWN`] collapses
+/// the alarm bursts a sustained drift produces into one request per
+/// window.
 ///
 /// Mirrors [`PowerCap`]: one shared state, an actor-side producer and a
 /// poll-side consumer, no channels.
@@ -108,20 +114,23 @@ struct TriggerState {
 #[derive(Debug, Clone)]
 pub struct RecalibrationTrigger {
     state: Arc<Mutex<TriggerState>>,
-    cooldown: Nanos,
+}
+
+impl Default for RecalibrationTrigger {
+    fn default() -> RecalibrationTrigger {
+        RecalibrationTrigger::new()
+    }
 }
 
 impl RecalibrationTrigger {
-    /// Creates a trigger that raises at most one request per `cooldown`
-    /// of simulated time ([`Nanos::ZERO`] = every alarm fires).
-    pub fn new(cooldown: Nanos) -> RecalibrationTrigger {
+    /// Creates a trigger with nothing pending.
+    pub fn new() -> RecalibrationTrigger {
         RecalibrationTrigger {
             state: Arc::new(Mutex::new(TriggerState {
                 pending: None,
                 fired: 0,
                 last_fired: None,
             })),
-            cooldown,
         }
     }
 
@@ -130,7 +139,7 @@ impl RecalibrationTrigger {
     pub fn fire(&self, at: Nanos) -> bool {
         let mut s = self.state.lock();
         if let Some(last) = s.last_fired {
-            if at.saturating_sub(last) < self.cooldown && at >= last {
+            if at.saturating_sub(last) < RECALIBRATION_COOLDOWN && at >= last {
                 return false;
             }
         }
@@ -242,8 +251,7 @@ impl RateControlActor {
             if h.out_of_band() {
                 return Some(RateCause::OutOfBand);
             }
-            let guard = self.controller.guard_fraction();
-            if guard < 1.0 && h.band_fraction() >= guard {
+            if h.band_fraction() >= GUARD_FRACTION {
                 return Some(RateCause::NearBand);
             }
         }
@@ -401,7 +409,7 @@ mod tests {
 
     #[test]
     fn trigger_latches_until_consumed() {
-        let t = RecalibrationTrigger::new(Nanos::ZERO);
+        let t = RecalibrationTrigger::new();
         assert_eq!(t.take_pending(), None);
         assert!(t.fire(Nanos::from_secs(10)));
         assert_eq!(t.fired(), 1);
@@ -412,29 +420,27 @@ mod tests {
 
     #[test]
     fn trigger_cooldown_collapses_alarm_bursts() {
-        let t = RecalibrationTrigger::new(Nanos::from_secs(60));
-        assert!(t.fire(Nanos::from_secs(100)));
+        let t = RecalibrationTrigger::new();
+        let start = Nanos::from_secs(100);
+        assert!(t.fire(start));
         // A burst of alarms within the cooldown: one request total.
-        assert!(!t.fire(Nanos::from_secs(101)));
-        assert!(!t.fire(Nanos::from_secs(159)));
+        assert!(!t.fire(start + Nanos::from_secs(1)));
+        assert!(!t.fire(start + RECALIBRATION_COOLDOWN - Nanos(1)));
         assert_eq!(t.fired(), 1);
         // Past the window: accepted again.
-        assert!(t.fire(Nanos::from_secs(161)));
+        assert!(t.fire(start + RECALIBRATION_COOLDOWN));
         assert_eq!(t.fired(), 2);
     }
 
     #[test]
     fn rate_control_actor_drives_and_journals_the_controller() {
         use crate::actor::ActorSystem;
-        use crate::adaptive::{SamplingConfig, SamplingController};
+        use crate::adaptive::{SamplingConfig, SamplingController, INBAND_JITTER, INBAND_TICKS};
         use crate::msg::Topic;
         use crate::telemetry::{Telemetry, TraceId};
         use simcpu::units::Watts;
 
-        let ctrl = SamplingController::new(SamplingConfig {
-            inband_jitter: 0,
-            ..SamplingConfig::default()
-        });
+        let ctrl = SamplingController::new(SamplingConfig::default());
         let telemetry = Telemetry::new();
         let mut sys = ActorSystem::with_telemetry(telemetry.clone());
         let r = sys.spawn(
@@ -459,12 +465,15 @@ mod tests {
                 TraceId::NONE,
             )
         };
-        // 10 in-band ticks climb the ladder twice (5 per step), then a
-        // degraded report snaps straight back to full rate.
-        for i in 1..=10 {
+        // Two steps take at most twice the longest seeded streak, three
+        // at least thrice the shortest: this many in-band ticks climb
+        // the ladder exactly twice. Then a degraded report snaps straight
+        // back to full rate.
+        let inband = u64::from(2 * (INBAND_TICKS + INBAND_JITTER));
+        for i in 1..=inband {
             sys.bus().publish(agg(i, Quality::Full));
         }
-        sys.bus().publish(agg(11, Quality::Degraded));
+        sys.bus().publish(agg(inband + 1, Quality::Degraded));
         sys.shutdown();
         assert_eq!(ctrl.factor(), 1, "snapped back to full rate");
         assert_eq!(ctrl.transitions(), 3, "1→2, 2→4, 4→1");
@@ -478,16 +487,13 @@ mod tests {
     #[test]
     fn near_band_guard_snaps_before_out_of_band() {
         use crate::actor::ActorSystem;
-        use crate::adaptive::{SamplingConfig, SamplingController};
+        use crate::adaptive::{SamplingConfig, SamplingController, INBAND_JITTER, INBAND_TICKS};
         use crate::health::ModelHealth;
         use crate::msg::Topic;
         use crate::telemetry::{Telemetry, TraceId};
         use simcpu::units::Watts;
 
-        let ctrl = SamplingController::new(SamplingConfig {
-            inband_jitter: 0,
-            ..SamplingConfig::default()
-        });
+        let ctrl = SamplingController::new(SamplingConfig::default());
         let health = ModelHealth::new();
         let telemetry = Telemetry::new();
         let mut sys = ActorSystem::with_telemetry(telemetry.clone());
@@ -513,7 +519,9 @@ mod tests {
                 TraceId::NONE,
             )
         };
-        for i in 1..=6 {
+        // Enough for the first backoff, too few for the second.
+        let inband = u64::from(INBAND_TICKS + INBAND_JITTER);
+        for i in 1..=inband {
             sys.bus().publish(agg(i));
         }
         // The actor digests asynchronously: wait for the backoff to land
@@ -523,9 +531,10 @@ mod tests {
             "backed off on in-band residuals"
         );
         // Residual at 60 % of the envelope: in band (no quality downgrade,
-        // no out-of-band flag) yet past the 0.5 guard — snaps back.
+        // no out-of-band flag) yet past the quarter-envelope guard — snaps
+        // back.
         health.record_residual(1.2, 1.2, 1.2, 2.0, false);
-        sys.bus().publish(agg(7));
+        sys.bus().publish(agg(inband + 1));
         sys.shutdown();
         assert_eq!(ctrl.factor(), 1, "guard snapped back inside the band");
         assert_eq!(ctrl.transitions(), 2);

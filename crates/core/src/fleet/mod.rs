@@ -13,7 +13,7 @@
 //!    ⋮        drop/dup/reorder/corrupt/       ├──▶ shard 1 (hosts ≡ 1 mod S)
 //!  host N ──────── partition, host-dark) ─────┘      ⋮  bounded ingest +
 //!            ◀─ acks (credits) ─ ▲                       tick budget +
-//!                                └────────────────── OverflowPolicy sheds
+//!                                └────────────────── drop-oldest sheds
 //! ```
 //!
 //! ## Determinism
@@ -43,7 +43,7 @@ pub use observe::{
     FleetHop, FrameProvenance, HopStage, JourneyLog, ProvenanceReport, SloConfig, SloTickOutcome,
     SloTracker,
 };
-pub use retry::{Pending, RetryPolicy, SenderState};
+pub use retry::{Pending, SenderState};
 pub use shard::{EstimatorShard, HostEstimate, IngestOutcome, ProcessOutcome, ShardConfig};
 
 use crate::formula::PowerFormula;
@@ -117,9 +117,7 @@ pub struct FleetConfig {
     pub events: Vec<Event>,
     /// Link transport knobs (shared by every link).
     pub link: LinkConfig,
-    /// Sender retransmission policy.
-    pub retry: RetryPolicy,
-    /// Shard service knobs.
+    /// Shard service sizes.
     pub shard: ShardConfig,
     /// The network fault schedule.
     pub fault: LinkFaultPlan,
@@ -135,7 +133,6 @@ impl Default for FleetConfig {
             tick: Nanos::from_millis(1000),
             events: Vec::new(),
             link: LinkConfig::default(),
-            retry: RetryPolicy::default(),
             shard: ShardConfig::default(),
             fault: LinkFaultPlan::none(),
             slo: SloConfig::default(),
@@ -361,7 +358,7 @@ impl Fleet {
         let plan = Arc::new(cfg.fault.clone());
         let events: Arc<[Event]> = cfg.events.iter().copied().collect();
         let senders = (0..hosts)
-            .map(|h| SenderState::new(HostId(h as u32), cfg.shard.credits_per_host))
+            .map(|h| SenderState::new(HostId(h as u32)))
             .collect();
         let links = (0..hosts)
             .map(|h| Link::new(HostId(h as u32), cfg.link, plan.clone()))
@@ -650,7 +647,7 @@ impl Fleet {
             for seq in self.senders[h].expired(now) {
                 let p = self.senders[h].pending.get_mut(&seq).expect("expired seq");
                 let (trace, tried) = (p.env.trace, p.attempt);
-                if tried >= self.cfg.retry.max_retries {
+                if tried >= retry::MAX_RETRIES {
                     self.senders[h].pending.remove(&seq);
                     self.stats.abandoned += 1;
                     journal.emit(
@@ -674,7 +671,7 @@ impl Fleet {
                 }
                 let attempt = tried + 1;
                 p.attempt = attempt;
-                p.deadline = self.cfg.retry.deadline(now, attempt, &self.plan, host, seq);
+                p.deadline = retry::deadline(now, attempt, &self.plan, host, seq);
                 // The link may mangle what it carries: it gets a copy,
                 // the canonical envelope stays pending.
                 let env = p.env.clone();
@@ -766,7 +763,7 @@ impl Fleet {
                 };
                 let seq = env.seq;
                 let trace = env.trace;
-                let deadline = self.cfg.retry.deadline(now, 0, &self.plan, host, seq);
+                let deadline = retry::deadline(now, 0, &self.plan, host, seq);
                 self.senders[h].pending.insert(
                     seq,
                     Pending {
@@ -921,7 +918,7 @@ impl Fleet {
                     &host.to_string(),
                     format!(
                         "no fresh frame for {} ticks; holding last-known-good",
-                        self.cfg.shard.stale_after_ticks
+                        shard::STALE_AFTER_TICKS
                     ),
                     trace,
                 );
@@ -973,8 +970,8 @@ impl Fleet {
                 "fleet-lag",
                 format!(
                     "lag > {} ticks {violations}x in the last {} ticks ({} of {} budget spent)",
-                    self.cfg.slo.lag_target_ticks,
-                    self.cfg.slo.burn_window_ticks,
+                    observe::LAG_TARGET_TICKS,
+                    observe::BURN_WINDOW_TICKS,
                     self.slo.total_violations().min(self.cfg.slo.error_budget),
                     self.cfg.slo.error_budget,
                 ),
@@ -1289,10 +1286,6 @@ mod tests {
         let fault = LinkFaultPlan::from_parts(3, &LinkFaultConfig::default(), vec![w]);
         let cfg = FleetConfig {
             shards: 2,
-            shard: ShardConfig {
-                stale_after_ticks: 3,
-                ..ShardConfig::default()
-            },
             fault,
             ..FleetConfig::default()
         };
@@ -1323,7 +1316,6 @@ mod tests {
             shard: ShardConfig {
                 ingest_cap: 2,
                 tick_budget: 1,
-                ..ShardConfig::default()
             },
             ..FleetConfig::default()
         };

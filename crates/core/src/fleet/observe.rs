@@ -195,16 +195,20 @@ impl Default for JourneyLog {
     }
 }
 
-/// A declared lag service-level objective with an error budget.
+/// Applied-frame lag at or under this many ticks meets the lag SLO.
+pub const LAG_TARGET_TICKS: u64 = 8;
+
+/// Sliding window, in ticks, over which the SLO burn rate is judged.
+pub const BURN_WINDOW_TICKS: u64 = 16;
+
+/// A declared lag service-level objective: how much violation it
+/// tolerates. The target itself and the burn window are
+/// [`LAG_TARGET_TICKS`] and [`BURN_WINDOW_TICKS`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SloConfig {
-    /// Applied-frame lag at or under this many ticks meets the SLO.
-    pub lag_target_ticks: u64,
     /// Violating samples tolerated over the whole run before the budget
     /// is exhausted.
     pub error_budget: u64,
-    /// Sliding window, in ticks, over which the burn rate is judged.
-    pub burn_window_ticks: u64,
     /// Violations inside one window that raise a burn-rate alert.
     pub burn_alert_violations: u64,
 }
@@ -212,9 +216,7 @@ pub struct SloConfig {
 impl Default for SloConfig {
     fn default() -> SloConfig {
         SloConfig {
-            lag_target_ticks: 8,
             error_budget: 64,
-            burn_window_ticks: 16,
             burn_alert_violations: 8,
         }
     }
@@ -263,15 +265,10 @@ impl SloTracker {
         }
     }
 
-    /// The declared objective.
-    pub fn cfg(&self) -> SloConfig {
-        self.cfg
-    }
-
     /// Feeds one applied-frame lag sample (ticks).
     pub fn observe(&mut self, lag_ticks: u64) {
         self.total_samples += 1;
-        if lag_ticks > self.cfg.lag_target_ticks {
+        if lag_ticks > LAG_TARGET_TICKS {
             self.total_violations += 1;
             self.pending_tick_violations += 1;
         }
@@ -284,7 +281,7 @@ impl SloTracker {
         if v > 0 {
             self.window.push_back((now, v));
         }
-        let horizon = now.saturating_sub(self.cfg.burn_window_ticks);
+        let horizon = now.saturating_sub(BURN_WINDOW_TICKS);
         while self.window.front().is_some_and(|&(t, _)| t <= horizon) {
             self.window.pop_front();
         }
@@ -292,7 +289,7 @@ impl SloTracker {
         let alert_due = window_violations >= self.cfg.burn_alert_violations.max(1)
             && self
                 .last_alert_tick
-                .is_none_or(|t| now >= t + self.cfg.burn_window_ticks.max(1));
+                .is_none_or(|t| now >= t + BURN_WINDOW_TICKS);
         let burn_alert = if alert_due {
             self.last_alert_tick = Some(now);
             self.alerts += 1;
@@ -505,41 +502,42 @@ mod tests {
     #[test]
     fn slo_burn_alert_rate_limits_per_window() {
         let mut t = SloTracker::new(SloConfig {
-            lag_target_ticks: 4,
             error_budget: 1000,
-            burn_window_ticks: 4,
             burn_alert_violations: 2,
         });
-        // Ticks 1..=6: two violations per tick — the alert fires at tick
-        // 1 and again no earlier than tick 5.
+        // Two violations per tick — the alert fires at tick 1 and again
+        // no earlier than one burn window later.
+        let ticks = BURN_WINDOW_TICKS + 2;
         let mut alerts = Vec::new();
-        for now in 1..=6u64 {
-            t.observe(10);
-            t.observe(10);
-            t.observe(1); // in-target sample spends no budget
+        for now in 1..=ticks {
+            t.observe(LAG_TARGET_TICKS + 1);
+            t.observe(LAG_TARGET_TICKS + 2);
+            t.observe(LAG_TARGET_TICKS); // in-target sample spends no budget
             let out = t.end_tick(now);
             if out.burn_alert.is_some() {
                 alerts.push(now);
             }
         }
-        assert_eq!(alerts, vec![1, 5], "one alert per window span");
+        assert_eq!(
+            alerts,
+            vec![1, 1 + BURN_WINDOW_TICKS],
+            "one alert per window span"
+        );
         assert_eq!(t.alerts(), 2);
-        assert_eq!(t.total_samples(), 18);
-        assert_eq!(t.total_violations(), 12);
+        assert_eq!(t.total_samples(), 3 * ticks);
+        assert_eq!(t.total_violations(), 2 * ticks);
         assert!(!t.exhausted());
     }
 
     #[test]
     fn slo_budget_exhausts_exactly_once() {
         let mut t = SloTracker::new(SloConfig {
-            lag_target_ticks: 2,
             error_budget: 3,
-            burn_window_ticks: 8,
             burn_alert_violations: 100,
         });
         let mut fired = 0;
         for now in 1..=6u64 {
-            t.observe(5);
+            t.observe(LAG_TARGET_TICKS + 1);
             if t.end_tick(now).exhausted_now {
                 fired += 1;
                 assert_eq!(now, 4, "budget 3 exhausts on the 4th violation");

@@ -1,13 +1,13 @@
 //! Sender-side reliability: per-frame retransmission with exponential
 //! backoff + deterministic jitter and a bounded retransmit budget, plus
-//! credit-based flow control toward the estimator shards.
+//! credit-based flow control toward the estimator shards. The schedule
+//! is fixed — the constants below (DESIGN.md "Fixed constants").
 //!
-//! Credits are implicit: a sender may hold at most `credits` (the
-//! allowance [`SenderState::new`] is given) unacknowledged frames. Every
-//! fresh transmission consumes one slot; an ack (or an exhausted budget)
-//! releases it. Because the slot count *is* the credit count, the
-//! classic double-release bugs (ack racing a timeout) cannot occur —
-//! there is no separate counter to corrupt.
+//! Credits are implicit: a sender may hold at most [`CREDITS_PER_HOST`]
+//! unacknowledged frames. Every fresh transmission consumes one slot; an
+//! ack (or an exhausted budget) releases it. Because the slot count *is*
+//! the credit count, the classic double-release bugs (ack racing a
+//! timeout) cannot occur — there is no separate counter to corrupt.
 
 use super::envelope::{FrameEnvelope, HostId};
 use super::fault::LinkFaultPlan;
@@ -15,54 +15,33 @@ use std::collections::{BTreeMap, VecDeque};
 
 const SALT_BACKOFF: u64 = 6;
 
-/// Retransmission knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Ticks to wait for an ack before the first retransmit.
-    pub timeout_ticks: u64,
-    /// Retransmissions allowed per frame before it is abandoned (the
-    /// retransmit budget; 3 means up to 4 transmissions total).
-    pub max_retries: u32,
-    /// Ceiling on the exponentially growing backoff, in ticks.
-    pub max_backoff_ticks: u64,
-    /// Maximum deterministic jitter added to each deadline, in ticks
-    /// (decorrelates retry storms across hosts).
-    pub jitter_ticks: u64,
-}
+/// Ticks to wait for an ack before the first retransmit.
+pub const TIMEOUT_TICKS: u64 = 4;
 
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            timeout_ticks: 4,
-            max_retries: 3,
-            max_backoff_ticks: 32,
-            jitter_ticks: 1,
-        }
-    }
-}
+/// Retransmissions allowed per frame before it is abandoned (the
+/// retransmit budget: up to `MAX_RETRIES + 1` transmissions in all).
+pub const MAX_RETRIES: u32 = 3;
 
-impl RetryPolicy {
-    /// The ack deadline for transmission `attempt` of a frame sent at
-    /// fleet tick `now`: `timeout · 2^attempt` (capped) plus hash jitter.
-    pub fn deadline(
-        &self,
-        now: u64,
-        attempt: u32,
-        plan: &LinkFaultPlan,
-        host: HostId,
-        seq: u64,
-    ) -> u64 {
-        let backoff = self
-            .timeout_ticks
-            .saturating_mul(1u64 << attempt.min(16))
-            .min(self.max_backoff_ticks.max(self.timeout_ticks));
-        let jitter = if self.jitter_ticks == 0 {
-            0
-        } else {
-            plan.hash(host, seq, attempt, SALT_BACKOFF) % (self.jitter_ticks + 1)
-        };
-        now + backoff.max(1) + jitter
-    }
+/// Ceiling on the exponentially growing backoff, in ticks.
+pub const MAX_BACKOFF_TICKS: u64 = 32;
+
+/// Maximum deterministic jitter added to each deadline, in ticks
+/// (decorrelates retry storms across hosts).
+pub const JITTER_TICKS: u64 = 1;
+
+/// Unacknowledged frames one sender may have in flight (the credit
+/// allowance its shard grants).
+pub const CREDITS_PER_HOST: u32 = 4;
+
+/// The ack deadline for transmission `attempt` of `host`'s frame `seq`,
+/// sent at fleet tick `now`: `TIMEOUT_TICKS · 2^attempt` (capped at
+/// [`MAX_BACKOFF_TICKS`]) plus a hash jitter of up to [`JITTER_TICKS`].
+pub fn deadline(now: u64, attempt: u32, plan: &LinkFaultPlan, host: HostId, seq: u64) -> u64 {
+    let backoff = TIMEOUT_TICKS
+        .saturating_mul(1u64 << attempt.min(16))
+        .min(MAX_BACKOFF_TICKS);
+    let jitter = plan.hash(host, seq, attempt, SALT_BACKOFF) % (JITTER_TICKS + 1);
+    now + backoff + jitter
 }
 
 /// A transmitted frame awaiting its ack. The envelope kept here is the
@@ -83,9 +62,6 @@ pub struct Pending {
 #[derive(Debug)]
 pub struct SenderState {
     host: HostId,
-    /// Maximum unacknowledged frames in flight (the credit allowance
-    /// granted by the host's shard).
-    credits: u32,
     next_seq: u64,
     /// Frames produced but not yet transmitted (waiting for credits).
     pub backlog: VecDeque<FrameEnvelope>,
@@ -94,11 +70,10 @@ pub struct SenderState {
 }
 
 impl SenderState {
-    /// A sender for `host` with a credit allowance.
-    pub fn new(host: HostId, credits: u32) -> SenderState {
+    /// A sender for `host` with [`CREDITS_PER_HOST`] credits.
+    pub fn new(host: HostId) -> SenderState {
         SenderState {
             host,
-            credits: credits.max(1),
             next_seq: 0,
             backlog: VecDeque::new(),
             pending: BTreeMap::new(),
@@ -124,7 +99,7 @@ impl SenderState {
 
     /// Whether a fresh transmission may start (credits available).
     pub fn may_send(&self) -> bool {
-        self.pending.len() < self.credits as usize
+        self.pending.len() < CREDITS_PER_HOST as usize
     }
 
     /// Handles an ack; returns the released pending entry when one was
@@ -163,43 +138,39 @@ mod tests {
 
     #[test]
     fn backoff_grows_and_caps() {
-        let p = RetryPolicy {
-            timeout_ticks: 4,
-            max_retries: 5,
-            max_backoff_ticks: 16,
-            jitter_ticks: 0,
-        };
         let plan = LinkFaultPlan::none();
-        let d0 = p.deadline(100, 0, &plan, HostId(0), 0);
-        let d1 = p.deadline(100, 1, &plan, HostId(0), 0);
-        let d2 = p.deadline(100, 2, &plan, HostId(0), 0);
-        let d3 = p.deadline(100, 3, &plan, HostId(0), 0);
-        assert_eq!(d0, 104);
-        assert_eq!(d1, 108);
-        assert_eq!(d2, 116);
-        assert_eq!(d3, 116, "backoff must cap at max_backoff_ticks");
-    }
-
-    #[test]
-    fn jitter_is_deterministic_and_bounded() {
-        let p = RetryPolicy {
-            jitter_ticks: 3,
-            ..RetryPolicy::default()
-        };
-        let plan = LinkFaultPlan::none();
-        for seq in 0..32 {
-            let a = p.deadline(10, 0, &plan, HostId(1), seq);
-            let b = p.deadline(10, 0, &plan, HostId(1), seq);
-            assert_eq!(a, b);
-            assert!((14..=17).contains(&a), "deadline {a} outside jitter band");
+        // 4 · 2^attempt, capped at 32 ticks; the jitter rides on top.
+        for (attempt, backoff) in [4, 8, 16, 32, 32, 32].into_iter().enumerate() {
+            for seq in 0..8 {
+                let wait = deadline(100, attempt as u32, &plan, HostId(0), seq) - 100;
+                assert!(
+                    (backoff..=backoff + JITTER_TICKS).contains(&wait),
+                    "attempt {attempt}: waits {wait} ticks, backoff {backoff}"
+                );
+            }
         }
     }
 
     #[test]
+    fn jitter_is_deterministic_and_bounded() {
+        let plan = LinkFaultPlan::none();
+        let mut seen = [false; JITTER_TICKS as usize + 1];
+        for seq in 0..32 {
+            let a = deadline(10, 0, &plan, HostId(1), seq);
+            let b = deadline(10, 0, &plan, HostId(1), seq);
+            assert_eq!(a, b);
+            let jitter = a - 10 - TIMEOUT_TICKS;
+            assert!(jitter <= JITTER_TICKS, "deadline {a} outside jitter band");
+            seen[jitter as usize] = true;
+        }
+        assert!(seen.iter().all(|&s| s), "every jitter value occurs");
+    }
+
+    #[test]
     fn credits_equal_unacked_window() {
-        let mut s = SenderState::new(HostId(2), 2);
+        let mut s = SenderState::new(HostId(2));
         assert!(s.may_send());
-        for seq in 0..2u64 {
+        for seq in 0..u64::from(CREDITS_PER_HOST) {
             assert_eq!(s.alloc_seq(), seq);
             s.pending.insert(
                 seq,
@@ -215,7 +186,10 @@ mod tests {
         assert_eq!(released.attempt, 0, "released entry reports attempts");
         assert!(s.may_send());
         assert!(s.ack(0).is_none(), "late duplicate ack is a no-op");
-        assert_eq!(s.expired(5), vec![1]);
-        assert_eq!(s.produced(), 2);
+        assert_eq!(
+            s.expired(5),
+            (1..u64::from(CREDITS_PER_HOST)).collect::<Vec<_>>()
+        );
+        assert_eq!(s.produced(), u64::from(CREDITS_PER_HOST));
     }
 }

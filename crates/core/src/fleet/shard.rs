@@ -6,13 +6,16 @@
 //! last-known-good estimate with a widening prediction band instead of
 //! vanishing from the fleet aggregate.
 //!
-//! Shards are load-shedding consumers: a bounded ingest queue governed
-//! by an [`OverflowPolicy`] plus a per-tick processing budget model a
+//! Shards are load-shedding consumers: a bounded ingest queue that
+//! drops its oldest frame when full (freshest data wins — right for
+//! periodic sensor ticks) plus a per-tick processing budget model a
 //! saturated service. This is the one queue in the crate that sheds —
 //! frames arrive here from outside at a rate the shard does not set,
 //! while the [actor runtime](crate::actor)'s queue has no bound. Every
 //! shed is surfaced to the caller so the fleet can count and journal
-//! it — shedding is loud by design.
+//! it — shedding is loud by design. The two sizes are the caller's
+//! ([`ShardConfig`]); the staleness deadline and band widening are the
+//! constants below.
 
 use super::envelope::{FrameDecoder, FrameEnvelope, HostId};
 use crate::formula::PowerFormula;
@@ -29,36 +32,21 @@ pub fn route(host: HostId, shards: usize) -> usize {
     host.0 as usize % shards.max(1)
 }
 
-/// What a full ingest queue does with the next frame. A simulated
-/// network ingress cannot block its sender, so both choices shed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OverflowPolicy {
-    /// Evict the oldest queued frame to admit the newest (ring-buffer
-    /// semantics; freshest data wins — right for periodic sensor ticks).
-    DropOldest,
-    /// Reject the incoming frame, keeping the queued backlog.
-    DropNewest,
-}
+/// Ticks without a fresh frame before a host is marked stale.
+pub const STALE_AFTER_TICKS: u64 = 5;
 
-/// Shard service knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Watts added to a stale host's prediction band per tick of additional
+/// silence (the band widens as the hold-over ages).
+pub const WIDEN_W_PER_TICK: f64 = 0.5;
+
+/// Shard service sizes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardConfig {
     /// Bound on the ingest queue.
     pub ingest_cap: usize,
     /// Frames one shard may process per fleet tick (models estimator
     /// CPU; the rest waits, building queueing lag).
     pub tick_budget: usize,
-    /// What to do when ingest overflows; either way the shed frame is
-    /// surfaced to the caller.
-    pub overflow: OverflowPolicy,
-    /// Unacked-frame allowance granted to each sender (credit-based
-    /// flow control; see [`super::retry::SenderState`]).
-    pub credits_per_host: u32,
-    /// Ticks without a fresh frame before a host is marked stale.
-    pub stale_after_ticks: u64,
-    /// Watts added to a stale host's prediction band per tick of
-    /// additional silence (the band widens as the hold-over ages).
-    pub widen_w_per_tick: f64,
 }
 
 impl Default for ShardConfig {
@@ -66,10 +54,6 @@ impl Default for ShardConfig {
         ShardConfig {
             ingest_cap: 256,
             tick_budget: 1024,
-            overflow: OverflowPolicy::DropOldest,
-            credits_per_host: 4,
-            stale_after_ticks: 5,
-            widen_w_per_tick: 0.5,
         }
     }
 }
@@ -79,8 +63,8 @@ impl Default for ShardConfig {
 pub enum IngestOutcome {
     /// Queued for processing.
     Accepted,
-    /// The queue was full; the returned envelope is the one shed (the
-    /// newest or the oldest, per policy).
+    /// The queue was full: the newcomer was queued and the returned
+    /// envelope, the oldest queued one, was shed.
     Shed(FrameEnvelope),
 }
 
@@ -231,21 +215,16 @@ impl EstimatorShard {
         self.ingest.len()
     }
 
-    /// Accepts a delivered envelope at fleet tick `now`, shedding per
-    /// policy when the bounded ingest queue is full.
+    /// Accepts a delivered envelope at fleet tick `now`, shedding the
+    /// oldest queued one when the bounded ingest queue is full.
     pub fn ingest(&mut self, env: FrameEnvelope, now: u64) -> IngestOutcome {
         if self.ingest.len() < self.cfg.ingest_cap {
             self.ingest.push_back((now, env));
             return IngestOutcome::Accepted;
         }
-        match self.cfg.overflow {
-            OverflowPolicy::DropOldest => {
-                let (_, old) = self.ingest.pop_front().expect("non-empty at cap");
-                self.ingest.push_back((now, env));
-                IngestOutcome::Shed(old)
-            }
-            OverflowPolicy::DropNewest => IngestOutcome::Shed(env),
-        }
+        let (_, old) = self.ingest.pop_front().expect("non-empty at cap");
+        self.ingest.push_back((now, env));
+        IngestOutcome::Shed(old)
     }
 
     /// Processes one queued envelope at fleet tick `now`, or `None`
@@ -383,7 +362,7 @@ impl EstimatorShard {
     /// frame the shard actually saw from that host).
     pub fn refresh_staleness(&mut self, now: u64, out: &mut Vec<(HostId, bool, TraceId)>) {
         for (&h, t) in self.tracks.iter_mut() {
-            let stale = now.saturating_sub(t.last_update) > self.cfg.stale_after_ticks;
+            let stale = now.saturating_sub(t.last_update) > STALE_AFTER_TICKS;
             if stale != t.stale {
                 t.stale = stale;
                 out.push((HostId(h), stale, t.last_trace));
@@ -403,9 +382,9 @@ impl EstimatorShard {
     /// with its band widened per tick of further silence.
     fn held(&self, t: &HostTrack, now: u64, power_w: f64, band_w: f64) -> HostEstimate {
         let age = now.saturating_sub(t.last_update);
-        let (band_w, quality) = if age > self.cfg.stale_after_ticks {
-            let widened = age - self.cfg.stale_after_ticks;
-            let band_w = band_w + self.cfg.widen_w_per_tick * widened as f64;
+        let (band_w, quality) = if age > STALE_AFTER_TICKS {
+            let widened = age - STALE_AFTER_TICKS;
+            let band_w = band_w + WIDEN_W_PER_TICK * widened as f64;
             (band_w, Quality::Stale)
         } else {
             (band_w, Quality::Full)
@@ -672,43 +651,37 @@ mod tests {
 
     #[test]
     fn stale_hosts_hold_value_and_widen_band() {
-        let cfg = ShardConfig {
-            stale_after_ticks: 2,
-            widen_w_per_tick: 1.5,
-            ..ShardConfig::default()
-        };
-        let mut s = shard(cfg);
+        let mut s = shard(ShardConfig::default());
         s.ingest(envelope(3, 0, 1000), 1);
         s.process_one(1);
-        let fresh = s.estimate(HostId(3), 2).unwrap();
-        assert_eq!(fresh.quality, Quality::Full);
-        let stale = s.estimate(HostId(3), 6).unwrap();
+        let deadline = 1 + STALE_AFTER_TICKS;
+        let fresh = s.estimate(HostId(3), deadline).unwrap();
+        assert_eq!(fresh.quality, Quality::Full, "fresh up to the deadline");
+        let stale = s.estimate(HostId(3), deadline + 3).unwrap();
         assert_eq!(stale.quality, Quality::Stale);
         assert!((stale.power_w - fresh.power_w).abs() < 1e-12, "hold-over");
         assert!(
-            (stale.band_w - (fresh.band_w + 1.5 * 3.0)).abs() < 1e-9,
+            (stale.band_w - (fresh.band_w + WIDEN_W_PER_TICK * 3.0)).abs() < 1e-9,
             "band widens per tick past the deadline"
         );
         let mut transitions = Vec::new();
-        s.refresh_staleness(6, &mut transitions);
+        s.refresh_staleness(deadline, &mut transitions);
+        assert!(transitions.is_empty(), "not stale at the deadline itself");
+        s.refresh_staleness(deadline + 1, &mut transitions);
         assert_eq!(transitions, vec![(HostId(3), true, TraceId(100))]);
         transitions.clear();
-        s.refresh_staleness(7, &mut transitions);
+        s.refresh_staleness(deadline + 2, &mut transitions);
         assert!(transitions.is_empty(), "transition fires once");
         // A fresh frame recovers the host.
-        s.ingest(envelope(3, 1, 1000), 8);
-        s.process_one(8);
-        s.refresh_staleness(8, &mut transitions);
+        s.ingest(envelope(3, 1, 1000), deadline + 3);
+        s.process_one(deadline + 3);
+        s.refresh_staleness(deadline + 3, &mut transitions);
         assert_eq!(transitions, vec![(HostId(3), false, TraceId(101))]);
     }
 
     #[test]
     fn tenant_attribution_follows_grouped_frames() {
-        let mut s = shard(ShardConfig {
-            stale_after_ticks: 2,
-            widen_w_per_tick: 1.0,
-            ..ShardConfig::default()
-        });
+        let mut s = shard(ShardConfig::default());
         // Two tenants plus one ungrouped pid; formula idle 30 + 10·load.
         let rows = [
             (1, 400, Some("tenant-a/svc-web")),
@@ -749,25 +722,25 @@ mod tests {
         );
 
         // Staleness holds the tenant value and degrades quality.
-        let held = s.tenant_estimate(HostId(0), 6, "tenant-a").unwrap();
+        let later = 1 + STALE_AFTER_TICKS + 1;
+        let held = s.tenant_estimate(HostId(0), later, "tenant-a").unwrap();
         assert_eq!(held.quality, Quality::Stale);
         assert!((held.power_w - a.power_w).abs() < 1e-12, "hold-over");
         assert!(held.band_w > a.band_w, "stale bands widen");
 
         // An ungrouped follow-up frame clears the tenant books.
-        s.ingest(envelope(0, 1, 500), 7);
-        s.process_one(7);
-        assert!(s.tenant_estimate(HostId(0), 7, "tenant-a").is_none());
+        s.ingest(envelope(0, 1, 500), later);
+        s.process_one(later);
+        assert!(s.tenant_estimate(HostId(0), later, "tenant-a").is_none());
         let mut paths = Vec::new();
         s.tenant_paths(&mut paths);
         assert!(paths.is_empty());
     }
 
     #[test]
-    fn overflow_sheds_per_policy() {
+    fn overflow_sheds_the_oldest_frame() {
         let cfg = ShardConfig {
             ingest_cap: 2,
-            overflow: OverflowPolicy::DropOldest,
             ..ShardConfig::default()
         };
         let mut s = shard(cfg);
@@ -777,16 +750,13 @@ mod tests {
             IngestOutcome::Shed(old) => assert_eq!(old.seq, 0, "oldest shed first"),
             IngestOutcome::Accepted => panic!("expected shed"),
         }
-        let cfg = ShardConfig {
-            ingest_cap: 1,
-            overflow: OverflowPolicy::DropNewest,
-            ..ShardConfig::default()
-        };
-        let mut s = shard(cfg);
-        s.ingest(envelope(0, 0, 100), 0);
-        match s.ingest(envelope(0, 1, 100), 0) {
-            IngestOutcome::Shed(new) => assert_eq!(new.seq, 1, "newest shed"),
-            IngestOutcome::Accepted => panic!("expected shed"),
-        }
+        assert_eq!(s.queue_len(), 2, "the newcomer took the freed slot");
+        let queued: Vec<u64> = std::iter::from_fn(|| s.process_one(1))
+            .map(|o| match o {
+                ProcessOutcome::Applied { seq, .. } | ProcessOutcome::Duplicate { seq, .. } => seq,
+                ProcessOutcome::Corrupt { .. } => panic!("intact frames"),
+            })
+            .collect();
+        assert_eq!(queued, vec![1, 2]);
     }
 }

@@ -16,6 +16,12 @@
 //! fire a [`RecalibrationTrigger`] and everything is exported through the
 //! shared [`MetricsRegistry`].
 //!
+//! The tuning is fixed: the constants below are the values E9 and E15
+//! run with (DESIGN.md "Fixed constants" says why each is what it is),
+//! sized for the simulated i3 rig — PowerSpy noise σ ≈ 0.35 W at 1 Hz, a
+//! model whose stationary fit bias reaches ≈ 4 W at full co-run load, and
+//! thermal leakage drifting it ≈ 15–18 W with a 30 s time constant.
+//!
 //! When model health is *not* enabled (the default), none of this exists:
 //! no actor is spawned, formulas hold no handle, and the hot path gains
 //! no clock reads or allocations.
@@ -38,55 +44,33 @@ use std::sync::Arc;
 /// deviations (≈95 % coverage under the Gaussian calibration residuals).
 pub const PREDICTION_Z: f64 = 2.0;
 
-/// Tuning for the residual monitor. Defaults are sized for the simulated
-/// i3 rig: PowerSpy noise σ ≈ 0.35 W at 1 Hz, thermal leakage ramping
-/// ~+4.8 W with a 30 s time constant under sustained load.
-#[derive(Debug, Clone)]
-pub struct HealthConfig {
-    /// EWMA smoothing factor for bias/MAE (0 < α ≤ 1).
-    pub ewma_alpha: f64,
-    /// CUSUM slack `k` in watts: residual deviations below this are
-    /// treated as noise (≈ σ of the stationary residual).
-    pub cusum_slack_w: f64,
-    /// CUSUM alarm threshold `h` in watts of accumulated deviation.
-    pub cusum_threshold_w: f64,
-    /// Page–Hinkley tolerance δ in watts.
-    pub ph_delta_w: f64,
-    /// Page–Hinkley alarm threshold λ in watts.
-    pub ph_lambda_w: f64,
-    /// Extra out-of-band margin added to the reported prediction band
-    /// (covers meter noise, which calibration residuals do not include).
-    pub band_margin_w: f64,
-    /// Residual samples to observe before the detectors may alarm
-    /// (absorbs start-up transients such as the first short interval).
-    pub warmup_ticks: u64,
-    /// How far apart (in time) an estimate and a meter sample may be and
-    /// still be compared.
-    pub pair_window: Nanos,
-    /// Meter samples buffered while waiting for their matching estimate.
-    pub meter_buffer: usize,
-    /// Minimum simulated time between recalibration requests (a sustained
-    /// drift alarms repeatedly; the trigger collapses each window's burst
-    /// into one request).
-    pub recalibration_cooldown: Nanos,
-}
+/// EWMA smoothing factor for the residual bias and MAE.
+pub const EWMA_ALPHA: f64 = 0.2;
 
-impl Default for HealthConfig {
-    fn default() -> HealthConfig {
-        HealthConfig {
-            ewma_alpha: 0.2,
-            cusum_slack_w: 0.5,
-            cusum_threshold_w: 6.0,
-            ph_delta_w: 0.25,
-            ph_lambda_w: 15.0,
-            band_margin_w: 1.5,
-            warmup_ticks: 3,
-            pair_window: Nanos::from_millis(1500),
-            meter_buffer: 16,
-            recalibration_cooldown: Nanos::from_secs(30),
-        }
-    }
-}
+/// CUSUM slack `k`, watts: residual deviations below it are noise.
+pub const CUSUM_SLACK_W: f64 = 5.0;
+
+/// CUSUM alarm threshold `h`, watts of accumulated excess deviation.
+pub const CUSUM_THRESHOLD_W: f64 = 15.0;
+
+/// Page–Hinkley tolerance δ, watts.
+pub const PH_DELTA_W: f64 = 1.5;
+
+/// Page–Hinkley alarm threshold λ, watts.
+pub const PH_LAMBDA_W: f64 = 45.0;
+
+/// Margin added to the reported prediction band before a residual counts
+/// as out of band (meter noise, which calibration residuals omit).
+pub const BAND_MARGIN_W: f64 = 1.5;
+
+/// Residual samples observed before the detectors may alarm.
+pub const WARMUP_TICKS: u64 = 3;
+
+/// How far apart an estimate and a meter sample may be and still pair.
+pub const PAIR_WINDOW: Nanos = Nanos::from_millis(1500);
+
+/// Meter samples buffered while waiting for their matching estimate.
+pub const METER_BUFFER: usize = 16;
 
 /// What a run's model-health tracking observed, for [`RunOutcome`].
 ///
@@ -273,7 +257,6 @@ impl HealthMetrics {
 /// [`Topic::Aggregate`]: crate::msg::Topic::Aggregate
 /// [`Topic::Meter`]: crate::msg::Topic::Meter
 pub struct ResidualMonitor {
-    cfg: HealthConfig,
     health: ModelHealth,
     trigger: Option<RecalibrationTrigger>,
     cusum: Cusum,
@@ -288,25 +271,15 @@ pub struct ResidualMonitor {
 }
 
 impl ResidualMonitor {
-    /// Builds the monitor. Detector parameters come from `cfg`; invalid
-    /// combinations fall back to the defaults (which are always valid).
-    pub fn new(
-        cfg: HealthConfig,
-        health: ModelHealth,
-        trigger: Option<RecalibrationTrigger>,
-    ) -> ResidualMonitor {
-        let cusum = Cusum::new(0.0, cfg.cusum_slack_w, cfg.cusum_threshold_w)
-            .unwrap_or_else(|_| Cusum::new(0.0, 0.5, 6.0).expect("default cusum params"));
-        let ph = PageHinkley::new(cfg.ph_delta_w, cfg.ph_lambda_w)
-            .unwrap_or_else(|_| PageHinkley::new(0.25, 15.0).expect("default ph params"));
-        let meter = VecDeque::with_capacity(cfg.meter_buffer.max(1));
+    /// Builds the monitor writing `health`, firing `trigger` on alarms.
+    pub fn new(health: ModelHealth, trigger: Option<RecalibrationTrigger>) -> ResidualMonitor {
         ResidualMonitor {
-            cfg,
             health,
             trigger,
-            cusum,
-            ph,
-            meter,
+            cusum: Cusum::new(0.0, CUSUM_SLACK_W, CUSUM_THRESHOLD_W)
+                .expect("valid CUSUM constants"),
+            ph: PageHinkley::new(PH_DELTA_W, PH_LAMBDA_W).expect("valid Page-Hinkley constants"),
+            meter: VecDeque::with_capacity(METER_BUFFER),
             ticks: 0,
             bias: 0.0,
             mae: 0.0,
@@ -322,7 +295,7 @@ impl ResidualMonitor {
     /// Pops the buffered meter sample closest to `ts` within the pairing
     /// window.
     fn take_meter_near(&mut self, ts: Nanos) -> Option<Watts> {
-        let window = self.cfg.pair_window.as_u64();
+        let window = PAIR_WINDOW.as_u64();
         let (idx, _) = self
             .meter
             .iter()
@@ -346,20 +319,18 @@ impl ResidualMonitor {
             self.bias = residual_w;
             self.mae = residual_w.abs();
         } else {
-            let a = self.cfg.ewma_alpha;
-            self.bias += a * (residual_w - self.bias);
-            self.mae += a * (residual_w.abs() - self.mae);
+            self.bias += EWMA_ALPHA * (residual_w - self.bias);
+            self.mae += EWMA_ALPHA * (residual_w.abs() - self.mae);
         }
-        let band_eff = band_w + self.cfg.band_margin_w;
+        let band_eff = band_w + BAND_MARGIN_W;
         let out_of_band = residual_w.abs() > band_eff;
         self.health
             .record_residual(residual_w, self.bias, self.mae, band_eff, out_of_band);
 
         let mut alarmed = false;
-        if self.ticks > self.cfg.warmup_ticks {
-            // Non-finite residuals were filtered by the caller, so the
-            // detectors only error on mis-tuned parameters — treat that
-            // as "no alarm" rather than poisoning the pipeline.
+        if self.ticks > WARMUP_TICKS {
+            // The detectors only refuse non-finite samples, which the
+            // caller already filtered.
             alarmed |= self.cusum.update(residual_w).unwrap_or(false);
             alarmed |= self.ph.update(residual_w).unwrap_or(false);
         }
@@ -407,7 +378,7 @@ impl Actor for ResidualMonitor {
     fn handle(&mut self, msg: Message, ctx: &Context) {
         match msg {
             Message::Meter(at, w) => {
-                if self.meter.len() == self.cfg.meter_buffer.max(1) {
+                if self.meter.len() == METER_BUFFER {
                     self.meter.pop_front();
                 }
                 self.meter.push_back((at, w));
@@ -467,12 +438,8 @@ mod tests {
 
     fn run_pairs(pairs: &[(f64, f64)], band: f64) -> (ModelHealthSummary, u64) {
         let health = ModelHealth::new();
-        let trigger = RecalibrationTrigger::new(Nanos::ZERO);
-        let monitor = ResidualMonitor::new(
-            HealthConfig::default(),
-            health.clone(),
-            Some(trigger.clone()),
-        );
+        let trigger = RecalibrationTrigger::new();
+        let monitor = ResidualMonitor::new(health.clone(), Some(trigger.clone()));
         let mut sys = ActorSystem::new();
         let m = sys.spawn("model-health", Box::new(monitor));
         sys.bus().subscribe(Topic::Aggregate, &m);
@@ -506,26 +473,27 @@ mod tests {
 
     #[test]
     fn sustained_drift_alarms_and_fires_trigger() {
-        // 30 clean ticks, then the meter runs 4 W above the estimate
+        // 30 clean ticks, then the meter runs 12 W above the estimate
         // (the thermal-leakage signature: estimate − meter goes negative).
         let mut pairs: Vec<(f64, f64)> = (0..30).map(|_| (36.0, 36.0)).collect();
-        pairs.extend((0..30).map(|_| (36.0, 40.0)));
+        pairs.extend((0..30).map(|_| (36.0, 48.0)));
         let (summary, fired) = run_pairs(&pairs, 1.0);
         assert!(summary.alarms >= 1, "drift must alarm: {summary:?}");
         assert!(fired >= 1, "trigger must fire");
         let first = summary.first_alarm_s.expect("alarm timestamp recorded");
-        // Drift starts at tick 31; CUSUM needs ~2 ticks of 4 W excess.
+        // Drift starts at tick 31; CUSUM accumulates 12 − 5 W a tick and
+        // crosses 15 W on the third.
         assert!(
             (31.0..40.0).contains(&first),
             "first alarm at {first}s should closely follow drift onset"
         );
-        assert!(summary.out_of_band_ticks >= 25, "4 W >> 1 W band + margin");
+        assert!(summary.out_of_band_ticks >= 25, "12 W >> 1 W band + margin");
         assert!(summary.bias_w < -2.0, "bias tracks the signed residual");
     }
 
     #[test]
     fn out_of_band_respects_reported_band() {
-        // 2.2 W residual, 1 W margin: out of band with a 0.5 W band,
+        // 2.2 W residual, 1.5 W margin: out of band with a 0.5 W band,
         // inside with a 3 W band.
         let pairs: Vec<(f64, f64)> = (0..10).map(|_| (38.2, 36.0)).collect();
         let (narrow, _) = run_pairs(&pairs, 0.5);
@@ -537,7 +505,7 @@ mod tests {
     #[test]
     fn unpaired_streams_produce_no_residuals() {
         let health = ModelHealth::new();
-        let monitor = ResidualMonitor::new(HealthConfig::default(), health.clone(), None);
+        let monitor = ResidualMonitor::new(health.clone(), None);
         let mut sys = ActorSystem::new();
         let m = sys.spawn("model-health", Box::new(monitor));
         sys.bus().subscribe(Topic::Aggregate, &m);
@@ -552,11 +520,7 @@ mod tests {
 
     #[test]
     fn meter_buffer_is_bounded() {
-        let cfg = HealthConfig {
-            meter_buffer: 4,
-            ..HealthConfig::default()
-        };
-        let monitor = ResidualMonitor::new(cfg, ModelHealth::new(), None);
+        let monitor = ResidualMonitor::new(ModelHealth::new(), None);
         let mut sys = ActorSystem::new();
         let m = sys.spawn("model-health", Box::new(monitor));
         sys.bus().subscribe(Topic::Meter, &m);

@@ -104,7 +104,7 @@ pub mod prelude {
     pub use crate::frame::{
         AggregateBatch, FramePool, PowerBatch, SensorBatch, SensorRow, TickFrame,
     };
-    pub use crate::health::{HealthConfig, ModelHealth, ModelHealthSummary};
+    pub use crate::health::{ModelHealth, ModelHealthSummary};
     pub use crate::hierarchy::{Hierarchy, HierarchyAggregator};
     pub use crate::model::learn::{learn_model, LearnConfig};
     pub use crate::model::power_model::PerFrequencyPowerModel;

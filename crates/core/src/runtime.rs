@@ -33,7 +33,7 @@ use crate::control::{RateControlActor, RecalibrationTrigger};
 use crate::formula::fallback::FallbackFormula;
 use crate::formula::{FormulaActor, PowerFormula};
 use crate::frame::FramePool;
-use crate::health::{HealthConfig, ModelHealth, ModelHealthSummary, ResidualMonitor};
+use crate::health::{ModelHealth, ModelHealthSummary, ResidualMonitor};
 use crate::host::SimHost;
 use crate::msg::{AggregateReport, Message, Scope, Topic};
 use crate::reporter::{Format, MemoryHandle, MemoryReporter, TextReporter};
@@ -82,11 +82,9 @@ pub struct PowerApiBuilder {
     telemetry: bool,
     telemetry_out: Option<Box<dyn Write + Send>>,
     profile_self: Option<f64>,
-    model_health: Option<HealthConfig>,
+    model_health: bool,
     adaptive: Option<SamplingConfig>,
     post_mortem_dir: Option<PathBuf>,
-    post_mortem_window: Nanos,
-    post_mortem_always: bool,
 }
 
 impl PowerApiBuilder {
@@ -111,11 +109,9 @@ impl PowerApiBuilder {
             telemetry: true,
             telemetry_out: None,
             profile_self: None,
-            model_health: None,
+            model_health: false,
             adaptive: None,
             post_mortem_dir: None,
-            post_mortem_window: Nanos::from_secs(60),
-            post_mortem_always: false,
         }
     }
 
@@ -143,26 +139,19 @@ impl PowerApiBuilder {
         self
     }
 
-    /// Overrides the scheduler quantum driving the simulation.
+    /// Overrides the scheduler quantum driving the simulation. Zero is
+    /// rejected by [`PowerApiBuilder::build`].
     #[must_use]
     pub fn quantum(mut self, quantum: Nanos) -> PowerApiBuilder {
-        self.quantum = if quantum == Nanos::ZERO {
-            Nanos(1)
-        } else {
-            quantum
-        };
+        self.quantum = quantum;
         self
     }
 
     /// Overrides the monitoring clock period (default 1 s, the paper's
-    /// trace granularity).
+    /// trace granularity). Zero is rejected by [`PowerApiBuilder::build`].
     #[must_use]
     pub fn clock_period(mut self, period: Nanos) -> PowerApiBuilder {
-        self.clock_period = if period == Nanos::ZERO {
-            Nanos::from_secs(1)
-        } else {
-            period
-        };
+        self.clock_period = period;
         self
     }
 
@@ -353,11 +342,12 @@ impl PowerApiBuilder {
     /// sample, feeds the residual to CUSUM and Page–Hinkley drift
     /// detectors, downgrades formula report quality while the residual
     /// sits outside the prediction band, and raises a
-    /// [`RecalibrationTrigger`] on sustained drift. Off by default —
-    /// when off, the hot path carries no health state at all.
+    /// [`RecalibrationTrigger`] on sustained drift. The detector tuning
+    /// is fixed (the `health` module's constants). Off by default — when
+    /// off, the hot path carries no health state at all.
     #[must_use]
-    pub fn model_health(mut self, config: HealthConfig) -> PowerApiBuilder {
-        self.model_health = Some(config);
+    pub fn model_health(mut self) -> PowerApiBuilder {
+        self.model_health = true;
         self
     }
 
@@ -376,34 +366,17 @@ impl PowerApiBuilder {
         self
     }
 
-    /// Arms the flight recorder's post-mortem dump: when the run ends in
-    /// panic-escalation, a degraded shutdown, or with a latched
-    /// recalibration trigger, [`PowerApi::finish`] writes the last-window
-    /// journal (`journal.jsonl`), the matching trace spans as Chrome
-    /// trace-event JSON (`trace.json`) and a metrics snapshot
-    /// (`metrics.prom`) into `dir`, surfacing the result via
-    /// [`RunOutcome::flight_recorder`]. Requires telemetry.
+    /// Arms the flight recorder's post-mortem dump: [`PowerApi::finish`]
+    /// writes the retained journal (`journal.jsonl`), the retained trace
+    /// spans as Chrome trace-event JSON (`trace.json`) and a metrics
+    /// snapshot (`metrics.prom`) into `dir`, surfacing the result via
+    /// [`RunOutcome::flight_recorder`]. The report's reason names what
+    /// went wrong — panic-escalation, a degraded shutdown, a latched
+    /// recalibration trigger — or is `requested` on a clean run.
+    /// Requires telemetry.
     #[must_use]
     pub fn post_mortem_to(mut self, dir: impl Into<PathBuf>) -> PowerApiBuilder {
         self.post_mortem_dir = Some(dir.into());
-        self
-    }
-
-    /// Overrides the post-mortem window (default 60 s of simulated time):
-    /// only journal events and spans from the last `window` before
-    /// shutdown make it into the dump.
-    #[must_use]
-    pub fn post_mortem_window(mut self, window: Nanos) -> PowerApiBuilder {
-        self.post_mortem_window = window.max(Nanos(1));
-        self
-    }
-
-    /// Also dump on clean shutdowns (reason `requested`) — black-box
-    /// capture for experiments that want the full recording regardless of
-    /// how the run ended.
-    #[must_use]
-    pub fn post_mortem_always(mut self, always: bool) -> PowerApiBuilder {
-        self.post_mortem_always = always;
         self
     }
 
@@ -413,9 +386,10 @@ impl PowerApiBuilder {
     ///
     /// [`Error::Middleware`] when no formula was added, when machine
     /// aggregation is combined with multiple formulas (their estimates
-    /// would be double-counted), when the PMU slot count is zero, or when
-    /// [`PowerApiBuilder::degrade_to`] is combined with multiple formulas
-    /// (the backup would shadow all of them at once).
+    /// would be double-counted), when the PMU slot count, the quantum or
+    /// the clock period is zero, or when [`PowerApiBuilder::degrade_to`]
+    /// is combined with multiple formulas (the backup would shadow all of
+    /// them at once).
     pub fn build(mut self) -> Result<PowerApi> {
         if self.formulas.is_empty() {
             return Err(Error::Middleware("at least one formula is required".into()));
@@ -424,6 +398,12 @@ impl PowerApiBuilder {
             return Err(Error::Middleware(
                 "PMU slot count must be at least 1".into(),
             ));
+        }
+        if self.quantum == Nanos::ZERO {
+            return Err(Error::Middleware("quantum must be non-zero".into()));
+        }
+        if self.clock_period == Nanos::ZERO {
+            return Err(Error::Middleware("clock period must be non-zero".into()));
         }
         if self.degrade.is_some() && self.formulas.len() > 1 {
             return Err(Error::Middleware(
@@ -480,11 +460,10 @@ impl PowerApiBuilder {
         // Model-health plumbing: one shared handle the monitor writes and
         // the formulas read, plus the recalibration hook. All `None`-cost
         // when the builder didn't ask for it.
-        let model_health = self.model_health.map(|cfg| {
-            let trigger = RecalibrationTrigger::new(cfg.recalibration_cooldown);
-            (cfg, ModelHealth::new(), trigger)
-        });
-        let formula_health = model_health.as_ref().map(|(_, h, _)| h.clone());
+        let model_health = self
+            .model_health
+            .then(|| (ModelHealth::new(), RecalibrationTrigger::new()));
+        let formula_health = model_health.as_ref().map(|(h, _)| h.clone());
 
         if let Some((backup, max_age)) = self.degrade {
             let primary = self.formulas.pop().expect("checked non-empty above");
@@ -527,8 +506,8 @@ impl PowerApiBuilder {
 
         // The residual monitor sits after the aggregator: it consumes the
         // machine aggregates and the raw meter stream.
-        if let Some((cfg, health, trigger)) = &model_health {
-            let monitor = ResidualMonitor::new(cfg.clone(), health.clone(), Some(trigger.clone()));
+        if let Some((health, trigger)) = &model_health {
+            let monitor = ResidualMonitor::new(health.clone(), Some(trigger.clone()));
             let r = system.spawn_with(
                 "model-health",
                 Box::new(monitor),
@@ -542,7 +521,7 @@ impl PowerApiBuilder {
         // aggregate stream, plus the shared health view for its verdicts.
         let sampling = self.adaptive.map(SamplingController::new);
         if let Some(ctrl) = &sampling {
-            let health = model_health.as_ref().map(|(_, h, _)| h.clone());
+            let health = formula_health.clone();
             let r = system.spawn_with(
                 "rate-control",
                 Box::new(RateControlActor::new(
@@ -597,14 +576,12 @@ impl PowerApiBuilder {
             memory: self.memory,
             telemetry,
             telemetry_out: self.telemetry_out,
-            model_health: model_health.map(|(_, h, t)| (h, t)),
+            model_health,
             sampling,
             selfcost,
             selfcost_prev_stage: [0; 6],
             selfcost_prev_snapshot: 0,
-            post_mortem: self
-                .post_mortem_dir
-                .map(|dir| (dir, self.post_mortem_window, self.post_mortem_always)),
+            post_mortem: self.post_mortem_dir,
             fault_prev_meter: MeterFaultStats::default(),
             fault_prev_counters: CounterFaultStats::default(),
             pool: FramePool::new(),
@@ -635,8 +612,8 @@ pub struct PowerApi {
     selfcost_prev_stage: [u64; 6],
     /// Snapshot-harvest ns already charged to the ledger.
     selfcost_prev_snapshot: u64,
-    /// Post-mortem dump config: `(dir, window, always)`.
-    post_mortem: Option<(PathBuf, Nanos, bool)>,
+    /// Where the post-mortem dump goes, when armed.
+    post_mortem: Option<PathBuf>,
     /// Meter fault stats at the previous tick boundary, so each boundary
     /// journals only the *new* fault activity.
     fault_prev_meter: MeterFaultStats,
@@ -937,10 +914,10 @@ impl PowerApi {
         })
     }
 
-    /// Why a post-mortem dump is due, if it is: panic-escalation (any
-    /// actor died or escalated), degraded shutdown (the run ended with at
-    /// least one pid still served by the fallback formula), or a latched,
-    /// unconsumed recalibration trigger.
+    /// What went wrong, if anything: panic-escalation (any actor died or
+    /// escalated), degraded shutdown (the run ended with at least one pid
+    /// still served by the fallback formula), or a latched, unconsumed
+    /// recalibration trigger.
     fn post_mortem_reason(&self, health: &ShutdownSummary) -> Option<String> {
         let mut reasons: Vec<&str> = Vec::new();
         if !health.panicked.is_empty() || health.escalated {
@@ -964,18 +941,15 @@ impl PowerApi {
         }
     }
 
-    /// Writes the post-mortem dump when armed and due.
+    /// Writes the post-mortem dump when armed.
     fn write_post_mortem(&self, health: &ShutdownSummary) -> Result<Option<PostMortemReport>> {
-        let Some((dir, window, always)) = &self.post_mortem else {
+        let Some(dir) = &self.post_mortem else {
             return Ok(None);
         };
-        let reason = match (self.post_mortem_reason(health), *always) {
-            (Some(r), _) => r,
-            (None, true) => "requested".to_string(),
-            (None, false) => return Ok(None),
-        };
-        let horizon = self.telemetry.journal().now().saturating_sub(*window);
-        export::write_post_mortem(dir, &self.telemetry, horizon, &reason)
+        let reason = self
+            .post_mortem_reason(health)
+            .unwrap_or_else(|| "requested".to_string());
+        export::write_post_mortem(dir, &self.telemetry, &reason)
             .map(Some)
             .map_err(|e| Error::Middleware(format!("post-mortem dump to {}: {e}", dir.display())))
     }
@@ -1021,8 +995,7 @@ pub struct RunOutcome {
     /// [`PowerApiBuilder::adaptive_sampling`] enabled the ledger.
     pub selfcost: SelfCostSummary,
     /// Where (and why) the flight recorder wrote a post-mortem dump —
-    /// `None` unless [`PowerApiBuilder::post_mortem_to`] was armed and a
-    /// dump condition held at shutdown (or `post_mortem_always` was set).
+    /// `None` unless [`PowerApiBuilder::post_mortem_to`] was armed.
     pub flight_recorder: Option<PostMortemReport>,
 }
 
@@ -1040,28 +1013,28 @@ impl RunOutcome {
             .filter(|r| r.quality != crate::msg::Quality::Full)
             .count()
     }
-    /// Machine-scope estimates as `(timestamp, watts)`, time-ordered.
-    pub fn machine_estimates(&self) -> Vec<(Nanos, Watts)> {
+
+    /// The estimates whose scope `keep` accepts, as `(timestamp, watts)`,
+    /// time-ordered (stable: same-timestamp reports keep arrival order).
+    fn estimates(&self, keep: impl Fn(&Scope) -> bool) -> Vec<(Nanos, Watts)> {
         let mut v: Vec<(Nanos, Watts)> = self
             .reports
             .iter()
-            .filter(|r| r.scope == Scope::Machine)
+            .filter(|r| keep(&r.scope))
             .map(|r| (r.timestamp, r.power))
             .collect();
         v.sort_by_key(|(t, _)| *t);
         v
     }
 
+    /// Machine-scope estimates as `(timestamp, watts)`, time-ordered.
+    pub fn machine_estimates(&self) -> Vec<(Nanos, Watts)> {
+        self.estimates(|s| *s == Scope::Machine)
+    }
+
     /// One process's estimates as `(timestamp, watts)`, time-ordered.
     pub fn process_estimates(&self, pid: Pid) -> Vec<(Nanos, Watts)> {
-        let mut v: Vec<(Nanos, Watts)> = self
-            .reports
-            .iter()
-            .filter(|r| r.scope == Scope::Process(pid))
-            .map(|r| (r.timestamp, r.power))
-            .collect();
-        v.sort_by_key(|(t, _)| *t);
-        v
+        self.estimates(|s| *s == Scope::Process(pid))
     }
 
     /// The middleware's own estimates as `(timestamp, watts)` — empty
@@ -1073,14 +1046,7 @@ impl RunOutcome {
     /// One named group's estimates as `(timestamp, watts)`, time-ordered
     /// (see [`PowerApiBuilder::hierarchy`]).
     pub fn group_estimates(&self, group: &str) -> Vec<(Nanos, Watts)> {
-        let mut v: Vec<(Nanos, Watts)> = self
-            .reports
-            .iter()
-            .filter(|r| matches!(&r.scope, Scope::Group(g) if &**g == group))
-            .map(|r| (r.timestamp, r.power))
-            .collect();
-        v.sort_by_key(|(t, _)| *t);
-        v
+        self.estimates(|s| matches!(s, Scope::Group(g) if &**g == group))
     }
 
     /// Machine estimates as a [`powermeter::trace::PowerTrace`].
@@ -1128,6 +1094,22 @@ mod tests {
             PowerApi::builder(kernel).build(),
             Err(Error::Middleware(_))
         ));
+    }
+
+    #[test]
+    fn zero_quantum_or_clock_period_is_a_build_error_not_a_silent_clamp() {
+        let (kernel, _) = busy_kernel();
+        let err = PowerApi::builder(kernel)
+            .formula(paper_formula())
+            .quantum(Nanos::ZERO)
+            .build();
+        assert!(matches!(err, Err(Error::Middleware(m)) if m.contains("quantum")));
+        let (kernel, _) = busy_kernel();
+        let err = PowerApi::builder(kernel)
+            .formula(paper_formula())
+            .clock_period(Nanos::ZERO)
+            .build();
+        assert!(matches!(err, Err(Error::Middleware(m)) if m.contains("clock period")));
     }
 
     #[test]
@@ -1200,7 +1182,7 @@ mod tests {
             .formula(paper_formula())
             .report_to_memory()
             .quantum(Nanos::from_millis(2))
-            .model_health(HealthConfig::default())
+            .model_health()
             .build()
             .unwrap();
         papi.monitor(pid).unwrap();
@@ -1471,9 +1453,6 @@ mod tests {
             .quantum(Nanos::from_millis(2))
             .clock_period(Nanos::from_millis(500))
             .adaptive_sampling(SamplingConfig {
-                inband_ticks: 3,
-                hysteresis_ticks: 2,
-                inband_jitter: 0,
                 shed_slots: Some(2),
                 ..SamplingConfig::default()
             })
@@ -1553,13 +1532,12 @@ mod tests {
             .quantum(Nanos::from_millis(2))
             .clock_period(Nanos::from_millis(500))
             .post_mortem_to(&dir)
-            .post_mortem_always(true)
             .build()
             .unwrap();
         papi.monitor(pid).unwrap();
         papi.run_for(Nanos::from_secs(4)).unwrap();
         let out = papi.finish().unwrap();
-        let report = out.flight_recorder.as_ref().expect("dump armed + always");
+        let report = out.flight_recorder.as_ref().expect("an armed dump");
         assert_eq!(report.reason, "requested", "clean run dumps as requested");
         assert!(report.events > 0 && report.spans > 0 && report.bytes > 0);
         // The dump parses back and reconstructs what happened.
@@ -1585,23 +1563,32 @@ mod tests {
     }
 
     #[test]
-    fn flight_recorder_stays_quiet_on_clean_runs_unless_always() {
+    fn post_mortem_covers_the_whole_retained_journal() {
         let (kernel, pid) = busy_kernel();
-        let dir = std::env::temp_dir().join(format!("powerapi-fr-quiet-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("powerapi-fr-whole-{}", std::process::id()));
         let mut papi = PowerApi::builder(kernel)
             .formula(paper_formula())
-            .report_to_memory()
-            .quantum(Nanos::from_millis(5))
-            .clock_period(Nanos::from_millis(500))
+            .quantum(Nanos::from_millis(10))
             .post_mortem_to(&dir)
             .build()
             .unwrap();
         papi.monitor(pid).unwrap();
-        papi.run_for(Nanos::from_secs(1)).unwrap();
+        // Longer than a minute: the dump is not a trailing window.
+        papi.run_for(Nanos::from_secs(70)).unwrap();
+        let telemetry = papi.telemetry().clone();
         let out = papi.finish().unwrap();
-        assert!(out.is_healthy());
-        assert!(out.flight_recorder.is_none(), "no trigger, no dump");
-        assert!(!dir.exists(), "no files written either");
+        let report = out.flight_recorder.as_ref().expect("an armed dump");
+        assert_eq!(report.events, telemetry.journal().len());
+        assert_eq!(report.spans, telemetry.tracer().spans().len());
+        let jsonl = std::fs::read_to_string(dir.join("journal.jsonl")).unwrap();
+        let events = crate::telemetry::parse_jsonl(&jsonl).unwrap();
+        assert!(
+            events
+                .iter()
+                .any(|e| e.kind == EventKind::ActorStart && e.at == Nanos::ZERO),
+            "the spawn-time events are in the dump"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -592,58 +592,42 @@ pub struct PostMortemReport {
     /// Why the dump fired (`panic-escalation`, `degraded-shutdown`,
     /// `recalibration-latched`, `requested`, or a `+`-joined combination).
     pub reason: String,
-    /// Journal events inside the dump window.
+    /// Journal events in the dump (the whole retained ring).
     pub events: usize,
-    /// Trace spans inside the dump window.
+    /// Trace spans in the dump (every span the tracer retains).
     pub spans: usize,
     /// Total bytes written across the three dump files.
     pub bytes: u64,
 }
 
 /// Writes `journal.jsonl`, `trace.json` and `metrics.prom` into `dir`
-/// (created if missing), restricted to events/spans at or after
-/// `horizon` — the runtime's "last N seconds" window.
+/// (created if missing): everything the journal ring and the tracer
+/// retain — both are bounded already, so the dump needs no window of
+/// its own.
 pub fn write_post_mortem(
     dir: &Path,
     telemetry: &Telemetry,
-    horizon: Nanos,
     reason: &str,
 ) -> std::io::Result<PostMortemReport> {
-    write_post_mortem_with_fleet(dir, telemetry, &[], 0, horizon, reason)
+    write_post_mortem_with_fleet(dir, telemetry, &[], 0, reason)
 }
 
 /// [`write_post_mortem`] with fleet journey tracks folded into
 /// `trace.json` (see [`chrome_trace_full`]) — the dump a fleet bench or
-/// an exhausted SLO budget writes. Hops before `horizon` are filtered
-/// out like events and spans.
+/// an exhausted SLO budget writes.
 pub fn write_post_mortem_with_fleet(
     dir: &Path,
     telemetry: &Telemetry,
     fleet_hops: &[FleetHop],
     fleet_tick_ns: u64,
-    horizon: Nanos,
     reason: &str,
 ) -> std::io::Result<PostMortemReport> {
     std::fs::create_dir_all(dir)?;
-    let events = telemetry.journal().events_since(horizon);
-    let spans: Vec<TraceSpan> = telemetry
-        .tracer()
-        .spans()
-        .into_iter()
-        .filter(|s| s.tick_ts >= horizon)
-        .collect();
-    let tick_ns = fleet_tick_ns.max(1);
-    let hops: Vec<FleetHop> = fleet_hops
-        .iter()
-        .filter(|h| h.tick.saturating_mul(tick_ns) >= horizon.as_u64())
-        .copied()
-        .collect();
+    let events = telemetry.journal().events();
+    let spans = telemetry.tracer().spans();
     let jsonl = dump_jsonl(&events);
-    let trace = chrome_trace_full(&spans, &events, &hops, fleet_tick_ns);
-    let mut prom = format!(
-        "# powerapi post-mortem: {reason}\n# horizon_ns: {}\n",
-        horizon.as_u64()
-    );
+    let trace = chrome_trace_full(&spans, &events, fleet_hops, fleet_tick_ns);
+    let mut prom = format!("# powerapi post-mortem: {reason}\n");
     prom.push_str(&telemetry.render_prometheus());
     std::fs::write(dir.join("journal.jsonl"), &jsonl)?;
     std::fs::write(dir.join("trace.json"), &trace)?;
@@ -799,7 +783,7 @@ mod tests {
     }
 
     #[test]
-    fn post_mortem_writes_three_files_and_respects_horizon() {
+    fn post_mortem_writes_three_files_with_the_whole_journal() {
         let t = Telemetry::new();
         let id = t.trace_for_tick(Nanos::from_secs(9));
         let name: Arc<str> = Arc::from("sensor-hpc");
@@ -807,24 +791,24 @@ mod tests {
         t.journal().emit_at(
             Nanos::from_secs(1),
             EventKind::ActorStart,
-            "old",
-            "outside window",
+            "early",
+            "at the start of the run",
             TraceId::NONE,
         );
         t.journal().emit_at(
             Nanos::from_secs(9),
             EventKind::DriftAlarm,
             "model-health",
-            "inside window",
+            "at the end",
             id,
         );
         let dir = std::env::temp_dir().join(format!("powerapi-pm-test-{}", std::process::id()));
-        let report = write_post_mortem(&dir, &t, Nanos::from_secs(5), "requested").expect("dump");
-        assert_eq!(report.events, 1, "horizon filters the old event");
+        let report = write_post_mortem(&dir, &t, "requested").expect("dump");
+        assert_eq!(report.events, 2, "every retained event, however old");
         assert_eq!(report.spans, 1);
         assert!(report.bytes > 0);
         let jsonl = std::fs::read_to_string(dir.join("journal.jsonl")).unwrap();
-        assert_eq!(parse_jsonl(&jsonl).unwrap().len(), 1);
+        assert_eq!(parse_jsonl(&jsonl).unwrap(), t.journal().events());
         let trace = std::fs::read_to_string(dir.join("trace.json")).unwrap();
         parse_json(&trace).expect("dump trace is valid JSON");
         let prom = std::fs::read_to_string(dir.join("metrics.prom")).unwrap();
@@ -909,7 +893,7 @@ mod tests {
     }
 
     #[test]
-    fn post_mortem_with_fleet_respects_horizon() {
+    fn post_mortem_with_fleet_writes_every_hop() {
         use crate::fleet::observe::HopStage;
         use crate::fleet::HostId;
         let t = Telemetry::new();
@@ -932,15 +916,9 @@ mod tests {
             },
         ];
         let dir = std::env::temp_dir().join(format!("powerapi-pmf-test-{}", std::process::id()));
-        let report = write_post_mortem_with_fleet(
-            &dir,
-            &t,
-            &hops,
-            1_000_000_000,
-            Nanos::from_secs(5),
-            "slo-budget-exhausted",
-        )
-        .expect("dump");
+        let report =
+            write_post_mortem_with_fleet(&dir, &t, &hops, 1_000_000_000, "slo-budget-exhausted")
+                .expect("dump");
         assert_eq!(report.reason, "slo-budget-exhausted");
         let trace = std::fs::read_to_string(dir.join("trace.json")).unwrap();
         let doc = parse_json(&trace).expect("valid JSON");
@@ -952,11 +930,11 @@ mod tests {
             .iter()
             .filter(|e| e.get("cat").and_then(Json::as_str) == Some("fleet"))
             .collect();
-        assert_eq!(fleet.len(), 1, "hop before the horizon is filtered");
-        assert_eq!(
-            fleet[0].get("args").unwrap().get("seq").unwrap().as_u64(),
-            Some(8)
-        );
+        let seqs: Vec<u64> = fleet
+            .iter()
+            .map(|e| e.get("args").unwrap().get("seq").unwrap().as_u64().unwrap())
+            .collect();
+        assert_eq!(seqs, vec![0, 8], "every hop, oldest first");
         std::fs::remove_dir_all(&dir).ok();
     }
 

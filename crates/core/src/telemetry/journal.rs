@@ -325,20 +325,6 @@ impl Journal {
             .collect()
     }
 
-    /// Retained events with `at >= horizon` — the "last N seconds" view
-    /// the post-mortem dump writes.
-    pub fn events_since(&self, horizon: Nanos) -> Vec<JournalEvent> {
-        self.inner
-            .state
-            .lock()
-            .expect("journal")
-            .ring
-            .iter()
-            .filter(|e| e.at >= horizon)
-            .cloned()
-            .collect()
-    }
-
     /// Number of retained events.
     pub fn len(&self) -> usize {
         self.inner.state.lock().expect("journal").ring.len()
@@ -442,22 +428,6 @@ mod tests {
         assert_eq!(j.emitted(), 10);
         assert_eq!(j.dropped(), 6, "evictions are counted, never silent");
         assert_eq!(j.events()[0].detail, "6", "oldest retained is #6");
-    }
-
-    #[test]
-    fn events_since_filters_by_horizon() {
-        let j = Journal::new(true, 64, Counter::default(), Counter::default());
-        for s in 0..10u64 {
-            j.emit_at(
-                Nanos::from_secs(s),
-                EventKind::DriftAlarm,
-                "model-health",
-                "",
-                TraceId::NONE,
-            );
-        }
-        assert_eq!(j.events_since(Nanos::from_secs(7)).len(), 3);
-        assert_eq!(j.events_since(Nanos(0)).len(), 10);
     }
 
     #[test]

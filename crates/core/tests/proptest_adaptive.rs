@@ -1,13 +1,15 @@
 //! Property tests for the adaptive sampling controller: decisions are a
-//! pure, seeded function of the observed schedule (bit-identical
-//! journals), every backoff honours the hysteresis window and the
-//! in-band streak requirement, breaches snap straight back to full
+//! pure function of the observed schedule (bit-identical journals),
+//! every backoff honours the hysteresis window and the in-band streak
+//! requirement, breaches snap straight back to full
 //! rate, and pinning the ladder (`max_factor = 1`) leaves the
 //! estimation pipeline bit-identical to a run without the controller.
 
 use os_sim::kernel::Kernel;
 use os_sim::task::SteadyTask;
-use powerapi::adaptive::{RateCause, RateTransition, SamplingConfig, SamplingController};
+use powerapi::adaptive::{
+    RateCause, RateTransition, SamplingConfig, SamplingController, HYSTERESIS_TICKS, INBAND_TICKS,
+};
 use powerapi::formula::per_freq::PerFrequencyFormula;
 use powerapi::model::power_model::PerFrequencyPowerModel;
 use powerapi::prelude::Dimension;
@@ -40,27 +42,10 @@ fn step() -> impl Strategy<Value = Step> {
 }
 
 fn config() -> impl Strategy<Value = SamplingConfig> {
-    (
-        1u32..=16,
-        0u32..=8,
-        1u32..=8,
-        0u32..=4,
-        0u64..=u64::MAX,
-        0u8..=1,
-    )
-        .prop_map(
-            |(max_factor, hysteresis_ticks, inband_ticks, inband_jitter, seed, shed)| {
-                SamplingConfig {
-                    max_factor,
-                    hysteresis_ticks,
-                    inband_ticks,
-                    inband_jitter,
-                    shed_slots: (shed == 1).then_some(2),
-                    seed,
-                    ..SamplingConfig::default()
-                }
-            },
-        )
+    (1u32..=16, 0u8..=1).prop_map(|(max_factor, shed)| SamplingConfig {
+        max_factor,
+        shed_slots: (shed == 1).then_some(2),
+    })
 }
 
 /// Replays `schedule` through a fresh controller, returning every
@@ -87,7 +72,7 @@ fn replay(cfg: &SamplingConfig, schedule: &[Step]) -> Vec<(usize, RateTransition
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Same seed, same schedule, same journal — the e15 goldens and the
+    /// Same schedule, same journal — the e15 goldens and the
     /// flight-recorder reconstruction both rely on replayability.
     #[test]
     fn identical_seeds_replay_bit_identical_journals(
@@ -120,15 +105,14 @@ proptest! {
                 // The streak can overshoot the requirement while the
                 // hysteresis window still blocks the step, but never
                 // undershoot it.
-                prop_assert!(t.inband_streak >= cfg.inband_ticks.max(1));
+                prop_assert!(t.inband_streak >= INBAND_TICKS);
                 let gap = match last_tick {
                     Some(prev) => tick - prev,
                     None => tick + 1,
                 };
                 prop_assert!(
-                    gap >= cfg.hysteresis_ticks as usize,
-                    "backoff after only {gap} ticks (hysteresis {})",
-                    cfg.hysteresis_ticks
+                    gap >= HYSTERESIS_TICKS as usize,
+                    "backoff after only {gap} ticks (hysteresis {HYSTERESIS_TICKS})"
                 );
             } else {
                 // Snap-backs land on full rate immediately, from a
@@ -160,10 +144,9 @@ proptest! {
     /// transition.
     #[test]
     fn pinned_ladder_never_transitions(
-        seed in 0u64..=u64::MAX,
         schedule in prop::collection::vec(step(), 0..200),
     ) {
-        let cfg = SamplingConfig { max_factor: 1, seed, ..SamplingConfig::default() };
+        let cfg = SamplingConfig { max_factor: 1, ..SamplingConfig::default() };
         prop_assert_eq!(replay(&cfg, &schedule), vec![]);
     }
 }

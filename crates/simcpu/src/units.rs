@@ -161,12 +161,12 @@ impl Nanos {
     pub const ZERO: Nanos = Nanos(0);
 
     /// Builds from whole milliseconds.
-    pub fn from_millis(ms: u64) -> Nanos {
+    pub const fn from_millis(ms: u64) -> Nanos {
         Nanos(ms * 1_000_000)
     }
 
     /// Builds from whole seconds.
-    pub fn from_secs(s: u64) -> Nanos {
+    pub const fn from_secs(s: u64) -> Nanos {
         Nanos(s * 1_000_000_000)
     }
 

@@ -606,3 +606,94 @@ fn corrupt_frames_counts_every_damaged_delivery_and_nothing_else() {
         "{damaged_processed} damaged copies"
     );
 }
+
+/// The retransmit budget, end to end: a host partitioned for the whole
+/// run never gets an ack, so every frame it sends is transmitted
+/// `MAX_RETRIES + 1` times and then abandoned — journeyed, counted and
+/// exported exactly once, with the send window still reconciling.
+#[test]
+fn a_partitioned_host_spends_its_retry_budget_then_abandons() {
+    use powerapi_suite::powerapi::fleet::retry::MAX_RETRIES;
+    use std::collections::BTreeMap;
+
+    const TICKS: u64 = 120;
+    let fault = LinkFaultPlan::from_parts(
+        0xAB0_4D0,
+        &LinkFaultConfig::default(),
+        vec![LinkWindow {
+            kind: LinkFaultKind::Partition,
+            start: 0,
+            end: TICKS + 1,
+            host_lo: 0,
+            host_hi: 1,
+        }],
+    );
+    let cfg = FleetConfig {
+        shards: 2,
+        events: PAPER_EVENTS.to_vec(),
+        fault,
+        ..FleetConfig::default()
+    };
+    let telemetry = Telemetry::new();
+    let mut fleet = Fleet::new(
+        cfg,
+        &CpuLoadFormula::new(30.0, 25.0),
+        (0..2).map(|i| source(i) as _).collect(),
+        telemetry.clone(),
+    );
+    fleet.run(TICKS);
+    fleet.assert_conserved();
+    assert_eq!(
+        fleet.journeys().evicted(),
+        0,
+        "every hop is still on the log"
+    );
+
+    let mut journeys: BTreeMap<(u32, u64), Vec<_>> = BTreeMap::new();
+    for hop in fleet.journeys().hops() {
+        journeys.entry((hop.host.0, hop.seq)).or_default().push(hop);
+    }
+    let abandoned: Vec<_> = journeys
+        .iter()
+        .filter(|(_, hops)| hops.iter().any(|h| h.stage == HopStage::Abandon))
+        .collect();
+    let stats = fleet.stats();
+    assert!(
+        stats.abandoned > 0,
+        "the partition exhausts budgets: {stats:?}"
+    );
+    assert_eq!(
+        stats.abandoned,
+        abandoned.len() as u64,
+        "one abandon hop per frame"
+    );
+    for ((host, seq), hops) in &abandoned {
+        assert_eq!(*host, 0, "only the partitioned host abandons");
+        let sends: Vec<u32> = hops
+            .iter()
+            .filter(|h| !matches!(h.stage, HopStage::Produce | HopStage::Abandon))
+            .map(|h| {
+                assert_eq!(h.stage, HopStage::DropPartition, "seq {seq}: {h:?}");
+                h.attempt
+            })
+            .collect();
+        assert_eq!(
+            sends,
+            (0..=MAX_RETRIES).collect::<Vec<_>>(),
+            "seq {seq}: one transmission per attempt of the budget"
+        );
+        let last = hops.last().expect("non-empty journey");
+        assert_eq!(
+            (last.stage, last.attempt),
+            (HopStage::Abandon, MAX_RETRIES),
+            "seq {seq}: the journey ends at the abandon"
+        );
+    }
+    assert!(
+        telemetry.render_prometheus().contains(&format!(
+            "powerapi_fleet_frames_abandoned_total {}",
+            stats.abandoned
+        )),
+        "the Prometheus counter matches the ledger"
+    );
+}

@@ -114,7 +114,7 @@ fn escalate_policy_fires_post_mortem_dump_with_escalation_event() {
         .report_to_memory()
         .quantum(Nanos::from_millis(2))
         .clock_period(Nanos::from_millis(500))
-        // No `post_mortem_always`: the escalation alone must arm the dump.
+        // An armed recorder always dumps; the reason must name the escalation.
         .post_mortem_to(&dump_dir)
         .build()
         .expect("pipeline");
