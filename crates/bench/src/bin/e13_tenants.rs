@@ -82,9 +82,10 @@ fn node_mean_w(outcome: &RunOutcome, path: &str) -> f64 {
     est.iter().map(|(_, w)| w.as_f64()).sum::<f64>() / est.len() as f64
 }
 
-/// Per-chunk kernel mutation: the churn schedule gets the live pipeline,
-/// the hierarchy, and the chunk index.
-type ChurnHook<'a> = &'a mut dyn FnMut(&mut PowerApi, &Hierarchy, u64);
+/// Per-chunk kernel mutation: the churn schedule gets the live pipeline
+/// and the chunk index. It touches the kernel only; the hierarchy reads
+/// each pid's cgroup from the tick frames.
+type ChurnHook<'a> = &'a mut dyn FnMut(&mut PowerApi, u64);
 
 /// Runs a pipeline over `kernel` with the hierarchy aggregator wired in,
 /// optionally mutating the kernel between one-second chunks (the churn
@@ -99,7 +100,6 @@ fn run_arm(
 ) -> Arm {
     let f = formula();
     let hierarchy = Hierarchy::new(f.idle_w());
-    hierarchy.sync_cgroups(kernel.cgroups());
     let mut b = PowerApi::builder(kernel)
         .formula(f)
         .report_to_memory()
@@ -123,7 +123,7 @@ fn run_arm(
         Some(mutate) => {
             for chunk in 0..secs {
                 papi.run_for(Nanos::from_secs(1)).expect("run");
-                mutate(&mut papi, &hierarchy, chunk);
+                mutate(&mut papi, chunk);
             }
         }
     }
@@ -323,7 +323,7 @@ fn main() {
     let (kernel, pids) = churn_base();
     let mut live: Vec<(u64, Pid)> = Vec::new();
     let mut spawned = 0u64;
-    let mut mutate = |papi: &mut PowerApi, hierarchy: &Hierarchy, chunk: u64| {
+    let mut mutate = |papi: &mut PowerApi, chunk: u64| {
         // Kill everything older than 3 chunks — a start/stop storm with
         // a steady-state population of 3 containers.
         while let Some(&(born, pid)) = live.first() {
@@ -348,7 +348,6 @@ fn main() {
         papi.monitor(pid).expect("monitor container");
         live.push((chunk, pid));
         spawned += 1;
-        hierarchy.sync_cgroups(papi.kernel().cgroups());
     };
     let churn = run_arm(
         kernel,
@@ -379,6 +378,8 @@ fn main() {
     }
     let control = run_arm(kernel, pids, churn_chunks, FaultPlan::none(), false, None);
     let error_ratio = churn.mae_w / control.mae_w.max(1e-9);
+    let churn_gold_w = node_mean_w(&churn.outcome, "tenant-gold");
+    let churn_bronze_w = node_mean_w(&churn.outcome, "tenant-bronze");
 
     println!("  [5/5] fleet arm: 12 cgrouped hosts, per-tenant queries across shards…");
     let fleet_hosts = 12usize;
@@ -452,6 +453,10 @@ fn main() {
     row("bursty MAE vs meter", format!("{:.3} W", bursty.mae_w));
     row("churn containers spawned", spawned);
     row("churn MAE vs meter", format!("{:.3} W", churn.mae_w));
+    row(
+        "churn: gold / bronze tenant watts",
+        format!("{churn_gold_w:.3} / {churn_bronze_w:.3} W"),
+    );
     row("control MAE vs meter", format!("{:.3} W", control.mae_w));
     row(
         "churn / control error ratio",
@@ -489,9 +494,9 @@ fn main() {
     // Only deterministic metrics: the pipeline is sim-clocked, the
     // sensor stage publishes each tick's sources in one fixed order, and
     // the fleet is single-threaded. The churn arm's per-tenant split is
-    // excluded — the main thread's `sync_cgroups` races the aggregator
-    // thread, so a boundary tick folded before vs after a membership
-    // re-sync lands in a different (equally conserved) leaf.
+    // one of them: a pid's cgroup is snapshotted into the tick frame with
+    // its counters, so a container started or stopped at a chunk
+    // boundary lands in the same leaf however the threads interleave.
     let mut golden = Golden::new("e13_tenants", args.quick);
     golden.push("noisy_gold_w", gold_w);
     golden.push("noisy_bronze_w", bronze_w);
@@ -501,6 +506,8 @@ fn main() {
     golden.push_exact("control_ticks", control.ticks as f64);
     golden.push_exact("churn_spawned", spawned as f64);
     golden.push("churn_mae_w", churn.mae_w);
+    golden.push("churn_gold_w", churn_gold_w);
+    golden.push("churn_bronze_w", churn_bronze_w);
     golden.push("control_mae_w", control.mae_w);
     golden.push_exact("fleet_tenant_paths", paths.len() as f64);
     golden.push("fleet_gold_w", gold_fleet.power_w);

@@ -23,6 +23,7 @@ use crate::frame::{PowerBatch, SensorBatch, SensorRow, NO_ROW};
 use crate::msg::Quality;
 use crate::sensor::hpc;
 use crate::telemetry::TraceId;
+use os_sim::cgroup::is_under;
 use perf_sim::events::Event;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -172,15 +173,6 @@ pub struct EstimatorShard {
     ungrouped: Arc<str>,
 }
 
-/// Segment-aware "is `node` at-or-under `path`" (so `tenant-a` matches
-/// `tenant-a/svc-web` but not `tenant-ab`).
-fn under(node: &str, path: &str) -> bool {
-    node == path
-        || (node.len() > path.len()
-            && node.starts_with(path)
-            && node.as_bytes()[path.len()] == b'/')
-}
-
 impl EstimatorShard {
     /// A shard with its own formula instance (cloned from the fleet's
     /// template, like a supervisor rebuilding a formula actor).
@@ -309,18 +301,16 @@ impl EstimatorShard {
             self.tenant_tracks.remove(&host.0);
             None
         };
-        let mut time_rows = 0..frame.time_len();
         for k in 0..out.len() {
             let (w, row_band) = (out.watts[k].as_f64(), out.band_w[k].as_f64());
             active += w;
             band += row_band;
             if let Some(groups) = &mut groups {
                 // Estimates come back in row order, minus the rows the
-                // formula could not estimate; the row's group index names
-                // its leaf.
-                let leaf = time_rows
-                    .find(|&i| frame.time_pid(i) == out.pids[k])
-                    .and_then(|i| frame.group_of_row(i))
+                // formula could not estimate, so row `k` is the first
+                // guess for the estimate's time row.
+                let leaf = frame
+                    .group_of_pid(out.pids[k], k)
                     .unwrap_or(&self.ungrouped);
                 match groups.iter_mut().find(|(g, _, _)| g == leaf) {
                     Some(slot) => {
@@ -414,7 +404,7 @@ impl EstimatorShard {
         let mut band_w = 0.0;
         let mut matched = 0usize;
         for (g, w, b) in groups {
-            if under(g, path) {
+            if is_under(g, path) {
                 power_w += w;
                 band_w += b;
                 matched += 1;

@@ -87,8 +87,7 @@ impl Actor for FallbackFormula {
         };
         let ts = batch.timestamp();
         if batch.source == self.primary.source() {
-            let mut out =
-                PowerBatch::with_capacity(ts, self.primary.name(), batch.trace, batch.rows.len());
+            let mut out = PowerBatch::estimating(&batch, self.primary.name());
             self.primary.estimate_batch(&batch, Quality::Full, &mut out);
             // Only rows the primary actually estimated feed the watchdog.
             for &pid in &out.pids {
@@ -134,8 +133,7 @@ impl Actor for FallbackFormula {
             rows,
             trace: batch.trace,
         };
-        let mut out =
-            PowerBatch::with_capacity(ts, self.backup.name(), batch.trace, filtered.rows.len());
+        let mut out = PowerBatch::estimating(&filtered, self.backup.name());
         self.backup
             .estimate_batch(&filtered, Quality::Degraded, &mut out);
         for &pid in &out.pids {

@@ -150,12 +150,7 @@ impl Actor for FormulaActor {
             Some(h) if h.out_of_band() => Quality::Degraded,
             _ => Quality::Full,
         };
-        let mut out = PowerBatch::with_capacity(
-            batch.timestamp(),
-            self.formula.name(),
-            batch.trace,
-            batch.rows.len(),
-        );
+        let mut out = PowerBatch::estimating(&batch, self.formula.name());
         self.formula.estimate_batch(&batch, quality, &mut out);
         if !out.is_empty() {
             ctx.bus().publish(Message::PowerBatch(Arc::new(out)));

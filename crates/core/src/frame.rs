@@ -279,6 +279,15 @@ impl TickFrame {
         }
     }
 
+    /// The cgroup node of `pid`'s time row (`None` for ungrouped and
+    /// untracked pids, and for frames without group columns), trying row
+    /// `hint` first. The one membership lookup: the host's hierarchy
+    /// aggregator and the fleet's tenant books both attribute an
+    /// estimate to the leaf its tick's frame names.
+    pub fn group_of_pid(&self, pid: Pid, hint: usize) -> Option<&Arc<str>> {
+        self.time_row(pid, hint).and_then(|i| self.group_of_row(i))
+    }
+
     /// The per-time-row index into [`TickFrame::group_table`]
     /// ([`NO_ROW`] = ungrouped); empty for frames without group columns.
     pub(crate) fn group_indices(&self) -> &[u32] {
@@ -646,6 +655,10 @@ pub struct PowerBatch {
     pub quality: Vec<Quality>,
     /// The tick trace the batch descends from.
     pub trace: TraceId,
+    /// The frame the rows were estimated from (`None` for rows no frame
+    /// carries, such as the middleware's own): its cgroup columns are
+    /// each row's membership at snapshot time.
+    pub frame: Option<Arc<TickFrame>>,
 }
 
 impl PowerBatch {
@@ -664,6 +677,16 @@ impl PowerBatch {
             band_w: Vec::with_capacity(capacity),
             quality: Vec::with_capacity(capacity),
             trace,
+            frame: None,
+        }
+    }
+
+    /// An empty batch for `formula`'s estimates of `batch`: its
+    /// timestamp, trace and frame, room for every row.
+    pub fn estimating(batch: &SensorBatch, formula: &'static str) -> PowerBatch {
+        PowerBatch {
+            frame: Some(batch.frame.clone()),
+            ..PowerBatch::with_capacity(batch.timestamp(), formula, batch.trace, batch.rows.len())
         }
     }
 

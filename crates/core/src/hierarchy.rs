@@ -1,15 +1,17 @@
 //! Hierarchical attribution: tenant → service → process, with an
 //! auditable conservation ledger.
 //!
-//! [`Hierarchy`] mirrors the os-sim cgroup topology inside the
-//! middleware and owns a per-tick ledger of everything the
-//! [`HierarchyAggregator`] emitted. [`HierarchyAggregator`] folds every
-//! `PowerReport` of a timestamp into *leaf* cells (the node the pid is
-//! attached to, or the `__ungrouped__` catch-all), then rolls the cells
-//! up the tree — each parent is the exact sum of its children, bands
-//! widen bottom-up, `Quality` min-folds — and emits one
-//! [`AggregateReport`] per node per tick, root (`__root__` = idle floor
-//! + everything) last.
+//! [`Hierarchy`] holds the declared cgroup topology and a per-tick
+//! ledger of everything the [`HierarchyAggregator`] emitted. It keeps no
+//! membership: which node a pid belongs to is a property of the tick,
+//! recorded in the frame's cgroup columns when the host snapshots its
+//! counters ([`crate::frame::TickFrame::group_of_pid`], the same lookup
+//! the fleet's tenant books use). [`HierarchyAggregator`] folds every
+//! power row of a timestamp into *leaf* cells (the node the row's frame
+//! names, or the `__ungrouped__` catch-all), then rolls the cells up the
+//! tree — each parent is the exact sum of its children, bands widen
+//! bottom-up, `Quality` min-folds — and emits one [`AggregateReport`]
+//! per node per tick, root (`__root__` = idle floor + everything) last.
 //!
 //! The energy-conservation law (after arXiv:1907.02805, and mirroring
 //! PR 7's `Fleet::conservation()`):
@@ -30,10 +32,9 @@
 //! guarantee](crate::sensor) for exactly one flush per tick.
 
 use crate::actor::{Actor, Context};
-use crate::msg::{AggregateReport, Message, PowerReport, Quality, Scope};
+use crate::frame::PowerBatch;
+use crate::msg::{AggregateReport, Message, Quality, Scope};
 use crate::telemetry::{EventKind, Telemetry, TraceId};
-use os_sim::cgroup::CGroupTree;
-use os_sim::process::Pid;
 use parking_lot::Mutex;
 use simcpu::units::{Nanos, Watts};
 use std::collections::BTreeMap;
@@ -100,14 +101,13 @@ struct Inner {
     idle_w: f64,
     /// Declared nodes (ancestors always included).
     declared: BTreeMap<Arc<str>, ()>,
-    membership: BTreeMap<Pid, Arc<str>>,
     ledger: Vec<HierarchyFlush>,
     telemetry: Option<Telemetry>,
 }
 
-/// Shared handle on the attribution hierarchy: topology, (dynamic)
-/// membership, and the conservation ledger. Clones observe the same
-/// state — hand one clone to the builder and keep one for queries.
+/// Shared handle on the attribution hierarchy: the declared topology and
+/// the conservation ledger. Clones observe the same state — hand one
+/// clone to the builder and keep one for queries.
 #[derive(Debug, Clone, Default)]
 pub struct Hierarchy {
     inner: Arc<Mutex<Inner>>,
@@ -134,63 +134,12 @@ impl Hierarchy {
         self.inner.lock().telemetry = Some(telemetry);
     }
 
-    /// The idle floor (W) the root carries.
-    pub fn idle_w(&self) -> f64 {
-        self.inner.lock().idle_w
-    }
-
-    /// Declares a node and all of its missing ancestors.
+    /// Declares a node and all of its missing ancestors. A declared node
+    /// reports every tick, with members or without; a node a frame names
+    /// is declared when the first row under it is folded.
     pub fn declare(&self, path: &str) {
         let mut inner = self.inner.lock();
         Inner::declare(&mut inner.declared, path);
-    }
-
-    /// Attaches a pid to a node (declaring it if needed). Re-attaching
-    /// re-homes the pid — container migration.
-    pub fn attach(&self, pid: Pid, path: &str) {
-        let mut inner = self.inner.lock();
-        Inner::declare(&mut inner.declared, path);
-        let node = inner
-            .declared
-            .get_key_value(path)
-            .map(|(k, _)| k.clone())
-            .expect("declared above");
-        inner.membership.insert(pid, node);
-    }
-
-    /// Detaches a pid (container exit). The node stays declared and
-    /// keeps emitting zero-watt reports.
-    pub fn detach(&self, pid: Pid) {
-        self.inner.lock().membership.remove(&pid);
-    }
-
-    /// Mirrors an os-sim cgroup tree wholesale: declares every node and
-    /// replaces the membership. Call again after churn to stay in sync
-    /// (or use [`Hierarchy::attach`]/[`Hierarchy::detach`] directly).
-    pub fn sync_cgroups(&self, tree: &CGroupTree) {
-        let mut inner = self.inner.lock();
-        for (path, _) in tree.nodes() {
-            Inner::declare(&mut inner.declared, path);
-        }
-        inner.membership.clear();
-        let pairs: Vec<(Pid, Arc<str>)> = tree
-            .memberships()
-            .map(|(pid, node)| (pid, node.clone()))
-            .collect();
-        for (pid, node) in pairs {
-            Inner::declare(&mut inner.declared, &node);
-            inner.membership.insert(pid, node);
-        }
-    }
-
-    /// The node a pid is attached to.
-    pub fn node_of(&self, pid: Pid) -> Option<Arc<str>> {
-        self.inner.lock().membership.get(&pid).cloned()
-    }
-
-    /// Every declared node path, ordered.
-    pub fn nodes(&self) -> Vec<Arc<str>> {
-        self.inner.lock().declared.keys().cloned().collect()
     }
 
     /// Number of flushed ticks in the ledger.
@@ -378,19 +327,17 @@ impl Hierarchy {
         }
     }
 
-    /// Looks up the leaf a pid's power belongs to (the interned
-    /// `__ungrouped__` for strays) — the aggregator's hot-path helper.
-    fn leaf_of(&self, pid: Pid) -> Arc<str> {
+    /// The interned leaf for a row's cgroup node (`None`: the catch-all),
+    /// declaring it on first sight — the aggregator's hot-path helper.
+    /// Leaves are interned among the declared nodes so every flush
+    /// shares one allocation per path.
+    fn leaf_of(&self, node: Option<&str>) -> Arc<str> {
+        let path = node.unwrap_or(UNGROUPED);
         let mut inner = self.inner.lock();
-        if let Some(node) = inner.membership.get(&pid) {
-            return node.clone();
-        }
-        // Intern the catch-all among the declared nodes so every flush
-        // shares one allocation.
-        Inner::declare(&mut inner.declared, UNGROUPED);
+        Inner::declare(&mut inner.declared, path);
         inner
             .declared
-            .get_key_value(UNGROUPED)
+            .get_key_value(path)
             .map(|(k, _)| k.clone())
             .expect("declared above")
     }
@@ -535,8 +482,14 @@ impl HierarchyAggregator {
         }
     }
 
-    fn fold(&mut self, p: &PowerReport, emit: &mut impl FnMut(AggregateReport)) {
-        let leaf = self.hierarchy.leaf_of(p.pid);
+    /// Folds row `i` of `batch` into the leaf its frame names.
+    fn fold(&mut self, batch: &PowerBatch, i: usize, emit: &mut impl FnMut(AggregateReport)) {
+        let p = batch.report(i);
+        let node = batch
+            .frame
+            .as_deref()
+            .and_then(|f| f.group_of_pid(p.pid, i));
+        let leaf = self.hierarchy.leaf_of(node.map(|g| &**g));
         let cell = NodeCell {
             power_w: p.power.as_f64(),
             band_w: p.band_w.as_f64(),
@@ -578,7 +531,7 @@ impl Actor for HierarchyAggregator {
         let Message::PowerBatch(b) = msg else { return };
         let mut reports = Vec::new();
         for i in 0..b.len() {
-            self.fold(&b.report(i), &mut |a| reports.push(a));
+            self.fold(&b, i, &mut |a| reports.push(a));
         }
         if !reports.is_empty() {
             ctx.bus().publish(Message::aggregates(reports, b.trace));
@@ -664,31 +617,43 @@ mod tests {
     }
 
     #[test]
-    fn membership_is_dynamic() {
-        let h = Hierarchy::new(0.0);
-        h.attach(Pid(1), "t/a");
-        assert_eq!(&*h.leaf_of(Pid(1)), "t/a");
-        h.attach(Pid(1), "t/b");
-        assert_eq!(&*h.leaf_of(Pid(1)), "t/b", "re-attach re-homes");
-        h.detach(Pid(1));
-        assert_eq!(&*h.leaf_of(Pid(1)), UNGROUPED);
-        let nodes = h.nodes();
-        assert!(nodes.iter().any(|n| &**n == "t/a"), "nodes stay declared");
-    }
+    fn membership_is_read_from_each_frame() {
+        use crate::frame::FrameBuilder;
+        use os_sim::process::Pid;
+        use perf_sim::events::Event;
 
-    #[test]
-    fn sync_cgroups_mirrors_tree() {
-        let mut tree = CGroupTree::new();
-        tree.create("tenant-a", 2048);
-        tree.attach(Pid(7), "tenant-a/svc-web");
+        // Pid 1 is re-homed between ticks 1 and 2 and leaves its cgroup
+        // before tick 3; tick 4's row comes with no frame at all.
         let h = Hierarchy::new(0.0);
-        h.sync_cgroups(&tree);
-        assert_eq!(h.node_of(Pid(7)).as_deref(), Some("tenant-a/svc-web"));
-        assert!(h.nodes().iter().any(|n| &**n == "tenant-a"));
-        // Churn: the pid dies, a re-sync drops it but keeps the node.
-        tree.detach(Pid(7));
-        h.sync_cgroups(&tree);
-        assert_eq!(h.node_of(Pid(7)), None);
-        assert!(h.nodes().iter().any(|n| &**n == "tenant-a/svc-web"));
+        let mut agg = HierarchyAggregator::new(h.clone());
+        for (ts, node) in [(1, Some("t/a")), (2, Some("t/b")), (3, None), (4, None)] {
+            let mut b = PowerBatch::with_capacity(Nanos::from_secs(ts), "f", TraceId::NONE, 1);
+            b.push(Pid(1), Watts(2.0), Watts(0.0), Quality::Full);
+            if ts < 4 {
+                let mut f = FrameBuilder::new();
+                f.push_time_row(Pid(1), Nanos::ZERO, |_| {});
+                f.set_time_group(node);
+                let no_events: Arc<[Event]> = Arc::from([]);
+                b.frame = Some(Arc::new(f.finish(
+                    b.timestamp,
+                    b.timestamp,
+                    no_events,
+                    None,
+                )));
+            }
+            agg.fold(&b, 0, &mut |_| {});
+        }
+        agg.flush(&mut |_| {});
+
+        let ledger = h.ledger();
+        let leaves = |i: usize| -> Vec<&str> { ledger[i].leaves.keys().map(|k| &**k).collect() };
+        assert_eq!(leaves(0), ["t/a"]);
+        assert_eq!(leaves(1), ["t/b"], "each tick's frame names the leaf");
+        assert_eq!(leaves(2), [UNGROUPED]);
+        assert_eq!(leaves(3), [UNGROUPED]);
+        // A node stays declared once a frame named it.
+        let last: Vec<&str> = ledger[3].nodes.keys().map(|k| &**k).collect();
+        assert_eq!(last, ["__root__", "__ungrouped__", "t", "t/a", "t/b"]);
+        h.conservation().expect("ledger conserves");
     }
 }

@@ -225,9 +225,15 @@ impl PowerApiBuilder {
     /// [`Scope::Group`]-scoped report per declared cgroup node per tick,
     /// bands widened bottom-up, with the `__ungrouped__` catch-all and
     /// per-tick flush ledger that [`crate::hierarchy::Hierarchy::conservation`]
-    /// audits after the run.
+    /// audits after the run. Every node of the kernel's cgroup tree is
+    /// declared here; nodes created later are declared when a frame
+    /// first names them. Each row lands in the leaf its tick's frame
+    /// recorded, so the kernel's cgroups are the one membership record.
     #[must_use]
     pub fn hierarchy(self, hierarchy: &crate::hierarchy::Hierarchy) -> PowerApiBuilder {
+        for (path, _) in self.kernel.cgroups().nodes() {
+            hierarchy.declare(path);
+        }
         self.with_actor(
             "hierarchy-aggregator",
             Box::new(crate::hierarchy::HierarchyAggregator::new(

@@ -1,15 +1,16 @@
 //! Hierarchical control groups: tenant → service → process, the §5
-//! attribution unit generalised from the flat pid → group map. Nodes are
+//! attribution unit (a flat set of VMs is a depth-1 tree). Nodes are
 //! named by slash-separated paths (`tenant-a/svc-web`); each node carries
 //! a CFS-style `cpu.shares` value that scales the scheduling weight of
 //! every thread below it, so a tenant with twice the shares wins twice
 //! the CPU under contention — and therefore twice the attributed power.
 //!
 //! The tree is deliberately small-surface: it owns the path topology and
-//! the pid memberships, and exposes the *weight multiplier* a path
-//! implies. The kernel applies that multiplier to the scheduler; the
-//! middleware mirrors the same topology in its `Hierarchy` aggregate so
-//! attribution and scheduling agree on who owns which watt.
+//! the pid memberships — the one membership record of the system — and
+//! exposes the *weight multiplier* a path implies. The kernel applies
+//! that multiplier to the scheduler; the middleware's host stamps each
+//! pid's node into the tick frame it snapshots, so attribution and
+//! scheduling agree on who owns which watt.
 
 use crate::process::Pid;
 use std::collections::BTreeMap;
@@ -43,13 +44,20 @@ pub fn parent(path: &str) -> Option<&str> {
     path.rfind('/').map(|i| &path[..i])
 }
 
+/// Whether `node` is `path` or below it, per path segment: `tenant-a`
+/// holds `tenant-a/svc-web` but not `tenant-ab`.
+pub fn is_under(node: &str, path: &str) -> bool {
+    node.strip_prefix(path)
+        .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
+}
+
 impl CGroupTree {
     /// An empty tree.
     pub fn new() -> CGroupTree {
         CGroupTree::default()
     }
 
-    /// Whether no nodes exist (the legacy flat-group world).
+    /// Whether no nodes exist (a host without containers).
     pub fn is_empty(&self) -> bool {
         self.shares.is_empty()
     }
@@ -111,13 +119,7 @@ impl CGroupTree {
     pub fn members(&self, path: &str) -> Vec<Pid> {
         self.membership
             .iter()
-            .filter(|(_, node)| {
-                let n: &str = node;
-                n == path
-                    || (n.len() > path.len()
-                        && n.starts_with(path)
-                        && n.as_bytes()[path.len()] == b'/')
-            })
+            .filter(|(_, node)| is_under(node, path))
             .map(|(pid, _)| *pid)
             .collect()
     }

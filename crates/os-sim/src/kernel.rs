@@ -62,7 +62,6 @@ struct ThreadEntry {
 pub struct Kernel {
     machine: Machine,
     scheduler: Scheduler,
-    groups: BTreeMap<Pid, String>,
     cgroups: CGroupTree,
     governor: Box<dyn CpufreqGovernor>,
     idle: IdlePredictor,
@@ -87,7 +86,6 @@ impl Kernel {
         let cores = machine.topology().physical_cores();
         Kernel {
             scheduler: Scheduler::new(cpus).with_smt(machine.topology().threads_per_core()),
-            groups: BTreeMap::new(),
             cgroups: CGroupTree::new(),
             governor: Box::new(Ondemand::new(cores)),
             idle: IdlePredictor::new(cores),
@@ -137,38 +135,6 @@ impl Kernel {
         Ok(())
     }
 
-    /// Spawns a process inside a named control group (a cgroup/VM-style
-    /// container) — the unit the paper's §5 wants to attribute power to
-    /// next ("one of the suitable examples could be the virtual
-    /// machines"). Returns its pid.
-    pub fn spawn_in_group(
-        &mut self,
-        name: impl Into<String>,
-        group: impl Into<String>,
-        behaviors: Vec<Box<dyn TaskBehavior>>,
-    ) -> Pid {
-        let pid = self.spawn(name, behaviors);
-        self.groups.insert(pid, group.into());
-        pid
-    }
-
-    /// The control group a process belongs to, if any.
-    pub fn group_of(&self, pid: Pid) -> Option<&str> {
-        self.groups.get(&pid).map(String::as_str)
-    }
-
-    /// Pids of every live process in a group.
-    pub fn pids_in_group(&self, group: &str) -> Vec<Pid> {
-        self.processes
-            .values()
-            .filter(|p| {
-                p.state() == ProcessState::Alive
-                    && self.groups.get(&p.pid()).is_some_and(|g| g == group)
-            })
-            .map(|p| p.pid())
-            .collect()
-    }
-
     /// Declares a cgroup node (creating missing ancestors at default
     /// shares) and sets its `cpu.shares`. Shares scale the CFS weight of
     /// every thread attached at or below the node, multiplicatively
@@ -178,17 +144,19 @@ impl Kernel {
         self.refresh_group_weights();
     }
 
-    /// Spawns a process inside a hierarchical cgroup node (e.g.
-    /// `tenant-a/svc-web`). The flat [`Kernel::group_of`] view sees the
-    /// full path, so legacy group plumbing keeps working; the scheduler
-    /// additionally weights the new threads by the path's shares.
+    /// Spawns a process inside a cgroup node (a VM-style container such
+    /// as `vm-alpha`, or a hierarchical one such as `tenant-a/svc-web`) —
+    /// the unit the paper's §5 wants to attribute power to next ("one of
+    /// the suitable examples could be the virtual machines"). The
+    /// scheduler weights the new threads by the path's shares. Returns
+    /// its pid.
     pub fn spawn_in_cgroup(
         &mut self,
         name: impl Into<String>,
         path: &str,
         behaviors: Vec<Box<dyn TaskBehavior>>,
     ) -> Pid {
-        let pid = self.spawn_in_group(name, path, behaviors);
+        let pid = self.spawn(name, behaviors);
         self.cgroups.attach(pid, path);
         self.apply_group_weight(pid);
         pid
@@ -210,7 +178,6 @@ impl Kernel {
             return Err(Error::NoSuchProcess(pid));
         }
         self.cgroups.attach(pid, path);
-        self.groups.insert(pid, path.to_string());
         self.apply_group_weight(pid);
         Ok(())
     }
@@ -667,25 +634,31 @@ mod group_affinity_tests {
     fn groups_track_membership_and_lifecycle() {
         let mut k = Kernel::new(presets::intel_i3_2120());
         let w = WorkUnit::cpu_intensive(0.5);
-        let a = k.spawn_in_group("db", "vm-alpha", vec![SteadyTask::boxed(w)]);
-        let b = k.spawn_in_group("web", "vm-alpha", vec![SteadyTask::boxed(w)]);
-        let c = k.spawn_in_group("batch", "vm-beta", vec![SteadyTask::boxed(w)]);
+        let a = k.spawn_in_cgroup("db", "vm-alpha", vec![SteadyTask::boxed(w)]);
+        let b = k.spawn_in_cgroup("web", "vm-alpha", vec![SteadyTask::boxed(w)]);
+        let c = k.spawn_in_cgroup("batch", "vm-beta", vec![SteadyTask::boxed(w)]);
         let loose = k.spawn("loose", vec![SteadyTask::boxed(w)]);
 
-        assert_eq!(k.group_of(a), Some("vm-alpha"));
-        assert_eq!(k.group_of(loose), None);
-        let mut alpha = k.pids_in_group("vm-alpha");
-        alpha.sort();
-        assert_eq!(alpha, vec![a, b]);
-        assert_eq!(k.pids_in_group("vm-beta"), vec![c]);
-        assert!(k.pids_in_group("vm-gamma").is_empty());
+        assert_eq!(k.cgroup_of(a), Some("vm-alpha"));
+        assert_eq!(k.cgroup_of(loose), None);
+        assert_eq!(k.cgroups().members("vm-alpha"), vec![a, b]);
+        assert_eq!(k.cgroups().members("vm-beta"), vec![c]);
+        assert!(k.cgroups().members("vm-gamma").is_empty());
+        // A flat group at default shares leaves its threads' weights
+        // untouched.
+        let tid = k.process(a).unwrap().threads()[0];
+        assert_eq!(k.scheduler_group_weight(tid), Some(1.0));
 
         k.kill(b).unwrap();
-        assert_eq!(k.pids_in_group("vm-alpha"), vec![a], "dead pids drop out");
+        assert_eq!(
+            k.cgroups().members("vm-alpha"),
+            vec![a],
+            "dead pids drop out"
+        );
     }
 
     #[test]
-    fn cgroup_spawn_tracks_hierarchy_and_flat_view() {
+    fn cgroup_spawn_tracks_hierarchy() {
         let mut k = Kernel::new(presets::intel_i3_2120());
         let w = WorkUnit::cpu_intensive(0.5);
         k.cgroup_create("tenant-a", 2048);
@@ -693,8 +666,6 @@ mod group_affinity_tests {
         let batch = k.spawn_in_cgroup("batch", "tenant-b/svc-batch", vec![SteadyTask::boxed(w)]);
 
         assert_eq!(k.cgroup_of(web), Some("tenant-a/svc-web"));
-        // Full path is visible through the legacy flat-group view too.
-        assert_eq!(k.group_of(web), Some("tenant-a/svc-web"));
         assert_eq!(k.cgroups().members("tenant-a"), vec![web]);
         // tenant-a has 2048 shares → its threads carry a 2× multiplier.
         let tid = k.process(web).unwrap().threads()[0];

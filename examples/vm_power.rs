@@ -23,18 +23,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut kernel = Kernel::new(presets::intel_i3_2120());
 
     // VM alpha: a busy web stack on core 0 (logical cpus 0-1).
-    let web = kernel.spawn_in_group(
+    let web = kernel.spawn_in_cgroup(
         "web",
         "vm-alpha",
         vec![SteadyTask::boxed(WorkUnit::mixed(0.35, 32_768.0, 0.9))],
     );
-    let cache = kernel.spawn_in_group(
+    let cache = kernel.spawn_in_cgroup(
         "cache",
         "vm-alpha",
         vec![SteadyTask::boxed(WorkUnit::memory_intensive(65_536.0, 0.6))],
     );
     // VM beta: a light batch job on core 1 (logical cpus 2-3).
-    let batch = kernel.spawn_in_group(
+    let batch = kernel.spawn_in_cgroup(
         "batch",
         "vm-beta",
         vec![SteadyTask::boxed(WorkUnit::cpu_intensive(0.35))],
@@ -43,13 +43,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     kernel.pin_process(cache, vec![0, 1])?;
     kernel.pin_process(batch, vec![2, 3])?;
 
-    // One hierarchy node per VM, membership straight from the kernel.
+    // One hierarchy node per VM; each tick's frame says which pid is in
+    // which VM.
     let vms = Hierarchy::new(model.idle_w());
-    for vm in ["vm-alpha", "vm-beta"] {
-        for pid in kernel.pids_in_group(vm) {
-            vms.attach(pid, vm);
-        }
-    }
 
     let mut papi = PowerApi::builder(kernel)
         .formula(PerFrequencyFormula::new(model))

@@ -5,17 +5,21 @@
 
 use powerapi_suite::os_sim::kernel::Kernel;
 use powerapi_suite::os_sim::task::{PeriodicTask, SteadyTask};
+use powerapi_suite::powerapi::actor::{Actor, Context};
 use powerapi_suite::powerapi::formula::cpuload::CpuLoadFormula;
 use powerapi_suite::powerapi::formula::per_freq::PerFrequencyFormula;
+use powerapi_suite::powerapi::hierarchy::Hierarchy;
 use powerapi_suite::powerapi::model::learn::{learn_model, LearnConfig};
 use powerapi_suite::powerapi::model::power_model::PerFrequencyPowerModel;
-use powerapi_suite::powerapi::msg::{Quality, Scope};
+use powerapi_suite::powerapi::msg::{Message, Quality, Scope, Topic};
 use powerapi_suite::powerapi::runtime::{PowerApi, RunOutcome};
 use powerapi_suite::simcpu::fault::{FaultKind, FaultPlan, FaultWindow};
 use powerapi_suite::simcpu::presets;
 use powerapi_suite::simcpu::units::Nanos;
 use powerapi_suite::simcpu::workunit::WorkUnit;
 use powerapi_suite::workloads::specjbb::{self, SpecJbbConfig};
+use std::collections::BTreeMap;
+use std::time::Duration;
 
 fn run_once(seed: u64) -> RunOutcome {
     let jbb = SpecJbbConfig {
@@ -177,5 +181,102 @@ fn degraded_pipeline_is_deterministic() {
     let expected = reports(&first);
     for run in 1..5 {
         assert_eq!(reports(&run_degraded()), expected, "run {run} diverged");
+    }
+}
+
+/// Sleeps a seeded 0–3 ms on every tick frame, so the loop thread
+/// falls behind the producer by a different margin in every run.
+struct Jitter(u64);
+
+impl Actor for Jitter {
+    fn handle(&mut self, _msg: Message, _ctx: &Context) {
+        // Knuth's MMIX LCG; the high bits are the well-mixed ones.
+        self.0 = self
+            .0
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        std::thread::sleep(Duration::from_micros((self.0 >> 33) % 3_000));
+    }
+}
+
+/// Two tenants under container churn — between one-second chunks the
+/// main thread starts a container, kills the oldest and moves one
+/// between tenants — with `jitter_seed` delaying the loop thread. Every
+/// group report, keyed by (tick, node), as raw bits.
+fn run_tenant_churn(jitter_seed: u64) -> BTreeMap<(Nanos, String), u64> {
+    let mut kernel = Kernel::new(presets::intel_i3_2120());
+    kernel.cgroup_create("tenant-gold", 4096);
+    kernel.cgroup_create("tenant-bronze", 1024);
+    let base = kernel.spawn_in_cgroup(
+        "web",
+        "tenant-gold/svc-web",
+        vec![SteadyTask::boxed(WorkUnit::cpu_intensive(0.5))],
+    );
+    let hierarchy = Hierarchy::new(31.48);
+    let mut papi = PowerApi::builder(kernel)
+        .formula(PerFrequencyFormula::new(
+            PerFrequencyPowerModel::paper_i3_example(),
+        ))
+        .report_to_memory()
+        .quantum(Nanos::from_millis(2))
+        .clock_period(Nanos::from_millis(250))
+        .hierarchy(&hierarchy)
+        .with_actor("jitter", Box::new(Jitter(jitter_seed)), vec![Topic::Tick])
+        .build()
+        .expect("pipeline builds");
+    papi.monitor(base).expect("monitor");
+    let mut live = Vec::new();
+    for chunk in 0..6u32 {
+        papi.run_for(Nanos::from_secs(1)).expect("run");
+        if live.len() == 2 {
+            let oldest = live.remove(0);
+            papi.unmonitor(oldest);
+            papi.kernel_mut().kill(oldest).expect("kill");
+        }
+        let tenant = ["tenant-gold", "tenant-bronze"][chunk as usize % 2];
+        let pid = papi.kernel_mut().spawn_in_cgroup(
+            format!("job-{chunk}"),
+            &format!("{tenant}/job-{chunk}"),
+            vec![SteadyTask::boxed(WorkUnit::cpu_intensive(0.6))],
+        );
+        papi.monitor(pid).expect("monitor");
+        live.push(pid);
+        let away = ["tenant-bronze/svc-web", "tenant-gold/svc-web"][chunk as usize % 2];
+        papi.kernel_mut()
+            .cgroup_attach(base, away)
+            .expect("re-home");
+    }
+    let outcome = papi.finish().expect("shutdown");
+    hierarchy.assert_conserved(&outcome.reports);
+    outcome
+        .reports
+        .iter()
+        .filter_map(|r| match &r.scope {
+            Scope::Group(node) => {
+                Some(((r.timestamp, node.to_string()), r.power.as_f64().to_bits()))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+/// The tenant split is a function of the simulation alone: however far
+/// the loop thread lags behind a main thread that keeps mutating the
+/// cgroups, every (tick, node) report is the same to the bit.
+#[test]
+fn tenant_churn_is_deterministic_under_loop_delays() {
+    let expected = run_tenant_churn(0);
+    assert!(
+        expected
+            .keys()
+            .any(|(_, node)| node == "tenant-bronze/job-1"),
+        "a container started mid-run gets its own node"
+    );
+    for seed in 1..5 {
+        assert_eq!(
+            run_tenant_churn(seed),
+            expected,
+            "delay seed {seed} diverged"
+        );
     }
 }

@@ -3,16 +3,17 @@
 //! the conservation ledger that proves no watt escapes — including under
 //! container churn and degraded sensor quality.
 
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{mpsc, Arc};
 
 use powerapi_suite::os_sim::kernel::Kernel;
 use powerapi_suite::os_sim::process::Pid;
 use powerapi_suite::os_sim::task::SteadyTask;
-use powerapi_suite::powerapi::actor::ActorSystem;
+use powerapi_suite::powerapi::actor::{Actor, ActorSystem, Context};
 use powerapi_suite::powerapi::formula::cpuload::CpuLoadFormula;
 use powerapi_suite::powerapi::formula::per_freq::PerFrequencyFormula;
 use powerapi_suite::powerapi::formula::PowerFormula;
-use powerapi_suite::powerapi::frame::PowerBatch;
+use powerapi_suite::powerapi::frame::{FrameBuilder, PowerBatch};
 use powerapi_suite::powerapi::hierarchy::{Hierarchy, HierarchyAggregator, ROOT, UNGROUPED};
 use powerapi_suite::powerapi::model::power_model::PerFrequencyPowerModel;
 use powerapi_suite::powerapi::msg::{Message, Quality, Scope, Topic};
@@ -61,7 +62,6 @@ fn hierarchical_pipeline_conserves_every_tick() {
 
     let formula = paper_formula();
     let hierarchy = Hierarchy::new(formula.idle_w());
-    hierarchy.sync_cgroups(kernel.cgroups());
     let mut papi = PowerApi::builder(kernel)
         .formula(formula)
         .report_to_memory()
@@ -147,7 +147,6 @@ fn conservation_survives_degraded_quality() {
     }]);
     let formula = paper_formula();
     let hierarchy = Hierarchy::new(formula.idle_w());
-    hierarchy.sync_cgroups(kernel.cgroups());
     let mut papi = PowerApi::builder(kernel)
         .formula(formula)
         .degrade_to(CpuLoadFormula::new(31.5, 12.0), Nanos::from_millis(1500))
@@ -173,13 +172,97 @@ fn conservation_survives_degraded_quality() {
     assert!(degraded > 0, "the stall must degrade some root flushes");
 }
 
-/// One tick's power batch: `(pid, watts)` rows at `ts_ms`.
-fn power(ts_ms: u64, rows: &[(u32, f64)]) -> Message {
-    let mut b =
-        PowerBatch::with_capacity(Nanos::from_millis(ts_ms), "t", TraceId::NONE, rows.len());
-    for &(pid, w) in rows {
+/// Holds the loop thread on the first tick frame until the test opens
+/// the gate, so no tick is folded before the main thread moves on.
+struct Gate(Option<mpsc::Receiver<()>>);
+
+impl Actor for Gate {
+    fn handle(&mut self, _msg: Message, _ctx: &Context) {
+        if let Some(gate) = self.0.take() {
+            gate.recv().expect("the test opens the gate");
+        }
+    }
+}
+
+/// Membership is a property of the tick: a pid moved to another cgroup
+/// between two `run_for` calls, before the loop has folded any tick,
+/// lands for every tick in the leaf the kernel had when that tick was
+/// snapshotted — never in the one it moved to later.
+#[test]
+fn a_rehomed_pid_lands_in_the_leaf_its_tick_recorded() {
+    let (open, gate) = mpsc::channel();
+    let mut kernel = Kernel::new(presets::intel_i3_2120());
+    let pid = kernel.spawn_in_cgroup(
+        "web",
+        "tenant-a/svc-old",
+        vec![SteadyTask::boxed(WorkUnit::cpu_intensive(0.8))],
+    );
+    let formula = paper_formula();
+    let hierarchy = Hierarchy::new(formula.idle_w());
+    let mut papi = PowerApi::builder(kernel)
+        .formula(formula)
+        .report_to_memory()
+        .quantum(Nanos::from_millis(2))
+        .clock_period(Nanos::from_millis(500))
+        .hierarchy(&hierarchy)
+        .with_actor("gate", Box::new(Gate(Some(gate))), vec![Topic::Tick])
+        .build()
+        .expect("pipeline builds");
+    papi.monitor(pid).expect("monitor");
+    papi.run_for(Nanos::from_secs(2)).expect("run");
+    papi.kernel_mut()
+        .cgroup_attach(pid, "tenant-a/svc-new")
+        .expect("re-home");
+    open.send(()).expect("the loop holds the gate");
+    papi.run_for(Nanos::from_secs(2)).expect("run");
+    let outcome = papi.finish().expect("shutdown");
+    hierarchy.assert_conserved(&outcome.reports);
+
+    let moved_at = Nanos::from_secs(2);
+    let leaf =
+        |node| -> BTreeMap<Nanos, Watts> { outcome.group_estimates(node).into_iter().collect() };
+    let (old, new) = (leaf("tenant-a/svc-old"), leaf("tenant-a/svc-new"));
+    let estimates = outcome.process_estimates(pid);
+    assert_eq!(estimates.len(), 8, "one estimate per tick");
+    for (ts, w) in estimates {
+        let (home, away) = if ts <= moved_at {
+            (&old, &new)
+        } else {
+            (&new, &old)
+        };
+        assert_eq!(
+            home.get(&ts).map(|h| h.as_f64().to_bits()),
+            Some(w.as_f64().to_bits()),
+            "at {ts:?} the pid's {} W must be in the leaf its frame named",
+            w.as_f64()
+        );
+        assert_eq!(
+            away.get(&ts).map_or(0.0, |a| a.as_f64()),
+            0.0,
+            "at {ts:?} the other leaf must be empty"
+        );
+    }
+}
+
+/// One tick's power batch: `(pid, cgroup node, watts)` rows at `ts_ms`,
+/// over a frame whose group columns record each pid's node — the
+/// membership a host stamps when it snapshots the tick.
+fn power(ts_ms: u64, rows: &[(u32, Option<&str>, f64)]) -> Message {
+    let at = Nanos::from_millis(ts_ms);
+    let mut frame = FrameBuilder::new();
+    let mut b = PowerBatch::with_capacity(at, "t", TraceId::NONE, rows.len());
+    for &(pid, node, w) in rows {
+        frame.push_time_row(Pid(pid), Nanos::ZERO, |_| {});
+        frame.set_time_group(node);
         b.push(Pid(pid), Watts(w), Watts(0.0), Quality::Full);
     }
+    let interval = Nanos::from_millis(500);
+    b.frame = Some(Arc::new(frame.finish(
+        at,
+        interval,
+        Vec::new().into(),
+        None,
+    )));
     Message::PowerBatch(Arc::new(b))
 }
 
@@ -189,17 +272,23 @@ fn power(ts_ms: u64, rows: &[(u32, f64)]) -> Message {
 #[test]
 fn groups_sum_their_members_per_timestamp() {
     let vms = Hierarchy::new(0.0);
-    vms.attach(Pid(1), "vm-alpha");
-    vms.attach(Pid(2), "vm-alpha");
-    vms.attach(Pid(3), "vm-beta");
     let mut sys = ActorSystem::new();
     let agg = sys.spawn("groups", Box::new(HierarchyAggregator::new(vms.clone())));
     sys.bus().subscribe(Topic::Power, &agg);
+    let (alpha, beta) = (Some("vm-alpha"), Some("vm-beta"));
     // Tick 1: alpha gets 2+3 W, beta gets 4 W; pid 9 is ungrouped.
-    sys.bus()
-        .publish(power(500, &[(1, 2.0), (2, 3.0), (3, 4.0), (9, 100.0)]));
+    sys.bus().publish(power(
+        500,
+        &[
+            (1, alpha, 2.0),
+            (2, alpha, 3.0),
+            (3, beta, 4.0),
+            (9, None, 100.0),
+        ],
+    ));
     // Tick 2 flushes the tick-1 window; shutdown flushes tick 2.
-    sys.bus().publish(power(1000, &[(1, 1.0), (3, 1.5)]));
+    sys.bus()
+        .publish(power(1000, &[(1, alpha, 1.0), (3, beta, 1.5)]));
     sys.shutdown();
     let ledger = vms.ledger();
     let emitted = |tick: usize, node: &str| ledger[tick].nodes[node].power_w;
@@ -219,9 +308,6 @@ fn groups_sum_their_members_per_timestamp() {
 #[test]
 fn dying_process_never_leaves_a_stale_hierarchy_leaf() {
     let hierarchy = Hierarchy::new(0.0);
-    hierarchy.attach(Pid(1), "tenant-a/svc-dying");
-    hierarchy.attach(Pid(2), "tenant-b/svc-survivor");
-
     let mut sys = ActorSystem::new();
     let agg = sys.spawn(
         "hierarchy",
@@ -229,11 +315,12 @@ fn dying_process_never_leaves_a_stale_hierarchy_leaf() {
     );
     sys.bus().subscribe(Topic::Power, &agg);
 
-    sys.bus().publish(power(500, &[(1, 4.0), (2, 1.0)]));
-    // Pid 1 dies between ticks — its reports simply stop; only the
-    // survivor speaks at tick 2. (Membership detach is the supervisor's
-    // asynchronous business and must not be needed for the flush.)
-    sys.bus().publish(power(1000, &[(2, 1.5)]));
+    let (dying, survivor) = (Some("tenant-a/svc-dying"), Some("tenant-b/svc-survivor"));
+    sys.bus()
+        .publish(power(500, &[(1, dying, 4.0), (2, survivor, 1.0)]));
+    // Pid 1 dies between ticks — its row simply leaves the frame; only
+    // the survivor speaks at tick 2.
+    sys.bus().publish(power(1000, &[(2, survivor, 1.5)]));
 
     // The ts=500 whole-tree window (including the dead leaf) must be in
     // the ledger before shutdown, flushed by the survivor's report.

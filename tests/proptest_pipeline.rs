@@ -301,7 +301,6 @@ proptest! {
             })
             .collect();
         let hierarchy = Hierarchy::new(model.idle_w());
-        hierarchy.sync_cgroups(kernel.cgroups());
         let mut papi = PowerApi::builder(kernel)
             .formula(PerFrequencyFormula::new(model))
             .degrade_to(CpuLoadFormula::new(0.0, 4.0), Nanos::from_millis(600))

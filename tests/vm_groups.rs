@@ -1,6 +1,7 @@
 //! VM-level power attribution end to end (§5 future work): control
 //! groups in the kernel, group aggregation in the middleware (a flat set
-//! of VMs is a depth-1 hierarchy).
+//! of VMs is a depth-1 hierarchy), membership read from each tick's
+//! frame.
 
 use powerapi_suite::os_sim::kernel::Kernel;
 use powerapi_suite::os_sim::process::Pid;
@@ -15,31 +16,28 @@ use powerapi_suite::simcpu::presets;
 use powerapi_suite::simcpu::units::Nanos;
 use powerapi_suite::simcpu::workunit::WorkUnit;
 
-/// Two VMs — alpha (pids `a`, `b`) and beta (pid `c`) — as a depth-1
-/// hierarchy, monitored for eight 500 ms ticks under the default
+/// Two VMs — alpha (pids `a`, `b`) and beta (pid `c`) — as depth-1
+/// cgroups, monitored for eight 500 ms ticks under the default
 /// dimension: per-process reports plus machine aggregates.
 fn run_two_vms() -> (RunOutcome, Hierarchy, [Pid; 3]) {
     let mut kernel = Kernel::new(presets::intel_i3_2120());
-    let a = kernel.spawn_in_group(
+    let a = kernel.spawn_in_cgroup(
         "a",
         "vm-alpha",
         vec![SteadyTask::boxed(WorkUnit::cpu_intensive(0.9))],
     );
-    let b = kernel.spawn_in_group(
+    let b = kernel.spawn_in_cgroup(
         "b",
         "vm-alpha",
         vec![SteadyTask::boxed(WorkUnit::memory_intensive(65_536.0, 0.7))],
     );
-    let c = kernel.spawn_in_group(
+    let c = kernel.spawn_in_cgroup(
         "c",
         "vm-beta",
         vec![SteadyTask::boxed(WorkUnit::cpu_intensive(0.4))],
     );
     let formula = PerFrequencyFormula::new(PerFrequencyPowerModel::paper_i3_example());
     let vms = Hierarchy::new(formula.idle_w());
-    for (vm, pid) in [("vm-alpha", a), ("vm-alpha", b), ("vm-beta", c)] {
-        vms.attach(pid, vm);
-    }
 
     let mut papi = PowerApi::builder(kernel)
         .formula(formula)
@@ -92,12 +90,12 @@ fn group_power_equals_sum_of_member_processes() {
 fn pinned_groups_respect_their_cpu_budgets() {
     // Pin each VM to its own core; counters must show the separation.
     let mut kernel = Kernel::new(presets::intel_i3_2120());
-    let alpha = kernel.spawn_in_group(
+    let alpha = kernel.spawn_in_cgroup(
         "alpha",
         "vm-alpha",
         vec![SteadyTask::boxed(WorkUnit::cpu_intensive(1.0))],
     );
-    let beta = kernel.spawn_in_group(
+    let beta = kernel.spawn_in_cgroup(
         "beta",
         "vm-beta",
         vec![SteadyTask::boxed(WorkUnit::cpu_intensive(1.0))],
