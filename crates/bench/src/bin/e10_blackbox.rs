@@ -220,11 +220,10 @@ fn main() {
         injected.len(),
     );
 
-    // The injected-fault tallies replay exactly from the seeded plan
-    // (E7's precedent); the *total* event count also includes the
-    // quality-degrade transitions, which depend on where actor restarts
-    // land relative to in-flight ticks across real threads, so it
-    // carries a loose tolerance.
+    // The injected-fault tallies replay exactly from the seeded plan, and
+    // so does the total: the quality-degrade transitions it also counts
+    // follow where a supervised restart lands among the ticks, which the
+    // one FIFO loop fixes.
     let mut golden = Golden::new("e10_blackbox", args.quick);
     golden.push_exact("fault_windows", plan.windows().len() as f64);
     golden.push_exact("kinds_injected", injected.len() as f64);
@@ -233,6 +232,6 @@ fn main() {
     golden.push_exact("actor_panics_journaled", panics_journaled as f64);
     golden.push_exact("actor_restarts_journaled", restarts_journaled as f64);
     golden.push_exact("trace_stages_named", stages_named as f64);
-    golden.push_tol("journal_events_in_dump", report.events as f64, 0.25);
+    golden.push_exact("journal_events_in_dump", report.events as f64);
     golden.finish(&args, ok);
 }

@@ -207,8 +207,9 @@ fn main() {
     // Quick and full schedules hold separate goldens (different fault
     // windows, different durations). Counts derived from the seeded fault
     // plan reproduce exactly, and so does the degraded-report count now
-    // that the sensor stage orders each tick's sources; the error metrics
-    // keep the explicit loose tolerances they were blessed with.
+    // that the sensor stage orders each tick's sources; the errors, which
+    // pair the same seeded meter samples with the same estimates, sit at
+    // the default float tolerance.
     let mut golden = Golden::new("e7_chaos", args.quick);
     golden.push_exact("fault_windows", plan.windows().len() as f64);
     golden.push_exact("fault_kinds_fired", kinds_fired.len() as f64);
@@ -223,7 +224,7 @@ fn main() {
         "degraded_estimates",
         chaos.outcome.degraded_reports() as f64,
     );
-    golden.push_tol("baseline_median_ape_pct", base_report.median_ape, 0.05);
-    golden.push_tol("chaos_median_ape_pct", chaos_report.median_ape, 0.05);
+    golden.push("baseline_median_ape_pct", base_report.median_ape);
+    golden.push("chaos_median_ape_pct", chaos_report.median_ape);
     golden.finish(&args, ok);
 }

@@ -11,15 +11,6 @@
 //! host wall-clock time never does — that is `benchmark/`'s to judge
 //! (`run.sh --compare`), under repetition and recorded spread.
 //!
-//! In between sit metrics whose *value* is seeded but whose exact tally
-//! is coupled to real thread scheduling — E7's degraded-report count
-//! (where a supervised restart lands relative to in-flight ticks) and
-//! E9's drift-detection tick (which meter sample pairs with which
-//! estimate depends on cross-thread arrival order). Those are recorded
-//! with [`Golden::push_tol`] and an explicit loose tolerance, wide
-//! enough to absorb a sample of jitter and still catch real regressions;
-//! never silently widen the default for them.
-//!
 //! File format, one entry per line, `#` starts a comment:
 //!
 //! ```text

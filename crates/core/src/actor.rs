@@ -25,6 +25,10 @@
 //! its factory (up to a cap), escalate to the system, or stop. Every
 //! restart and panic is counted and queryable via [`ActorSystem::health`].
 //!
+//! A producer waits for the loop one way: [`ActorSystem::settle`] returns
+//! once everything sent so far, and everything that caused, has been
+//! handled. It queues a marker, so the wait is a hand-off, not a poll.
+//!
 //! Shutdown is ordered: [`ActorSystem::shutdown`] stops actors in spawn
 //! order, each once everything sent to it so far has been handled.
 //! Spawning pipeline stages upstream-first therefore guarantees every
@@ -39,7 +43,7 @@ use crate::telemetry::{Counter, EventKind, Gauge, Histogram, Stage, Telemetry, T
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -140,6 +144,9 @@ enum Envelope {
     /// Everything sent to actor `.0` before this point has been handled:
     /// the loop queues one for itself per actor while shutting down.
     Drained(usize),
+    /// [`ActorSystem::settle`]'s marker: signalled once the loop reaches
+    /// it with nothing but other markers queued behind it.
+    Settle(mpsc::Sender<()>),
     /// Stop every actor in spawn order, then exit.
     Shutdown,
 }
@@ -165,6 +172,8 @@ struct LoopState {
     /// By actor id: cleared when the actor stops or dies, after which
     /// sends to it are refused.
     open: Vec<bool>,
+    /// Set when the loop has ended: nobody will reach a settle marker.
+    stopped: bool,
 }
 
 /// What the event loop shares with every [`ActorRef`].
@@ -309,6 +318,7 @@ impl ActorSystem {
                 queue: VecDeque::new(),
                 parked: false,
                 open: Vec::new(),
+                stopped: false,
             }),
             wake: Condvar::new(),
         });
@@ -461,6 +471,21 @@ impl ActorSystem {
         self.shared.push(state, Envelope::Spawn(Box::new(resident)));
         self.actors.push(actor_ref.clone());
         actor_ref
+    }
+
+    /// Returns once the loop has handled everything sent before the call
+    /// and everything those handlers published in turn — the one way to
+    /// wait for the loop. Returns at once on an idle system, and without
+    /// waiting once the loop has stopped.
+    pub fn settle(&self) {
+        let (done, settled) = mpsc::channel();
+        let state = self.shared.lock();
+        if state.stopped {
+            return;
+        }
+        self.shared.push(state, Envelope::Settle(done));
+        // An error means the loop ended and dropped the marker unanswered.
+        let _ = settled.recv();
     }
 
     /// Stops every actor in spawn order — each after everything sent to
@@ -717,6 +742,17 @@ impl EventLoop {
                 }
             }
             Envelope::Spawn(resident) => self.residents.push(*resident),
+            Envelope::Settle(done) => {
+                let mut state = self.shared.lock();
+                // What a handler published is queued behind the marker:
+                // go round again until only markers are left.
+                if state.queue.iter().all(|e| matches!(e, Envelope::Settle(_))) {
+                    drop(state);
+                    let _ = done.send(());
+                } else {
+                    state.queue.push_back(Envelope::Settle(done));
+                }
+            }
             // Markers the loop reads in `run`.
             Envelope::Drained(_) | Envelope::Shutdown => {}
         }
@@ -725,7 +761,8 @@ impl EventLoop {
 
 impl Drop for EventLoop {
     /// However the loop ends, nothing can be delivered any more: refuse
-    /// every later send and release the queued mail.
+    /// every later send and settle, and release the queued mail (a
+    /// waiting [`ActorSystem::settle`] returns when its marker goes).
     fn drop(&mut self) {
         // Not `lock()`: this also runs while the loop unwinds, and a
         // `Drop` must not panic on the poison that leaves behind.
@@ -734,6 +771,7 @@ impl Drop for EventLoop {
             Err(poisoned) => poisoned.into_inner(),
         };
         state.open.fill(false);
+        state.stopped = true;
         let undelivered = std::mem::take(&mut state.queue);
         // Freeing frames must not run under the queue lock.
         drop(state);
@@ -759,11 +797,9 @@ impl std::fmt::Debug for ActorSystem {
 mod tests {
     use super::*;
     use crate::msg::Topic;
-    use crate::testing::wait_until;
     use simcpu::units::{Nanos, Watts};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
-    use std::time::Duration;
 
     struct Counter {
         hits: Arc<AtomicU64>,
@@ -868,6 +904,8 @@ mod tests {
     fn system_accessors() {
         let mut sys = ActorSystem::new();
         assert!(sys.is_empty());
+        // Nothing queued: returns at once.
+        sys.settle();
         sys.spawn(
             "x",
             Box::new(Counter {
@@ -1001,9 +1039,8 @@ mod tests {
         );
         assert!(!sys.escalated());
         a.send(reading(1000.0));
-        // The escalation flag flips as soon as the thread exits; wait for
-        // it rather than racing it.
-        assert!(wait_until(Duration::from_secs(10), || sys.escalated()));
+        sys.settle();
+        assert!(sys.escalated(), "flagged once the panic was handled");
         let summary = sys.shutdown();
         assert!(summary.escalated);
         assert_eq!(summary.panicked, vec!["critical".to_string()]);
@@ -1176,6 +1213,14 @@ mod tests {
         for i in 0..50 {
             sys.bus().publish(reading(f64::from(i)));
         }
+        // Settled means the copies the relay published were handled too,
+        // for two callers settling at once as well.
+        std::thread::scope(|scope| {
+            scope.spawn(|| sys.settle());
+            sys.settle();
+        });
+        let sunk = log.lock().unwrap().iter().filter(|e| e.0 == "sink").count();
+        assert_eq!(sunk, 50 * 3, "every copy, before any on_stop");
         sys.shutdown();
         let log = log.lock().unwrap();
         let sunk = log.iter().filter(|e| e.0 == "sink").count();
@@ -1209,9 +1254,8 @@ mod tests {
             assert!(bystander.send(reading(1.0)));
         }
         open_gate(&gate);
-        assert!(wait_until(Duration::from_secs(10), || {
-            !fragile.send(reading(1.0))
-        }));
+        sys.settle();
+        assert!(!fragile.send(reading(1.0)), "the pill closed its mailbox");
         let summary = sys.shutdown();
         assert_eq!(handled.load(Ordering::SeqCst), 0, "nothing after the pill");
         assert_eq!(hits.load(Ordering::SeqCst), 3, "the loop carries on");
@@ -1237,6 +1281,20 @@ mod tests {
     }
 
     #[test]
+    fn settle_returns_once_the_loop_has_stopped() {
+        let (sys, gate) = held_system();
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| sys.settle());
+            // The loop stops whether the marker is queued yet or not:
+            // dropping it, or finding the loop gone, releases the waiter.
+            sys.shared.push(sys.shared.lock(), Envelope::Shutdown);
+            open_gate(&gate);
+            waiter.join().unwrap();
+        });
+        sys.settle();
+    }
+
+    #[test]
     fn health_reports_live_counters() {
         let _quiet = quiet_panics();
         let handled = Arc::new(AtomicU64::new(0));
@@ -1254,10 +1312,8 @@ mod tests {
         );
         a.send(reading(1000.0));
         a.send(reading(1.0));
-        // Wait until the recovery is visible.
-        assert!(wait_until(Duration::from_secs(10), || {
-            handled.load(Ordering::SeqCst) == 1
-        }));
+        sys.settle();
+        assert_eq!(handled.load(Ordering::SeqCst), 1, "the rebuilt actor ran");
         let health = sys.health();
         assert_eq!(health.len(), 1);
         assert_eq!(health[0].name, "observed");

@@ -262,7 +262,6 @@ struct SamplingState {
     /// observed tick.
     fault_pending: bool,
     transitions: u64,
-    observed: u64,
 }
 
 fn xorshift64(rng: &mut u64) -> u64 {
@@ -280,13 +279,15 @@ fn required_inband(rng: &mut u64) -> u32 {
     INBAND_TICKS + (xorshift64(rng) % (u64::from(INBAND_JITTER) + 1)) as u32
 }
 
-/// Shared handle between the [`RateControlActor`] (which decides), the
-/// runtime (which stretches the tick boundary and sheds slots) and tests
-/// (which read the state). Mirrors [`PowerCap`]: one shared state, an
-/// actor-side producer, a poll-side consumer, no channels.
+/// Shared handle between the [`RateControlActor`] (which decides, on the
+/// loop thread) and the runtime (which stretches the tick boundary and
+/// sheds slots, on the producer thread). The runtime reads the factor
+/// only after [`ActorSystem::settle`] — the verdict on every aggregate
+/// published so far is in by then — so the hand-off needs no channel
+/// and leaves no timing to chance.
 ///
 /// [`RateControlActor`]: crate::control::RateControlActor
-/// [`PowerCap`]: crate::control::PowerCap
+/// [`ActorSystem::settle`]: crate::actor::ActorSystem::settle
 #[derive(Debug, Clone)]
 pub struct SamplingController {
     cfg: SamplingConfig,
@@ -308,7 +309,6 @@ impl SamplingController {
                 rng,
                 fault_pending: false,
                 transitions: 0,
-                observed: 0,
             })),
         }
     }
@@ -326,11 +326,6 @@ impl SamplingController {
     /// Total transitions so far.
     pub fn transitions(&self) -> u64 {
         self.state.lock().transitions
-    }
-
-    /// Ticks the controller has observed so far.
-    pub fn observed(&self) -> u64 {
-        self.state.lock().observed
     }
 
     /// Flags an open fault window (runtime-side; the sensing substrates
@@ -354,7 +349,6 @@ impl SamplingController {
     pub fn observe(&self, breach: Option<RateCause>) -> Option<RateTransition> {
         let ceiling = self.cfg.max_factor.max(1);
         let mut s = self.state.lock();
-        s.observed += 1;
         s.ticks_since_transition = s.ticks_since_transition.saturating_add(1);
         let breach = if std::mem::take(&mut s.fault_pending) {
             Some(RateCause::FaultWindow)
@@ -463,7 +457,6 @@ mod tests {
             .iter()
             .all(|t| t.cause == RateCause::InBand && t.new_factor == t.old_factor * 2));
         assert_eq!(c.transitions(), 3);
-        assert_eq!(c.observed(), 30);
     }
 
     #[test]

@@ -32,7 +32,15 @@ struct CapState {
     last_estimate_w: f64,
 }
 
-/// Shared handle between the control actor and the governor.
+/// Shared handle between the control actor (which writes the verdict on
+/// the loop thread) and the governor (which takes it mid-slice on the
+/// producer thread). Nothing orders the two inside a `run_for`, so a
+/// verdict lands at a deterministic quantum only when the caller runs
+/// period-sized slices and calls [`PowerApi::settle`] between them — and
+/// settles before [`PowerCap::set_cap_w`], so the new budget judges only
+/// estimates published after it.
+///
+/// [`PowerApi::settle`]: crate::runtime::PowerApi::settle
 #[derive(Debug, Clone)]
 pub struct PowerCap {
     state: Arc<Mutex<CapState>>,
@@ -101,14 +109,14 @@ pub const RECALIBRATION_COOLDOWN: Nanos = Nanos::from_secs(30);
 
 /// Control hook the model-health monitor pulls when drift is detected:
 /// "this model no longer matches the hardware — schedule a calibration
-/// sweep". The consumer (an operator loop, or [`RunOutcome`] at the end
-/// of a run) polls [`take_pending`]; [`RECALIBRATION_COOLDOWN`] collapses
-/// the alarm bursts a sustained drift produces into one request per
-/// window.
+/// sweep". The health monitor fires it on the loop thread; the consumer
+/// (an operator loop between `run_for` slices, after
+/// [`PowerApi::settle`], or [`RunOutcome`] after the loop has stopped)
+/// takes the request with [`take_pending`]. [`RECALIBRATION_COOLDOWN`]
+/// collapses the alarm bursts a sustained drift produces into one
+/// request per window.
 ///
-/// Mirrors [`PowerCap`]: one shared state, an actor-side producer and a
-/// poll-side consumer, no channels.
-///
+/// [`PowerApi::settle`]: crate::runtime::PowerApi::settle
 /// [`RunOutcome`]: crate::runtime::RunOutcome
 /// [`take_pending`]: RecalibrationTrigger::take_pending
 #[derive(Debug, Clone)]
@@ -524,12 +532,10 @@ mod tests {
         for i in 1..=inband {
             sys.bus().publish(agg(i));
         }
-        // The actor digests asynchronously: wait for the backoff to land
-        // before flipping the shared health state under it.
-        assert!(
-            crate::testing::wait_until(std::time::Duration::from_secs(5), || ctrl.factor() == 2),
-            "backed off on in-band residuals"
-        );
+        // Let the backoff land before flipping the shared health state
+        // under the actor.
+        sys.settle();
+        assert_eq!(ctrl.factor(), 2, "backed off on in-band residuals");
         // Residual at 60 % of the envelope: in band (no quality downgrade,
         // no out-of-band flag) yet past the quarter-envelope guard — snaps
         // back.

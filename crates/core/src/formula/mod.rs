@@ -266,19 +266,15 @@ mod tests {
         let sink = sys.spawn("sink", Box::new(Capture(seen.clone())));
         sys.bus().subscribe(Topic::Sensor, &formula);
         sys.bus().subscribe(Topic::Power, &sink);
-        let settled = |n: usize| {
-            let seen = seen.clone();
-            crate::testing::wait_until(std::time::Duration::from_secs(5), move || {
-                seen.lock().len() >= n
-            })
-        };
         // Healthy: Full.
         sys.bus().publish(sensor_msg(crate::sensor::hpc::SOURCE));
-        assert!(settled(1));
+        sys.settle();
+        assert_eq!(seen.lock().len(), 1);
         // Monitor flags the residual out of band: Degraded.
         health.record_residual(8.0, 8.0, 8.0, 2.0, true);
         sys.bus().publish(sensor_msg(crate::sensor::hpc::SOURCE));
-        assert!(settled(2));
+        sys.settle();
+        assert_eq!(seen.lock().len(), 2);
         // Residual returns in band: Full again.
         health.record_residual(0.1, 0.1, 0.1, 2.0, false);
         sys.bus().publish(sensor_msg(crate::sensor::hpc::SOURCE));

@@ -51,7 +51,7 @@ use simcpu::units::{Nanos, Watts};
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A rebuildable actor constructor, as supervisors need after a panic.
 type ActorFactory = Box<dyn FnMut() -> Box<dyn crate::actor::Actor> + Send>;
@@ -713,13 +713,12 @@ impl PowerApi {
                 // actor sees this tick's aggregate, so a fault window
                 // snaps the rate back on the tick that opened it.
                 self.journal_fault_deltas(timestamp);
-                let observed_before = self.sampling.as_ref().map(|s| s.observed());
                 bus.publish(Message::Frame(Arc::new(frame)));
                 self.settle_selfcost_tick();
                 if let Some(out) = &mut self.telemetry_out {
                     let _ = writeln!(out, "{}", self.telemetry.json_snapshot(timestamp));
                 }
-                self.advance_boundary(observed_before);
+                self.advance_boundary();
                 batch = instrumented.then(Instant::now);
             }
         }
@@ -782,22 +781,17 @@ impl PowerApi {
     /// current period factor (1 when adaptive sampling is off) and
     /// applies the configured slot shedding while backed off.
     ///
-    /// `observed_before` is the controller's observed-tick count captured
-    /// before the tick published: the boundary waits (bounded) until the
-    /// rate actor has digested this tick's machine aggregate, so tick
-    /// T's verdict paces the T→T+1 gap deterministically instead of
-    /// landing a tick late depending on thread timing. Ticks that
-    /// publish no machine aggregate (nothing monitored) simply time out.
-    fn advance_boundary(&mut self, observed_before: Option<u64>) {
-        let factor = match (&self.sampling, observed_before) {
-            (Some(s), Some(before)) => {
-                let deadline = Instant::now() + Duration::from_millis(2);
-                while s.observed() <= before && Instant::now() < deadline {
-                    std::thread::yield_now();
-                }
+    /// With adaptive sampling on, the boundary first settles the loop:
+    /// the verdict on the aggregate this tick's frame flushed paces the
+    /// T→T+1 gap, whatever the thread timing. With it off the producer
+    /// does not wait, and keeps overlapping the loop.
+    fn advance_boundary(&mut self) {
+        let factor = match &self.sampling {
+            Some(s) => {
+                self.settle();
                 s.factor().max(1)
             }
-            _ => 1,
+            None => 1,
         };
         self.next_boundary += Nanos(self.clock_period.as_u64().saturating_mul(factor as u64));
         if let Some(s) = &self.sampling {
@@ -835,6 +829,18 @@ impl PowerApi {
         self.selfcost_prev_snapshot = snap;
     }
 
+    /// Returns once the pipeline has handled everything published so far
+    /// and everything that caused ([`ActorSystem::settle`]). Call it
+    /// between `run_for` slices before reading or writing a handle the
+    /// actors share — a [`PowerCap`](crate::control::PowerCap) set-point,
+    /// the [`ModelHealth`] view — so the access lands at a tick boundary.
+    /// A no-op after [`PowerApi::finish`].
+    pub fn settle(&self) {
+        if let Some(system) = &self.system {
+            system.settle();
+        }
+    }
+
     /// The observability hub (disabled unless the builder enabled it).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
@@ -842,22 +848,24 @@ impl PowerApi {
 
     /// The live model-health view (`None` unless the builder enabled
     /// [`PowerApiBuilder::model_health`]). Readable mid-run: operator
-    /// loops can poll `out_of_band()` / `alarms()` between `run_for`
-    /// slices.
+    /// loops read `out_of_band()` / `alarms()` between `run_for` slices,
+    /// after [`PowerApi::settle`].
     pub fn model_health(&self) -> Option<&ModelHealth> {
         self.model_health.as_ref().map(|(h, _)| h)
     }
 
     /// The recalibration hook (`None` unless model health is enabled).
-    /// Poll [`RecalibrationTrigger::take_pending`] between `run_for`
-    /// slices to schedule calibration sweeps on drift.
+    /// Take [`RecalibrationTrigger::take_pending`] between `run_for`
+    /// slices, after [`PowerApi::settle`], to schedule calibration sweeps
+    /// on drift.
     pub fn recalibration_trigger(&self) -> Option<&RecalibrationTrigger> {
         self.model_health.as_ref().map(|(_, t)| t)
     }
 
     /// The adaptive sampling controller (`None` unless the builder
     /// enabled [`PowerApiBuilder::adaptive_sampling`]). Readable mid-run:
-    /// `factor()` is the live period multiplier.
+    /// `factor()` is the period multiplier the last tick boundary settled
+    /// on.
     pub fn sampling_controller(&self) -> Option<&SamplingController> {
         self.sampling.as_ref()
     }

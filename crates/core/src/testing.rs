@@ -19,30 +19,12 @@
 //! ```
 
 use crate::model::sampling::measure_idle;
-use crate::Result;
+use crate::{Error, Result};
 use os_sim::kernel::Kernel;
 use os_sim::task::{SteadyTask, TaskBehavior};
 use simcpu::machine::MachineConfig;
 use simcpu::units::{Joules, Nanos};
 use simcpu::workunit::WorkUnit;
-use std::time::{Duration, Instant};
-
-/// Polls `cond` (1 ms interval) until it holds or `timeout` elapses;
-/// returns the final evaluation. Replaces fixed wall-clock sleeps in
-/// concurrency tests — waits exactly as long as needed, and a generous
-/// timeout costs nothing on the happy path even on a loaded machine.
-pub fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    loop {
-        if cond() {
-            return true;
-        }
-        if Instant::now() >= deadline {
-            return cond();
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-}
 
 /// Energy measured for one test run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,13 +65,9 @@ impl EnergyTest {
         }
     }
 
-    /// Overrides the scheduler quantum.
+    /// Overrides the scheduler quantum (a zero one fails the run).
     pub fn quantum(mut self, quantum: Nanos) -> EnergyTest {
-        self.quantum = if quantum == Nanos::ZERO {
-            Nanos(1)
-        } else {
-            quantum
-        };
+        self.quantum = quantum;
         self
     }
 
@@ -97,7 +75,7 @@ impl EnergyTest {
     ///
     /// # Errors
     ///
-    /// Propagates idle-measurement errors.
+    /// As [`EnergyTest::run_tasks`].
     pub fn run_workload(&self, work: WorkUnit, duration: Nanos) -> Result<EnergyMeasurement> {
         self.run_tasks(vec![SteadyTask::boxed(work)], duration)
     }
@@ -106,12 +84,16 @@ impl EnergyTest {
     ///
     /// # Errors
     ///
-    /// Propagates idle-measurement errors.
+    /// [`Error::Middleware`] for a zero quantum; propagates
+    /// idle-measurement errors.
     pub fn run_tasks(
         &self,
         tasks: Vec<Box<dyn TaskBehavior>>,
         duration: Nanos,
     ) -> Result<EnergyMeasurement> {
+        if self.quantum == Nanos::ZERO {
+            return Err(Error::Middleware("quantum must be non-zero".into()));
+        }
         // The idle baseline uses a noiseless meter: unit tests want
         // repeatable budgets, not metrology realism.
         let idle_w = measure_idle(
@@ -198,6 +180,18 @@ mod tests {
             m.active.as_f64() < 1.0,
             "idle active energy ≈ 0: {}",
             m.active
+        );
+    }
+
+    #[test]
+    fn a_zero_quantum_is_refused_not_clamped() {
+        let harness = EnergyTest::on(presets::intel_i3_2120()).quantum(Nanos::ZERO);
+        let err = harness
+            .run_workload(WorkUnit::cpu_intensive(0.5), Nanos::from_millis(10))
+            .expect_err("a zero quantum must fail the run");
+        assert!(
+            matches!(&err, Error::Middleware(m) if m.contains("quantum")),
+            "{err}"
         );
     }
 

@@ -46,6 +46,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Phase 1 — 30 s under a 55 W budget…");
     papi.run_for(Nanos::from_secs(30))?;
     println!("Phase 2 — the feed drops: budget tightens to 45 W, 30 s…");
+    // Let the loop judge phase 1's last estimates against the old budget
+    // first, so the new one starts at the 30 s boundary.
+    papi.settle();
     cap.set_cap_w(45.0);
     papi.run_for(Nanos::from_secs(30))?;
     let outcome = papi.finish()?;

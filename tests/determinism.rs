@@ -1,11 +1,16 @@
 //! Reproducibility tests: the entire stack — simulation, measurement
 //! noise, learning, estimation — must be a pure function of its seeds.
-//! (Actor scheduling is concurrent, but message *content* and per-scope
-//! ordering are deterministic; these tests pin that down.)
+//! The actors share one loop thread fed by one FIFO queue, and the
+//! producer waits for that thread only through `settle()`, so how far the
+//! loop lags must change nothing: the `*_under_loop_delays` tests slow it
+//! by a seeded sleep per tick and hold every output to the bit.
 
 use powerapi_suite::os_sim::kernel::Kernel;
 use powerapi_suite::os_sim::task::{PeriodicTask, SteadyTask};
+use powerapi_suite::perf_sim::events::PAPER_EVENTS;
 use powerapi_suite::powerapi::actor::{Actor, Context};
+use powerapi_suite::powerapi::adaptive::SamplingConfig;
+use powerapi_suite::powerapi::control::{CapControlActor, CappedGovernor, PowerCap};
 use powerapi_suite::powerapi::formula::cpuload::CpuLoadFormula;
 use powerapi_suite::powerapi::formula::per_freq::PerFrequencyFormula;
 use powerapi_suite::powerapi::hierarchy::Hierarchy;
@@ -13,6 +18,7 @@ use powerapi_suite::powerapi::model::learn::{learn_model, LearnConfig};
 use powerapi_suite::powerapi::model::power_model::PerFrequencyPowerModel;
 use powerapi_suite::powerapi::msg::{Message, Quality, Scope, Topic};
 use powerapi_suite::powerapi::runtime::{PowerApi, RunOutcome};
+use powerapi_suite::powerapi::telemetry::EventKind;
 use powerapi_suite::simcpu::fault::{FaultKind, FaultPlan, FaultWindow};
 use powerapi_suite::simcpu::presets;
 use powerapi_suite::simcpu::units::Nanos;
@@ -272,11 +278,173 @@ fn tenant_churn_is_deterministic_under_loop_delays() {
             .any(|(_, node)| node == "tenant-bronze/job-1"),
         "a container started mid-run gets its own node"
     );
-    for seed in 1..5 {
+    for seed in 1..20 {
         assert_eq!(
             run_tenant_churn(seed),
             expected,
             "delay seed {seed} diverged"
+        );
+    }
+}
+
+/// Every report of a run as raw bits, in emission order.
+type ReportBits = Vec<(Nanos, Scope, u64, u64, Quality)>;
+
+fn report_bits(outcome: &RunOutcome) -> ReportBits {
+    outcome
+        .reports
+        .iter()
+        .map(|r| {
+            (
+                r.timestamp,
+                r.scope.clone(),
+                r.power.as_f64().to_bits(),
+                r.band_w.as_f64().to_bits(),
+                r.quality,
+            )
+        })
+        .collect()
+}
+
+/// The stock SPECjbb excerpt under the residual monitor and the rate
+/// controller (shedding to two PMU slots while backed off), with
+/// `jitter_seed` delaying the loop thread: the reports, the journaled
+/// rate changes (simulated time and detail) and the counter reads paid.
+fn run_adaptive(
+    model: &PerFrequencyPowerModel,
+    jitter_seed: u64,
+) -> (ReportBits, Vec<(Nanos, String)>, u64) {
+    let jbb = SpecJbbConfig {
+        duration: Nanos::from_secs(60),
+        ..SpecJbbConfig::default()
+    };
+    let mut kernel = Kernel::new(presets::intel_i3_2120());
+    let pid = kernel.spawn("specjbb", specjbb::tasks(&jbb));
+    let mut papi = PowerApi::builder(kernel)
+        .formula(PerFrequencyFormula::new(model.clone()))
+        .model_health()
+        .events(PAPER_EVENTS.to_vec())
+        .slots(4)
+        .adaptive_sampling(SamplingConfig {
+            shed_slots: Some(2),
+            ..SamplingConfig::default()
+        })
+        .telemetry(true)
+        .report_to_memory()
+        .quantum(Nanos::from_millis(10))
+        .clock_period(Nanos::from_secs(1))
+        .with_actor("jitter", Box::new(Jitter(jitter_seed)), vec![Topic::Tick])
+        .build()
+        .expect("pipeline builds");
+    papi.monitor(pid).expect("monitor");
+    papi.run_for(jbb.duration).expect("run");
+    let journal = papi.telemetry().journal().events();
+    let outcome = papi.finish().expect("shutdown");
+    let rate_changes = journal
+        .into_iter()
+        .filter(|e| e.kind == EventKind::RateChange)
+        .map(|e| (e.at, e.detail.to_string()))
+        .collect();
+    (
+        report_bits(&outcome),
+        rate_changes,
+        outcome.selfcost.sensor_reads,
+    )
+}
+
+/// Each tick's rate verdict paces the gap to the next tick however late
+/// the loop thread hands it over: the backoffs and snap-backs, the slots
+/// shed and every report are the same across delay seeds.
+#[test]
+fn adaptive_sampling_is_deterministic_under_loop_delays() {
+    let model = learn_model(presets::intel_i3_2120(), &LearnConfig::quick()).expect("learn");
+    let expected = run_adaptive(&model, 0);
+    let rate_changes = &expected.1;
+    assert!(
+        rate_changes.iter().any(|(_, d)| d.starts_with("backoff"))
+            && rate_changes.iter().any(|(_, d)| d.starts_with("snap")),
+        "the ladder must move both ways: {rate_changes:?}"
+    );
+    for seed in 1..20 {
+        let run = run_adaptive(&model, seed);
+        assert_eq!(
+            run.1, expected.1,
+            "delay seed {seed}: rate changes diverged"
+        );
+        assert_eq!(
+            run.2, expected.2,
+            "delay seed {seed}: sensor reads diverged"
+        );
+        assert!(run.0 == expected.0, "delay seed {seed}: reports diverged");
+    }
+}
+
+/// Full load under a power cap that tightens halfway, run one clock
+/// period at a time and settled in between, with `jitter_seed` delaying
+/// the loop: the meter trace and the machine estimates, as raw bits.
+fn run_capped(model: &PerFrequencyPowerModel, jitter_seed: u64) -> (Vec<(Nanos, u64)>, ReportBits) {
+    let mut kernel = Kernel::new(presets::intel_i3_2120());
+    let cap = PowerCap::new(50.0);
+    kernel.set_governor(Box::new(CappedGovernor::new(cap.clone())));
+    let pid = kernel.spawn(
+        "load",
+        (0..4)
+            .map(|_| SteadyTask::boxed(WorkUnit::cpu_intensive(1.0)))
+            .collect(),
+    );
+    let period = Nanos::from_millis(500);
+    let mut papi = PowerApi::builder(kernel)
+        .formula(PerFrequencyFormula::new(model.clone()))
+        .report_to_memory()
+        .quantum(Nanos::from_millis(2))
+        .clock_period(period)
+        .with_actor(
+            "cap-controller",
+            Box::new(CapControlActor::new(cap.clone())),
+            vec![Topic::Aggregate],
+        )
+        .with_actor("jitter", Box::new(Jitter(jitter_seed)), vec![Topic::Tick])
+        .build()
+        .expect("pipeline builds");
+    papi.monitor(pid).expect("monitor");
+    for slice in 0..40 {
+        // The governor takes the verdict mid-slice: settled, it is the
+        // one on the aggregate the previous slice's last tick flushed.
+        papi.run_for(period).expect("run");
+        papi.settle();
+        if slice == 20 {
+            cap.set_cap_w(42.0);
+        }
+    }
+    let outcome = papi.finish().expect("shutdown");
+    let meter = outcome
+        .meter
+        .iter()
+        .map(|(at, w)| (*at, w.as_f64().to_bits()))
+        .collect();
+    let mut machine = report_bits(&outcome);
+    machine.retain(|r| r.1 == Scope::Machine);
+    (meter, machine)
+}
+
+/// A cap verdict reaches the governor at the same quantum whatever the
+/// loop's lag, once the caller settles between period-sized slices.
+#[test]
+fn capping_is_deterministic_under_loop_delays() {
+    let model = learn_model(presets::intel_i3_2120(), &LearnConfig::quick()).expect("learn");
+    let expected = run_capped(&model, 0);
+    let watts = |i: usize| f64::from_bits(expected.1[i].2);
+    let (first, last) = (watts(0), watts(expected.1.len() - 1));
+    // Without the settles the loop, slowed by the jitter, would hand the
+    // governor no verdict before the run ended.
+    assert!(
+        last < first - 10.0,
+        "the cap must bite within the run: {first:.1} W -> {last:.1} W"
+    );
+    for seed in 1..20 {
+        assert!(
+            run_capped(&model, seed) == expected,
+            "delay seed {seed}: meter trace or estimates diverged"
         );
     }
 }

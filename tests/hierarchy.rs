@@ -19,12 +19,10 @@ use powerapi_suite::powerapi::model::power_model::PerFrequencyPowerModel;
 use powerapi_suite::powerapi::msg::{Message, Quality, Scope, Topic};
 use powerapi_suite::powerapi::runtime::PowerApi;
 use powerapi_suite::powerapi::telemetry::TraceId;
-use powerapi_suite::powerapi::testing::wait_until;
 use powerapi_suite::simcpu::fault::{FaultKind, FaultPlan, FaultWindow};
 use powerapi_suite::simcpu::presets;
 use powerapi_suite::simcpu::units::{Nanos, Watts};
 use powerapi_suite::simcpu::workunit::WorkUnit;
-use std::time::Duration;
 
 fn paper_formula() -> PerFrequencyFormula {
     PerFrequencyFormula::new(PerFrequencyPowerModel::paper_i3_example())
@@ -324,8 +322,12 @@ fn dying_process_never_leaves_a_stale_hierarchy_leaf() {
 
     // The ts=500 whole-tree window (including the dead leaf) must be in
     // the ledger before shutdown, flushed by the survivor's report.
-    let flushed = wait_until(Duration::from_secs(5), || hierarchy.ticks() >= 1);
-    assert!(flushed, "tick-1 window lingered past the tick-2 boundary");
+    sys.settle();
+    assert_eq!(
+        hierarchy.ticks(),
+        1,
+        "tick-1 window lingered past the tick-2 boundary"
+    );
     let first = &hierarchy.ledger()[0];
     assert_eq!(first.ts, Nanos::from_millis(500));
     assert_eq!(
