@@ -460,8 +460,8 @@ fn main() {
     golden.push_exact("self_power_reports", self_trace.len() as f64);
     golden.push_exact("fleet_journey_hops", fleet_hops as f64);
     golden.push_exact("fleet_journal_events", fleet_events as f64);
-    golden.push_tol("messages_handled", t.messages_handled as f64, 0.15);
-    golden.push_tol("journal_events", hub.journal().emitted() as f64, 0.34);
+    golden.push_exact("messages_handled", t.messages_handled as f64);
+    golden.push_exact("journal_events", hub.journal().emitted() as f64);
     golden.push_exact("self_attributed", f64::from(attributed));
     golden.push_exact("all_stages_instrumented", f64::from(staged));
     golden.finish(&args, ok);

@@ -155,8 +155,10 @@ enum Envelope {
 /// live counters. The queued messages themselves sit in the loop's queue.
 struct Mailbox {
     name: Arc<str>,
-    restarts: AtomicU64,
-    panics: AtomicU64,
+    /// The registry's `powerapi_actor_{restarts,panics}_total` series
+    /// (standalone counters when telemetry is dark).
+    restarts: Counter,
+    panics: Counter,
     /// Registry mirror of the queued-message count; `None` keeps the
     /// uninstrumented hot path free of clock reads and gauge updates.
     depth: Option<Gauge>,
@@ -310,7 +312,7 @@ impl ActorSystem {
     }
 
     /// Creates an empty system observed by `telemetry`: every spawned
-    /// actor gets a mailbox-depth gauge, a handled counter, latency
+    /// actor gets a mailbox-depth gauge, handle- and queue-latency
     /// histograms and trace hops recorded into the hub.
     pub fn with_telemetry(telemetry: Telemetry) -> ActorSystem {
         let shared = Arc::new(Shared {
@@ -374,8 +376,8 @@ impl ActorSystem {
             .iter()
             .map(|a| ActorHealth {
                 name: a.name().to_string(),
-                restarts: a.mailbox.restarts.load(Ordering::Relaxed),
-                panics: a.mailbox.panics.load(Ordering::Relaxed),
+                restarts: a.mailbox.restarts.get(),
+                panics: a.mailbox.panics.get(),
             })
             .collect()
     }
@@ -413,37 +415,28 @@ impl ActorSystem {
         options: SpawnOptions,
     ) -> ActorRef {
         let name: Arc<str> = Arc::from(name.into());
-        let (depth, instruments) = if self.telemetry.enabled() {
-            let reg = self.telemetry.registry();
-            (
-                Some(reg.gauge(&format!("powerapi_mailbox_depth{{actor=\"{name}\"}}"))),
-                Some(ActorInstruments {
-                    stage: options.stage,
-                    handled: reg
-                        .counter(&format!("powerapi_actor_handled_total{{actor=\"{name}\"}}")),
-                    handle_ns: reg
-                        .histogram(&format!("powerapi_actor_handle_ns{{actor=\"{name}\"}}")),
-                    queue_ns: reg
-                        .histogram(&format!("powerapi_actor_queue_ns{{actor=\"{name}\"}}")),
-                    restarts: reg.counter(&format!(
-                        "powerapi_actor_restarts_total{{actor=\"{name}\"}}"
-                    )),
-                    panics: reg
-                        .counter(&format!("powerapi_actor_panics_total{{actor=\"{name}\"}}")),
-                    stage_handle_ns: self.telemetry.stage_histogram(options.stage),
-                    tick_lag_ns: self.telemetry.tick_lag_histogram(),
-                    telemetry: self.telemetry.clone(),
-                }),
-            )
-        } else {
-            (None, None)
-        };
-        let mailbox = Arc::new(Mailbox {
+        let mut mailbox = Mailbox {
             name: name.clone(),
-            restarts: AtomicU64::new(0),
-            panics: AtomicU64::new(0),
-            depth,
-        });
+            restarts: Counter::default(),
+            panics: Counter::default(),
+            depth: None,
+        };
+        let mut instruments = None;
+        if self.telemetry.enabled() {
+            let reg = self.telemetry.registry();
+            let series = |family: &str| format!("powerapi_{family}{{actor=\"{name}\"}}");
+            mailbox.restarts = reg.counter(&series("actor_restarts_total"));
+            mailbox.panics = reg.counter(&series("actor_panics_total"));
+            mailbox.depth = Some(reg.gauge(&series("mailbox_depth")));
+            let (handle_ns, queue_ns) = self.telemetry.actor_series(&name, options.stage);
+            instruments = Some(ActorInstruments {
+                stage: options.stage,
+                handle_ns,
+                queue_ns,
+                telemetry: self.telemetry.clone(),
+            });
+        }
+        let mailbox = Arc::new(mailbox);
         let actor = factory();
         self.telemetry
             .journal()
@@ -496,8 +489,12 @@ impl ActorSystem {
         let exits = self.stop_loop();
         let mut summary = ShutdownSummary::default();
         for (i, actor) in self.actors.iter().enumerate() {
-            summary.restarts += actor.mailbox.restarts.load(Ordering::Relaxed);
-            summary.panics += actor.mailbox.panics.load(Ordering::Relaxed);
+            // Same-named actors share their registry counters: count once.
+            let earlier = &self.actors[..i];
+            if !(self.telemetry.enabled() && earlier.iter().any(|a| a.name() == actor.name())) {
+                summary.restarts += actor.mailbox.restarts.get();
+                summary.panics += actor.mailbox.panics.get();
+            }
             // A loop that did not come back took its actors with it.
             match exits.get(i).copied().unwrap_or(ExitKind::Panicked) {
                 ExitKind::Clean => {}
@@ -538,16 +535,13 @@ impl Drop for ActorSystem {
 }
 
 /// Per-actor telemetry handles, created once at spawn so the event loop
-/// never touches the registry's mutex.
+/// never touches the registry's mutex. The two series are the one record
+/// of each handled message; every per-stage, count and busy-time figure
+/// is read from them ([`Telemetry::overhead_summary`]).
 struct ActorInstruments {
     stage: Stage,
-    handled: Counter,
     handle_ns: Histogram,
     queue_ns: Histogram,
-    restarts: Counter,
-    panics: Counter,
-    stage_handle_ns: Histogram,
-    tick_lag_ns: Histogram,
     telemetry: Telemetry,
 }
 
@@ -567,10 +561,7 @@ struct Resident {
 
 impl Resident {
     fn note_panic(&self, what: &'static str) {
-        self.mailbox.panics.fetch_add(1, Ordering::Relaxed);
-        if let Some(ins) = &self.instruments {
-            ins.panics.inc();
-        }
+        self.mailbox.panics.inc();
         let journal = self.ctx.telemetry.journal();
         journal.emit(EventKind::ActorPanic, &self.ctx.name, what, TraceId::NONE);
     }
@@ -594,19 +585,11 @@ impl Resident {
             Message::Frame(frame) => ins.telemetry.trace_for_tick(frame.timestamp),
             _ => msg.trace(),
         };
-        let is_tick = matches!(msg, Message::Frame(_));
         let start = Instant::now();
         let caught = catch_unwind(AssertUnwindSafe(|| actor.handle(msg, ctx))).is_err();
         let handle_ns = start.elapsed().as_nanos() as u64;
-        ins.handled.inc();
         ins.handle_ns.record(handle_ns);
         ins.queue_ns.record(queue_ns);
-        ins.stage_handle_ns.record(handle_ns);
-        if is_tick {
-            // How far behind the monitoring clock this actor ran.
-            ins.tick_lag_ns.record(queue_ns);
-        }
-        ins.telemetry.overhead().record_handle(handle_ns);
         ins.telemetry
             .tracer()
             .record_hop(trace, ins.stage, &ctx.name, queue_ns, handle_ns);
@@ -631,7 +614,7 @@ impl Resident {
             }
             RestartPolicy::Restart { max } => max,
         };
-        if self.mailbox.restarts.load(Ordering::Relaxed) >= u64::from(max) {
+        if self.mailbox.restarts.get() >= u64::from(max) {
             return Some(ExitKind::Panicked);
         }
         // The poisoned instance is dropped; state comes back fresh from
@@ -642,10 +625,8 @@ impl Resident {
             return Some(ExitKind::Panicked);
         };
         self.actor = Some(fresh);
-        let restarts = self.mailbox.restarts.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(ins) = &self.instruments {
-            ins.restarts.inc();
-        }
+        self.mailbox.restarts.inc();
+        let restarts = self.mailbox.restarts.get();
         journal.emit(
             EventKind::ActorRestart,
             &self.ctx.name,
@@ -796,6 +777,7 @@ impl std::fmt::Debug for ActorSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::FrameBuilder;
     use crate::msg::Topic;
     use simcpu::units::{Nanos, Watts};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -1323,52 +1305,104 @@ mod tests {
     }
 
     #[test]
+    fn same_named_actors_share_one_tally() {
+        let _quiet = quiet_panics();
+        for telemetry in [Telemetry::new(), Telemetry::disabled()] {
+            let mut sys = ActorSystem::with_telemetry(telemetry);
+            for _ in 0..2 {
+                let fragile = Fragile {
+                    threshold: 100.0,
+                    handled: Arc::new(AtomicU64::new(0)),
+                };
+                sys.spawn_with("twin", Box::new(fragile), SpawnOptions::default())
+                    .send(reading(1000.0));
+            }
+            let summary = sys.shutdown();
+            assert_eq!(summary.panics, 2, "each panic counted once");
+            assert_eq!(summary.panicked, ["twin", "twin"]);
+        }
+    }
+
+    #[test]
     fn instrumented_system_records_metrics_and_hops() {
         let telemetry = Telemetry::new();
         let mut sys = ActorSystem::with_telemetry(telemetry.clone());
-        let hits = Arc::new(AtomicU64::new(0));
-        let a = sys.spawn_with(
-            "formula-t",
+        let counter = || -> Box<dyn Actor> {
             Box::new(Counter {
-                hits: hits.clone(),
+                hits: Arc::new(AtomicU64::new(0)),
                 stopped: Arc::new(AtomicU64::new(0)),
-            }),
-            SpawnOptions::default().stage(Stage::Formula),
+            })
+        };
+        let formula = SpawnOptions::default().stage(Stage::Formula);
+        let a = sys.spawn_with("formula-t", counter(), formula);
+        let b = sys.spawn_with("formula-u", counter(), formula);
+        // A name spawned twice shares its series: one count per message.
+        let twin = sys.spawn_with("formula-u", counter(), formula);
+        let sensor = sys.spawn_with(
+            "sensor",
+            counter(),
+            SpawnOptions::default().stage(Stage::Sensor),
         );
         // Open a span, then route a traced estimate through the actor.
         let trace = telemetry.trace_for_tick(Nanos::from_secs(1));
         assert!(trace.is_traced());
         a.send(Message::aggregates(Vec::new(), trace));
         a.send(reading(2.0)); // untraced: metrics only, no hop
+        b.send(reading(3.0));
+        twin.send(reading(4.0));
+        twin.send(reading(5.0));
+        for ts in [1, 2, 3] {
+            let frame = FrameBuilder::new().finish(
+                Nanos::from_secs(ts),
+                Nanos::from_secs(1),
+                Arc::from([]),
+                None,
+            );
+            sensor.send(Message::Frame(Arc::new(frame)));
+        }
         sys.shutdown();
         let reg = telemetry.registry();
-        assert_eq!(
-            reg.counter("powerapi_actor_handled_total{actor=\"formula-t\"}")
-                .get(),
-            2
-        );
-        assert_eq!(
-            reg.histogram("powerapi_actor_handle_ns{actor=\"formula-t\"}")
-                .count(),
-            2
-        );
-        assert_eq!(telemetry.stage_histogram(Stage::Formula).count(), 2);
+        let handle =
+            |actor: &str| reg.histogram(&format!("powerapi_actor_handle_ns{{actor=\"{actor}\"}}"));
+        let (t, u, sense) = (handle("formula-t"), handle("formula-u"), handle("sensor"));
+        assert_eq!((t.count(), u.count(), sense.count()), (2, 3, 3));
         assert_eq!(
             reg.gauge("powerapi_mailbox_depth{actor=\"formula-t\"}")
                 .get(),
             0,
             "drained mailbox reads empty"
         );
+        // Frames are trace roots: each opens its tick's span.
         let spans = telemetry.tracer().spans();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].hops.len(), 1, "only the traced message hopped");
-        assert_eq!(spans[0].hops[0].stage, Stage::Formula);
-        assert_eq!(&*spans[0].hops[0].actor, "formula-t");
+        assert_eq!(spans.len(), 3);
+        let formula_hops: Vec<_> = spans
+            .iter()
+            .flat_map(|s| &s.hops)
+            .filter(|h| h.stage == Stage::Formula)
+            .collect();
+        assert_eq!(formula_hops.len(), 1, "only the traced message hopped");
+        assert_eq!(&*formula_hops[0].actor, "formula-t");
         assert!(spans[0].end_to_end_ns() > 0);
+        // Every figure is a view of the per-actor series.
+        let stage = telemetry.stage_latency(Stage::Formula);
+        assert_eq!(stage.count(), t.count() + u.count());
+        assert_eq!(stage.sum(), t.sum() + u.sum());
+        assert_eq!(stage.max(), t.max().max(u.max()));
+        let lag = telemetry.tick_lag();
+        let sensor_queue = reg.histogram("powerapi_actor_queue_ns{actor=\"sensor\"}");
+        assert_eq!(lag.count(), 3, "one lag per frame");
+        assert_eq!(lag.sum(), sensor_queue.sum());
         let summary = telemetry.summary();
-        assert_eq!(summary.messages_handled, 2);
-        assert_eq!(summary.ticks_traced, 1);
+        assert_eq!(summary.messages_handled, 8);
+        assert_eq!(summary.overhead.messages, 8);
+        assert_eq!(
+            summary.overhead.middleware_busy_ns,
+            t.sum() + u.sum() + sense.sum()
+        );
         assert!(summary.overhead.middleware_busy_ns > 0);
+        assert_eq!(summary.stage("formula").unwrap().latency.count, 5);
+        assert_eq!(summary.stage("sensor").unwrap().latency.count, 3);
+        assert_eq!(summary.ticks_traced, 3);
     }
 
     #[test]

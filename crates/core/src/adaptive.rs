@@ -6,11 +6,11 @@
 //! then *acts* on it:
 //!
 //! * the [`SelfCostLedger`] extends the [`SELF_PID`]/e8 machinery into
-//!   per-stage, per-tick accounting: sensor counter reads (priced by
-//!   volume and multiplexing pressure), formula evaluation, aggregation,
-//!   reporting, telemetry harvest and fleet transport each get a priced
-//!   column, exported as `powerapi_selfcost_*` counters and summarised on
-//!   [`RunOutcome::selfcost`];
+//!   per-tick accounting of what no other record holds: the sensor
+//!   counter reads, priced by volume and multiplexing pressure, exported
+//!   as `powerapi_selfcost_*` counters. [`RunOutcome::selfcost`] adds the
+//!   measured columns — handler ns per stage and snapshot-harvest ns —
+//!   read from the telemetry hub's own records when the run finishes;
 //! * the [`SamplingController`] closes the loop: while the
 //!   [`ResidualMonitor`] reports in-band residuals the controller doubles
 //!   the monitoring period (and optionally sheds PMU slots), and snaps
@@ -33,7 +33,7 @@
 //! [`RunOutcome::selfcost`]: crate::runtime::RunOutcome
 
 use crate::telemetry::metrics::{Counter, MetricsRegistry};
-use crate::telemetry::Stage;
+use crate::telemetry::{Stage, Telemetry};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -42,36 +42,26 @@ use std::sync::Arc;
 /// has no such cost, so the ledger prices reads instead of timing them.
 pub const COUNTER_READ_COST_NS: u64 = 1_200;
 
-/// Per-stage, per-tick accounting of the middleware's own monitoring
-/// cost. Clones share one ledger; all columns are lock-free counters
-/// registered as `powerapi_selfcost_*` so the Prometheus dump, the
-/// telemetry JSON lines and [`SelfCostSummary`] all read the same cells.
+/// Per-tick accounting of the middleware's priced monitoring cost.
+/// Clones share one ledger; the columns are lock-free counters
+/// registered as `powerapi_selfcost_*`, so the Prometheus dump, the
+/// telemetry JSON lines and [`SelfCostSummary`] read the same cells.
+/// The measured columns are not copied in here: [`SelfCostLedger::summary`]
+/// reads them from the hub's per-actor series and host profiler.
 #[derive(Debug, Clone)]
 pub struct SelfCostLedger {
     ticks: Counter,
     sensor_reads: Counter,
     sensor_read_ns: Counter,
-    stage_ns: [Counter; 6],
-    telemetry_ns: Counter,
-    fleet_ns: Counter,
 }
 
 impl SelfCostLedger {
     /// Creates the ledger, registering its columns on `registry`.
     pub fn register(registry: &MetricsRegistry) -> SelfCostLedger {
-        let stage_ns = Stage::ALL.map(|s| {
-            registry.counter(&format!(
-                "powerapi_selfcost_stage_ns_total{{stage=\"{}\"}}",
-                s.label()
-            ))
-        });
         SelfCostLedger {
             ticks: registry.counter("powerapi_selfcost_ticks_total"),
             sensor_reads: registry.counter("powerapi_selfcost_sensor_reads_total"),
             sensor_read_ns: registry.counter("powerapi_selfcost_sensor_read_ns_total"),
-            stage_ns,
-            telemetry_ns: registry.counter("powerapi_selfcost_telemetry_ns_total"),
-            fleet_ns: registry.counter("powerapi_selfcost_fleet_ns_total"),
         }
     }
 
@@ -91,31 +81,16 @@ impl SelfCostLedger {
         self.sensor_read_ns.add(priced);
     }
 
-    /// Charges measured wall ns to one pipeline stage's column.
-    pub fn charge_stage(&self, stage: Stage, ns: u64) {
-        self.stage_ns[stage.index()].add(ns);
-    }
-
-    /// Charges measured snapshot-harvest ns to the telemetry column.
-    pub fn charge_telemetry(&self, ns: u64) {
-        self.telemetry_ns.add(ns);
-    }
-
-    /// Charges fleet-transport ns (encode + link + decode; the fleet
-    /// driver owns the clock, so it reports its own wall cost here).
-    pub fn charge_fleet(&self, ns: u64) {
-        self.fleet_ns.add(ns);
-    }
-
-    /// Snapshot of every column.
-    pub fn summary(&self) -> SelfCostSummary {
+    /// Every column: the priced ones from the ledger, the measured ones
+    /// from `telemetry` — per-stage handler ns summed over the stage's
+    /// actors, and snapshot-harvest ns.
+    pub fn summary(&self, telemetry: &Telemetry) -> SelfCostSummary {
         SelfCostSummary {
             ticks: self.ticks.get(),
             sensor_reads: self.sensor_reads.get(),
             sensor_read_ns: self.sensor_read_ns.get(),
-            stage_ns: [0, 1, 2, 3, 4, 5].map(|i| self.stage_ns[i].get()),
-            telemetry_ns: self.telemetry_ns.get(),
-            fleet_ns: self.fleet_ns.get(),
+            stage_ns: Stage::ALL.map(|s| telemetry.stage_latency(s).sum()),
+            telemetry_ns: telemetry.overhead().snapshot_ns(),
         }
     }
 }
@@ -137,8 +112,6 @@ pub struct SelfCostSummary {
     pub stage_ns: [u64; 6],
     /// Measured snapshot-harvest ns (the telemetry column).
     pub telemetry_ns: u64,
-    /// Fleet transport ns charged by the fleet driver.
-    pub fleet_ns: u64,
 }
 
 impl SelfCostSummary {
@@ -149,7 +122,7 @@ impl SelfCostSummary {
 
     /// Every priced column summed, ns.
     pub fn total_ns(&self) -> u64 {
-        self.sensor_read_ns + self.stage_ns.iter().sum::<u64>() + self.telemetry_ns + self.fleet_ns
+        self.sensor_read_ns + self.stage_ns.iter().sum::<u64>() + self.telemetry_ns
     }
 
     /// Mean priced cost per monitoring tick, ns (0 when no ticks ran).
@@ -411,15 +384,16 @@ mod tests {
 
     #[test]
     fn ledger_prices_reads_by_volume_and_pressure() {
-        let reg = MetricsRegistry::new();
-        let ledger = SelfCostLedger::register(&reg);
+        let hub = Telemetry::new();
+        let ledger = SelfCostLedger::register(hub.registry());
         ledger.note_tick();
         ledger.charge_sensor_reads(10, 1.0);
         ledger.charge_sensor_reads(5, 2.0);
-        ledger.charge_stage(Stage::Formula, 4_000);
-        ledger.charge_telemetry(500);
-        ledger.charge_fleet(250);
-        let s = ledger.summary();
+        // The measured columns are the hub's own records.
+        let (formula, _) = hub.actor_series(&Arc::from("formula-0"), Stage::Formula);
+        formula.record(4_000);
+        hub.overhead().record_snapshot(500);
+        let s = ledger.summary(&hub);
         assert_eq!(s.ticks, 1);
         assert_eq!(s.sensor_reads, 15);
         // 10 reads at 1× + 5 reads at 2× the unit cost.
@@ -427,16 +401,17 @@ mod tests {
         assert_eq!(s.stage_ns(Stage::Formula), 4_000);
         assert_eq!(s.stage_ns(Stage::Sensor), 0);
         assert_eq!(s.telemetry_ns, 500);
-        assert_eq!(s.fleet_ns, 250);
-        assert_eq!(s.total_ns(), 20 * COUNTER_READ_COST_NS + 4_000 + 500 + 250);
+        assert_eq!(s.total_ns(), 20 * COUNTER_READ_COST_NS + 4_000 + 500);
         assert_eq!(s.per_tick_ns(), s.total_ns());
-        // The columns are live registry series.
-        let prom = reg.render_prometheus();
+        // The priced columns are live registry series.
+        let prom = hub.render_prometheus();
         assert!(prom.contains("powerapi_selfcost_sensor_reads_total 15"));
-        assert!(prom.contains("powerapi_selfcost_stage_ns_total{stage=\"formula\"} 4000"));
         // Sub-unit pressure never discounts below the unit cost.
         ledger.charge_sensor_reads(1, 0.25);
-        assert_eq!(ledger.summary().sensor_read_ns, 21 * COUNTER_READ_COST_NS);
+        assert_eq!(
+            ledger.summary(&hub).sensor_read_ns,
+            21 * COUNTER_READ_COST_NS
+        );
     }
 
     #[test]

@@ -599,12 +599,15 @@ impl Fleet {
         self.now += 1;
         let now = self.now;
         let sim_now = Nanos(now.saturating_mul(self.cfg.tick.as_u64()));
-        let journal = self.telemetry.journal();
+        // A handle of its own, so the hub stays readable while `note`
+        // borrows the fleet.
+        let telemetry = self.telemetry.clone();
+        let journal = telemetry.journal();
         journal.set_now(sim_now);
         // Fleet-level events with no single frame to blame (partition
         // windows, SLO alerts) journal on the tick's own trace — opened
         // by the first such event, so an uneventful tick opens none.
-        let tick_trace = || self.telemetry.trace_for_tick(sim_now);
+        let tick_trace = || telemetry.trace_for_tick(sim_now);
 
         // 1. Acks that completed their return trip release send credits.
         let mut i = 0;
@@ -649,7 +652,6 @@ impl Fleet {
                 let (trace, tried) = (p.env.trace, p.attempt);
                 if tried >= retry::MAX_RETRIES {
                     self.senders[h].pending.remove(&seq);
-                    self.stats.abandoned += 1;
                     journal.emit(
                         EventKind::FleetRetry,
                         &host.to_string(),
@@ -659,7 +661,7 @@ impl Fleet {
                         ),
                         trace,
                     );
-                    self.journeys.record(FleetHop {
+                    self.note(FleetHop {
                         tick: now,
                         host,
                         seq,
@@ -675,15 +677,14 @@ impl Fleet {
                 // The link may mangle what it carries: it gets a copy,
                 // the canonical envelope stays pending.
                 let env = p.env.clone();
-                self.stats.retransmits += 1;
                 journal.emit(
                     EventKind::FleetRetry,
                     &host.to_string(),
                     format!("seq {seq} retransmit, attempt {attempt}"),
                     trace,
                 );
-                let stage = record_send(&mut self.stats, self.links[h].send(env, attempt, now));
-                self.journeys.record(FleetHop {
+                let stage = self.send(h, env, attempt);
+                self.note(FleetHop {
                     tick: now,
                     host,
                     seq,
@@ -695,7 +696,6 @@ impl Fleet {
 
             let frame = self.sources[h].produce(&self.pool);
             truth_w += self.sources[h].truth_w();
-            self.stats.produced += 1;
             let payload = encode_frame(&frame);
             let host_trace = frame.trace();
             drop(frame);
@@ -717,7 +717,7 @@ impl Fleet {
                 attempt: 0,
                 payload,
             };
-            self.journeys.record(FleetHop {
+            self.note(FleetHop {
                 tick: now,
                 host,
                 seq,
@@ -726,8 +726,7 @@ impl Fleet {
                 stage: HopStage::Produce,
             });
             if self.plan.dark(host, now) {
-                self.stats.dark_lost += 1;
-                self.journeys.record(FleetHop {
+                self.note(FleetHop {
                     tick: now,
                     host,
                     seq,
@@ -739,14 +738,13 @@ impl Fleet {
                 self.senders[h].backlog.push_back(env);
                 while self.senders[h].backlog.len() > self.cfg.link.sender_backlog.max(1) {
                     let old = self.senders[h].backlog.pop_front().expect("over cap");
-                    self.stats.sender_shed += 1;
                     journal.emit(
                         EventKind::FleetShed,
                         &host.to_string(),
                         format!("seq {} shed from sender backlog (no credits)", old.seq),
                         old.trace,
                     );
-                    self.journeys.record(FleetHop {
+                    self.note(FleetHop {
                         tick: now,
                         host,
                         seq: old.seq,
@@ -772,8 +770,8 @@ impl Fleet {
                         deadline,
                     },
                 );
-                let stage = record_send(&mut self.stats, self.links[h].send(env, 0, now));
-                self.journeys.record(FleetHop {
+                let stage = self.send(h, env, 0);
+                self.note(FleetHop {
                     tick: now,
                     host,
                     seq,
@@ -786,10 +784,11 @@ impl Fleet {
 
         // 4. Deliveries route to their shard's bounded ingest queue.
         let tick_ns = self.cfg.tick.as_u64().max(1);
+        let mut deliveries = std::mem::take(&mut self.delivery_scratch);
         for h in 0..self.links.len() {
-            self.delivery_scratch.clear();
-            self.links[h].take_due(now, &mut self.delivery_scratch);
-            for env in self.delivery_scratch.drain(..) {
+            deliveries.clear();
+            self.links[h].take_due(now, &mut deliveries);
+            for env in deliveries.drain(..) {
                 if let Some(m) = &mut self.metrics {
                     m.link_latency[h].record(age_ticks(now, env.sent_at, tick_ns));
                 }
@@ -797,15 +796,13 @@ impl Fleet {
                 match self.shards[s].ingest(env, now) {
                     IngestOutcome::Accepted => {}
                     IngestOutcome::Shed(old) => {
-                        self.stats.shard_shed += 1;
-                        self.shard_shed_by[s] += 1;
                         journal.emit(
                             EventKind::FleetShed,
                             &format!("shard-{s}"),
                             format!("{} seq {} shed at ingest (overflow)", old.host, old.seq),
                             old.trace,
                         );
-                        self.journeys.record(FleetHop {
+                        self.note(FleetHop {
                             tick: now,
                             host: old.host,
                             seq: old.seq,
@@ -817,6 +814,7 @@ impl Fleet {
                 }
             }
         }
+        self.delivery_scratch = deliveries;
 
         // 5. Shards process within their tick budget; applied frames ack
         //    back (unless partitioned), corrupt ones wait for retransmit.
@@ -835,7 +833,6 @@ impl Fleet {
                         attempt,
                         queued_ticks,
                     } => {
-                        self.stats.applied += 1;
                         let lag = age_ticks(now, sent_at, tick_ns);
                         self.lag_ticks.push(lag);
                         self.slo.observe(lag);
@@ -843,7 +840,7 @@ impl Fleet {
                             m.lag.record(lag);
                             m.shard_service[s].record(queued_ticks);
                         }
-                        self.journeys.record(FleetHop {
+                        self.note(FleetHop {
                             tick: now,
                             host,
                             seq,
@@ -859,8 +856,7 @@ impl Fleet {
                         trace,
                         attempt,
                     } => {
-                        self.stats.dup_discarded += 1;
-                        self.journeys.record(FleetHop {
+                        self.note(FleetHop {
                             tick: now,
                             host,
                             seq,
@@ -876,8 +872,7 @@ impl Fleet {
                         trace,
                         attempt,
                     } => {
-                        self.stats.corrupt_frames += 1;
-                        self.journeys.record(FleetHop {
+                        self.note(FleetHop {
                             tick: now,
                             host,
                             seq,
@@ -1099,41 +1094,63 @@ impl Fleet {
         m.dropped_partition
             .add(s.dropped_partition - p.dropped_partition);
         m.dropped_queue.add(s.dropped_queue - p.dropped_queue);
-        let mut synced_shed = 0;
-        for (i, c) in m.shard_shed.iter().enumerate() {
-            let now = self.shard_shed_by[i];
-            let before = c.get();
-            c.add(now - before);
-            synced_shed += now;
+        for (c, &shed) in m.shard_shed.iter().zip(&self.shard_shed_by) {
+            c.add(shed - c.get());
         }
-        let _ = synced_shed;
         self.synced = self.stats;
     }
-}
 
-/// Tallies one transmission and names the journey stage it reached
-/// (entered the link, or which way it died).
-fn record_send(stats: &mut FleetStats, outcome: SendOutcome) -> HopStage {
-    stats.transmissions += 1;
-    match outcome {
-        SendOutcome::Queued { duplicated } => {
-            if duplicated {
-                stats.dup_injected += 1;
+    /// Hands `env` to host `h`'s link; the journey stage it reached
+    /// (entered the link, or which way it died). A duplicate the link
+    /// injects is the one copy no hop logs, so it is counted here.
+    fn send(&mut self, h: usize, env: FrameEnvelope, attempt: u32) -> HopStage {
+        match self.links[h].send(env, attempt, self.now) {
+            SendOutcome::Queued { duplicated } => {
+                self.stats.dup_injected += u64::from(duplicated);
+                HopStage::Send
             }
-            HopStage::Send
+            SendOutcome::DroppedFault => HopStage::DropFault,
+            SendOutcome::DroppedPartition => HopStage::DropPartition,
+            SendOutcome::DroppedQueueFull => HopStage::DropQueue,
         }
-        SendOutcome::DroppedFault => {
-            stats.dropped_fault += 1;
-            HopStage::DropFault
+    }
+
+    /// Records one frame event: appends `hop` to the journey log and
+    /// counts it in the [`FleetStats`] field its stage names. Every
+    /// transmission — sent or dropped — also counts toward
+    /// `transmissions`, and toward `retransmits` past the first attempt.
+    fn note(&mut self, hop: FleetHop) {
+        let s = &mut self.stats;
+        if let HopStage::Send
+        | HopStage::DropFault
+        | HopStage::DropPartition
+        | HopStage::DropQueue = hop.stage
+        {
+            s.transmissions += 1;
+            s.retransmits += u64::from(hop.attempt > 0);
         }
-        SendOutcome::DroppedPartition => {
-            stats.dropped_partition += 1;
-            HopStage::DropPartition
+        let fate = match hop.stage {
+            // A transmission that entered the link has no fate yet.
+            HopStage::Send => None,
+            HopStage::Produce => Some(&mut s.produced),
+            HopStage::DropFault => Some(&mut s.dropped_fault),
+            HopStage::DropPartition => Some(&mut s.dropped_partition),
+            HopStage::DropQueue => Some(&mut s.dropped_queue),
+            HopStage::HostDark => Some(&mut s.dark_lost),
+            HopStage::SenderShed => Some(&mut s.sender_shed),
+            HopStage::ShardShed { shard } => {
+                self.shard_shed_by[shard as usize] += 1;
+                Some(&mut s.shard_shed)
+            }
+            HopStage::Apply { .. } => Some(&mut s.applied),
+            HopStage::Duplicate { .. } => Some(&mut s.dup_discarded),
+            HopStage::Corrupt { .. } => Some(&mut s.corrupt_frames),
+            HopStage::Abandon => Some(&mut s.abandoned),
+        };
+        if let Some(n) = fate {
+            *n += 1;
         }
-        SendOutcome::DroppedQueueFull => {
-            stats.dropped_queue += 1;
-            HopStage::DropQueue
-        }
+        self.journeys.record(hop);
     }
 }
 

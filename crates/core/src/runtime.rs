@@ -543,8 +543,8 @@ impl PowerApiBuilder {
         // The self-cost ledger prices the monitoring work itself. It
         // rides with the self-observation features — profile_self (e8's
         // attribution) or adaptive sampling (which trades that cost
-        // against accuracy) — and needs telemetry for the measured
-        // columns.
+        // against accuracy) — and needs telemetry, whose records the
+        // measured columns are read from.
         let selfcost = (telemetry.enabled() && (self.profile_self.is_some() || sampling.is_some()))
             .then(|| SelfCostLedger::register(telemetry.registry()));
 
@@ -585,8 +585,6 @@ impl PowerApiBuilder {
             model_health,
             sampling,
             selfcost,
-            selfcost_prev_stage: [0; 6],
-            selfcost_prev_snapshot: 0,
             post_mortem: self.post_mortem_dir,
             fault_prev_meter: MeterFaultStats::default(),
             fault_prev_counters: CounterFaultStats::default(),
@@ -614,10 +612,6 @@ pub struct PowerApi {
     sampling: Option<SamplingController>,
     /// The self-cost ledger (when enabled): priced per tick boundary.
     selfcost: Option<SelfCostLedger>,
-    /// Per-stage handler-ns already charged to the ledger.
-    selfcost_prev_stage: [u64; 6],
-    /// Snapshot-harvest ns already charged to the ledger.
-    selfcost_prev_snapshot: u64,
     /// Where the post-mortem dump goes, when armed.
     post_mortem: Option<PathBuf>,
     /// Meter fault stats at the previous tick boundary, so each boundary
@@ -802,31 +796,15 @@ impl PowerApi {
         }
     }
 
-    /// Settles the self-cost ledger for the tick that just published:
-    /// one tick row, the harvest's counter reads priced by volume ×
-    /// multiplexing pressure, and the measured columns' deltas.
-    fn settle_selfcost_tick(&mut self) {
-        let Some(ledger) = self.selfcost.clone() else {
-            return;
-        };
-        ledger.note_tick();
-        let pressure = self.host.sampling_pressure();
-        ledger.charge_sensor_reads(pressure.reads, pressure.ratio());
-        self.settle_selfcost_measured(&ledger);
-    }
-
-    /// Charges the measured (wall-clock) columns' growth since the last
-    /// settlement: per-stage handler time and snapshot-harvest time.
-    fn settle_selfcost_measured(&mut self, ledger: &SelfCostLedger) {
-        for stage in Stage::ALL {
-            let sum = self.telemetry.stage_histogram(stage).sum();
-            let prev = &mut self.selfcost_prev_stage[stage.index()];
-            ledger.charge_stage(stage, sum.saturating_sub(*prev));
-            *prev = sum;
+    /// Prices the tick that just published on the self-cost ledger: one
+    /// tick row and the harvest's counter reads, priced by volume ×
+    /// multiplexing pressure.
+    fn settle_selfcost_tick(&self) {
+        if let Some(ledger) = &self.selfcost {
+            ledger.note_tick();
+            let pressure = self.host.sampling_pressure();
+            ledger.charge_sensor_reads(pressure.reads, pressure.ratio());
         }
-        let snap = self.telemetry.overhead().snapshot_ns();
-        ledger.charge_telemetry(snap.saturating_sub(self.selfcost_prev_snapshot));
-        self.selfcost_prev_snapshot = snap;
     }
 
     /// Returns once the pipeline has handled everything published so far
@@ -870,13 +848,6 @@ impl PowerApi {
         self.sampling.as_ref()
     }
 
-    /// The self-cost ledger (`None` unless profiling or adaptive
-    /// sampling enabled it). Fleet drivers clone this to charge their
-    /// transport cost into the `fleet` column.
-    pub fn selfcost_ledger(&self) -> Option<&SelfCostLedger> {
-        self.selfcost.as_ref()
-    }
-
     /// Stops the pipeline, drains in-flight messages, and returns every
     /// collected report (empty unless `report_to_memory` was enabled)
     /// together with the pipeline's health summary.
@@ -906,15 +877,12 @@ impl PowerApi {
             }
             None => ModelHealthSummary::default(),
         };
-        // Settle the measured ledger columns one last time: the work
-        // between the final boundary and the drain above is cost too.
-        let selfcost = match self.selfcost.clone() {
-            Some(ledger) => {
-                self.settle_selfcost_measured(&ledger);
-                ledger.summary()
-            }
-            None => SelfCostSummary::default(),
-        };
+        // The measured columns read the hub after the drain above: the
+        // work between the final boundary and shutdown is cost too.
+        let selfcost = self
+            .selfcost
+            .as_ref()
+            .map_or_else(SelfCostSummary::default, |l| l.summary(&self.telemetry));
         let flight_recorder = self.write_post_mortem(&health)?;
         Ok(RunOutcome {
             reports,
@@ -1003,8 +971,8 @@ pub struct RunOutcome {
     /// [`PowerApiBuilder::model_health`].
     pub model_health: ModelHealthSummary,
     /// The self-cost ledger's bottom line: what the monitoring itself
-    /// cost, per priced column (sensor reads, pipeline stages, telemetry
-    /// harvest, fleet transport). All-zero unless
+    /// cost, per column (priced sensor reads; pipeline stages and
+    /// telemetry harvest, read from the hub at finish). All-zero unless
     /// [`PowerApiBuilder::profile_self`] or
     /// [`PowerApiBuilder::adaptive_sampling`] enabled the ledger.
     pub selfcost: SelfCostSummary,
@@ -1334,7 +1302,7 @@ mod tests {
         // Host time dwarfs middleware time on this workload.
         assert!(t.overhead.host_busy_ns > 0);
         assert!(t.overhead.middleware_busy_ns > 0);
-        assert!(t.prometheus.contains("powerapi_actor_handled_total"));
+        assert!(t.prometheus.contains("powerapi_actor_handle_ns_count"));
     }
 
     #[test]
@@ -1476,7 +1444,7 @@ mod tests {
         papi.run_for(Nanos::from_secs(20)).unwrap();
         let ctrl = papi.sampling_controller().expect("controller wired");
         assert!(ctrl.factor() > 1, "clean run backs off");
-        assert!(papi.selfcost_ledger().is_some());
+        let hub = papi.telemetry().clone();
         let out = papi.finish().unwrap();
         let n = out.machine_estimates().len();
         assert!(
@@ -1488,6 +1456,29 @@ mod tests {
         assert!(out.selfcost.sensor_reads > 0);
         assert!(out.selfcost.sensor_read_ns > 0);
         assert!(out.selfcost.total_ns() >= out.selfcost.sensor_read_ns);
+        // The measured columns are the hub's records, read at finish:
+        // each stage's handler ns is the sum of its actors' series.
+        let prom = &out.telemetry.prometheus;
+        let sum_of = |actor: &str| {
+            let key = format!("powerapi_actor_handle_ns_sum{{actor=\"{actor}\"}} ");
+            let line = prom.lines().find_map(|l| l.strip_prefix(key.as_str()));
+            line.map_or(0, |v| v.parse::<u64>().unwrap())
+        };
+        let formula = format!("formula-0-{}", paper_formula().name());
+        for (stage, actors) in [
+            (Stage::Sensor, &["sensor"][..]),
+            (Stage::Formula, &[formula.as_str()][..]),
+            (Stage::Aggregator, &["aggregator"][..]),
+            (Stage::Control, &["rate-control"][..]),
+            (Stage::Reporter, &["reporter-memory"][..]),
+            (Stage::Other, &[][..]),
+        ] {
+            let sum: u64 = actors.iter().map(|a| sum_of(a)).sum();
+            assert_eq!(out.selfcost.stage_ns(stage), sum, "{stage:?}");
+        }
+        assert!(out.selfcost.stage_ns(Stage::Formula) > 0);
+        assert_eq!(out.selfcost.telemetry_ns, hub.overhead().snapshot_ns());
+        assert!(out.selfcost.telemetry_ns > 0);
         assert!(out
             .telemetry
             .prometheus
@@ -1508,7 +1499,6 @@ mod tests {
             .unwrap();
         papi.monitor(pid).unwrap();
         assert!(papi.sampling_controller().is_none());
-        assert!(papi.selfcost_ledger().is_none());
         papi.run_for(Nanos::from_secs(2)).unwrap();
         let out = papi.finish().unwrap();
         assert_eq!(out.machine_estimates().len(), 4, "full rate");

@@ -5,7 +5,7 @@
 //!
 //! Naming follows the Prometheus convention: snake-case metric names with
 //! optional `{label="value"}` suffixes, e.g.
-//! `powerapi_actor_handled_total{actor="sensor"}`. The full string is
+//! `powerapi_actor_restarts_total{actor="sensor"}`. The full string is
 //! the registry key; [`MetricsRegistry::render_prometheus`] groups series
 //! of the same base name under one `# TYPE` header.
 
@@ -156,6 +156,18 @@ impl Histogram {
     pub fn forget(&self, v: u64) {
         self.bucket(v).fetch_sub(1, Ordering::Relaxed);
         self.0.sum.fetch_sub(v, Ordering::Relaxed);
+    }
+
+    /// Adds every observation of `other` into this histogram: the merged
+    /// buckets, sum and maximum are those of one histogram that had
+    /// recorded both streams. Both must share the same bounds.
+    pub fn absorb(&self, other: &Histogram) {
+        debug_assert_eq!(self.0.bounds, other.0.bounds, "same bounds");
+        for (mine, theirs) in self.0.counts.iter().zip(&other.0.counts) {
+            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+        self.0.sum.fetch_add(other.sum(), Ordering::Relaxed);
+        self.0.max.fetch_max(other.max(), Ordering::Relaxed);
     }
 
     /// Number of observations.
@@ -463,6 +475,28 @@ mod tests {
         // The tail sample lives in the overflow bucket → observed max.
         assert_eq!(h.quantile(1.0), 200_000_000);
         assert!(h.mean() > 0);
+        // Two histograms absorbed read like one that recorded both.
+        let (a, b, both) = (
+            Histogram::latency(),
+            Histogram::latency(),
+            Histogram::latency(),
+        );
+        for (i, v) in [90, 600, 4_000, 30_000, 300_000_000]
+            .into_iter()
+            .enumerate()
+        {
+            [&a, &b][i % 2].record(v);
+            both.record(v);
+        }
+        let merged = Histogram::latency();
+        merged.absorb(&a);
+        merged.absorb(&b);
+        let text = |h: &Histogram| {
+            let mut out = String::new();
+            h.render_into("h", "", &mut out);
+            out
+        };
+        assert_eq!(text(&merged), text(&both));
     }
 
     #[test]
@@ -500,19 +534,18 @@ mod tests {
     #[test]
     fn prometheus_render_groups_series() {
         let reg = MetricsRegistry::new();
-        reg.counter("powerapi_handled_total{actor=\"a\"}").inc();
-        reg.counter("powerapi_handled_total{actor=\"b\"}").add(2);
+        reg.counter("powerapi_sent_total{actor=\"a\"}").inc();
+        reg.counter("powerapi_sent_total{actor=\"b\"}").add(2);
         reg.gauge("powerapi_depth{actor=\"a\"}").set(7);
         reg.histogram("powerapi_handle_ns{actor=\"a\"}").record(300);
         let text = reg.render_prometheus();
         assert_eq!(
-            text.matches("# TYPE powerapi_handled_total counter")
-                .count(),
+            text.matches("# TYPE powerapi_sent_total counter").count(),
             1,
             "one TYPE line for both series:\n{text}"
         );
-        assert!(text.contains("powerapi_handled_total{actor=\"a\"} 1"));
-        assert!(text.contains("powerapi_handled_total{actor=\"b\"} 2"));
+        assert!(text.contains("powerapi_sent_total{actor=\"a\"} 1"));
+        assert!(text.contains("powerapi_sent_total{actor=\"b\"} 2"));
         assert!(text.contains("powerapi_depth{actor=\"a\"} 7"));
         assert!(text.contains("powerapi_handle_ns_bucket{actor=\"a\",le=\"500\"} 1"));
         assert!(text.contains("powerapi_handle_ns_count{actor=\"a\"} 1"));
@@ -536,7 +569,7 @@ mod tests {
             }
         }
         assert!(
-            text.contains("# HELP powerapi_handled_total power monitoring pipeline"),
+            text.contains("# HELP powerapi_sent_total power monitoring pipeline"),
             "{text}"
         );
     }

@@ -29,7 +29,7 @@ pub use overhead::{OverheadProfiler, OverheadSummary, SELF_FORMULA, SELF_PID};
 pub use trace::{Hop, Stage, TraceId, TraceSpan, Tracer};
 
 use simcpu::units::Nanos;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 struct TelemetryInner {
     enabled: bool,
@@ -37,11 +37,19 @@ struct TelemetryInner {
     tracer: Tracer,
     journal: Journal,
     overhead: OverheadProfiler,
-    /// One handle-latency histogram per pipeline stage, pre-registered so
-    /// the supervision loop never touches the registry lock.
-    stage_handle_ns: [Histogram; 6],
-    /// Queue wait of Tick messages: how far sensor wake-up lags the clock.
-    tick_lag_ns: Histogram,
+    /// The one record the actor loop writes per message, one entry per
+    /// distinct actor name. Every per-stage, message-count, busy-time
+    /// and tick-lag figure is a view read from it.
+    actors: Mutex<Vec<ActorSeries>>,
+}
+
+/// One actor's per-message record: the stage it was spawned into and
+/// its handle- and queue-latency series.
+struct ActorSeries {
+    name: Arc<str>,
+    stage: Stage,
+    handle_ns: Histogram,
+    queue_ns: Histogram,
 }
 
 /// The shared observability hub.
@@ -59,13 +67,6 @@ impl Default for Telemetry {
 impl Telemetry {
     fn build(enabled: bool) -> Telemetry {
         let registry = MetricsRegistry::new();
-        let stage_handle_ns = Stage::ALL.map(|s| {
-            registry.histogram(&format!(
-                "powerapi_stage_handle_ns{{stage=\"{}\"}}",
-                s.label()
-            ))
-        });
-        let tick_lag_ns = registry.histogram("powerapi_tick_lag_ns");
         let tracer = Tracer::with_counters(
             registry.counter("powerapi_trace_spans_evicted_total"),
             registry.counter("powerapi_trace_hops_dropped_total"),
@@ -83,8 +84,7 @@ impl Telemetry {
                 tracer,
                 journal,
                 overhead: OverheadProfiler::default(),
-                stage_handle_ns,
-                tick_lag_ns,
+                actors: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -135,14 +135,61 @@ impl Telemetry {
         self.inner.tracer.trace_for_tick(ts)
     }
 
-    /// The pre-registered handle-latency histogram of a stage.
-    pub fn stage_histogram(&self, stage: Stage) -> Histogram {
-        self.inner.stage_handle_ns[stage.index()].clone()
+    /// Registers the per-message record of the actor `name` in `stage`,
+    /// `powerapi_actor_{handle,queue}_ns{actor="name"}`, and returns the
+    /// two series. A name spawned again shares the first spawn's series
+    /// and stage, so each message counts once.
+    pub(crate) fn actor_series(&self, name: &Arc<str>, stage: Stage) -> (Histogram, Histogram) {
+        let series = |family: &str| {
+            self.inner
+                .registry
+                .histogram(&format!("powerapi_actor_{family}{{actor=\"{name}\"}}"))
+        };
+        let (handle_ns, queue_ns) = (series("handle_ns"), series("queue_ns"));
+        let mut actors = self.actors();
+        if actors.iter().all(|a| a.name != *name) {
+            actors.push(ActorSeries {
+                name: name.clone(),
+                stage,
+                handle_ns: handle_ns.clone(),
+                queue_ns: queue_ns.clone(),
+            });
+        }
+        (handle_ns, queue_ns)
     }
 
-    /// The tick-lag histogram (queue wait of Tick messages).
-    pub fn tick_lag_histogram(&self) -> Histogram {
-        self.inner.tick_lag_ns.clone()
+    fn actors(&self) -> MutexGuard<'_, Vec<ActorSeries>> {
+        // Nothing panics while holding it.
+        self.inner.actors.lock().expect("the hub's actor list")
+    }
+
+    /// The series `pick` takes from each actor of `stage`, merged.
+    fn merged(&self, stage: Stage, pick: fn(&ActorSeries) -> &Histogram) -> Histogram {
+        let merged = Histogram::latency();
+        for a in self.actors().iter().filter(|a| a.stage == stage) {
+            merged.absorb(pick(a));
+        }
+        merged
+    }
+
+    /// The handle latency of every actor spawned into `stage`, merged.
+    pub fn stage_latency(&self, stage: Stage) -> Histogram {
+        self.merged(stage, |a| &a.handle_ns)
+    }
+
+    /// The queue wait of the sensor-stage actors, merged — they receive
+    /// only tick frames, so this is how far sensing lags the clock.
+    pub fn tick_lag(&self) -> Histogram {
+        self.merged(Stage::Sensor, |a| &a.queue_ns)
+    }
+
+    /// The middleware-vs-host split: messages and handler ns summed over
+    /// every actor's series, host time from the [`OverheadProfiler`].
+    pub fn overhead_summary(&self) -> OverheadSummary {
+        let (messages, busy_ns) = self.actors().iter().fold((0, 0), |(n, ns), a| {
+            (n + a.handle_ns.count(), ns + a.handle_ns.sum())
+        });
+        self.inner.overhead.summary(messages, busy_ns)
     }
 
     /// The Prometheus text dump of every metric.
@@ -160,7 +207,7 @@ impl Telemetry {
             .iter()
             .map(|&s| StageLatency {
                 stage: s.label(),
-                latency: LatencyStats::of(&self.inner.stage_handle_ns[s.index()]),
+                latency: LatencyStats::of(&self.stage_latency(s)),
             })
             .filter(|s| s.latency.count > 0)
             .collect();
@@ -173,17 +220,18 @@ impl Telemetry {
                 .for_each_counter(family, |_, v| total += v);
             total
         };
+        let overhead = self.overhead_summary();
         TelemetrySummary {
             enabled: true,
             stages,
             end_to_end,
             ticks_traced: end_to_end.count,
-            messages_handled: sum_of("powerapi_actor_handled_total"),
+            messages_handled: overhead.messages,
             restarts: sum_of("powerapi_actor_restarts_total"),
             panics: sum_of("powerapi_actor_panics_total"),
             journal_events: self.inner.journal.emitted(),
             journal_dropped: self.inner.journal.dropped(),
-            overhead: self.inner.overhead.summary(),
+            overhead,
             prometheus: self.render_prometheus(),
         }
     }
@@ -208,7 +256,7 @@ impl Telemetry {
         json_field(&mut out, &["e2e_p50_ns"], e2e.quantile(0.5));
         json_field(&mut out, &["e2e_p95_ns"], e2e.quantile(0.95));
         for stage in Stage::ALL {
-            let h = &self.inner.stage_handle_ns[stage.index()];
+            let h = self.stage_latency(stage);
             let handled = h.count();
             if handled == 0 {
                 continue;
@@ -219,7 +267,7 @@ impl Telemetry {
         }
         // Quantile trio matches the Prometheus dump's `_p50/_p95/_p99`
         // rows; omitted while empty (see `Histogram::quantile`).
-        let lag = &self.inner.tick_lag_ns;
+        let lag = self.tick_lag();
         if lag.count() > 0 {
             json_field(&mut out, &["tick_lag_p50_ns"], lag.quantile(0.5));
             json_field(&mut out, &["tick_lag_p95_ns"], lag.quantile(0.95));
@@ -232,23 +280,14 @@ impl Telemetry {
         registry.for_each_gauge("powerapi_model_", |name, v| {
             let _ = write!(out, ",\"{}\":{v}", &name["powerapi_".len()..]);
         });
-        registry.for_each_counter("powerapi_model_", |name, v| {
-            json_field(&mut out, &[&name["powerapi_".len()..]], v);
-        });
-        // Self-cost ledger columns ride along once registered. Label
-        // series flatten into the key (`stage_ns_total{stage="formula"}`
-        // → `stage_ns_total_formula`) so the line stays valid JSON.
-        registry.for_each_counter("powerapi_selfcost_", |name, v| {
-            let key = &name["powerapi_".len()..];
-            match key.split_once('{') {
-                Some((base, labels)) => {
-                    let value = labels.split('"').nth(1).unwrap_or("");
-                    json_field(&mut out, &[base, "_", value], v);
-                }
-                None => json_field(&mut out, &[key], v),
-            }
-        });
-        let o = self.inner.overhead.summary();
+        // Model-health counters, then the self-cost ledger's columns once
+        // registered.
+        for family in ["powerapi_model_", "powerapi_selfcost_"] {
+            registry.for_each_counter(family, |name, v| {
+                json_field(&mut out, &[&name["powerapi_".len()..]], v);
+            });
+        }
+        let o = self.overhead_summary();
         json_field(&mut out, &["messages"], o.messages);
         json_field(&mut out, &["middleware_busy_ns"], o.middleware_busy_ns);
         let _ = write!(out, ",\"middleware_share\":{:.4}}}", o.middleware_share);
@@ -379,12 +418,13 @@ mod tests {
         let t = Telemetry::new();
         let id = t.trace_for_tick(Nanos::from_secs(1));
         assert!(id.is_traced());
-        t.stage_histogram(Stage::Sensor).record(400);
-        t.stage_histogram(Stage::Sensor).record(600);
-        t.stage_histogram(Stage::Reporter).record(100);
         let name: Arc<str> = Arc::from("sensor-hpc");
+        let (sensor, _) = t.actor_series(&name, Stage::Sensor);
+        sensor.record(400);
+        sensor.record(600);
+        let (reporter, _) = t.actor_series(&Arc::from("csv"), Stage::Reporter);
+        reporter.record(100);
         t.tracer().record_hop(id, Stage::Sensor, &name, 10, 400);
-        t.overhead().record_handle(400);
         let s = t.summary();
         assert!(s.enabled);
         assert_eq!(s.stage("sensor").unwrap().latency.count, 2);
@@ -392,8 +432,10 @@ mod tests {
         assert!(s.stage("formula").is_none(), "no traffic, no entry");
         assert_eq!(s.ticks_traced, 1);
         assert!(s.end_to_end.max_ns > 0);
-        assert!(s.prometheus.contains("powerapi_stage_handle_ns"));
-        assert_eq!(s.overhead.messages, 1);
+        assert!(s.prometheus.contains("powerapi_actor_handle_ns"));
+        assert_eq!(s.messages_handled, 3);
+        assert_eq!(s.overhead.messages, 3);
+        assert_eq!(s.overhead.middleware_busy_ns, 1_100);
     }
 
     #[test]
@@ -433,9 +475,9 @@ mod tests {
     #[test]
     fn json_snapshot_is_one_flat_object() {
         let t = Telemetry::new();
-        t.stage_histogram(Stage::Sensor).record(500);
-        t.tick_lag_histogram().record(1_000);
-        t.overhead().record_handle(500);
+        let (handle_ns, queue_ns) = t.actor_series(&Arc::from("sensor"), Stage::Sensor);
+        handle_ns.record(500);
+        queue_ns.record(1_000);
         let line = t.json_snapshot(Nanos::from_millis(1500));
         assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
         assert!(line.contains("\"sim_time_s\":1.500"), "{line}");
@@ -447,19 +489,11 @@ mod tests {
     }
 
     #[test]
-    fn json_snapshot_flattens_selfcost_label_series() {
+    fn json_snapshot_carries_the_selfcost_columns() {
         let t = Telemetry::new();
         t.registry().counter("powerapi_selfcost_ticks_total").add(7);
-        t.registry()
-            .counter("powerapi_selfcost_stage_ns_total{stage=\"formula\"}")
-            .add(4_000);
         let line = t.json_snapshot(Nanos::from_secs(1));
         assert!(line.contains("\"selfcost_ticks_total\":7"), "{line}");
-        assert!(
-            line.contains("\"selfcost_stage_ns_total_formula\":4000"),
-            "label series flattened: {line}"
-        );
-        assert!(!line.contains("{stage="), "no raw labels leak: {line}");
         assert_eq!(line.matches('"').count() % 2, 0, "valid quoting: {line}");
     }
 }

@@ -1,8 +1,11 @@
 //! Self-overhead profiling: how much CPU the middleware itself burns —
 //! the paper's own-consumption question ("the overhead of PowerAPI …
-//! less than 3 W"). The supervision loop feeds every `handle` duration in
-//! here; the runtime feeds the host-simulation cost; the ratio splits the
-//! process's wall time into "application" and "monitoring middleware".
+//! less than 3 W"). The handler side needs no profiler of its own: it is
+//! the sum of the per-actor handle-latency series the actor loop records
+//! anyway ([`Telemetry::overhead_summary`]). This profiler times the
+//! other side, host-simulation stepping and snapshot harvest, and the
+//! ratio splits the process's wall time into "application" and
+//! "monitoring middleware".
 //!
 //! When [`profile_self`] is enabled, the runtime turns the per-interval
 //! middleware utilisation into a synthetic per-process power report under
@@ -10,6 +13,7 @@
 //! any monitored workload.
 //!
 //! [`profile_self`]: crate::runtime::PowerApiBuilder::profile_self
+//! [`Telemetry::overhead_summary`]: super::Telemetry::overhead_summary
 
 use os_sim::process::Pid;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,26 +25,16 @@ pub const SELF_PID: Pid = Pid(0);
 /// The formula name stamped on self-attribution reports.
 pub const SELF_FORMULA: &str = "powerapi-self";
 
-/// Accumulates wall-clock busy time, split middleware vs host.
+/// Accumulates the host side's wall-clock busy time.
 #[derive(Debug, Default)]
 pub struct OverheadProfiler {
-    /// Wall ns spent inside actor `handle` calls (all actors).
-    handle_ns: AtomicU64,
     /// Wall ns spent advancing the simulated host between ticks.
     host_ns: AtomicU64,
     /// Wall ns spent harvesting snapshots.
     snapshot_ns: AtomicU64,
-    /// Messages the middleware handled.
-    messages: AtomicU64,
 }
 
 impl OverheadProfiler {
-    /// Adds one `handle` call's duration.
-    pub fn record_handle(&self, ns: u64) {
-        self.handle_ns.fetch_add(ns, Ordering::Relaxed);
-        self.messages.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Adds host-simulation time.
     pub fn record_host(&self, ns: u64) {
         self.host_ns.fetch_add(ns, Ordering::Relaxed);
@@ -51,20 +45,15 @@ impl OverheadProfiler {
         self.snapshot_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
-    /// Total wall ns spent in actor handlers so far.
-    pub fn handle_ns(&self) -> u64 {
-        self.handle_ns.load(Ordering::Relaxed)
-    }
-
     /// Total wall ns spent harvesting snapshots so far (the self-cost
-    /// ledger prices this as the telemetry column).
+    /// summary's telemetry column).
     pub fn snapshot_ns(&self) -> u64 {
         self.snapshot_ns.load(Ordering::Relaxed)
     }
 
-    /// Totals so far.
-    pub fn summary(&self) -> OverheadSummary {
-        let middleware_busy_ns = self.handle_ns.load(Ordering::Relaxed);
+    /// The split against `messages` handled in `middleware_busy_ns` of
+    /// handler time.
+    pub fn summary(&self, messages: u64, middleware_busy_ns: u64) -> OverheadSummary {
         // Snapshot harvest feeds the sensors, so it counts as host-side
         // measurement cost, not actor cost.
         let host_busy_ns =
@@ -73,7 +62,7 @@ impl OverheadProfiler {
         OverheadSummary {
             middleware_busy_ns,
             host_busy_ns,
-            messages: self.messages.load(Ordering::Relaxed),
+            messages,
             middleware_share: if total == 0 {
                 0.0
             } else {
@@ -112,18 +101,16 @@ mod tests {
     #[test]
     fn shares_split_middleware_vs_host() {
         let p = OverheadProfiler::default();
-        assert_eq!(p.summary(), OverheadSummary::default());
-        p.record_handle(300);
-        p.record_handle(100);
+        assert_eq!(p.summary(0, 0), OverheadSummary::default());
         p.record_host(500);
         p.record_snapshot(100);
-        let s = p.summary();
+        let s = p.summary(2, 400);
         assert_eq!(s.middleware_busy_ns, 400);
         assert_eq!(s.host_busy_ns, 600);
         assert_eq!(s.messages, 2);
         assert!((s.middleware_share - 0.4).abs() < 1e-12);
         assert_eq!(s.ns_per_message(), 200);
-        assert_eq!(p.handle_ns(), 400);
+        assert_eq!(p.snapshot_ns(), 100);
     }
 
     #[test]

@@ -135,7 +135,7 @@ struct TracerState {
 }
 
 /// Keeps the most recent spans (old ones have been summarised into the
-/// stage histograms already).
+/// actors' latency series already).
 const SPAN_CAP: usize = 4096;
 
 /// The trace allocator + span store.

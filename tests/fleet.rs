@@ -126,6 +126,35 @@ fn conservation_holds_under_link_faults() {
     assert!(stats.dropped_partition > 0, "the partition severed frames");
     assert!(stats.retransmits > 0, "drops provoke retransmissions");
     assert!(stats.applied > 0, "frames still get through");
+
+    // Each stage-named counter is the count of the hops that log it.
+    let journeys = fleet.journeys();
+    assert_eq!(journeys.evicted(), 0, "the whole run is in the log");
+    let hops = |stage: &str| journeys.hops().filter(|h| h.stage.label() == stage).count() as u64;
+    let transmitted = |retry: bool| {
+        let sends = ["send", "drop-fault", "drop-partition", "drop-queue"];
+        journeys
+            .hops()
+            .filter(|h| sends.contains(&h.stage.label()) && (h.attempt > 0) == retry)
+            .count() as u64
+    };
+    for (counter, stage) in [
+        (stats.produced, "produce"),
+        (stats.dropped_fault, "drop-fault"),
+        (stats.dropped_partition, "drop-partition"),
+        (stats.dropped_queue, "drop-queue"),
+        (stats.dark_lost, "host-dark"),
+        (stats.sender_shed, "sender-shed"),
+        (stats.shard_shed, "shard-shed"),
+        (stats.applied, "apply"),
+        (stats.dup_discarded, "duplicate"),
+        (stats.corrupt_frames, "corrupt"),
+        (stats.abandoned, "abandon"),
+    ] {
+        assert_eq!(counter, hops(stage), "{stage}");
+    }
+    assert_eq!(stats.retransmits, transmitted(true));
+    assert_eq!(stats.transmissions, transmitted(false) + transmitted(true));
 }
 
 /// A partitioned host decays to stale (held at last-known-good with a
