@@ -327,8 +327,9 @@ const INTERNED_PATHS: usize = 64;
 
 /// A receiver's reusable decoder: [`decode_frame`] into columns recycled
 /// through its own [`FramePool`] (a sealed frame returns them when it
-/// drops) and group paths interned across frames, so once warm a frame
-/// decodes without touching the allocator.
+/// drops) or taken straight from the receiver's last frame, and group
+/// paths interned across frames, so once warm a frame decodes without
+/// touching the allocator.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     pool: FramePool,
@@ -346,9 +347,28 @@ impl FrameDecoder {
     /// [`DecodedFrame`] dropped unsealed, frees its block instead of
     /// recycling it (the pool never inherits a half-built frame).
     pub fn decode(&mut self, payload: &[u8]) -> Result<DecodedFrame, WireError> {
+        self.decode_reusing(payload, None)
+    }
+
+    /// [`FrameDecoder::decode`], into the columns of `spent` — a frame
+    /// the caller is done with and holds the only handle to — instead of
+    /// a pool block: no pool lock, and the sealed result can be written
+    /// back over `spent` where it lives. The trailer is verified before
+    /// `spent` is touched, so a corrupt payload leaves it whole; a
+    /// payload the parser refuses leaves it an empty husk whose next
+    /// reuse starts from fresh columns.
+    pub(crate) fn decode_reusing(
+        &mut self,
+        payload: &[u8],
+        spent: Option<&mut TickFrame>,
+    ) -> Result<DecodedFrame, WireError> {
         let body = verified_body(payload)?;
+        let columns = match spent {
+            Some(frame) => FrameBuilder::reopen(frame),
+            None => FrameBuilder::pooled(&self.pool),
+        };
         let paths = &mut self.paths;
-        parse(body, FrameBuilder::pooled(&self.pool), |path| {
+        parse(body, columns, |path| {
             if let Some(known) = paths.iter().find(|p| &***p == path) {
                 return known.clone();
             }
@@ -386,19 +406,17 @@ fn parse(
     for _ in 0..n_rows {
         // One bounds check for the fixed part, one for the pairs.
         let fixed = r.take(row_len)?;
-        let pid = Pid(le_u32(&fixed[..4]));
-        let busy = Nanos(le_u64(&fixed[4..12]));
-        let (pids, counters) = columns.hpc_columns();
-        pids.push(pid);
-        counters.extend(fixed[12..row_len - 2].chunks_exact(8).map(le_u64));
-        let pairs = r.take(12 * usize::from(le_u16(&fixed[row_len - 2..])))?;
-        columns.push_time_row(pid, busy, |freqs| {
-            freqs.extend(
-                pairs
-                    .chunks_exact(12)
-                    .map(|p| (MegaHertz(le_u32(&p[..4])), Nanos(le_u64(&p[4..])))),
-            );
-        });
+        let (head, tail) = fixed.split_at(12);
+        let (counters, n_pairs) = tail.split_at(8 * n_events);
+        let pairs = r.take(12 * usize::from(le_u16(n_pairs)))?;
+        columns.push_joined_row(
+            Pid(le_u32(&head[..4])),
+            Nanos(le_u64(&head[4..])),
+            counters.chunks_exact(8).map(le_u64),
+            pairs
+                .chunks_exact(12)
+                .map(|p| (MegaHertz(le_u32(&p[..4])), Nanos(le_u64(&p[4..])))),
+        );
     }
     // Optional cgroup section (present only for cgrouped hosts): path
     // table then one u32 group index per row (`u32::MAX` = ungrouped).
@@ -597,6 +615,43 @@ mod tests {
         // A refused payload takes no block out of circulation.
         assert_eq!(decoder.decode(&[0; 40]).err(), Some(WireError::Checksum));
         assert_eq!(decoder.pool.pooled(), 1);
+    }
+
+    /// Refilling the last frame's own columns gives what fresh storage
+    /// gives, whichever payload the columns held before; a payload the
+    /// trailer refuses leaves the frame as it was.
+    #[test]
+    fn decoding_into_a_spent_frame_equals_fresh_decode() {
+        let frames = [grouped_frame(), sample_frame(), grouped_frame()];
+        let mut decoder = FrameDecoder::new();
+        let mut last: Option<TickFrame> = None;
+        for frame in frames.iter().chain(frames.iter().rev()) {
+            let bytes = encode_frame(frame);
+            let refilled = decoder
+                .decode_reusing(&bytes, last.as_mut())
+                .and_then(|d| d.seal(frame.events.clone()))
+                .expect("refilled decode");
+            let fresh = decode_frame(&bytes)
+                .and_then(|d| d.seal(frame.events.clone()))
+                .expect("fresh decode");
+            refilled.debug_assert_consistent();
+            assert_eq!(refilled, fresh);
+            last = Some(refilled);
+        }
+        assert_eq!(
+            decoder.pool.pooled(),
+            0,
+            "the pool served the first frame only"
+        );
+        let before = last.clone();
+        let mut damaged = encode_frame(&sample_frame());
+        damaged[5] ^= 0x01;
+        let refused = decoder.decode_reusing(&damaged, last.as_mut());
+        assert_eq!(refused.err(), Some(WireError::Checksum));
+        assert_eq!(
+            last, before,
+            "the trailer is checked before the columns are taken"
+        );
     }
 
     /// A sender naming more paths than the decoder interns still decodes

@@ -604,6 +604,8 @@ impl Fleet {
         let telemetry = self.telemetry.clone();
         let journal = telemetry.journal();
         journal.set_now(sim_now);
+        // A dark journal drops what it is handed, so the per-frame sites
+        // below build their subject and detail strings only when it is on.
         // Fleet-level events with no single frame to blame (partition
         // windows, SLO alerts) journal on the tick's own trace — opened
         // by the first such event, so an uneventful tick opens none.
@@ -652,15 +654,17 @@ impl Fleet {
                 let (trace, tried) = (p.env.trace, p.attempt);
                 if tried >= retry::MAX_RETRIES {
                     self.senders[h].pending.remove(&seq);
-                    journal.emit(
-                        EventKind::FleetRetry,
-                        &host.to_string(),
-                        format!(
-                            "seq {seq} abandoned after {} transmissions (budget exhausted)",
-                            tried + 1
-                        ),
-                        trace,
-                    );
+                    if journal.enabled() {
+                        journal.emit(
+                            EventKind::FleetRetry,
+                            &host.to_string(),
+                            format!(
+                                "seq {seq} abandoned after {} transmissions (budget exhausted)",
+                                tried + 1
+                            ),
+                            trace,
+                        );
+                    }
                     self.note(FleetHop {
                         tick: now,
                         host,
@@ -677,12 +681,14 @@ impl Fleet {
                 // The link may mangle what it carries: it gets a copy,
                 // the canonical envelope stays pending.
                 let env = p.env.clone();
-                journal.emit(
-                    EventKind::FleetRetry,
-                    &host.to_string(),
-                    format!("seq {seq} retransmit, attempt {attempt}"),
-                    trace,
-                );
+                if journal.enabled() {
+                    journal.emit(
+                        EventKind::FleetRetry,
+                        &host.to_string(),
+                        format!("seq {seq} retransmit, attempt {attempt}"),
+                        trace,
+                    );
+                }
                 let stage = self.send(h, env, attempt);
                 self.note(FleetHop {
                     tick: now,
@@ -738,12 +744,14 @@ impl Fleet {
                 self.senders[h].backlog.push_back(env);
                 while self.senders[h].backlog.len() > self.cfg.link.sender_backlog.max(1) {
                     let old = self.senders[h].backlog.pop_front().expect("over cap");
-                    journal.emit(
-                        EventKind::FleetShed,
-                        &host.to_string(),
-                        format!("seq {} shed from sender backlog (no credits)", old.seq),
-                        old.trace,
-                    );
+                    if journal.enabled() {
+                        journal.emit(
+                            EventKind::FleetShed,
+                            &host.to_string(),
+                            format!("seq {} shed from sender backlog (no credits)", old.seq),
+                            old.trace,
+                        );
+                    }
                     self.note(FleetHop {
                         tick: now,
                         host,
@@ -796,12 +804,14 @@ impl Fleet {
                 match self.shards[s].ingest(env, now) {
                     IngestOutcome::Accepted => {}
                     IngestOutcome::Shed(old) => {
-                        journal.emit(
-                            EventKind::FleetShed,
-                            &format!("shard-{s}"),
-                            format!("{} seq {} shed at ingest (overflow)", old.host, old.seq),
-                            old.trace,
-                        );
+                        if journal.enabled() {
+                            journal.emit(
+                                EventKind::FleetShed,
+                                &format!("shard-{s}"),
+                                format!("{} seq {} shed at ingest (overflow)", old.host, old.seq),
+                                old.trace,
+                            );
+                        }
                         self.note(FleetHop {
                             tick: now,
                             host: old.host,
@@ -908,23 +918,27 @@ impl Fleet {
         for &(host, stale, trace) in &self.transitions_scratch {
             if stale {
                 self.stats.stale_transitions += 1;
-                journal.emit(
-                    EventKind::FleetTimeout,
-                    &host.to_string(),
-                    format!(
-                        "no fresh frame for {} ticks; holding last-known-good",
-                        shard::STALE_AFTER_TICKS
-                    ),
-                    trace,
-                );
+                if journal.enabled() {
+                    journal.emit(
+                        EventKind::FleetTimeout,
+                        &host.to_string(),
+                        format!(
+                            "no fresh frame for {} ticks; holding last-known-good",
+                            shard::STALE_AFTER_TICKS
+                        ),
+                        trace,
+                    );
+                }
             } else {
                 self.stats.recoveries += 1;
-                journal.emit(
-                    EventKind::QualityRecovered,
-                    &host.to_string(),
-                    "fresh frame applied; staleness cleared",
-                    trace,
-                );
+                if journal.enabled() {
+                    journal.emit(
+                        EventKind::QualityRecovered,
+                        &host.to_string(),
+                        "fresh frame applied; staleness cleared",
+                        trace,
+                    );
+                }
             }
         }
 

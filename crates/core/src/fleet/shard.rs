@@ -1,10 +1,10 @@
 //! The sharded central estimator: each shard owns a contiguous slice of
 //! the host space (static modulo routing), decodes incoming frame
-//! envelopes back into [`TickFrame`](crate::frame::TickFrame) columns,
-//! runs the power formula's `estimate_batch` over them, and tracks
-//! per-host freshness so a silent host degrades to a quality-tagged
-//! last-known-good estimate with a widening prediction band instead of
-//! vanishing from the fleet aggregate.
+//! envelopes back into [`TickFrame`] columns, runs the power formula's
+//! `estimate_batch` over them, and tracks per-host freshness so a silent
+//! host degrades to a quality-tagged last-known-good estimate with a
+//! widening prediction band instead of vanishing from the fleet
+//! aggregate.
 //!
 //! Shards are load-shedding consumers: a bounded ingest queue that
 //! drops its oldest frame when full (freshest data wins — right for
@@ -19,7 +19,7 @@
 
 use super::envelope::{FrameDecoder, FrameEnvelope, HostId};
 use crate::formula::PowerFormula;
-use crate::frame::{PowerBatch, SensorBatch, SensorRow, NO_ROW};
+use crate::frame::{PowerBatch, SensorBatch, SensorRow, TickFrame, NO_ROW};
 use crate::msg::Quality;
 use crate::sensor::hpc;
 use crate::telemetry::TraceId;
@@ -163,11 +163,13 @@ pub struct EstimatorShard {
     /// [`HostTrack`] stays `Copy`; absent for hosts whose frames carry
     /// no group section.
     tenant_tracks: BTreeMap<u32, Vec<(Arc<str>, f64, f64)>>,
-    /// Per-frame scratch, reused so a warm apply allocates only the
-    /// frame's `Arc`: the decoder's recycled columns and interned paths,
+    /// Per-frame scratch, reused so a warm apply allocates nothing: the
+    /// decoder's recycled columns and interned paths, the frame applied
+    /// last (refilled in place while this shard holds its only handle),
     /// the row descriptors handed to the formula, its output columns, and
     /// the catch-all leaf name.
     decoder: FrameDecoder,
+    frame: Option<Arc<TickFrame>>,
     rows: Vec<SensorRow>,
     out: Option<PowerBatch>,
     ungrouped: Arc<str>,
@@ -191,6 +193,7 @@ impl EstimatorShard {
             tracks: BTreeMap::new(),
             tenant_tracks: BTreeMap::new(),
             decoder: FrameDecoder::new(),
+            frame: None,
             rows: Vec::new(),
             out: None,
             ungrouped: Arc::from(crate::hierarchy::UNGROUPED),
@@ -225,13 +228,17 @@ impl EstimatorShard {
         let (ingested_at, env) = self.ingest.pop_front()?;
         let host = env.host;
         let trace = env.trace;
-        // Sealed under this shard's own layout `Arc`, the same one every
-        // frame, so the formulas resolve their event slots once.
+        // Decoded into the last applied frame's columns unless something
+        // still holds that frame (a formula may keep a batch's frame);
+        // then into a block of the decoder's pool. Sealed under this
+        // shard's own layout `Arc`, the same one every frame, so the
+        // formulas resolve their event slots once.
+        let spent = self.frame.as_mut().and_then(Arc::get_mut);
         let sealed = self
             .decoder
-            .decode(&env.payload)
+            .decode_reusing(&env.payload, spent)
             .and_then(|d| d.seal(self.events.clone()));
-        let Ok(frame) = sealed else {
+        let Ok(sealed) = sealed else {
             return Some(ProcessOutcome::Corrupt {
                 host,
                 seq: env.seq,
@@ -239,6 +246,13 @@ impl EstimatorShard {
                 attempt: env.attempt,
             });
         };
+        // Back where its columns came from, or into a new `Arc` beside
+        // the frame someone else still holds.
+        match self.frame.as_mut().and_then(Arc::get_mut) {
+            Some(slot) => *slot = sealed,
+            None => self.frame = Some(Arc::new(sealed)),
+        }
+        let frame = self.frame.clone().expect("just stored");
         let known = self.tracks.get(&host.0);
         if let Some(t) = known {
             // Duplicates *and* frames superseded by a newer delivery
@@ -271,7 +285,7 @@ impl EstimatorShard {
         }));
         let batch = SensorBatch {
             source: hpc::SOURCE,
-            frame: Arc::new(frame),
+            frame,
             rows,
             trace,
         };
@@ -321,7 +335,8 @@ impl EstimatorShard {
                 }
             }
         }
-        // Dropping the frame returns its columns to the decoder's pool.
+        // Dropping the batch leaves the shard the frame's only holder,
+        // unless the formula kept a handle.
         self.rows = batch.rows;
         self.out = Some(out);
         self.tracks.insert(
@@ -637,6 +652,51 @@ mod tests {
             let est = s.tenant_estimate(HostId(0), 0, tenant).unwrap();
             assert_eq!(est.power_w, 1.0, "{tenant}");
         }
+    }
+
+    /// Busy seconds as watts, keeping a handle to every frame it is
+    /// handed.
+    struct Retaining(Arc<std::sync::Mutex<Vec<Arc<TickFrame>>>>);
+    impl PowerFormula for Retaining {
+        fn name(&self) -> &'static str {
+            "retaining"
+        }
+        fn idle_w(&self) -> f64 {
+            0.0
+        }
+        fn estimate(&mut self, r: &crate::msg::SensorReport) -> Option<simcpu::units::Watts> {
+            Some(simcpu::units::Watts(r.time.busy.as_secs_f64()))
+        }
+        fn estimate_batch(&mut self, batch: &SensorBatch, quality: Quality, out: &mut PowerBatch) {
+            self.0.lock().unwrap().push(batch.frame.clone());
+            crate::formula::estimate_row_by_row(self, batch, quality, out);
+        }
+        fn boxed_clone(&self) -> Box<dyn PowerFormula> {
+            Box::new(Retaining(self.0.clone()))
+        }
+    }
+
+    #[test]
+    fn a_frame_the_formula_kept_is_never_refilled() {
+        let kept = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let mut s = EstimatorShard::new(
+            0,
+            ShardConfig::default(),
+            Box::new(Retaining(kept.clone())),
+            Arc::from([] as [Event; 0]),
+        );
+        for (seq, busy_ms) in [(0, 100), (1, 200), (2, 300)] {
+            s.ingest(envelope(4, seq, busy_ms), seq);
+            assert!(matches!(
+                s.process_one(seq),
+                Some(ProcessOutcome::Applied { .. })
+            ));
+            let est = s.estimate(HostId(4), seq).unwrap();
+            assert!((est.power_w - busy_ms as f64 / 1000.0).abs() < 1e-12);
+        }
+        let busy: Vec<_> = kept.lock().unwrap().iter().map(|f| f.busy(0)).collect();
+        let want = [100, 200, 300].map(Nanos::from_millis);
+        assert_eq!(busy, want, "each kept frame still holds its own payload");
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use crate::formula::PowerFormula;
 use crate::frame::{PowerBatch, SensorBatch, NO_ROW};
+use crate::model::power_model::nearest_index;
 use crate::msg::{CorunSplit, Quality, SensorReport};
 use crate::{Error, Result};
 use simcpu::counters::HwCounter;
@@ -21,7 +22,10 @@ use std::collections::BTreeMap;
 pub struct HappyModel {
     idle_w: f64,
     events: Vec<HwCounter>,
-    per_freq: BTreeMap<u32, (Vec<f64>, Vec<f64>)>,
+    /// The modelled frequencies, ascending and distinct.
+    freqs: Vec<MegaHertz>,
+    /// `(solo, corun)` coefficients per entry of `freqs`.
+    coefs: Vec<(Vec<f64>, Vec<f64>)>,
 }
 
 impl HappyModel {
@@ -48,12 +52,13 @@ impl HappyModel {
                     "happy coefficient arity mismatch at {f}"
                 )));
             }
-            map.insert(f.as_u32(), (solo, corun));
+            map.insert(f, (solo, corun));
         }
         Ok(HappyModel {
             idle_w,
             events,
-            per_freq: map,
+            freqs: map.keys().copied().collect(),
+            coefs: map.into_values().collect(),
         })
     }
 
@@ -67,14 +72,11 @@ impl HappyModel {
         &self.events
     }
 
-    /// Solo/corun coefficients at the nearest modeled frequency.
+    /// Solo/corun coefficients at the nearest modeled frequency (ties to
+    /// the lower one, like the per-frequency model's lookup).
     pub fn nearest(&self, f: MegaHertz) -> (&[f64], &[f64]) {
-        let (_, (solo, corun)) = self
-            .per_freq
-            .iter()
-            .min_by_key(|(&k, _)| k.abs_diff(f.as_u32()))
-            .expect("non-empty by construction");
-        (solo.as_slice(), corun.as_slice())
+        let (solo, corun) = &self.coefs[nearest_index(&self.freqs, f)];
+        (solo, corun)
     }
 
     /// Active power from solo and co-run event rates (events/second).
@@ -148,9 +150,7 @@ impl PowerFormula for HappyFormula {
             .iter()
             .max_by_key(|(_, t)| t.as_u64())
             .map(|(f, _)| *f)
-            .unwrap_or(MegaHertz(
-                self.model.per_freq.keys().next().copied().unwrap_or(1000),
-            ));
+            .unwrap_or(self.model.freqs[0]);
         self.estimate_split(&report.corun, interval_s, freq)
     }
 
@@ -175,9 +175,7 @@ impl PowerFormula for HappyFormula {
             } else {
                 None
             };
-            let freq = freq.unwrap_or(MegaHertz(
-                self.model.per_freq.keys().next().copied().unwrap_or(1000),
-            ));
+            let freq = freq.unwrap_or(self.model.freqs[0]);
             if let Some(watts) = self.estimate_split(&split, interval_s, freq) {
                 out.push(row.pid, watts, Watts(0.0), quality);
             }

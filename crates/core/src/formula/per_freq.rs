@@ -105,8 +105,11 @@ impl PerFrequencyFormula {
         let Some(slots) = self.slots.slots.take() else {
             return;
         };
+        // Sized once per call and overwritten per row and frequency.
         let mut deltas = std::mem::take(&mut self.deltas);
         let mut rates = std::mem::take(&mut self.rates);
+        deltas.resize(slots.len(), 0.0);
+        rates.resize(slots.len(), 0.0);
         // Rows without a residency split all take the first model
         // frequency's band: looked up when the first of them asks.
         let mut unsplit_band = None;
@@ -123,14 +126,14 @@ impl PerFrequencyFormula {
             // A row that did not run is 0 W whatever it counted, so its
             // counters are read only if it ran — on a wide host, few do.
             let watts = if busy == 0 {
-                Some(Watts::ZERO)
+                Watts::ZERO
             } else {
                 let counters = frame.hpc_row(row.hpc as usize);
-                deltas.clear();
-                deltas.extend(slots.iter().map(|&s| counters[s] as f64));
+                for (d, &s) in deltas.iter_mut().zip(&slots) {
+                    *d = counters[s] as f64;
+                }
                 self.active_watts(busy, freqs, interval_s, &deltas, &mut rates)
             };
-            let Some(watts) = watts else { continue };
             let band = if !with_band {
                 0.0
             } else if let Some(&(f, _)) = freqs.iter().max_by_key(|(_, t)| t.as_u64()) {
@@ -151,35 +154,39 @@ impl PerFrequencyFormula {
     /// The active power of a row that ran `busy` ns split as `freqs`,
     /// from its counter `deltas` in model-event order: counters are
     /// attributed to frequencies by residency share and each frequency's
-    /// model applied to its share (`None` when the model cannot take the
-    /// rates). `rates` is scratch.
+    /// model applied to its share — [`PowerFormula::estimate`]'s
+    /// arithmetic, step for step. `rates` is scratch as long as
+    /// `deltas` (both sized to the model's events), overwritten in place
+    /// for each frequency.
     fn active_watts(
         &self,
         busy: u64,
         freqs: &[(MegaHertz, Nanos)],
         interval_s: f64,
         deltas: &[f64],
-        rates: &mut Vec<f64>,
-    ) -> Option<Watts> {
+        rates: &mut [f64],
+    ) -> Watts {
         if deltas.iter().all(|d| *d == 0.0) {
-            return Some(Watts::ZERO);
+            return Watts::ZERO;
         }
         let mut total = 0.0;
         let mut attributed = 0u64;
         for &(f, t) in freqs {
             let share = t.as_u64() as f64 / busy as f64;
             attributed += t.as_u64();
-            rates.clear();
-            rates.extend(deltas.iter().map(|d| d * share / interval_s));
-            total += self.model.predict_active(f, rates).ok()?;
+            for (r, d) in rates.iter_mut().zip(deltas) {
+                *r = d * share / interval_s;
+            }
+            total += self.model.active_at(f, rates);
         }
         if attributed == 0 {
-            rates.clear();
-            rates.extend(deltas.iter().map(|d| d / interval_s));
+            for (r, d) in rates.iter_mut().zip(deltas) {
+                *r = d / interval_s;
+            }
             let f = self.model.first_frequency();
-            total += self.model.predict_active(f, rates).ok()?;
+            total += self.model.active_at(f, rates);
         }
-        Some(Watts(total))
+        Watts(total)
     }
 
     /// The frequency the process spent most of its busy time at this

@@ -436,6 +436,22 @@ impl FrameBuilder {
         }
     }
 
+    /// Reopens a sealed frame's columns for refilling in place: the
+    /// storage and its pool membership move into the builder, leaving
+    /// `frame` an empty husk to be overwritten by the frame the builder
+    /// seals. For a receiver that holds the only handle to the frame it
+    /// applied last — it skips the pool's lock, and the sealed frame can
+    /// go back into the same `Arc`.
+    pub(crate) fn reopen(frame: &mut TickFrame) -> FrameBuilder {
+        let mut storage = std::mem::take(&mut frame.storage);
+        storage.clear();
+        storage.freq_index.push(0);
+        FrameBuilder {
+            storage,
+            pool: frame.pool.take(),
+        }
+    }
+
     /// Starts a frame with fresh storage (tests, one-shot conversions).
     pub fn new() -> FrameBuilder {
         let mut storage = FrameStorage::default();
@@ -466,6 +482,27 @@ impl FrameBuilder {
         s.busy.reserve(rows);
         s.freq_index.reserve(rows);
         s.freqs.reserve(freq_pairs);
+    }
+
+    /// Appends one row to both the hpc and the time section: `pid`'s
+    /// `counters` (one per event slot), its `busy` time and its
+    /// residency entries `freqs` — for a decoder whose source joins the
+    /// two sections row by row.
+    #[inline]
+    pub(crate) fn push_joined_row(
+        &mut self,
+        pid: Pid,
+        busy: Nanos,
+        counters: impl Iterator<Item = u64>,
+        freqs: impl Iterator<Item = (MegaHertz, Nanos)>,
+    ) {
+        let s = &mut self.storage;
+        s.hpc_pids.push(pid);
+        s.counters.extend(counters);
+        s.time_pids.push(pid);
+        s.busy.push(busy);
+        s.freqs.extend(freqs);
+        s.freq_index.push(s.freqs.len() as u32);
     }
 
     /// Appends one time row; `fill` appends that row's per-frequency

@@ -8,25 +8,61 @@ use simcpu::units::MegaHertz;
 use std::collections::BTreeMap;
 use std::fmt;
 
+/// The index of the key in `keys` (ascending, non-empty) nearest to `f`.
+/// Ties go to the **lower** frequency: a query exactly between two keys
+/// takes the one below it, as the first minimum of a distance scan over
+/// the ascending keys would. Below the range the first key answers, above
+/// it the last. The one nearest-frequency lookup of the crate: the
+/// per-frequency model's coefficients and residual sigmas and HaPPy's
+/// coefficient pairs all go through it.
+pub(crate) fn nearest_index(keys: &[MegaHertz], f: MegaHertz) -> usize {
+    // The first key at or above `f`; the one before it is below.
+    let above = keys.partition_point(|&k| k < f);
+    if above == 0 {
+        return 0;
+    }
+    if above == keys.len() {
+        return above - 1;
+    }
+    let below = above - 1;
+    if f.0 - keys[below].0 <= keys[above].0 - f.0 {
+        below
+    } else {
+        above
+    }
+}
+
 /// A per-frequency linear power model over hardware-counter rates.
 ///
 /// Rates are in events **per second**; coefficients are in watts per
 /// (event/second) — i.e. joules per event, like the paper's
 /// `2.22 / 10⁹ · i` term (2.22 nJ per instruction).
+///
+/// Frequencies are kept as sorted key columns so the formula's per-row
+/// lookup is a binary search (`nearest_index`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PerFrequencyPowerModel {
     idle_w: f64,
     events: Vec<String>,
-    per_freq: BTreeMap<u32, Vec<f64>>,
-    /// Residual standard deviation of the calibration fit per frequency,
-    /// in watts — the basis for prediction intervals. Empty for models
-    /// learned before this field existed (deserializes as such).
+    /// The modelled frequencies, ascending and distinct.
+    freqs: Vec<MegaHertz>,
+    /// One row of `events.len()` coefficients per entry of `freqs`,
+    /// row-major.
+    coefs: Vec<f64>,
+    /// The frequencies with a recorded calibration residual, ascending
+    /// and distinct — not necessarily `freqs`: models learned before
+    /// residual statistics existed carry none.
     #[serde(default)]
-    resid_sigma: BTreeMap<u32, f64>,
+    sigma_freqs: Vec<MegaHertz>,
+    /// Residual standard deviation of the calibration fit per entry of
+    /// `sigma_freqs`, in watts — the basis for prediction intervals.
+    #[serde(default)]
+    sigmas: Vec<f64>,
 }
 
 impl PerFrequencyPowerModel {
-    /// Assembles a model from its parts.
+    /// Assembles a model from its parts (a frequency listed twice keeps
+    /// its last coefficients).
     ///
     /// # Errors
     ///
@@ -56,13 +92,15 @@ impl PerFrequencyPowerModel {
                     events.len()
                 )));
             }
-            map.insert(f.as_u32(), coefs);
+            map.insert(f, coefs);
         }
         Ok(PerFrequencyPowerModel {
             idle_w,
             events,
-            per_freq: map,
-            resid_sigma: BTreeMap::new(),
+            freqs: map.keys().copied().collect(),
+            coefs: map.into_values().flatten().collect(),
+            sigma_freqs: Vec::new(),
+            sigmas: Vec::new(),
         })
     }
 
@@ -93,32 +131,36 @@ impl PerFrequencyPowerModel {
 
     /// The modeled frequencies, ascending.
     pub fn frequencies(&self) -> Vec<MegaHertz> {
-        self.per_freq.keys().map(|&f| MegaHertz(f)).collect()
+        self.freqs.clone()
     }
 
     /// The lowest modeled frequency — where the formula places a row that
     /// carries no residency split. Unlike `frequencies()[0]` it does not
     /// allocate: the formula asks once per idle row.
     pub fn first_frequency(&self) -> MegaHertz {
-        let first = self.per_freq.keys().next();
-        MegaHertz(*first.expect("non-empty by construction"))
+        self.freqs[0]
+    }
+
+    /// Coefficient row `i` (of `freqs`).
+    fn row(&self, i: usize) -> &[f64] {
+        let n = self.events.len();
+        &self.coefs[i * n..(i + 1) * n]
     }
 
     /// Coefficients for an exact frequency.
     pub fn coefficients(&self, f: MegaHertz) -> Option<&[f64]> {
-        self.per_freq.get(&f.as_u32()).map(|v| v.as_slice())
+        self.freqs.binary_search(&f).ok().map(|i| self.row(i))
     }
 
     /// Coefficients for the nearest modeled frequency — how the formula
     /// copes with operating points it never sampled (e.g. opportunistic
-    /// turbo bins).
+    /// turbo bins). A query equidistant from two modeled frequencies
+    /// takes the **lower** one's coefficients (the 1.6/3.3 GHz model
+    /// answers 2.45 GHz with its 1.6 GHz row); below or above the
+    /// modeled range the nearest end answers.
     pub fn nearest_coefficients(&self, f: MegaHertz) -> (&[f64], MegaHertz) {
-        let (freq, coefs) = self
-            .per_freq
-            .iter()
-            .min_by_key(|(&k, _)| k.abs_diff(f.as_u32()))
-            .expect("non-empty by construction");
-        (coefs.as_slice(), MegaHertz(*freq))
+        let i = nearest_index(&self.freqs, f);
+        (self.row(i), self.freqs[i])
     }
 
     /// Active power (above idle) for event rates observed at a frequency,
@@ -135,35 +177,52 @@ impl PerFrequencyPowerModel {
                 self.events.len()
             )));
         }
+        Ok(self.active_at(f, rates_per_sec))
+    }
+
+    /// [`Self::predict_active`] for rates the caller has already sized to
+    /// the model's events — the batch kernel's per-frequency step.
+    #[inline]
+    pub(crate) fn active_at(&self, f: MegaHertz, rates_per_sec: &[f64]) -> f64 {
+        debug_assert_eq!(rates_per_sec.len(), self.events.len());
         let (coefs, _) = self.nearest_coefficients(f);
-        Ok(coefs
+        coefs
             .iter()
             .zip(rates_per_sec)
             .map(|(c, r)| c * r)
             .sum::<f64>()
-            .max(0.0))
+            .max(0.0)
     }
 
     /// Records the calibration residual standard deviation for one
     /// frequency (negative values clamp to zero; NaN is ignored).
     pub fn set_residual_sigma(&mut self, f: MegaHertz, sigma_w: f64) {
-        if sigma_w.is_finite() {
-            self.resid_sigma.insert(f.as_u32(), sigma_w.max(0.0));
+        if !sigma_w.is_finite() {
+            return;
+        }
+        match self.sigma_freqs.binary_search(&f) {
+            Ok(i) => self.sigmas[i] = sigma_w.max(0.0),
+            Err(i) => {
+                self.sigma_freqs.insert(i, f);
+                self.sigmas.insert(i, sigma_w.max(0.0));
+            }
         }
     }
 
     /// Calibration residual sigma for an exact frequency, if recorded.
     pub fn residual_sigma(&self, f: MegaHertz) -> Option<f64> {
-        self.resid_sigma.get(&f.as_u32()).copied()
+        let i = self.sigma_freqs.binary_search(&f).ok()?;
+        Some(self.sigmas[i])
     }
 
-    /// Residual sigma at the nearest recorded frequency (`None` when the
+    /// Residual sigma at the nearest recorded frequency, ties to the
+    /// lower one as in [`Self::nearest_coefficients`] (`None` when the
     /// model carries no residual statistics at all).
     pub fn nearest_residual_sigma(&self, f: MegaHertz) -> Option<f64> {
-        self.resid_sigma
-            .iter()
-            .min_by_key(|(&k, _)| k.abs_diff(f.as_u32()))
-            .map(|(_, &s)| s)
+        if self.sigma_freqs.is_empty() {
+            return None;
+        }
+        Some(self.sigmas[nearest_index(&self.sigma_freqs, f)])
     }
 
     /// Prediction-interval half-width at `z` standard deviations for the
@@ -177,15 +236,15 @@ impl PerFrequencyPowerModel {
         let mut out = String::new();
         out.push_str(&format!("idle {:.6}\n", self.idle_w));
         out.push_str(&format!("events {}\n", self.events.join(" ")));
-        for (f, coefs) in &self.per_freq {
-            out.push_str(&format!("freq {f}"));
-            for c in coefs {
+        for (i, f) in self.freqs.iter().enumerate() {
+            out.push_str(&format!("freq {}", f.0));
+            for c in self.row(i) {
                 out.push_str(&format!(" {c:e}"));
             }
             out.push('\n');
         }
-        for (f, sigma) in &self.resid_sigma {
-            out.push_str(&format!("resid {f} {sigma:e}\n"));
+        for (f, sigma) in self.sigma_freqs.iter().zip(&self.sigmas) {
+            out.push_str(&format!("resid {} {sigma:e}\n", f.0));
         }
         out
     }
@@ -272,9 +331,9 @@ impl fmt::Display for PerFrequencyPowerModel {
     /// Renders the model in the paper's equation style.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Power = {:.2} + sum over frequencies of:", self.idle_w)?;
-        for (freq, coefs) in &self.per_freq {
-            write!(f, "  P_{:.2}GHz =", *freq as f64 / 1000.0)?;
-            for (i, (c, e)) in coefs.iter().zip(&self.events).enumerate() {
+        for (r, freq) in self.freqs.iter().enumerate() {
+            write!(f, "  P_{:.2}GHz =", freq.as_ghz())?;
+            for (i, (c, e)) in self.row(r).iter().zip(&self.events).enumerate() {
                 if i > 0 {
                     write!(f, " +")?;
                 }
@@ -329,6 +388,71 @@ mod tests {
         let (c, f) = m.nearest_coefficients(MegaHertz(1700));
         assert_eq!(f, MegaHertz(1600));
         assert_eq!(c, &[1.0]);
+    }
+
+    /// The tie rule, the range ends and exact hits, for the coefficient
+    /// rows and the residual sigmas alike.
+    #[test]
+    fn nearest_lookup_ties_to_the_lower_frequency() {
+        let mut m = PerFrequencyPowerModel::from_parts(
+            10.0,
+            vec!["instructions".into()],
+            vec![
+                (MegaHertz(3300), vec![3.0]),
+                (MegaHertz(1600), vec![1.0]),
+                (MegaHertz(2400), vec![2.0]),
+            ],
+        )
+        .unwrap();
+        m.set_residual_sigma(MegaHertz(3300), 0.5);
+        m.set_residual_sigma(MegaHertz(1600), 0.2);
+        let sigma_at = |m: &PerFrequencyPowerModel, f| m.nearest_residual_sigma(MegaHertz(f));
+        // Midpoints: 2000 between 1600 and 2400, 2850 between 2400 and
+        // 3300; 2450 between the two sigma frequencies.
+        assert_eq!(
+            m.nearest_coefficients(MegaHertz(2000)),
+            (&[1.0][..], MegaHertz(1600))
+        );
+        assert_eq!(
+            m.nearest_coefficients(MegaHertz(2850)),
+            (&[2.0][..], MegaHertz(2400))
+        );
+        assert_eq!(sigma_at(&m, 2450), Some(0.2));
+        // One MHz either side of a midpoint goes to the nearer key.
+        assert_eq!(m.nearest_coefficients(MegaHertz(2001)).1, MegaHertz(2400));
+        assert_eq!(m.nearest_coefficients(MegaHertz(2849)).1, MegaHertz(2400));
+        assert_eq!(sigma_at(&m, 2451), Some(0.5));
+        // Outside the range: the end keys.
+        for (f, want, sigma) in [(0, 1600, 0.2), (900, 1600, 0.2), (4200, 3300, 0.5)] {
+            assert_eq!(
+                m.nearest_coefficients(MegaHertz(f)).1,
+                MegaHertz(want),
+                "{f}"
+            );
+            assert_eq!(sigma_at(&m, f), Some(sigma), "{f}");
+        }
+        assert_eq!(
+            m.nearest_coefficients(MegaHertz(u32::MAX)).1,
+            MegaHertz(3300)
+        );
+        // Exact hits.
+        for (f, c) in [(1600, 1.0), (2400, 2.0), (3300, 3.0)] {
+            assert_eq!(
+                m.nearest_coefficients(MegaHertz(f)),
+                (&[c][..], MegaHertz(f))
+            );
+        }
+        assert_eq!(sigma_at(&m, 3300), Some(0.5));
+        // The first minimum of a distance scan over the ascending keys
+        // agrees everywhere in and around the range.
+        for f in (0..4000).step_by(25) {
+            let scan = m
+                .frequencies()
+                .into_iter()
+                .min_by_key(|k| k.0.abs_diff(f))
+                .unwrap();
+            assert_eq!(m.nearest_coefficients(MegaHertz(f)).1, scan, "{f}");
+        }
     }
 
     #[test]

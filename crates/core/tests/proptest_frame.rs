@@ -97,6 +97,12 @@ const LEAVES: [Option<&str>; 4] = [
     Some("tenant-b"),
 ];
 
+/// The frequencies a generated time row has residency at, a prefix of
+/// this ascending list: the model's lowest frequency, two off-model
+/// points, and 2.45 GHz, the exact midpoint of the 1.6/3.3 GHz model —
+/// so the lookups meet a tie, which goes to the lower frequency.
+const RESIDENCY_MHZ: [u32; 4] = [1600, 2100, 2450, 2600];
+
 #[allow(clippy::type_complexity)]
 fn interval() -> impl Strategy<Value = Interval> {
     (
@@ -109,7 +115,7 @@ fn interval() -> impl Strategy<Value = Interval> {
         ),
         (
             prop::collection::vec(0u64..2_000_000_000, 12),
-            prop::collection::vec(0usize..3, 12),
+            prop::collection::vec(0usize..=RESIDENCY_MHZ.len(), 12),
             prop::collection::vec((0u64..10_000_000_000, 0u64..200), 0..5),
             (0u8..2, 0.0f64..500.0).prop_map(|(some, v)| (some == 1).then_some(v)),
             1u64..100_000_000_000,
@@ -153,7 +159,7 @@ fn build_interval(
             let by_freq = (0..freq_counts[i % freq_counts.len()])
                 .map(|k| {
                     (
-                        MegaHertz(1600 + 500 * k as u32),
+                        MegaHertz(RESIDENCY_MHZ[k]),
                         Nanos(1 + busys[i % busys.len()] / (k as u64 + 2)),
                     )
                 })
@@ -452,9 +458,10 @@ fn power_rows(b: &PowerBatch) -> Vec<PowerRow> {
         .collect()
 }
 
-/// Two modelled frequencies (generated residency also visits 2.1 and
-/// 2.6 GHz, so nearest-model lookups are exercised) with distinct
-/// residual sigmas, over the first `n` Bertran events.
+/// Two modelled frequencies (generated residency also visits 2.1, 2.45
+/// and 2.6 GHz, so nearest-model lookups are exercised, an equidistant
+/// one included) with distinct residual sigmas, over the first `n`
+/// Bertran events.
 fn model(n: usize) -> PerFrequencyPowerModel {
     let coefs = [2.22e-9, 1.1e-9, 2.48e-8, 1.87e-7, 3.3e-9];
     let mut m = PerFrequencyPowerModel::from_parts(

@@ -318,6 +318,9 @@ fn wire_frame(events: &Arc<[Event]>, grouped: bool) -> TickFrame {
     )
 }
 
+/// Encode allocates the payload; a warm decode and a warm shard apply
+/// allocate nothing (the name is older than the shard's in-place refill,
+/// which took the frame's `Arc` off the count).
 #[test]
 fn a_warm_transport_path_allocates_the_payload_and_the_frame_arc() {
     let events = wire_layout();
@@ -343,30 +346,44 @@ fn a_warm_transport_path_allocates_the_payload_and_the_frame_arc() {
         let formula = PerFrequencyFormula::new(PerFrequencyPowerModel::paper_i3_example());
         let mut shard =
             EstimatorShard::new(0, ShardConfig::default(), Box::new(formula), events.clone());
-        let mut apply = |seq: u64| {
+        let mut process = |seq: u64, payload: Vec<u8>| {
             let env = FrameEnvelope {
                 host: HostId(3),
                 seq,
                 sent_at: Nanos::from_secs(seq),
                 trace: TraceId(seq + 1),
                 attempt: 0,
-                payload: payload.clone(),
+                payload,
             };
             shard.ingest(env, seq);
             let mut outcome = None;
             let n = allocations_in(|| outcome = shard.process_one(seq));
+            (outcome, n)
+        };
+        let applied = |(outcome, n): (Option<ProcessOutcome>, u64)| {
             assert!(matches!(outcome, Some(ProcessOutcome::Applied { .. })));
             n
         };
         // The first applies open the host's books and size the scratch.
-        apply(0);
-        apply(1);
+        applied(process(0, payload.clone()));
+        applied(process(1, payload.clone()));
         for seq in 2..6 {
-            let warm_apply = apply(seq);
+            let warm_apply = applied(process(seq, payload.clone()));
             assert_eq!(
-                warm_apply, 1,
-                "a warm apply allocates the frame's Arc, grouped: {grouped}"
+                warm_apply, 0,
+                "a warm apply refills the last frame in place, grouped: {grouped}"
             );
         }
+        // A payload the link damaged is refused before it reaches the
+        // frame the next apply refills.
+        let mut damaged = payload.clone();
+        damaged[payload.len() / 2] ^= 0x10;
+        let (outcome, _) = process(6, damaged);
+        assert!(matches!(outcome, Some(ProcessOutcome::Corrupt { .. })));
+        assert_eq!(
+            applied(process(7, payload.clone())),
+            0,
+            "a warm apply after a corrupt payload, grouped: {grouped}"
+        );
     }
 }
