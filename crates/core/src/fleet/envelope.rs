@@ -10,10 +10,12 @@
 //! retransmitted, never silently applied.
 
 use crate::frame::{FrameBuilder, FramePool, TickFrame, NO_ROW};
+use crate::telemetry::journal::Text;
 use crate::telemetry::TraceId;
 use os_sim::process::Pid;
 use perf_sim::events::Event;
 use simcpu::units::{MegaHertz, Nanos};
+use std::fmt::Display;
 use std::sync::Arc;
 
 /// A fleet host identity (dense, 0-based).
@@ -23,6 +25,13 @@ pub struct HostId(pub u32);
 impl std::fmt::Display for HostId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "host-{}", self.0)
+    }
+}
+
+/// A journal subject naming the host, spelled when the journal is read.
+impl From<HostId> for Text {
+    fn from(host: HostId) -> Text {
+        Text::Spelled(|&[h, _], f| HostId(h as u32).fmt(f), [u64::from(host.0), 0])
     }
 }
 

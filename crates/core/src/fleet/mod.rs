@@ -50,6 +50,7 @@ use crate::formula::PowerFormula;
 use crate::frame::{FramePool, TickFrame};
 use crate::host::SimHost;
 use crate::msg::Quality;
+use crate::telemetry::journal::Text;
 use crate::telemetry::{
     Counter, EventKind, Histogram, Telemetry, TraceId, COUNT_BOUNDS, TICK_BOUNDS,
 };
@@ -604,8 +605,10 @@ impl Fleet {
         let telemetry = self.telemetry.clone();
         let journal = telemetry.journal();
         journal.set_now(sim_now);
-        // A dark journal drops what it is handed, so the per-frame sites
-        // below build their subject and detail strings only when it is on.
+        // A dark journal drops what it is handed. The per-frame sites
+        // below hand it spelled text (numbers, formatted on read), so an
+        // enabled journal records them without formatting or allocating;
+        // the few sites that still build strings do so only when it is on.
         // Fleet-level events with no single frame to blame (partition
         // windows, SLO alerts) journal on the tick's own trace — opened
         // by the first such event, so an uneventful tick opens none.
@@ -654,17 +657,21 @@ impl Fleet {
                 let (trace, tried) = (p.env.trace, p.attempt);
                 if tried >= retry::MAX_RETRIES {
                     self.senders[h].pending.remove(&seq);
-                    if journal.enabled() {
-                        journal.emit(
-                            EventKind::FleetRetry,
-                            &host.to_string(),
-                            format!(
-                                "seq {seq} abandoned after {} transmissions (budget exhausted)",
-                                tried + 1
-                            ),
-                            trace,
-                        );
-                    }
+                    journal.emit(
+                        EventKind::FleetRetry,
+                        host,
+                        Text::Spelled(
+                            |[seq, sent], f| {
+                                write!(
+                                    f,
+                                    "seq {seq} abandoned after {sent} transmissions \
+                                     (budget exhausted)"
+                                )
+                            },
+                            [seq, u64::from(tried) + 1],
+                        ),
+                        trace,
+                    );
                     self.note(FleetHop {
                         tick: now,
                         host,
@@ -681,14 +688,15 @@ impl Fleet {
                 // The link may mangle what it carries: it gets a copy,
                 // the canonical envelope stays pending.
                 let env = p.env.clone();
-                if journal.enabled() {
-                    journal.emit(
-                        EventKind::FleetRetry,
-                        &host.to_string(),
-                        format!("seq {seq} retransmit, attempt {attempt}"),
-                        trace,
-                    );
-                }
+                journal.emit(
+                    EventKind::FleetRetry,
+                    host,
+                    Text::Spelled(
+                        |[seq, attempt], f| write!(f, "seq {seq} retransmit, attempt {attempt}"),
+                        [seq, u64::from(attempt)],
+                    ),
+                    trace,
+                );
                 let stage = self.send(h, env, attempt);
                 self.note(FleetHop {
                     tick: now,
@@ -744,14 +752,17 @@ impl Fleet {
                 self.senders[h].backlog.push_back(env);
                 while self.senders[h].backlog.len() > self.cfg.link.sender_backlog.max(1) {
                     let old = self.senders[h].backlog.pop_front().expect("over cap");
-                    if journal.enabled() {
-                        journal.emit(
-                            EventKind::FleetShed,
-                            &host.to_string(),
-                            format!("seq {} shed from sender backlog (no credits)", old.seq),
-                            old.trace,
-                        );
-                    }
+                    journal.emit(
+                        EventKind::FleetShed,
+                        host,
+                        Text::Spelled(
+                            |[seq, _], f| {
+                                write!(f, "seq {seq} shed from sender backlog (no credits)")
+                            },
+                            [old.seq, 0],
+                        ),
+                        old.trace,
+                    );
                     self.note(FleetHop {
                         tick: now,
                         host,
@@ -804,14 +815,18 @@ impl Fleet {
                 match self.shards[s].ingest(env, now) {
                     IngestOutcome::Accepted => {}
                     IngestOutcome::Shed(old) => {
-                        if journal.enabled() {
-                            journal.emit(
-                                EventKind::FleetShed,
-                                &format!("shard-{s}"),
-                                format!("{} seq {} shed at ingest (overflow)", old.host, old.seq),
-                                old.trace,
-                            );
-                        }
+                        journal.emit(
+                            EventKind::FleetShed,
+                            Text::Spelled(|[s, _], f| write!(f, "shard-{s}"), [s as u64, 0]),
+                            Text::Spelled(
+                                |&[host, seq], f| {
+                                    let host = HostId(host as u32);
+                                    write!(f, "{host} seq {seq} shed at ingest (overflow)")
+                                },
+                                [u64::from(old.host.0), old.seq],
+                            ),
+                            old.trace,
+                        );
                         self.note(FleetHop {
                             tick: now,
                             host: old.host,
@@ -921,7 +936,7 @@ impl Fleet {
                 if journal.enabled() {
                     journal.emit(
                         EventKind::FleetTimeout,
-                        &host.to_string(),
+                        host,
                         format!(
                             "no fresh frame for {} ticks; holding last-known-good",
                             shard::STALE_AFTER_TICKS
@@ -934,7 +949,7 @@ impl Fleet {
                 if journal.enabled() {
                     journal.emit(
                         EventKind::QualityRecovered,
-                        &host.to_string(),
+                        host,
                         "fresh frame applied; staleness cleared",
                         trace,
                     );

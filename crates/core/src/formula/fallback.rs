@@ -96,7 +96,7 @@ impl Actor for FallbackFormula {
                     ctx.telemetry().journal().emit_at(
                         ts,
                         EventKind::QualityRecovered,
-                        &format!("pid-{}", pid.0),
+                        format!("pid-{}", pid.0),
                         format!("primary formula {} resumed", self.primary.name()),
                         batch.trace,
                     );
@@ -141,7 +141,7 @@ impl Actor for FallbackFormula {
                 ctx.telemetry().journal().emit_at(
                     ts,
                     EventKind::QualityDegraded,
-                    &format!("pid-{}", pid.0),
+                    format!("pid-{}", pid.0),
                     format!(
                         "primary silent > {} ms; serving {}",
                         self.max_age.as_u64() / 1_000_000,

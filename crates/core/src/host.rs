@@ -12,7 +12,7 @@
 use crate::frame::{FrameBuilder, FramePool, TickFrame};
 use crate::msg::CorunSplit;
 use crate::telemetry::Telemetry;
-use os_sim::kernel::Kernel;
+use os_sim::kernel::{Kernel, KernelReport};
 use os_sim::process::{Pid, Tid};
 use perf_sim::events::Event;
 use perf_sim::monitor::ProcessMonitor;
@@ -25,6 +25,8 @@ use std::sync::Arc;
 /// The kernel plus its measurement harness.
 pub struct SimHost {
     kernel: Kernel,
+    /// The last quantum's report, kept so its records reuse their storage.
+    report: KernelReport,
     monitor: ProcessMonitor,
     meter: PowerSpy,
     rapl: Option<Rapl>,
@@ -70,6 +72,7 @@ impl SimHost {
             unscheduled: Vec::new(),
             last_snapshot: kernel.machine().now(),
             telemetry: Telemetry::disabled(),
+            report: KernelReport::default(),
             kernel,
         }
     }
@@ -171,8 +174,9 @@ impl SimHost {
 
     /// Advances the world one scheduler quantum, feeding every attachment.
     pub fn step(&mut self, dt: Nanos) {
-        let report = self.kernel.tick(dt);
-        self.monitor.observe(&report);
+        self.kernel.tick_into(dt, &mut self.report);
+        let report = &self.report;
+        self.monitor.observe(report);
 
         // Meter integrates the true machine power.
         let truth = self.kernel.machine().last_power();

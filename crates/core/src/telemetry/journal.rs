@@ -20,6 +20,7 @@ use crate::telemetry::metrics::Counter;
 use crate::telemetry::trace::TraceId;
 use simcpu::units::Nanos;
 use std::collections::VecDeque;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -207,8 +208,73 @@ pub struct JournalEvent {
     pub trace: TraceId,
 }
 
+/// A subject or detail as an emit site hands it over: text it already
+/// has, or up to two numbers with the function that spells them. Spelled
+/// text is formatted when the journal is read, so a per-frame site (the
+/// fleet's retransmits and sheds) records its line without formatting
+/// or allocating.
+#[derive(Debug, Clone)]
+pub enum Text {
+    /// Text the site already built.
+    Owned(String),
+    /// Numbers and their spelling, formatted on read.
+    Spelled(
+        fn(&[u64; 2], &mut fmt::Formatter<'_>) -> fmt::Result,
+        [u64; 2],
+    ),
+}
+
+impl fmt::Display for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Text::Owned(s) => f.write_str(s),
+            Text::Spelled(spell, args) => spell(args, f),
+        }
+    }
+}
+
+impl From<String> for Text {
+    fn from(s: String) -> Text {
+        Text::Owned(s)
+    }
+}
+
+impl<T: AsRef<str> + ?Sized> From<&T> for Text {
+    fn from(s: &T) -> Text {
+        Text::Owned(s.as_ref().to_owned())
+    }
+}
+
+/// One retained line as recorded; [`Journal::events`] spells it out.
+struct Entry {
+    seq: u64,
+    at: Nanos,
+    kind: EventKind,
+    subject: Text,
+    detail: Text,
+    trace: TraceId,
+}
+
+impl Entry {
+    fn event(&self) -> JournalEvent {
+        JournalEvent {
+            seq: self.seq,
+            at: self.at,
+            severity: self.kind.severity(),
+            kind: self.kind,
+            subject: self.subject.to_string(),
+            detail: self.detail.to_string(),
+            trace: self.trace,
+        }
+    }
+}
+
+/// Ring slots an enabled journal reserves up front: a fleet run's few
+/// hundred fault lines land without regrowing the ring.
+const RING_RESERVE: usize = 256;
+
 struct JournalState {
-    ring: VecDeque<JournalEvent>,
+    ring: VecDeque<Entry>,
     seq: u64,
 }
 
@@ -241,7 +307,11 @@ impl Journal {
                 cap: cap.max(1),
                 now_ns: AtomicU64::new(0),
                 state: Mutex::new(JournalState {
-                    ring: VecDeque::new(),
+                    ring: VecDeque::with_capacity(if enabled {
+                        cap.clamp(1, RING_RESERVE)
+                    } else {
+                        0
+                    }),
                     seq: 0,
                 }),
                 emitted,
@@ -274,7 +344,13 @@ impl Journal {
     }
 
     /// Records an event stamped with the journal clock.
-    pub fn emit(&self, kind: EventKind, subject: &str, detail: impl Into<String>, trace: TraceId) {
+    pub fn emit(
+        &self,
+        kind: EventKind,
+        subject: impl Into<Text>,
+        detail: impl Into<Text>,
+        trace: TraceId,
+    ) {
         if !self.inner.enabled {
             return;
         }
@@ -287,8 +363,8 @@ impl Journal {
         &self,
         at: Nanos,
         kind: EventKind,
-        subject: &str,
-        detail: impl Into<String>,
+        subject: impl Into<Text>,
+        detail: impl Into<Text>,
         trace: TraceId,
     ) {
         if !self.inner.enabled {
@@ -296,16 +372,15 @@ impl Journal {
         }
         let mut state = self.inner.state.lock().expect("journal");
         state.seq += 1;
-        let event = JournalEvent {
+        let entry = Entry {
             seq: state.seq,
             at,
-            severity: kind.severity(),
             kind,
-            subject: subject.to_string(),
+            subject: subject.into(),
             detail: detail.into(),
             trace,
         };
-        state.ring.push_back(event);
+        state.ring.push_back(entry);
         self.inner.emitted.inc();
         while state.ring.len() > self.inner.cap {
             state.ring.pop_front();
@@ -321,7 +396,7 @@ impl Journal {
             .expect("journal")
             .ring
             .iter()
-            .cloned()
+            .map(Entry::event)
             .collect()
     }
 
@@ -428,6 +503,33 @@ mod tests {
         assert_eq!(j.emitted(), 10);
         assert_eq!(j.dropped(), 6, "evictions are counted, never silent");
         assert_eq!(j.events()[0].detail, "6", "oldest retained is #6");
+    }
+
+    #[test]
+    fn spelled_text_reads_as_the_string_it_spells() {
+        let j = Journal::new(true, 8, Counter::default(), Counter::default());
+        j.emit(
+            EventKind::FleetRetry,
+            Text::Spelled(|[h, _], f| write!(f, "host-{h}"), [3, 0]),
+            Text::Spelled(
+                |[seq, attempt], f| write!(f, "seq {seq} retransmit, attempt {attempt}"),
+                [41, 2],
+            ),
+            TraceId(9),
+        );
+        j.emit(
+            EventKind::FleetShed,
+            "shard-1",
+            String::from("owned"),
+            TraceId(9),
+        );
+        let events = j.events();
+        assert_eq!(events[0].subject, "host-3");
+        assert_eq!(events[0].detail, "seq 41 retransmit, attempt 2");
+        assert_eq!(
+            (events[1].subject.as_str(), events[1].detail.as_str()),
+            ("shard-1", "owned")
+        );
     }
 
     #[test]

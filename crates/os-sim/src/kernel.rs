@@ -12,7 +12,7 @@ use crate::scheduler::Scheduler;
 use crate::task::{Slice, TaskBehavior};
 use crate::{Error, Result};
 use simcpu::counters::ExecDelta;
-use simcpu::machine::{Machine, MachineConfig};
+use simcpu::machine::{Machine, MachineConfig, TickReport};
 use simcpu::units::{CpuId, MegaHertz, Nanos, Watts};
 use simcpu::workunit::WorkUnit;
 use std::collections::BTreeMap;
@@ -39,7 +39,7 @@ pub struct RunRecord {
 }
 
 /// Everything that happened during one kernel tick.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct KernelReport {
     /// Per-thread execution records.
     pub records: Vec<RunRecord>,
@@ -73,9 +73,10 @@ pub struct Kernel {
     /// Per-CPU scratch of the tick in flight, reused every quantum: the
     /// work unit the picked thread asked for (`None` when it slept or
     /// finished instead, or nothing was picked), the hosting core's
-    /// frequency.
+    /// frequency, and what the machine reported.
     work: Vec<Option<WorkUnit>>,
     cpu_freqs: Vec<MegaHertz>,
+    executed: TickReport,
 }
 
 impl Kernel {
@@ -96,6 +97,7 @@ impl Kernel {
             next_tid: 1000,
             work: Vec::with_capacity(cpus),
             cpu_freqs: Vec::with_capacity(cpus),
+            executed: TickReport::default(),
             machine,
         }
     }
@@ -325,6 +327,14 @@ impl Kernel {
 
     /// Advances the world by `dt`: schedule → govern → execute → account.
     pub fn tick(&mut self, dt: Nanos) -> KernelReport {
+        let mut report = KernelReport::default();
+        self.tick_into(dt, &mut report);
+        report
+    }
+
+    /// [`Kernel::tick`] into a caller-kept report, whose `records` keep
+    /// their storage: the per-quantum form.
+    pub fn tick_into(&mut self, dt: Nanos, report: &mut KernelReport) {
         let topo = self.machine.topology().clone();
         let n_cpus = topo.logical_cpus();
         let smt = topo.threads_per_core();
@@ -371,13 +381,13 @@ impl Kernel {
                 .expect("core index in range");
         }
 
-        // 3. Execute on the machine. The borrowed view of `work` is the
-        // one per-tick vector that cannot be parked in the struct.
-        let assignment: Vec<Option<&WorkUnit>> = self.work.iter().map(Option::as_ref).collect();
-        let report = self.machine.tick(&assignment, dt.as_u64());
+        // 3. Execute on the machine.
+        self.machine
+            .tick_into(&self.work, dt.as_u64(), &mut self.executed);
 
         // 4. Attribution + accounting.
-        let mut records = Vec::with_capacity(self.work.iter().flatten().count());
+        let records = &mut report.records;
+        records.clear();
         self.cpu_freqs.clear();
         self.cpu_freqs
             .extend((0..n_cpus).map(|cpu| self.machine.frequency(cpu / smt)));
@@ -396,7 +406,7 @@ impl Kernel {
                 tid,
                 cpu: CpuId(cpu),
                 frequency: self.cpu_freqs[cpu],
-                delta: report.deltas[cpu],
+                delta: self.executed.deltas[cpu],
                 slice: dt,
                 busy,
             });
@@ -410,12 +420,9 @@ impl Kernel {
             self.idle.observe(c, busy, dt);
         }
 
-        KernelReport {
-            records,
-            power: report.power,
-            package_power: report.package_power,
-            now: report.now,
-        }
+        report.power = self.executed.power;
+        report.package_power = self.executed.package_power;
+        report.now = self.executed.now;
     }
 
     /// Runs `n` ticks of length `dt`, returning the last report.

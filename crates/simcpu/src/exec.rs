@@ -43,6 +43,40 @@ pub struct ExecOutcome {
     pub achieved_ipc: f64,
 }
 
+/// Every field of every input of [`execute`] but the cache hierarchy, bit
+/// for bit (`f64`s by `to_bits`, so `-0.0` and `0.0` differ and a NaN
+/// equals itself). That is a superset of what `execute` reads (it never
+/// reads the voltage). For a fixed hierarchy, calls with equal keys return
+/// equal outcomes.
+pub(crate) type ExecKey = [u64; 13];
+
+/// The [`ExecKey`] of one call.
+#[inline]
+pub(crate) fn exec_key(work: &WorkUnit, ctx: &ExecContext, dt: Nanos) -> ExecKey {
+    let ExecContext {
+        pstate,
+        reference_clock,
+        sibling_active,
+    } = *ctx;
+    let [w0, w1, w2, w3, w4, w5, w6, w7] = work.to_bits();
+    let [mhz, volts] = pstate.to_bits();
+    [
+        w0,
+        w1,
+        w2,
+        w3,
+        w4,
+        w5,
+        w6,
+        w7,
+        mhz,
+        volts,
+        u64::from(reference_clock.0),
+        u64::from(sibling_active),
+        dt.as_u64(),
+    ]
+}
+
 /// Executes `work` for `dt` on a hardware thread and returns the retired
 /// events.
 ///

@@ -40,6 +40,14 @@ impl PState {
     pub fn voltage(&self) -> f64 {
         self.voltage
     }
+
+    /// Every field's bit pattern. The destructuring keeps it complete
+    /// when a field is added.
+    #[inline]
+    pub(crate) fn to_bits(self) -> [u64; 2] {
+        let PState { frequency, voltage } = self;
+        [u64::from(frequency.0), voltage.to_bits()]
+    }
 }
 
 /// An ordered table of supported P-states plus optional turbo bins.

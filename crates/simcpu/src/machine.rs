@@ -9,13 +9,14 @@
 use crate::cache::CacheHierarchy;
 use crate::counters::{CounterBank, ExecDelta};
 use crate::cstate::{CStateMenu, Residency};
-use crate::exec::{execute, ExecContext};
+use crate::exec::{exec_key, execute, ExecContext, ExecKey, ExecOutcome};
 use crate::freq::PStateTable;
 use crate::power::{CoreSlice, PowerBreakdown, PowerModel};
 use crate::topology::Topology;
 use crate::units::{CpuId, Joules, MegaHertz, Nanos, Watts};
 use crate::workunit::WorkUnit;
 use crate::{Error, Result};
+use std::borrow::Borrow;
 
 /// Full static description of a machine (used by [`Machine::new`] and the
 /// presets).
@@ -42,7 +43,7 @@ pub struct MachineConfig {
 }
 
 /// Result of advancing the machine one tick.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TickReport {
     /// Per-logical-CPU retired events for the slice (indexed by `CpuId`).
     pub deltas: Vec<ExecDelta>,
@@ -68,6 +69,11 @@ pub struct Machine {
     last_busy: Vec<f64>,
     /// Per-core activity of the tick in flight (scratch, reused).
     slices: Vec<CoreSlice>,
+    /// Per logical CPU, the key and outcome of its last [`execute`] call.
+    /// A thread keeps one work unit, P-state and sibling pattern for many
+    /// quanta, and `execute` is pure in the key for this machine's fixed
+    /// caches, so an equal key reuses the outcome.
+    memo: Vec<Option<(ExecKey, ExecOutcome)>>,
     time: Nanos,
     temp_c: f64,
     temp_ref_c: f64,
@@ -98,6 +104,7 @@ impl Machine {
             residency: vec![Residency::new(); cores],
             last_busy: vec![0.0; cpus],
             slices: Vec::with_capacity(cores),
+            memo: vec![None; cpus],
             time: Nanos::ZERO,
             temp_c: temp0,
             temp_ref_c: temp0,
@@ -248,25 +255,36 @@ impl Machine {
     /// `assignment[i]` is the work for logical CPU `i` (`None` = idle).
     /// Extra entries are ignored; missing entries count as idle.
     pub fn tick(&mut self, assignment: &[Option<&WorkUnit>], dt_ns: u64) -> TickReport {
+        let mut report = TickReport::default();
+        self.tick_into(assignment, dt_ns, &mut report);
+        report
+    }
+
+    /// [`Machine::tick`] into a caller-kept report, whose `deltas` keep
+    /// their storage: the per-quantum form, taking the work by value or by
+    /// reference.
+    pub fn tick_into<W: Borrow<WorkUnit>>(
+        &mut self,
+        assignment: &[Option<W>],
+        dt_ns: u64,
+        report: &mut TickReport,
+    ) {
         let dt = Nanos(dt_ns);
         let topo = self.config.topology.clone();
         let n_cpus = topo.logical_cpus();
         let smt = topo.threads_per_core();
 
         // Active cores (any thread with real work) determine turbo bins.
-        let busy_of = |cpu: usize| -> f64 {
-            assignment
-                .get(cpu)
-                .copied()
-                .flatten()
-                .map_or(0.0, |w| w.intensity())
-        };
+        let work_of = |cpu: usize| assignment.get(cpu).and_then(Option::as_ref).map(W::borrow);
+        let busy_of = |cpu: usize| work_of(cpu).map_or(0.0, WorkUnit::intensity);
         let active_cores = topo
             .cores()
             .filter(|c| topo.threads_of(*c).any(|t| busy_of(t.as_usize()) > 0.0))
             .count();
 
-        let mut deltas = vec![ExecDelta::zero(); n_cpus];
+        let deltas = &mut report.deltas;
+        deltas.clear();
+        deltas.resize(n_cpus, ExecDelta::zero());
         self.slices.clear();
 
         for core in topo.cores() {
@@ -285,13 +303,24 @@ impl Machine {
                 let sibling_busy = threads
                     .clone()
                     .any(|t2| t2 != t && busy_of(t2.as_usize()) > 0.0);
-                if let Some(work) = assignment.get(i).copied().flatten() {
+                if let Some(work) = work_of(i) {
                     let ctx = ExecContext {
                         pstate,
                         reference_clock: self.config.pstates.max().frequency(),
                         sibling_active: sibling_busy,
                     };
-                    let out = execute(work, &ctx, &self.config.caches, dt);
+                    // Word by word: `==` on the arrays is a `bcmp` call; the
+                    // inline loop keeps a miss (most lookups on a host that
+                    // rotates many threads) close to `execute` alone.
+                    let key = exec_key(work, &ctx, dt);
+                    let out = match self.memo[i] {
+                        Some((last, out)) if last.iter().zip(&key).all(|(a, b)| a == b) => out,
+                        _ => {
+                            let out = execute(work, &ctx, &self.config.caches, dt);
+                            self.memo[i] = Some((key, out));
+                            out
+                        }
+                    };
                     thread_busy[slot] = out.busy_fraction;
                     thread_deltas[slot] = out.delta;
                     deltas[i] = out.delta;
@@ -344,13 +373,10 @@ impl Machine {
         self.time += dt;
         self.last_power = power;
 
-        TickReport {
-            deltas,
-            power,
-            package_power,
-            breakdown,
-            now: self.time,
-        }
+        report.power = power;
+        report.package_power = package_power;
+        report.breakdown = breakdown;
+        report.now = self.time;
     }
 }
 
@@ -602,5 +628,102 @@ mod thermal_tests {
             "cooled from {hot} to {}",
             m.temperature_c()
         );
+    }
+}
+
+#[cfg(test)]
+mod memo_tests {
+    use super::*;
+    use crate::presets;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    const DTS: [u64; 3] = [1_000_000, 250_000_000, 1_000_000_000];
+
+    /// Everything a tick leaves behind, floats as bits: the report, and
+    /// the machine's counter banks, residency, energy and temperature.
+    fn state(m: &Machine, r: &TickReport) -> (Vec<u64>, Vec<ExecDelta>, Vec<Residency>) {
+        let b = r.breakdown;
+        let mut floats = vec![
+            r.power.as_f64(),
+            r.package_power.as_f64(),
+            b.platform,
+            b.package_idle,
+            b.core_baseline,
+            b.core_idle,
+            b.core_events,
+            b.uncore,
+            b.dram,
+            m.machine_energy().as_f64(),
+            m.package_energy().as_f64(),
+            m.temperature_c(),
+        ];
+        floats.extend(m.last_busy.iter());
+        let mut bits: Vec<u64> = floats.into_iter().map(f64::to_bits).collect();
+        bits.push(r.now.as_u64());
+        let mut deltas = r.deltas.clone();
+        deltas.extend(m.banks.iter().map(CounterBank::snapshot));
+        (bits, deltas, m.residency.clone())
+    }
+
+    /// The oracle: a machine that forgets its memo before every tick, so
+    /// every busy CPU calls `execute`, must match the memoizing machine
+    /// bit for bit over runs of repeated work, frequency changes (turbo
+    /// bins included), SMT siblings coming and going, three `dt`s and idle
+    /// CPUs.
+    #[test]
+    fn the_memo_never_changes_a_tick() {
+        let units = [
+            WorkUnit::cpu_intensive(1.0),
+            WorkUnit::cpu_intensive(0.0),
+            WorkUnit::memory_intensive(65_536.0, 0.7),
+            WorkUnit::mixed(0.5, 2_048.0, 0.4),
+        ];
+        for (seed, config) in [presets::intel_i3_2120(), presets::xeon_smt_turbo()]
+            .into_iter()
+            .enumerate()
+        {
+            let mut rng = StdRng::seed_from_u64(2014 + seed as u64);
+            let mut memo = Machine::new(config.clone());
+            let mut fresh = Machine::new(config);
+            let cpus = memo.topology().logical_cpus();
+            let cores = memo.topology().physical_cores();
+            let freqs = memo.pstates().frequencies();
+            let mut running: Vec<Option<usize>> = vec![None; cpus];
+            let mut dt = DTS[0];
+            let (mut hits, mut report) = (0, TickReport::default());
+            for tick in 0..3_000 {
+                for slot in &mut running {
+                    if rng.gen::<f64>() < 0.05 {
+                        let idle = rng.gen::<f64>() < 0.3;
+                        *slot = (!idle).then(|| rng.gen_range(0..units.len()));
+                    }
+                }
+                if rng.gen::<f64>() < 0.05 {
+                    let f = freqs[rng.gen_range(0..freqs.len())];
+                    let core = rng.gen_range(0..cores);
+                    memo.set_frequency(core, f).unwrap();
+                    fresh.set_frequency(core, f).unwrap();
+                }
+                if rng.gen::<f64>() < 0.03 {
+                    dt = DTS[rng.gen_range(0..DTS.len())];
+                }
+                let assignment: Vec<Option<&WorkUnit>> =
+                    running.iter().map(|u| u.map(|i| &units[i])).collect();
+                let before = memo.memo.clone();
+                memo.tick_into(&assignment, dt, &mut report);
+                hits += (0..cpus)
+                    .filter(|&i| assignment[i].is_some() && memo.memo[i] == before[i])
+                    .count();
+                fresh.memo.fill(None);
+                let expected = fresh.tick(&assignment, dt);
+                assert_eq!(
+                    state(&memo, &report),
+                    state(&fresh, &expected),
+                    "seed {seed}, tick {tick}"
+                );
+            }
+            assert!(hits > 3_000, "the sequence reuses outcomes: {hits} hits");
+        }
     }
 }

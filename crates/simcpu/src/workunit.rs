@@ -163,6 +163,33 @@ impl WorkUnitBuilder {
 }
 
 impl WorkUnit {
+    /// Every field's bit pattern: two units with equal bits execute alike.
+    /// The destructuring keeps it complete when a field is added.
+    #[inline]
+    pub(crate) fn to_bits(self) -> [u64; 8] {
+        let WorkUnit {
+            mem_ratio,
+            branch_ratio,
+            fp_ratio,
+            branch_miss_rate,
+            footprint_kb,
+            locality,
+            base_ipc,
+            intensity,
+        } = self;
+        [
+            mem_ratio,
+            branch_ratio,
+            fp_ratio,
+            branch_miss_rate,
+            footprint_kb,
+            locality,
+            base_ipc,
+            intensity,
+        ]
+        .map(f64::to_bits)
+    }
+
     /// Starts a builder with pure-ALU defaults; see [`WorkUnitBuilder`].
     pub fn builder() -> WorkUnitBuilder {
         WorkUnitBuilder::default()

@@ -3,11 +3,13 @@
 //! [`os_sim::task::TaskBehavior`].
 //!
 //! The kernel asks every scheduled thread for its work unit once per
-//! quantum, so [`PhaseScript::at`] is on the simulator's hottest path. A
+//! quantum, so the phase lookup is on the simulator's hottest path. A
 //! script keeps the running sum of its phase durations beside the phases
 //! (maintained by [`PhaseScript::then`], the only way a phase gets in),
-//! which makes the lookup a stateless binary search and the total O(1),
-//! however long the script is (SPECjbb's is ~270 phases per thread).
+//! which makes [`PhaseScript::at`] a stateless binary search and the total
+//! O(1), however long the script is (SPECjbb's is ~270 phases per thread).
+//! A [`PhasedTask`] asks for nearly the same instant every quantum, so it
+//! first checks the phase it returned last and only searches on a miss.
 
 use os_sim::task::{Slice, TaskBehavior};
 use simcpu::units::Nanos;
@@ -71,21 +73,39 @@ impl PhaseScript {
     /// script has finished (never `None` for repeating scripts unless the
     /// script is empty).
     pub fn at(&self, elapsed: Nanos) -> Option<WorkUnit> {
+        let t = self.offset(elapsed)?;
+        Some(self.phases[self.search(t)].work)
+    }
+
+    /// [`PhaseScript::at`], trying phase `*last` before searching and
+    /// leaving the active phase's index there.
+    fn at_from(&self, elapsed: Nanos, last: &mut usize) -> Option<WorkUnit> {
+        let t = self.offset(elapsed)?;
+        let start = last.checked_sub(1).map_or(Nanos::ZERO, |i| self.ends[i]);
+        if !(start <= t && self.ends.get(*last).is_some_and(|&end| t < end)) {
+            *last = self.search(t);
+        }
+        Some(self.phases[*last].work)
+    }
+
+    /// Where `elapsed` falls within one iteration, or `None` once a
+    /// non-repeating (or empty) script has finished.
+    fn offset(&self, elapsed: Nanos) -> Option<Nanos> {
         let total = self.total_duration();
         if total == Nanos::ZERO {
-            return None;
-        }
-        let t = if self.repeat {
-            Nanos(elapsed.as_u64() % total.as_u64())
-        } else if elapsed >= total {
-            return None;
+            None
+        } else if self.repeat {
+            Some(Nanos(elapsed.as_u64() % total.as_u64()))
         } else {
-            elapsed
-        };
-        // The first phase that ends after `t`; zero-length phases end
-        // with their predecessor and are never active.
-        let active = self.ends.partition_point(|&end| end <= t);
-        Some(self.phases[active].work)
+            (elapsed < total).then_some(elapsed)
+        }
+    }
+
+    /// The phase active at offset `t < total`: the first that ends after
+    /// `t`. Zero-length phases end with their predecessor and are never
+    /// active.
+    fn search(&self, t: Nanos) -> usize {
+        self.ends.partition_point(|&end| end <= t)
     }
 }
 
@@ -96,6 +116,8 @@ pub struct PhasedTask {
     script: PhaseScript,
     label: String,
     started: Option<Nanos>,
+    /// Index of the phase the last lookup returned.
+    phase: usize,
 }
 
 impl PhasedTask {
@@ -105,6 +127,7 @@ impl PhasedTask {
             script,
             label: label.into(),
             started: None,
+            phase: 0,
         }
     }
 
@@ -117,7 +140,7 @@ impl PhasedTask {
 impl TaskBehavior for PhasedTask {
     fn next_slice(&mut self, now: Nanos, _dt: Nanos) -> Slice {
         let started = *self.started.get_or_insert(now);
-        match self.script.at(now - started) {
+        match self.script.at_from(now - started, &mut self.phase) {
             Some(work) => Slice::Run(work),
             None => Slice::Done,
         }
@@ -223,6 +246,62 @@ mod tests {
 
     fn cpu(i: f64) -> WorkUnit {
         WorkUnit::cpu_intensive(i)
+    }
+
+    /// The cursor's oracle: every `next_slice` answer equals the stateless
+    /// `at` at the same offset, under steady 1 ms, 250 ms and 1 s steps,
+    /// across laps of repeating scripts and zero-length phases, and after
+    /// `now` jumps back.
+    #[test]
+    fn the_phase_cursor_answers_as_the_stateless_lookup() {
+        const STEPS: [Nanos; 3] = [Nanos(1_000_000), Nanos(250_000_000), SEC];
+        let mut rng = StdRng::seed_from_u64(2014);
+        let ms = Nanos(1_000_000);
+        let mut scripts = vec![PhaseScript::new()
+            .then(cpu(0.1), Nanos::ZERO)
+            .then(cpu(0.2), ms)
+            .then(cpu(0.3), Nanos::ZERO)
+            .then(cpu(0.4), Nanos::ZERO)
+            .then(cpu(0.5), Nanos(2_500_000))
+            .then(cpu(0.6), Nanos(250_000_000))
+            .then(cpu(0.7), Nanos::ZERO)];
+        for _ in 0..50 {
+            let mut s = PhaseScript::new();
+            for _ in 0..rng.gen_range(1..40) {
+                let duration = match rng.gen_range(0..4) {
+                    0 => Nanos::ZERO,
+                    1 => Nanos(rng.gen_range(1..4u64)),
+                    _ => Nanos(rng.gen_range(1..3_000_000_000u64)),
+                };
+                s = s.then(cpu(rng.gen_range(0.0..1.0)), duration);
+            }
+            scripts.push(s);
+        }
+        let mut laps = 0;
+        for script in scripts {
+            for script in [script.clone(), script.repeating()] {
+                let start = Nanos(rng.gen_range(0..5_000_000_000u64));
+                let mut task = PhasedTask::new("p", script.clone());
+                let (mut now, mut step) = (start, STEPS[0]);
+                for call in 0..3_000 {
+                    let expected = script.at(now - start).map_or(Slice::Done, Slice::Run);
+                    assert_eq!(
+                        task.next_slice(now, step),
+                        expected,
+                        "call {call} at {now:?}"
+                    );
+                    match rng.gen_range(0..100) {
+                        0 => now = Nanos(rng.gen_range(start.as_u64()..=now.as_u64())),
+                        1..=3 => step = STEPS[rng.gen_range(0..STEPS.len())],
+                        _ => now += step,
+                    }
+                }
+                if script.repeat {
+                    laps += (now - start) / script.total_duration().max(Nanos(1));
+                }
+            }
+        }
+        assert!(laps > 100, "repeating scripts ran {laps} laps");
     }
 
     #[test]

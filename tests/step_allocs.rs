@@ -21,7 +21,8 @@ use powerapi::host::SimHost;
 use powerapi::model::power_model::PerFrequencyPowerModel;
 use powerapi::msg::{Message, Quality, Topic};
 use powerapi::sensor::hpc;
-use powerapi::telemetry::TraceId;
+use powerapi::telemetry::journal::Text;
+use powerapi::telemetry::{EventKind, Telemetry, TraceId};
 use powermeter::powerspy::PowerSpyConfig;
 use powermeter::rapl::Rapl;
 use simcpu::counters::HwCounter;
@@ -108,20 +109,24 @@ fn a_steady_state_step_allocates_only_what_its_reports_return() {
         host.step(MS);
     }
 
-    const QUANTA: u64 = 1_000;
+    let start = host.kernel().machine().now();
     let total = allocations_in(|| {
-        for _ in 0..QUANTA {
+        for _ in 0..1_000 {
             host.step(MS);
         }
     });
-    // What is left is what the reports hand their callers by value —
-    // `TickReport::deltas` and `KernelReport::records` — plus the kernel's
-    // borrowed view of the work it scheduled, and once a second the
-    // meter's one-sample `Vec`.
-    let per_quantum = total as f64 / QUANTA as f64;
+    // The kernel and machine tick into reports the host keeps, so the one
+    // allocation left is the `Vec` `PowerSpy::observe` returns a sample in.
+    let samples = host
+        .snapshot_frame(&FramePool::new())
+        .meter()
+        .iter()
+        .filter(|(at, _)| *at > start)
+        .count();
+    assert!(samples > 0, "the window spans a meter period");
     assert!(
-        per_quantum <= 4.0,
-        "SimHost::step allocates {per_quantum} times per quantum"
+        total <= samples as u64,
+        "SimHost::step allocated {total} times over 1 000 quanta, {samples} meter samples"
     );
 }
 
@@ -386,4 +391,28 @@ fn a_warm_transport_path_allocates_the_payload_and_the_frame_arc() {
             "a warm apply after a corrupt payload, grouped: {grouped}"
         );
     }
+}
+
+#[test]
+fn a_spelled_journal_line_is_recorded_without_allocating() {
+    // The fleet's per-frame lines (retransmits, sheds) hand the journal
+    // numbers and their spelling; formatting waits for the read.
+    let hub = Telemetry::new();
+    let journal = hub.journal();
+    let line = |seq: u64| {
+        Text::Spelled(
+            |[seq, attempt], f| write!(f, "seq {seq} retransmit, attempt {attempt}"),
+            [seq, 1],
+        )
+    };
+    let allocs = allocations_in(|| {
+        for seq in 0..100 {
+            journal.emit(EventKind::FleetRetry, HostId(3), line(seq), TraceId(1));
+        }
+    });
+    assert_eq!(allocs, 0, "a spelled line allocates nothing");
+    let events = journal.events();
+    assert_eq!(events.len(), 100);
+    assert_eq!(events[5].subject, "host-3");
+    assert_eq!(events[5].detail, "seq 5 retransmit, attempt 1");
 }
