@@ -87,7 +87,7 @@ fn node_mean_w(outcome: &RunOutcome, path: &str) -> f64 {
 /// each pid's cgroup from the tick frames.
 type ChurnHook<'a> = &'a mut dyn FnMut(&mut PowerApi, u64);
 
-/// Runs a pipeline over `kernel` with the hierarchy aggregator wired in,
+/// Runs a pipeline over `kernel` with a hierarchy on its aggregator,
 /// optionally mutating the kernel between one-second chunks (the churn
 /// schedule), and audits conservation before returning.
 fn run_arm(
@@ -99,7 +99,7 @@ fn run_arm(
     churn: Option<ChurnHook<'_>>,
 ) -> Arm {
     let f = formula();
-    let hierarchy = Hierarchy::new(f.idle_w());
+    let hierarchy = Hierarchy::new();
     let mut b = PowerApi::builder(kernel)
         .formula(f)
         .report_to_memory()
@@ -114,7 +114,6 @@ fn run_arm(
         );
     }
     let mut papi = b.build().expect("pipeline builds");
-    hierarchy.bind_telemetry(papi.telemetry().clone());
     for pid in pids {
         papi.monitor(pid).expect("monitor");
     }

@@ -6,16 +6,22 @@
 //!   inside the [`AggregateBatch`] untouched, no row is rebuilt;
 //! * **timestamp dimension** — folds all estimates sharing a timestamp
 //!   into one machine-scoped aggregate, adding the machine idle floor
-//!   once (the paper's `31.48 + Σ…` form, comparable to the wall meter).
+//!   once (the paper's `31.48 + Σ…` form, comparable to the wall meter);
+//! * **cgroup tree** — with a [`Hierarchy`] attached, the same fold also
+//!   keeps one cell per leaf the tick's frame names, and the closed
+//!   window becomes one group-scoped aggregate per node.
 //!
-//! Timestamp aggregation flushes a window when a different timestamp
-//! arrives and on shutdown, so no interval is lost — and relies on the
-//! [sensor stage's ordering guarantee](crate::sensor) (tick *T*'s power
-//! batches all arrive before tick *T+1*'s) to flush each window whole.
+//! One `LeafCells` window holds a timestamp's fold: the machine
+//! aggregate is its total plus the idle floor, the tree its leaves. A
+//! window is flushed when a different timestamp arrives and on shutdown,
+//! so no interval is lost — and relies on the [sensor stage's ordering
+//! guarantee](crate::sensor) (tick *T*'s power batches all arrive before
+//! tick *T+1*'s) to flush each window whole.
 
 use crate::actor::{Actor, Context};
 use crate::frame::{AggregateBatch, PowerBatch};
-use crate::msg::{AggregateReport, Message, Quality, Scope};
+use crate::hierarchy::{Hierarchy, LeafCells};
+use crate::msg::{AggregateReport, Message, Scope};
 use crate::telemetry::TraceId;
 use simcpu::units::{Nanos, Watts};
 use std::sync::Arc;
@@ -55,35 +61,16 @@ impl Dimension {
     }
 }
 
-/// The machine sum of one timestamp, still open.
-#[derive(Debug, Clone, Copy)]
-struct Window {
-    timestamp: Nanos,
-    power: Watts,
-    band_w: Watts,
-    quality: Quality,
-    trace: TraceId,
-}
-
-impl Window {
-    fn close(self, idle_w: f64) -> AggregateReport {
-        AggregateReport {
-            timestamp: self.timestamp,
-            scope: Scope::Machine,
-            power: Watts(self.power.as_f64() + idle_w),
-            band_w: self.band_w,
-            quality: self.quality,
-            trace: self.trace,
-        }
-    }
-}
-
 /// The actor.
 #[derive(Debug, Clone)]
 pub struct Aggregator {
     dimension: Dimension,
     idle_w: f64,
-    window: Option<Window>,
+    hierarchy: Option<Hierarchy>,
+    /// The open window's timestamp and newest trace; its sums are in
+    /// `cells`.
+    window: Option<(Nanos, TraceId)>,
+    cells: LeafCells,
 }
 
 impl Aggregator {
@@ -93,57 +80,81 @@ impl Aggregator {
         Aggregator {
             dimension,
             idle_w,
+            hierarchy: None,
             window: None,
+            cells: LeafCells::default(),
         }
+    }
+
+    /// Also folds every window by cgroup leaf and flushes it through
+    /// `hierarchy` (over this aggregator's idle floor) as one
+    /// group-scoped aggregate per node.
+    #[must_use]
+    pub fn with_hierarchy(mut self, hierarchy: Hierarchy) -> Aggregator {
+        self.hierarchy = Some(hierarchy);
+        self
     }
 
     /// Folds one power batch into what the aggregator publishes for it
     /// (`None` when that is nothing): the batch itself under the PID
-    /// dimension, and the machine aggregate its first row closed, folded
-    /// right after that row.
+    /// dimension, then what its first row closed — the machine aggregate,
+    /// folded right after that row, and the node aggregates after the
+    /// batch's last row.
     pub fn fold(&mut self, batch: Arc<PowerBatch>) -> Option<AggregateBatch> {
         if batch.is_empty() {
             return None;
         }
-        let mut closed = None;
-        if self.dimension.machine {
-            // A batch's rows share its timestamp and trace, so only its
-            // first row can turn the window over; the sums then run down
-            // the columns in row order.
-            let summed = match &mut self.window {
-                Some(w) if w.timestamp == batch.timestamp => {
-                    // Trace ids are monotone per tick: keep the newest.
-                    w.trace = w.trace.max(batch.trace);
-                    0
-                }
-                window => {
-                    let opened = Window {
-                        timestamp: batch.timestamp,
-                        power: batch.watts[0],
-                        band_w: batch.band_w[0],
-                        quality: batch.quality[0],
-                        trace: batch.trace,
-                    };
-                    closed = window.replace(opened).map(|w| w.close(self.idle_w));
-                    1
-                }
-            };
-            let w = self.window.as_mut().expect("opened above");
-            for i in summed..batch.len() {
-                w.power += batch.watts[i];
-                w.band_w += batch.band_w[i];
-                w.quality = w.quality.min(batch.quality[i]);
-            }
-        }
         let per_process = self.dimension.per_process;
         let mut out = match per_process {
-            true => AggregateBatch::forwarding(batch),
+            true => AggregateBatch::forwarding(batch.clone()),
             false => AggregateBatch::explicit(Vec::new(), batch.trace),
         };
-        if let Some(machine) = closed {
-            out.push_after(usize::from(per_process), machine);
+        if self.dimension.machine || self.hierarchy.is_some() {
+            // A batch's rows share its timestamp and trace, so only its
+            // first row can turn the window over.
+            match &mut self.window {
+                // Trace ids are monotone per tick: keep the newest.
+                Some((ts, trace)) if *ts == batch.timestamp => *trace = (*trace).max(batch.trace),
+                _ => {
+                    self.close(&mut out, usize::from(per_process), batch.len());
+                    self.window = Some((batch.timestamp, batch.trace));
+                }
+            }
+            match self.hierarchy {
+                Some(_) => self.cells.fold(&batch, batch.frame.as_deref()),
+                None => self.cells.fold_total(&batch),
+            }
         }
         (!out.is_empty()).then_some(out)
+    }
+
+    /// Flushes the open window into `out`: the machine aggregate as
+    /// folded after `machine_at` forwarded rows, the node aggregates
+    /// after `nodes_at`.
+    fn close(&mut self, out: &mut AggregateBatch, machine_at: usize, nodes_at: usize) {
+        let Some((timestamp, trace)) = self.window.take() else {
+            return;
+        };
+        if self.dimension.machine {
+            let total = self.cells.total();
+            out.push_after(
+                machine_at,
+                AggregateReport {
+                    timestamp,
+                    scope: Scope::Machine,
+                    power: Watts(total.power_w + self.idle_w),
+                    band_w: Watts(total.band_w),
+                    quality: total.quality_or_full(),
+                    trace,
+                },
+            );
+        }
+        if let Some(h) = &self.hierarchy {
+            h.record_flush(timestamp, trace, self.idle_w, &self.cells, |node| {
+                out.push_after(nodes_at, node)
+            });
+        }
+        self.cells.clear();
     }
 }
 
@@ -151,7 +162,7 @@ impl Actor for Aggregator {
     /// One [`Message::AggregateBatch`] out per power batch in, every
     /// batch folded through the same window (so batches from several
     /// publishers — the formula and self-power profiling — share one
-    /// machine window).
+    /// window).
     fn handle(&mut self, msg: Message, ctx: &Context) {
         let Message::PowerBatch(b) = msg else { return };
         if let Some(out) = self.fold(b) {
@@ -160,10 +171,11 @@ impl Actor for Aggregator {
     }
 
     fn on_stop(&mut self, ctx: &Context) {
-        if let Some(w) = self.window.take() {
-            let trace = w.trace;
-            ctx.bus()
-                .publish(Message::aggregates(vec![w.close(self.idle_w)], trace));
+        let trace = self.window.map_or(TraceId::NONE, |(_, trace)| trace);
+        let mut out = AggregateBatch::explicit(Vec::new(), trace);
+        self.close(&mut out, 0, 0);
+        if !out.is_empty() {
+            ctx.bus().publish(Message::AggregateBatch(Arc::new(out)));
         }
     }
 }
@@ -173,7 +185,7 @@ mod tests {
     use super::*;
     use crate::actor::ActorSystem;
     use crate::fleet::fault::splitmix64;
-    use crate::msg::{PowerReport, Topic};
+    use crate::msg::{PowerReport, Quality, Topic};
     use os_sim::process::Pid;
     use parking_lot::Mutex;
     use std::sync::Arc;
@@ -423,5 +435,54 @@ mod tests {
     fn empty_run_emits_nothing() {
         let out = run(Dimension::both(), 10.0, vec![]);
         assert!(out.is_empty());
+    }
+
+    /// `(pid, cgroup node, watts)` rows at `ts` seconds over a frame
+    /// whose group column records each row's node.
+    fn grouped(ts: u64, rows: &[(u32, Option<&str>, f64)]) -> Arc<PowerBatch> {
+        let at = Nanos::from_secs(ts);
+        let mut frame = crate::frame::FrameBuilder::new();
+        let mut b = PowerBatch::with_capacity(at, "t", TraceId(ts), rows.len());
+        for &(pid, node, w) in rows {
+            frame.push_time_row(Pid(pid), Nanos::ZERO, |_| {});
+            frame.set_time_group(node);
+            b.push(Pid(pid), Watts(w), Watts(0.0), Quality::Full);
+        }
+        b.frame = Some(Arc::new(frame.finish(at, at, Arc::from([]), None)));
+        Arc::new(b)
+    }
+
+    #[test]
+    fn node_aggregates_follow_the_rows_of_the_batch_that_closed_their_tick() {
+        use crate::hierarchy::{Hierarchy, ROOT, UNGROUPED};
+        let h = Hierarchy::new();
+        let mut agg = Aggregator::new(Dimension::both(), 10.0).with_hierarchy(h.clone());
+        let first = agg.fold(grouped(1, &[(1, Some("a"), 2.0), (2, None, 3.0)]));
+        assert_eq!(first.map(|out| out.len()), Some(2), "no tick closed");
+        // Tick 2's first row names a node tick 1 never did.
+        let out = agg.fold(grouped(2, &[(1, Some("b"), 4.0), (2, Some("a"), 5.0)]));
+        let scopes: Vec<_> = out
+            .expect("tick 2 publishes")
+            .iter()
+            .map(|a| (a.timestamp, a.scope, a.power.as_f64()))
+            .collect();
+        let (one, two) = (Nanos::from_secs(1), Nanos::from_secs(2));
+        let group = |p: &str| Scope::Group(Arc::from(p));
+        assert_eq!(
+            scopes,
+            vec![
+                (two, Scope::Process(Pid(1)), 4.0),
+                (one, Scope::Machine, 15.0),
+                (two, Scope::Process(Pid(2)), 5.0),
+                (one, group(UNGROUPED), 3.0),
+                (one, group("a"), 2.0),
+                (one, group(ROOT), 15.0),
+            ]
+        );
+        // `b` reports from the first tick whose rows name it.
+        agg.fold(grouped(3, &[(1, None, 1.0)]));
+        let declared = |i: usize| h.ledger()[i].nodes.contains_key("b");
+        assert_eq!((declared(0), declared(1)), (false, true));
+        h.conservation().expect("ledger conserves");
     }
 }

@@ -517,27 +517,20 @@ impl Fleet {
     /// folded to the worst contributor. `None` when no host's last
     /// applied frame carried a leaf under `path`.
     pub fn tenant_estimate(&self, path: &str) -> Option<FleetTenantEstimate> {
-        let mut power_w = 0.0;
-        let mut band_w = 0.0;
-        let mut quality = Quality::Full;
-        let mut hosts = 0usize;
-        for h in 0..self.sources.len() {
-            let host = HostId(h as u32);
-            let s = shard::route(host, self.shards.len());
-            if let Some(est) = self.shards[s].tenant_estimate(host, self.now, path) {
-                power_w += est.power_w;
-                band_w += est.band_w;
-                quality = quality.min(est.quality);
-                hosts += 1;
-            }
-        }
-        (hosts > 0).then(|| FleetTenantEstimate {
+        let mut sum = FleetTenantEstimate {
             path: path.to_string(),
-            power_w,
-            band_w,
-            quality,
-            hosts,
-        })
+            power_w: 0.0,
+            band_w: 0.0,
+            quality: Quality::Full,
+            hosts: 0,
+        };
+        for (.., est) in self.tenant_contributors(path, self.now) {
+            sum.power_w += est.power_w;
+            sum.band_w += est.band_w;
+            sum.quality = sum.quality.min(est.quality);
+            sum.hosts += 1;
+        }
+        (sum.hosts > 0).then_some(sum)
     }
 
     /// Estimate provenance: why the fleet believes its number for one
@@ -548,19 +541,17 @@ impl Fleet {
     /// report round-trips exactly through
     /// [`ProvenanceReport::to_json`] / [`ProvenanceReport::from_json`].
     pub fn explain(&self, path: &str, tick: u64) -> Option<ProvenanceReport> {
-        let mut hosts = Vec::new();
-        let mut power_w = 0.0;
-        let mut band_w = 0.0;
-        for h in 0..self.sources.len() {
-            let host = HostId(h as u32);
-            let s = shard::route(host, self.shards.len());
-            let Some(est) = self.shards[s].tenant_estimate(host, tick, path) else {
-                continue;
-            };
-            let track = self.shards[s].track(host)?;
-            power_w += est.power_w;
-            band_w += est.band_w;
-            hosts.push(FrameProvenance {
+        let mut report = ProvenanceReport {
+            path: path.to_string(),
+            tick,
+            power_w: 0.0,
+            band_w: 0.0,
+            hosts: Vec::new(),
+        };
+        for (host, s, track, est) in self.tenant_contributors(path, tick) {
+            report.power_w += est.power_w;
+            report.band_w += est.band_w;
+            report.hosts.push(FrameProvenance {
                 host: host.0,
                 shard: s as u32,
                 trace: track.last_trace.0,
@@ -568,23 +559,32 @@ impl Fleet {
                 applied_tick: track.last_update,
                 staleness_ticks: tick.saturating_sub(track.last_update),
                 stale: est.quality != Quality::Full,
-                quality: match est.quality {
-                    Quality::Full => "full",
-                    Quality::Degraded => "degraded",
-                    Quality::Stale => "stale",
-                }
-                .to_string(),
+                quality: est.quality.label().to_string(),
                 retransmits: track.last_attempt,
                 power_w: est.power_w,
                 band_w: est.band_w,
             });
         }
-        (!hosts.is_empty()).then(|| ProvenanceReport {
-            path: path.to_string(),
-            tick,
-            power_w,
-            band_w,
-            hosts,
+        (!report.hosts.is_empty()).then_some(report)
+    }
+
+    /// Every host with power at or under `path` at fleet tick `tick`, in
+    /// host order: the host, its shard, its track and its estimate there.
+    fn tenant_contributors<'a>(
+        &'a self,
+        path: &'a str,
+        tick: u64,
+    ) -> impl Iterator<Item = (HostId, usize, &'a shard::HostTrack, shard::HostEstimate)> + 'a {
+        (0..self.sources.len()).filter_map(move |h| {
+            let host = HostId(h as u32);
+            let s = shard::route(host, self.shards.len());
+            let shard = &self.shards[s];
+            Some((
+                host,
+                s,
+                shard.track(host)?,
+                shard.tenant_estimate(host, tick, path)?,
+            ))
         })
     }
 

@@ -20,10 +20,10 @@
 use super::envelope::{FrameDecoder, FrameEnvelope, HostId};
 use crate::formula::PowerFormula;
 use crate::frame::{PowerBatch, SensorBatch, SensorRow, TickFrame, NO_ROW};
+use crate::hierarchy::LeafCells;
 use crate::msg::Quality;
 use crate::sensor::hpc;
 use crate::telemetry::TraceId;
-use os_sim::cgroup::is_under;
 use perf_sim::events::Event;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -158,21 +158,19 @@ pub struct EstimatorShard {
     /// processing can report how long the frame queued.
     ingest: VecDeque<(u64, FrameEnvelope)>,
     tracks: BTreeMap<u32, HostTrack>,
-    /// Per-host cgroup attribution from the last applied frame: leaf
-    /// path → (active watts, band watts). Kept beside `tracks` so
-    /// [`HostTrack`] stays `Copy`; absent for hosts whose frames carry
-    /// no group section.
-    tenant_tracks: BTreeMap<u32, Vec<(Arc<str>, f64, f64)>>,
+    /// Per-host fold of the last applied frame's estimates: the total
+    /// feeds the host's track, the leaves its tenant books (none for a
+    /// frame without a group section). Kept beside `tracks` so
+    /// [`HostTrack`] stays `Copy`.
+    books: BTreeMap<u32, LeafCells>,
     /// Per-frame scratch, reused so a warm apply allocates nothing: the
     /// decoder's recycled columns and interned paths, the frame applied
     /// last (refilled in place while this shard holds its only handle),
-    /// the row descriptors handed to the formula, its output columns, and
-    /// the catch-all leaf name.
+    /// the row descriptors handed to the formula, and its output columns.
     decoder: FrameDecoder,
     frame: Option<Arc<TickFrame>>,
     rows: Vec<SensorRow>,
     out: Option<PowerBatch>,
-    ungrouped: Arc<str>,
 }
 
 impl EstimatorShard {
@@ -191,12 +189,11 @@ impl EstimatorShard {
             events,
             ingest: VecDeque::new(),
             tracks: BTreeMap::new(),
-            tenant_tracks: BTreeMap::new(),
+            books: BTreeMap::new(),
             decoder: FrameDecoder::new(),
             frame: None,
             rows: Vec::new(),
             out: None,
-            ungrouped: Arc::from(crate::hierarchy::UNGROUPED),
         }
     }
 
@@ -302,39 +299,16 @@ impl EstimatorShard {
             None => PowerBatch::with_capacity(timestamp, formula, trace, batch.rows.len()),
         };
         self.formula.estimate_batch(&batch, Quality::Full, &mut out);
-        let frame = &*batch.frame;
-        let mut active = 0.0;
-        let mut band = 0.0;
         // The host's previous books are overwritten in place; a host that
         // stopped carrying cgroups must not keep stale tenant attribution.
-        let mut groups = if frame.has_groups() {
-            let groups = self.tenant_tracks.entry(host.0).or_default();
-            groups.clear();
-            Some(groups)
-        } else {
-            self.tenant_tracks.remove(&host.0);
-            None
-        };
-        for k in 0..out.len() {
-            let (w, row_band) = (out.watts[k].as_f64(), out.band_w[k].as_f64());
-            active += w;
-            band += row_band;
-            if let Some(groups) = &mut groups {
-                // Estimates come back in row order, minus the rows the
-                // formula could not estimate, so row `k` is the first
-                // guess for the estimate's time row.
-                let leaf = frame
-                    .group_of_pid(out.pids[k], k)
-                    .unwrap_or(&self.ungrouped);
-                match groups.iter_mut().find(|(g, _, _)| g == leaf) {
-                    Some(slot) => {
-                        slot.1 += w;
-                        slot.2 += row_band;
-                    }
-                    None => groups.push((leaf.clone(), w, row_band)),
-                }
-            }
+        let books = self.books.entry(host.0).or_default();
+        books.clear();
+        let frame = &*batch.frame;
+        match frame.has_groups() {
+            true => books.fold(&out, Some(frame)),
+            false => books.fold_total(&out),
         }
+        let total = books.total();
         // Dropping the batch leaves the shard the frame's only holder,
         // unless the formula kept a handle.
         self.rows = batch.rows;
@@ -344,8 +318,8 @@ impl EstimatorShard {
             HostTrack {
                 last_seq: env.seq,
                 last_update: now,
-                power_w: self.formula.idle_w() + active,
-                band_w: band,
+                power_w: self.formula.idle_w() + total.power_w,
+                band_w: total.band_w,
                 stale: was_stale,
                 last_trace: trace,
                 last_attempt: env.attempt,
@@ -414,32 +388,15 @@ impl EstimatorShard {
     /// staleness holds and widens exactly like [`EstimatorShard::estimate`].
     pub fn tenant_estimate(&self, host: HostId, now: u64, path: &str) -> Option<HostEstimate> {
         let t = self.tracks.get(&host.0)?;
-        let groups = self.tenant_tracks.get(&host.0)?;
-        let mut power_w = 0.0;
-        let mut band_w = 0.0;
-        let mut matched = 0usize;
-        for (g, w, b) in groups {
-            if is_under(g, path) {
-                power_w += w;
-                band_w += b;
-                matched += 1;
-            }
-        }
-        if matched == 0 {
-            return None;
-        }
-        Some(self.held(t, now, power_w, band_w))
+        let cell = self.books.get(&host.0)?.under(path)?;
+        Some(self.held(t, now, cell.power_w, cell.band_w))
     }
 
     /// Every cgroup leaf path this shard currently attributes power to,
-    /// across all its hosts (deduplicated, unsorted).
+    /// host by host (one entry per host that books it, unsorted).
     pub fn tenant_paths(&self, out: &mut Vec<Arc<str>>) {
-        for groups in self.tenant_tracks.values() {
-            for (g, _, _) in groups {
-                if !out.iter().any(|p| p == g) {
-                    out.push(g.clone());
-                }
-            }
+        for books in self.books.values() {
+            out.extend(books.leaves().map(|(path, _)| path.clone()));
         }
     }
 }

@@ -1,44 +1,45 @@
 //! Hierarchical attribution: tenant → service → process, with an
 //! auditable conservation ledger.
 //!
+//! `LeafCells` is the one attribution fold. It sums a tick's power rows,
+//! in row order, into a total and into *leaf* cells: the node each row's
+//! frame names ([`crate::frame::TickFrame::group_of_pid`]), or the
+//! `__ungrouped__` catch-all. The host's
+//! [`crate::aggregator::Aggregator`] reads its machine aggregate off the
+//! total and, with a [`Hierarchy`] attached, hands each closed window's
+//! leaves to it; the fleet shard keeps one per host as its tenant books.
+//!
 //! [`Hierarchy`] holds the declared cgroup topology and a per-tick
-//! ledger of everything the [`HierarchyAggregator`] emitted. It keeps no
-//! membership: which node a pid belongs to is a property of the tick,
-//! recorded in the frame's cgroup columns when the host snapshots its
-//! counters ([`crate::frame::TickFrame::group_of_pid`], the same lookup
-//! the fleet's tenant books use). [`HierarchyAggregator`] folds every
-//! power row of a timestamp into *leaf* cells (the node the row's frame
-//! names, or the `__ungrouped__` catch-all), then rolls the cells up the
-//! tree — each parent is the exact sum of its children, bands widen
-//! bottom-up, `Quality` min-folds — and emits one [`AggregateReport`]
-//! per node per tick, root (`__root__` = idle floor + everything) last.
+//! ledger of every flush. It keeps no membership: which node a pid
+//! belongs to is a property of the tick, recorded in the frame's cgroup
+//! columns when the host snapshots its counters. A flush rolls the leaf
+//! cells up the tree — each parent is the exact sum of its children,
+//! bands widen bottom-up, `Quality` min-folds — into one
+//! [`AggregateReport`] per node per tick, root (`__root__` = idle floor +
+//! everything) last.
 //!
 //! The energy-conservation law (after arXiv:1907.02805, and mirroring
-//! PR 7's `Fleet::conservation()`):
+//! `Fleet::conservation()`):
 //!
 //! 1. **child sums = parent** — bit-exact, for every interior node of
 //!    every flush;
 //! 2. **leaves + `__ungrouped__` = root − idle** — bit-exact, so no
 //!    watt escapes the ledger;
-//! 3. **root = machine aggregate** — per timestamp, against the plain
-//!    [`crate::aggregator::Aggregator`]'s machine scope, to f64
-//!    round-off (the two fold the same stream in different summation
-//!    orders).
+//! 3. **root = machine aggregate** — per timestamp, against the machine
+//!    scope the same aggregator emitted, to f64 round-off (the total
+//!    sums rows in row order, the root sums the tree in path order).
 //!
 //! All three keep holding while fault windows degrade `Quality`: the
 //! quality floor of the root must equal the machine aggregate's floor.
-//! Like the plain aggregator, it flushes a tick when the next timestamp
-//! arrives and relies on the [sensor stage's ordering
-//! guarantee](crate::sensor) for exactly one flush per tick.
 
-use crate::actor::{Actor, Context};
-use crate::frame::PowerBatch;
-use crate::msg::{AggregateReport, Message, Quality, Scope};
+use crate::frame::{PowerBatch, TickFrame, NO_ROW};
+use crate::msg::{AggregateReport, Quality, Scope};
 use crate::telemetry::{EventKind, Telemetry, TraceId};
+use os_sim::cgroup::is_under;
 use parking_lot::Mutex;
 use simcpu::units::{Nanos, Watts};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// Catch-all leaf for pids outside every declared node: their watts
 /// still enter the ledger, so the root stays equal to the machine total.
@@ -48,7 +49,7 @@ pub const UNGROUPED: &str = "__ungrouped__";
 pub const ROOT: &str = "__root__";
 
 /// One node's value within one flushed tick.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NodeCell {
     /// Attributed power (W). For the root this includes the idle floor.
     pub power_w: f64,
@@ -61,13 +62,6 @@ pub struct NodeCell {
 }
 
 impl NodeCell {
-    const ZERO: NodeCell = NodeCell {
-        power_w: 0.0,
-        band_w: 0.0,
-        quality: None,
-        inputs: 0,
-    };
-
     fn absorb(&mut self, other: &NodeCell) {
         self.power_w += other.power_w;
         self.band_w += other.band_w;
@@ -78,9 +72,113 @@ impl NodeCell {
         self.inputs += other.inputs;
     }
 
+    /// Row `i` of `batch` as a one-input cell.
+    fn row(batch: &PowerBatch, i: usize) -> NodeCell {
+        NodeCell {
+            power_w: batch.watts[i].as_f64(),
+            band_w: batch.band_w[i].as_f64(),
+            quality: Some(batch.quality[i]),
+            inputs: 1,
+        }
+    }
+
     /// The quality this cell reports (empty nodes report `Full`).
     pub fn quality_or_full(&self) -> Quality {
         self.quality.unwrap_or(Quality::Full)
+    }
+}
+
+/// The attribution fold: power rows summed, in row order, into a total
+/// and into the leaf each row's frame names. It accumulates until
+/// [`LeafCells::clear`], so the batches of one tick (the formula's and
+/// the self-profiling one) fold into one set of cells, and a warm fold
+/// reuses its buffers.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LeafCells {
+    total: NodeCell,
+    /// Leaf paths and cells, in the order rows first reached them.
+    leaves: Vec<(Arc<str>, NodeCell)>,
+    /// The batch being folded: its frame's `group_table` slot → index
+    /// into `leaves` ([`NO_ROW`]: not reached yet); the last entry is
+    /// the catch-all.
+    slots: Vec<u32>,
+}
+
+/// The catch-all leaf's path, shared by every fold.
+static UNGROUPED_LEAF: LazyLock<Arc<str>> = LazyLock::new(|| Arc::from(UNGROUPED));
+
+impl LeafCells {
+    /// Empties the cells, keeping their buffers.
+    pub fn clear(&mut self) {
+        self.total = NodeCell::default();
+        self.leaves.clear();
+    }
+
+    /// Adds every row of `batch` to the total only.
+    pub fn fold_total(&mut self, batch: &PowerBatch) {
+        for i in 0..batch.len() {
+            self.total.absorb(&NodeCell::row(batch, i));
+        }
+    }
+
+    /// Adds every row of `batch` to the total and to the leaf `frame`'s
+    /// group column names for it (rows it names no node for, and every
+    /// row without a frame, go to `__ungrouped__`). Leaves are indexed
+    /// by the frame's group slot; a slot is matched by path only against
+    /// the leaves earlier batches opened.
+    pub fn fold(&mut self, batch: &PowerBatch, frame: Option<&TickFrame>) {
+        let (table, groups) =
+            frame.map_or((&[][..], &[][..]), |f| (f.group_table(), f.group_indices()));
+        let opened = self.leaves.len();
+        self.slots.clear();
+        self.slots.resize(table.len() + 1, NO_ROW);
+        for i in 0..batch.len() {
+            let cell = NodeCell::row(batch, i);
+            self.total.absorb(&cell);
+            // Estimates come back in row order, minus the rows the
+            // formula could not estimate, so row `i` is the first guess
+            // for the estimate's time row.
+            let slot = frame
+                .and_then(|f| f.time_row(batch.pids[i], i))
+                .and_then(|row| groups.get(row))
+                .filter(|&&g| g != NO_ROW)
+                .map_or(table.len(), |&g| g as usize);
+            if self.slots[slot] == NO_ROW {
+                let path = table.get(slot).unwrap_or(&UNGROUPED_LEAF);
+                let earlier = self.leaves[..opened].iter().position(|(p, _)| p == path);
+                let leaf = earlier.unwrap_or_else(|| {
+                    self.leaves.push((path.clone(), NodeCell::default()));
+                    self.leaves.len() - 1
+                });
+                self.slots[slot] = leaf as u32;
+            }
+            self.leaves[self.slots[slot] as usize].1.absorb(&cell);
+        }
+    }
+
+    /// The sum of every row folded.
+    pub fn total(&self) -> NodeCell {
+        self.total
+    }
+
+    /// Every leaf reached, in the order rows first reached it.
+    pub fn leaves(&self) -> impl Iterator<Item = &(Arc<str>, NodeCell)> {
+        self.leaves.iter()
+    }
+
+    /// The sum of every leaf at or under `path`, in leaf order; `None`
+    /// when no leaf is under it.
+    pub fn under(&self, path: &str) -> Option<NodeCell> {
+        let mut under = self
+            .leaves
+            .iter()
+            .filter(|(leaf, _)| is_under(leaf, path))
+            .peekable();
+        under.peek()?;
+        Some(under.fold(NodeCell::default(), |mut sum, (_, cell)| {
+            sum.absorb(cell);
+            sum
+        }))
     }
 }
 
@@ -98,6 +196,8 @@ pub struct HierarchyFlush {
 
 #[derive(Debug, Default)]
 struct Inner {
+    /// The idle floor the aggregator flushes with, added once at the
+    /// root.
     idle_w: f64,
     /// Declared nodes (ancestors always included).
     declared: BTreeMap<Arc<str>, ()>,
@@ -114,23 +214,17 @@ pub struct Hierarchy {
 }
 
 impl Hierarchy {
-    /// Creates an empty hierarchy. `idle_w` is the machine idle floor
-    /// added once at the root (use the same value as the machine
-    /// [`crate::aggregator::Aggregator`] so equation 3 can hold).
-    pub fn new(idle_w: f64) -> Hierarchy {
-        Hierarchy {
-            inner: Arc::new(Mutex::new(Inner {
-                idle_w,
-                ..Inner::default()
-            })),
-        }
+    /// Creates an empty hierarchy. Its root adds the idle floor of the
+    /// aggregator it is attached to.
+    pub fn new() -> Hierarchy {
+        Hierarchy::default()
     }
 
     /// Attaches a telemetry hub: flushes bump
     /// `powerapi_hierarchy_flushes_total` /
     /// `powerapi_hierarchy_reports_total`, and failed conservation
     /// checks are journaled as [`EventKind::HierarchyViolation`].
-    pub fn bind_telemetry(&self, telemetry: Telemetry) {
+    pub(crate) fn bind_telemetry(&self, telemetry: Telemetry) {
         self.inner.lock().telemetry = Some(telemetry);
     }
 
@@ -207,16 +301,13 @@ impl Hierarchy {
             // themselves (summing children in path order, the same order
             // the roll-up uses).
             let mut child_sums: BTreeMap<&Arc<str>, NodeCell> = BTreeMap::new();
-            let mut tops = NodeCell::ZERO;
+            let mut tops = NodeCell::default();
             for (path, cell) in &flush.nodes {
                 if &**path == ROOT {
                     continue;
                 }
                 match parent_in(&flush.nodes, path) {
-                    Some(parent) => child_sums
-                        .entry(parent)
-                        .or_insert(NodeCell::ZERO)
-                        .absorb(cell),
+                    Some(parent) => child_sums.entry(parent).or_default().absorb(cell),
                     None => tops.absorb(cell),
                 }
             }
@@ -327,49 +418,51 @@ impl Hierarchy {
         }
     }
 
-    /// The interned leaf for a row's cgroup node (`None`: the catch-all),
-    /// declaring it on first sight — the aggregator's hot-path helper.
-    /// Leaves are interned among the declared nodes so every flush
-    /// shares one allocation per path.
-    fn leaf_of(&self, node: Option<&str>) -> Arc<str> {
-        let path = node.unwrap_or(UNGROUPED);
-        let mut inner = self.inner.lock();
-        Inner::declare(&mut inner.declared, path);
-        inner
-            .declared
-            .get_key_value(path)
-            .map(|(k, _)| k.clone())
-            .expect("declared above")
-    }
-
-    /// Rolls a finished window up the tree, records it in the ledger,
-    /// and returns the path-ordered cells to emit (root last).
-    fn record_flush(
+    /// Declares the nodes `cells` names, rolls the cells up the tree
+    /// over `idle_w`, records the flush in the ledger, and emits one
+    /// report per node, path-ordered, root last.
+    pub(crate) fn record_flush(
         &self,
         ts: Nanos,
-        leaves: BTreeMap<Arc<str>, NodeCell>,
-    ) -> Vec<(Arc<str>, NodeCell)> {
+        trace: TraceId,
+        idle_w: f64,
+        cells: &LeafCells,
+        mut emit: impl FnMut(AggregateReport),
+    ) {
         let mut inner = self.inner.lock();
-        let nodes = rollup(&inner.declared, &leaves, inner.idle_w);
-        let mut out: Vec<(Arc<str>, NodeCell)> = nodes
-            .iter()
-            .filter(|(p, _)| &***p != ROOT)
-            .map(|(p, c)| (p.clone(), *c))
-            .collect();
-        let (root_key, root_cell) = nodes
+        inner.idle_w = idle_w;
+        // Leaves are interned among the declared nodes, so every flush
+        // shares one allocation per path.
+        let mut leaves = BTreeMap::new();
+        for (path, cell) in cells.leaves() {
+            Inner::declare(&mut inner.declared, path);
+            let (leaf, _) = inner.declared.get_key_value(&**path).expect("declared");
+            leaves.insert(leaf.clone(), *cell);
+        }
+        let nodes = rollup(&inner.declared, &leaves, idle_w);
+        let root = nodes
             .get_key_value(ROOT)
             .expect("rollup always yields a root");
-        out.push((root_key.clone(), *root_cell));
+        let emitted = nodes.iter().filter(|(p, _)| &***p != ROOT).chain([root]);
+        for (path, cell) in emitted {
+            emit(AggregateReport {
+                timestamp: ts,
+                scope: Scope::Group(path.clone()),
+                power: Watts(cell.power_w),
+                band_w: Watts(cell.band_w),
+                quality: cell.quality_or_full(),
+                trace,
+            });
+        }
         if let Some(t) = &inner.telemetry {
             t.registry()
                 .counter("powerapi_hierarchy_flushes_total")
                 .inc();
             t.registry()
                 .counter("powerapi_hierarchy_reports_total")
-                .add(out.len() as u64);
+                .add(nodes.len() as u64);
         }
         inner.ledger.push(HierarchyFlush { ts, leaves, nodes });
-        out
     }
 }
 
@@ -414,14 +507,11 @@ fn rollup(
 ) -> BTreeMap<Arc<str>, NodeCell> {
     let mut values: BTreeMap<Arc<str>, NodeCell> = declared
         .keys()
-        .map(|p| (p.clone(), NodeCell::ZERO))
+        .map(|p| (p.clone(), NodeCell::default()))
         .collect();
-    values.entry(Arc::from(UNGROUPED)).or_insert(NodeCell::ZERO);
+    values.entry(Arc::from(UNGROUPED)).or_default();
     for (path, cell) in leaves {
-        values
-            .entry(path.clone())
-            .or_insert(NodeCell::ZERO)
-            .absorb(cell);
+        values.entry(path.clone()).or_default().absorb(cell);
     }
     // Children before parents: a child path always sorts after its
     // parent (it extends it), so walk the map backwards.
@@ -439,7 +529,7 @@ fn rollup(
     // Root: idle floor + every top-level node, summed in path order.
     // Built as `idle + Σ tops` (never re-associated) so the conservation
     // check can reproduce the exact bits.
-    let mut tops = NodeCell::ZERO;
+    let mut tops = NodeCell::default();
     for (path, cell) in &values {
         if parent_in(&values, path).is_none() {
             tops.absorb(cell);
@@ -457,154 +547,83 @@ fn rollup(
     values
 }
 
-/// The group aggregator: one whole-tree window per timestamp, one report
-/// per node per flush (a flat set of VMs is simply a depth-1 tree).
-/// Subscribe it to [`crate::msg::Topic::Power`].
-#[derive(Debug, Clone)]
-pub struct HierarchyAggregator {
-    hierarchy: Hierarchy,
-    window: Option<Window>,
-}
-
-#[derive(Debug, Clone)]
-struct Window {
-    ts: Nanos,
-    leaves: BTreeMap<Arc<str>, NodeCell>,
-    trace: TraceId,
-}
-
-impl HierarchyAggregator {
-    /// Creates the aggregator over a shared hierarchy handle.
-    pub fn new(hierarchy: Hierarchy) -> HierarchyAggregator {
-        HierarchyAggregator {
-            hierarchy,
-            window: None,
-        }
-    }
-
-    /// Folds row `i` of `batch` into the leaf its frame names.
-    fn fold(&mut self, batch: &PowerBatch, i: usize, emit: &mut impl FnMut(AggregateReport)) {
-        let p = batch.report(i);
-        let node = batch
-            .frame
-            .as_deref()
-            .and_then(|f| f.group_of_pid(p.pid, i));
-        let leaf = self.hierarchy.leaf_of(node.map(|g| &**g));
-        let cell = NodeCell {
-            power_w: p.power.as_f64(),
-            band_w: p.band_w.as_f64(),
-            quality: Some(p.quality),
-            inputs: 1,
-        };
-        let same_tick = self.window.as_ref().is_some_and(|w| w.ts == p.timestamp);
-        if same_tick {
-            let w = self.window.as_mut().expect("checked above");
-            w.leaves.entry(leaf).or_insert(NodeCell::ZERO).absorb(&cell);
-            w.trace = w.trace.max(p.trace);
-        } else {
-            self.flush(emit);
-            self.window = Some(Window {
-                ts: p.timestamp,
-                leaves: BTreeMap::from([(leaf, cell)]),
-                trace: p.trace,
-            });
-        }
-    }
-
-    fn flush(&mut self, emit: &mut impl FnMut(AggregateReport)) {
-        let Some(w) = self.window.take() else { return };
-        for (path, cell) in self.hierarchy.record_flush(w.ts, w.leaves) {
-            emit(AggregateReport {
-                timestamp: w.ts,
-                scope: Scope::Group(path),
-                power: Watts(cell.power_w),
-                band_w: Watts(cell.band_w),
-                quality: cell.quality_or_full(),
-                trace: w.trace,
-            });
-        }
-    }
-}
-
-impl Actor for HierarchyAggregator {
-    fn handle(&mut self, msg: Message, ctx: &Context) {
-        let Message::PowerBatch(b) = msg else { return };
-        let mut reports = Vec::new();
-        for i in 0..b.len() {
-            self.fold(&b, i, &mut |a| reports.push(a));
-        }
-        if !reports.is_empty() {
-            ctx.bus().publish(Message::aggregates(reports, b.trace));
-        }
-    }
-
-    fn on_stop(&mut self, ctx: &Context) {
-        let mut reports = Vec::new();
-        self.flush(&mut |a| reports.push(a));
-        if let Some(trace) = reports.last().map(|a| a.trace) {
-            ctx.bus().publish(Message::aggregates(reports, trace));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::FrameBuilder;
+    use os_sim::process::Pid;
 
-    fn leaf(w: f64, band: f64, q: Quality) -> NodeCell {
-        NodeCell {
-            power_w: w,
-            band_w: band,
-            quality: Some(q),
-            inputs: 1,
+    /// One tick's batch over a frame whose group column names each row's
+    /// node: `(pid, node, watts, band, quality)` rows.
+    fn batch(ts: u64, rows: &[(u32, Option<&str>, f64, f64, Quality)]) -> PowerBatch {
+        let at = Nanos::from_secs(ts);
+        let mut b = PowerBatch::with_capacity(at, "f", TraceId(ts), rows.len());
+        let mut f = FrameBuilder::new();
+        for &(pid, node, w, band, q) in rows {
+            f.push_time_row(Pid(pid), Nanos::ZERO, |_| {});
+            f.set_time_group(node);
+            b.push(Pid(pid), Watts(w), Watts(band), q);
         }
+        b.frame = Some(Arc::new(f.finish(at, at, Arc::from([]), None)));
+        b
+    }
+
+    /// Folds `b` alone and flushes it into `h` over `idle_w`.
+    fn flush(h: &Hierarchy, idle_w: f64, b: &PowerBatch) -> Vec<AggregateReport> {
+        let mut cells = LeafCells::default();
+        cells.fold(b, b.frame.as_deref());
+        let mut out = Vec::new();
+        h.record_flush(b.timestamp, b.trace, idle_w, &cells, |r| out.push(r));
+        out
     }
 
     #[test]
     fn rollup_sums_children_into_parents() {
-        let h = Hierarchy::new(30.0);
+        let h = Hierarchy::new();
         h.declare("tenant-a/svc-web");
         h.declare("tenant-a/svc-db");
         h.declare("tenant-b/svc-batch");
-        let leaves = BTreeMap::from([
-            (
-                Arc::<str>::from("tenant-a/svc-web"),
-                leaf(4.0, 0.5, Quality::Full),
-            ),
-            (
-                Arc::<str>::from("tenant-a/svc-db"),
-                leaf(2.0, 0.25, Quality::Degraded),
-            ),
-            (Arc::<str>::from(UNGROUPED), leaf(1.0, 0.0, Quality::Full)),
-        ]);
-        let cells = h.record_flush(Nanos::from_secs(1), leaves);
-        let get = |p: &str| cells.iter().find(|(k, _)| &**k == p).map(|(_, c)| *c);
+        let b = batch(
+            1,
+            &[
+                (1, Some("tenant-a/svc-web"), 4.0, 0.5, Quality::Full),
+                (2, Some("tenant-a/svc-db"), 2.0, 0.25, Quality::Degraded),
+                (3, None, 1.0, 0.0, Quality::Full),
+            ],
+        );
+        let reports = flush(&h, 30.0, &b);
+        let ledger = h.ledger();
+        let get = |p: &str| ledger[0].nodes[p];
 
-        let a = get("tenant-a").unwrap();
+        let a = get("tenant-a");
         assert_eq!(a.power_w.to_bits(), 6.0f64.to_bits());
         assert_eq!(a.band_w.to_bits(), 0.75f64.to_bits());
         assert_eq!(a.quality, Some(Quality::Degraded), "min-folded");
         assert_eq!(a.inputs, 2);
 
-        let b = get("tenant-b").unwrap();
+        let b = get("tenant-b");
         assert_eq!(b.power_w, 0.0, "declared-but-idle node still reported");
         assert_eq!(b.quality, None);
 
-        let root = get(ROOT).unwrap();
+        let root = get(ROOT);
         assert_eq!(root.power_w.to_bits(), 37.0f64.to_bits());
         assert_eq!(root.inputs, 3);
         assert_eq!(root.quality, Some(Quality::Degraded));
-        assert_eq!(cells.last().unwrap().0.as_ref(), ROOT, "root emitted last");
+        assert_eq!(reports.len(), ledger[0].nodes.len(), "one report per node");
+        let last = &reports.last().unwrap().scope;
+        assert_eq!(*last, Scope::Group(Arc::from(ROOT)), "root emitted last");
 
         h.conservation().expect("ledger conserves");
     }
 
     #[test]
     fn conservation_detects_tampering() {
-        let h = Hierarchy::new(0.0);
-        h.declare("t/s");
-        let leaves = BTreeMap::from([(Arc::<str>::from("t/s"), leaf(5.0, 0.0, Quality::Full))]);
-        h.record_flush(Nanos::from_secs(1), leaves);
+        let h = Hierarchy::new();
+        flush(
+            &h,
+            0.0,
+            &batch(1, &[(1, Some("t/s"), 5.0, 0.0, Quality::Full)]),
+        );
         h.conservation().expect("clean ledger");
         // Corrupt the emitted parent cell and the check must name it.
         {
@@ -618,32 +637,19 @@ mod tests {
 
     #[test]
     fn membership_is_read_from_each_frame() {
-        use crate::frame::FrameBuilder;
-        use os_sim::process::Pid;
-        use perf_sim::events::Event;
-
         // Pid 1 is re-homed between ticks 1 and 2 and leaves its cgroup
         // before tick 3; tick 4's row comes with no frame at all.
-        let h = Hierarchy::new(0.0);
-        let mut agg = HierarchyAggregator::new(h.clone());
+        let h = Hierarchy::new();
+        let mut cells = LeafCells::default();
         for (ts, node) in [(1, Some("t/a")), (2, Some("t/b")), (3, None), (4, None)] {
-            let mut b = PowerBatch::with_capacity(Nanos::from_secs(ts), "f", TraceId::NONE, 1);
-            b.push(Pid(1), Watts(2.0), Watts(0.0), Quality::Full);
-            if ts < 4 {
-                let mut f = FrameBuilder::new();
-                f.push_time_row(Pid(1), Nanos::ZERO, |_| {});
-                f.set_time_group(node);
-                let no_events: Arc<[Event]> = Arc::from([]);
-                b.frame = Some(Arc::new(f.finish(
-                    b.timestamp,
-                    b.timestamp,
-                    no_events,
-                    None,
-                )));
+            let mut b = batch(ts, &[(1, node, 2.0, 0.0, Quality::Full)]);
+            if ts == 4 {
+                b.frame = None;
             }
-            agg.fold(&b, 0, &mut |_| {});
+            cells.clear();
+            cells.fold(&b, b.frame.as_deref());
+            h.record_flush(b.timestamp, b.trace, 0.0, &cells, |_| {});
         }
-        agg.flush(&mut |_| {});
 
         let ledger = h.ledger();
         let leaves = |i: usize| -> Vec<&str> { ledger[i].leaves.keys().map(|k| &**k).collect() };
@@ -655,5 +661,66 @@ mod tests {
         let last: Vec<&str> = ledger[3].nodes.keys().map(|k| &**k).collect();
         assert_eq!(last, ["__root__", "__ungrouped__", "t", "t/a", "t/b"]);
         h.conservation().expect("ledger conserves");
+    }
+
+    #[test]
+    fn the_batches_of_one_tick_fold_into_one_set_of_cells() {
+        let full = Quality::Full;
+        // The self-profiling row (no frame), then two frames whose group
+        // tables list the same leaves in different slots.
+        let mut own = batch(1, &[(0, None, 0.5, 0.0, full)]);
+        own.frame = None;
+        let first = batch(
+            1,
+            &[
+                (1, Some("t/a"), 1.1, 0.1, full),
+                (2, None, 2.2, 0.2, Quality::Degraded),
+                (3, Some("t/b"), 3.3, 0.3, full),
+                (4, Some("t/a"), 4.4, 0.4, full),
+            ],
+        );
+        let second = batch(
+            1,
+            &[
+                (5, Some("t/b"), 5.5, 0.5, full),
+                (6, Some("t/a"), 6.6, 0.6, full),
+            ],
+        );
+        let mut cells = LeafCells::default();
+        for b in [&own, &first, &second] {
+            cells.fold(b, b.frame.as_deref());
+        }
+
+        let sum = |ws: &[f64]| ws.iter().fold(0.0, |acc, w| acc + w).to_bits();
+        let leaf = |p: &str| cells.under(p).map(|c| (c.power_w.to_bits(), c.inputs));
+        let order: Vec<&str> = cells.leaves().map(|(p, _)| &**p).collect();
+        assert_eq!(order, [UNGROUPED, "t/a", "t/b"], "first-reached order");
+        assert_eq!(leaf(UNGROUPED), Some((sum(&[0.5, 2.2]), 2)));
+        assert_eq!(leaf("t/a"), Some((sum(&[1.1, 4.4, 6.6]), 3)));
+        assert_eq!(leaf("t/b"), Some((sum(&[3.3, 5.5]), 2)));
+        let a_then_b = sum(&[sum(&[1.1, 4.4, 6.6]), sum(&[3.3, 5.5])].map(f64::from_bits));
+        assert_eq!(leaf("t"), Some((a_then_b, 5)), "the subtree in leaf order");
+        assert_eq!(leaf("t/"), None, "segment-aware");
+        let total = cells.total();
+        let rows = [0.5, 1.1, 2.2, 3.3, 4.4, 5.5, 6.6];
+        assert_eq!(
+            total.power_w.to_bits(),
+            sum(&rows),
+            "every row, in row order"
+        );
+        assert_eq!((total.quality, total.inputs), (Some(Quality::Degraded), 7));
+
+        // The total alone folds the same rows without touching a leaf.
+        let mut totals = LeafCells::default();
+        for b in [&own, &first, &second] {
+            totals.fold_total(b);
+        }
+        assert_eq!(totals.total(), total);
+        assert_eq!(totals.leaves().count(), 0);
+        cells.clear();
+        assert_eq!(
+            (cells.total(), cells.leaves().count()),
+            (NodeCell::default(), 0)
+        );
     }
 }

@@ -105,7 +105,7 @@ pub mod prelude {
         AggregateBatch, FramePool, PowerBatch, SensorBatch, SensorRow, TickFrame,
     };
     pub use crate::health::{ModelHealth, ModelHealthSummary};
-    pub use crate::hierarchy::{Hierarchy, HierarchyAggregator};
+    pub use crate::hierarchy::Hierarchy;
     pub use crate::model::learn::{learn_model, LearnConfig};
     pub use crate::model::power_model::PerFrequencyPowerModel;
     pub use crate::runtime::{PowerApi, PowerApiBuilder, RunOutcome};

@@ -71,6 +71,7 @@ pub struct PowerApiBuilder {
     meter: PowerSpyConfig,
     dimension: Option<Dimension>,
     idle_override: Option<f64>,
+    hierarchy: Option<crate::hierarchy::Hierarchy>,
     /// The built-in reporters asked for: actor name, actor, topics.
     reporters: Vec<(&'static str, Box<dyn crate::actor::Actor>, &'static [Topic])>,
     memory: Option<MemoryHandle>,
@@ -99,6 +100,7 @@ impl PowerApiBuilder {
             meter: PowerSpyConfig::default(),
             dimension: None,
             idle_override: None,
+            hierarchy: None,
             reporters: Vec::new(),
             memory: None,
             extra: Vec::new(),
@@ -220,27 +222,23 @@ impl PowerApiBuilder {
         self
     }
 
-    /// Wires a [`crate::hierarchy::HierarchyAggregator`] over the shared
-    /// `hierarchy` handle onto the power stream: one
-    /// [`Scope::Group`]-scoped report per declared cgroup node per tick,
-    /// bands widened bottom-up, with the `__ungrouped__` catch-all and
-    /// per-tick flush ledger that [`crate::hierarchy::Hierarchy::conservation`]
-    /// audits after the run. Every node of the kernel's cgroup tree is
-    /// declared here; nodes created later are declared when a frame
-    /// first names them. Each row lands in the leaf its tick's frame
-    /// recorded, so the kernel's cgroups are the one membership record.
+    /// Folds the power stream by cgroup leaf as well, into the shared
+    /// `hierarchy` handle: one [`Scope::Group`]-scoped report per
+    /// declared cgroup node per tick, bands widened bottom-up, with the
+    /// `__ungrouped__` catch-all and per-tick flush ledger that
+    /// [`crate::hierarchy::Hierarchy::conservation`] audits after the
+    /// run. The root adds the machine aggregate's idle floor. Every node
+    /// of the kernel's cgroup tree is declared here; nodes created later
+    /// are declared when a frame first names them. Each row lands in the
+    /// leaf its tick's frame recorded, so the kernel's cgroups are the
+    /// one membership record.
     #[must_use]
-    pub fn hierarchy(self, hierarchy: &crate::hierarchy::Hierarchy) -> PowerApiBuilder {
+    pub fn hierarchy(mut self, hierarchy: &crate::hierarchy::Hierarchy) -> PowerApiBuilder {
         for (path, _) in self.kernel.cgroups().nodes() {
             hierarchy.declare(path);
         }
-        self.with_actor(
-            "hierarchy-aggregator",
-            Box::new(crate::hierarchy::HierarchyAggregator::new(
-                hierarchy.clone(),
-            )),
-            vec![Topic::Power],
-        )
+        self.hierarchy = Some(hierarchy.clone());
+        self
     }
 
     /// Plugs a custom actor into the pipeline, subscribed to the given
@@ -503,9 +501,16 @@ impl PowerApiBuilder {
                 bus.subscribe(Topic::Sensor, &r);
             }
         }
+        let mut aggregator = Aggregator::new(dimension, idle_w);
+        if let Some(hierarchy) = self.hierarchy {
+            if telemetry.enabled() {
+                hierarchy.bind_telemetry(telemetry.clone());
+            }
+            aggregator = aggregator.with_hierarchy(hierarchy);
+        }
         let agg = system.spawn_with(
             "aggregator",
-            Box::new(Aggregator::new(dimension, idle_w)),
+            Box::new(aggregator),
             SpawnOptions::default().stage(Stage::Aggregator),
         );
         bus.subscribe(Topic::Power, &agg);

@@ -17,12 +17,13 @@
 //! the procfs [`SensorBatch`], every meter sample and the RAPL sample, and
 //! it finishes frame *T* before it touches frame *T+1*. The actor loop
 //! handles messages in arrival order ([`crate::actor`]), so Sensor →
-//! Formula → Aggregator is one ordered chain: primary
-//! source before backup source, tick by tick. [`FallbackFormula`],
-//! [`Aggregator`] and [`HierarchyAggregator`] rely on it — a late batch of
-//! an older tick would split a window. Not covered: messages on a shorter
-//! path — the self-power batch (stage → aggregators) and the meter/RAPL
-//! rows (stage → reporters) may overtake an *earlier* tick's estimates.
+//! Formula → Aggregator is one ordered chain: primary source before
+//! backup source, tick by tick. [`FallbackFormula`] and [`Aggregator`]
+//! (its machine sum and its cgroup tree alike) rely on it — a late batch
+//! of an older tick would split a window. Not covered: messages on a
+//! shorter path — the self-power batch (stage → aggregator) and the
+//! meter/RAPL rows (stage → reporters) may overtake an *earlier* tick's
+//! estimates.
 //!
 //! [`profile_self`]: crate::runtime::PowerApiBuilder::profile_self
 //! [`PowerBatch`]: crate::frame::PowerBatch
@@ -31,7 +32,6 @@
 //! [`SensorBatch`]: crate::frame::SensorBatch
 //! [`FallbackFormula`]: crate::formula::fallback::FallbackFormula
 //! [`Aggregator`]: crate::aggregator::Aggregator
-//! [`HierarchyAggregator`]: crate::hierarchy::HierarchyAggregator
 
 pub mod hpc;
 pub mod procfs;

@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // One hierarchy node per VM; each tick's frame says which pid is in
     // which VM.
-    let vms = Hierarchy::new(model.idle_w());
+    let vms = Hierarchy::new();
 
     let mut papi = PowerApi::builder(kernel)
         .formula(PerFrequencyFormula::new(model))

@@ -18,7 +18,6 @@ use powerapi_suite::powerapi::adaptive::SamplingConfig;
 use powerapi_suite::powerapi::fleet::{Fleet, FleetConfig, SimHostSource};
 use powerapi_suite::powerapi::formula::cpuload::CpuLoadFormula;
 use powerapi_suite::powerapi::formula::per_freq::PerFrequencyFormula;
-use powerapi_suite::powerapi::formula::PowerFormula;
 use powerapi_suite::powerapi::hierarchy::Hierarchy;
 use powerapi_suite::powerapi::host::SimHost;
 use powerapi_suite::powerapi::model::power_model::PerFrequencyPowerModel;
@@ -126,7 +125,7 @@ fn pipeline_families() -> BTreeSet<(String, String)> {
         vec![SteadyTask::boxed(WorkUnit::cpu_intensive(0.8))],
     );
     let formula = PerFrequencyFormula::new(PerFrequencyPowerModel::paper_i3_example());
-    let hierarchy = Hierarchy::new(formula.idle_w());
+    let hierarchy = Hierarchy::new();
     let mut papi = PowerApi::builder(kernel)
         .formula(formula)
         .report_to_memory()
@@ -138,7 +137,6 @@ fn pipeline_families() -> BTreeSet<(String, String)> {
         .hierarchy(&hierarchy)
         .build()
         .expect("pipeline builds");
-    hierarchy.bind_telemetry(papi.telemetry().clone());
     papi.monitor(pid).expect("monitor");
     papi.run_for(Nanos::from_secs(2)).expect("run");
     let outcome = papi.finish().expect("finish");

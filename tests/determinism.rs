@@ -218,7 +218,7 @@ fn run_tenant_churn(jitter_seed: u64) -> BTreeMap<(Nanos, String), u64> {
         "tenant-gold/svc-web",
         vec![SteadyTask::boxed(WorkUnit::cpu_intensive(0.5))],
     );
-    let hierarchy = Hierarchy::new(31.48);
+    let hierarchy = Hierarchy::new();
     let mut papi = PowerApi::builder(kernel)
         .formula(PerFrequencyFormula::new(
             PerFrequencyPowerModel::paper_i3_example(),

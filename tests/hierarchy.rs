@@ -1,5 +1,5 @@
 //! Hierarchical tenant→service→process attribution end to end: cgroup
-//! trees in the kernel, the `HierarchyAggregator` in the middleware, and
+//! trees in the kernel, the aggregator's leaf fold in the middleware, and
 //! the conservation ledger that proves no watt escapes — including under
 //! container churn and degraded sensor quality.
 
@@ -10,11 +10,12 @@ use powerapi_suite::os_sim::kernel::Kernel;
 use powerapi_suite::os_sim::process::Pid;
 use powerapi_suite::os_sim::task::SteadyTask;
 use powerapi_suite::powerapi::actor::{Actor, ActorSystem, Context};
+use powerapi_suite::powerapi::aggregator::{Aggregator, Dimension};
 use powerapi_suite::powerapi::formula::cpuload::CpuLoadFormula;
 use powerapi_suite::powerapi::formula::per_freq::PerFrequencyFormula;
 use powerapi_suite::powerapi::formula::PowerFormula;
 use powerapi_suite::powerapi::frame::{FrameBuilder, PowerBatch};
-use powerapi_suite::powerapi::hierarchy::{Hierarchy, HierarchyAggregator, ROOT, UNGROUPED};
+use powerapi_suite::powerapi::hierarchy::{Hierarchy, ROOT, UNGROUPED};
 use powerapi_suite::powerapi::model::power_model::PerFrequencyPowerModel;
 use powerapi_suite::powerapi::msg::{Message, Quality, Scope, Topic};
 use powerapi_suite::powerapi::runtime::PowerApi;
@@ -59,7 +60,7 @@ fn hierarchical_pipeline_conserves_every_tick() {
     );
 
     let formula = paper_formula();
-    let hierarchy = Hierarchy::new(formula.idle_w());
+    let hierarchy = Hierarchy::new();
     let mut papi = PowerApi::builder(kernel)
         .formula(formula)
         .report_to_memory()
@@ -144,7 +145,7 @@ fn conservation_survives_degraded_quality() {
         magnitude: 0.0,
     }]);
     let formula = paper_formula();
-    let hierarchy = Hierarchy::new(formula.idle_w());
+    let hierarchy = Hierarchy::new();
     let mut papi = PowerApi::builder(kernel)
         .formula(formula)
         .degrade_to(CpuLoadFormula::new(31.5, 12.0), Nanos::from_millis(1500))
@@ -168,6 +169,44 @@ fn conservation_survives_degraded_quality() {
         })
         .count();
     assert!(degraded > 0, "the stall must degrade some root flushes");
+}
+
+/// The root adds the aggregator's idle floor, so a builder `idle_w` that
+/// differs from the formula's still reconciles with the machine stream.
+#[test]
+fn an_overridden_idle_floor_is_the_roots_floor() {
+    let mut kernel = Kernel::new(presets::intel_i3_2120());
+    let pid = kernel.spawn_in_cgroup(
+        "web",
+        "tenant-a/svc-web",
+        vec![SteadyTask::boxed(WorkUnit::cpu_intensive(0.6))],
+    );
+    let formula = paper_formula();
+    assert_ne!(formula.idle_w(), 40.0, "the override must differ");
+    let hierarchy = Hierarchy::new();
+    let mut papi = PowerApi::builder(kernel)
+        .formula(formula)
+        .idle_w(40.0)
+        .report_to_memory()
+        .quantum(Nanos::from_millis(2))
+        .clock_period(Nanos::from_millis(500))
+        .hierarchy(&hierarchy)
+        .build()
+        .expect("pipeline builds");
+    papi.monitor(pid).expect("monitor");
+    papi.run_for(Nanos::from_secs(2)).expect("run");
+    let outcome = papi.finish().expect("shutdown");
+
+    hierarchy.assert_conserved(&outcome.reports);
+    assert_eq!(hierarchy.ticks(), 4);
+    for flush in hierarchy.ledger() {
+        let (root, tops) = (flush.nodes[ROOT], flush.nodes["tenant-a"].power_w);
+        let ungrouped = flush.nodes[UNGROUPED].power_w;
+        assert_eq!(
+            root.power_w.to_bits(),
+            (40.0 + (tops + ungrouped)).to_bits()
+        );
+    }
 }
 
 /// Holds the loop thread on the first tick frame until the test opens
@@ -196,7 +235,7 @@ fn a_rehomed_pid_lands_in_the_leaf_its_tick_recorded() {
         vec![SteadyTask::boxed(WorkUnit::cpu_intensive(0.8))],
     );
     let formula = paper_formula();
-    let hierarchy = Hierarchy::new(formula.idle_w());
+    let hierarchy = Hierarchy::new();
     let mut papi = PowerApi::builder(kernel)
         .formula(formula)
         .report_to_memory()
@@ -269,9 +308,10 @@ fn power(ts_ms: u64, rows: &[(u32, Option<&str>, f64)]) -> Message {
 /// catch-all instead of vanishing.
 #[test]
 fn groups_sum_their_members_per_timestamp() {
-    let vms = Hierarchy::new(0.0);
+    let vms = Hierarchy::new();
     let mut sys = ActorSystem::new();
-    let agg = sys.spawn("groups", Box::new(HierarchyAggregator::new(vms.clone())));
+    let agg = Aggregator::new(Dimension::timestamp(), 0.0).with_hierarchy(vms.clone());
+    let agg = sys.spawn("groups", Box::new(agg));
     sys.bus().subscribe(Topic::Power, &agg);
     let (alpha, beta) = (Some("vm-alpha"), Some("vm-beta"));
     // Tick 1: alpha gets 2+3 W, beta gets 4 W; pid 9 is ungrouped.
@@ -305,12 +345,10 @@ fn groups_sum_their_members_per_timestamp() {
 /// — and the ledger still conserves.
 #[test]
 fn dying_process_never_leaves_a_stale_hierarchy_leaf() {
-    let hierarchy = Hierarchy::new(0.0);
+    let hierarchy = Hierarchy::new();
     let mut sys = ActorSystem::new();
-    let agg = sys.spawn(
-        "hierarchy",
-        Box::new(HierarchyAggregator::new(hierarchy.clone())),
-    );
+    let agg = Aggregator::new(Dimension::timestamp(), 0.0).with_hierarchy(hierarchy.clone());
+    let agg = sys.spawn("hierarchy", Box::new(agg));
     sys.bus().subscribe(Topic::Power, &agg);
 
     let (dying, survivor) = (Some("tenant-a/svc-dying"), Some("tenant-b/svc-survivor"));

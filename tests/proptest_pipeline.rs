@@ -300,7 +300,7 @@ proptest! {
                 None => kernel.spawn(format!("p{i}"), vec![SteadyTask::boxed(*w)]),
             })
             .collect();
-        let hierarchy = Hierarchy::new(model.idle_w());
+        let hierarchy = Hierarchy::new();
         let mut papi = PowerApi::builder(kernel)
             .formula(PerFrequencyFormula::new(model))
             .degrade_to(CpuLoadFormula::new(0.0, 4.0), Nanos::from_millis(600))

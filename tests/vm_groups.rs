@@ -7,7 +7,6 @@ use powerapi_suite::os_sim::kernel::Kernel;
 use powerapi_suite::os_sim::process::Pid;
 use powerapi_suite::os_sim::task::SteadyTask;
 use powerapi_suite::powerapi::formula::per_freq::PerFrequencyFormula;
-use powerapi_suite::powerapi::formula::PowerFormula;
 use powerapi_suite::powerapi::hierarchy::Hierarchy;
 use powerapi_suite::powerapi::model::power_model::PerFrequencyPowerModel;
 use powerapi_suite::powerapi::msg::Scope;
@@ -37,7 +36,7 @@ fn run_two_vms() -> (RunOutcome, Hierarchy, [Pid; 3]) {
         vec![SteadyTask::boxed(WorkUnit::cpu_intensive(0.4))],
     );
     let formula = PerFrequencyFormula::new(PerFrequencyPowerModel::paper_i3_example());
-    let vms = Hierarchy::new(formula.idle_w());
+    let vms = Hierarchy::new();
 
     let mut papi = PowerApi::builder(kernel)
         .formula(formula)
@@ -125,6 +124,12 @@ fn hierarchy_leaves_match_flat_groups_bit_for_bit() {
     let (outcome, hierarchy, [a, b, c]) = run_two_vms();
 
     hierarchy.assert_conserved(&outcome.reports);
+    // The builder bound the run's telemetry hub to the hierarchy.
+    let flushes = format!("powerapi_hierarchy_flushes_total {}", hierarchy.ticks());
+    assert!(
+        outcome.telemetry.prometheus.lines().any(|l| l == flushes),
+        "one counted flush per audited tick: {flushes}"
+    );
     for (leaf, members) in [("vm-alpha", &[a, b][..]), ("vm-beta", &[c][..])] {
         let leaf_est = outcome.group_estimates(leaf);
         assert_eq!(leaf_est.len(), 8, "one {leaf} aggregate per tick");
