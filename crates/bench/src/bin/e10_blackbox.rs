@@ -130,7 +130,7 @@ fn main() {
     let dump_dir = std::path::Path::new("target/e10_blackbox");
     let (outcome, telemetry) = run_flight_recorded(&jbb, plan.clone(), dump_dir);
     if let Some(path) = &args.dump_trace {
-        dump_trace(&telemetry, path);
+        dump_trace(&telemetry, None, path);
     }
     let report = outcome
         .flight_recorder

@@ -22,8 +22,8 @@
 //! Evidence: `tests/golden/e12_fleet[.quick].golden`
 
 use bench_suite::fleetsim::{self, fleet_faults, percentile, FleetSpec, WARMUP_TICKS};
-use bench_suite::{row, section, BenchArgs, Golden};
-use powerapi::fleet::{FleetHop, FleetStats, HostId, LinkFaultPlan, ShardConfig, SloConfig};
+use bench_suite::{dump_trace, row, section, BenchArgs, Golden};
+use powerapi::fleet::{Fleet, HostId, LinkFaultPlan, ShardConfig, SloConfig};
 use powerapi::formula::per_freq::PerFrequencyFormula;
 use powerapi::model::learn::{learn_model, LearnConfig};
 use powerapi::telemetry::{EventKind, Telemetry};
@@ -37,7 +37,8 @@ const SAT_TICKS: u64 = 24;
 
 /// Everything one arm produces.
 struct Arm {
-    stats: FleetStats,
+    /// The fleet after the run (its ledger, journeys and metrics).
+    fleet: Fleet,
     /// Fleet-aggregate estimate per tick (whole run, warmup included).
     est_w: Vec<f64>,
     mae_w: f64,
@@ -45,12 +46,7 @@ struct Arm {
     lag_p99: u64,
     stale_mean: f64,
     stale_max: f64,
-    shard_shed: u64,
     telemetry: Telemetry,
-    /// Per-frame journey hops (for `--dump-trace`).
-    hops: Vec<FleetHop>,
-    /// Sim-clock nanoseconds per fleet tick (for `--dump-trace`).
-    tick_ns: u64,
 }
 
 /// Runs one arm and scores it. Ends with the no-silent-loss accounting
@@ -94,16 +90,13 @@ fn run_arm(
     let stale_max = ratios.iter().fold(0.0f64, |a, &b| a.max(b));
 
     Arm {
-        stats: *run.fleet.stats(),
         est_w: reports.iter().map(|r| r.estimate_w).collect(),
         mae_w,
         lag_p50: percentile(&lags, 0.50),
         lag_p99: percentile(&lags, 0.99),
         stale_mean,
         stale_max,
-        shard_shed: run.fleet.shard_shed_by().iter().sum(),
-        hops: run.fleet.journeys().snapshot(),
-        tick_ns: run.fleet.tick_ns(),
+        fleet: run.fleet,
         telemetry: run.telemetry,
     }
 }
@@ -146,7 +139,7 @@ fn main() {
     // `--dump-trace` captures the interesting arm: the faulty run's
     // pipeline spans, journal instants and per-frame journey tracks.
     if let Some(path) = &args.dump_trace {
-        fleetsim::dump_fleet_trace(&faulty.telemetry, &faulty.hops, faulty.tick_ns, path);
+        dump_trace(&faulty.telemetry, Some(&faulty.fleet), path);
     }
 
     println!("  [4/4] saturated arm: every host into one under-provisioned shard…");
@@ -162,13 +155,14 @@ fn main() {
         &formula,
     );
 
-    let s = faulty.stats;
+    let s = *faulty.fleet.stats();
+    let sat_shed: u64 = saturated.fleet.shard_shed_by().iter().sum();
     let journal = faulty.telemetry.journal();
     let shed_events = journal.count(EventKind::FleetShed);
     let retry_events = journal.count(EventKind::FleetRetry);
     let timeout_events = journal.count(EventKind::FleetTimeout);
     let partition_events = journal.count(EventKind::FleetPartition);
-    let prom = faulty.telemetry.render_prometheus();
+    let prom = faulty.fleet.render_prometheus();
 
     section("faulty-arm frame accounting (conserved exactly)");
     row("frames produced", s.produced);
@@ -229,7 +223,7 @@ fn main() {
     );
     row(
         "saturated arm: shard sheds",
-        format!("{} (still conserved)", saturated.shard_shed),
+        format!("{sat_shed} (still conserved)"),
     );
 
     let ok = ratio <= MAX_ERROR_RATIO
@@ -238,9 +232,9 @@ fn main() {
         && s.retransmits > 0
         && s.stale_transitions > 0
         && s.recoveries > 0
-        && clean.stats.dropped_fault == 0
-        && clean.stats.retransmits == 0
-        && saturated.shard_shed > 0
+        && clean.fleet.stats().dropped_fault == 0
+        && clean.fleet.stats().retransmits == 0
+        && sat_shed > 0
         && shed_events > 0
         && retry_events > 0
         && timeout_events > 0
@@ -254,7 +248,7 @@ fn main() {
          {} retransmits, {} shard sheds under saturation, accounting conserved)",
         if ok { "RESILIENT" } else { "FLEET DEGRADED" },
         s.retransmits,
-        saturated.shard_shed,
+        sat_shed,
     );
 
     // Everything the single-threaded fleet simulation derives is exact;
@@ -287,7 +281,7 @@ fn main() {
     golden.push_exact("faulty_lag_p99_ticks", faulty.lag_p99 as f64);
     golden.push("staleness_mean", faulty.stale_mean);
     golden.push("staleness_max", faulty.stale_max);
-    golden.push_exact("saturated_shard_shed", saturated.shard_shed as f64);
+    golden.push_exact("saturated_shard_shed", sat_shed as f64);
     golden.push_exact("journal_partition_events", partition_events as f64);
     golden.push_exact("journal_shed_events", shed_events as f64);
     golden.push_exact("journal_retry_events", retry_events as f64);

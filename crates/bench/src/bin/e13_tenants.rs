@@ -399,12 +399,7 @@ fn main() {
     // `--dump-trace` captures the fleet arm: journey tracks per frame
     // plus the journal instants the cgrouped fleet emitted.
     if let Some(path) = &args.dump_trace {
-        bench_suite::fleetsim::dump_fleet_trace(
-            &fleet_telemetry,
-            &fleet.journeys().snapshot(),
-            fleet.tick_ns(),
-            path,
-        );
+        bench_suite::dump_trace(&fleet_telemetry, Some(&fleet), path);
     }
     let paths = fleet.tenant_paths();
     let gold_fleet = fleet.tenant_estimate("tenant-gold").expect("gold tenant");

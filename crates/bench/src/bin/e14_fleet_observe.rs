@@ -25,12 +25,12 @@
 //! Evidence: `tests/golden/e14_fleet_observe[.quick].golden`
 
 use bench_suite::fleetsim::{self, fleet_faults, percentile, FleetRun, FleetSpec, WARMUP_TICKS};
-use bench_suite::{row, section, BenchArgs, Golden};
+use bench_suite::{dump_trace, row, section, BenchArgs, Golden};
 use powerapi::fleet::{LinkFaultPlan, ProvenanceReport, ShardConfig, SloConfig};
 use powerapi::formula::per_freq::PerFrequencyFormula;
 use powerapi::model::learn::{learn_model, LearnConfig};
 use powerapi::telemetry::export::{parse_json, Json};
-use powerapi::telemetry::{write_post_mortem_with_fleet, EventKind};
+use powerapi::telemetry::{write_post_mortem, EventKind};
 use simcpu::presets;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -215,14 +215,7 @@ fn run_and_dump(spec: FleetSpec, formula: &PerFrequencyFormula, dir: &Path) -> F
     } else {
         "requested"
     };
-    write_post_mortem_with_fleet(
-        dir,
-        &run.telemetry,
-        &run.fleet.journeys().snapshot(),
-        run.fleet.tick_ns(),
-        reason,
-    )
-    .expect("post-mortem dump");
+    write_post_mortem(dir, &run.telemetry, Some(&run.fleet), reason).expect("post-mortem dump");
     run
 }
 
@@ -264,12 +257,7 @@ fn main() {
         &dump_root.join("faulty"),
     );
     if let Some(path) = &args.dump_trace {
-        fleetsim::dump_fleet_trace(
-            &faulty.telemetry,
-            &faulty.fleet.journeys().snapshot(),
-            faulty.fleet.tick_ns(),
-            path,
-        );
+        dump_trace(&faulty.telemetry, Some(&faulty.fleet), path);
     }
 
     println!("  [4/5] saturated arm: every host into one under-provisioned shard…");

@@ -280,7 +280,7 @@ fn main() {
     let (adaptive, _outcome, telemetry) =
         run_stock(stock_model.clone(), stock_duration, 1, 4, adaptive_cfg);
     if let Some(path) = &args.dump_trace {
-        dump_trace(&telemetry, path);
+        dump_trace(&telemetry, None, path);
     }
     let journal_events = telemetry.journal().events();
     let transitions = journal_events

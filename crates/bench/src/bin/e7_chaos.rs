@@ -129,7 +129,7 @@ fn main() {
 
     println!("  [4/4] scoring…");
     if let Some(path) = &args.dump_trace {
-        dump_trace(&chaos.telemetry, path);
+        dump_trace(&chaos.telemetry, None, path);
     }
     let m = chaos.meter_stats;
     let c = chaos.counter_stats;

@@ -45,7 +45,7 @@ use powerapi::formula::per_freq::PerFrequencyFormula;
 use powerapi::model::learn::{learn_model, LearnConfig};
 use powerapi::model::power_model::PerFrequencyPowerModel;
 use powerapi::runtime::{PowerApi, RunOutcome};
-use powerapi::telemetry::{chrome_trace_from, dump_jsonl, Telemetry, SELF_PID};
+use powerapi::telemetry::{chrome_trace, dump_jsonl, Telemetry, SELF_PID};
 use simcpu::presets;
 use simcpu::units::Nanos;
 use std::io::Write;
@@ -285,7 +285,7 @@ fn main() {
     row("mean self power", format!("{self_mean_w:.4} W"));
 
     if let Some(path) = &args.dump_trace {
-        dump_trace(&hub, path);
+        dump_trace(&hub, None, path);
     }
 
     // Flight-recorder arms: what the shutdown-time exports cost, priced
@@ -293,7 +293,7 @@ fn main() {
     // on the hot path, so they report alongside the <3 % budget instead
     // of counting against it.
     let chrome_started = Instant::now();
-    let chrome = chrome_trace_from(&hub);
+    let chrome = chrome_trace(&hub.tracer().spans(), &hub.journal().events(), &[], 0);
     let chrome_ms = chrome_started.elapsed().as_secs_f64() * 1e3;
     let events = hub.journal().events();
     let jsonl_started = Instant::now();

@@ -114,7 +114,7 @@ fn main() {
 
     println!("  [4/4] scoring…");
     if let Some(path) = &args.dump_trace {
-        dump_trace(&drift_telemetry, path);
+        dump_trace(&drift_telemetry, None, path);
     }
     section("residual monitor tallies");
     row("control residual ticks", ch.ticks);

@@ -13,7 +13,6 @@
 use os_sim::kernel::Kernel;
 use os_sim::task::{PeriodicTask, SteadyTask};
 use perf_sim::events::PAPER_EVENTS;
-use powerapi::fleet::FleetHop;
 use powerapi::fleet::{
     Fleet, FleetConfig, FleetTickReport, FrameSource, LinkFaultConfig, LinkFaultKind,
     LinkFaultPlan, LinkWindow, ShardConfig, SimHostSource, SloConfig,
@@ -210,30 +209,6 @@ pub struct FleetRun {
     /// Wall-clock seconds spent inside `Fleet::run` (read by E8's paired
     /// tracing-on/off arms only).
     pub wall_s: f64,
-}
-
-/// Writes a fleet run's Chrome trace-event JSON — pipeline spans,
-/// journal instants *and* per-frame journey tracks — to `path`
-/// (creating parent directories as needed) and prints where it went.
-///
-/// # Panics
-///
-/// Panics when the directory or file cannot be written.
-pub fn dump_fleet_trace(
-    telemetry: &Telemetry,
-    hops: &[FleetHop],
-    tick_ns: u64,
-    path: &std::path::Path,
-) {
-    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        std::fs::create_dir_all(parent).expect("create --dump-trace directory");
-    }
-    std::fs::write(
-        path,
-        powerapi::telemetry::chrome_trace_from_fleet(telemetry, hops, tick_ns),
-    )
-    .expect("write --dump-trace file");
-    println!("        wrote Chrome trace to {}", path.display());
 }
 
 /// Runs one arm and asserts frame-accounting conservation. Scoring is

@@ -111,18 +111,30 @@ pub fn score_outcome(outcome: &RunOutcome) -> Result<ErrorReport, powerapi::Erro
     Ok(ErrorReport::compute(&actual, &predicted)?)
 }
 
-/// Writes the hub's Chrome trace-event JSON to `path` (creating parent
-/// directories as needed) and prints where it went.
+/// Writes the hub's Chrome trace-event JSON — pipeline spans, journal
+/// instants and, given a `fleet`, its per-frame journey tracks — to
+/// `path` (creating parent directories as needed) and prints where it
+/// went.
 ///
 /// # Panics
 ///
 /// Panics when the directory or file cannot be written.
-pub fn dump_trace(telemetry: &powerapi::telemetry::Telemetry, path: &std::path::Path) {
+pub fn dump_trace(
+    telemetry: &powerapi::telemetry::Telemetry,
+    fleet: Option<&powerapi::fleet::Fleet>,
+    path: &std::path::Path,
+) {
     if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
         std::fs::create_dir_all(parent).expect("create --dump-trace directory");
     }
-    std::fs::write(path, powerapi::telemetry::chrome_trace_from(telemetry))
-        .expect("write --dump-trace file");
+    let (hops, tick_ns) = fleet.map_or((Vec::new(), 0), |f| (f.journeys().snapshot(), f.tick_ns()));
+    let trace = powerapi::telemetry::chrome_trace(
+        &telemetry.tracer().spans(),
+        &telemetry.journal().events(),
+        &hops,
+        tick_ns,
+    );
+    std::fs::write(path, trace).expect("write --dump-trace file");
     println!("        wrote Chrome trace to {}", path.display());
 }
 

@@ -502,7 +502,7 @@ mod tests {
         use simcpu::units::Watts;
 
         let ctrl = SamplingController::new(SamplingConfig::default());
-        let health = ModelHealth::new();
+        let health = ModelHealth::new(&crate::telemetry::MetricsRegistry::new());
         let telemetry = Telemetry::new();
         let mut sys = ActorSystem::with_telemetry(telemetry.clone());
         let r = sys.spawn(

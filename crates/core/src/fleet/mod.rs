@@ -52,7 +52,7 @@ use crate::host::SimHost;
 use crate::msg::Quality;
 use crate::telemetry::journal::Text;
 use crate::telemetry::{
-    Counter, EventKind, Histogram, Telemetry, TraceId, COUNT_BOUNDS, TICK_BOUNDS,
+    EventKind, Histogram, MetricsRegistry, Telemetry, TraceId, COUNT_BOUNDS, TICK_BOUNDS,
 };
 use perf_sim::events::Event;
 use simcpu::units::Nanos;
@@ -236,24 +236,10 @@ struct AckInFlight {
     seq: u64,
 }
 
-struct FleetMetrics {
-    produced: Counter,
-    transmissions: Counter,
-    retransmits: Counter,
-    applied: Counter,
-    duplicates: Counter,
-    corrupt: Counter,
-    abandoned: Counter,
-    dark: Counter,
-    sender_shed: Counter,
-    stale: Counter,
-    dropped_fault: Counter,
-    dropped_partition: Counter,
-    dropped_queue: Counter,
-    shard_shed: Vec<Counter>,
-    /// End-to-end lag (original send → applied) of every applied frame,
-    /// in fleet ticks.
-    lag: Tally,
+/// The per-frame distributions no other record holds, kept only while
+/// telemetry is on. [`Fleet::render_prometheus`] turns them into
+/// histograms when the metrics are read.
+struct Tallies {
     /// Transmissions each acked frame needed minus one (0 = delivered
     /// first try).
     retransmit_count: Tally,
@@ -265,41 +251,25 @@ struct FleetMetrics {
     shard_service: Vec<Tally>,
 }
 
-/// How often [`Fleet::run`] refreshes the registry mirrors, in ticks.
-pub const MIRROR_EVERY: u64 = 16;
-
-/// A histogram fed through a tally. Frames share a few small lags, link
-/// latencies, queue waits and attempt counts: counting them in a plain
-/// array and recording each distinct value once per refresh
-/// ([`Fleet::sync_metrics`], one [`Histogram::record_n`]) spares the
-/// shared histogram two atomic read-modify-writes per frame.
-struct Tally {
-    hist: Histogram,
-    counts: [u32; 16],
-}
+/// How many frames had each value of a small per-frame figure: entry `v`
+/// counts the frames whose value was `v`. The figures are tick counts
+/// and attempt numbers, so the table is no longer than the run.
+#[derive(Clone, Default)]
+struct Tally(Vec<u64>);
 
 impl Tally {
-    fn new(hist: Histogram) -> Tally {
-        Tally {
-            hist,
-            counts: [0; 16],
-        }
-    }
-
     fn record(&mut self, v: u64) {
-        let slot = usize::try_from(v).ok().and_then(|v| self.counts.get_mut(v));
-        match slot {
-            Some(n) => *n += 1,
-            None => self.hist.record(v),
+        let v = v as usize;
+        if v >= self.0.len() {
+            self.0.resize(v + 1, 0);
         }
+        self.0[v] += 1;
     }
 
-    fn flush(&mut self) {
-        for (v, n) in self.counts.iter_mut().enumerate() {
-            if *n > 0 {
-                self.hist.record_n(v as u64, u64::from(*n));
-                *n = 0;
-            }
+    /// Records every counted value into `hist`.
+    fn fill(&self, hist: Histogram) {
+        for (v, &n) in self.0.iter().enumerate().filter(|&(_, &n)| n > 0) {
+            hist.record_n(v as u64, n);
         }
     }
 }
@@ -338,8 +308,7 @@ pub struct Fleet {
     lag_ticks: Vec<u64>,
     stale_ticks: Vec<u64>,
     telemetry: Telemetry,
-    metrics: Option<FleetMetrics>,
-    synced: FleetStats,
+    tallies: Option<Tallies>,
     delivery_scratch: Vec<FrameEnvelope>,
     transitions_scratch: Vec<(HostId, bool, TraceId)>,
     journeys: JourneyLog,
@@ -367,50 +336,10 @@ impl Fleet {
         let shards = (0..cfg.shards.max(1))
             .map(|i| EstimatorShard::new(i, cfg.shard, formula.boxed_clone(), events.clone()))
             .collect::<Vec<_>>();
-        let metrics = telemetry.enabled().then(|| {
-            let reg = telemetry.registry();
-            FleetMetrics {
-                produced: reg.counter("powerapi_fleet_frames_produced_total"),
-                transmissions: reg.counter("powerapi_fleet_transmissions_total"),
-                retransmits: reg.counter("powerapi_fleet_retransmits_total"),
-                applied: reg.counter("powerapi_fleet_frames_applied_total"),
-                duplicates: reg.counter("powerapi_fleet_duplicates_discarded_total"),
-                corrupt: reg.counter("powerapi_fleet_corrupt_frames_total"),
-                abandoned: reg.counter("powerapi_fleet_frames_abandoned_total"),
-                dark: reg.counter("powerapi_fleet_dropped_total{cause=\"host-dark\"}"),
-                sender_shed: reg.counter("powerapi_fleet_sender_shed_total"),
-                stale: reg.counter("powerapi_fleet_stale_transitions_total"),
-                dropped_fault: reg.counter("powerapi_fleet_dropped_total{cause=\"link-fault\"}"),
-                dropped_partition: reg.counter("powerapi_fleet_dropped_total{cause=\"partition\"}"),
-                dropped_queue: reg.counter("powerapi_fleet_dropped_total{cause=\"queue-full\"}"),
-                shard_shed: (0..shards.len())
-                    .map(|i| {
-                        reg.counter(&format!("powerapi_fleet_shard_shed_total{{shard=\"{i}\"}}"))
-                    })
-                    .collect(),
-                lag: Tally::new(
-                    reg.histogram_with_bounds("powerapi_fleet_lag_ticks", &TICK_BOUNDS),
-                ),
-                retransmit_count: Tally::new(
-                    reg.histogram_with_bounds("powerapi_fleet_retransmit_count", &COUNT_BOUNDS),
-                ),
-                link_latency: (0..hosts)
-                    .map(|h| {
-                        Tally::new(reg.histogram_with_bounds(
-                            &format!("powerapi_fleet_link_latency_ticks{{host=\"host-{h}\"}}"),
-                            &TICK_BOUNDS,
-                        ))
-                    })
-                    .collect(),
-                shard_service: (0..shards.len())
-                    .map(|i| {
-                        Tally::new(reg.histogram_with_bounds(
-                            &format!("powerapi_fleet_shard_service_ticks{{shard=\"{i}\"}}"),
-                            &TICK_BOUNDS,
-                        ))
-                    })
-                    .collect(),
-            }
+        let tallies = telemetry.enabled().then(|| Tallies {
+            retransmit_count: Tally::default(),
+            link_latency: vec![Tally::default(); hosts],
+            shard_service: vec![Tally::default(); shards.len()],
         });
         let shard_count = shards.len();
         let slo = SloTracker::new(cfg.slo);
@@ -433,8 +362,7 @@ impl Fleet {
             lag_ticks: Vec::new(),
             stale_ticks: vec![0; hosts],
             telemetry,
-            metrics,
-            synced: FleetStats::default(),
+            tallies,
             delivery_scratch: Vec::new(),
             transitions_scratch: Vec::new(),
             journeys,
@@ -588,15 +516,8 @@ impl Fleet {
         })
     }
 
-    /// Advances the whole fleet one tick. The registry mirrors of the
-    /// fleet's counters and histograms are current when it returns.
+    /// Advances the whole fleet one tick.
     pub fn tick(&mut self) -> FleetTickReport {
-        let report = self.step();
-        self.sync_metrics();
-        report
-    }
-
-    fn step(&mut self) -> FleetTickReport {
         self.now += 1;
         let now = self.now;
         let sim_now = Nanos(now.saturating_mul(self.cfg.tick.as_u64()));
@@ -621,8 +542,8 @@ impl Fleet {
                 let ack = self.acks.swap_remove(i);
                 if let Some(released) = self.senders[ack.host.0 as usize].ack(ack.seq) {
                     self.stats.acked += 1;
-                    if let Some(m) = &mut self.metrics {
-                        m.retransmit_count.record(u64::from(released.attempt));
+                    if let Some(t) = &mut self.tallies {
+                        t.retransmit_count.record(u64::from(released.attempt));
                     }
                 }
             } else {
@@ -808,8 +729,8 @@ impl Fleet {
             deliveries.clear();
             self.links[h].take_due(now, &mut deliveries);
             for env in deliveries.drain(..) {
-                if let Some(m) = &mut self.metrics {
-                    m.link_latency[h].record(age_ticks(now, env.sent_at, tick_ns));
+                if let Some(t) = &mut self.tallies {
+                    t.link_latency[h].record(age_ticks(now, env.sent_at, tick_ns));
                 }
                 let s = shard::route(env.host, self.shards.len());
                 match self.shards[s].ingest(env, now) {
@@ -861,9 +782,8 @@ impl Fleet {
                         let lag = age_ticks(now, sent_at, tick_ns);
                         self.lag_ticks.push(lag);
                         self.slo.observe(lag);
-                        if let Some(m) = &mut self.metrics {
-                            m.lag.record(lag);
-                            m.shard_service[s].record(queued_ticks);
+                        if let Some(t) = &mut self.tallies {
+                            t.shard_service[s].record(queued_ticks);
                         }
                         self.note(FleetHop {
                             tick: now,
@@ -1029,22 +949,71 @@ impl Fleet {
         }
     }
 
-    /// Runs `ticks` fleet ticks, collecting every report. The registry
-    /// mirrors are refreshed every [`MIRROR_EVERY`]th tick on the way —
-    /// for whoever scrapes them from another thread — and are current
-    /// when it returns.
+    /// Runs `ticks` fleet ticks, collecting every report.
     pub fn run(&mut self, ticks: u64) -> Vec<FleetTickReport> {
-        let reports = (0..ticks)
-            .map(|_| {
-                let report = self.step();
-                if self.now.is_multiple_of(MIRROR_EVERY) {
-                    self.sync_metrics();
-                }
-                report
-            })
-            .collect();
-        self.sync_metrics();
-        reports
+        (0..ticks).map(|_| self.tick()).collect()
+    }
+
+    /// The `powerapi_fleet_*` Prometheus families, read off the ledger
+    /// ([`FleetStats`], [`Fleet::shard_shed_by`], [`Fleet::lag_samples`])
+    /// and the tallies when called: they fill a scratch registry, which
+    /// renders them. Empty for a fleet built with telemetry off, which
+    /// keeps no tallies.
+    pub fn render_prometheus(&self) -> String {
+        let Some(t) = &self.tallies else {
+            return String::new();
+        };
+        let reg = MetricsRegistry::new();
+        let s = &self.stats;
+        for (name, n) in [
+            ("powerapi_fleet_frames_produced_total", s.produced),
+            ("powerapi_fleet_transmissions_total", s.transmissions),
+            ("powerapi_fleet_retransmits_total", s.retransmits),
+            ("powerapi_fleet_frames_applied_total", s.applied),
+            ("powerapi_fleet_duplicates_discarded_total", s.dup_discarded),
+            ("powerapi_fleet_corrupt_frames_total", s.corrupt_frames),
+            ("powerapi_fleet_frames_abandoned_total", s.abandoned),
+            ("powerapi_fleet_sender_shed_total", s.sender_shed),
+            (
+                "powerapi_fleet_stale_transitions_total",
+                s.stale_transitions,
+            ),
+            (
+                "powerapi_fleet_dropped_total{cause=\"host-dark\"}",
+                s.dark_lost,
+            ),
+            (
+                "powerapi_fleet_dropped_total{cause=\"link-fault\"}",
+                s.dropped_fault,
+            ),
+            (
+                "powerapi_fleet_dropped_total{cause=\"partition\"}",
+                s.dropped_partition,
+            ),
+            (
+                "powerapi_fleet_dropped_total{cause=\"queue-full\"}",
+                s.dropped_queue,
+            ),
+        ] {
+            reg.counter(name).add(n);
+        }
+        for (i, &n) in self.shard_shed_by.iter().enumerate() {
+            reg.counter(&format!("powerapi_fleet_shard_shed_total{{shard=\"{i}\"}}"))
+                .add(n);
+        }
+        let lag = reg.histogram_with_bounds("powerapi_fleet_lag_ticks", &TICK_BOUNDS);
+        self.lag_ticks.iter().for_each(|&v| lag.record(v));
+        t.retransmit_count
+            .fill(reg.histogram_with_bounds("powerapi_fleet_retransmit_count", &COUNT_BOUNDS));
+        for (h, tally) in t.link_latency.iter().enumerate() {
+            let name = format!("powerapi_fleet_link_latency_ticks{{host=\"host-{h}\"}}");
+            tally.fill(reg.histogram_with_bounds(&name, &TICK_BOUNDS));
+        }
+        for (i, tally) in t.shard_service.iter().enumerate() {
+            let name = format!("powerapi_fleet_shard_service_ticks{{shard=\"{i}\"}}");
+            tally.fill(reg.histogram_with_bounds(&name, &TICK_BOUNDS));
+        }
+        reg.render_prometheus()
     }
 
     /// Proves the frame accounting reconciles exactly — every produced
@@ -1098,35 +1067,6 @@ impl Fleet {
         if let Err(e) = self.conservation() {
             panic!("fleet accounting violated: {e}");
         }
-    }
-
-    fn sync_metrics(&mut self) {
-        let Some(m) = &mut self.metrics else {
-            return;
-        };
-        m.lag.flush();
-        m.retransmit_count.flush();
-        m.link_latency.iter_mut().for_each(Tally::flush);
-        m.shard_service.iter_mut().for_each(Tally::flush);
-        let (s, p) = (&self.stats, &self.synced);
-        m.produced.add(s.produced - p.produced);
-        m.transmissions.add(s.transmissions - p.transmissions);
-        m.retransmits.add(s.retransmits - p.retransmits);
-        m.applied.add(s.applied - p.applied);
-        m.duplicates.add(s.dup_discarded - p.dup_discarded);
-        m.corrupt.add(s.corrupt_frames - p.corrupt_frames);
-        m.abandoned.add(s.abandoned - p.abandoned);
-        m.dark.add(s.dark_lost - p.dark_lost);
-        m.sender_shed.add(s.sender_shed - p.sender_shed);
-        m.stale.add(s.stale_transitions - p.stale_transitions);
-        m.dropped_fault.add(s.dropped_fault - p.dropped_fault);
-        m.dropped_partition
-            .add(s.dropped_partition - p.dropped_partition);
-        m.dropped_queue.add(s.dropped_queue - p.dropped_queue);
-        for (c, &shed) in m.shard_shed.iter().zip(&self.shard_shed_by) {
-            c.add(shed - c.get());
-        }
-        self.synced = self.stats;
     }
 
     /// Hands `env` to host `h`'s link; the journey stage it reached
@@ -1217,6 +1157,10 @@ mod tests {
     }
 
     fn flat_fleet(hosts: usize, cfg: FleetConfig) -> Fleet {
+        flat_fleet_with(hosts, cfg, Telemetry::disabled())
+    }
+
+    fn flat_fleet_with(hosts: usize, cfg: FleetConfig, telemetry: Telemetry) -> Fleet {
         let sources: Vec<Box<dyn FrameSource>> = (0..hosts)
             .map(|_| {
                 Box::new(FlatSource {
@@ -1229,7 +1173,7 @@ mod tests {
         // the source's truth exactly, so estimate error isolates
         // transport effects.
         let formula = CpuLoadFormula::new(30.0, 20.0);
-        Fleet::new(cfg, &formula, sources, Telemetry::disabled())
+        Fleet::new(cfg, &formula, sources, telemetry)
     }
 
     #[test]
@@ -1408,21 +1352,15 @@ mod tests {
 
     #[test]
     fn fleet_counters_reach_prometheus() {
-        let telemetry = Telemetry::new();
-        let sources: Vec<Box<dyn FrameSource>> = (0..2)
-            .map(|_| {
-                Box::new(FlatSource {
-                    interval: Nanos::from_millis(1000),
-                    ticks: 0,
-                }) as Box<dyn FrameSource>
-            })
-            .collect();
-        let formula = CpuLoadFormula::new(30.0, 20.0);
-        let mut fleet = Fleet::new(FleetConfig::default(), &formula, sources, telemetry.clone());
+        let mut fleet = flat_fleet_with(2, FleetConfig::default(), Telemetry::new());
         fleet.run(5);
-        let dump = telemetry.render_prometheus();
+        let dump = fleet.render_prometheus();
         assert!(dump.contains("powerapi_fleet_frames_produced_total 10"));
         assert!(dump.contains("powerapi_fleet_transmissions_total"));
+        // A dark fleet keeps no tallies and renders nothing.
+        let mut dark = flat_fleet(2, FleetConfig::default());
+        dark.run(5);
+        assert_eq!(dark.render_prometheus(), "");
     }
 
     #[test]
@@ -1447,36 +1385,117 @@ mod tests {
         assert_eq!(age_ticks(u64::MAX, Nanos(20), 10), u64::MAX - 2);
     }
 
-    /// The registry mirrors are whole whenever `tick` or `run` returns:
-    /// the tallied lag histogram has exactly the samples `lag_samples`
-    /// has, values beyond the tally's range included.
+    /// The rendered families are views of the ledger whenever `tick` or
+    /// `run` returns: every counter equals its `FleetStats` field, each
+    /// shard's shed counter its `shard_shed_by` entry, the lag histogram
+    /// holds exactly `lag_samples` (20-tick lags included),
+    /// and the tallied histograms count every ack and every apply.
     #[test]
     fn tallied_histograms_are_current_whenever_the_fleet_returns() {
-        let telemetry = Telemetry::new();
-        let mut cfg = FleetConfig::default();
+        let fault = LinkFaultPlan::generate(
+            5,
+            6,
+            80,
+            &LinkFaultConfig {
+                drop_rate: 0.2,
+                duplicate_rate: 0.1,
+                corrupt_rate: 0.1,
+                reorder_rate: 0.2,
+                partitions: 1,
+                partition_ticks: 6,
+                partition_hosts: 2,
+                dark_windows: 1,
+                dark_ticks: 4,
+                ..LinkFaultConfig::default()
+            },
+        );
+        let mut cfg = FleetConfig {
+            shards: 2,
+            shard: ShardConfig {
+                ingest_cap: 2,
+                tick_budget: 2,
+            },
+            fault,
+            ..FleetConfig::default()
+        };
         cfg.link.latency_ticks = 20;
-        let sources: Vec<Box<dyn FrameSource>> = (0..3)
-            .map(|_| {
-                Box::new(FlatSource {
-                    interval: Nanos::from_millis(1000),
-                    ticks: 0,
-                }) as Box<dyn FrameSource>
-            })
-            .collect();
-        let formula = CpuLoadFormula::new(30.0, 20.0);
-        let mut fleet = Fleet::new(cfg, &formula, sources, telemetry.clone());
-        let lag = telemetry
-            .registry()
-            .histogram_with_bounds("powerapi_fleet_lag_ticks", &TICK_BOUNDS);
+        let mut fleet = flat_fleet_with(6, cfg, Telemetry::new());
+        let check = |fleet: &Fleet| {
+            let prom = fleet.render_prometheus();
+            let value = |name: &str| -> u64 {
+                prom.lines()
+                    .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+                    .unwrap_or_else(|| panic!("{name} in\n{prom}"))
+            };
+            let s = fleet.stats();
+            for (name, n) in [
+                ("powerapi_fleet_frames_produced_total", s.produced),
+                ("powerapi_fleet_transmissions_total", s.transmissions),
+                ("powerapi_fleet_retransmits_total", s.retransmits),
+                ("powerapi_fleet_frames_applied_total", s.applied),
+                ("powerapi_fleet_duplicates_discarded_total", s.dup_discarded),
+                ("powerapi_fleet_corrupt_frames_total", s.corrupt_frames),
+                ("powerapi_fleet_frames_abandoned_total", s.abandoned),
+                ("powerapi_fleet_sender_shed_total", s.sender_shed),
+                (
+                    "powerapi_fleet_stale_transitions_total",
+                    s.stale_transitions,
+                ),
+                (
+                    "powerapi_fleet_dropped_total{cause=\"host-dark\"}",
+                    s.dark_lost,
+                ),
+                (
+                    "powerapi_fleet_dropped_total{cause=\"link-fault\"}",
+                    s.dropped_fault,
+                ),
+                (
+                    "powerapi_fleet_dropped_total{cause=\"partition\"}",
+                    s.dropped_partition,
+                ),
+                (
+                    "powerapi_fleet_dropped_total{cause=\"queue-full\"}",
+                    s.dropped_queue,
+                ),
+            ] {
+                assert_eq!(value(name), n, "{name}");
+            }
+            for (i, &n) in fleet.shard_shed_by().iter().enumerate() {
+                let name = format!("powerapi_fleet_shard_shed_total{{shard=\"{i}\"}}");
+                assert_eq!(value(&name), n, "{name}");
+            }
+            let lags = fleet.lag_samples();
+            assert_eq!(value("powerapi_fleet_lag_ticks_count"), lags.len() as u64);
+            assert_eq!(
+                value("powerapi_fleet_lag_ticks_sum"),
+                lags.iter().sum::<u64>()
+            );
+            assert_eq!(value("powerapi_fleet_retransmit_count_count"), s.acked);
+            let served: u64 = (0..2)
+                .map(|i| {
+                    value(&format!(
+                        "powerapi_fleet_shard_service_ticks_count{{shard=\"{i}\"}}"
+                    ))
+                })
+                .sum();
+            assert_eq!(served, s.applied);
+        };
         for _ in 0..40 {
             fleet.tick();
-            assert_eq!(lag.count(), fleet.lag_samples().len() as u64);
-            assert_eq!(lag.sum(), fleet.lag_samples().iter().sum::<u64>());
+            check(&fleet);
         }
-        assert!(lag.count() > 0 && lag.max() >= 20, "lags past the tally");
-        // And when a run that ends between two refreshes returns.
-        fleet.run(MIRROR_EVERY + 5);
-        assert_eq!(lag.count(), fleet.lag_samples().len() as u64);
-        assert_eq!(lag.sum(), fleet.lag_samples().iter().sum::<u64>());
+        // And after a `run`, whatever its length.
+        fleet.run(21);
+        check(&fleet);
+        let s = *fleet.stats();
+        assert!(
+            s.retransmits > 0 && s.shard_shed > 0 && s.corrupt_frames > 0 && s.acked > 0,
+            "every fault fired: {s:?}"
+        );
+        assert!(
+            fleet.lag_samples().iter().any(|&l| l >= 20),
+            "the 20-tick link shows in the lags"
+        );
+        fleet.assert_conserved();
     }
 }

@@ -256,7 +256,7 @@ mod tests {
 
     #[test]
     fn out_of_band_health_downgrades_quality() {
-        let health = ModelHealth::new();
+        let health = ModelHealth::new(&crate::telemetry::MetricsRegistry::new());
         let seen = Arc::new(Mutex::new(Vec::new()));
         let mut sys = ActorSystem::new();
         let formula = sys.spawn(

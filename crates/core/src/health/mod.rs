@@ -32,7 +32,7 @@
 use crate::actor::{Actor, Context};
 use crate::control::RecalibrationTrigger;
 use crate::msg::{Message, Scope};
-use crate::telemetry::metrics::{Counter, Gauge};
+use crate::telemetry::metrics::{Counter, Gauge, MetricsRegistry};
 use crate::telemetry::{EventKind, TraceId};
 use mathkit::changepoint::{Cusum, PageHinkley};
 use simcpu::units::{Nanos, Watts};
@@ -99,9 +99,12 @@ pub struct ModelHealthSummary {
 
 #[derive(Debug)]
 struct HealthShared {
-    ticks: AtomicU64,
-    alarms: AtomicU64,
-    out_of_band_ticks: AtomicU64,
+    /// `powerapi_model_residual_ticks_total`: residual pairs scored.
+    ticks: Counter,
+    /// `powerapi_model_drift_alarms_total`: alarms raised.
+    alarms: Counter,
+    /// `powerapi_model_out_of_band_total`: pairs outside the band.
+    out_of_band_ticks: Counter,
     out_of_band: AtomicBool,
     residual_uw: AtomicI64,
     /// Effective out-of-band envelope (band + margin) at the last pair.
@@ -113,16 +116,12 @@ struct HealthShared {
 }
 
 /// Shared, lock-free view of model health. Clones are cheap handles onto
-/// one state; the monitor writes, formulas and `RunOutcome` read.
+/// one state; the monitor writes, formulas and `RunOutcome` read. Its
+/// counts are the registry's `powerapi_model_*_total` counters: one
+/// record, bumped once per paired tick.
 #[derive(Debug, Clone)]
 pub struct ModelHealth {
     inner: Arc<HealthShared>,
-}
-
-impl Default for ModelHealth {
-    fn default() -> ModelHealth {
-        ModelHealth::new()
-    }
 }
 
 fn uw(w: f64) -> i64 {
@@ -130,13 +129,14 @@ fn uw(w: f64) -> i64 {
 }
 
 impl ModelHealth {
-    /// Creates a fresh (healthy) state.
-    pub fn new() -> ModelHealth {
+    /// Creates a fresh (healthy) state whose counts are `registry`'s
+    /// model-health counters.
+    pub fn new(registry: &MetricsRegistry) -> ModelHealth {
         ModelHealth {
             inner: Arc::new(HealthShared {
-                ticks: AtomicU64::new(0),
-                alarms: AtomicU64::new(0),
-                out_of_band_ticks: AtomicU64::new(0),
+                ticks: registry.counter("powerapi_model_residual_ticks_total"),
+                alarms: registry.counter("powerapi_model_drift_alarms_total"),
+                out_of_band_ticks: registry.counter("powerapi_model_out_of_band_total"),
                 out_of_band: AtomicBool::new(false),
                 residual_uw: AtomicI64::new(0),
                 band_uw: AtomicI64::new(0),
@@ -155,7 +155,7 @@ impl ModelHealth {
 
     /// Drift alarms raised so far.
     pub fn alarms(&self) -> u64 {
-        self.inner.alarms.load(Ordering::Relaxed)
+        self.inner.alarms.get()
     }
 
     /// How far through the out-of-band envelope the live residual sits:
@@ -186,19 +186,19 @@ impl ModelHealth {
         out_of_band: bool,
     ) {
         let s = &self.inner;
-        s.ticks.fetch_add(1, Ordering::Relaxed);
+        s.ticks.inc();
         s.residual_uw.store(uw(residual_w), Ordering::Relaxed);
         s.band_uw.store(uw(band_eff_w), Ordering::Relaxed);
         s.bias_uw.store(uw(bias_w), Ordering::Relaxed);
         s.mae_uw.store(uw(mae_w), Ordering::Relaxed);
         s.out_of_band.store(out_of_band, Ordering::Relaxed);
         if out_of_band {
-            s.out_of_band_ticks.fetch_add(1, Ordering::Relaxed);
+            s.out_of_band_ticks.inc();
         }
     }
 
     pub(crate) fn record_alarm(&self, at: Nanos) {
-        self.inner.alarms.fetch_add(1, Ordering::Relaxed);
+        self.inner.alarms.inc();
         let _ = self.inner.first_alarm_ns.compare_exchange(
             u64::MAX,
             at.as_u64(),
@@ -212,9 +212,9 @@ impl ModelHealth {
         let s = &self.inner;
         let first = s.first_alarm_ns.load(Ordering::Relaxed);
         ModelHealthSummary {
-            ticks: s.ticks.load(Ordering::Relaxed),
-            alarms: s.alarms.load(Ordering::Relaxed),
-            out_of_band_ticks: s.out_of_band_ticks.load(Ordering::Relaxed),
+            ticks: s.ticks.get(),
+            alarms: s.alarms.get(),
+            out_of_band_ticks: s.out_of_band_ticks.get(),
             recalibrations: 0,
             bias_w: s.bias_uw.load(Ordering::Relaxed) as f64 / 1e6,
             mae_w: s.mae_uw.load(Ordering::Relaxed) as f64 / 1e6,
@@ -224,15 +224,13 @@ impl ModelHealth {
     }
 }
 
-/// Registry handles the monitor updates every paired tick (created once,
-/// on the first message, so construction stays `Context`-free).
+/// The registry handles the monitor updates every paired tick besides
+/// [`ModelHealth`]'s counts (created once, on the first message, so
+/// construction stays `Context`-free).
 struct HealthMetrics {
     residual_mw: Gauge,
     bias_mw: Gauge,
     mae_mw: Gauge,
-    ticks_total: Counter,
-    drift_alarms_total: Counter,
-    out_of_band_total: Counter,
     recalibrations_total: Counter,
 }
 
@@ -243,9 +241,6 @@ impl HealthMetrics {
             residual_mw: reg.gauge("powerapi_model_residual_mw"),
             bias_mw: reg.gauge("powerapi_model_bias_mw"),
             mae_mw: reg.gauge("powerapi_model_mae_mw"),
-            ticks_total: reg.counter("powerapi_model_residual_ticks_total"),
-            drift_alarms_total: reg.counter("powerapi_model_drift_alarms_total"),
-            out_of_band_total: reg.counter("powerapi_model_out_of_band_total"),
             recalibrations_total: reg.counter("powerapi_model_recalibrations_total"),
         }
     }
@@ -341,12 +336,7 @@ impl ResidualMonitor {
         metrics.residual_mw.set((residual_w * 1e3) as i64);
         metrics.bias_mw.set((self.bias * 1e3) as i64);
         metrics.mae_mw.set((self.mae * 1e3) as i64);
-        metrics.ticks_total.inc();
-        if out_of_band {
-            metrics.out_of_band_total.inc();
-        }
         if alarmed {
-            metrics.drift_alarms_total.inc();
             self.health.record_alarm(at);
             ctx.telemetry().journal().emit_at(
                 at,
@@ -437,7 +427,7 @@ mod tests {
     }
 
     fn run_pairs(pairs: &[(f64, f64)], band: f64) -> (ModelHealthSummary, u64) {
-        let health = ModelHealth::new();
+        let health = ModelHealth::new(&MetricsRegistry::new());
         let trigger = RecalibrationTrigger::new();
         let monitor = ResidualMonitor::new(health.clone(), Some(trigger.clone()));
         let mut sys = ActorSystem::new();
@@ -504,7 +494,7 @@ mod tests {
 
     #[test]
     fn unpaired_streams_produce_no_residuals() {
-        let health = ModelHealth::new();
+        let health = ModelHealth::new(&MetricsRegistry::new());
         let monitor = ResidualMonitor::new(health.clone(), None);
         let mut sys = ActorSystem::new();
         let m = sys.spawn("model-health", Box::new(monitor));
@@ -520,7 +510,7 @@ mod tests {
 
     #[test]
     fn meter_buffer_is_bounded() {
-        let monitor = ResidualMonitor::new(ModelHealth::new(), None);
+        let monitor = ResidualMonitor::new(ModelHealth::new(&MetricsRegistry::new()), None);
         let mut sys = ActorSystem::new();
         let m = sys.spawn("model-health", Box::new(monitor));
         sys.bus().subscribe(Topic::Meter, &m);
@@ -536,13 +526,22 @@ mod tests {
 
     #[test]
     fn summary_roundtrips_through_shared_handle() {
-        let h = ModelHealth::new();
+        let reg = MetricsRegistry::new();
+        let h = ModelHealth::new(&reg);
         h.record_residual(-1.25, -1.0, 1.1, 2.0, true);
         h.record_alarm(Nanos::from_secs(42));
         let s = h.summary();
         assert_eq!(s.ticks, 1);
         assert_eq!(s.alarms, 1);
         assert_eq!(s.out_of_band_ticks, 1);
+        // The counts are the registry's counters, not copies of them.
+        for name in [
+            "powerapi_model_residual_ticks_total",
+            "powerapi_model_drift_alarms_total",
+            "powerapi_model_out_of_band_total",
+        ] {
+            assert_eq!(reg.counter(name).get(), 1, "{name}");
+        }
         assert!((s.last_residual_w + 1.25).abs() < 1e-6);
         assert!((s.bias_w + 1.0).abs() < 1e-6);
         assert_eq!(s.first_alarm_s, Some(42.0));
@@ -555,7 +554,7 @@ mod tests {
 
     #[test]
     fn band_fraction_degenerate_band_reads_zero() {
-        let h = ModelHealth::new();
+        let h = ModelHealth::new(&MetricsRegistry::new());
         assert_eq!(h.band_fraction(), 0.0, "no pairs yet");
         h.record_residual(3.0, 3.0, 3.0, 0.0, true);
         assert_eq!(h.band_fraction(), 0.0, "zero-width band never divides");

@@ -464,9 +464,12 @@ impl PowerApiBuilder {
         // Model-health plumbing: one shared handle the monitor writes and
         // the formulas read, plus the recalibration hook. All `None`-cost
         // when the builder didn't ask for it.
-        let model_health = self
-            .model_health
-            .then(|| (ModelHealth::new(), RecalibrationTrigger::new()));
+        let model_health = self.model_health.then(|| {
+            (
+                ModelHealth::new(telemetry.registry()),
+                RecalibrationTrigger::new(),
+            )
+        });
         let formula_health = model_health.as_ref().map(|(h, _)| h.clone());
 
         if let Some((backup, max_age)) = self.degrade {
@@ -936,7 +939,7 @@ impl PowerApi {
         let reason = self
             .post_mortem_reason(health)
             .unwrap_or_else(|| "requested".to_string());
-        export::write_post_mortem(dir, &self.telemetry, &reason)
+        export::write_post_mortem(dir, &self.telemetry, None, &reason)
             .map(Some)
             .map_err(|e| Error::Middleware(format!("post-mortem dump to {}: {e}", dir.display())))
     }

@@ -17,7 +17,7 @@
 //! a chaos schedule and checks the dump reconstructs the injected fault
 //! sequence.
 
-use crate::fleet::observe::FleetHop;
+use crate::fleet::{Fleet, FleetHop};
 use crate::telemetry::journal::{EventKind, JournalEvent, Severity};
 use crate::telemetry::trace::{Stage, TraceId, TraceSpan};
 use crate::telemetry::Telemetry;
@@ -129,11 +129,19 @@ impl Json {
     }
 }
 
-/// Parses one complete JSON document (rejects trailing garbage).
+/// How deep arrays and objects may nest in a document [`parse_json`]
+/// accepts. The exporter writes at most four levels; the cap keeps the
+/// reader's recursion off the end of the stack on arbitrary input.
+const MAX_DEPTH: usize = 128;
+
+/// Parses one complete JSON document (rejects trailing garbage and
+/// arrays or objects nested more than 128 deep). Linear in the
+/// document's length.
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let mut p = Reader {
         b: text.as_bytes(),
         i: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -147,6 +155,8 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
 struct Reader<'a> {
     b: &'a [u8],
     i: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl Reader<'_> {
@@ -189,8 +199,8 @@ impl Reader<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
@@ -202,6 +212,17 @@ impl Reader<'_> {
                 self.i
             )),
         }
+    }
+
+    /// Parses a container one level deeper, refusing past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nested deeper than {MAX_DEPTH} at byte {}", self.i));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -310,13 +331,15 @@ impl Reader<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.b[self.i..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().ok_or("empty")?;
-                    out.push(c);
-                    self.i += c.len_utf8();
+                    // The run of plain characters up to the next quote or
+                    // escape. Both stops are ASCII and the input is a
+                    // `&str`, so the run is whole UTF-8.
+                    let start = self.i;
+                    while self.peek().is_some_and(|c| c != b'"' && c != b'\\') {
+                        self.i += 1;
+                    }
+                    let run = std::str::from_utf8(&self.b[start..self.i]);
+                    out.push_str(run.map_err(|e| e.to_string())?);
                 }
             }
         }
@@ -424,22 +447,18 @@ fn micros(ns: u64) -> String {
     format!("{}.{:03}", ns / 1000, ns % 1000)
 }
 
-/// Builds a Chrome trace-event JSON document from spans + journal
-/// events, loadable in Perfetto or `chrome://tracing`. Hop start times
-/// anchor on the span's simulated tick timestamp plus the hop's wall
-/// offset, so tracks line up with simulated time at tick granularity.
-pub fn chrome_trace(spans: &[TraceSpan], events: &[JournalEvent]) -> String {
-    chrome_trace_full(spans, events, &[], 0)
-}
-
-/// [`chrome_trace`] plus fleet journey tracks: every [`FleetHop`]
-/// becomes an instant on process `FLEET_PID_BASE + host` with `tid` =
-/// the frame's sequence number, so one (pid, tid) pair *is* one frame's
-/// causal track — produce → send (per attempt) → apply/drop — and every
-/// instant's `args.trace` names the origin tick trace shared by all of
-/// the frame's copies. `fleet_tick_ns` converts hop ticks to the sim
-/// clock (0 is treated as 1).
-pub fn chrome_trace_full(
+/// Builds a Chrome trace-event JSON document from spans, journal events
+/// and fleet journey hops, loadable in Perfetto or `chrome://tracing`.
+/// Hop start times anchor on the span's simulated tick timestamp plus
+/// the hop's wall offset, so tracks line up with simulated time at tick
+/// granularity. Every [`FleetHop`] becomes an instant on process
+/// `FLEET_PID_BASE + host` with `tid` = the frame's sequence number, so
+/// one (pid, tid) pair *is* one frame's causal track — produce → send
+/// (per attempt) → apply/drop — and every instant's `args.trace` names
+/// the origin tick trace shared by all of the frame's copies.
+/// `fleet_tick_ns` converts hop ticks to the sim clock (0 is treated as
+/// 1; a trace without fleet hops passes `&[]` and 0).
+pub fn chrome_trace(
     spans: &[TraceSpan],
     events: &[JournalEvent],
     fleet_hops: &[FleetHop],
@@ -557,26 +576,6 @@ pub fn chrome_trace_full(
     )
 }
 
-/// [`chrome_trace`] over a hub's current spans + journal.
-pub fn chrome_trace_from(telemetry: &Telemetry) -> String {
-    chrome_trace(&telemetry.tracer().spans(), &telemetry.journal().events())
-}
-
-/// [`chrome_trace_from`] plus fleet journey tracks (see
-/// [`chrome_trace_full`]) — what a fleet bench's `--dump-trace` writes.
-pub fn chrome_trace_from_fleet(
-    telemetry: &Telemetry,
-    fleet_hops: &[FleetHop],
-    fleet_tick_ns: u64,
-) -> String {
-    chrome_trace_full(
-        &telemetry.tracer().spans(),
-        &telemetry.journal().events(),
-        fleet_hops,
-        fleet_tick_ns,
-    )
-}
-
 // ---------------------------------------------------------------------------
 // Post-mortem dump
 // ---------------------------------------------------------------------------
@@ -603,32 +602,27 @@ pub struct PostMortemReport {
 /// Writes `journal.jsonl`, `trace.json` and `metrics.prom` into `dir`
 /// (created if missing): everything the journal ring and the tracer
 /// retain — both are bounded already, so the dump needs no window of
-/// its own.
+/// its own. With a `fleet`, `trace.json` also carries its journey tracks
+/// (see [`chrome_trace`]) and `metrics.prom` its `powerapi_fleet_*`
+/// families ([`Fleet::render_prometheus`]) — the dump a fleet bench or
+/// an exhausted SLO budget writes.
 pub fn write_post_mortem(
     dir: &Path,
     telemetry: &Telemetry,
-    reason: &str,
-) -> std::io::Result<PostMortemReport> {
-    write_post_mortem_with_fleet(dir, telemetry, &[], 0, reason)
-}
-
-/// [`write_post_mortem`] with fleet journey tracks folded into
-/// `trace.json` (see [`chrome_trace_full`]) — the dump a fleet bench or
-/// an exhausted SLO budget writes.
-pub fn write_post_mortem_with_fleet(
-    dir: &Path,
-    telemetry: &Telemetry,
-    fleet_hops: &[FleetHop],
-    fleet_tick_ns: u64,
+    fleet: Option<&Fleet>,
     reason: &str,
 ) -> std::io::Result<PostMortemReport> {
     std::fs::create_dir_all(dir)?;
     let events = telemetry.journal().events();
     let spans = telemetry.tracer().spans();
     let jsonl = dump_jsonl(&events);
-    let trace = chrome_trace_full(&spans, &events, fleet_hops, fleet_tick_ns);
+    let (hops, tick_ns) = fleet.map_or((Vec::new(), 0), |f| (f.journeys().snapshot(), f.tick_ns()));
+    let trace = chrome_trace(&spans, &events, &hops, tick_ns);
     let mut prom = format!("# powerapi post-mortem: {reason}\n");
     prom.push_str(&telemetry.render_prometheus());
+    if let Some(f) = fleet {
+        prom.push_str(&f.render_prometheus());
+    }
     std::fs::write(dir.join("journal.jsonl"), &jsonl)?;
     std::fs::write(dir.join("trace.json"), &trace)?;
     std::fs::write(dir.join("metrics.prom"), &prom)?;
@@ -707,6 +701,38 @@ mod tests {
         }
     }
 
+    /// A megabyte of strings parses in time linear in its length (the
+    /// bound is far above what the reader needs, even unoptimised).
+    #[test]
+    fn a_string_heavy_document_parses_in_linear_time() {
+        let item = |i: usize| format!("\"event {i}: détail {} \\\"q\\\"\"", "x".repeat(40));
+        let doc = format!("[{}]", (0..20_000).map(item).collect::<Vec<_>>().join(","));
+        assert!(doc.len() >= 1 << 20, "{} bytes", doc.len());
+        let started = std::time::Instant::now();
+        let v = parse_json(&doc).expect("parses");
+        let took = started.elapsed();
+        let items = v.as_array().unwrap();
+        assert_eq!(items.len(), 20_000);
+        assert_eq!(
+            items[7].as_str(),
+            Some(&*format!("event 7: détail {} \"q\"", "x".repeat(40)))
+        );
+        assert!(took.as_secs_f64() < 10.0, "took {took:?}");
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"a\":"] {
+            let doc = open.repeat(100_000);
+            let err = parse_json(&doc).expect_err("too deep");
+            assert!(err.contains("nested deeper"), "{err}");
+        }
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_json(&at_cap).is_ok());
+        let past = format!("[{at_cap}]");
+        assert!(parse_json(&past).is_err());
+    }
+
     #[test]
     fn chrome_trace_is_valid_sorted_json_with_named_tracks() {
         let tracer = Tracer::new();
@@ -717,7 +743,7 @@ mod tests {
         tracer.record_hop(id1, Stage::Sensor, &sensor, 100, 5_000);
         tracer.record_hop(id1, Stage::Reporter, &reporter, 50, 2_000);
         tracer.record_hop(id2, Stage::Sensor, &sensor, 100, 4_000);
-        let text = chrome_trace(&tracer.spans(), &sample_events());
+        let text = chrome_trace(&tracer.spans(), &sample_events(), &[], 0);
         let doc = parse_json(&text).expect("valid JSON");
         let items = doc.get("traceEvents").unwrap().as_array().unwrap();
         assert!(items.len() >= 3 + 3 + 4, "hops + instants + metadata");
@@ -760,7 +786,7 @@ mod tests {
             "cusum",
             TraceId(4),
         );
-        let text = chrome_trace(&[], &j.events());
+        let text = chrome_trace(&[], &j.events(), &[], 0);
         let doc = parse_json(&text).expect("valid JSON");
         let items = doc.get("traceEvents").unwrap().as_array().unwrap();
         let rate = items
@@ -803,7 +829,7 @@ mod tests {
             id,
         );
         let dir = std::env::temp_dir().join(format!("powerapi-pm-test-{}", std::process::id()));
-        let report = write_post_mortem(&dir, &t, "requested").expect("dump");
+        let report = write_post_mortem(&dir, &t, None, "requested").expect("dump");
         assert_eq!(report.events, 2, "every retained event, however old");
         assert_eq!(report.spans, 1);
         assert!(report.bytes > 0);
@@ -835,7 +861,7 @@ mod tests {
             hop(3, 0, 0, 11, 0, HopStage::Apply { shard: 1 }),
             hop(2, 4, 7, 12, 1, HopStage::DropFault),
         ];
-        let text = chrome_trace_full(&[], &sample_events(), &hops, 1_000);
+        let text = chrome_trace(&[], &sample_events(), &hops, 1_000);
         let doc = parse_json(&text).expect("valid JSON");
         let items = doc.get("traceEvents").unwrap().as_array().unwrap();
         let fleet: Vec<&Json> = items
@@ -894,47 +920,67 @@ mod tests {
 
     #[test]
     fn post_mortem_with_fleet_writes_every_hop() {
-        use crate::fleet::observe::HopStage;
-        use crate::fleet::HostId;
+        use crate::fleet::{FleetConfig, FrameSource};
+        use crate::formula::cpuload::CpuLoadFormula;
+        use crate::frame::{FrameBuilder, FramePool, TickFrame};
+        use perf_sim::events::Event;
+
+        /// Half a second of one process's CPU time per one-second tick.
+        struct OneRow(u64);
+        impl FrameSource for OneRow {
+            fn produce(&mut self, pool: &FramePool) -> TickFrame {
+                self.0 += 1;
+                let mut b = FrameBuilder::pooled(pool);
+                b.push_time_row(os_sim::process::Pid(1), Nanos::from_millis(500), |_| {});
+                let tick = Nanos::from_secs(1);
+                b.finish(
+                    Nanos(self.0 * tick.as_u64()),
+                    tick,
+                    Arc::from([] as [Event; 0]),
+                    None,
+                )
+            }
+            fn truth_w(&self) -> f64 {
+                40.0
+            }
+        }
+
         let t = Telemetry::new();
-        let hops = vec![
-            FleetHop {
-                tick: 1,
-                host: HostId(0),
-                seq: 0,
-                trace: TraceId(5),
-                attempt: 0,
-                stage: HopStage::Produce,
-            },
-            FleetHop {
-                tick: 9,
-                host: HostId(0),
-                seq: 8,
-                trace: TraceId(6),
-                attempt: 0,
-                stage: HopStage::Produce,
-            },
-        ];
+        let sources = (0..2)
+            .map(|_| Box::new(OneRow(0)) as Box<dyn FrameSource>)
+            .collect();
+        let formula = CpuLoadFormula::new(30.0, 20.0);
+        let mut fleet = Fleet::new(FleetConfig::default(), &formula, sources, t.clone());
+        fleet.run(6);
         let dir = std::env::temp_dir().join(format!("powerapi-pmf-test-{}", std::process::id()));
         let report =
-            write_post_mortem_with_fleet(&dir, &t, &hops, 1_000_000_000, "slo-budget-exhausted")
-                .expect("dump");
+            write_post_mortem(&dir, &t, Some(&fleet), "slo-budget-exhausted").expect("dump");
         assert_eq!(report.reason, "slo-budget-exhausted");
         let trace = std::fs::read_to_string(dir.join("trace.json")).unwrap();
         let doc = parse_json(&trace).expect("valid JSON");
-        let fleet: Vec<&Json> = doc
+        let hops: Vec<(String, u64)> = doc
             .get("traceEvents")
             .unwrap()
             .as_array()
             .unwrap()
             .iter()
             .filter(|e| e.get("cat").and_then(Json::as_str) == Some("fleet"))
+            .map(|e| {
+                let seq = e.get("args").unwrap().get("seq").unwrap().as_u64().unwrap();
+                (e.get("name").unwrap().as_str().unwrap().to_string(), seq)
+            })
             .collect();
-        let seqs: Vec<u64> = fleet
-            .iter()
-            .map(|e| e.get("args").unwrap().get("seq").unwrap().as_u64().unwrap())
+        let logged: Vec<(String, u64)> = fleet
+            .journeys()
+            .hops()
+            .map(|h| (h.stage.label().to_string(), h.seq))
             .collect();
-        assert_eq!(seqs, vec![0, 8], "every hop, oldest first");
+        assert!(!logged.is_empty());
+        assert_eq!(hops, logged, "every hop, oldest first");
+        let prom = std::fs::read_to_string(dir.join("metrics.prom")).unwrap();
+        assert!(prom.contains("powerapi_journal_events_total"));
+        assert!(prom.contains(&fleet.render_prometheus()), "{prom}");
+        assert!(prom.contains("powerapi_fleet_frames_produced_total 12"));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -18,8 +18,7 @@ pub mod overhead;
 pub mod trace;
 
 pub use export::{
-    chrome_trace, chrome_trace_from, chrome_trace_from_fleet, chrome_trace_full, dump_jsonl,
-    parse_jsonl, write_post_mortem_with_fleet, PostMortemReport, FLEET_PID_BASE,
+    chrome_trace, dump_jsonl, parse_jsonl, write_post_mortem, PostMortemReport, FLEET_PID_BASE,
 };
 pub use journal::{EventKind, Journal, JournalEvent, Severity, JOURNAL_CAP};
 pub use metrics::{

@@ -159,15 +159,14 @@ fn fleet_families() -> BTreeSet<(String, String)> {
         events: PAPER_EVENTS.to_vec(),
         ..FleetConfig::default()
     };
-    let telemetry = Telemetry::new();
     let mut fleet = Fleet::new(
         cfg,
         &CpuLoadFormula::new(30.0, 25.0),
         sources,
-        telemetry.clone(),
+        Telemetry::new(),
     );
     fleet.run(4);
-    families(&telemetry.render_prometheus())
+    families(&fleet.render_prometheus())
 }
 
 #[test]

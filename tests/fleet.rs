@@ -223,7 +223,7 @@ fn fleet_observability_surfaces_transport_events() {
         "delivery timeouts journaled"
     );
 
-    let prom = telemetry.render_prometheus();
+    let prom = fleet.render_prometheus();
     for metric in [
         "powerapi_fleet_frames_produced_total",
         "powerapi_fleet_retransmits_total",
@@ -663,12 +663,11 @@ fn a_partitioned_host_spends_its_retry_budget_then_abandons() {
         fault,
         ..FleetConfig::default()
     };
-    let telemetry = Telemetry::new();
     let mut fleet = Fleet::new(
         cfg,
         &CpuLoadFormula::new(30.0, 25.0),
         (0..2).map(|i| source(i) as _).collect(),
-        telemetry.clone(),
+        Telemetry::new(),
     );
     fleet.run(TICKS);
     fleet.assert_conserved();
@@ -719,7 +718,7 @@ fn a_partitioned_host_spends_its_retry_budget_then_abandons() {
         );
     }
     assert!(
-        telemetry.render_prometheus().contains(&format!(
+        fleet.render_prometheus().contains(&format!(
             "powerapi_fleet_frames_abandoned_total {}",
             stats.abandoned
         )),

@@ -13,8 +13,8 @@ use powerapi_suite::powerapi::msg::{Message, Topic};
 use powerapi_suite::powerapi::runtime::PowerApi;
 use powerapi_suite::powerapi::telemetry::export::parse_json;
 use powerapi_suite::powerapi::telemetry::{
-    chrome_trace_full, dump_jsonl, parse_jsonl, Counter, EventKind, Journal, Stage, TraceId,
-    Tracer, FLEET_PID_BASE,
+    chrome_trace, dump_jsonl, parse_jsonl, Counter, EventKind, Journal, Stage, TraceId, Tracer,
+    FLEET_PID_BASE,
 };
 use powerapi_suite::simcpu::fault::{FaultKind, FaultPlan, FaultWindow};
 use powerapi_suite::simcpu::presets;
@@ -300,7 +300,7 @@ proptest! {
             })
             .collect();
 
-        let text = chrome_trace_full(
+        let text = chrome_trace(
             &tracer.spans(),
             &journal.events(),
             &fleet_hops,
