@@ -18,7 +18,6 @@
 use bench_suite::chaos::{chaos_fault_config, quiet_chaos_panics, ChaosMonkey, CHAOS_SEED};
 use bench_suite::{dump_trace, row, section, BenchArgs, Evaluation, Golden};
 use powerapi::actor::RestartPolicy;
-use powerapi::formula::cpuload::CpuLoadFormula;
 use powerapi::formula::per_freq::PerFrequencyFormula;
 use powerapi::model::power_model::PerFrequencyPowerModel;
 use powerapi::msg::Topic;
@@ -59,7 +58,7 @@ fn run_flight_recorded(
             PerFrequencyPowerModel::paper_i3_example(),
         ))
         .degrade_to(
-            CpuLoadFormula::new(BACKUP_IDLE_W, BACKUP_SLOPE_W),
+            PerFrequencyFormula::cpu_load(BACKUP_IDLE_W, BACKUP_SLOPE_W),
             Nanos::from_millis(2500),
         )
         .fault_plan(plan)

@@ -37,7 +37,6 @@ use os_sim::process::Pid;
 use os_sim::task::{PeriodicTask, SteadyTask};
 use perf_sim::events::PAPER_EVENTS;
 use powerapi::fleet::{Fleet, FleetConfig, FrameSource, HostId, LinkFaultPlan, SimHostSource};
-use powerapi::formula::cpuload::CpuLoadFormula;
 use powerapi::formula::per_freq::PerFrequencyFormula;
 use powerapi::formula::PowerFormula;
 use powerapi::hierarchy::{Hierarchy, UNGROUPED};
@@ -109,7 +108,7 @@ fn run_arm(
         .hierarchy(&hierarchy);
     if degrade {
         b = b.degrade_to(
-            CpuLoadFormula::new(BACKUP_IDLE_W, BACKUP_SLOPE_W),
+            PerFrequencyFormula::cpu_load(BACKUP_IDLE_W, BACKUP_SLOPE_W),
             Nanos::from_millis(1500),
         );
     }

@@ -17,9 +17,7 @@
 
 use bench_suite::{row, section, BenchArgs, Evaluation, Golden};
 use os_sim::task::SteadyTask;
-use powerapi::formula::bertran::{bertran_events, BertranFormula};
-use powerapi::formula::happy::HappyFormula;
-use powerapi::formula::per_freq::PerFrequencyFormula;
+use powerapi::formula::per_freq::{bertran_events, PerFrequencyFormula};
 use powerapi::model::learn::{learn_happy, learn_model, LearnConfig};
 use simcpu::presets;
 use simcpu::units::Nanos;
@@ -71,7 +69,7 @@ fn main() {
             )
         };
         let report = eval
-            .run(BertranFormula::new(model.clone()))
+            .run(PerFrequencyFormula::bertran(model.clone()))
             .and_then(|o| bench_suite::score_outcome(&o))
             .expect("bertran evaluation");
         println!(
@@ -114,7 +112,7 @@ fn main() {
             )
         };
         let aware = mk_eval()
-            .run(HappyFormula::new(happy.clone()))
+            .run(PerFrequencyFormula::happy(happy.clone()))
             .and_then(|o| bench_suite::score_outcome(&o))
             .expect("ht-aware evaluation");
         let obl = mk_eval()

@@ -12,7 +12,6 @@
 use bench_suite::chaos::{chaos_fault_config, quiet_chaos_panics, ChaosMonkey, CHAOS_SEED};
 use bench_suite::{dump_trace, row, score_outcome, section, BenchArgs, Evaluation, Golden};
 use powerapi::actor::RestartPolicy;
-use powerapi::formula::cpuload::CpuLoadFormula;
 use powerapi::formula::per_freq::PerFrequencyFormula;
 use powerapi::model::learn::{calibrate_cpuload, learn_model, LearnConfig};
 use powerapi::msg::Topic;
@@ -33,7 +32,7 @@ struct ChaosRun {
 
 fn run_pipeline(
     model: PerFrequencyPowerModel,
-    backup: CpuLoadFormula,
+    backup: PerFrequencyFormula,
     jbb: &SpecJbbConfig,
     plan: FaultPlan,
 ) -> ChaosRun {
@@ -113,7 +112,7 @@ fn main() {
         "  [2/4] fault-free baseline run ({} s)…",
         jbb.duration.as_secs_f64()
     );
-    let baseline = run_pipeline(model.clone(), backup, &jbb, FaultPlan::none());
+    let baseline = run_pipeline(model.clone(), backup.clone(), &jbb, FaultPlan::none());
     let base_report = score_outcome(&baseline.outcome).expect("baseline score");
 
     println!("  [3/4] chaos run under the generated fault plan…");

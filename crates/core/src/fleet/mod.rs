@@ -1126,7 +1126,7 @@ impl Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::formula::cpuload::CpuLoadFormula;
+    use crate::formula::per_freq::PerFrequencyFormula;
     use crate::frame::FrameBuilder;
     use os_sim::process::Pid;
 
@@ -1172,7 +1172,7 @@ mod tests {
         // idle 30 + slope 20 · load 0.5 = 40 W — the formula agrees with
         // the source's truth exactly, so estimate error isolates
         // transport effects.
-        let formula = CpuLoadFormula::new(30.0, 20.0);
+        let formula = PerFrequencyFormula::cpu_load(30.0, 20.0);
         Fleet::new(cfg, &formula, sources, telemetry)
     }
 

@@ -416,7 +416,7 @@ impl std::fmt::Debug for EstimatorShard {
 mod tests {
     use super::*;
     use crate::fleet::envelope::encode_frame;
-    use crate::formula::cpuload::CpuLoadFormula;
+    use crate::formula::per_freq::PerFrequencyFormula;
     use crate::frame::FrameBuilder;
     use os_sim::process::Pid;
     use simcpu::units::Nanos;
@@ -457,7 +457,7 @@ mod tests {
         EstimatorShard::new(
             0,
             cfg,
-            Box::new(CpuLoadFormula::new(30.0, 10.0)),
+            Box::new(PerFrequencyFormula::cpu_load(30.0, 10.0)),
             Arc::from([] as [Event; 0]),
         )
     }

@@ -172,7 +172,7 @@ impl std::fmt::Debug for FallbackFormula {
 mod tests {
     use super::*;
     use crate::actor::ActorSystem;
-    use crate::formula::cpuload::CpuLoadFormula;
+    use crate::formula::per_freq::PerFrequencyFormula;
     use crate::frame::FrameBuilder;
     use crate::msg::{PowerReport, SensorReport, Topic};
     use crate::sensor::procfs;
@@ -231,7 +231,7 @@ mod tests {
     fn watchdog() -> FallbackFormula {
         FallbackFormula::new(
             Box::new(Hpc),
-            Box::new(CpuLoadFormula::new(30.0, 10.0)),
+            Box::new(PerFrequencyFormula::cpu_load(30.0, 10.0)),
             Nanos::from_secs(2),
         )
     }

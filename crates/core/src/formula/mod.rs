@@ -1,18 +1,16 @@
 //! Formula actors: "Formula get the sensor messages from the event bus in
 //! order to estimate the power consumption of a given process" (§3).
 //!
-//! The primary formula is [`per_freq::PerFrequencyFormula`] — the paper's
-//! learned model. The baselines the paper compares against are here too:
-//! [`cpuload::CpuLoadFormula`] (Versick et al.), [`bertran`]
-//! (decomposable counter model on simple architectures), and
-//! [`happy::HappyFormula`] (hyperthread-aware split coefficients).
+//! [`per_freq::PerFrequencyFormula`] is the one linear formula: the
+//! paper's learned model and the baselines the paper compares against
+//! — Bertran et al.'s decomposable model, HaPPy's hyperthread-aware
+//! split and Versick et al.'s CPU load — are [`per_freq::Kind`]s of it,
+//! differing only in the features fed to one
+//! [`PerFrequencyPowerModel`](crate::model::power_model::PerFrequencyPowerModel).
 //! [`fallback::FallbackFormula`] wraps a primary/backup pair with a
 //! staleness watchdog for graceful degradation.
 
-pub mod bertran;
-pub mod cpuload;
 pub mod fallback;
-pub mod happy;
 pub mod per_freq;
 
 use crate::actor::{Actor, Context};
@@ -50,8 +48,7 @@ pub trait PowerFormula: Send {
     fn estimate(&mut self, report: &SensorReport) -> Option<Watts>;
 
     /// Half-width of the prediction interval around an estimate for this
-    /// report, in watts. Formulas without residual statistics from
-    /// calibration report 0 (no claimed band).
+    /// report, in watts. Formulas that claim no band report 0.
     fn interval_w(&self, report: &SensorReport) -> f64 {
         let _ = report;
         0.0

@@ -97,8 +97,6 @@ pub mod prelude {
         RateCause, SamplingConfig, SamplingController, SelfCostLedger, SelfCostSummary,
     };
     pub use crate::aggregator::Dimension;
-    pub use crate::formula::cpuload::CpuLoadFormula;
-    pub use crate::formula::happy::HappyFormula;
     pub use crate::formula::per_freq::PerFrequencyFormula;
     pub use crate::formula::PowerFormula;
     pub use crate::frame::{

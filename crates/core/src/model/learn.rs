@@ -1,9 +1,9 @@
 //! The regression half of Figure 1: turn a [`SampleSet`] into the
 //! per-frequency power model (`Power = idle + Σ_f coef·rate`), plus the
-//! calibration entry points for the baseline formulas.
+//! calibration entry points for the baseline formulas, which differ only
+//! in the features they fit.
 
-use crate::formula::cpuload::CpuLoadFormula;
-use crate::formula::happy::HappyModel;
+use crate::formula::per_freq::{Kind, PerFrequencyFormula, CORUN_PREFIX};
 use crate::model::power_model::PerFrequencyPowerModel;
 use crate::model::sampling::{self, SampleSet, SamplingConfig};
 use crate::{Error, Result};
@@ -108,12 +108,27 @@ pub fn measure_idle_power(machine: &MachineConfig, cfg: &LearnConfig) -> Result<
 ///
 /// # Errors
 ///
-/// [`Error::InsufficientSamples`] when any frequency lacks data.
+/// [`Error::InsufficientSamples`] when the set has no frequency or any
+/// frequency lacks data.
 pub fn fit_from_samples(idle_w: f64, set: &SampleSet) -> Result<PerFrequencyPowerModel> {
+    let names = set.events.iter().map(|e| e.to_string()).collect();
+    fit_named(idle_w, names, set)
+}
+
+/// The one per-frequency fit loop: each frequency's `(power − idle) ~
+/// rates` over the set's design, the model's features named `names`
+/// (one per rate column), with each fit's residual σ recorded.
+fn fit_named(idle_w: f64, names: Vec<String>, set: &SampleSet) -> Result<PerFrequencyPowerModel> {
+    let freqs = set.frequencies();
+    if freqs.is_empty() {
+        return Err(Error::InsufficientSamples {
+            got: 0,
+            needed: names.len() + 1,
+        });
+    }
     // Each frequency's regression is independent; fit them concurrently,
     // collecting in frequency order so the model (and any error surfaced)
     // matches a serial pass exactly.
-    let freqs = set.frequencies();
     let fits = par::par_map(
         &freqs,
         par::available_threads().min(freqs.len()),
@@ -132,11 +147,7 @@ pub fn fit_from_samples(idle_w: f64, set: &SampleSet) -> Result<PerFrequencyPowe
         sigmas.push((f, sigma));
         per_freq.push((f, coefs));
     }
-    let mut model = PerFrequencyPowerModel::from_parts(
-        idle_w,
-        set.events.iter().map(|e| e.to_string()).collect(),
-        per_freq,
-    )?;
+    let mut model = PerFrequencyPowerModel::from_parts(idle_w, names, per_freq)?;
     for (f, sigma) in sigmas {
         model.set_residual_sigma(f, sigma);
     }
@@ -157,12 +168,13 @@ pub fn learn_model(machine: MachineConfig, cfg: &LearnConfig) -> Result<PerFrequ
 
 /// Learns a HaPPy-style hyperthread-aware model: the campaign runs twice
 /// (solo: one thread per core; co-run: one per logical CPU) and each
-/// frequency is fit over `[solo rates ‖ corun rates]`.
+/// frequency is fit over `[solo rates ‖ corun rates]`, the features
+/// [`PerFrequencyFormula::happy`] reads (`e`, then `corun:e`).
 ///
 /// # Errors
 ///
 /// Propagates sampling and regression errors.
-pub fn learn_happy(machine: MachineConfig, cfg: &LearnConfig) -> Result<HappyModel> {
+pub fn learn_happy(machine: MachineConfig, cfg: &LearnConfig) -> Result<PerFrequencyPowerModel> {
     let idle = measure_idle_power(&machine, cfg)?;
     let mut solo_cfg = cfg.sampling.clone();
     solo_cfg.threads_per_point = machine.topology.physical_cores();
@@ -181,50 +193,28 @@ pub fn learn_happy(machine: MachineConfig, cfg: &LearnConfig) -> Result<HappyMod
             "happy learning needs directly-mapped hardware events".into(),
         ));
     }
-
-    // Per-frequency `[solo ‖ corun]` fits are independent: run them
-    // concurrently, assembling each design flat (one buffer per
-    // frequency, not one Vec per sample).
-    let freqs = set.frequencies();
-    let fits = par::par_map(
-        &freqs,
-        par::available_threads().min(freqs.len()),
-        |_, &f| {
-            let width = 2 * counters.len();
-            let mut data = Vec::new();
-            let mut y = Vec::new();
-            for s in set.samples.iter().filter(|s| s.frequency == f) {
-                data.extend_from_slice(&s.solo_rates);
-                data.extend_from_slice(&s.corun_rates);
-                y.push((s.power_w - idle).max(0.0));
-            }
-            if y.len() < width + 1 {
-                return Err(Error::InsufficientSamples {
-                    got: y.len(),
-                    needed: width + 1,
-                });
-            }
-            let x = Matrix::from_flat(y.len(), width, data)?;
-            let coefs = fit_rates(&x, &y)?;
-            let (solo, corun) = coefs.split_at(counters.len());
-            Ok((f, solo.to_vec(), corun.to_vec()))
-        },
-    );
-    let mut per_freq = Vec::with_capacity(freqs.len());
-    for fit in fits {
-        per_freq.push(fit?);
+    // The `[solo ‖ corun]` design: one rate column per feature, so the
+    // set lists its events twice.
+    set.events.extend_from_within(..);
+    for s in &mut set.samples {
+        s.rates = [&s.solo_rates[..], &s.corun_rates[..]].concat();
     }
-    HappyModel::from_parts(idle, counters, per_freq)
+    let solo = counters.iter().map(|c| c.name().to_string());
+    let corun = counters
+        .iter()
+        .map(|c| format!("{CORUN_PREFIX}{}", c.name()));
+    fit_named(idle, solo.chain(corun).collect(), &set)
 }
 
 /// Calibrates the Versick-style CPU-load baseline: measure idle, run one
 /// fully-busy CPU-bound thread at maximum frequency, and take the power
-/// delta per unit load.
+/// delta per unit load. The model's σ is the spread of the window's meter
+/// samples around that one-sample fit.
 ///
 /// # Errors
 ///
 /// Propagates sampling errors.
-pub fn calibrate_cpuload(machine: MachineConfig, cfg: &LearnConfig) -> Result<CpuLoadFormula> {
+pub fn calibrate_cpuload(machine: MachineConfig, cfg: &LearnConfig) -> Result<PerFrequencyFormula> {
     let idle = measure_idle_power(&machine, cfg)?;
     let max: MegaHertz = machine.pstates.max().frequency();
 
@@ -258,7 +248,17 @@ pub fn calibrate_cpuload(machine: MachineConfig, cfg: &LearnConfig) -> Result<Cp
         1.0
     }
     .max(0.05);
-    Ok(CpuLoadFormula::new(idle, (power - idle).max(0.0) / load))
+    let slope = (power - idle).max(0.0) / load;
+    let active = snap
+        .meter()
+        .iter()
+        .map(|(_, w)| (w.as_f64() - idle).max(0.0));
+    let y_active: Vec<f64> = active.collect();
+    let x = Matrix::from_flat(y_active.len(), 1, vec![load; y_active.len()])?;
+    let sigma = residual_sigma(&x, &y_active, &[slope]);
+    let mut model = PerFrequencyFormula::cpu_load(idle, slope).model().clone();
+    model.set_residual_sigma(model.first_frequency(), sigma);
+    Ok(PerFrequencyFormula::of_kind(Kind::CpuLoad, model))
 }
 
 #[cfg(test)]
@@ -327,26 +327,49 @@ mod tests {
 
     #[test]
     fn fit_from_samples_rejects_thin_data() {
-        let set = SampleSet {
+        let mut set = SampleSet {
             events: perf_sim::events::PAPER_EVENTS.to_vec(),
             samples: vec![],
         };
+        // No frequency at all.
         assert!(matches!(
             fit_from_samples(30.0, &set),
-            Err(Error::InsufficientSamples { .. }) | Err(_)
+            Err(Error::InsufficientSamples { got: 0, needed: 4 })
+        ));
+        // One frequency with fewer samples than events + 1.
+        let sample = crate::model::sampling::CalibrationSample {
+            frequency: MegaHertz(1600),
+            workload: "thin".into(),
+            rates: vec![1.0, 2.0, 3.0],
+            solo_rates: vec![1.0, 2.0, 3.0],
+            corun_rates: vec![0.0; 3],
+            power_w: 40.0,
+        };
+        set.samples = vec![sample; 2];
+        assert!(matches!(
+            fit_from_samples(30.0, &set),
+            Err(Error::InsufficientSamples { got: 2, needed: 4 })
         ));
     }
 
+    /// The calibrated slope, its recorded σ, and the model's one text
+    /// format.
     #[test]
     fn cpuload_calibration_is_positive_and_reasonable() {
         let m = presets::intel_i3_2120();
         let f = calibrate_cpuload(m, &LearnConfig::quick()).unwrap();
+        assert_eq!(f.name(), "cpu-load");
         assert!(f.idle_w() > 28.0 && f.idle_w() < 35.0);
         // One busy core at 3.3 GHz adds roughly 12–16 W in the simulator.
-        assert!(
-            f.slope_w_per_cpu() > 5.0 && f.slope_w_per_cpu() < 30.0,
-            "slope = {}",
-            f.slope_w_per_cpu()
+        let model = f.model();
+        let (coefs, at) = model.nearest_coefficients(MegaHertz(3300));
+        let slope = coefs[0];
+        assert!(slope > 5.0 && slope < 30.0, "slope = {slope}");
+        let sigma = model.residual_sigma(at).expect("sigma recorded");
+        assert!(sigma.is_finite() && sigma >= 0.0, "sigma = {sigma}");
+        assert_eq!(
+            &PerFrequencyPowerModel::from_text(&model.to_text()).unwrap(),
+            model
         );
     }
 
@@ -357,16 +380,31 @@ mod tests {
         cfg.sampling.max_frequencies = Some(2);
         cfg.sampling.grid = workloads::stress::quick_grid();
         let happy = learn_happy(m, &cfg).unwrap();
-        assert_eq!(happy.events().len(), 3);
+        let k = 3;
+        let names = happy.event_names();
+        assert_eq!(names.len(), 2 * k);
+        assert_eq!(names[0], "instructions");
+        assert_eq!(names[k], "corun:instructions");
         // Compare instruction coefficients at the top frequency: the
         // co-run coefficient should be cheaper (pipeline already paid
         // for), the HaPPy insight.
-        let (solo, corun) = happy.nearest(MegaHertz(2600));
+        let (coefs, _) = happy.nearest_coefficients(MegaHertz(2600));
+        let (solo, corun) = coefs.split_at(k);
         assert!(
             corun[0] < solo[0],
             "corun inst {:.3e} should be < solo inst {:.3e}",
             corun[0],
             solo[0]
+        );
+        // One fit loop for every kind: a finite residual σ per frequency,
+        // and the one text format round-trips the model whole.
+        for f in happy.frequencies() {
+            let s = happy.residual_sigma(f).expect("sigma recorded");
+            assert!(s.is_finite() && s >= 0.0, "sigma at {f} = {s}");
+        }
+        assert_eq!(
+            PerFrequencyPowerModel::from_text(&happy.to_text()).unwrap(),
+            happy
         );
     }
 }

@@ -1,9 +1,10 @@
 //! The learned power model: `Power = idle + Σ_f Power_f`, with
 //! `Power_f = Σ_e coef_{f,e} · rate_e` — the paper's §4 equations. One
-//! coefficient vector per nominal DVFS frequency, over a fixed event list.
+//! coefficient vector per nominal DVFS frequency, over a fixed list of
+//! features: counter events for the paper's formula, and whatever
+//! [`Kind`](crate::formula::per_freq::Kind) the baselines read.
 
 use crate::{Error, Result};
-use serde::{Deserialize, Serialize};
 use simcpu::units::MegaHertz;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -13,8 +14,7 @@ use std::fmt;
 /// takes the one below it, as the first minimum of a distance scan over
 /// the ascending keys would. Below the range the first key answers, above
 /// it the last. The one nearest-frequency lookup of the crate: the
-/// per-frequency model's coefficients and residual sigmas and HaPPy's
-/// coefficient pairs all go through it.
+/// model's coefficient rows and residual sigmas both go through it.
 pub(crate) fn nearest_index(keys: &[MegaHertz], f: MegaHertz) -> usize {
     // The first key at or above `f`; the one before it is below.
     let above = keys.partition_point(|&k| k < f);
@@ -40,7 +40,7 @@ pub(crate) fn nearest_index(keys: &[MegaHertz], f: MegaHertz) -> usize {
 ///
 /// Frequencies are kept as sorted key columns so the formula's per-row
 /// lookup is a binary search (`nearest_index`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerFrequencyPowerModel {
     idle_w: f64,
     events: Vec<String>,
@@ -52,11 +52,9 @@ pub struct PerFrequencyPowerModel {
     /// The frequencies with a recorded calibration residual, ascending
     /// and distinct — not necessarily `freqs`: models learned before
     /// residual statistics existed carry none.
-    #[serde(default)]
     sigma_freqs: Vec<MegaHertz>,
     /// Residual standard deviation of the calibration fit per entry of
     /// `sigma_freqs`, in watts — the basis for prediction intervals.
-    #[serde(default)]
     sigmas: Vec<f64>,
 }
 
@@ -234,7 +232,7 @@ impl PerFrequencyPowerModel {
     /// Serializes to the on-disk text format (see [`Self::from_text`]).
     pub fn to_text(&self) -> String {
         let mut out = String::new();
-        out.push_str(&format!("idle {:.6}\n", self.idle_w));
+        out.push_str(&format!("idle {}\n", self.idle_w));
         out.push_str(&format!("events {}\n", self.events.join(" ")));
         for (i, f) in self.freqs.iter().enumerate() {
             out.push_str(&format!("freq {}", f.0));

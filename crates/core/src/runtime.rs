@@ -1118,7 +1118,9 @@ mod tests {
         let (kernel, pid) = busy_kernel();
         let mut papi = PowerApi::builder(kernel)
             .formula(paper_formula())
-            .formula(crate::formula::cpuload::CpuLoadFormula::new(31.5, 12.0))
+            .formula(crate::formula::per_freq::PerFrequencyFormula::cpu_load(
+                31.5, 12.0,
+            ))
             .report_to_memory()
             .quantum(Nanos::from_millis(5))
             .clock_period(Nanos::from_millis(500))
@@ -1254,9 +1256,11 @@ mod tests {
         let (kernel, _) = busy_kernel();
         let err = PowerApi::builder(kernel)
             .formula(paper_formula())
-            .formula(crate::formula::cpuload::CpuLoadFormula::new(31.5, 12.0))
+            .formula(crate::formula::per_freq::PerFrequencyFormula::cpu_load(
+                31.5, 12.0,
+            ))
             .degrade_to(
-                crate::formula::cpuload::CpuLoadFormula::new(31.5, 12.0),
+                crate::formula::per_freq::PerFrequencyFormula::cpu_load(31.5, 12.0),
                 Nanos::from_secs(2),
             )
             .dimension(Dimension::pid())
@@ -1413,7 +1417,7 @@ mod tests {
         let mut papi = PowerApi::builder(kernel)
             .formula(paper_formula())
             .degrade_to(
-                crate::formula::cpuload::CpuLoadFormula::new(31.5, 12.0),
+                crate::formula::per_freq::PerFrequencyFormula::cpu_load(31.5, 12.0),
                 Nanos::from_millis(1500),
             )
             .fault_plan(plan)

@@ -1,9 +1,10 @@
 //! The CPU-load source: per-process CPU-time rows *without* hardware
 //! counters — the metric Versick et al. use and the paper argues is
 //! inferior ("the CPU load mostly indicates whether the processor
-//! executes a job"). Feeds the [`CpuLoadFormula`] baseline.
+//! executes a job"). Feeds the CPU-load baseline,
+//! [`PerFrequencyFormula::cpu_load`].
 //!
-//! [`CpuLoadFormula`]: crate::formula::cpuload::CpuLoadFormula
+//! [`PerFrequencyFormula::cpu_load`]: crate::formula::per_freq::PerFrequencyFormula::cpu_load
 
 use crate::frame::{SensorBatch, SensorRow, TickFrame, NO_ROW};
 use crate::telemetry::TraceId;

@@ -921,7 +921,7 @@ mod tests {
     #[test]
     fn post_mortem_with_fleet_writes_every_hop() {
         use crate::fleet::{FleetConfig, FrameSource};
-        use crate::formula::cpuload::CpuLoadFormula;
+        use crate::formula::per_freq::PerFrequencyFormula;
         use crate::frame::{FrameBuilder, FramePool, TickFrame};
         use perf_sim::events::Event;
 
@@ -949,7 +949,7 @@ mod tests {
         let sources = (0..2)
             .map(|_| Box::new(OneRow(0)) as Box<dyn FrameSource>)
             .collect();
-        let formula = CpuLoadFormula::new(30.0, 20.0);
+        let formula = PerFrequencyFormula::cpu_load(30.0, 20.0);
         let mut fleet = Fleet::new(FleetConfig::default(), &formula, sources, t.clone());
         fleet.run(6);
         let dir = std::env::temp_dir().join(format!("powerapi-pmf-test-{}", std::process::id()));

@@ -14,16 +14,14 @@ use powerapi::fleet::{
     decode_frame, encode_frame, EstimatorShard, FrameDecoder, FrameEnvelope, HostId,
     ProcessOutcome, ShardConfig, WireError,
 };
-use powerapi::formula::bertran::{bertran_events, BertranFormula};
-use powerapi::formula::cpuload::CpuLoadFormula;
 use powerapi::formula::fallback::FallbackFormula;
-use powerapi::formula::happy::{HappyFormula, HappyModel};
-use powerapi::formula::per_freq::PerFrequencyFormula;
+use powerapi::formula::per_freq::{bertran_events, Kind, PerFrequencyFormula};
 use powerapi::formula::{estimate_row_by_row, PowerFormula};
 use powerapi::frame::{
     FrameBuilder, FramePool, PowerBatch, SensorBatch, SensorRow, TickFrame, NO_ROW,
 };
 use powerapi::hierarchy::UNGROUPED;
+use powerapi::model::learn::{calibrate_cpuload, learn_happy, LearnConfig};
 use powerapi::model::power_model::PerFrequencyPowerModel;
 use powerapi::msg::{CorunSplit, Message, PowerReport, ProcTimeDelta, Quality, Scope, Topic};
 use powerapi::prelude::Dimension;
@@ -31,13 +29,13 @@ use powerapi::runtime::{PowerApi, RunOutcome};
 use powerapi::sensor::{hpc, procfs};
 use powerapi::telemetry::TraceId;
 use proptest::prelude::*;
-use simcpu::counters::{ExecDelta, HwCounter};
+use simcpu::counters::ExecDelta;
 use simcpu::fault::{FaultKind, FaultPlan, FaultWindow};
 use simcpu::presets;
 use simcpu::units::{MegaHertz, Nanos, Watts};
 use simcpu::workunit::WorkUnit;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The event layout every generated hpc row follows: a prefix of the
 /// Bertran component set, so short layouts exercise the "model event
@@ -173,6 +171,14 @@ fn build_interval(
                 LEAVES[tags[i % tags.len()] * cgroups as usize],
             )
         })
+        .collect();
+    // Every other hpc pid carries a co-run split too, so HaPPy's co-run
+    // features meet rows that have one; the drawn pids add corun-only rows.
+    let corun_pids: Vec<Pid> = hpc_pids
+        .iter()
+        .step_by(2)
+        .copied()
+        .chain(corun_pids.into_iter().filter(|p| !hpc_pids.contains(p)))
         .collect();
     let corun = corun_pids
         .iter()
@@ -481,18 +487,42 @@ fn model(n: usize) -> PerFrequencyPowerModel {
     m
 }
 
-fn happy() -> HappyFormula {
-    HappyFormula::new(
-        HappyModel::from_parts(
-            30.0,
-            vec![HwCounter::Instructions, HwCounter::CacheMisses],
-            vec![
-                (MegaHertz(1600), vec![1.0e-9, 1.0e-7], vec![0.6e-9, 0.7e-7]),
-                (MegaHertz(3300), vec![2.2e-9, 1.9e-7], vec![1.3e-9, 1.2e-7]),
-            ],
-        )
-        .expect("consistent parts"),
+/// A HaPPy formula over `[solo ‖ corun]` features of two counters, with
+/// residual σ recorded (which it must not claim as a band).
+fn happy() -> PerFrequencyFormula {
+    let mut m = PerFrequencyPowerModel::from_parts(
+        30.0,
+        [
+            "instructions",
+            "cache-misses",
+            "corun:instructions",
+            "corun:cache-misses",
+        ]
+        .map(String::from)
+        .to_vec(),
+        vec![
+            (MegaHertz(1600), vec![1.0e-9, 1.0e-7, 0.6e-9, 0.7e-7]),
+            (MegaHertz(3300), vec![2.2e-9, 1.9e-7, 1.3e-9, 1.2e-7]),
+        ],
     )
+    .expect("consistent parts");
+    m.set_residual_sigma(MegaHertz(3300), 0.5);
+    PerFrequencyFormula::happy(m)
+}
+
+/// The two learned baseline models, each with its kind: HaPPy learned on
+/// the SMT Xeon and CPU load calibrated on the i3 (quick campaigns).
+fn learned_baselines() -> &'static [(Kind, PerFrequencyPowerModel); 2] {
+    static LEARNED: OnceLock<[(Kind, PerFrequencyPowerModel); 2]> = OnceLock::new();
+    LEARNED.get_or_init(|| {
+        let mut cfg = LearnConfig::quick();
+        cfg.sampling.max_frequencies = Some(2);
+        cfg.sampling.grid = workloads::stress::quick_grid();
+        let happy = learn_happy(presets::xeon_smt_turbo(), &cfg).expect("happy learning");
+        let load = calibrate_cpuload(presets::intel_i3_2120(), &LearnConfig::quick())
+            .expect("cpu-load calibration");
+        [(Kind::Happy, happy), (Kind::CpuLoad, load.model().clone())]
+    })
 }
 
 /// Collects every power row published on the bus, in order.
@@ -508,18 +538,20 @@ impl Actor for PowerSink {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every `estimate_batch` override reads the frame columns directly;
-    /// each must equal the row-by-row reference bit for bit, pid for pid
-    /// — over hpc-shaped rows, time-only rows, missing sections, layouts
-    /// that lack a model event, and unsorted pid columns.
+    /// Every formula kind's `estimate_batch` reads the frame columns
+    /// directly; each must equal the row-by-row reference bit for bit,
+    /// pid for pid — over hpc-shaped rows, time-only rows, missing
+    /// sections, layouts that lack a model event, and unsorted pid
+    /// columns, on hpc and procfs batches alike.
     #[test]
     fn estimate_batch_overrides_match_row_by_row(iv in interval(), degraded in 0u8..2) {
         let frame = Arc::new(frame_of(&iv));
         let quality = if degraded == 1 { Quality::Degraded } else { Quality::Full };
-        let formulas: [Box<dyn PowerFormula>; 3] = [
+        let formulas: [Box<dyn PowerFormula>; 4] = [
             Box::new(PerFrequencyFormula::new(model(3))),
-            Box::new(BertranFormula::new(model(5))),
+            Box::new(PerFrequencyFormula::bertran(model(5))),
             Box::new(happy()),
+            Box::new(PerFrequencyFormula::cpu_load(31.48, 12.0)),
         ];
         for mut formula in formulas {
             for batch in [hpc_batch(&frame, 0), procfs_batch(&frame)] {
@@ -528,6 +560,29 @@ proptest! {
                 formula.estimate_batch(&batch, quality, &mut cols);
                 let rows = row_by_row(&mut *formula.boxed_clone(), &batch, quality);
                 prop_assert_eq!(power_rows(&cols), power_rows(&rows), "on {} rows", batch.source);
+            }
+        }
+    }
+
+    /// A learned HaPPy model and a calibrated CPU-load model survive the
+    /// one text format whole, and a formula over the read-back model
+    /// estimates every row of a generated batch bit for bit as one over
+    /// the original.
+    #[test]
+    fn learned_baselines_round_trip_through_text(iv in interval()) {
+        let frame = Arc::new(frame_of(&iv));
+        for (kind, model) in learned_baselines() {
+            let back = PerFrequencyPowerModel::from_text(&model.to_text()).expect("parses");
+            prop_assert_eq!(&back, model);
+            let mut original = PerFrequencyFormula::of_kind(*kind, model.clone());
+            let mut read_back = PerFrequencyFormula::of_kind(*kind, back);
+            for batch in [hpc_batch(&frame, 0), procfs_batch(&frame)] {
+                let mut want =
+                    PowerBatch::with_capacity(batch.timestamp(), original.name(), batch.trace, 0);
+                let mut got = want.clone();
+                original.estimate_batch(&batch, Quality::Full, &mut want);
+                read_back.estimate_batch(&batch, Quality::Full, &mut got);
+                prop_assert_eq!(power_rows(&got), power_rows(&want), "on {} rows", batch.source);
             }
         }
     }
@@ -542,7 +597,7 @@ proptest! {
     fn fallback_watchdog_matches_row_by_row(iv in interval(), stalled in 0usize..6) {
         let max_age = Nanos::from_millis(1500);
         let mut primary = PerFrequencyFormula::new(model(3));
-        let mut backup = CpuLoadFormula::new(31.48, 12.0);
+        let mut backup = PerFrequencyFormula::cpu_load(31.48, 12.0);
 
         let seen = Arc::new(Mutex::new(Vec::new()));
         let mut sys = ActorSystem::new();
@@ -678,7 +733,7 @@ proptest! {
         let formulas: [Box<dyn PowerFormula>; 3] = [
             Box::new(PerFrequencyFormula::new(model(3))),
             Box::new(happy()),
-            Box::new(CpuLoadFormula::new(31.48, 12.0)),
+            Box::new(PerFrequencyFormula::cpu_load(31.48, 12.0)),
         ];
         for formula in formulas {
             let (active, band, leaves) = reference_books(&mut *formula.boxed_clone(), &wire);

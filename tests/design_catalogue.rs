@@ -16,7 +16,6 @@ use powerapi_suite::os_sim::task::SteadyTask;
 use powerapi_suite::perf_sim::events::PAPER_EVENTS;
 use powerapi_suite::powerapi::adaptive::SamplingConfig;
 use powerapi_suite::powerapi::fleet::{Fleet, FleetConfig, SimHostSource};
-use powerapi_suite::powerapi::formula::cpuload::CpuLoadFormula;
 use powerapi_suite::powerapi::formula::per_freq::PerFrequencyFormula;
 use powerapi_suite::powerapi::hierarchy::Hierarchy;
 use powerapi_suite::powerapi::host::SimHost;
@@ -161,7 +160,7 @@ fn fleet_families() -> BTreeSet<(String, String)> {
     };
     let mut fleet = Fleet::new(
         cfg,
-        &CpuLoadFormula::new(30.0, 25.0),
+        &PerFrequencyFormula::cpu_load(30.0, 25.0),
         sources,
         Telemetry::new(),
     );

@@ -11,7 +11,6 @@ use powerapi_suite::perf_sim::events::PAPER_EVENTS;
 use powerapi_suite::powerapi::actor::{Actor, Context};
 use powerapi_suite::powerapi::adaptive::SamplingConfig;
 use powerapi_suite::powerapi::control::{CapControlActor, CappedGovernor, PowerCap};
-use powerapi_suite::powerapi::formula::cpuload::CpuLoadFormula;
 use powerapi_suite::powerapi::formula::per_freq::PerFrequencyFormula;
 use powerapi_suite::powerapi::hierarchy::Hierarchy;
 use powerapi_suite::powerapi::model::learn::{learn_model, LearnConfig};
@@ -135,7 +134,10 @@ fn run_degraded() -> RunOutcome {
         .formula(PerFrequencyFormula::new(
             PerFrequencyPowerModel::paper_i3_example(),
         ))
-        .degrade_to(CpuLoadFormula::new(30.0, 25.0), Nanos::from_millis(1500))
+        .degrade_to(
+            PerFrequencyFormula::cpu_load(30.0, 25.0),
+            Nanos::from_millis(1500),
+        )
         .fault_plan(FaultPlan::from_windows(vec![stall(3, 6), stall(6, 12)]))
         .report_to_memory()
         .quantum(Nanos::from_millis(2))

@@ -103,7 +103,7 @@ fn hpc_distinguishes_equal_load_processes_where_cpuload_cannot() {
         builder = if use_hpc {
             builder.formula(learned.clone())
         } else {
-            builder.formula(cpuload)
+            builder.formula(cpuload.clone())
         };
         let mut papi = builder.build().expect("pipeline builds");
         papi.monitor(alu).expect("monitor alu");

@@ -14,7 +14,7 @@ use powerapi_suite::powerapi::fleet::{
     Link, LinkConfig, LinkFaultConfig, LinkFaultKind, LinkFaultPlan, LinkWindow, ProcessOutcome,
     ShardConfig,
 };
-use powerapi_suite::powerapi::formula::cpuload::CpuLoadFormula;
+use powerapi_suite::powerapi::formula::per_freq::PerFrequencyFormula;
 use powerapi_suite::powerapi::frame::FramePool;
 use powerapi_suite::powerapi::host::SimHost;
 use powerapi_suite::powerapi::telemetry::{EventKind, Telemetry, TraceId};
@@ -103,7 +103,7 @@ fn faulty_fleet() -> (Fleet, Telemetry) {
     let telemetry = Telemetry::new();
     let fleet = Fleet::new(
         cfg,
-        &CpuLoadFormula::new(30.0, 25.0),
+        &PerFrequencyFormula::cpu_load(30.0, 25.0),
         sources,
         telemetry.clone(),
     );
@@ -282,7 +282,7 @@ fn stale_hosts_keep_per_tenant_sums_conserved() {
     let sources = (0..HOSTS).map(|i| grouped_source(i) as _).collect();
     let mut fleet = Fleet::new(
         cfg,
-        &CpuLoadFormula::new(IDLE_W, 25.0),
+        &PerFrequencyFormula::cpu_load(IDLE_W, 25.0),
         sources,
         Telemetry::new(),
     );
@@ -473,7 +473,7 @@ fn explain_provenance_round_trips_exactly() {
     let sources = (0..HOSTS).map(|i| grouped_source(i) as _).collect();
     let mut fleet = Fleet::new(
         cfg,
-        &CpuLoadFormula::new(30.0, 25.0),
+        &PerFrequencyFormula::cpu_load(30.0, 25.0),
         sources,
         Telemetry::new(),
     );
@@ -529,7 +529,7 @@ fn no_frame_damaged_in_flight_is_ever_applied() {
     let mut shard = EstimatorShard::new(
         0,
         ShardConfig::default(),
-        Box::new(CpuLoadFormula::new(30.0, 25.0)),
+        Box::new(PerFrequencyFormula::cpu_load(30.0, 25.0)),
         PAPER_EVENTS.iter().copied().collect(),
     );
     let pool = FramePool::new();
@@ -598,7 +598,7 @@ fn corrupt_frames_counts_every_damaged_delivery_and_nothing_else() {
         ..FleetConfig::default()
     };
     let sources = (0..HOSTS).map(|i| grouped_source(i) as _).collect();
-    let formula = CpuLoadFormula::new(30.0, 25.0);
+    let formula = PerFrequencyFormula::cpu_load(30.0, 25.0);
     let mut fleet = Fleet::new(cfg, &formula, sources, Telemetry::new());
     fleet.run(4 * TICKS);
     fleet.assert_conserved();
@@ -665,7 +665,7 @@ fn a_partitioned_host_spends_its_retry_budget_then_abandons() {
     };
     let mut fleet = Fleet::new(
         cfg,
-        &CpuLoadFormula::new(30.0, 25.0),
+        &PerFrequencyFormula::cpu_load(30.0, 25.0),
         (0..2).map(|i| source(i) as _).collect(),
         Telemetry::new(),
     );

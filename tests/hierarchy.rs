@@ -11,7 +11,6 @@ use powerapi_suite::os_sim::process::Pid;
 use powerapi_suite::os_sim::task::SteadyTask;
 use powerapi_suite::powerapi::actor::{Actor, ActorSystem, Context};
 use powerapi_suite::powerapi::aggregator::{Aggregator, Dimension};
-use powerapi_suite::powerapi::formula::cpuload::CpuLoadFormula;
 use powerapi_suite::powerapi::formula::per_freq::PerFrequencyFormula;
 use powerapi_suite::powerapi::formula::PowerFormula;
 use powerapi_suite::powerapi::frame::{FrameBuilder, PowerBatch};
@@ -148,7 +147,10 @@ fn conservation_survives_degraded_quality() {
     let hierarchy = Hierarchy::new();
     let mut papi = PowerApi::builder(kernel)
         .formula(formula)
-        .degrade_to(CpuLoadFormula::new(31.5, 12.0), Nanos::from_millis(1500))
+        .degrade_to(
+            PerFrequencyFormula::cpu_load(31.5, 12.0),
+            Nanos::from_millis(1500),
+        )
         .fault_plan(plan)
         .report_to_memory()
         .quantum(Nanos::from_millis(2))

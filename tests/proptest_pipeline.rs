@@ -3,7 +3,6 @@
 
 use powerapi_suite::os_sim::kernel::Kernel;
 use powerapi_suite::os_sim::task::SteadyTask;
-use powerapi_suite::powerapi::formula::cpuload::CpuLoadFormula;
 use powerapi_suite::powerapi::formula::per_freq::PerFrequencyFormula;
 use powerapi_suite::powerapi::model::power_model::PerFrequencyPowerModel;
 use powerapi_suite::powerapi::msg::Scope;
@@ -195,7 +194,7 @@ proptest! {
             .collect();
         let mut papi = PowerApi::builder(kernel)
             .formula(PerFrequencyFormula::new(model))
-            .degrade_to(CpuLoadFormula::new(0.0, 4.0), Nanos::from_millis(600))
+            .degrade_to(PerFrequencyFormula::cpu_load(0.0, 4.0), Nanos::from_millis(600))
             .fault_plan(plan)
             .report_to_memory()
             .quantum(Nanos::from_millis(5))
@@ -303,7 +302,7 @@ proptest! {
         let hierarchy = Hierarchy::new();
         let mut papi = PowerApi::builder(kernel)
             .formula(PerFrequencyFormula::new(model))
-            .degrade_to(CpuLoadFormula::new(0.0, 4.0), Nanos::from_millis(600))
+            .degrade_to(PerFrequencyFormula::cpu_load(0.0, 4.0), Nanos::from_millis(600))
             .fault_plan(plan)
             .report_to_memory()
             .quantum(Nanos::from_millis(5))
