@@ -15,20 +15,16 @@
 //! Run: `cargo run --release -p bench-suite --bin e10_blackbox [--quick] [--check|--bless]`
 //! Evidence: `tests/golden/e10_blackbox[.quick].golden`
 
-use bench_suite::chaos::{chaos_fault_config, quiet_chaos_panics, ChaosMonkey, CHAOS_SEED};
-use bench_suite::{dump_trace, row, section, BenchArgs, Evaluation, Golden};
-use powerapi::actor::RestartPolicy;
+use bench_suite::chaos::{chaos_fault_config, chaos_pipeline, quiet_chaos_panics, CHAOS_SEED};
+use bench_suite::{dump_trace, row, section, BenchArgs, Golden};
 use powerapi::formula::per_freq::PerFrequencyFormula;
 use powerapi::model::power_model::PerFrequencyPowerModel;
-use powerapi::msg::Topic;
-use powerapi::runtime::{PowerApi, RunOutcome};
+use powerapi::runtime::RunOutcome;
 use powerapi::telemetry::export::parse_json;
 use powerapi::telemetry::{parse_jsonl, EventKind, JournalEvent, Telemetry};
 use simcpu::fault::{FaultKind, FaultPlan};
-use simcpu::presets;
 use simcpu::units::Nanos;
-use std::sync::{Arc, Mutex};
-use workloads::specjbb::{self, SpecJbbConfig};
+use workloads::specjbb::SpecJbbConfig;
 
 /// Backup formula constants (i3 ballpark; E10 checks observability, not
 /// accuracy).
@@ -43,41 +39,13 @@ fn run_flight_recorded(
     plan: FaultPlan,
     dump_dir: &std::path::Path,
 ) -> (RunOutcome, Telemetry) {
-    let eval = Evaluation::new(
-        presets::intel_i3_2120(),
-        "specjbb2013",
-        specjbb::tasks(jbb),
-        jbb.duration,
+    let (builder, pid) = chaos_pipeline(
+        jbb,
+        PerFrequencyFormula::new(PerFrequencyPowerModel::paper_i3_example()),
+        PerFrequencyFormula::cpu_load(BACKUP_IDLE_W, BACKUP_SLOPE_W),
+        plan,
     );
-    let mut kernel = os_sim::kernel::Kernel::new(eval.machine);
-    let pid = kernel.spawn(eval.name, eval.tasks);
-    let monkey_plan = plan.clone();
-    let fired = Arc::new(Mutex::new(Vec::new()));
-    let mut papi = PowerApi::builder(kernel)
-        .formula(PerFrequencyFormula::new(
-            PerFrequencyPowerModel::paper_i3_example(),
-        ))
-        .degrade_to(
-            PerFrequencyFormula::cpu_load(BACKUP_IDLE_W, BACKUP_SLOPE_W),
-            Nanos::from_millis(2500),
-        )
-        .fault_plan(plan)
-        .supervision(RestartPolicy::Restart { max: 16 })
-        .with_supervised_actor(
-            "chaos-monkey",
-            move || {
-                Box::new(ChaosMonkey {
-                    plan: monkey_plan.clone(),
-                    fired: fired.clone(),
-                })
-            },
-            vec![Topic::Tick],
-        )
-        .events(eval.events)
-        .slots(eval.slots)
-        .report_to_memory()
-        .quantum(eval.quantum)
-        .clock_period(eval.clock)
+    let mut papi = builder
         // The flight recorder proper: an armed recorder dumps at every
         // finish, the whole retained journal.
         .post_mortem_to(dump_dir)

@@ -28,7 +28,7 @@
 //! Gate:  `... -- --check`   (compare against the golden)
 //! Evidence: `tests/golden/e15_adaptive[.quick].golden`
 
-use bench_suite::{dump_trace, row, score_outcome, section, BenchArgs, Golden};
+use bench_suite::{cold_i3, dump_trace, row, score_outcome, section, BenchArgs, Golden};
 use powerapi::formula::per_freq::PerFrequencyFormula;
 use powerapi::model::learn::{learn_model, LearnConfig};
 use powerapi::model::power_model::PerFrequencyPowerModel;
@@ -36,7 +36,6 @@ use powerapi::prelude::{SamplingConfig, SelfCostSummary};
 use powerapi::runtime::PowerApi;
 use powerapi::telemetry::{dump_jsonl, parse_jsonl, EventKind};
 use simcpu::machine::MachineConfig;
-use simcpu::power::PowerModel;
 use simcpu::presets;
 use simcpu::units::Nanos;
 use simcpu::workunit::WorkUnit;
@@ -64,23 +63,6 @@ struct Arm {
     slots: usize,
     median_ape: f64,
     selfcost: SelfCostSummary,
-}
-
-/// E9's cold testbed: the i3 with thermal leakage zeroed, which is what
-/// a short cold calibration sweep effectively sees.
-fn cold_i3() -> MachineConfig {
-    let mut machine = presets::intel_i3_2120();
-    machine.power = PowerModel::builder()
-        .platform_idle_w(26.0)
-        .package_idle_w(5.5)
-        .core_baseline_w_per_ghz_v2(2.7)
-        .smt_second_thread_factor(0.10)
-        .vref(1.05)
-        .thermal_tau_s(30.0)
-        .thermal_resistance_c_per_w(1.2)
-        .thermal_leak_w_per_c(0.0)
-        .build();
-    machine
 }
 
 /// A full-rate pin: the ledger prices the run but the controller never
@@ -114,10 +96,8 @@ fn run_stock(
     let adaptive = sampling.max_factor > 1;
     let mut papi = PowerApi::builder(kernel)
         .formula(PerFrequencyFormula::new(model))
-        .events(perf_sim::events::PAPER_EVENTS.to_vec())
         .slots(slots)
         .report_to_memory()
-        .quantum(Nanos::from_millis(1))
         .clock_period(Nanos::from_secs(period_s))
         .adaptive_sampling(sampling)
         .build()
@@ -162,11 +142,7 @@ fn run_drift(
     let mut builder = PowerApi::builder(kernel)
         .formula(PerFrequencyFormula::new(model))
         .model_health()
-        .events(perf_sim::events::PAPER_EVENTS.to_vec())
-        .slots(4)
-        .report_to_memory()
-        .quantum(Nanos::from_millis(1))
-        .clock_period(Nanos::from_secs(1));
+        .report_to_memory();
     if let Some(cfg) = sampling {
         builder = builder.adaptive_sampling(cfg);
     }

@@ -9,19 +9,17 @@
 //! Run: `cargo run --release -p bench-suite --bin e7_chaos [--quick] [--check|--bless]`
 //! Evidence: `tests/golden/e7_chaos[.quick].golden`
 
-use bench_suite::chaos::{chaos_fault_config, quiet_chaos_panics, ChaosMonkey, CHAOS_SEED};
-use bench_suite::{dump_trace, row, score_outcome, section, BenchArgs, Evaluation, Golden};
-use powerapi::actor::RestartPolicy;
+use bench_suite::chaos::{chaos_fault_config, chaos_pipeline, quiet_chaos_panics, CHAOS_SEED};
+use bench_suite::{dump_trace, row, score_outcome, section, BenchArgs, Golden};
 use powerapi::formula::per_freq::PerFrequencyFormula;
 use powerapi::model::learn::{calibrate_cpuload, learn_model, LearnConfig};
-use powerapi::msg::Topic;
-use powerapi::runtime::{PowerApi, RunOutcome};
+use powerapi::model::power_model::PerFrequencyPowerModel;
+use powerapi::runtime::RunOutcome;
 use powerapi::telemetry::Telemetry;
 use simcpu::fault::FaultPlan;
 use simcpu::presets;
 use simcpu::units::Nanos;
-use std::sync::{Arc, Mutex};
-use workloads::specjbb::{self, SpecJbbConfig};
+use workloads::specjbb::SpecJbbConfig;
 
 struct ChaosRun {
     outcome: RunOutcome,
@@ -36,38 +34,8 @@ fn run_pipeline(
     jbb: &SpecJbbConfig,
     plan: FaultPlan,
 ) -> ChaosRun {
-    let eval = Evaluation::new(
-        presets::intel_i3_2120(),
-        "specjbb2013",
-        specjbb::tasks(jbb),
-        jbb.duration,
-    );
-    let mut kernel = os_sim::kernel::Kernel::new(eval.machine);
-    let pid = kernel.spawn(eval.name, eval.tasks);
-    let monkey_plan = plan.clone();
-    let fired = Arc::new(Mutex::new(Vec::new()));
-    let mut papi = PowerApi::builder(kernel)
-        .formula(PerFrequencyFormula::new(model))
-        .degrade_to(backup, Nanos::from_millis(2500))
-        .fault_plan(plan)
-        .supervision(RestartPolicy::Restart { max: 16 })
-        .with_supervised_actor(
-            "chaos-monkey",
-            move || {
-                Box::new(ChaosMonkey {
-                    plan: monkey_plan.clone(),
-                    fired: fired.clone(),
-                })
-            },
-            vec![Topic::Tick],
-        )
-        .events(eval.events)
-        .slots(eval.slots)
-        .report_to_memory()
-        .quantum(eval.quantum)
-        .clock_period(eval.clock)
-        .build()
-        .expect("pipeline");
+    let (builder, pid) = chaos_pipeline(jbb, PerFrequencyFormula::new(model), backup, plan);
+    let mut papi = builder.build().expect("pipeline");
     papi.monitor(pid).expect("monitor");
     papi.run_for(jbb.duration).expect("run");
     let meter_stats = papi.meter_fault_stats();
@@ -80,8 +48,6 @@ fn run_pipeline(
         telemetry,
     }
 }
-
-use powerapi::model::power_model::PerFrequencyPowerModel;
 
 fn main() {
     let args = BenchArgs::parse();

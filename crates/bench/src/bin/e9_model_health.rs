@@ -14,34 +14,15 @@
 //! Run: `cargo run --release -p bench-suite --bin e9_model_health [--quick] [--check|--bless]`
 //! Evidence: `tests/golden/e9_model_health[.quick].golden`
 
-use bench_suite::{dump_trace, row, section, BenchArgs, Golden};
+use bench_suite::{cold_i3, dump_trace, row, section, BenchArgs, Golden};
 use powerapi::formula::per_freq::PerFrequencyFormula;
 use powerapi::model::learn::{learn_model, LearnConfig};
 use powerapi::model::power_model::PerFrequencyPowerModel;
 use powerapi::runtime::{PowerApi, RunOutcome};
 use simcpu::machine::MachineConfig;
-use simcpu::power::PowerModel;
 use simcpu::presets;
 use simcpu::units::Nanos;
 use simcpu::workunit::WorkUnit;
-
-/// The i3 testbed with thermal leakage removed: what the calibration
-/// sweep effectively sees (short, cold bursts). Mirrors
-/// `presets::intel_i3_2120` except `thermal_leak_w_per_c(0)`.
-fn cold_i3() -> MachineConfig {
-    let mut machine = presets::intel_i3_2120();
-    machine.power = PowerModel::builder()
-        .platform_idle_w(26.0)
-        .package_idle_w(5.5)
-        .core_baseline_w_per_ghz_v2(2.7)
-        .smt_second_thread_factor(0.10)
-        .vref(1.05)
-        .thermal_tau_s(30.0)
-        .thermal_resistance_c_per_w(1.2)
-        .thermal_leak_w_per_c(0.0)
-        .build();
-    machine
-}
 
 /// Full-load steady run (both hyperthreads of both cores busy) with the
 /// residual monitor enabled. Its fixed tuning (`powerapi::health`'s
@@ -64,11 +45,7 @@ fn run_arm(
     let mut papi = PowerApi::builder(kernel)
         .formula(PerFrequencyFormula::new(model))
         .model_health()
-        .events(perf_sim::events::PAPER_EVENTS.to_vec())
-        .slots(4)
         .report_to_memory()
-        .quantum(Nanos::from_millis(1))
-        .clock_period(Nanos::from_secs(1))
         .build()
         .expect("pipeline");
     papi.monitor(pid).expect("monitor");

@@ -20,6 +20,8 @@ use perf_sim::events::{Event, PAPER_EVENTS};
 use powerapi::formula::PowerFormula;
 use powerapi::runtime::{PowerApi, RunOutcome};
 use simcpu::machine::MachineConfig;
+use simcpu::power::PowerModel;
+use simcpu::presets;
 use simcpu::units::Nanos;
 
 /// Everything an estimation-accuracy evaluation needs.
@@ -96,6 +98,26 @@ impl Evaluation {
         let outcome = self.run(formula)?;
         score_outcome(&outcome)
     }
+}
+
+/// The i3 testbed with thermal leakage removed: what the calibration
+/// sweep effectively sees (short, cold bursts). E9 and E15 learn on it
+/// and then serve the stock i3, whose 0.30 W/°C leakage is the drift
+/// they detect. Mirrors `presets::intel_i3_2120` except
+/// `thermal_leak_w_per_c(0)`.
+pub fn cold_i3() -> MachineConfig {
+    let mut machine = presets::intel_i3_2120();
+    machine.power = PowerModel::builder()
+        .platform_idle_w(26.0)
+        .package_idle_w(5.5)
+        .core_baseline_w_per_ghz_v2(2.7)
+        .smt_second_thread_factor(0.10)
+        .vref(1.05)
+        .thermal_tau_s(30.0)
+        .thermal_resistance_c_per_w(1.2)
+        .thermal_leak_w_per_c(0.0)
+        .build();
+    machine
 }
 
 /// Aligns an outcome's meter and estimate traces and computes the error

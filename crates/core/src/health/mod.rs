@@ -23,8 +23,8 @@
 //! thermal leakage drifting it ≈ 15–18 W with a 30 s time constant.
 //!
 //! When model health is *not* enabled (the default), none of this exists:
-//! no actor is spawned, formulas hold no handle, and the hot path gains
-//! no clock reads or allocations.
+//! no actor is spawned, the formula actor holds no handle, and the hot
+//! path gains no clock reads or allocations.
 //!
 //! [`RecalibrationTrigger`]: crate::control::RecalibrationTrigger
 //! [`MetricsRegistry`]: crate::telemetry::MetricsRegistry
@@ -116,9 +116,9 @@ struct HealthShared {
 }
 
 /// Shared, lock-free view of model health. Clones are cheap handles onto
-/// one state; the monitor writes, formulas and `RunOutcome` read. Its
-/// counts are the registry's `powerapi_model_*_total` counters: one
-/// record, bumped once per paired tick.
+/// one state; the monitor writes, the formula actor and `RunOutcome`
+/// read. Its counts are the registry's `powerapi_model_*_total` counters:
+/// one record, bumped once per paired tick.
 #[derive(Debug, Clone)]
 pub struct ModelHealth {
     inner: Arc<HealthShared>,
@@ -148,7 +148,7 @@ impl ModelHealth {
     }
 
     /// Whether the live residual currently sits outside the prediction
-    /// band (formulas downgrade their report quality while this holds).
+    /// band (the formula actor downgrades its estimates while this holds).
     pub fn out_of_band(&self) -> bool {
         self.inner.out_of_band.load(Ordering::Relaxed)
     }

@@ -30,7 +30,6 @@ use crate::actor::{ActorSystem, RestartPolicy, ShutdownSummary, SpawnOptions};
 use crate::adaptive::{SamplingConfig, SamplingController, SelfCostLedger, SelfCostSummary};
 use crate::aggregator::{Aggregator, Dimension};
 use crate::control::{RateControlActor, RecalibrationTrigger};
-use crate::formula::fallback::FallbackFormula;
 use crate::formula::{FormulaActor, PowerFormula};
 use crate::frame::FramePool;
 use crate::health::{ModelHealth, ModelHealthSummary, ResidualMonitor};
@@ -117,8 +116,8 @@ impl PowerApiBuilder {
         }
     }
 
-    /// Adds a formula (at least one is required). Multiple formulas run
-    /// side by side but then only per-process aggregation is allowed.
+    /// Sets the pipeline's formula. Exactly one is required: a second
+    /// call makes [`PowerApiBuilder::build`] fail.
     #[must_use]
     pub fn formula(mut self, formula: impl PowerFormula + 'static) -> PowerApiBuilder {
         self.formulas.push(Box::new(formula));
@@ -165,7 +164,7 @@ impl PowerApiBuilder {
     }
 
     /// Overrides the aggregation dimension (default: per-process and
-    /// machine for a single formula, per-process only for several).
+    /// machine).
     #[must_use]
     pub fn dimension(mut self, dimension: Dimension) -> PowerApiBuilder {
         self.dimension = Some(dimension);
@@ -173,7 +172,7 @@ impl PowerApiBuilder {
     }
 
     /// Overrides the idle floor the machine aggregate adds (default: the
-    /// first formula's `idle_w`).
+    /// formula's `idle_w`).
     #[must_use]
     pub fn idle_w(mut self, idle_w: f64) -> PowerApiBuilder {
         self.idle_override = Some(idle_w);
@@ -292,7 +291,7 @@ impl PowerApiBuilder {
         self
     }
 
-    /// Wraps the (single) formula in a staleness watchdog: when its
+    /// Arms the formula actor's staleness watchdog: when the formula's
     /// sensor goes quiet for a process longer than `max_age`, estimates
     /// degrade to `backup` (tagged [`Quality::Degraded`]) until the
     /// primary stream resumes.
@@ -388,16 +387,16 @@ impl PowerApiBuilder {
     ///
     /// # Errors
     ///
-    /// [`Error::Middleware`] when no formula was added, when machine
-    /// aggregation is combined with multiple formulas (their estimates
-    /// would be double-counted), when the PMU slot count, the quantum or
-    /// the clock period is zero, or when [`PowerApiBuilder::degrade_to`]
-    /// is combined with multiple formulas (the backup would shadow all of
-    /// them at once).
+    /// [`Error::Middleware`] unless exactly one formula was given, when
+    /// the PMU slot count, the quantum or the clock period is zero, or
+    /// when [`PowerApiBuilder::post_mortem_to`] is asked of a dark hub.
     pub fn build(mut self) -> Result<PowerApi> {
-        if self.formulas.is_empty() {
-            return Err(Error::Middleware("at least one formula is required".into()));
+        if self.formulas.len() != 1 {
+            return Err(Error::Middleware(
+                "a pipeline runs exactly one formula".into(),
+            ));
         }
+        let formula = self.formulas.pop().expect("checked above");
         if self.slots == 0 {
             return Err(Error::Middleware(
                 "PMU slot count must be at least 1".into(),
@@ -409,29 +408,13 @@ impl PowerApiBuilder {
         if self.clock_period == Nanos::ZERO {
             return Err(Error::Middleware("clock period must be non-zero".into()));
         }
-        if self.degrade.is_some() && self.formulas.len() > 1 {
-            return Err(Error::Middleware(
-                "degrade_to supports exactly one primary formula".into(),
-            ));
-        }
         if self.post_mortem_dir.is_some() && !self.telemetry {
             return Err(Error::Middleware(
                 "post_mortem_to requires telemetry (a dark hub records nothing to dump)".into(),
             ));
         }
-        let dimension = self.dimension.unwrap_or(if self.formulas.len() == 1 {
-            Dimension::both()
-        } else {
-            Dimension::pid()
-        });
-        if dimension.machine && self.formulas.len() > 1 {
-            return Err(Error::Middleware(
-                "machine aggregation supports exactly one formula".into(),
-            ));
-        }
-        let idle_w = self
-            .idle_override
-            .unwrap_or_else(|| self.formulas[0].idle_w());
+        let dimension = self.dimension.unwrap_or(Dimension::both());
+        let idle_w = self.idle_override.unwrap_or_else(|| formula.idle_w());
 
         let meter_config = self.meter.with_fault_plan(self.faults.clone());
         let telemetry = if self.telemetry {
@@ -446,7 +429,7 @@ impl PowerApiBuilder {
         }
 
         // Spawn pipeline stages upstream-first so shutdown drains them.
-        // The sensor stage and the formulas are supervised: their
+        // The sensor stage and the formula are supervised: their
         // factories rebuild them after a handler panic, per the configured
         // restart policy.
         let mut system = ActorSystem::with_telemetry(telemetry.clone());
@@ -462,7 +445,7 @@ impl PowerApiBuilder {
         );
         bus.subscribe(Topic::Tick, &sensor);
         // Model-health plumbing: one shared handle the monitor writes and
-        // the formulas read, plus the recalibration hook. All `None`-cost
+        // the formula reads, plus the recalibration hook. All `None`-cost
         // when the builder didn't ask for it.
         let model_health = self.model_health.then(|| {
             (
@@ -472,38 +455,22 @@ impl PowerApiBuilder {
         });
         let formula_health = model_health.as_ref().map(|(h, _)| h.clone());
 
-        if let Some((backup, max_age)) = self.degrade {
-            let primary = self.formulas.pop().expect("checked non-empty above");
-            let name = format!("formula-0-{}", primary.name());
-            let r = system.spawn_supervised(
-                name,
-                move || {
-                    Box::new(FallbackFormula::new(
-                        primary.boxed_clone(),
-                        backup.boxed_clone(),
-                        max_age,
-                    ))
-                },
-                options.stage(Stage::Formula),
-            );
-            bus.subscribe(Topic::Sensor, &r);
-        } else {
-            for (i, formula) in self.formulas.into_iter().enumerate() {
-                let name = format!("formula-{}-{}", i, formula.name());
-                let health = formula_health.clone();
-                let r = system.spawn_supervised(
-                    name,
-                    move || match &health {
-                        Some(h) => {
-                            Box::new(FormulaActor::with_health(formula.boxed_clone(), h.clone()))
-                        }
-                        None => Box::new(FormulaActor::new(formula.boxed_clone())),
-                    },
-                    options.stage(Stage::Formula),
-                );
-                bus.subscribe(Topic::Sensor, &r);
-            }
-        }
+        let health = formula_health.clone();
+        let backup = self.degrade;
+        let r = system.spawn_supervised(
+            format!("formula-0-{}", formula.name()),
+            move || {
+                Box::new(FormulaActor::new(
+                    formula.boxed_clone(),
+                    health.clone(),
+                    backup
+                        .as_ref()
+                        .map(|(b, max_age)| (b.boxed_clone(), *max_age)),
+                ))
+            },
+            options.stage(Stage::Formula),
+        );
+        bus.subscribe(Topic::Sensor, &r);
         let mut aggregator = Aggregator::new(dimension, idle_w);
         if let Some(hierarchy) = self.hierarchy {
             if telemetry.enabled() {
@@ -906,7 +873,7 @@ impl PowerApi {
 
     /// What went wrong, if anything: panic-escalation (any actor died or
     /// escalated), degraded shutdown (the run ended with at least one pid
-    /// still served by the fallback formula), or a latched, unconsumed
+    /// still served by the backup formula), or a latched, unconsumed
     /// recalibration trigger.
     fn post_mortem_reason(&self, health: &ShutdownSummary) -> Option<String> {
         let mut reasons: Vec<&str> = Vec::new();
@@ -1103,36 +1070,24 @@ mod tests {
     }
 
     #[test]
-    fn machine_aggregation_rejects_multiple_formulas() {
-        let (kernel, _) = busy_kernel();
-        let err = PowerApi::builder(kernel)
-            .formula(paper_formula())
-            .formula(paper_formula())
-            .dimension(Dimension::both())
-            .build();
-        assert!(matches!(err, Err(Error::Middleware(_))));
-    }
-
-    #[test]
-    fn multiple_formulas_allowed_per_pid() {
-        let (kernel, pid) = busy_kernel();
-        let mut papi = PowerApi::builder(kernel)
-            .formula(paper_formula())
-            .formula(crate::formula::per_freq::PerFrequencyFormula::cpu_load(
-                31.5, 12.0,
-            ))
-            .report_to_memory()
-            .quantum(Nanos::from_millis(5))
-            .clock_period(Nanos::from_millis(500))
-            .build()
-            .unwrap();
-        papi.monitor(pid).unwrap();
-        papi.run_for(Nanos::from_secs(2)).unwrap();
-        let out = papi.finish().unwrap();
-        // Two formulas → two process-scope reports per tick.
-        let mine = out.process_estimates(pid);
-        assert_eq!(mine.len(), 8, "4 ticks × 2 formulas: {}", mine.len());
-        assert!(out.machine_estimates().is_empty());
+    fn a_second_formula_is_rejected() {
+        // Machine aggregation would sum two formulas' estimates of one
+        // process; per pid, a backup would shadow both. Neither builds.
+        for (dimension, degrade) in [(Dimension::both(), false), (Dimension::pid(), true)] {
+            let (kernel, _) = busy_kernel();
+            let mut b = PowerApi::builder(kernel)
+                .formula(paper_formula())
+                .formula(PerFrequencyFormula::cpu_load(31.5, 12.0))
+                .dimension(dimension);
+            if degrade {
+                b = b.degrade_to(
+                    PerFrequencyFormula::cpu_load(31.5, 12.0),
+                    Nanos::from_secs(2),
+                );
+            }
+            let err = b.build();
+            assert!(matches!(err, Err(Error::Middleware(m)) if m.contains("one formula")));
+        }
     }
 
     #[test]
@@ -1193,6 +1148,63 @@ mod tests {
     }
 
     #[test]
+    fn model_health_downgrades_the_primary_under_degrade_to() {
+        // E9's drift: a model learned on a leak-free i3 serves the stock
+        // one at full load, whose thermal leakage pushes the residual out
+        // of band. No fault plan, so the watchdog never hands a pid to
+        // the backup: every downgrade is the health verdict's.
+        let mut cold = presets::intel_i3_2120();
+        cold.power = simcpu::power::PowerModel::builder()
+            .platform_idle_w(26.0)
+            .package_idle_w(5.5)
+            .core_baseline_w_per_ghz_v2(2.7)
+            .smt_second_thread_factor(0.10)
+            .vref(1.05)
+            .thermal_tau_s(30.0)
+            .thermal_resistance_c_per_w(1.2)
+            .thermal_leak_w_per_c(0.0)
+            .build();
+        let model =
+            crate::model::learn::learn_model(cold, &crate::model::learn::LearnConfig::quick())
+                .unwrap();
+        let mut kernel = Kernel::new(presets::intel_i3_2120());
+        let tasks = (0..4)
+            .map(|_| SteadyTask::boxed(WorkUnit::cpu_intensive(1.0)))
+            .collect();
+        let pid = kernel.spawn("steady-load", tasks);
+        let mut papi = PowerApi::builder(kernel)
+            .formula(PerFrequencyFormula::new(model))
+            .model_health()
+            .degrade_to(
+                PerFrequencyFormula::cpu_load(31.5, 12.0),
+                Nanos::from_secs(2),
+            )
+            .report_to_memory()
+            .quantum(Nanos::from_millis(5))
+            .build()
+            .unwrap();
+        papi.monitor(pid).unwrap();
+        papi.run_for(Nanos::from_secs(80)).unwrap();
+        let telemetry = papi.telemetry().clone();
+        let out = papi.finish().unwrap();
+        assert!(
+            out.model_health.out_of_band_ticks > 0,
+            "{:?}",
+            out.model_health
+        );
+        let journal = telemetry.journal();
+        assert_eq!(
+            journal.count(EventKind::QualityDegraded),
+            0,
+            "backup stayed silent"
+        );
+        assert!(
+            out.degraded_reports() > 0,
+            "out of band, so some aggregates are degraded"
+        );
+    }
+
+    #[test]
     fn model_health_off_has_no_summary_and_no_metrics() {
         let (kernel, pid) = busy_kernel();
         let mut papi = PowerApi::builder(kernel)
@@ -1249,23 +1261,6 @@ mod tests {
             .slots(0)
             .build();
         assert!(matches!(err, Err(Error::Middleware(m)) if m.contains("slot")));
-    }
-
-    #[test]
-    fn degrade_to_rejects_multiple_formulas() {
-        let (kernel, _) = busy_kernel();
-        let err = PowerApi::builder(kernel)
-            .formula(paper_formula())
-            .formula(crate::formula::per_freq::PerFrequencyFormula::cpu_load(
-                31.5, 12.0,
-            ))
-            .degrade_to(
-                crate::formula::per_freq::PerFrequencyFormula::cpu_load(31.5, 12.0),
-                Nanos::from_secs(2),
-            )
-            .dimension(Dimension::pid())
-            .build();
-        assert!(matches!(err, Err(Error::Middleware(_))));
     }
 
     #[test]

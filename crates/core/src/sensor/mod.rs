@@ -18,19 +18,19 @@
 //! it finishes frame *T* before it touches frame *T+1*. The actor loop
 //! handles messages in arrival order ([`crate::actor`]), so Sensor →
 //! Formula → Aggregator is one ordered chain: primary source before
-//! backup source, tick by tick. [`FallbackFormula`] and [`Aggregator`]
-//! (its machine sum and its cgroup tree alike) rely on it — a late batch
-//! of an older tick would split a window. Not covered: messages on a
-//! shorter path — the self-power batch (stage → aggregator) and the
-//! meter/RAPL rows (stage → reporters) may overtake an *earlier* tick's
-//! estimates.
+//! backup source, tick by tick. The [`FormulaActor`]'s staleness
+//! watchdog and the [`Aggregator`] (its machine sum and its cgroup tree
+//! alike) rely on it — a late batch of an older tick would split a
+//! window. Not covered: messages on a shorter path — the self-power
+//! batch (stage → aggregator) and the meter/RAPL rows (stage →
+//! reporters) may overtake an *earlier* tick's estimates.
 //!
 //! [`profile_self`]: crate::runtime::PowerApiBuilder::profile_self
 //! [`PowerBatch`]: crate::frame::PowerBatch
 //! [`Topic::Tick`]: crate::msg::Topic::Tick
 //! [`TickFrame`]: crate::frame::TickFrame
 //! [`SensorBatch`]: crate::frame::SensorBatch
-//! [`FallbackFormula`]: crate::formula::fallback::FallbackFormula
+//! [`FormulaActor`]: crate::formula::FormulaActor
 //! [`Aggregator`]: crate::aggregator::Aggregator
 
 pub mod hpc;

@@ -14,9 +14,8 @@ use powerapi::fleet::{
     decode_frame, encode_frame, EstimatorShard, FrameDecoder, FrameEnvelope, HostId,
     ProcessOutcome, ShardConfig, WireError,
 };
-use powerapi::formula::fallback::FallbackFormula;
 use powerapi::formula::per_freq::{bertran_events, Kind, PerFrequencyFormula};
-use powerapi::formula::{estimate_row_by_row, PowerFormula};
+use powerapi::formula::{estimate_row_by_row, FormulaActor, PowerFormula};
 use powerapi::frame::{
     FrameBuilder, FramePool, PowerBatch, SensorBatch, SensorRow, TickFrame, NO_ROW,
 };
@@ -603,10 +602,10 @@ proptest! {
         let mut sys = ActorSystem::new();
         let watchdog = sys.spawn(
             "fallback",
-            Box::new(FallbackFormula::new(
+            Box::new(FormulaActor::new(
                 primary.boxed_clone(),
-                backup.boxed_clone(),
-                max_age,
+                None,
+                Some((backup.boxed_clone(), max_age)),
             )),
         );
         let sink = sys.spawn("sink", Box::new(PowerSink(seen.clone())));

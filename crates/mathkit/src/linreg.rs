@@ -1,5 +1,5 @@
-//! Multivariate linear regression: ordinary least squares (via QR, falling
-//! back to normal equations), ridge regression, and weighted least squares.
+//! Multivariate linear regression: ordinary least squares via Householder
+//! QR, and ridge regression via the normal equations.
 //!
 //! This is the "Multivariate Regression" box of the paper's Figure 1: HPC
 //! rates go in, per-frequency power-model coefficients come out.
@@ -28,24 +28,12 @@ pub struct LinearModel {
     residuals: Vec<f64>,
 }
 
-/// How the design matrix should be solved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Solver {
-    /// Householder QR on the design matrix — numerically robust default.
-    #[default]
-    Qr,
-    /// Normal equations `XᵀX β = Xᵀy` via LU — faster, less stable.
-    NormalEquations,
-}
-
 /// Options controlling a fit; construct with [`FitOptions::default`] and
 /// override fields with the builder-style setters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FitOptions {
     intercept: bool,
     ridge_lambda: f64,
-    solver: Solver,
-    weights: Option<Vec<f64>>,
 }
 
 impl Default for FitOptions {
@@ -53,14 +41,12 @@ impl Default for FitOptions {
         FitOptions {
             intercept: true,
             ridge_lambda: 0.0,
-            solver: Solver::default(),
-            weights: None,
         }
     }
 }
 
 impl FitOptions {
-    /// Creates default options (intercept on, no ridge, QR solver).
+    /// Creates default options (intercept on, no ridge).
     pub fn new() -> FitOptions {
         FitOptions::default()
     }
@@ -74,20 +60,10 @@ impl FitOptions {
     }
 
     /// Sets the L2 (ridge) penalty λ ≥ 0. The intercept is never penalized.
+    /// A positive λ solves the normal equations (Cholesky, LU fallback);
+    /// λ = 0 solves the design by QR.
     pub fn ridge(mut self, lambda: f64) -> FitOptions {
         self.ridge_lambda = lambda.max(0.0);
-        self
-    }
-
-    /// Selects the solver.
-    pub fn solver(mut self, solver: Solver) -> FitOptions {
-        self.solver = solver;
-        self
-    }
-
-    /// Per-observation weights for weighted least squares.
-    pub fn weights(mut self, w: Vec<f64>) -> FitOptions {
-        self.weights = Some(w);
         self
     }
 }
@@ -105,6 +81,21 @@ fn solve_spd(gram: &Matrix, rhs: &[f64]) -> Result<Vec<f64>> {
     }
 }
 
+/// `x` with a leading column of ones when the fit has an intercept.
+fn design_matrix(x: &Matrix, intercept: bool) -> Result<Matrix> {
+    let c0 = usize::from(intercept);
+    let mut design = Matrix::zeros(x.rows(), x.cols() + c0)?;
+    for r in 0..x.rows() {
+        if intercept {
+            design[(r, 0)] = 1.0;
+        }
+        for c in 0..x.cols() {
+            design[(r, c0 + c)] = x[(r, c)];
+        }
+    }
+    Ok(design)
+}
+
 impl LinearModel {
     /// Fits OLS with an intercept using the default options.
     ///
@@ -119,13 +110,12 @@ impl LinearModel {
     ///
     /// # Errors
     ///
-    /// * [`Error::DimensionMismatch`] when `y` (or the weight vector) does
-    ///   not match the number of rows of `x`;
+    /// * [`Error::DimensionMismatch`] when `y` does not match the number
+    ///   of rows of `x`;
     /// * [`Error::Underdetermined`] when there are fewer observations than
     ///   parameters;
     /// * [`Error::Singular`] when features are exactly collinear and no
-    ///   ridge penalty is applied;
-    /// * [`Error::InvalidArgument`] for non-positive weights.
+    ///   ridge penalty is applied.
     pub fn fit_with(x: &Matrix, y: &[f64], opts: &FitOptions) -> Result<LinearModel> {
         let n = x.rows();
         if y.len() != n {
@@ -142,35 +132,7 @@ impl LinearModel {
                 parameters: p,
             });
         }
-        if let Some(w) = &opts.weights {
-            if w.len() != n {
-                return Err(Error::DimensionMismatch {
-                    op: "fit weights",
-                    lhs: x.shape(),
-                    rhs: (w.len(), 1),
-                });
-            }
-            #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must be rejected too
-            if w.iter().any(|&wi| !(wi > 0.0) || !wi.is_finite()) {
-                return Err(Error::InvalidArgument("weights must be finite and > 0"));
-            }
-        }
-
-        // Build (optionally weighted) design matrix with intercept column.
-        let mut design = Matrix::zeros(n, p)?;
-        let mut target = vec![0.0; n];
-        for r in 0..n {
-            let sw = opts.weights.as_ref().map_or(1.0, |w| w[r].sqrt());
-            let mut c0 = 0;
-            if opts.intercept {
-                design[(r, 0)] = sw;
-                c0 = 1;
-            }
-            for c in 0..x.cols() {
-                design[(r, c0 + c)] = sw * x[(r, c)];
-            }
-            target[r] = sw * y[r];
-        }
+        let design = design_matrix(x, opts.intercept)?;
 
         let beta = if opts.ridge_lambda > 0.0 {
             // Ridge always goes through the normal equations; λ keeps them
@@ -180,16 +142,10 @@ impl LinearModel {
             for i in start..p {
                 gram[(i, i)] += opts.ridge_lambda;
             }
-            solve_spd(&gram, &design.tr_matvec(&target)?)?
+            solve_spd(&gram, &design.tr_matvec(y)?)?
         } else {
-            match opts.solver {
-                Solver::NormalEquations => solve_spd(&design.gram(), &design.tr_matvec(&target)?)?,
-                Solver::Qr => {
-                    let (q, r) = design.qr()?;
-                    let qty = q.transpose().matvec(&target)?;
-                    r.solve(&qty)?
-                }
-            }
+            let (q, r) = design.qr()?;
+            r.solve(&q.transpose().matvec(y)?)?
         };
 
         let (intercept, coefficients) = if opts.intercept {
@@ -198,7 +154,7 @@ impl LinearModel {
             (0.0, beta)
         };
 
-        // Residuals / R² on the unweighted data.
+        // Residuals / R² on the data.
         let mut residuals = Vec::with_capacity(n);
         let mut ss_res = 0.0;
         for r in 0..n {
@@ -314,14 +270,19 @@ mod tests {
         assert!(m.residuals().iter().all(|r| r.abs() < 1e-9));
     }
 
+    /// Solves the normal equations of `x`'s intercept design directly.
+    fn normal_equations(x: &Matrix, y: &[f64]) -> Result<Vec<f64>> {
+        let design = design_matrix(x, true)?;
+        solve_spd(&design.gram(), &design.tr_matvec(y)?)
+    }
+
     #[test]
     fn normal_equations_match_qr() {
         let (x, y) = toy_xy();
-        let q = LinearModel::fit_with(&x, &y, &FitOptions::new().solver(Solver::Qr)).unwrap();
-        let ne = LinearModel::fit_with(&x, &y, &FitOptions::new().solver(Solver::NormalEquations))
-            .unwrap();
-        assert!((q.intercept() - ne.intercept()).abs() < 1e-8);
-        for (a, b) in q.coefficients().iter().zip(ne.coefficients()) {
+        let q = LinearModel::fit(&x, &y).unwrap();
+        let ne = normal_equations(&x, &y).unwrap();
+        assert!((q.intercept() - ne[0]).abs() < 1e-8);
+        for (a, b) in q.coefficients().iter().zip(&ne[1..]) {
             assert!((a - b).abs() < 1e-8);
         }
     }
@@ -342,38 +303,11 @@ mod tests {
         let rows: Vec<Vec<f64>> = (1..=10).map(|i| vec![i as f64, i as f64]).collect();
         let y: Vec<f64> = (1..=10).map(|i| 4.0 * i as f64).collect();
         let x = Matrix::from_rows(&rows).unwrap();
-        assert!(matches!(
-            LinearModel::fit_with(&x, &y, &FitOptions::new().solver(Solver::NormalEquations)),
-            Err(Error::Singular)
-        ));
+        assert!(matches!(LinearModel::fit(&x, &y), Err(Error::Singular)));
         let m = LinearModel::fit_with(&x, &y, &FitOptions::new().ridge(1e-6)).unwrap();
         let c = m.coefficients();
         assert!((c[0] - c[1]).abs() < 1e-3, "ridge splits weight evenly");
         assert!((c[0] + c[1] - 4.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn weighted_fit_prefers_heavy_points() {
-        // Two clusters disagreeing on slope; weights decide the winner.
-        let x = Matrix::from_rows(&[vec![1.0], vec![2.0], vec![1.0], vec![2.0]]).unwrap();
-        let y = vec![1.0, 2.0, 10.0, 20.0]; // slopes 1 and 10
-        let heavy_first =
-            LinearModel::fit_with(&x, &y, &FitOptions::new().weights(vec![1e6, 1e6, 1.0, 1.0]))
-                .unwrap();
-        assert!((heavy_first.coefficients()[0] - 1.0).abs() < 0.1);
-        let heavy_second =
-            LinearModel::fit_with(&x, &y, &FitOptions::new().weights(vec![1.0, 1.0, 1e6, 1e6]))
-                .unwrap();
-        assert!((heavy_second.coefficients()[0] - 10.0).abs() < 0.1);
-    }
-
-    #[test]
-    fn invalid_weights_rejected() {
-        let x = Matrix::from_rows(&[vec![1.0], vec![2.0], vec![3.0]]).unwrap();
-        let y = vec![1.0, 2.0, 3.0];
-        for bad in [vec![0.0, 1.0, 1.0], vec![-1.0, 1.0, 1.0], vec![1.0, 1.0]] {
-            assert!(LinearModel::fit_with(&x, &y, &FitOptions::new().weights(bad)).is_err());
-        }
     }
 
     #[test]
