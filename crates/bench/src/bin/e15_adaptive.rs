@@ -28,7 +28,9 @@
 //! Gate:  `... -- --check`   (compare against the golden)
 //! Evidence: `tests/golden/e15_adaptive[.quick].golden`
 
-use bench_suite::{cold_i3, dump_trace, row, score_outcome, section, BenchArgs, Golden};
+use bench_suite::{
+    cold_i3, drift_pipeline, dump_trace, row, score_outcome, section, BenchArgs, Golden,
+};
 use powerapi::formula::per_freq::PerFrequencyFormula;
 use powerapi::model::learn::{learn_model, LearnConfig};
 use powerapi::model::power_model::PerFrequencyPowerModel;
@@ -38,7 +40,6 @@ use powerapi::telemetry::{dump_jsonl, parse_jsonl, EventKind};
 use simcpu::machine::MachineConfig;
 use simcpu::presets;
 use simcpu::units::Nanos;
-use simcpu::workunit::WorkUnit;
 use workloads::specjbb::{self, SpecJbbConfig};
 
 /// The claim: ≥5× fewer sensor reads at <1 pp added median APE.
@@ -134,15 +135,7 @@ fn run_drift(
     duration: Nanos,
     sampling: Option<SamplingConfig>,
 ) -> (f64, u64, SelfCostSummary) {
-    let mut kernel = os_sim::kernel::Kernel::new(machine);
-    let tasks: Vec<Box<dyn os_sim::task::TaskBehavior>> = (0..4)
-        .map(|_| os_sim::task::SteadyTask::boxed(WorkUnit::cpu_intensive(1.0)))
-        .collect();
-    let pid = kernel.spawn("steady-load", tasks);
-    let mut builder = PowerApi::builder(kernel)
-        .formula(PerFrequencyFormula::new(model))
-        .model_health()
-        .report_to_memory();
+    let (mut builder, pid) = drift_pipeline(machine, model);
     if let Some(cfg) = sampling {
         builder = builder.adaptive_sampling(cfg);
     }

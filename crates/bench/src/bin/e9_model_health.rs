@@ -14,15 +14,13 @@
 //! Run: `cargo run --release -p bench-suite --bin e9_model_health [--quick] [--check|--bless]`
 //! Evidence: `tests/golden/e9_model_health[.quick].golden`
 
-use bench_suite::{cold_i3, dump_trace, row, section, BenchArgs, Golden};
-use powerapi::formula::per_freq::PerFrequencyFormula;
+use bench_suite::{cold_i3, drift_pipeline, dump_trace, row, section, BenchArgs, Golden};
 use powerapi::model::learn::{learn_model, LearnConfig};
 use powerapi::model::power_model::PerFrequencyPowerModel;
-use powerapi::runtime::{PowerApi, RunOutcome};
+use powerapi::runtime::RunOutcome;
 use simcpu::machine::MachineConfig;
 use simcpu::presets;
 use simcpu::units::Nanos;
-use simcpu::workunit::WorkUnit;
 
 /// Full-load steady run (both hyperthreads of both cores busy) with the
 /// residual monitor enabled. Its fixed tuning (`powerapi::health`'s
@@ -37,17 +35,8 @@ fn run_arm(
     model: PerFrequencyPowerModel,
     duration: Nanos,
 ) -> (RunOutcome, powerapi::telemetry::Telemetry) {
-    let mut kernel = os_sim::kernel::Kernel::new(machine);
-    let tasks: Vec<Box<dyn os_sim::task::TaskBehavior>> = (0..4)
-        .map(|_| os_sim::task::SteadyTask::boxed(WorkUnit::cpu_intensive(1.0)))
-        .collect();
-    let pid = kernel.spawn("steady-load", tasks);
-    let mut papi = PowerApi::builder(kernel)
-        .formula(PerFrequencyFormula::new(model))
-        .model_health()
-        .report_to_memory()
-        .build()
-        .expect("pipeline");
+    let (builder, pid) = drift_pipeline(machine, model);
+    let mut papi = builder.build().expect("pipeline");
     papi.monitor(pid).expect("monitor");
     papi.run_for(duration).expect("run");
     let telemetry = papi.telemetry().clone();

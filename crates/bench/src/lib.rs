@@ -15,14 +15,18 @@ pub use golden::Golden;
 
 use mathkit::metrics::ErrorReport;
 use os_sim::kernel::Kernel;
-use os_sim::task::TaskBehavior;
+use os_sim::process::Pid;
+use os_sim::task::{SteadyTask, TaskBehavior};
 use perf_sim::events::{Event, PAPER_EVENTS};
+use powerapi::formula::per_freq::PerFrequencyFormula;
 use powerapi::formula::PowerFormula;
-use powerapi::runtime::{PowerApi, RunOutcome};
+use powerapi::model::power_model::PerFrequencyPowerModel;
+use powerapi::runtime::{PowerApi, PowerApiBuilder, RunOutcome};
 use simcpu::machine::MachineConfig;
 use simcpu::power::PowerModel;
 use simcpu::presets;
 use simcpu::units::Nanos;
+use simcpu::workunit::WorkUnit;
 
 /// Everything an estimation-accuracy evaluation needs.
 pub struct Evaluation {
@@ -34,8 +38,6 @@ pub struct Evaluation {
     pub tasks: Vec<Box<dyn TaskBehavior>>,
     /// How long to run.
     pub duration: Nanos,
-    /// Scheduler quantum.
-    pub quantum: Nanos,
     /// Monitoring/estimation period.
     pub clock: Nanos,
     /// HPC events the sensor counts (must cover the formula's needs).
@@ -45,7 +47,8 @@ pub struct Evaluation {
 }
 
 impl Evaluation {
-    /// A default evaluation harness: 1 ms quantum, 1 s estimates.
+    /// A default evaluation harness: 1 s estimates, on the builder's
+    /// default scheduler quantum.
     pub fn new(
         machine: MachineConfig,
         name: impl Into<String>,
@@ -57,7 +60,6 @@ impl Evaluation {
             name: name.into(),
             tasks,
             duration,
-            quantum: Nanos::from_millis(1),
             clock: Nanos::from_secs(1),
             events: PAPER_EVENTS.to_vec(),
             slots: 4,
@@ -78,7 +80,6 @@ impl Evaluation {
             .events(self.events)
             .slots(self.slots)
             .report_to_memory()
-            .quantum(self.quantum)
             .clock_period(self.clock)
             .build()?;
         papi.monitor(pid)?;
@@ -118,6 +119,27 @@ pub fn cold_i3() -> MachineConfig {
         .thermal_leak_w_per_c(0.0)
         .build();
     machine
+}
+
+/// The drift pipeline E9 watches and E15 samples adaptively: four
+/// full-load threads (both hyperthreads of both cores busy) spawned as
+/// `steady-load` on `machine`, estimated by `model` with the residual
+/// monitor on. Returns the builder, reporting to memory, and the
+/// workload's pid.
+pub fn drift_pipeline(
+    machine: MachineConfig,
+    model: PerFrequencyPowerModel,
+) -> (PowerApiBuilder, Pid) {
+    let mut kernel = Kernel::new(machine);
+    let tasks = (0..4)
+        .map(|_| SteadyTask::boxed(WorkUnit::cpu_intensive(1.0)))
+        .collect();
+    let pid = kernel.spawn("steady-load", tasks);
+    let builder = PowerApi::builder(kernel)
+        .formula(PerFrequencyFormula::new(model))
+        .model_health()
+        .report_to_memory();
+    (builder, pid)
 }
 
 /// Aligns an outcome's meter and estimate traces and computes the error
@@ -183,7 +205,6 @@ mod tests {
     #[test]
     fn evaluation_produces_scores() {
         let eval = Evaluation {
-            quantum: Nanos::from_millis(5),
             clock: Nanos::from_millis(500),
             ..Evaluation::new(
                 presets::intel_i3_2120(),

@@ -526,13 +526,14 @@ impl Fleet {
         let telemetry = self.telemetry.clone();
         let journal = telemetry.journal();
         journal.set_now(sim_now);
-        // A dark journal drops what it is handed. The per-frame sites
-        // below hand it spelled text (numbers, formatted on read), so an
-        // enabled journal records them without formatting or allocating;
-        // the few sites that still build strings do so only when it is on.
-        // Fleet-level events with no single frame to blame (partition
-        // windows, SLO alerts) journal on the tick's own trace — opened
-        // by the first such event, so an uneventful tick opens none.
+        // A dark journal drops what it is handed. Every frame event is
+        // one `note`, which journals its line in spelled text (numbers,
+        // formatted on read), so an enabled journal records it without
+        // formatting or allocating; the few sites below that still build
+        // strings do so only when it is on. Fleet-level events with no
+        // single frame to blame (partition windows, SLO alerts) journal
+        // on the tick's own trace — opened by the first such event, so an
+        // uneventful tick opens none.
         let tick_trace = || telemetry.trace_for_tick(sim_now);
 
         // 1. Acks that completed their return trip release send credits.
@@ -575,58 +576,17 @@ impl Fleet {
 
             for seq in self.senders[h].expired(now) {
                 let p = self.senders[h].pending.get_mut(&seq).expect("expired seq");
-                let (trace, tried) = (p.env.trace, p.attempt);
-                if tried >= retry::MAX_RETRIES {
-                    self.senders[h].pending.remove(&seq);
-                    journal.emit(
-                        EventKind::FleetRetry,
-                        host,
-                        Text::Spelled(
-                            |[seq, sent], f| {
-                                write!(
-                                    f,
-                                    "seq {seq} abandoned after {sent} transmissions \
-                                     (budget exhausted)"
-                                )
-                            },
-                            [seq, u64::from(tried) + 1],
-                        ),
-                        trace,
-                    );
-                    self.note(FleetHop {
-                        tick: now,
-                        host,
-                        seq,
-                        trace,
-                        attempt: tried,
-                        stage: HopStage::Abandon,
-                    });
+                if p.attempt >= retry::MAX_RETRIES {
+                    let p = self.senders[h].pending.remove(&seq).expect("expired seq");
+                    self.note(FleetHop::of(now, &p.env, p.attempt, HopStage::Abandon));
                     continue;
                 }
-                let attempt = tried + 1;
-                p.attempt = attempt;
-                p.deadline = retry::deadline(now, attempt, &self.plan, host, seq);
+                p.attempt += 1;
+                p.deadline = retry::deadline(now, p.attempt, &self.plan, host, seq);
                 // The link may mangle what it carries: it gets a copy,
                 // the canonical envelope stays pending.
-                let env = p.env.clone();
-                journal.emit(
-                    EventKind::FleetRetry,
-                    host,
-                    Text::Spelled(
-                        |[seq, attempt], f| write!(f, "seq {seq} retransmit, attempt {attempt}"),
-                        [seq, u64::from(attempt)],
-                    ),
-                    trace,
-                );
-                let stage = self.send(h, env, attempt);
-                self.note(FleetHop {
-                    tick: now,
-                    host,
-                    seq,
-                    trace,
-                    attempt,
-                    stage,
-                });
+                let (env, attempt) = (p.env.clone(), p.attempt);
+                self.send(h, env, attempt);
             }
 
             let frame = self.sources[h].produce(&self.pool);
@@ -652,46 +612,14 @@ impl Fleet {
                 attempt: 0,
                 payload,
             };
-            self.note(FleetHop {
-                tick: now,
-                host,
-                seq,
-                trace: origin,
-                attempt: 0,
-                stage: HopStage::Produce,
-            });
+            self.note(FleetHop::of(now, &env, 0, HopStage::Produce));
             if self.plan.dark(host, now) {
-                self.note(FleetHop {
-                    tick: now,
-                    host,
-                    seq,
-                    trace: origin,
-                    attempt: 0,
-                    stage: HopStage::HostDark,
-                });
+                self.note(FleetHop::of(now, &env, 0, HopStage::HostDark));
             } else {
                 self.senders[h].backlog.push_back(env);
                 while self.senders[h].backlog.len() > self.cfg.link.sender_backlog.max(1) {
                     let old = self.senders[h].backlog.pop_front().expect("over cap");
-                    journal.emit(
-                        EventKind::FleetShed,
-                        host,
-                        Text::Spelled(
-                            |[seq, _], f| {
-                                write!(f, "seq {seq} shed from sender backlog (no credits)")
-                            },
-                            [old.seq, 0],
-                        ),
-                        old.trace,
-                    );
-                    self.note(FleetHop {
-                        tick: now,
-                        host,
-                        seq: old.seq,
-                        trace: old.trace,
-                        attempt: 0,
-                        stage: HopStage::SenderShed,
-                    });
+                    self.note(FleetHop::of(now, &old, 0, HopStage::SenderShed));
                 }
             }
 
@@ -699,26 +627,16 @@ impl Fleet {
                 let Some(env) = self.senders[h].backlog.pop_front() else {
                     break;
                 };
-                let seq = env.seq;
-                let trace = env.trace;
-                let deadline = retry::deadline(now, 0, &self.plan, host, seq);
+                let deadline = retry::deadline(now, 0, &self.plan, host, env.seq);
                 self.senders[h].pending.insert(
-                    seq,
+                    env.seq,
                     Pending {
                         env: env.clone(),
                         attempt: 0,
                         deadline,
                     },
                 );
-                let stage = self.send(h, env, 0);
-                self.note(FleetHop {
-                    tick: now,
-                    host,
-                    seq,
-                    trace,
-                    attempt: 0,
-                    stage,
-                });
+                self.send(h, env, 0);
             }
         }
 
@@ -733,30 +651,9 @@ impl Fleet {
                     t.link_latency[h].record(age_ticks(now, env.sent_at, tick_ns));
                 }
                 let s = shard::route(env.host, self.shards.len());
-                match self.shards[s].ingest(env, now) {
-                    IngestOutcome::Accepted => {}
-                    IngestOutcome::Shed(old) => {
-                        journal.emit(
-                            EventKind::FleetShed,
-                            Text::Spelled(|[s, _], f| write!(f, "shard-{s}"), [s as u64, 0]),
-                            Text::Spelled(
-                                |&[host, seq], f| {
-                                    let host = HostId(host as u32);
-                                    write!(f, "{host} seq {seq} shed at ingest (overflow)")
-                                },
-                                [u64::from(old.host.0), old.seq],
-                            ),
-                            old.trace,
-                        );
-                        self.note(FleetHop {
-                            tick: now,
-                            host: old.host,
-                            seq: old.seq,
-                            trace: old.trace,
-                            attempt: old.attempt,
-                            stage: HopStage::ShardShed { shard: s as u32 },
-                        });
-                    }
+                if let IngestOutcome::Shed(old) = self.shards[s].ingest(env, now) {
+                    let stage = HopStage::ShardShed { shard: s as u32 };
+                    self.note(FleetHop::of(now, &old, old.attempt, stage));
                 }
             }
         }
@@ -767,78 +664,32 @@ impl Fleet {
         let ack_latency = self.cfg.link.latency_ticks.max(1);
         for s in 0..self.shards.len() {
             for _ in 0..self.cfg.shard.tick_budget {
-                let Some(outcome) = self.shards[s].process_one(now) else {
+                let Some(out) = self.shards[s].process_one(now) else {
                     break;
                 };
-                let (host, seq, ack) = match outcome {
-                    ProcessOutcome::Applied {
-                        host,
-                        seq,
-                        sent_at,
-                        trace,
-                        attempt,
-                        queued_ticks,
-                    } => {
-                        let lag = age_ticks(now, sent_at, tick_ns);
+                let hop = out.hop;
+                self.note(hop);
+                match hop.stage {
+                    HopStage::Apply { .. } => {
+                        let lag = age_ticks(now, out.sent_at, tick_ns);
                         self.lag_ticks.push(lag);
                         self.slo.observe(lag);
                         if let Some(t) = &mut self.tallies {
-                            t.shard_service[s].record(queued_ticks);
+                            t.shard_service[s].record(out.queued_ticks);
                         }
-                        self.note(FleetHop {
-                            tick: now,
-                            host,
-                            seq,
-                            trace,
-                            attempt,
-                            stage: HopStage::Apply { shard: s as u32 },
-                        });
-                        (host, seq, true)
                     }
-                    ProcessOutcome::Duplicate {
-                        host,
-                        seq,
-                        trace,
-                        attempt,
-                    } => {
-                        self.note(FleetHop {
-                            tick: now,
-                            host,
-                            seq,
-                            trace,
-                            attempt,
-                            stage: HopStage::Duplicate { shard: s as u32 },
-                        });
-                        (host, seq, true)
-                    }
-                    ProcessOutcome::Corrupt {
-                        host,
-                        seq,
-                        trace,
-                        attempt,
-                    } => {
-                        self.note(FleetHop {
-                            tick: now,
-                            host,
-                            seq,
-                            trace,
-                            attempt,
-                            stage: HopStage::Corrupt { shard: s as u32 },
-                        });
-                        (host, seq, false)
-                    }
-                };
-                if ack {
-                    if self.plan.partitioned(host, now) {
-                        self.stats.acks_dropped += 1;
-                    } else {
-                        self.stats.acks_sent += 1;
-                        self.acks.push(AckInFlight {
-                            due: now + ack_latency,
-                            host,
-                            seq,
-                        });
-                    }
+                    HopStage::Corrupt { .. } => continue,
+                    _ => {}
+                }
+                if self.plan.partitioned(hop.host, now) {
+                    self.stats.acks_dropped += 1;
+                } else {
+                    self.stats.acks_sent += 1;
+                    self.acks.push(AckInFlight {
+                        due: now + ack_latency,
+                        host: hop.host,
+                        seq: hop.seq,
+                    });
                 }
             }
         }
@@ -1069,11 +920,13 @@ impl Fleet {
         }
     }
 
-    /// Hands `env` to host `h`'s link; the journey stage it reached
-    /// (entered the link, or which way it died). A duplicate the link
-    /// injects is the one copy no hop logs, so it is counted here.
-    fn send(&mut self, h: usize, env: FrameEnvelope, attempt: u32) -> HopStage {
-        match self.links[h].send(env, attempt, self.now) {
+    /// Hands `env` to host `h`'s link as transmission `attempt` and notes
+    /// the stage it reached (entered the link, or which way it died). A
+    /// duplicate the link injects is the one copy no hop logs, so it is
+    /// counted here.
+    fn send(&mut self, h: usize, env: FrameEnvelope, attempt: u32) {
+        let hop = FleetHop::of(self.now, &env, attempt, HopStage::Send);
+        let stage = match self.links[h].send(env, attempt, self.now) {
             SendOutcome::Queued { duplicated } => {
                 self.stats.dup_injected += u64::from(duplicated);
                 HopStage::Send
@@ -1081,14 +934,22 @@ impl Fleet {
             SendOutcome::DroppedFault => HopStage::DropFault,
             SendOutcome::DroppedPartition => HopStage::DropPartition,
             SendOutcome::DroppedQueueFull => HopStage::DropQueue,
-        }
+        };
+        self.note(FleetHop { stage, ..hop });
     }
 
-    /// Records one frame event: appends `hop` to the journey log and
-    /// counts it in the [`FleetStats`] field its stage names. Every
-    /// transmission — sent or dropped — also counts toward
-    /// `transmissions`, and toward `retransmits` past the first attempt.
+    /// Records one frame event, the one place any is recorded: appends
+    /// `hop` to the journey log, counts it in the [`FleetStats`] field its
+    /// stage names and journals the line its stage names — a retransmit,
+    /// an abandon or a shed. Every transmission — sent or dropped — also
+    /// counts toward `transmissions`, and toward `retransmits` past the
+    /// first attempt.
     fn note(&mut self, hop: FleetHop) {
+        let FleetHop {
+            host, seq, trace, ..
+        } = hop;
+        let attempt = u64::from(hop.attempt);
+        let journal = self.telemetry.journal();
         let s = &mut self.stats;
         if let HopStage::Send
         | HopStage::DropFault
@@ -1096,7 +957,18 @@ impl Fleet {
         | HopStage::DropQueue = hop.stage
         {
             s.transmissions += 1;
-            s.retransmits += u64::from(hop.attempt > 0);
+            if attempt > 0 {
+                s.retransmits += 1;
+                journal.emit(
+                    EventKind::FleetRetry,
+                    host,
+                    Text::Spelled(
+                        |[seq, attempt], f| write!(f, "seq {seq} retransmit, attempt {attempt}"),
+                        [seq, attempt],
+                    ),
+                    trace,
+                );
+            }
         }
         let fate = match hop.stage {
             // A transmission that entered the link has no fate yet.
@@ -1106,15 +978,55 @@ impl Fleet {
             HopStage::DropPartition => Some(&mut s.dropped_partition),
             HopStage::DropQueue => Some(&mut s.dropped_queue),
             HopStage::HostDark => Some(&mut s.dark_lost),
-            HopStage::SenderShed => Some(&mut s.sender_shed),
+            HopStage::SenderShed => {
+                journal.emit(
+                    EventKind::FleetShed,
+                    host,
+                    Text::Spelled(
+                        |[seq, _], f| write!(f, "seq {seq} shed from sender backlog (no credits)"),
+                        [seq, 0],
+                    ),
+                    trace,
+                );
+                Some(&mut s.sender_shed)
+            }
             HopStage::ShardShed { shard } => {
+                journal.emit(
+                    EventKind::FleetShed,
+                    Text::Spelled(|[s, _], f| write!(f, "shard-{s}"), [u64::from(shard), 0]),
+                    Text::Spelled(
+                        |&[host, seq], f| {
+                            let host = HostId(host as u32);
+                            write!(f, "{host} seq {seq} shed at ingest (overflow)")
+                        },
+                        [u64::from(host.0), seq],
+                    ),
+                    trace,
+                );
                 self.shard_shed_by[shard as usize] += 1;
                 Some(&mut s.shard_shed)
             }
             HopStage::Apply { .. } => Some(&mut s.applied),
             HopStage::Duplicate { .. } => Some(&mut s.dup_discarded),
             HopStage::Corrupt { .. } => Some(&mut s.corrupt_frames),
-            HopStage::Abandon => Some(&mut s.abandoned),
+            HopStage::Abandon => {
+                journal.emit(
+                    EventKind::FleetRetry,
+                    host,
+                    Text::Spelled(
+                        |[seq, sent], f| {
+                            write!(
+                                f,
+                                "seq {seq} abandoned after {sent} transmissions \
+                                 (budget exhausted)"
+                            )
+                        },
+                        [seq, attempt + 1],
+                    ),
+                    trace,
+                );
+                Some(&mut s.abandoned)
+            }
         };
         if let Some(n) = fate {
             *n += 1;

@@ -8,7 +8,7 @@
 //! schedule or an estimate, so enabling observability cannot perturb
 //! the simulation (the e1–e13 goldens stay bit-identical).
 
-use super::envelope::HostId;
+use super::envelope::{FrameEnvelope, HostId};
 use crate::telemetry::export::{escape_json, parse_json, Json};
 use crate::telemetry::TraceId;
 use std::collections::VecDeque;
@@ -87,12 +87,6 @@ impl HopStage {
             _ => None,
         }
     }
-
-    /// Whether this stage ends the transmission's journey (nothing can
-    /// happen to this copy afterwards).
-    pub fn is_terminal(&self) -> bool {
-        !matches!(self, HopStage::Produce | HopStage::Send)
-    }
 }
 
 /// One hop in one frame's journey through the fleet.
@@ -110,6 +104,21 @@ pub struct FleetHop {
     pub attempt: u32,
     /// What happened.
     pub stage: HopStage,
+}
+
+impl FleetHop {
+    /// The hop `env`'s frame makes at fleet tick `tick` on transmission
+    /// `attempt`.
+    pub(crate) fn of(tick: u64, env: &FrameEnvelope, attempt: u32, stage: HopStage) -> FleetHop {
+        FleetHop {
+            tick,
+            host: env.host,
+            seq: env.seq,
+            trace: env.trace,
+            attempt,
+            stage,
+        }
+    }
 }
 
 /// A bounded log of fleet hops. When full it evicts the *oldest* hops
@@ -317,11 +326,6 @@ impl SloTracker {
         self.total_violations
     }
 
-    /// Error budget left (0 once exhausted).
-    pub fn budget_remaining(&self) -> u64 {
-        self.cfg.error_budget.saturating_sub(self.total_violations)
-    }
-
     /// Whether the budget has been exhausted.
     pub fn exhausted(&self) -> bool {
         self.exhausted
@@ -489,14 +493,10 @@ mod tests {
     }
 
     #[test]
-    fn hop_stage_labels_and_terminality() {
+    fn hop_stage_labels_and_shards() {
         assert_eq!(HopStage::Apply { shard: 2 }.label(), "apply");
         assert_eq!(HopStage::Apply { shard: 2 }.shard(), Some(2));
         assert_eq!(HopStage::Send.shard(), None);
-        assert!(!HopStage::Send.is_terminal());
-        assert!(!HopStage::Produce.is_terminal());
-        assert!(HopStage::Abandon.is_terminal());
-        assert!(HopStage::DropFault.is_terminal());
     }
 
     #[test]
@@ -545,7 +545,6 @@ mod tests {
         }
         assert_eq!(fired, 1, "exhaustion reports once");
         assert!(t.exhausted());
-        assert_eq!(t.budget_remaining(), 0);
     }
 
     #[test]

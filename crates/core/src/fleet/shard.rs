@@ -18,6 +18,7 @@
 //! constants below.
 
 use super::envelope::{FrameDecoder, FrameEnvelope, HostId};
+use super::observe::{FleetHop, HopStage};
 use crate::formula::PowerFormula;
 use crate::frame::{PowerBatch, SensorBatch, SensorRow, TickFrame, NO_ROW};
 use crate::hierarchy::LeafCells;
@@ -25,6 +26,7 @@ use crate::msg::Quality;
 use crate::sensor::hpc;
 use crate::telemetry::TraceId;
 use perf_sim::events::Event;
+use simcpu::units::Nanos;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -69,51 +71,22 @@ pub enum IngestOutcome {
     Shed(FrameEnvelope),
 }
 
-/// What processing one envelope produced. Every variant carries the
-/// envelope's origin trace so the caller can journal the outcome on the
-/// frame's causal track.
+/// What processing one envelope produced: the frame's journey hop —
+/// stage [`HopStage::Apply`] (decoded and applied to the host's track),
+/// [`HopStage::Duplicate`] (a duplicate or superseded frame, acked so the
+/// sender stops retransmitting it but not applied) or
+/// [`HopStage::Corrupt`] (failed checksum or framing; not acked, so the
+/// sender's retransmission recovers the data) — plus the envelope's
+/// timing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProcessOutcome {
-    /// A fresh frame was decoded and applied to the host's track.
-    Applied {
-        /// The reporting host.
-        host: HostId,
-        /// The applied sequence number.
-        seq: u64,
-        /// Sim-clock timestamp of the original send (for lag).
-        sent_at: simcpu::units::Nanos,
-        /// The frame's origin tick trace.
-        trace: TraceId,
-        /// Which transmission the applied copy was (0 = first try).
-        attempt: u32,
-        /// Fleet ticks the envelope waited in the ingest queue (the
-        /// shard's service time under its per-tick budget).
-        queued_ticks: u64,
-    },
-    /// A duplicate or superseded frame — acked (the sender must stop
-    /// retransmitting it) but not applied.
-    Duplicate {
-        /// The reporting host.
-        host: HostId,
-        /// The redundant sequence number.
-        seq: u64,
-        /// The frame's origin tick trace.
-        trace: TraceId,
-        /// Which transmission the redundant copy was.
-        attempt: u32,
-    },
-    /// The payload failed checksum or framing — counted, not acked, so
-    /// the sender's retransmission recovers the data.
-    Corrupt {
-        /// The reporting host.
-        host: HostId,
-        /// The corrupted sequence number.
-        seq: u64,
-        /// The frame's origin tick trace.
-        trace: TraceId,
-        /// Which transmission the corrupted copy was.
-        attempt: u32,
-    },
+pub struct ProcessOutcome {
+    /// The frame's hop at this shard, on its origin trace.
+    pub hop: FleetHop,
+    /// Sim-clock timestamp of the original send (for lag).
+    pub sent_at: Nanos,
+    /// Fleet ticks the envelope waited in the ingest queue (the shard's
+    /// service time under its per-tick budget).
+    pub queued_ticks: u64,
 }
 
 /// Per-host estimator state.
@@ -223,8 +196,12 @@ impl EstimatorShard {
     /// when the queue is empty.
     pub fn process_one(&mut self, now: u64) -> Option<ProcessOutcome> {
         let (ingested_at, env) = self.ingest.pop_front()?;
-        let host = env.host;
-        let trace = env.trace;
+        let (host, trace, shard) = (env.host, env.trace, self.index as u32);
+        let outcome = |stage| ProcessOutcome {
+            hop: FleetHop::of(now, &env, env.attempt, stage),
+            sent_at: env.sent_at,
+            queued_ticks: now.saturating_sub(ingested_at),
+        };
         // Decoded into the last applied frame's columns unless something
         // still holds that frame (a formula may keep a batch's frame);
         // then into a block of the decoder's pool. Sealed under this
@@ -236,12 +213,7 @@ impl EstimatorShard {
             .decode_reusing(&env.payload, spent)
             .and_then(|d| d.seal(self.events.clone()));
         let Ok(sealed) = sealed else {
-            return Some(ProcessOutcome::Corrupt {
-                host,
-                seq: env.seq,
-                trace,
-                attempt: env.attempt,
-            });
+            return Some(outcome(HopStage::Corrupt { shard }));
         };
         // Back where its columns came from, or into a new `Arc` beside
         // the frame someone else still holds.
@@ -256,12 +228,7 @@ impl EstimatorShard {
             // (reordering) are redundant: ack so the sender stops
             // retransmitting, but keep the newer estimate.
             if env.seq <= t.last_seq {
-                return Some(ProcessOutcome::Duplicate {
-                    host,
-                    seq: env.seq,
-                    trace,
-                    attempt: env.attempt,
-                });
+                return Some(outcome(HopStage::Duplicate { shard }));
             }
         }
         // The staleness flag persists across the apply so the next
@@ -325,14 +292,7 @@ impl EstimatorShard {
                 last_attempt: env.attempt,
             },
         );
-        Some(ProcessOutcome::Applied {
-            host,
-            seq: env.seq,
-            sent_at: env.sent_at,
-            trace,
-            attempt: env.attempt,
-            queued_ticks: now.saturating_sub(ingested_at),
-        })
+        Some(outcome(HopStage::Apply { shard }))
     }
 
     /// Re-evaluates staleness for every tracked host, appending
@@ -419,7 +379,6 @@ mod tests {
     use crate::formula::per_freq::PerFrequencyFormula;
     use crate::frame::FrameBuilder;
     use os_sim::process::Pid;
-    use simcpu::units::Nanos;
 
     /// One encoded frame of `(pid, busy ms, cgroup)` rows in `events`'
     /// layout (no counter rows, so the wire carries zeros).
@@ -484,12 +443,16 @@ mod tests {
         let out = s.process_one(1).unwrap();
         assert_eq!(
             out,
-            ProcessOutcome::Applied {
-                host: HostId(2),
-                seq: 0,
+            ProcessOutcome {
+                hop: FleetHop {
+                    tick: 1,
+                    host: HostId(2),
+                    seq: 0,
+                    trace: TraceId(100),
+                    attempt: 0,
+                    stage: HopStage::Apply { shard: 0 },
+                },
                 sent_at: Nanos(0),
-                trace: TraceId(100),
-                attempt: 0,
                 queued_ticks: 1,
             }
         );
@@ -501,12 +464,14 @@ mod tests {
         assert_eq!(est.quality, Quality::Full);
         // The same seq again: duplicate, estimate untouched.
         s.ingest(envelope(2, 0, 900), 2);
+        let hop = s.process_one(2).unwrap().hop;
         assert!(matches!(
-            s.process_one(2),
-            Some(ProcessOutcome::Duplicate {
+            hop,
+            FleetHop {
                 trace: TraceId(100),
+                stage: HopStage::Duplicate { .. },
                 ..
-            })
+            }
         ));
         assert!((s.estimate(HostId(2), 2).unwrap().power_w - 35.0).abs() < 1e-9);
     }
@@ -518,12 +483,14 @@ mod tests {
         let mid = env.payload.len() / 2;
         env.payload[mid] ^= 0x10;
         s.ingest(env, 0);
+        let hop = s.process_one(1).unwrap().hop;
         assert!(matches!(
-            s.process_one(1),
-            Some(ProcessOutcome::Corrupt {
+            hop,
+            FleetHop {
                 trace: TraceId(100),
+                stage: HopStage::Corrupt { .. },
                 ..
-            })
+            }
         ));
         assert!(s.estimate(HostId(1), 1).is_none());
     }
@@ -548,9 +515,9 @@ mod tests {
                 ..envelope(1, seq as u64, 0)
             };
             s.ingest(env, 0);
-            let out = s.process_one(1);
+            let out = s.process_one(1).map(|o| o.hop);
             assert!(
-                matches!(out, Some(ProcessOutcome::Corrupt { seq: got, .. }) if got == seq as u64),
+                matches!(out, Some(FleetHop { seq: got, stage: HopStage::Corrupt { .. }, .. }) if got == seq as u64),
                 "{out:?}"
             );
             assert!(s.estimate(HostId(1), 1).is_none(), "never applied");
@@ -562,8 +529,8 @@ mod tests {
         };
         s.ingest(env, 1);
         assert!(matches!(
-            s.process_one(1),
-            Some(ProcessOutcome::Applied { .. })
+            s.process_one(1).map(|o| o.hop.stage),
+            Some(HopStage::Apply { .. })
         ));
         assert!(s.tenant_estimate(HostId(1), 1, "tenant-a").is_some());
     }
@@ -645,8 +612,8 @@ mod tests {
         for (seq, busy_ms) in [(0, 100), (1, 200), (2, 300)] {
             s.ingest(envelope(4, seq, busy_ms), seq);
             assert!(matches!(
-                s.process_one(seq),
-                Some(ProcessOutcome::Applied { .. })
+                s.process_one(seq).map(|o| o.hop.stage),
+                Some(HopStage::Apply { .. })
             ));
             let est = s.estimate(HostId(4), seq).unwrap();
             assert!((est.power_w - busy_ms as f64 / 1000.0).abs() < 1e-12);
@@ -759,9 +726,9 @@ mod tests {
         }
         assert_eq!(s.queue_len(), 2, "the newcomer took the freed slot");
         let queued: Vec<u64> = std::iter::from_fn(|| s.process_one(1))
-            .map(|o| match o {
-                ProcessOutcome::Applied { seq, .. } | ProcessOutcome::Duplicate { seq, .. } => seq,
-                ProcessOutcome::Corrupt { .. } => panic!("intact frames"),
+            .map(|o| match o.hop.stage {
+                HopStage::Apply { .. } | HopStage::Duplicate { .. } => o.hop.seq,
+                _ => panic!("intact frames"),
             })
             .collect();
         assert_eq!(queued, vec![1, 2]);

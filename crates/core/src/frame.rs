@@ -128,14 +128,6 @@ pub struct TickFrame {
     /// retransmits and journal events can join against the producing
     /// host's trace spans.
     trace: TraceId,
-    /// The adaptive controller's period multiplier when this frame was
-    /// harvested (1 = full rate). Stamped by the runtime; hand-built
-    /// frames default to full rate.
-    sampling_factor: u32,
-    /// PMU multiplexing pressure of the harvest that filled the hpc
-    /// columns: `time_enabled / time_running` averaged over the reads,
-    /// ≥ 1.0 (1.0 = every counter ran the whole interval).
-    sampling_pressure: f64,
     storage: FrameStorage,
     pool: Option<FramePool>,
     /// Whether the searchable pid columns are ascending (the builder's
@@ -165,8 +157,6 @@ impl TickFrame {
             events,
             rapl_joules,
             trace: TraceId::NONE,
-            sampling_factor: 1,
-            sampling_pressure: 1.0,
             storage,
             pool,
             sorted,
@@ -185,28 +175,6 @@ impl TickFrame {
     /// ran without telemetry).
     pub fn trace(&self) -> TraceId {
         self.trace
-    }
-
-    /// Stamps the sampling-period multiplier this frame was harvested
-    /// under (the runtime's adaptive controller state; 1 = full rate).
-    pub fn set_sampling_factor(&mut self, factor: u32) {
-        self.sampling_factor = factor.max(1);
-    }
-
-    /// The sampling-period multiplier at harvest time (1 = full rate).
-    pub fn sampling_factor(&self) -> u32 {
-        self.sampling_factor
-    }
-
-    /// Stamps the PMU multiplexing pressure of the harvest (≥ 1.0).
-    pub fn set_sampling_pressure(&mut self, pressure: f64) {
-        self.sampling_pressure = pressure.max(1.0);
-    }
-
-    /// The PMU multiplexing pressure of the harvest (≥ 1.0; 1.0 means no
-    /// counter was time-sliced during the interval).
-    pub fn sampling_pressure(&self) -> f64 {
-        self.sampling_pressure
     }
 
     /// Number of hpc rows.
@@ -370,8 +338,6 @@ impl Clone for TickFrame {
             events: self.events.clone(),
             rapl_joules: self.rapl_joules,
             trace: self.trace,
-            sampling_factor: self.sampling_factor,
-            sampling_pressure: self.sampling_pressure,
             storage: FrameStorage {
                 hpc_pids: self.storage.hpc_pids.clone(),
                 counters: self.storage.counters.clone(),
@@ -397,8 +363,6 @@ impl PartialEq for TickFrame {
         // The pool is plumbing, not data.
         self.timestamp == other.timestamp
             && self.trace == other.trace
-            && self.sampling_factor == other.sampling_factor
-            && self.sampling_pressure == other.sampling_pressure
             && self.interval == other.interval
             && *self.events == *other.events
             && self.rapl_joules == other.rapl_joules

@@ -668,9 +668,7 @@ impl PowerApi {
                         .overhead()
                         .record_host(t.elapsed().as_nanos() as u64);
                 }
-                let mut frame = self.host.snapshot_frame(&self.pool);
-                frame.set_sampling_factor(self.sampling.as_ref().map_or(1, |s| s.factor()));
-                frame.set_sampling_pressure(self.host.sampling_pressure().ratio());
+                let frame = self.host.snapshot_frame(&self.pool);
                 let timestamp = frame.timestamp;
                 if instrumented {
                     // Advance the flight-recorder clock first so every

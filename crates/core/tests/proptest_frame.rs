@@ -11,8 +11,8 @@ use perf_sim::events::Event;
 use powerapi::actor::{Actor, ActorSystem, Context};
 use powerapi::fleet::envelope::{fnv1a64, wire_sum};
 use powerapi::fleet::{
-    decode_frame, encode_frame, EstimatorShard, FrameDecoder, FrameEnvelope, HostId,
-    ProcessOutcome, ShardConfig, WireError,
+    decode_frame, encode_frame, EstimatorShard, FrameDecoder, FrameEnvelope, HopStage, HostId,
+    ShardConfig, WireError,
 };
 use powerapi::formula::per_freq::{bertran_events, Kind, PerFrequencyFormula};
 use powerapi::formula::{estimate_row_by_row, FormulaActor, PowerFormula};
@@ -753,7 +753,10 @@ proptest! {
                 0,
             );
             let outcome = shard.process_one(0);
-            prop_assert!(matches!(outcome, Some(ProcessOutcome::Applied { .. })));
+            prop_assert!(matches!(
+                outcome.map(|o| o.hop.stage),
+                Some(HopStage::Apply { .. })
+            ));
             let track = shard.track(host).expect("applied");
             prop_assert_eq!(track.power_w.to_bits(), power_w.to_bits());
             prop_assert_eq!(track.band_w.to_bits(), band.to_bits());

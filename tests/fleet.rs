@@ -11,8 +11,7 @@ use powerapi_suite::perf_sim::events::PAPER_EVENTS;
 use powerapi_suite::powerapi::fleet::SimHostSource;
 use powerapi_suite::powerapi::fleet::{
     encode_frame, EstimatorShard, Fleet, FleetConfig, FrameEnvelope, FrameSource, HopStage, HostId,
-    Link, LinkConfig, LinkFaultConfig, LinkFaultKind, LinkFaultPlan, LinkWindow, ProcessOutcome,
-    ShardConfig,
+    Link, LinkConfig, LinkFaultConfig, LinkFaultKind, LinkFaultPlan, LinkWindow, ShardConfig,
 };
 use powerapi_suite::powerapi::formula::per_freq::PerFrequencyFormula;
 use powerapi_suite::powerapi::frame::FramePool;
@@ -115,7 +114,7 @@ fn faulty_fleet() -> (Fleet, Telemetry) {
 /// duplicates, corruption, reordering and a partition window.
 #[test]
 fn conservation_holds_under_link_faults() {
-    let (mut fleet, _telemetry) = faulty_fleet();
+    let (mut fleet, telemetry) = faulty_fleet();
     let reports = fleet.run(TICKS);
     assert_eq!(reports.len(), TICKS as usize);
     fleet.assert_conserved();
@@ -155,6 +154,22 @@ fn conservation_holds_under_link_faults() {
     }
     assert_eq!(stats.retransmits, transmitted(true));
     assert_eq!(stats.transmissions, transmitted(false) + transmitted(true));
+
+    // Each per-frame journal line is written by the hop it describes.
+    let journal = telemetry.journal();
+    assert_eq!(journal.dropped(), 0, "the whole run is in the journal");
+    let events = journal.events();
+    let lines = |kind| events.iter().filter(|e| e.kind == kind).count() as u64;
+    assert_eq!(
+        lines(EventKind::FleetRetry),
+        transmitted(true) + hops("abandon"),
+        "one retry line per retransmission and per abandon"
+    );
+    assert_eq!(
+        lines(EventKind::FleetShed),
+        hops("sender-shed") + hops("shard-shed"),
+        "one shed line per shed hop"
+    );
 }
 
 /// A partitioned host decays to stale (held at last-known-good with a
@@ -563,15 +578,16 @@ fn no_frame_damaged_in_flight_is_ever_applied() {
             let differs = env.payload != sent[env.host.0 as usize][env.seq as usize];
             damaged += u64::from(differs);
             shard.ingest(env, now);
-            match shard.process_one(now).expect("just ingested") {
-                ProcessOutcome::Corrupt { .. } => {
+            match shard.process_one(now).expect("just ingested").hop.stage {
+                HopStage::Corrupt { .. } => {
                     assert!(differs, "an intact delivery was refused");
                     refused += 1;
                 }
-                ProcessOutcome::Applied { .. } | ProcessOutcome::Duplicate { .. } => {
+                HopStage::Apply { .. } | HopStage::Duplicate { .. } => {
                     accepted += 1;
                     accepted_damaged += u64::from(differs);
                 }
+                stage => panic!("a shard never reports {stage:?}"),
             }
         }
     }

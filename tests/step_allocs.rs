@@ -12,7 +12,8 @@ use perf_sim::events::{Event, PAPER_EVENTS};
 use powerapi::actor::{Actor, ActorSystem, Context};
 use powerapi::aggregator::{Aggregator, Dimension};
 use powerapi::fleet::{
-    encode_frame, EstimatorShard, FrameDecoder, FrameEnvelope, HostId, ProcessOutcome, ShardConfig,
+    encode_frame, EstimatorShard, FrameDecoder, FrameEnvelope, HopStage, HostId, ProcessOutcome,
+    ShardConfig,
 };
 use powerapi::formula::per_freq::PerFrequencyFormula;
 use powerapi::formula::PowerFormula;
@@ -366,7 +367,10 @@ fn a_warm_transport_path_allocates_the_payload_and_the_frame_arc() {
             (outcome, n)
         };
         let applied = |(outcome, n): (Option<ProcessOutcome>, u64)| {
-            assert!(matches!(outcome, Some(ProcessOutcome::Applied { .. })));
+            assert!(matches!(
+                outcome.map(|o| o.hop.stage),
+                Some(HopStage::Apply { .. })
+            ));
             n
         };
         // The first applies open the host's books and size the scratch.
@@ -384,7 +388,10 @@ fn a_warm_transport_path_allocates_the_payload_and_the_frame_arc() {
         let mut damaged = payload.clone();
         damaged[payload.len() / 2] ^= 0x10;
         let (outcome, _) = process(6, damaged);
-        assert!(matches!(outcome, Some(ProcessOutcome::Corrupt { .. })));
+        assert!(matches!(
+            outcome.map(|o| o.hop.stage),
+            Some(HopStage::Corrupt { .. })
+        ));
         assert_eq!(
             applied(process(7, payload.clone())),
             0,
