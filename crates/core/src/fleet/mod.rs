@@ -544,7 +544,7 @@ impl Fleet {
                 if let Some(released) = self.senders[ack.host.0 as usize].ack(ack.seq) {
                     self.stats.acked += 1;
                     if let Some(t) = &mut self.tallies {
-                        t.retransmit_count.record(u64::from(released.attempt));
+                        t.retransmit_count.record(u64::from(released.env.attempt));
                     }
                 }
             } else {
@@ -576,17 +576,17 @@ impl Fleet {
 
             for seq in self.senders[h].expired(now) {
                 let p = self.senders[h].pending.get_mut(&seq).expect("expired seq");
-                if p.attempt >= retry::MAX_RETRIES {
+                if p.env.attempt >= retry::MAX_RETRIES {
                     let p = self.senders[h].pending.remove(&seq).expect("expired seq");
-                    self.note(FleetHop::of(now, &p.env, p.attempt, HopStage::Abandon));
+                    self.note(FleetHop::of(now, &p.env, HopStage::Abandon));
                     continue;
                 }
-                p.attempt += 1;
-                p.deadline = retry::deadline(now, p.attempt, &self.plan, host, seq);
+                p.env.attempt += 1;
+                p.deadline = retry::deadline(now, p.env.attempt, &self.plan, host, seq);
                 // The link may mangle what it carries: it gets a copy,
                 // the canonical envelope stays pending.
-                let (env, attempt) = (p.env.clone(), p.attempt);
-                self.send(h, env, attempt);
+                let env = p.env.clone();
+                self.send(h, env);
             }
 
             let frame = self.sources[h].produce(&self.pool);
@@ -612,14 +612,14 @@ impl Fleet {
                 attempt: 0,
                 payload,
             };
-            self.note(FleetHop::of(now, &env, 0, HopStage::Produce));
+            self.note(FleetHop::of(now, &env, HopStage::Produce));
             if self.plan.dark(host, now) {
-                self.note(FleetHop::of(now, &env, 0, HopStage::HostDark));
+                self.note(FleetHop::of(now, &env, HopStage::HostDark));
             } else {
                 self.senders[h].backlog.push_back(env);
                 while self.senders[h].backlog.len() > self.cfg.link.sender_backlog.max(1) {
                     let old = self.senders[h].backlog.pop_front().expect("over cap");
-                    self.note(FleetHop::of(now, &old, 0, HopStage::SenderShed));
+                    self.note(FleetHop::of(now, &old, HopStage::SenderShed));
                 }
             }
 
@@ -632,11 +632,10 @@ impl Fleet {
                     env.seq,
                     Pending {
                         env: env.clone(),
-                        attempt: 0,
                         deadline,
                     },
                 );
-                self.send(h, env, 0);
+                self.send(h, env);
             }
         }
 
@@ -653,7 +652,7 @@ impl Fleet {
                 let s = shard::route(env.host, self.shards.len());
                 if let IngestOutcome::Shed(old) = self.shards[s].ingest(env, now) {
                     let stage = HopStage::ShardShed { shard: s as u32 };
-                    self.note(FleetHop::of(now, &old, old.attempt, stage));
+                    self.note(FleetHop::of(now, &old, stage));
                 }
             }
         }
@@ -920,13 +919,13 @@ impl Fleet {
         }
     }
 
-    /// Hands `env` to host `h`'s link as transmission `attempt` and notes
-    /// the stage it reached (entered the link, or which way it died). A
-    /// duplicate the link injects is the one copy no hop logs, so it is
-    /// counted here.
-    fn send(&mut self, h: usize, env: FrameEnvelope, attempt: u32) {
-        let hop = FleetHop::of(self.now, &env, attempt, HopStage::Send);
-        let stage = match self.links[h].send(env, attempt, self.now) {
+    /// Hands `env` to host `h`'s link as the transmission its `attempt`
+    /// names and notes the stage it reached (entered the link, or which
+    /// way it died). A duplicate the link injects is the one copy no hop
+    /// logs, so it is counted here.
+    fn send(&mut self, h: usize, env: FrameEnvelope) {
+        let hop = FleetHop::of(self.now, &env, HopStage::Send);
+        let stage = match self.links[h].send(env, hop.attempt, self.now) {
             SendOutcome::Queued { duplicated } => {
                 self.stats.dup_injected += u64::from(duplicated);
                 HopStage::Send

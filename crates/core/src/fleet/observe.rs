@@ -107,15 +107,15 @@ pub struct FleetHop {
 }
 
 impl FleetHop {
-    /// The hop `env`'s frame makes at fleet tick `tick` on transmission
-    /// `attempt`.
-    pub(crate) fn of(tick: u64, env: &FrameEnvelope, attempt: u32, stage: HopStage) -> FleetHop {
+    /// The hop `env`'s frame makes at fleet tick `tick`, on the
+    /// transmission the envelope's `attempt` names.
+    pub(crate) fn of(tick: u64, env: &FrameEnvelope, stage: HopStage) -> FleetHop {
         FleetHop {
             tick,
             host: env.host,
             seq: env.seq,
             trace: env.trace,
-            attempt,
+            attempt: env.attempt,
             stage,
         }
     }

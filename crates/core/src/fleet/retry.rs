@@ -49,10 +49,10 @@ pub fn deadline(now: u64, attempt: u32, plan: &LinkFaultPlan, host: HostId, seq:
 /// so a retransmission always starts from good bytes.
 #[derive(Debug, Clone)]
 pub struct Pending {
-    /// The canonical envelope (original `sent_at` preserved).
+    /// The canonical envelope (original `sent_at` preserved). Its
+    /// `attempt` counts the transmissions so far minus one (0 = first
+    /// try outstanding).
     pub env: FrameEnvelope,
-    /// Transmissions so far minus one (0 = first try outstanding).
-    pub attempt: u32,
     /// Fleet tick at which the current transmission times out.
     pub deadline: u64,
 }
@@ -176,14 +176,13 @@ mod tests {
                 seq,
                 Pending {
                     env: env(seq),
-                    attempt: 0,
                     deadline: 5,
                 },
             );
         }
         assert!(!s.may_send(), "window full consumes all credits");
         let released = s.ack(0).expect("ack releases a credit");
-        assert_eq!(released.attempt, 0, "released entry reports attempts");
+        assert_eq!(released.env.attempt, 0, "released entry reports attempts");
         assert!(s.may_send());
         assert!(s.ack(0).is_none(), "late duplicate ack is a no-op");
         assert_eq!(

@@ -198,7 +198,7 @@ impl EstimatorShard {
         let (ingested_at, env) = self.ingest.pop_front()?;
         let (host, trace, shard) = (env.host, env.trace, self.index as u32);
         let outcome = |stage| ProcessOutcome {
-            hop: FleetHop::of(now, &env, env.attempt, stage),
+            hop: FleetHop::of(now, &env, stage),
             sent_at: env.sent_at,
             queued_ticks: now.saturating_sub(ingested_at),
         };

@@ -519,10 +519,11 @@ impl FrameBuilder {
         (&mut self.storage.group_table, &mut self.storage.group_of)
     }
 
-    /// Appends one corun row.
-    pub fn push_corun_row(&mut self, pid: Pid, split: CorunSplit) {
-        self.storage.corun_pids.push(pid);
-        self.storage.corun.push(split);
+    /// The corun columns (pids ascending, their splits in step), for a
+    /// host that accumulates the section in column form and swaps it in
+    /// whole.
+    pub fn corun_columns(&mut self) -> (&mut Vec<Pid>, &mut Vec<CorunSplit>) {
+        (&mut self.storage.corun_pids, &mut self.storage.corun)
     }
 
     /// The meter column (drained from the host's buffer).
@@ -861,18 +862,17 @@ mod tests {
         b.push_time_row(Pid(5), Nanos(900), |f| {
             f.push((MegaHertz(3300), Nanos(900)));
         });
-        b.push_corun_row(
-            Pid(5),
-            CorunSplit {
-                solo: ExecDelta {
-                    instructions: 7,
-                    ..ExecDelta::zero()
-                },
-                corun: ExecDelta::zero(),
-                solo_time: Nanos(900),
-                corun_time: Nanos::ZERO,
+        let (corun_pids, corun) = b.corun_columns();
+        corun_pids.push(Pid(5));
+        corun.push(CorunSplit {
+            solo: ExecDelta {
+                instructions: 7,
+                ..ExecDelta::zero()
             },
-        );
+            corun: ExecDelta::zero(),
+            solo_time: Nanos(900),
+            corun_time: Nanos::ZERO,
+        });
         b.meter_column().push((Nanos::from_secs(3), Watts(35.0)));
         b.finish(
             Nanos::from_secs(3),

@@ -19,7 +19,6 @@ use perf_sim::monitor::ProcessMonitor;
 use powermeter::powerspy::{PowerSpy, PowerSpyConfig};
 use powermeter::rapl::Rapl;
 use simcpu::units::{MegaHertz, Nanos, Watts};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The kernel plus its measurement harness.
@@ -32,8 +31,15 @@ pub struct SimHost {
     rapl: Option<Rapl>,
     rapl_prev: u32,
     meter_buf: Vec<(Nanos, Watts)>,
-    corun_acc: BTreeMap<Pid, CorunSplit>,
-    proc_prev: BTreeMap<Pid, (Nanos, Vec<(MegaHertz, Nanos)>)>,
+    /// The co-run split of every pid with a record since the last
+    /// snapshot, in the frame's column form (pids ascending, their
+    /// splits): the snapshot swaps both columns into the frame.
+    corun_pids: Vec<Pid>,
+    corun: Vec<CorunSplit>,
+    /// Each monitored pid's utime and per-frequency residency at the
+    /// last snapshot, ascending by pid: the monitor's tracked set, in its
+    /// order.
+    proc_prev: Vec<(Pid, Baseline)>,
     /// Monitored pids the kernel had never run when last looked at
     /// (sorted): no accounting entry, hence no time row.
     unscheduled: Vec<Pid>,
@@ -67,8 +73,9 @@ impl SimHost {
             rapl,
             rapl_prev: 0,
             meter_buf: Vec::new(),
-            corun_acc: BTreeMap::new(),
-            proc_prev: BTreeMap::new(),
+            corun_pids: Vec::new(),
+            corun: Vec::new(),
+            proc_prev: Vec::new(),
             unscheduled: Vec::new(),
             last_snapshot: kernel.machine().now(),
             telemetry: Telemetry::disabled(),
@@ -149,19 +156,21 @@ impl SimHost {
                 self.unscheduled.insert(at, pid);
             }
         }
-        self.proc_prev.entry(pid).or_insert_with(|| {
-            times.map_or_else(Default::default, |t| {
-                let per_freq = t.utime_per_freq.iter().map(|(&f, &at)| (f, at));
-                (t.utime, per_freq.collect())
-            })
-        });
+        if let Err(at) = self.proc_prev.binary_search_by_key(&pid, |&(p, _)| p) {
+            let baseline = times.map_or_else(Default::default, |t| {
+                (t.utime, t.utime_per_freq.as_slice().to_vec())
+            });
+            self.proc_prev.insert(at, (pid, baseline));
+        }
         Ok(())
     }
 
     /// Stops monitoring a process and forgets its baselines.
     pub fn unmonitor(&mut self, pid: Pid) {
         self.monitor.untrack(pid);
-        self.proc_prev.remove(&pid);
+        if let Ok(at) = self.proc_prev.binary_search_by_key(&pid, |&(p, _)| p) {
+            self.proc_prev.remove(at);
+        }
         if let Ok(at) = self.unscheduled.binary_search(&pid) {
             self.unscheduled.remove(at);
         }
@@ -180,9 +189,9 @@ impl SimHost {
 
         // Meter integrates the true machine power.
         let truth = self.kernel.machine().last_power();
-        for s in self.meter.observe(truth, report.now) {
-            self.meter_buf.push((s.at, s.power));
-        }
+        let meter_buf = &mut self.meter_buf;
+        self.meter
+            .observe_each(truth, report.now, |s| meter_buf.push((s.at, s.power)));
 
         // RAPL integrates the true package power.
         if let Some(rapl) = &mut self.rapl {
@@ -194,16 +203,12 @@ impl SimHost {
         // distinct tids; a record on such a core always has a sibling (if
         // its tid differs from the first seen, the first is the sibling;
         // if it matches, the tid that marked the core distinct is).
-        let smt = self.kernel.machine().topology().threads_per_core();
+        let topology = self.kernel.machine().topology();
+        let smt = topology.threads_per_core();
         if smt > 1 {
             self.core_tids.clear();
-            let cores = self
-                .kernel
-                .machine()
-                .topology()
-                .logical_cpus()
-                .div_ceil(smt);
-            self.core_tids.resize(cores, (None, false));
+            self.core_tids
+                .resize(topology.physical_cores(), (None, false));
             for rec in &report.records {
                 let slot = &mut self.core_tids[rec.cpu.as_usize() / smt];
                 match slot.0 {
@@ -215,7 +220,7 @@ impl SimHost {
         }
         for rec in &report.records {
             let has_sibling = smt > 1 && self.core_tids[rec.cpu.as_usize() / smt].1;
-            let split = self.corun_acc.entry(rec.pid).or_default();
+            let split = split_of(&mut self.corun_pids, &mut self.corun, rec.pid);
             if has_sibling {
                 split.corun += rec.delta;
                 split.corun_time += rec.busy;
@@ -234,13 +239,12 @@ impl SimHost {
     /// run).
     fn freq_deltas_into(
         prev: &mut Vec<(MegaHertz, Nanos)>,
-        cur: &BTreeMap<MegaHertz, Nanos>,
+        cur: &[(MegaHertz, Nanos)],
         by_freq: &mut Vec<(MegaHertz, Nanos)>,
     ) {
-        let aligned =
-            prev.len() == cur.len() && prev.iter().zip(cur.keys()).all(|((pf, _), f)| pf == f);
+        let aligned = prev.len() == cur.len() && prev.iter().zip(cur).all(|(p, c)| p.0 == c.0);
         if aligned {
-            for ((_, pv), (&f, &t)) in prev.iter_mut().zip(cur) {
+            for ((_, pv), &(f, t)) in prev.iter_mut().zip(cur) {
                 let d = t.saturating_sub(*pv);
                 if d > Nanos::ZERO {
                     by_freq.push((f, d));
@@ -248,8 +252,7 @@ impl SimHost {
                 *pv = t;
             }
         } else {
-            let mut next = Vec::with_capacity(cur.len());
-            for (&f, &t) in cur {
+            for &(f, t) in cur {
                 let before = prev
                     .iter()
                     .find(|(pf, _)| *pf == f)
@@ -259,9 +262,9 @@ impl SimHost {
                 if d > Nanos::ZERO {
                     by_freq.push((f, d));
                 }
-                next.push((f, t));
             }
-            *prev = next;
+            prev.clear();
+            prev.extend_from_slice(cur);
         }
     }
 
@@ -281,16 +284,17 @@ impl SimHost {
     /// The time section: one row per tracked pid the kernel has ever run,
     /// per-frequency residency appended straight into the shared CSR
     /// column. `busy` and the residencies only move when the kernel
-    /// emits a record for the pid, and the keys of `corun_acc` are
-    /// exactly the pids with a record since the last snapshot — so only
-    /// those read accounting and their baselines; every other row is the
-    /// zero row.
+    /// emits a record for the pid, and `corun_pids` holds exactly the
+    /// pids with a record since the last snapshot — so only those read
+    /// accounting and their baselines; every other row is the zero row.
+    /// `pids` is the tracked set, so it walks the baselines in step.
     fn time_rows(&mut self, pids: &[Pid], b: &mut FrameBuilder) {
         // Hosts without cgroups never tag, so the group column stays
         // absent and their wire payload carries no group section.
         let grouped = !self.kernel.cgroups().is_empty();
-        let mut ran = self.corun_acc.keys().copied().peekable();
-        for &pid in pids {
+        let mut ran = self.corun_pids.iter().copied().peekable();
+        for (&pid, (tracked, (prev_busy, prev_freq))) in pids.iter().zip(&mut self.proc_prev) {
+            debug_assert_eq!(pid, *tracked, "one baseline per tracked pid");
             while ran.next_if(|&r| r < pid).is_some() {}
             if ran.next_if_eq(&pid).is_some() {
                 let Some(times) = self.kernel.accounting().process(pid) else {
@@ -299,11 +303,10 @@ impl SimHost {
                 if let Ok(at) = self.unscheduled.binary_search(&pid) {
                     self.unscheduled.remove(at);
                 }
-                let (prev_busy, prev_freq) = self.proc_prev.entry(pid).or_default();
                 let busy = times.utime.saturating_sub(*prev_busy);
                 *prev_busy = times.utime;
                 b.push_time_row(pid, busy, |freqs| {
-                    Self::freq_deltas_into(prev_freq, &times.utime_per_freq, freqs);
+                    Self::freq_deltas_into(prev_freq, times.utime_per_freq.as_slice(), freqs);
                 });
             } else if self.unscheduled.binary_search(&pid).is_ok() {
                 continue;
@@ -321,15 +324,14 @@ impl SimHost {
     /// must reproduce column for column.
     #[cfg(test)]
     fn time_rows_by_full_walk(&mut self, pids: &[Pid], b: &mut FrameBuilder) {
-        for &pid in pids {
+        for (&pid, (_, (prev_busy, prev_freq))) in pids.iter().zip(&mut self.proc_prev) {
             let Some(times) = self.kernel.accounting().process(pid) else {
                 continue;
             };
-            let (prev_busy, prev_freq) = self.proc_prev.entry(pid).or_default();
             let busy = times.utime.saturating_sub(*prev_busy);
             *prev_busy = times.utime;
             b.push_time_row(pid, busy, |freqs| {
-                Self::freq_deltas_into(prev_freq, &times.utime_per_freq, freqs);
+                Self::freq_deltas_into(prev_freq, times.utime_per_freq.as_slice(), freqs);
             });
             if !self.kernel.cgroups().is_empty() {
                 b.set_time_group(self.kernel.cgroup_of(pid));
@@ -365,10 +367,9 @@ impl SimHost {
         time_rows(self, &pids, &mut b);
         self.pid_scratch = pids;
 
-        for (&pid, split) in &self.corun_acc {
-            b.push_corun_row(pid, *split);
-        }
-        self.corun_acc.clear();
+        let (corun_pids, corun) = b.corun_columns();
+        std::mem::swap(corun_pids, &mut self.corun_pids);
+        std::mem::swap(corun, &mut self.corun);
 
         std::mem::swap(b.meter_column(), &mut self.meter_buf);
 
@@ -387,6 +388,25 @@ impl SimHost {
         frame.set_trace(self.telemetry.trace_for_tick(now));
         frame
     }
+}
+
+/// A monitored pid's utime and per-frequency residency at the last
+/// snapshot.
+type Baseline = (Nanos, Vec<(MegaHertz, Nanos)>);
+
+/// `pid`'s split in the co-run columns (`pids` ascending, `splits` in
+/// step), inserted empty the first time the pid runs in an interval.
+fn split_of<'a>(
+    pids: &mut Vec<Pid>,
+    splits: &'a mut Vec<CorunSplit>,
+    pid: Pid,
+) -> &'a mut CorunSplit {
+    let at = pids.binary_search(&pid).unwrap_or_else(|at| {
+        pids.insert(at, pid);
+        splits.insert(at, CorunSplit::default());
+        at
+    });
+    &mut splits[at]
 }
 
 impl std::fmt::Debug for SimHost {
@@ -565,6 +585,81 @@ mod tests {
             host.snapshot_frame(&pool).meter().is_empty(),
             "already drained"
         );
+    }
+
+    /// The co-run split as it was: a tree entry per record, after the
+    /// same SMT pass. What the pid-sorted columns must reproduce.
+    fn corun_by_tree(
+        acc: &mut std::collections::BTreeMap<Pid, CorunSplit>,
+        report: &KernelReport,
+        smt: usize,
+        cores: usize,
+    ) {
+        let mut core_tids: Vec<(Option<Tid>, bool)> = vec![(None, false); cores];
+        for rec in &report.records {
+            let slot = &mut core_tids[rec.cpu.as_usize() / smt];
+            match slot.0 {
+                None => slot.0 = Some(rec.tid),
+                Some(t) if t != rec.tid => slot.1 = true,
+                Some(_) => {}
+            }
+        }
+        for rec in &report.records {
+            let has_sibling = smt > 1 && core_tids[rec.cpu.as_usize() / smt].1;
+            let split = acc.entry(rec.pid).or_default();
+            if has_sibling {
+                split.corun += rec.delta;
+                split.corun_time += rec.busy;
+            } else {
+                split.solo += rec.delta;
+                split.solo_time += rec.busy;
+            }
+        }
+    }
+
+    #[test]
+    fn corun_columns_equal_the_tree_every_snapshot() {
+        use os_sim::task::PeriodicTask;
+        let mut k = Kernel::new(presets::intel_i3_2120());
+        let w = |i| WorkUnit::cpu_intensive(i);
+        let burst = |ms, duty| PeriodicTask::boxed(w(0.8), Nanos::from_millis(ms), duty);
+        let pids = [
+            k.spawn("solo", vec![SteadyTask::boxed(w(0.6))]),
+            k.spawn("pair", vec![burst(9, 0.5), burst(13, 0.6)]),
+            k.spawn("wide", (0..3).map(|i| burst(5 + 4 * i, 0.4)).collect()),
+            k.spawn("sparse", vec![burst(40, 0.1)]),
+        ];
+        let mut host = SimHost::new(k, PAPER_EVENTS.to_vec(), 4, PowerSpyConfig::default());
+        host.monitor(pids[0]).unwrap();
+        let (smt, cores) = (2, 2);
+        let pool = FramePool::new();
+        let mut tree = std::collections::BTreeMap::new();
+        let (mut seed, mut shared, mut alone) = (2014u64, false, false);
+        for tick in 0..300 {
+            seed = crate::fleet::fault::splitmix64(seed);
+            for _ in 0..seed % 6 {
+                host.step(MS);
+                corun_by_tree(&mut tree, &host.report, smt, cores);
+            }
+            let frame = host.snapshot_frame(&pool);
+            for (i, pid) in pids.into_iter().enumerate() {
+                let row = frame.corun_row(pid, 0);
+                let split = tree.get(&pid).copied();
+                assert_eq!(
+                    row.map(|r| frame.corun_split(r)),
+                    split,
+                    "tick {tick}, {pid}"
+                );
+                assert!(
+                    row.is_none_or(|r| r == tree.range(..pid).count()),
+                    "row {i}"
+                );
+                shared |= split.is_some_and(|s| s.corun_time > Nanos::ZERO);
+                alone |= split.is_some_and(|s| s.solo_time > Nanos::ZERO);
+            }
+            tree.clear();
+        }
+        assert!(shared && alone, "records ran beside a sibling and alone");
     }
 
     /// One frame of the dirty-set harvest against one of the full walk.

@@ -229,8 +229,10 @@ fn fill_truncated(
         b.push_time_row(*pid, dt.busy, |f| f.extend_from_slice(&dt.by_freq));
         b.set_time_group(*leaf);
     }
+    let (corun_pids, corun) = b.corun_columns();
     for &(pid, split) in iv.corun.iter().take(keep_corun) {
-        b.push_corun_row(pid, split);
+        corun_pids.push(pid);
+        corun.push(split);
     }
     b.meter_column()
         .extend(iv.meter.iter().take(keep_meter).copied());

@@ -109,15 +109,15 @@ impl CpufreqGovernor for Ondemand {
             self.current.resize(core + 1, None);
         }
         let cur = self.current[core].unwrap_or_else(|| table.min().frequency());
-        let states = table.states();
-        let idx = states
-            .iter()
-            .position(|s| s.frequency() == cur)
-            .unwrap_or(0);
         let next = if utilization > self.up_threshold {
             table.max().frequency()
-        } else if utilization < self.down_threshold && idx > 0 {
-            states[idx - 1].frequency()
+        } else if utilization < self.down_threshold {
+            // Only a step down needs to know where the current state sits.
+            let states = table.states();
+            match states.iter().position(|s| s.frequency() == cur) {
+                Some(idx) if idx > 0 => states[idx - 1].frequency(),
+                _ => cur,
+            }
         } else {
             cur
         };
@@ -186,6 +186,45 @@ mod tests {
         assert_eq!(g.select(1, 0.05, &t), MegaHertz(1600));
         // Auto-resizes for unseen cores.
         assert_eq!(g.select(5, 0.95, &t), MegaHertz(3300));
+    }
+
+    /// `ondemand` against its old form, which located the current state
+    /// before knowing whether it would step down: seeded utilizations over
+    /// two tables, one of which lacks the state a core sits at.
+    #[test]
+    fn lazy_step_down_equals_the_eager_lookup() {
+        let eager = |cur: &mut Option<MegaHertz>, util: f64, t: &PStateTable| {
+            let at = cur.unwrap_or_else(|| t.min().frequency());
+            let states = t.states();
+            let idx = states.iter().position(|s| s.frequency() == at).unwrap_or(0);
+            let next = if util > 0.80 {
+                t.max().frequency()
+            } else if util < 0.30 && idx > 0 {
+                states[idx - 1].frequency()
+            } else {
+                at
+            };
+            *cur = Some(next);
+            next
+        };
+        let coarse =
+            PStateTable::without_turbo(ladder(&[1600, 2200, 3300], 0.85, 1.05).unwrap()).unwrap();
+        let tables = [table(), coarse];
+        let mut g = Ondemand::new(2);
+        let mut cur = [None; 2];
+        let mut seed = 2014u64;
+        for i in 0..2_000 {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let util = (seed >> 11) as f64 / (1u64 << 53) as f64;
+            let (core, t) = ((seed >> 7) as usize % 2, &tables[i / 500 % 2]);
+            assert_eq!(
+                g.select(core, util, t),
+                eager(&mut cur[core], util, t),
+                "{i}"
+            );
+        }
     }
 
     #[test]

@@ -75,6 +75,9 @@ pub struct Kernel {
     /// finished instead, or nothing was picked), the hosting core's
     /// frequency, and what the machine reported.
     work: Vec<Option<WorkUnit>>,
+    /// The threads that run this tick, in CPU order: `(cpu, tid, pid,
+    /// busy)`.
+    ran: Vec<(usize, Tid, Pid, Nanos)>,
     cpu_freqs: Vec<MegaHertz>,
     executed: TickReport,
 }
@@ -96,6 +99,7 @@ impl Kernel {
             next_pid: 100,
             next_tid: 1000,
             work: Vec::with_capacity(cpus),
+            ran: Vec::with_capacity(cpus),
             cpu_freqs: Vec::with_capacity(cpus),
             executed: TickReport::default(),
             machine,
@@ -335,12 +339,72 @@ impl Kernel {
     /// [`Kernel::tick`] into a caller-kept report, whose `records` keep
     /// their storage: the per-quantum form.
     pub fn tick_into(&mut self, dt: Nanos, report: &mut KernelReport) {
-        let topo = self.machine.topology().clone();
-        let n_cpus = topo.logical_cpus();
-        let smt = topo.threads_per_core();
         let now = self.machine.now();
 
-        // 1. Scheduling decisions.
+        // 1. Scheduling decisions. A picked thread's entry is looked up
+        // once: what it runs, its stats and its owner are settled here.
+        self.scheduler.pick();
+        let n_cpus = self.machine.topology().logical_cpus();
+        self.work.clear();
+        self.work.resize(n_cpus, None);
+        self.ran.clear();
+        let mut done: Vec<Tid> = Vec::new();
+        for cpu in 0..n_cpus {
+            let Some(tid) = self.scheduler.picked(cpu) else {
+                continue;
+            };
+            let entry = self.threads.get_mut(&tid).expect("scheduler is in sync");
+            match entry.behavior.next_slice(now, dt) {
+                Slice::Run(w) => {
+                    let busy = Nanos((dt.as_u64() as f64 * w.intensity()) as u64);
+                    entry.stats.record_run(CpuId(cpu), dt, busy);
+                    self.work[cpu] = Some(w);
+                    self.ran.push((cpu, tid, entry.pid, busy));
+                }
+                // The slot idles this tick; charging the sleeper keeps it
+                // from monopolizing future picks.
+                Slice::Sleep => self.scheduler.charge(tid, dt),
+                Slice::Done => done.push(tid),
+            }
+        }
+        for tid in done {
+            self.reap(tid);
+        }
+
+        // 2. Governors, 3. execution on the machine.
+        self.govern();
+        self.machine
+            .tick_into(&self.work, dt.as_u64(), &mut self.executed);
+
+        // 4. Attribution + accounting, from what step 1 settled.
+        let records = &mut report.records;
+        records.clear();
+        self.fill_cpu_freqs();
+        for &(cpu, tid, pid, busy) in &self.ran {
+            let frequency = self.cpu_freqs[cpu];
+            self.scheduler.charge(tid, dt);
+            self.accounting
+                .record_run(pid, CpuId(cpu), frequency, dt, busy);
+            records.push(RunRecord {
+                pid,
+                tid,
+                cpu: CpuId(cpu),
+                frequency,
+                delta: self.executed.deltas[cpu],
+                slice: dt,
+                busy,
+            });
+        }
+        self.account(dt, report);
+    }
+
+    /// [`Kernel::tick_into`] as it was before step 1 settled each running
+    /// thread: attribution looks every running thread up a second time.
+    /// What the one-lookup form must reproduce record for record.
+    #[cfg(test)]
+    fn tick_into_by_second_lookup(&mut self, dt: Nanos, report: &mut KernelReport) {
+        let n_cpus = self.machine.topology().logical_cpus();
+        let now = self.machine.now();
         self.scheduler.pick();
         self.work.clear();
         self.work.resize(n_cpus, None);
@@ -352,45 +416,19 @@ impl Kernel {
             let entry = self.threads.get_mut(&tid).expect("scheduler is in sync");
             match entry.behavior.next_slice(now, dt) {
                 Slice::Run(w) => self.work[cpu] = Some(w),
-                Slice::Sleep => {
-                    // The slot idles this tick; charging the sleeper keeps
-                    // it from monopolizing future picks.
-                    self.scheduler.charge(tid, dt);
-                }
+                Slice::Sleep => self.scheduler.charge(tid, dt),
                 Slice::Done => done.push(tid),
             }
         }
         for tid in done {
             self.reap(tid);
         }
-
-        // 2. Governors: frequency from last tick's utilization, C-state
-        // hint from the idle predictor.
-        for core in topo.cores() {
-            let c = core.as_usize();
-            let util = topo
-                .threads_of(core)
-                .map(|t| self.machine.utilization(t).unwrap_or(0.0))
-                .fold(0.0f64, f64::max);
-            let f = self.governor.select(c, util, self.machine.pstates());
-            self.machine
-                .set_frequency(c, f)
-                .expect("governor returned an unsupported frequency");
-            self.machine
-                .set_idle_hint(c, self.idle.predict(c))
-                .expect("core index in range");
-        }
-
-        // 3. Execute on the machine.
+        self.govern_by_full_walk();
         self.machine
             .tick_into(&self.work, dt.as_u64(), &mut self.executed);
-
-        // 4. Attribution + accounting.
         let records = &mut report.records;
         records.clear();
-        self.cpu_freqs.clear();
-        self.cpu_freqs
-            .extend((0..n_cpus).map(|cpu| self.machine.frequency(cpu / smt)));
+        self.fill_cpu_freqs();
         for cpu in 0..n_cpus {
             let (Some(tid), Some(work)) = (self.scheduler.picked(cpu), &self.work[cpu]) else {
                 continue;
@@ -411,15 +449,68 @@ impl Kernel {
                 busy,
             });
         }
-        self.accounting.tick(dt, &self.cpu_freqs);
+        self.account(dt, report);
+    }
+
+    /// Frequency from last tick's utilization and a C-state hint from the
+    /// idle predictor, per core. A core whose frequency stays put skips
+    /// the machine's P-state validation.
+    fn govern(&mut self) {
+        let smt = self.machine.topology().threads_per_core();
+        for c in 0..self.machine.topology().physical_cores() {
+            let util = (c * smt..(c + 1) * smt)
+                .map(|t| self.machine.utilization(CpuId(t)).unwrap_or(0.0))
+                .fold(0.0f64, f64::max);
+            let f = self.governor.select(c, util, self.machine.pstates());
+            if f != self.machine.frequency(c) {
+                self.machine
+                    .set_frequency(c, f)
+                    .expect("governor returned an unsupported frequency");
+            }
+            self.machine
+                .set_idle_hint(c, self.idle.predict(c))
+                .expect("core index in range");
+        }
+    }
+
+    /// The governor pass as it was: every core's frequency re-validated.
+    #[cfg(test)]
+    fn govern_by_full_walk(&mut self) {
+        let topo = self.machine.topology().clone();
         for core in topo.cores() {
             let c = core.as_usize();
-            let busy = topo
+            let util = topo
                 .threads_of(core)
-                .any(|t| self.work[t.as_usize()].is_some());
-            self.idle.observe(c, busy, dt);
+                .map(|t| self.machine.utilization(t).unwrap_or(0.0))
+                .fold(0.0f64, f64::max);
+            let f = self.governor.select(c, util, self.machine.pstates());
+            self.machine
+                .set_frequency(c, f)
+                .expect("governor returned an unsupported frequency");
+            self.machine
+                .set_idle_hint(c, self.idle.predict(c))
+                .expect("core index in range");
         }
+    }
 
+    /// Each logical CPU's hosting-core frequency for the tick.
+    fn fill_cpu_freqs(&mut self) {
+        let smt = self.machine.topology().threads_per_core();
+        let n_cpus = self.machine.topology().logical_cpus();
+        self.cpu_freqs.clear();
+        self.cpu_freqs
+            .extend((0..n_cpus).map(|cpu| self.machine.frequency(cpu / smt)));
+    }
+
+    /// Closes the tick: uptime and DVFS residency, the idle predictor's
+    /// per-core observation and the report's machine-level figures.
+    fn account(&mut self, dt: Nanos, report: &mut KernelReport) {
+        self.accounting.tick(dt, &self.cpu_freqs);
+        let smt = self.machine.topology().threads_per_core();
+        for (c, threads) in self.work.chunks(smt).enumerate() {
+            self.idle
+                .observe(c, threads.iter().any(Option::is_some), dt);
+        }
         report.power = self.executed.power;
         report.package_power = self.executed.package_power;
         report.now = self.executed.now;
@@ -472,7 +563,7 @@ impl std::fmt::Debug for Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::governor::Performance;
+    use crate::governor::{Ondemand, Performance};
     use crate::task::{PeriodicTask, SteadyTask, TimedTask};
     use simcpu::presets;
 
@@ -604,7 +695,10 @@ mod tests {
         let t = k.accounting().process(pid).unwrap();
         assert_eq!(t.utime, Nanos(10_000_000));
         // All busy time at the performance governor's max frequency.
-        assert_eq!(t.utime_per_freq[&MegaHertz(3300)], Nanos(10_000_000));
+        assert_eq!(
+            t.utime_per_freq.as_slice(),
+            [(MegaHertz(3300), Nanos(10_000_000))]
+        );
         assert_eq!(k.accounting().uptime(), Nanos(10_000_000));
     }
 
@@ -618,6 +712,116 @@ mod tests {
         assert_eq!(stats.sched_time, MS);
         assert_eq!(stats.utime, Nanos(500_000));
         assert!(k.thread_stats(Tid(1)).is_none());
+    }
+
+    /// The one-lookup tick against the one that looked every running
+    /// thread up twice and re-validated every core's frequency: two
+    /// kernels built and steered alike (spawns, kills, threads that
+    /// finish, sleep or are pinned, a governor switch, quanta of
+    /// seeded lengths) agree on every report, thread and `/proc` view
+    /// after every tick.
+    #[test]
+    fn one_lookup_tick_equals_the_second_lookup_every_tick() {
+        use crate::task::FnTask;
+        fn world() -> Kernel {
+            let mut k = Kernel::new(presets::intel_i3_2120());
+            k.cgroup_create("gold", 2048);
+            let w = |i| WorkUnit::cpu_intensive(i);
+            k.spawn("steady", vec![SteadyTask::boxed(w(0.7))]);
+            k.spawn(
+                "bursty",
+                vec![PeriodicTask::boxed(w(0.9), Nanos::from_millis(7), 0.4)],
+            );
+            k.spawn_in_cgroup(
+                "pair",
+                "gold/web",
+                vec![SteadyTask::boxed(w(0.5)), SteadyTask::boxed(w(0.3))],
+            );
+            k.spawn(
+                "short",
+                vec![
+                    TimedTask::boxed(w(1.0), Nanos::from_millis(9)),
+                    SteadyTask::boxed(w(0.2)),
+                ],
+            );
+            k.spawn(
+                "napper",
+                vec![FnTask::boxed("nap", |now: Nanos, _| {
+                    match now.as_u64() / 3_000_000 % 2 {
+                        0 => Slice::Sleep,
+                        _ => Slice::Run(WorkUnit::memory_intensive(8_192.0, 0.6)),
+                    }
+                })],
+            );
+            let pinned = k.spawn("pinned", vec![SteadyTask::boxed(w(0.1))]);
+            k.pin_process(pinned, vec![3]).unwrap();
+            k
+        }
+        let (mut fast, mut full) = (world(), world());
+        let (mut a, mut b) = (KernelReport::default(), KernelReport::default());
+        let mut seed = 2014u64;
+        let (mut slept, mut reaped, mut freq_moves) = (0, false, 0);
+        let mut last_freqs = Vec::new();
+        for tick in 0..600 {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let dt = Nanos([250_000, 1_000_000, 4_000_000][(seed >> 33) as usize % 3]);
+            for k in [&mut fast, &mut full] {
+                match tick {
+                    150 => {
+                        k.spawn(
+                            "late",
+                            vec![SteadyTask::boxed(WorkUnit::cpu_intensive(1.0))],
+                        );
+                    }
+                    300 => k.kill(Pid(101)).unwrap(),
+                    420 => k.pin_frequency(MegaHertz(2400)).unwrap(),
+                    500 => k.set_governor(Box::new(Ondemand::new(2))),
+                    _ => {}
+                }
+            }
+            fast.tick_into(dt, &mut a);
+            full.tick_into_by_second_lookup(dt, &mut b);
+            assert_eq!(a, b, "tick {tick}: report");
+            for (tid, entry) in &full.threads {
+                assert_eq!(
+                    fast.thread_stats(*tid),
+                    Some(&entry.stats),
+                    "tick {tick}: {tid:?}"
+                );
+            }
+            assert_eq!(fast.threads.len(), full.threads.len());
+            for pid in full.accounting.pids() {
+                assert_eq!(fast.accounting.process(pid), full.accounting.process(pid));
+            }
+            let freqs: Vec<_> = (0..2).map(|c| fast.machine.frequency(c)).collect();
+            for cpu in 0..4 {
+                let cpu = CpuId(cpu);
+                assert_eq!(
+                    fast.accounting.time_in_state(cpu),
+                    full.accounting.time_in_state(cpu)
+                );
+                assert_eq!(
+                    fast.machine.utilization(cpu).unwrap(),
+                    full.machine.utilization(cpu).unwrap()
+                );
+            }
+            assert_eq!(freqs, [0, 1].map(|c| full.machine.frequency(c)));
+            assert_eq!(fast.accounting.loadavg_1m(), full.accounting.loadavg_1m());
+            assert_eq!(fast.live_pids(), full.live_pids());
+
+            slept += (0..4)
+                .filter(|&c| fast.scheduler.picked(c).is_some() && fast.work[c].is_none())
+                .count();
+            let short = fast.process(Pid(103)).unwrap().threads();
+            reaped |= short.iter().any(|t| !fast.threads.contains_key(t));
+            freq_moves += usize::from(!last_freqs.is_empty() && last_freqs != freqs);
+            last_freqs = freqs;
+        }
+        assert!(slept > 0, "a picked thread slept");
+        assert!(reaped, "a thread finished and was reaped");
+        assert!(freq_moves > 2, "the governors moved: {freq_moves}");
     }
 
     #[test]

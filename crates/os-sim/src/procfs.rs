@@ -4,7 +4,30 @@
 
 use crate::process::Pid;
 use simcpu::units::{CpuId, MegaHertz, Nanos};
-use std::collections::BTreeMap;
+
+/// Time per frequency, ascending by frequency: the `time_in_state`
+/// shape. A CPU or a process visits a handful of P-states, so a short
+/// list serves better than a tree; adding to a state already listed is
+/// a scan of that handful, and a state's first visit lists it even at
+/// zero time.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FreqTimes(Vec<(MegaHertz, Nanos)>);
+
+impl FreqTimes {
+    /// Adds `dt` to frequency `f`, listing `f` if it is new.
+    pub fn add(&mut self, f: MegaHertz, dt: Nanos) {
+        match self.0.iter().position(|&(g, _)| g >= f) {
+            Some(at) if self.0[at].0 == f => self.0[at].1 += dt,
+            Some(at) => self.0.insert(at, (f, dt)),
+            None => self.0.push((f, dt)),
+        }
+    }
+
+    /// The `(frequency, time)` pairs, ascending by frequency.
+    pub fn as_slice(&self) -> &[(MegaHertz, Nanos)] {
+        &self.0
+    }
+}
 
 /// Cumulative per-process times.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -14,7 +37,7 @@ pub struct ProcessTimes {
     /// Wall time the process's threads were scheduled on CPUs.
     pub sched_time: Nanos,
     /// CPU time split by the frequency the hosting core ran at.
-    pub utime_per_freq: BTreeMap<MegaHertz, Nanos>,
+    pub utime_per_freq: FreqTimes,
 }
 
 /// The accounting store the kernel updates every tick.
@@ -22,10 +45,14 @@ pub struct ProcessTimes {
 pub struct Accounting {
     uptime: Nanos,
     cpu_busy: Vec<Nanos>,
-    time_in_state: Vec<BTreeMap<MegaHertz, Nanos>>,
-    processes: BTreeMap<Pid, ProcessTimes>,
+    time_in_state: Vec<FreqTimes>,
+    /// Ascending by pid.
+    processes: Vec<(Pid, ProcessTimes)>,
     loadavg_1m: f64,
     interval_busy: Nanos,
+    /// The last tick length and its load-average decay factor: quanta
+    /// repeat one length, so the `exp` runs once per length.
+    decay: (Nanos, f64),
 }
 
 impl Accounting {
@@ -34,27 +61,29 @@ impl Accounting {
         Accounting {
             uptime: Nanos::ZERO,
             cpu_busy: vec![Nanos::ZERO; cpus],
-            time_in_state: vec![BTreeMap::new(); cpus],
-            processes: BTreeMap::new(),
+            time_in_state: vec![FreqTimes::default(); cpus],
+            processes: Vec::new(),
             loadavg_1m: 0.0,
             interval_busy: Nanos::ZERO,
+            decay: (Nanos::ZERO, 1.0),
         }
     }
 
     /// Advances uptime and records each CPU's DVFS state for the slice.
     pub fn tick(&mut self, dt: Nanos, cpu_freqs: &[MegaHertz]) {
         self.uptime += dt;
-        for (cpu, &f) in cpu_freqs.iter().enumerate() {
-            if cpu < self.time_in_state.len() {
-                *self.time_in_state[cpu].entry(f).or_insert(Nanos::ZERO) += dt;
-            }
+        for (states, &f) in self.time_in_state.iter_mut().zip(cpu_freqs) {
+            states.add(f, dt);
         }
         // Exponentially-decayed 1-minute load average over the busy
         // CPU-time recorded since the previous tick (`/proc/loadavg`
         // style, with dt-exact decay instead of 5 s sampling).
         if dt > Nanos::ZERO {
             let instantaneous = self.interval_busy.as_secs_f64() / dt.as_secs_f64();
-            let alpha = (-dt.as_secs_f64() / 60.0).exp();
+            if self.decay.0 != dt {
+                self.decay = (dt, (-dt.as_secs_f64() / 60.0).exp());
+            }
+            let alpha = self.decay.1;
             self.loadavg_1m = self.loadavg_1m * alpha + instantaneous * (1.0 - alpha);
             self.interval_busy = Nanos::ZERO;
         }
@@ -72,10 +101,14 @@ impl Accounting {
             *b += busy;
         }
         self.interval_busy += busy;
-        let times = self.processes.entry(pid).or_default();
+        let at = self.index_of(pid).unwrap_or_else(|at| {
+            self.processes.insert(at, (pid, ProcessTimes::default()));
+            at
+        });
+        let times = &mut self.processes[at].1;
         times.utime += busy;
         times.sched_time += slice;
-        *times.utime_per_freq.entry(freq).or_insert(Nanos::ZERO) += busy;
+        times.utime_per_freq.add(freq, busy);
     }
 
     /// Machine uptime.
@@ -101,23 +134,32 @@ impl Accounting {
     }
 
     /// `time_in_state` of one CPU: cumulative residency per frequency.
-    pub fn time_in_state(&self, cpu: CpuId) -> Option<&BTreeMap<MegaHertz, Nanos>> {
+    pub fn time_in_state(&self, cpu: CpuId) -> Option<&FreqTimes> {
         self.time_in_state.get(cpu.as_usize())
     }
 
     /// Per-process cumulative times (`None` for never-scheduled pids).
     pub fn process(&self, pid: Pid) -> Option<&ProcessTimes> {
-        self.processes.get(&pid)
+        let at = self.index_of(pid).ok()?;
+        Some(&self.processes[at].1)
     }
 
-    /// Every accounted process id.
+    /// Every accounted process id, ascending.
     pub fn pids(&self) -> impl Iterator<Item = Pid> + '_ {
-        self.processes.keys().copied()
+        self.processes.iter().map(|&(pid, _)| pid)
     }
 
     /// Drops a process's records (after reaping).
     pub fn forget(&mut self, pid: Pid) {
-        self.processes.remove(&pid);
+        if let Ok(at) = self.index_of(pid) {
+            self.processes.remove(at);
+        }
+    }
+
+    /// Where `pid` sits among the accounted processes (`Err`: where it
+    /// would go).
+    fn index_of(&self, pid: Pid) -> Result<usize, usize> {
+        self.processes.binary_search_by_key(&pid, |&(p, _)| p)
     }
 }
 
@@ -134,10 +176,12 @@ mod tests {
         a.tick(MS, &[MegaHertz(3300), MegaHertz(3300)]);
         assert_eq!(a.uptime(), Nanos(2_000_000));
         let t0 = a.time_in_state(CpuId(0)).unwrap();
-        assert_eq!(t0[&MegaHertz(1600)], MS);
-        assert_eq!(t0[&MegaHertz(3300)], MS);
+        assert_eq!(
+            t0.as_slice(),
+            [(MegaHertz(1600), MS), (MegaHertz(3300), MS)]
+        );
         let t1 = a.time_in_state(CpuId(1)).unwrap();
-        assert_eq!(t1[&MegaHertz(3300)], Nanos(2_000_000));
+        assert_eq!(t1.as_slice(), [(MegaHertz(3300), Nanos(2_000_000))]);
         assert!(a.time_in_state(CpuId(5)).is_none());
     }
 
@@ -150,9 +194,67 @@ mod tests {
         let t = a.process(pid).unwrap();
         assert_eq!(t.utime, Nanos(1_800_000));
         assert_eq!(t.sched_time, Nanos(2_000_000));
-        assert_eq!(t.utime_per_freq[&MegaHertz(1600)], Nanos(800_000));
-        assert_eq!(t.utime_per_freq[&MegaHertz(3300)], MS);
+        assert_eq!(
+            t.utime_per_freq.as_slice(),
+            [(MegaHertz(1600), Nanos(800_000)), (MegaHertz(3300), MS)]
+        );
         assert!(a.process(Pid(999)).is_none());
+    }
+
+    /// The lists against the trees they replaced: seeded runs of pids
+    /// (new ones arriving out of order) over a frequency ladder, zero
+    /// busy times included, and ticks at random per-CPU frequencies;
+    /// every process and every CPU read back pair for pair after each.
+    #[test]
+    fn accounting_equals_the_trees_every_run() {
+        use std::collections::BTreeMap;
+        type Tree = BTreeMap<MegaHertz, Nanos>;
+        let pairs = |t: &Tree| t.iter().map(|(&f, &n)| (f, n)).collect::<Vec<_>>();
+        let mut a = Accounting::new(4);
+        let mut procs = BTreeMap::<Pid, (Nanos, Nanos, Tree)>::new();
+        let mut cpus = vec![Tree::new(); 4];
+        let mut seed = 2014u64;
+        for i in 0..5_000 {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let f = MegaHertz(1_600 + 100 * ((seed >> 40) % 18) as u32);
+            let (pid, cpu) = (
+                Pid(100 + ((seed >> 24) % 40) as u32),
+                (seed >> 50) as usize % 4,
+            );
+            let (slice, busy) = (Nanos(1_000), Nanos((seed >> 20) % 3 * 500));
+            a.record_run(pid, CpuId(cpu), f, slice, busy);
+            let (utime, sched, per_freq) = procs.entry(pid).or_default();
+            (*utime, *sched) = (*utime + busy, *sched + slice);
+            *per_freq.entry(f).or_insert(Nanos::ZERO) += busy;
+            if i % 7 == 0 {
+                let freqs: Vec<_> = (0..4).map(|c| MegaHertz(f.0 + 100 * c % 300)).collect();
+                a.tick(slice, &freqs);
+                for (tree, &f) in cpus.iter_mut().zip(&freqs) {
+                    *tree.entry(f).or_insert(Nanos::ZERO) += slice;
+                }
+            }
+            assert!(a.pids().eq(procs.keys().copied()), "run {i}");
+            for (&pid, (utime, sched, per_freq)) in &procs {
+                let t = a.process(pid).unwrap();
+                assert_eq!((t.utime, t.sched_time), (*utime, *sched), "run {i}, {pid}");
+                assert_eq!(
+                    t.utime_per_freq.as_slice(),
+                    pairs(per_freq),
+                    "run {i}, {pid}"
+                );
+            }
+            for (cpu, tree) in cpus.iter().enumerate() {
+                let listed = a.time_in_state(CpuId(cpu)).unwrap().as_slice();
+                assert_eq!(listed, pairs(tree), "run {i}, cpu {cpu}");
+            }
+        }
+        assert_eq!(procs.len(), 40);
+        assert!(
+            procs.values().all(|(.., t)| t.len() > 12),
+            "most of the ladder visited"
+        );
     }
 
     #[test]
@@ -201,6 +303,34 @@ mod tests {
             "but not instantly: {}",
             a.loadavg_1m()
         );
+    }
+
+    /// The load average with its decay factor kept per tick length
+    /// against one that recomputes `exp` every tick: seeded runs of
+    /// lengths, busy times and zero-length ticks.
+    #[test]
+    fn kept_decay_equals_the_recomputed_one_every_tick() {
+        let mut a = Accounting::new(2);
+        let mut loadavg = 0.0f64;
+        let mut seed = 2014u64;
+        for i in 0..3_000 {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            // Runs of one length, as a kernel's quanta come.
+            let dt = Nanos(
+                [0, 250_000, 1_000_000, 250_000_000][(i / 40 + (seed >> 62) as usize / 3) % 4],
+            );
+            let busy = Nanos((seed >> 20) % (dt.as_u64() + 1));
+            a.record_run(Pid(1), CpuId(0), MegaHertz(1600), dt, busy);
+            a.tick(dt, &[MegaHertz(1600); 2]);
+            if dt > Nanos::ZERO {
+                let alpha = (-dt.as_secs_f64() / 60.0).exp();
+                let instantaneous = busy.as_secs_f64() / dt.as_secs_f64();
+                loadavg = loadavg * alpha + instantaneous * (1.0 - alpha);
+            }
+            assert_eq!(a.loadavg_1m().to_bits(), loadavg.to_bits(), "tick {i}");
+        }
     }
 
     #[test]

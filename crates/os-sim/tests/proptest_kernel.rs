@@ -91,7 +91,7 @@ proptest! {
         for pid in &pids {
             if let Some(t) = k.accounting().process(*pid) {
                 total_utime += t.utime.as_u64();
-                let split: u64 = t.utime_per_freq.values().map(|n| n.as_u64()).sum();
+                let split: u64 = t.utime_per_freq.as_slice().iter().map(|(_, n)| n.as_u64()).sum();
                 prop_assert_eq!(split, t.utime.as_u64(), "freq split conserves utime");
             }
         }
@@ -104,8 +104,9 @@ proptest! {
                 .accounting()
                 .time_in_state(CpuId(cpu))
                 .expect("valid cpu")
-                .values()
-                .map(|n| n.as_u64())
+                .as_slice()
+                .iter()
+                .map(|(_, n)| n.as_u64())
                 .sum();
             prop_assert_eq!(tis, uptime.as_u64());
         }

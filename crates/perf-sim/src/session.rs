@@ -8,10 +8,8 @@ use crate::events::Event;
 use crate::{Error, Result};
 use os_sim::kernel::KernelReport;
 use os_sim::process::Pid;
-use simcpu::counters::ExecDelta;
 use simcpu::fault::{FaultKind, FaultPlan};
 use simcpu::units::Nanos;
-use std::collections::BTreeMap;
 
 /// What an installed [`FaultPlan`] has done to a session so far.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -91,6 +89,9 @@ struct CounterState {
 #[derive(Debug, Clone, Default)]
 struct PidCounters {
     ids: Vec<CounterId>,
+    /// How many of `ids` are enabled. When they all fit the slot budget,
+    /// every group runs and the round-robin has nothing to decide.
+    enabled: usize,
     /// Ticks this pid's groups have been scheduled: the round-robin cursor.
     rotation: u64,
 }
@@ -111,14 +112,13 @@ pub struct PerfSession {
     counters: Vec<Option<CounterState>>,
     open_count: usize,
     next_id: u64,
-    by_pid: BTreeMap<Pid, PidCounters>,
+    /// Ascending by pid.
+    by_pid: Vec<(Pid, PidCounters)>,
     faults: FaultPlan,
     fault_stats: CounterFaultStats,
     in_reset_window: bool,
-    /// Scratch of [`PerfSession::observe`], reused every tick: the tick's
-    /// records summed per pid, and one pid's groups with whether each got
-    /// onto the PMU.
-    ran: Vec<(Pid, ExecDelta, Nanos)>,
+    /// Scratch of [`PerfSession::observe`], reused every tick: one
+    /// oversubscribed pid's groups with whether each got onto the PMU.
     groups: Vec<(GroupId, bool)>,
 }
 
@@ -148,11 +148,10 @@ impl PerfSession {
             counters: Vec::new(),
             open_count: 0,
             next_id: 1,
-            by_pid: BTreeMap::new(),
+            by_pid: Vec::new(),
             faults: FaultPlan::none(),
             fault_stats: CounterFaultStats::default(),
             in_reset_window: false,
-            ran: Vec::new(),
             groups: Vec::new(),
         }
     }
@@ -233,11 +232,13 @@ impl PerfSession {
             self.open_count += 1;
             ids.push(id);
         }
-        self.by_pid
-            .entry(pid)
-            .or_default()
-            .ids
-            .extend_from_slice(&ids);
+        let at = index_of(&self.by_pid, pid).unwrap_or_else(|at| {
+            self.by_pid.insert(at, (pid, PidCounters::default()));
+            at
+        });
+        let of_pid = &mut self.by_pid[at].1;
+        of_pid.ids.extend_from_slice(&ids);
+        of_pid.enabled += ids.len();
         Ok(ids)
     }
 
@@ -247,9 +248,18 @@ impl PerfSession {
     ///
     /// [`Error::BadCounter`] for unknown ids.
     pub fn set_enabled(&mut self, id: CounterId, enabled: bool) -> Result<()> {
-        slot_mut(&mut self.counters, id)
-            .map(|c| c.enabled = enabled)
-            .ok_or(Error::BadCounter(id))
+        let c = slot_mut(&mut self.counters, id).ok_or(Error::BadCounter(id))?;
+        if c.enabled != enabled {
+            c.enabled = enabled;
+            let at = index_of(&self.by_pid, c.pid).expect("open counters are indexed");
+            let of_pid = &mut self.by_pid[at].1;
+            if enabled {
+                of_pid.enabled += 1;
+            } else {
+                of_pid.enabled -= 1;
+            }
+        }
+        Ok(())
     }
 
     /// Closes a counter, releasing its slot demand.
@@ -268,10 +278,12 @@ impl PerfSession {
             return Err(Error::BadCounter(id));
         };
         self.open_count -= 1;
-        if let Some(of_pid) = self.by_pid.get_mut(&state.pid) {
+        if let Ok(at) = index_of(&self.by_pid, state.pid) {
+            let of_pid = &mut self.by_pid[at].1;
             of_pid.ids.retain(|&i| i != id);
+            of_pid.enabled -= usize::from(state.enabled);
             if of_pid.ids.is_empty() {
-                self.by_pid.remove(&state.pid);
+                self.by_pid.remove(at);
             }
         }
         Ok(())
@@ -325,8 +337,132 @@ impl PerfSession {
     /// Feeds one kernel tick's attribution records into the session. Call
     /// once per [`os_sim::kernel::Kernel::tick`].
     pub fn observe(&mut self, report: &KernelReport) {
-        let now = report.now;
+        let (stalled, slot_budget) = self.tick_faults(report.now);
 
+        // A multi-threaded process contributes the sum of its threads'
+        // deltas but only one slice of wall time, so its first record
+        // stands for all of them. A tick has at most one record per
+        // logical CPU, so scans find the others.
+        let records = &report.records;
+        for (i, rec) in records.iter().enumerate() {
+            if records[..i].iter().any(|r| r.pid == rec.pid) {
+                continue;
+            }
+            // Only this pid's counters matter — the per-pid index keeps a
+            // tick O(counters of processes that ran), not O(all counters).
+            let Ok(at) = index_of(&self.by_pid, rec.pid) else {
+                continue;
+            };
+            let of_pid = &mut self.by_pid[at].1;
+            if of_pid.enabled == 0 {
+                continue;
+            }
+            let mut siblings = records[i + 1..].iter().filter(|r| r.pid == rec.pid);
+            let summed;
+            let (delta, slice) = match siblings.next() {
+                None => (&rec.delta, rec.slice),
+                Some(second) => {
+                    let first = (rec.delta + second.delta, rec.slice.max(second.slice));
+                    summed = siblings.fold(first, |(d, s), r| (d + r.delta, s.max(r.slice)));
+                    (&summed.0, summed.1)
+                }
+            };
+            // When every enabled counter fits, every group runs and there
+            // is nothing to rotate; the cursor advances all the same.
+            let all_fit = of_pid.enabled <= slot_budget;
+            if !all_fit {
+                schedule_groups(
+                    &of_pid.ids,
+                    &self.counters,
+                    of_pid.rotation,
+                    slot_budget,
+                    &mut self.groups,
+                );
+            }
+            of_pid.rotation += 1;
+            if stalled {
+                continue;
+            }
+            for &id in &of_pid.ids {
+                let Some(c) = slot_mut(&mut self.counters, id).filter(|c| c.enabled) else {
+                    continue;
+                };
+                c.time_enabled += slice;
+                if all_fit || self.groups.contains(&(c.group, true)) {
+                    c.time_running += slice;
+                    if let Some(target) = c.event.counter() {
+                        c.value += delta.get(target);
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`PerfSession::observe`] as it was before the all-fit shortcut:
+    /// records summed per pid up front, and every pid's groups put
+    /// through the round-robin whether they fit the budget or not. What
+    /// `observe` must reproduce counter for counter.
+    #[cfg(test)]
+    fn observe_by_round_robin(&mut self, report: &KernelReport) {
+        let (stalled, slot_budget) = self.tick_faults(report.now);
+        let mut ran: Vec<(Pid, simcpu::counters::ExecDelta, Nanos)> = Vec::new();
+        for rec in &report.records {
+            match ran.iter_mut().find(|(pid, ..)| *pid == rec.pid) {
+                Some((_, delta, slice)) => {
+                    *delta += rec.delta;
+                    *slice = (*slice).max(rec.slice);
+                }
+                None => ran.push((rec.pid, rec.delta, rec.slice)),
+            }
+        }
+        for (pid, delta, slice) in ran {
+            let Ok(at) = index_of(&self.by_pid, pid) else {
+                continue;
+            };
+            let of_pid = &mut self.by_pid[at].1;
+            let mut mine = of_pid.ids.iter().filter_map(|&id| slot(&self.counters, id));
+            if !mine.any(|c| c.enabled) {
+                continue;
+            }
+            schedule_groups(
+                &of_pid.ids,
+                &self.counters,
+                of_pid.rotation,
+                slot_budget,
+                &mut self.groups,
+            );
+            of_pid.rotation += 1;
+            for &id in &of_pid.ids {
+                let Some(c) = slot_mut(&mut self.counters, id) else {
+                    continue;
+                };
+                if !c.enabled || stalled {
+                    continue;
+                }
+                c.time_enabled += slice;
+                if self.groups.contains(&(c.group, true)) {
+                    c.time_running += slice;
+                    if let Some(target) = c.event.counter() {
+                        c.value += delta.get(target);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Applies the installed fault plan at `now`: fires a spurious reset
+    /// on entering its window and tallies what is active. Returns whether
+    /// counters are stalled and the tick's effective slot budget.
+    fn tick_faults(&mut self, now: Nanos) -> (bool, usize) {
+        // A voluntary cap composes with revocation: whichever is tighter.
+        let cap = |budget: usize, limit: Option<usize>| match limit {
+            Some(limit) => budget.min(limit).max(1),
+            None => budget,
+        };
+        if self.faults.is_empty() {
+            self.in_reset_window = false;
+            return (false, cap(self.slots, self.slot_limit));
+        }
         // Spurious reset: fires once on entering the window, zeroing every
         // counter as if PERF_EVENT_IOC_RESET raced the reader.
         let reset_active = self.faults.is_active(FaultKind::SpuriousReset, now);
@@ -363,76 +499,44 @@ impl PerfSession {
             }
             _ => self.slots,
         };
-        // A voluntary cap composes with revocation: whichever is tighter.
-        let slot_budget = match self.slot_limit {
-            Some(limit) => slot_budget.min(limit).max(1),
-            None => slot_budget,
-        };
+        (stalled, cap(slot_budget, self.slot_limit))
+    }
+}
 
-        // Aggregate per pid: a multi-threaded process contributes the sum
-        // of its threads' deltas but only one slice of wall time. A tick
-        // has at most one record per logical CPU, so a scan finds the pid.
-        self.ran.clear();
-        for rec in &report.records {
-            match self.ran.iter_mut().find(|(pid, ..)| *pid == rec.pid) {
-                Some((_, delta, slice)) => {
-                    *delta += rec.delta;
-                    *slice = (*slice).max(rec.slice);
-                }
-                None => self.ran.push((rec.pid, rec.delta, rec.slice)),
-            }
+/// Where `pid` sits in the pid-ordered index (`Err`: where it would go).
+fn index_of(by_pid: &[(Pid, PidCounters)], pid: Pid) -> std::result::Result<usize, usize> {
+    by_pid.binary_search_by_key(&pid, |&(p, _)| p)
+}
+
+/// Round-robin group scheduling under the slot budget: fills `groups`
+/// with the groups of `ids` that have an enabled member, each marked with
+/// whether it gets onto the PMU this tick. The scan starts `rotation`
+/// groups in, so oversubscribed groups take turns. `ids` must have at
+/// least one enabled counter.
+fn schedule_groups(
+    ids: &[CounterId],
+    counters: &[Option<CounterState>],
+    rotation: u64,
+    slot_budget: usize,
+    groups: &mut Vec<(GroupId, bool)>,
+) {
+    let mine = || ids.iter().filter_map(|&id| slot(counters, id));
+    groups.clear();
+    groups.extend(mine().filter(|c| c.enabled).map(|c| (c.group, false)));
+    groups.sort_unstable();
+    groups.dedup();
+    let start = (rotation as usize) % groups.len();
+    let mut used = 0usize;
+    for i in 0..groups.len() {
+        let at = (start + i) % groups.len();
+        let g = groups[at].0;
+        let size = mine().filter(|c| c.group == g && c.enabled).count();
+        if used + size <= slot_budget {
+            groups[at].1 = true;
+            used += size;
         }
-
-        for &(pid, delta, slice) in &self.ran {
-            // Only this pid's counters matter — the per-pid index keeps a
-            // tick O(counters of processes that ran), not O(all counters).
-            let Some(of_pid) = self.by_pid.get_mut(&pid) else {
-                continue;
-            };
-            let mine = || of_pid.ids.iter().filter_map(|&id| slot(&self.counters, id));
-
-            // Groups attached to this pid with at least one enabled member.
-            self.groups.clear();
-            self.groups
-                .extend(mine().filter(|c| c.enabled).map(|c| (c.group, false)));
-            self.groups.sort_unstable();
-            self.groups.dedup();
-            if self.groups.is_empty() {
-                continue;
-            }
-
-            // Round-robin group scheduling under the slot budget.
-            let start = (of_pid.rotation as usize) % self.groups.len();
-            of_pid.rotation += 1;
-            let mut used = 0usize;
-            for i in 0..self.groups.len() {
-                let at = (start + i) % self.groups.len();
-                let g = self.groups[at].0;
-                let size = mine().filter(|c| c.group == g && c.enabled).count();
-                if used + size <= slot_budget {
-                    self.groups[at].1 = true;
-                    used += size;
-                }
-                if used == slot_budget {
-                    break;
-                }
-            }
-
-            for &id in &of_pid.ids {
-                let Some(c) = slot_mut(&mut self.counters, id) else {
-                    continue;
-                };
-                if !c.enabled || stalled {
-                    continue;
-                }
-                c.time_enabled += slice;
-                if self.groups.contains(&(c.group, true)) {
-                    c.time_running += slice;
-                    if let Some(target) = c.event.counter() {
-                        c.value += delta.get(target);
-                    }
-                }
-            }
+        if used == slot_budget {
+            break;
         }
     }
 }
@@ -657,12 +761,16 @@ mod tests {
             for _ in 0..3 {
                 s.observe(&k.tick(MS));
             }
-            assert!(s.by_pid[&pid].rotation > 0, "multiplexed while it ran");
+            let at = index_of(&s.by_pid, pid).unwrap();
+            assert!(s.by_pid[at].1.rotation > 0, "multiplexed while it ran");
             k.kill(pid).unwrap();
             for id in ids {
                 s.close(id).unwrap();
             }
-            assert_eq!(s.by_pid.keys().collect::<Vec<_>>(), [&resident]);
+            assert_eq!(
+                s.by_pid.iter().map(|(p, _)| *p).collect::<Vec<_>>(),
+                [resident]
+            );
         }
     }
 
@@ -871,6 +979,168 @@ mod tests {
         assert_eq!(s.read(id).unwrap().raw, per_thread);
         // time_enabled advanced once, not twice.
         assert_eq!(s.read(id).unwrap().time_enabled, MS);
+    }
+
+    /// The all-fit shortcut against the round-robin for every pid. Two
+    /// sessions open the same counters, see the same kernel ticks and are
+    /// steered alike: slot caps, revoked slots, stalls, resets, counters
+    /// toggled, closed and opened mid-run. Every read agrees after every
+    /// quantum.
+    #[test]
+    fn all_fit_shortcut_equals_the_round_robin_every_quantum() {
+        use simcpu::fault::FaultWindow;
+        let window = |kind, start_ms, end_ms, magnitude| FaultWindow {
+            kind,
+            start: Nanos::from_millis(start_ms),
+            end: Nanos::from_millis(end_ms),
+            magnitude,
+        };
+        let plan = FaultPlan::from_windows(vec![
+            window(FaultKind::SlotRevocation, 40, 90, 1.0),
+            window(FaultKind::SlotRevocation, 150, 190, 2.0),
+            window(FaultKind::CounterStall, 100, 120, 1.0),
+            window(FaultKind::SpuriousReset, 130, 135, 1.0),
+            window(FaultKind::SpuriousReset, 250, 260, 1.0),
+        ]);
+        let mut k = Kernel::new(presets::intel_i3_2120());
+        let mem = WorkUnit::memory_intensive(16_384.0, 0.8);
+        let light = WorkUnit::cpu_intensive(0.4);
+        let three = k.spawn("three", vec![SteadyTask::boxed(mem)]);
+        let grouped = k.spawn(
+            "grouped",
+            vec![SteadyTask::boxed(mem), SteadyTask::boxed(light)],
+        );
+        let two = k.spawn("two", vec![SteadyTask::boxed(light)]);
+        let crowd = k.spawn("crowd", vec![SteadyTask::boxed(mem)]);
+
+        let mut sessions = [PerfSession::new(4), PerfSession::new(4)];
+        for s in &mut sessions {
+            s.set_fault_plan(plan.clone());
+        }
+        let hw = |cs: &[HwCounter]| cs.iter().map(|&c| Event::Hardware(c)).collect::<Vec<_>>();
+        let open = |sessions: &mut [PerfSession; 2], pid, events: &[Event]| {
+            let ids = sessions[0].open_group(pid, events).unwrap();
+            assert_eq!(sessions[1].open_group(pid, events).unwrap(), ids);
+            ids
+        };
+        let mut ids = Vec::new();
+        for &e in &PAPER_EVENTS {
+            ids.extend(open(&mut sessions, three, &[e]));
+        }
+        let pair = hw(&[HwCounter::Instructions, HwCounter::Cycles]);
+        ids.extend(open(&mut sessions, grouped, &pair));
+        for e in hw(&[HwCounter::BranchMisses, HwCounter::L1dAccesses]) {
+            ids.extend(open(&mut sessions, grouped, &[e]));
+        }
+        for e in hw(&[HwCounter::Instructions, HwCounter::BusCycles]) {
+            ids.extend(open(&mut sessions, two, &[e]));
+        }
+        for e in hw(&[
+            HwCounter::Instructions,
+            HwCounter::Cycles,
+            HwCounter::CacheMisses,
+            HwCounter::BranchInstructions,
+            HwCounter::StalledCyclesBackend,
+        ]) {
+            ids.extend(open(&mut sessions, crowd, &[e]));
+        }
+
+        let mut seed = 2014u64;
+        let mut next = || {
+            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (seed ^ (seed >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let (mut toggled, mut closed, mut threads_together) = (0, 0, 0);
+        // Per budget relation (under, at, over): the pids seen there.
+        let mut seen: [Vec<Pid>; 3] = Default::default();
+        for quantum in 0..400u64 {
+            let limit = [None, Some(1), Some(2), Some(3), Some(4)][(quantum / 25 % 5) as usize];
+            let draw = next();
+            let pick = ids[(draw >> 8) as usize % ids.len()];
+            match quantum {
+                200 => {
+                    // Close one solo of the grouped pid and the whole pair.
+                    for &id in &ids[3..6] {
+                        for s in &mut sessions {
+                            s.close(id).unwrap();
+                        }
+                        closed += 1;
+                    }
+                }
+                230 => ids.extend(open(&mut sessions, three, &pair)),
+                300 => {
+                    for &id in &ids[7..9] {
+                        for s in &mut sessions {
+                            s.close(id).unwrap();
+                        }
+                        closed += 1;
+                    }
+                }
+                _ if draw % 5 == 0 => {
+                    let on = draw % 3 == 0;
+                    for s in &mut sessions {
+                        if s.set_enabled(pick, on).is_ok() {
+                            toggled += 1;
+                        }
+                    }
+                }
+                _ => {}
+            }
+            for s in &mut sessions {
+                s.set_slot_limit(limit);
+            }
+
+            let r = k.tick(MS);
+            let [fast, oracle] = &mut sessions;
+            fast.observe(&r);
+            oracle.observe_by_round_robin(&r);
+
+            for &id in &ids {
+                assert_eq!(
+                    fast.read(id),
+                    oracle.read(id),
+                    "quantum {quantum}, counter {id:?}"
+                );
+            }
+            assert_eq!(fast.fault_stats(), oracle.fault_stats());
+            let cursors = |s: &PerfSession| -> Vec<(Pid, u64)> {
+                s.by_pid.iter().map(|(p, c)| (*p, c.rotation)).collect()
+            };
+            assert_eq!(cursors(fast), cursors(oracle), "quantum {quantum}");
+
+            let revoked = plan
+                .active(FaultKind::SlotRevocation, r.now)
+                .map_or(0, |w| w.magnitude as usize);
+            let budget = limit.map_or(4 - revoked, |l: usize| l.min(4 - revoked));
+            threads_together += r.records.iter().filter(|x| x.pid == grouped).count() / 2;
+            for rec in &r.records {
+                if let Ok(at) = index_of(&fast.by_pid, rec.pid) {
+                    let of_pid = &fast.by_pid[at].1;
+                    let at = of_pid.enabled.cmp(&budget) as i8 + 1;
+                    if !seen[at as usize].contains(&rec.pid) {
+                        seen[at as usize].push(rec.pid);
+                    }
+                }
+            }
+        }
+        let [fast, _] = &sessions;
+        let stats = fast.fault_stats();
+        assert!(stats.stalled_ticks > 0 && stats.spurious_resets == 2);
+        assert!(stats.revoked_slot_ticks > 0);
+        assert!(
+            toggled > 0 && closed == 5,
+            "toggled {toggled}, closed {closed}"
+        );
+        assert!(
+            threads_together > 0,
+            "two threads of one pid ran in one tick"
+        );
+        assert!(
+            seen.iter().all(|pids| pids.contains(&three)),
+            "one pid went under, at and over its budget: {seen:?}"
+        );
     }
 
     #[test]

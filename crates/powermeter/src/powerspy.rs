@@ -174,8 +174,16 @@ impl PowerSpy {
     /// disconnect — see [`PowerSpy::fault_stats`] for the tally.
     pub fn observe(&mut self, truth: Watts, now: Nanos) -> Vec<PowerSample> {
         let mut out = Vec::new();
+        self.observe_each(truth, now, |sample| out.push(sample));
+        out
+    }
+
+    /// [`PowerSpy::observe`] handing each completed sample to `emit`
+    /// instead of collecting them: the per-quantum form, which allocates
+    /// nothing.
+    pub fn observe_each(&mut self, truth: Watts, now: Nanos, mut emit: impl FnMut(PowerSample)) {
         if now <= self.last_time {
-            return out;
+            return;
         }
         let mut t = self.last_time;
         while t < now {
@@ -186,13 +194,12 @@ impl PowerSpy {
             t = seg_end;
             if t == self.next_boundary {
                 if let Some(sample) = self.emit(t) {
-                    out.push(sample);
+                    emit(sample);
                 }
                 self.next_boundary += self.config.sample_period;
             }
         }
         self.last_time = now;
-        out
     }
 
     /// Completes one sample window; `None` when a fault ate the sample.

@@ -148,7 +148,7 @@ impl CStateMenu {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Residency {
     busy: Nanos,
-    idle: Vec<(String, Nanos)>,
+    idle: Vec<(&'static str, Nanos)>,
 }
 
 impl Residency {
@@ -164,10 +164,16 @@ impl Residency {
 
     /// Accounts time parked in `state`.
     pub fn add_idle(&mut self, state: &CState, dt: Nanos) {
-        if let Some(slot) = self.idle.iter_mut().find(|(n, _)| n == state.name()) {
-            slot.1 += dt;
-        } else {
-            self.idle.push((state.name().to_string(), dt));
+        // Every quantum parks each core in a state of the same menu, so
+        // the name is almost always the very string already listed: a
+        // pointer match settles it without comparing bytes.
+        let name = state.name();
+        let listed = (self.idle.iter())
+            .position(|&(n, _)| std::ptr::eq(n, name))
+            .or_else(|| self.idle.iter().position(|&(n, _)| n == name));
+        match listed {
+            Some(at) => self.idle[at].1 += dt,
+            None => self.idle.push((name, dt)),
         }
     }
 
@@ -180,7 +186,7 @@ impl Residency {
     pub fn in_state(&self, name: &str) -> Nanos {
         self.idle
             .iter()
-            .find(|(n, _)| n == name)
+            .find(|(n, _)| *n == name)
             .map(|(_, t)| *t)
             .unwrap_or(Nanos::ZERO)
     }
@@ -252,5 +258,12 @@ mod tests {
         assert_eq!(r.in_state("C6"), Nanos(1_000));
         assert_eq!(r.in_state("C3"), Nanos::ZERO);
         assert_eq!(r.total_idle(), Nanos(1_150));
+
+        // A state named by another string of the same text is the same
+        // state: its time joins the listed entry.
+        let c1: &'static str = String::from("C1").leak();
+        r.add_idle(&CState::new(c1, 0.6, Nanos(1), Nanos(1)).unwrap(), Nanos(5));
+        assert_eq!(r.in_state("C1"), Nanos(155));
+        assert_eq!(r.total_idle(), Nanos(1_155));
     }
 }

@@ -75,6 +75,11 @@ fn grouped_source(index: usize) -> Box<SimHostSource> {
 /// (`Telemetry` is an `Arc`-backed handle, so the clone observes
 /// everything the fleet records).
 fn faulty_fleet() -> (Fleet, Telemetry) {
+    faulty_fleet_with(ShardConfig::default())
+}
+
+/// [`faulty_fleet`] whose shards have the given ingest queue and budget.
+fn faulty_fleet_with(shard: ShardConfig) -> (Fleet, Telemetry) {
     let fault = LinkFaultPlan::from_parts(
         0xF1EE_7E57,
         &LinkFaultConfig {
@@ -96,6 +101,7 @@ fn faulty_fleet() -> (Fleet, Telemetry) {
         shards: 2,
         events: PAPER_EVENTS.to_vec(),
         fault,
+        shard,
         ..FleetConfig::default()
     };
     let sources = (0..HOSTS).map(|i| source(i) as _).collect();
@@ -111,10 +117,27 @@ fn faulty_fleet() -> (Fleet, Telemetry) {
 
 /// Every produced frame is accounted for — dropped, shed, corrupted,
 /// duplicated, applied, or still in flight — even under drops,
-/// duplicates, corruption, reordering and a partition window.
+/// duplicates, corruption, reordering and a partition window; and with
+/// shards too small for their load, which shed.
 #[test]
 fn conservation_holds_under_link_faults() {
     let (mut fleet, telemetry) = faulty_fleet();
+    assert_ledger_matches_hops_and_journal(&mut fleet, &telemetry);
+
+    // Two queued frames and one processed per tick, for three hosts a
+    // shard: the ingest queue overflows and sheds.
+    let small = ShardConfig {
+        ingest_cap: 2,
+        tick_budget: 1,
+    };
+    let (mut fleet, telemetry) = faulty_fleet_with(small);
+    assert_ledger_matches_hops_and_journal(&mut fleet, &telemetry);
+    assert!(fleet.stats().shard_shed > 0, "the small shards shed");
+}
+
+/// Runs `fleet` and holds its ledger to its hops, stage by stage, and
+/// its per-frame journal lines to the hops that write them.
+fn assert_ledger_matches_hops_and_journal(fleet: &mut Fleet, telemetry: &Telemetry) {
     let reports = fleet.run(TICKS);
     assert_eq!(reports.len(), TICKS as usize);
     fleet.assert_conserved();
