@@ -124,11 +124,6 @@ impl SelfCostSummary {
     pub fn total_ns(&self) -> u64 {
         self.sensor_read_ns + self.stage_ns.iter().sum::<u64>() + self.telemetry_ns
     }
-
-    /// Mean priced cost per monitoring tick, ns (0 when no ticks ran).
-    pub fn per_tick_ns(&self) -> u64 {
-        self.total_ns().checked_div(self.ticks).unwrap_or(0)
-    }
 }
 
 /// Minimum observed ticks between any two transitions — the hysteresis
@@ -402,7 +397,6 @@ mod tests {
         assert_eq!(s.stage_ns(Stage::Sensor), 0);
         assert_eq!(s.telemetry_ns, 500);
         assert_eq!(s.total_ns(), 20 * COUNTER_READ_COST_NS + 4_000 + 500);
-        assert_eq!(s.per_tick_ns(), s.total_ns());
         // The priced columns are live registry series.
         let prom = hub.render_prometheus();
         assert!(prom.contains("powerapi_selfcost_sensor_reads_total 15"));

@@ -85,15 +85,6 @@ pub struct OverheadSummary {
     pub middleware_share: f64,
 }
 
-impl OverheadSummary {
-    /// Mean wall cost of one handled message, ns.
-    pub fn ns_per_message(&self) -> u64 {
-        self.middleware_busy_ns
-            .checked_div(self.messages)
-            .unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,7 +100,6 @@ mod tests {
         assert_eq!(s.host_busy_ns, 600);
         assert_eq!(s.messages, 2);
         assert!((s.middleware_share - 0.4).abs() < 1e-12);
-        assert_eq!(s.ns_per_message(), 200);
         assert_eq!(p.snapshot_ns(), 100);
     }
 

@@ -235,15 +235,6 @@ impl LinearModel {
                 .map(|(c, f)| c * f)
                 .sum::<f64>())
     }
-
-    /// Predicts every row of a feature matrix.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::DimensionMismatch`] when the column count is wrong.
-    pub fn predict_all(&self, x: &Matrix) -> Result<Vec<f64>> {
-        (0..x.rows()).map(|r| self.predict(x.row(r))).collect()
-    }
 }
 
 #[cfg(test)]
@@ -324,16 +315,6 @@ mod tests {
         let m = LinearModel::from_parameters(1.0, vec![2.0, 3.0]);
         assert!((m.predict(&[1.0, 1.0]).unwrap() - 6.0).abs() < 1e-12);
         assert!(m.predict(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn predict_all_matches_predict() {
-        let (x, y) = toy_xy();
-        let m = LinearModel::fit(&x, &y).unwrap();
-        let all = m.predict_all(&x).unwrap();
-        for (r, p) in all.iter().enumerate() {
-            assert!((p - m.predict(x.row(r)).unwrap()).abs() < 1e-12);
-        }
     }
 
     #[test]

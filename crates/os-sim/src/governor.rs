@@ -74,32 +74,28 @@ impl CpufreqGovernor for Userspace {
     }
 }
 
+/// Utilization above which [`Ondemand`] jumps to the maximum frequency
+/// (the Linux default `up_threshold`).
+pub const UP_THRESHOLD: f64 = 0.80;
+
+/// Utilization below which [`Ondemand`] steps down one state.
+pub const DOWN_THRESHOLD: f64 = 0.30;
+
 /// The classic `ondemand` policy: jump straight to the maximum when
-/// utilization crosses `up_threshold`, then step down one state at a time
-/// while utilization stays low.
+/// utilization crosses [`UP_THRESHOLD`], then step down one state at a
+/// time while it stays under [`DOWN_THRESHOLD`].
 #[derive(Debug, Clone)]
 pub struct Ondemand {
-    up_threshold: f64,
-    down_threshold: f64,
     current: Vec<Option<MegaHertz>>,
 }
 
 impl Ondemand {
-    /// Creates the governor with the Linux-default 80 % up threshold and a
-    /// 30 % down threshold.
+    /// Creates the governor for `cores` cores, each starting at the lowest
+    /// frequency.
     pub fn new(cores: usize) -> Ondemand {
         Ondemand {
-            up_threshold: 0.80,
-            down_threshold: 0.30,
             current: vec![None; cores],
         }
-    }
-
-    /// Overrides the thresholds (clamped to `[0, 1]`, down ≤ up).
-    pub fn with_thresholds(mut self, up: f64, down: f64) -> Ondemand {
-        self.up_threshold = up.clamp(0.0, 1.0);
-        self.down_threshold = down.clamp(0.0, self.up_threshold);
-        self
     }
 }
 
@@ -109,9 +105,9 @@ impl CpufreqGovernor for Ondemand {
             self.current.resize(core + 1, None);
         }
         let cur = self.current[core].unwrap_or_else(|| table.min().frequency());
-        let next = if utilization > self.up_threshold {
+        let next = if utilization > UP_THRESHOLD {
             table.max().frequency()
-        } else if utilization < self.down_threshold {
+        } else if utilization < DOWN_THRESHOLD {
             // Only a step down needs to know where the current state sits.
             let states = table.states();
             match states.iter().position(|s| s.frequency() == cur) {
@@ -225,12 +221,5 @@ mod tests {
                 "{i}"
             );
         }
-    }
-
-    #[test]
-    fn thresholds_clamped() {
-        let g = Ondemand::new(1).with_thresholds(2.0, 5.0);
-        assert!((g.up_threshold - 1.0).abs() < 1e-12);
-        assert!(g.down_threshold <= g.up_threshold);
     }
 }

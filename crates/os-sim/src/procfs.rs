@@ -124,15 +124,6 @@ impl Accounting {
             .unwrap_or(Nanos::ZERO)
     }
 
-    /// Overall CPU utilization since boot, in `[0, 1]`.
-    pub fn global_utilization(&self) -> f64 {
-        if self.uptime == Nanos::ZERO || self.cpu_busy.is_empty() {
-            return 0.0;
-        }
-        let busy: u64 = self.cpu_busy.iter().map(|b| b.as_u64()).sum();
-        busy as f64 / (self.uptime.as_u64() as f64 * self.cpu_busy.len() as f64)
-    }
-
     /// `time_in_state` of one CPU: cumulative residency per frequency.
     pub fn time_in_state(&self, cpu: CpuId) -> Option<&FreqTimes> {
         self.time_in_state.get(cpu.as_usize())
@@ -255,16 +246,6 @@ mod tests {
             procs.values().all(|(.., t)| t.len() > 12),
             "most of the ladder visited"
         );
-    }
-
-    #[test]
-    fn global_utilization_bounds() {
-        let mut a = Accounting::new(2);
-        assert_eq!(a.global_utilization(), 0.0);
-        a.tick(MS, &[MegaHertz(1600), MegaHertz(1600)]);
-        a.record_run(Pid(1), CpuId(0), MegaHertz(1600), MS, MS);
-        // 1 of 2 cpu-ms busy = 50 %.
-        assert!((a.global_utilization() - 0.5).abs() < 1e-9);
     }
 
     #[test]

@@ -16,8 +16,6 @@ pub enum Error {
     },
     /// The counter id is not (or no longer) open.
     BadCounter(CounterId),
-    /// A configuration value was invalid.
-    InvalidConfig(&'static str),
 }
 
 impl fmt::Display for Error {
@@ -28,7 +26,6 @@ impl fmt::Display for Error {
                 write!(f, "event {event} is not supported on {arch}")
             }
             Error::BadCounter(id) => write!(f, "counter {id:?} is not open"),
-            Error::InvalidConfig(msg) => write!(f, "invalid perf config: {msg}"),
         }
     }
 }
@@ -48,7 +45,6 @@ mod tests {
                 arch: "Core2".to_string(),
             },
             Error::BadCounter(CounterId(3)),
-            Error::InvalidConfig("slots must be > 0"),
         ] {
             assert!(!e.to_string().is_empty());
         }

@@ -15,7 +15,11 @@
 //!   CPUs, counting only while a thread of that pid runs;
 //! * a **finite number of hardware counter slots** per logical CPU with
 //!   round-robin **multiplexing** and `time_enabled`/`time_running`
-//!   scaling, the accuracy/overhead trade-off the paper discusses;
+//!   scaling, the accuracy/overhead trade-off the paper discusses.
+//!   Counters are solo and always enabled, as the paper's sensor opens
+//!   them: a process's running counters are one cyclic window of the slot
+//!   budget over its counters in open order, advancing one counter each
+//!   tick the process runs;
 //! * name-based event resolution (libpfm4 style).
 //!
 //! ```

@@ -11,25 +11,6 @@ use os_sim::process::Pid;
 use simcpu::fault::FaultPlan;
 use std::collections::BTreeMap;
 
-/// Per-interval counter deltas for one process.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IntervalSample {
-    /// The monitored process.
-    pub pid: Pid,
-    /// `(event, scaled delta)` pairs in the order events were registered.
-    pub deltas: Vec<(Event, u64)>,
-}
-
-impl IntervalSample {
-    /// Looks up one event's delta.
-    pub fn get(&self, event: Event) -> Option<u64> {
-        self.deltas
-            .iter()
-            .find(|(e, _)| *e == event)
-            .map(|(_, v)| *v)
-    }
-}
-
 /// Multiplexing pressure observed over one sampling pass: how many
 /// counters were read and how much of their enabled time they actually
 /// spent scheduled on the PMU. `time_enabled / time_running` is the
@@ -109,19 +90,17 @@ impl ProcessMonitor {
     }
 
     /// Multiplexing pressure observed by the most recent
-    /// [`ProcessMonitor::sample`]/[`ProcessMonitor::sample_into`] pass.
+    /// [`ProcessMonitor::sample_into`] pass.
     pub fn last_pressure(&self) -> SamplePressure {
         self.last_pressure
     }
 
-    /// Starts monitoring a process.
+    /// Starts monitoring a process: one solo counter per event, so an
+    /// event list longer than the PMU multiplexes instead of failing.
     ///
     /// # Errors
     ///
-    /// Propagates [`crate::Error::InvalidConfig`] when the event list
-    /// cannot fit the PMU as one group... the monitor opens *solo*
-    /// counters precisely so oversubscription multiplexes instead of
-    /// failing, so in practice this only fails for an empty event list.
+    /// Propagates [`PerfSession::open`]'s errors (none in practice).
     pub fn track(&mut self, pid: Pid) -> Result<()> {
         if self.tracked.contains_key(&pid) {
             return Ok(());
@@ -155,36 +134,11 @@ impl ProcessMonitor {
     }
 
     /// Takes the per-interval deltas for every tracked process and resets
-    /// the interval baseline (call once per monitoring period).
-    pub fn sample(&mut self) -> Vec<IntervalSample> {
-        let mut out = Vec::with_capacity(self.tracked.len());
-        let mut pressure = SamplePressure::default();
-        for (&pid, ids) in &mut self.tracked {
-            let mut deltas = Vec::with_capacity(ids.len());
-            for ((id, prev), &event) in ids.iter_mut().zip(&self.events) {
-                let now = match self.session.read(*id) {
-                    Ok(v) => {
-                        pressure.reads += 1;
-                        pressure.time_enabled += v.time_enabled;
-                        pressure.time_running += v.time_running;
-                        v.scaled
-                    }
-                    Err(_) => 0,
-                };
-                let before = std::mem::replace(prev, now);
-                deltas.push((event, now.saturating_sub(before)));
-            }
-            out.push(IntervalSample { pid, deltas });
-        }
-        self.last_pressure = pressure;
-        out
-    }
-
-    /// Flat-column variant of [`ProcessMonitor::sample`]: appends one pid
-    /// and `events().len()` scaled deltas per tracked process (pid order,
-    /// event order — exactly the rows `sample` would produce) without any
-    /// per-process allocation. The batched tick-frame hot path feeds
-    /// struct-of-arrays frames straight from this.
+    /// the interval baseline (call once per monitoring period): appends
+    /// one pid and `events().len()` scaled deltas per tracked process, in
+    /// pid order and event order, without any per-process allocation.
+    /// The batched tick-frame hot path feeds struct-of-arrays frames
+    /// straight from this.
     pub fn sample_into(&mut self, pids: &mut Vec<Pid>, deltas: &mut Vec<u64>) {
         pids.reserve(self.tracked.len());
         deltas.reserve(self.tracked.len() * self.events.len());
@@ -221,6 +175,14 @@ mod tests {
 
     const MS: Nanos = Nanos(1_000_000);
 
+    /// One [`ProcessMonitor::sample_into`] pass as `(pid, deltas)` rows.
+    fn sample(m: &mut ProcessMonitor) -> Vec<(Pid, Vec<u64>)> {
+        let (mut pids, mut deltas) = (Vec::new(), Vec::new());
+        m.sample_into(&mut pids, &mut deltas);
+        let rows = deltas.chunks(m.events().len()).map(<[u64]>::to_vec);
+        pids.into_iter().zip(rows).collect()
+    }
+
     #[test]
     fn samples_are_interval_deltas() {
         let mut k = Kernel::new(presets::intel_i3_2120());
@@ -232,23 +194,23 @@ mod tests {
         for _ in 0..5 {
             m.observe(&k.tick(MS));
         }
-        let s1 = m.sample();
+        let s1 = sample(&mut m);
         assert_eq!(s1.len(), 1);
-        let i1 = s1[0].get(PAPER_EVENTS[0]).unwrap();
+        let i1 = s1[0].1[0];
         assert!(i1 > 0);
 
         for _ in 0..5 {
             m.observe(&k.tick(MS));
         }
-        let s2 = m.sample();
-        let i2 = s2[0].get(PAPER_EVENTS[0]).unwrap();
+        let s2 = sample(&mut m);
+        let i2 = s2[0].1[0];
         // Same workload, same interval length → similar delta (not 2x).
         let ratio = i2 as f64 / i1 as f64;
         assert!((0.5..=2.0).contains(&ratio), "delta semantics, got {ratio}");
 
         // Sampling without new ticks yields zeros.
-        let s3 = m.sample();
-        assert_eq!(s3[0].get(PAPER_EVENTS[0]).unwrap(), 0);
+        let s3 = sample(&mut m);
+        assert_eq!(s3[0].1, [0; 3]);
     }
 
     #[test]
@@ -260,7 +222,7 @@ mod tests {
         assert_eq!(m.tracked(), vec![pid]);
         m.observe(&k.tick(MS));
         m.untrack(pid);
-        assert!(m.sample().is_empty());
+        assert!(sample(&mut m).is_empty());
         assert!(m.tracked().is_empty());
         m.untrack(pid); // harmless on unknown pid
     }
@@ -282,15 +244,8 @@ mod tests {
         for _ in 0..10 {
             m.observe(&k.tick(MS));
         }
-        let samples = m.sample();
-        let get = |p: Pid| {
-            samples
-                .iter()
-                .find(|s| s.pid == p)
-                .unwrap()
-                .get(PAPER_EVENTS[0])
-                .unwrap()
-        };
+        let samples = sample(&mut m);
+        let get = |p: Pid| samples.iter().find(|s| s.0 == p).unwrap().1[0];
         assert!(get(busy) > 5 * get(lazy), "busy process dominates");
     }
 
@@ -304,7 +259,7 @@ mod tests {
         for _ in 0..10 {
             m.observe(&k.tick(MS));
         }
-        m.sample();
+        sample(&mut m);
         let relaxed = m.last_pressure();
         assert_eq!(relaxed.reads, PAPER_EVENTS.len() as u64);
         assert!(
@@ -317,9 +272,7 @@ mod tests {
         for _ in 0..20 {
             m.observe(&k.tick(MS));
         }
-        let mut pids = Vec::new();
-        let mut deltas = Vec::new();
-        m.sample_into(&mut pids, &mut deltas);
+        sample(&mut m);
         let squeezed = m.last_pressure();
         assert_eq!(squeezed.reads, PAPER_EVENTS.len() as u64);
         assert!(
@@ -327,15 +280,5 @@ mod tests {
             "capped budget multiplexes, got {}",
             squeezed.ratio()
         );
-    }
-
-    #[test]
-    fn interval_sample_get_unknown_event() {
-        let s = IntervalSample {
-            pid: Pid(1),
-            deltas: vec![(PAPER_EVENTS[0], 5)],
-        };
-        assert_eq!(s.get(PAPER_EVENTS[0]), Some(5));
-        assert_eq!(s.get(PAPER_EVENTS[1]), None);
     }
 }

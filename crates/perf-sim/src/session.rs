@@ -1,7 +1,7 @@
 //! The counting session: open per-process counters, feed it the kernel's
 //! run records, read scaled values back. Models the finite PMU: only
-//! `slots` events per logical CPU can count at once; oversubscribed
-//! sessions are time-multiplexed group-by-group with
+//! `slots` events per logical CPU can count at once; a process with more
+//! solo counters than that is time-multiplexed round-robin with
 //! `time_enabled`/`time_running` scaling, like the Linux perf core.
 
 use crate::events::Event;
@@ -53,10 +53,6 @@ impl CounterFaultStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CounterId(pub u64);
 
-/// Handle to an event group (members are scheduled on the PMU atomically).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct GroupId(u64);
-
 /// A counter read-out with multiplexing metadata, mirroring the
 /// `PERF_FORMAT_TOTAL_TIME_ENABLED|RUNNING` read format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,8 +72,6 @@ pub struct ScaledValue {
 struct CounterState {
     pid: Pid,
     event: Event,
-    group: GroupId,
-    enabled: bool,
     value: u64,
     time_enabled: Nanos,
     time_running: Nanos,
@@ -88,11 +82,9 @@ struct CounterState {
 /// as the monitored set however many pids come and go.
 #[derive(Debug, Clone, Default)]
 struct PidCounters {
+    /// In open order, which is id order.
     ids: Vec<CounterId>,
-    /// How many of `ids` are enabled. When they all fit the slot budget,
-    /// every group runs and the round-robin has nothing to decide.
-    enabled: usize,
-    /// Ticks this pid's groups have been scheduled: the round-robin cursor.
+    /// Ticks this pid has run with counters open: the round-robin cursor.
     rotation: u64,
 }
 
@@ -117,9 +109,6 @@ pub struct PerfSession {
     faults: FaultPlan,
     fault_stats: CounterFaultStats,
     in_reset_window: bool,
-    /// Scratch of [`PerfSession::observe`], reused every tick: one
-    /// oversubscribed pid's groups with whether each got onto the PMU.
-    groups: Vec<(GroupId, bool)>,
 }
 
 /// Ids are handed out sequentially from 1, so a counter's slab slot is
@@ -152,7 +141,6 @@ impl PerfSession {
             faults: FaultPlan::none(),
             fault_stats: CounterFaultStats::default(),
             in_reset_window: false,
-            groups: Vec::new(),
         }
     }
 
@@ -187,79 +175,30 @@ impl PerfSession {
         self.slots
     }
 
-    /// Opens a counter for `event` attached to process `pid`, enabled
-    /// immediately. Each solo counter forms its own scheduling group.
+    /// Opens a solo counter for `event` attached to process `pid`,
+    /// counting from the next tick the process runs.
     ///
     /// # Errors
     ///
-    /// Currently infallible in practice; returns `Result` for parity with
-    /// the real syscall (and future validation).
+    /// Infallible in practice; returns `Result` for parity with the real
+    /// syscall.
     pub fn open(&mut self, pid: Pid, event: Event) -> Result<CounterId> {
-        let ids = self.open_group(pid, &[event])?;
-        Ok(ids[0])
-    }
-
-    /// Opens a group of counters scheduled atomically (all-or-nothing on
-    /// the PMU), attached to `pid`.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::InvalidConfig`] for an empty group or one larger than the
-    /// PMU slot count (it could never be scheduled).
-    pub fn open_group(&mut self, pid: Pid, events: &[Event]) -> Result<Vec<CounterId>> {
-        if events.is_empty() {
-            return Err(Error::InvalidConfig("event group must not be empty"));
-        }
-        if events.len() > self.slots {
-            return Err(Error::InvalidConfig(
-                "event group exceeds pmu slot count and could never schedule",
-            ));
-        }
-        let group = GroupId(self.next_id);
-        let mut ids = Vec::with_capacity(events.len());
-        for &event in events {
-            let id = CounterId(self.next_id);
-            self.next_id += 1;
-            self.counters.push(Some(CounterState {
-                pid,
-                event,
-                group,
-                enabled: true,
-                value: 0,
-                time_enabled: Nanos::ZERO,
-                time_running: Nanos::ZERO,
-            }));
-            self.open_count += 1;
-            ids.push(id);
-        }
+        let id = CounterId(self.next_id);
+        self.next_id += 1;
+        self.counters.push(Some(CounterState {
+            pid,
+            event,
+            value: 0,
+            time_enabled: Nanos::ZERO,
+            time_running: Nanos::ZERO,
+        }));
+        self.open_count += 1;
         let at = index_of(&self.by_pid, pid).unwrap_or_else(|at| {
             self.by_pid.insert(at, (pid, PidCounters::default()));
             at
         });
-        let of_pid = &mut self.by_pid[at].1;
-        of_pid.ids.extend_from_slice(&ids);
-        of_pid.enabled += ids.len();
-        Ok(ids)
-    }
-
-    /// Enables or disables a counter.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::BadCounter`] for unknown ids.
-    pub fn set_enabled(&mut self, id: CounterId, enabled: bool) -> Result<()> {
-        let c = slot_mut(&mut self.counters, id).ok_or(Error::BadCounter(id))?;
-        if c.enabled != enabled {
-            c.enabled = enabled;
-            let at = index_of(&self.by_pid, c.pid).expect("open counters are indexed");
-            let of_pid = &mut self.by_pid[at].1;
-            if enabled {
-                of_pid.enabled += 1;
-            } else {
-                of_pid.enabled -= 1;
-            }
-        }
-        Ok(())
+        self.by_pid[at].1.ids.push(id);
+        Ok(id)
     }
 
     /// Closes a counter, releasing its slot demand.
@@ -281,7 +220,6 @@ impl PerfSession {
         if let Ok(at) = index_of(&self.by_pid, state.pid) {
             let of_pid = &mut self.by_pid[at].1;
             of_pid.ids.retain(|&i| i != id);
-            of_pid.enabled -= usize::from(state.enabled);
             if of_pid.ids.is_empty() {
                 self.by_pid.remove(at);
             }
@@ -320,20 +258,6 @@ impl PerfSession {
         })
     }
 
-    /// Resets a counter's value and times to zero (like
-    /// `PERF_EVENT_IOC_RESET`).
-    ///
-    /// # Errors
-    ///
-    /// [`Error::BadCounter`] for unknown ids.
-    pub fn reset(&mut self, id: CounterId) -> Result<()> {
-        let c = slot_mut(&mut self.counters, id).ok_or(Error::BadCounter(id))?;
-        c.value = 0;
-        c.time_enabled = Nanos::ZERO;
-        c.time_running = Nanos::ZERO;
-        Ok(())
-    }
-
     /// Feeds one kernel tick's attribution records into the session. Call
     /// once per [`os_sim::kernel::Kernel::tick`].
     pub fn observe(&mut self, report: &KernelReport) {
@@ -354,9 +278,6 @@ impl PerfSession {
                 continue;
             };
             let of_pid = &mut self.by_pid[at].1;
-            if of_pid.enabled == 0 {
-                continue;
-            }
             let mut siblings = records[i + 1..].iter().filter(|r| r.pid == rec.pid);
             let summed;
             let (delta, slice) = match siblings.next() {
@@ -367,28 +288,27 @@ impl PerfSession {
                     (&summed.0, summed.1)
                 }
             };
-            // When every enabled counter fits, every group runs and there
-            // is nothing to rotate; the cursor advances all the same.
-            let all_fit = of_pid.enabled <= slot_budget;
-            if !all_fit {
-                schedule_groups(
-                    &of_pid.ids,
-                    &self.counters,
-                    of_pid.rotation,
-                    slot_budget,
-                    &mut self.groups,
-                );
-            }
+            // The counters on the PMU are one cyclic window: `slot_budget`
+            // of them in open order, starting `rotation` counters in. When
+            // they all fit, the window covers them wherever it starts, so
+            // the cursor needs no division.
+            let n = of_pid.ids.len();
+            let start = if slot_budget < n {
+                (of_pid.rotation % n as u64) as usize
+            } else {
+                0
+            };
             of_pid.rotation += 1;
             if stalled {
                 continue;
             }
-            for &id in &of_pid.ids {
-                let Some(c) = slot_mut(&mut self.counters, id).filter(|c| c.enabled) else {
+            for (k, &id) in of_pid.ids.iter().enumerate() {
+                let Some(c) = slot_mut(&mut self.counters, id) else {
                     continue;
                 };
                 c.time_enabled += slice;
-                if all_fit || self.groups.contains(&(c.group, true)) {
+                let offset = if k >= start { k - start } else { k + n - start };
+                if offset < slot_budget {
                     c.time_running += slice;
                     if let Some(target) = c.event.counter() {
                         c.value += delta.get(target);
@@ -398,10 +318,10 @@ impl PerfSession {
         }
     }
 
-    /// [`PerfSession::observe`] as it was before the all-fit shortcut:
-    /// records summed per pid up front, and every pid's groups put
-    /// through the round-robin whether they fit the budget or not. What
-    /// `observe` must reproduce counter for counter.
+    /// [`PerfSession::observe`] as the round-robin it replaces: records
+    /// summed per pid up front, and every pid's counters scanned onto the
+    /// PMU one slot each from the cursor on, until the budget runs out.
+    /// What `observe` must reproduce counter for counter.
     #[cfg(test)]
     fn observe_by_round_robin(&mut self, report: &KernelReport) {
         let (stalled, slot_budget) = self.tick_faults(report.now);
@@ -420,27 +340,17 @@ impl PerfSession {
                 continue;
             };
             let of_pid = &mut self.by_pid[at].1;
-            let mut mine = of_pid.ids.iter().filter_map(|&id| slot(&self.counters, id));
-            if !mine.any(|c| c.enabled) {
+            let running = schedule_groups(&of_pid.ids, of_pid.rotation, slot_budget);
+            of_pid.rotation += 1;
+            if stalled {
                 continue;
             }
-            schedule_groups(
-                &of_pid.ids,
-                &self.counters,
-                of_pid.rotation,
-                slot_budget,
-                &mut self.groups,
-            );
-            of_pid.rotation += 1;
             for &id in &of_pid.ids {
                 let Some(c) = slot_mut(&mut self.counters, id) else {
                     continue;
                 };
-                if !c.enabled || stalled {
-                    continue;
-                }
                 c.time_enabled += slice;
-                if self.groups.contains(&(c.group, true)) {
+                if running.contains(&id) {
                     c.time_running += slice;
                     if let Some(target) = c.event.counter() {
                         c.value += delta.get(target);
@@ -508,37 +418,19 @@ fn index_of(by_pid: &[(Pid, PidCounters)], pid: Pid) -> std::result::Result<usiz
     by_pid.binary_search_by_key(&pid, |&(p, _)| p)
 }
 
-/// Round-robin group scheduling under the slot budget: fills `groups`
-/// with the groups of `ids` that have an enabled member, each marked with
-/// whether it gets onto the PMU this tick. The scan starts `rotation`
-/// groups in, so oversubscribed groups take turns. `ids` must have at
-/// least one enabled counter.
-fn schedule_groups(
-    ids: &[CounterId],
-    counters: &[Option<CounterState>],
-    rotation: u64,
-    slot_budget: usize,
-    groups: &mut Vec<(GroupId, bool)>,
-) {
-    let mine = || ids.iter().filter_map(|&id| slot(counters, id));
-    groups.clear();
-    groups.extend(mine().filter(|c| c.enabled).map(|c| (c.group, false)));
-    groups.sort_unstable();
-    groups.dedup();
-    let start = (rotation as usize) % groups.len();
-    let mut used = 0usize;
-    for i in 0..groups.len() {
-        let at = (start + i) % groups.len();
-        let g = groups[at].0;
-        let size = mine().filter(|c| c.group == g && c.enabled).count();
-        if used + size <= slot_budget {
-            groups[at].1 = true;
-            used += size;
-        }
-        if used == slot_budget {
-            break;
-        }
-    }
+/// Round-robin scheduling under the slot budget, one counter per slot:
+/// the counters of `ids` that get onto the PMU this tick, scanned in id
+/// order from `rotation` counters in, so oversubscribed counters take
+/// turns. `ids` must not be empty.
+#[cfg(test)]
+fn schedule_groups(ids: &[CounterId], rotation: u64, slot_budget: usize) -> Vec<CounterId> {
+    let mut order = ids.to_vec();
+    order.sort_unstable();
+    let start = (rotation as usize) % order.len();
+    (0..order.len())
+        .map(|i| order[(start + i) % order.len()])
+        .take(slot_budget)
+        .collect()
 }
 
 #[cfg(test)]
@@ -582,7 +474,10 @@ mod tests {
     fn undersubscribed_session_never_scales() {
         let (mut k, pid) = busy_kernel();
         let mut s = PerfSession::new(4);
-        let ids = s.open_group(pid, &PAPER_EVENTS).unwrap();
+        let ids: Vec<CounterId> = PAPER_EVENTS
+            .iter()
+            .map(|&e| s.open(pid, e).unwrap())
+            .collect();
         for _ in 0..10 {
             let r = k.tick(MS);
             s.observe(&r);
@@ -653,77 +548,7 @@ mod tests {
     }
 
     #[test]
-    fn groups_schedule_atomically() {
-        let (mut k, pid) = busy_kernel();
-        // 3 slots: a 2-event group + 2 solo counters. Whenever the group
-        // runs, both members run together (equal time_running).
-        let mut s = PerfSession::new(3);
-        let grp = s
-            .open_group(
-                pid,
-                &[
-                    Event::Hardware(HwCounter::Instructions),
-                    Event::Hardware(HwCounter::Cycles),
-                ],
-            )
-            .unwrap();
-        s.open(pid, Event::Hardware(HwCounter::CacheMisses))
-            .unwrap();
-        s.open(pid, Event::Hardware(HwCounter::BranchMisses))
-            .unwrap();
-        for _ in 0..30 {
-            let r = k.tick(MS);
-            s.observe(&r);
-        }
-        let a = s.read(grp[0]).unwrap();
-        let b = s.read(grp[1]).unwrap();
-        assert_eq!(a.time_running, b.time_running, "group members inseparable");
-    }
-
-    #[test]
-    fn group_validation() {
-        let mut s = PerfSession::new(2);
-        assert!(matches!(
-            s.open_group(Pid(1), &[]),
-            Err(Error::InvalidConfig(_))
-        ));
-        let too_big = [
-            Event::Hardware(HwCounter::Instructions),
-            Event::Hardware(HwCounter::Cycles),
-            Event::Hardware(HwCounter::CacheMisses),
-        ];
-        assert!(matches!(
-            s.open_group(Pid(1), &too_big),
-            Err(Error::InvalidConfig(_))
-        ));
-    }
-
-    #[test]
-    fn disable_pauses_counting() {
-        let (mut k, pid) = busy_kernel();
-        let mut s = PerfSession::new(4);
-        let id = s
-            .open(pid, Event::Hardware(HwCounter::Instructions))
-            .unwrap();
-        let r = k.tick(MS);
-        s.observe(&r);
-        let v1 = s.read(id).unwrap();
-        s.set_enabled(id, false).unwrap();
-        for _ in 0..5 {
-            let r = k.tick(MS);
-            s.observe(&r);
-        }
-        let v2 = s.read(id).unwrap();
-        assert_eq!(v1.raw, v2.raw, "disabled counter is frozen");
-        assert_eq!(v1.time_enabled, v2.time_enabled);
-        s.set_enabled(id, true).unwrap();
-        let r = k.tick(MS);
-        s.observe(&r);
-        assert!(s.read(id).unwrap().raw > v2.raw);
-    }
-
-    #[test]
-    fn reset_and_close() {
+    fn close_releases_the_counter() {
         let (mut k, pid) = busy_kernel();
         let mut s = PerfSession::new(4);
         let id = s
@@ -732,16 +557,11 @@ mod tests {
         let r = k.tick(MS);
         s.observe(&r);
         assert!(s.read(id).unwrap().raw > 0);
-        s.reset(id).unwrap();
-        let v = s.read(id).unwrap();
-        assert_eq!((v.raw, v.time_enabled), (0, Nanos::ZERO));
         assert_eq!(s.len(), 1);
         s.close(id).unwrap();
         assert!(s.is_empty());
         assert!(matches!(s.read(id), Err(Error::BadCounter(_))));
         assert!(matches!(s.close(id), Err(Error::BadCounter(_))));
-        assert!(matches!(s.reset(id), Err(Error::BadCounter(_))));
-        assert!(matches!(s.set_enabled(id, true), Err(Error::BadCounter(_))));
     }
 
     #[test]
@@ -945,15 +765,10 @@ mod tests {
             if let Some(p) = plan {
                 s.set_fault_plan(p);
             }
-            let ids = s
-                .open_group(
-                    pid,
-                    &[
-                        Event::Hardware(HwCounter::Instructions),
-                        Event::Hardware(HwCounter::Cycles),
-                    ],
-                )
-                .unwrap();
+            let ids: Vec<CounterId> = [HwCounter::Instructions, HwCounter::Cycles]
+                .iter()
+                .map(|&e| s.open(pid, Event::Hardware(e)).unwrap())
+                .collect();
             for _ in 0..20 {
                 s.observe(&k.tick(MS));
             }
@@ -981,13 +796,12 @@ mod tests {
         assert_eq!(s.read(id).unwrap().time_enabled, MS);
     }
 
-    /// The all-fit shortcut against the round-robin for every pid. Two
+    /// The cyclic window against the round-robin for every pid. Two
     /// sessions open the same counters, see the same kernel ticks and are
     /// steered alike: slot caps, revoked slots, stalls, resets, counters
-    /// toggled, closed and opened mid-run. Every read agrees after every
-    /// quantum.
+    /// closed and opened mid-run. Every read agrees after every quantum.
     #[test]
-    fn all_fit_shortcut_equals_the_round_robin_every_quantum() {
+    fn cyclic_window_equals_the_round_robin_every_quantum() {
         use simcpu::fault::FaultWindow;
         let window = |kind, start_ms, end_ms, magnitude| FaultWindow {
             kind,
@@ -1006,44 +820,43 @@ mod tests {
         let mem = WorkUnit::memory_intensive(16_384.0, 0.8);
         let light = WorkUnit::cpu_intensive(0.4);
         let three = k.spawn("three", vec![SteadyTask::boxed(mem)]);
-        let grouped = k.spawn(
-            "grouped",
+        let threaded = k.spawn(
+            "threaded",
             vec![SteadyTask::boxed(mem), SteadyTask::boxed(light)],
         );
         let two = k.spawn("two", vec![SteadyTask::boxed(light)]);
         let crowd = k.spawn("crowd", vec![SteadyTask::boxed(mem)]);
+        let pids = [three, threaded, two, crowd];
 
         let mut sessions = [PerfSession::new(4), PerfSession::new(4)];
         for s in &mut sessions {
             s.set_fault_plan(plan.clone());
         }
-        let hw = |cs: &[HwCounter]| cs.iter().map(|&c| Event::Hardware(c)).collect::<Vec<_>>();
-        let open = |sessions: &mut [PerfSession; 2], pid, events: &[Event]| {
-            let ids = sessions[0].open_group(pid, events).unwrap();
-            assert_eq!(sessions[1].open_group(pid, events).unwrap(), ids);
-            ids
-        };
-        let mut ids = Vec::new();
-        for &e in &PAPER_EVENTS {
-            ids.extend(open(&mut sessions, three, &[e]));
-        }
-        let pair = hw(&[HwCounter::Instructions, HwCounter::Cycles]);
-        ids.extend(open(&mut sessions, grouped, &pair));
-        for e in hw(&[HwCounter::BranchMisses, HwCounter::L1dAccesses]) {
-            ids.extend(open(&mut sessions, grouped, &[e]));
-        }
-        for e in hw(&[HwCounter::Instructions, HwCounter::BusCycles]) {
-            ids.extend(open(&mut sessions, two, &[e]));
-        }
-        for e in hw(&[
+        let events = [
             HwCounter::Instructions,
             HwCounter::Cycles,
             HwCounter::CacheMisses,
             HwCounter::BranchInstructions,
+            HwCounter::BranchMisses,
+            HwCounter::L1dAccesses,
+            HwCounter::BusCycles,
             HwCounter::StalledCyclesBackend,
-        ]) {
-            ids.extend(open(&mut sessions, crowd, &[e]));
-        }
+        ]
+        .map(Event::Hardware);
+        let open = |sessions: &mut [PerfSession; 2], pid, events: &[Event]| {
+            events
+                .iter()
+                .map(|&e| {
+                    let id = sessions[0].open(pid, e).unwrap();
+                    assert_eq!(sessions[1].open(pid, e).unwrap(), id);
+                    id
+                })
+                .collect::<Vec<_>>()
+        };
+        let mut ids = open(&mut sessions, three, &PAPER_EVENTS);
+        ids.extend(open(&mut sessions, threaded, &events[..4]));
+        ids.extend(open(&mut sessions, two, &events[4..6]));
+        ids.extend(open(&mut sessions, crowd, &events[..5]));
 
         let mut seed = 2014u64;
         let mut next = || {
@@ -1052,16 +865,15 @@ mod tests {
             let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^ (z >> 31)
         };
-        let (mut toggled, mut closed, mut threads_together) = (0, 0, 0);
+        let (mut opened, mut closed, mut threads_together) = (0, 0, 0);
         // Per budget relation (under, at, over): the pids seen there.
         let mut seen: [Vec<Pid>; 3] = Default::default();
         for quantum in 0..400u64 {
             let limit = [None, Some(1), Some(2), Some(3), Some(4)][(quantum / 25 % 5) as usize];
             let draw = next();
-            let pick = ids[(draw >> 8) as usize % ids.len()];
             match quantum {
                 200 => {
-                    // Close one solo of the grouped pid and the whole pair.
+                    // Three of the threaded pid's four counters.
                     for &id in &ids[3..6] {
                         for s in &mut sessions {
                             s.close(id).unwrap();
@@ -1069,7 +881,6 @@ mod tests {
                         closed += 1;
                     }
                 }
-                230 => ids.extend(open(&mut sessions, three, &pair)),
                 300 => {
                     for &id in &ids[7..9] {
                         for s in &mut sessions {
@@ -1078,13 +889,12 @@ mod tests {
                         closed += 1;
                     }
                 }
-                _ if draw % 5 == 0 => {
-                    let on = draw % 3 == 0;
-                    for s in &mut sessions {
-                        if s.set_enabled(pick, on).is_ok() {
-                            toggled += 1;
-                        }
-                    }
+                // Late solo opens, each landing mid-rotation.
+                _ if quantum > 100 && draw % 20 == 0 => {
+                    let pid = pids[(draw >> 8) as usize % pids.len()];
+                    let event = events[(draw >> 16) as usize % events.len()];
+                    ids.extend(open(&mut sessions, pid, &[event]));
+                    opened += 1;
                 }
                 _ => {}
             }
@@ -1093,45 +903,44 @@ mod tests {
             }
 
             let r = k.tick(MS);
-            let [fast, oracle] = &mut sessions;
-            fast.observe(&r);
+            let [window, oracle] = &mut sessions;
+            window.observe(&r);
             oracle.observe_by_round_robin(&r);
 
             for &id in &ids {
                 assert_eq!(
-                    fast.read(id),
+                    window.read(id),
                     oracle.read(id),
                     "quantum {quantum}, counter {id:?}"
                 );
             }
-            assert_eq!(fast.fault_stats(), oracle.fault_stats());
+            assert_eq!(window.fault_stats(), oracle.fault_stats());
             let cursors = |s: &PerfSession| -> Vec<(Pid, u64)> {
                 s.by_pid.iter().map(|(p, c)| (*p, c.rotation)).collect()
             };
-            assert_eq!(cursors(fast), cursors(oracle), "quantum {quantum}");
+            assert_eq!(cursors(window), cursors(oracle), "quantum {quantum}");
 
             let revoked = plan
                 .active(FaultKind::SlotRevocation, r.now)
                 .map_or(0, |w| w.magnitude as usize);
             let budget = limit.map_or(4 - revoked, |l: usize| l.min(4 - revoked));
-            threads_together += r.records.iter().filter(|x| x.pid == grouped).count() / 2;
+            threads_together += r.records.iter().filter(|x| x.pid == threaded).count() / 2;
             for rec in &r.records {
-                if let Ok(at) = index_of(&fast.by_pid, rec.pid) {
-                    let of_pid = &fast.by_pid[at].1;
-                    let at = of_pid.enabled.cmp(&budget) as i8 + 1;
+                if let Ok(at) = index_of(&window.by_pid, rec.pid) {
+                    let at = window.by_pid[at].1.ids.len().cmp(&budget) as i8 + 1;
                     if !seen[at as usize].contains(&rec.pid) {
                         seen[at as usize].push(rec.pid);
                     }
                 }
             }
         }
-        let [fast, _] = &sessions;
-        let stats = fast.fault_stats();
+        let [window, _] = &sessions;
+        let stats = window.fault_stats();
         assert!(stats.stalled_ticks > 0 && stats.spurious_resets == 2);
         assert!(stats.revoked_slot_ticks > 0);
         assert!(
-            toggled > 0 && closed == 5,
-            "toggled {toggled}, closed {closed}"
+            opened > 0 && closed == 5,
+            "opened {opened}, closed {closed}"
         );
         assert!(
             threads_together > 0,

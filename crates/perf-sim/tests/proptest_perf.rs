@@ -46,7 +46,11 @@ proptest! {
             session.observe(&r);
         }
         let total = Nanos::from_millis(ticks as u64);
-        for &id in &ids {
+        // The one running process runs every tick, and counter `k` counts
+        // in tick `r` iff it lies in the window of `b` counters starting
+        // `r mod n` in: exactly this many ticks, a fair share each.
+        let (n, b) = (n_counters, slots.min(n_counters));
+        for (k, &id) in ids.iter().enumerate() {
             let v = session.read(id).expect("open counter");
             // Time accounting invariants.
             prop_assert!(v.time_running <= v.time_enabled);
@@ -55,10 +59,10 @@ proptest! {
             if v.time_running == v.time_enabled {
                 prop_assert_eq!(v.scaled, v.raw, "no multiplexing, no scaling");
             }
-            // Fair rotation: every counter runs at least floor-share.
-            let share = v.time_running.as_u64() as f64 / v.time_enabled.as_u64() as f64;
-            let fair = (slots as f64 / n_counters as f64).min(1.0);
-            prop_assert!(share >= fair * 0.5 - 0.2, "share {share} < fair {fair}");
+            let running = (0..ticks).filter(|r| (k + n - r % n) % n < b).count();
+            let floor = ticks / n * b;
+            prop_assert!((floor..=floor + (ticks % n).min(b)).contains(&running));
+            prop_assert_eq!(v.time_running, Nanos::from_millis(running as u64));
         }
     }
 

@@ -97,26 +97,6 @@ impl PowerTrace {
         }
     }
 
-    /// Resamples onto a regular grid of `period` via zero-order hold,
-    /// from the first sample's time to the last's.
-    pub fn resample(&self, period: Nanos) -> PowerTrace {
-        let mut out = PowerTrace::new();
-        let (Some(first), Some(last)) = (self.samples.first(), self.samples.last()) else {
-            return out;
-        };
-        if period == Nanos::ZERO {
-            return out;
-        }
-        let mut t = first.at;
-        while t <= last.at {
-            if let Some(p) = self.at(t) {
-                out.push_at(t, p);
-            }
-            t += period;
-        }
-        out
-    }
-
     /// Pairs this trace with another at this trace's timestamps (zero-order
     /// hold on `other`), returning `(actual, other)` vectors ready for
     /// error metrics. Timestamps `other` cannot cover are skipped.
@@ -130,19 +110,6 @@ impl PowerTrace {
             }
         }
         (a, b)
-    }
-
-    /// Renders the trace as gnuplot-ready `time_s  power_w` lines.
-    pub fn to_columns(&self) -> String {
-        let mut out = String::with_capacity(self.samples.len() * 16);
-        for s in &self.samples {
-            out.push_str(&format!(
-                "{:.3} {:.3}\n",
-                s.at.as_secs_f64(),
-                s.power.as_f64()
-            ));
-        }
-        out
     }
 }
 
@@ -221,18 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn resample_regular_grid() {
-        let trace: PowerTrace = [t(0, 10.0), t(1500, 20.0), t(3000, 30.0)]
-            .into_iter()
-            .collect();
-        let r = trace.resample(Nanos::from_millis(1000));
-        assert_eq!(r.len(), 4); // 0, 1000, 2000, 3000
-        assert_eq!(r.powers(), vec![10.0, 10.0, 20.0, 30.0]);
-        assert!(trace.resample(Nanos::ZERO).is_empty());
-        assert!(PowerTrace::new().resample(Nanos::from_secs(1)).is_empty());
-    }
-
-    #[test]
     fn align_skips_uncovered_times() {
         let meter: PowerTrace = [t(1000, 10.0), t(2000, 20.0), t(3000, 30.0)]
             .into_iter()
@@ -242,12 +197,6 @@ mod tests {
         // meter@1000 has no estimate yet; 2000→11 (hold), 3000→21.
         assert_eq!(a, vec![20.0, 30.0]);
         assert_eq!(b, vec![11.0, 21.0]);
-    }
-
-    #[test]
-    fn columns_format() {
-        let trace: PowerTrace = [t(1000, 31.48)].into_iter().collect();
-        assert_eq!(trace.to_columns(), "1.000 31.480\n");
     }
 
     #[test]

@@ -289,12 +289,6 @@ impl WorkUnit {
         self.intensity = intensity.clamp(0.0, 1.0);
         self
     }
-
-    /// Returns a copy with a different footprint (min 1 KB).
-    pub fn with_footprint_kb(mut self, footprint_kb: f64) -> WorkUnit {
-        self.footprint_kb = footprint_kb.max(1.0);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -383,11 +377,5 @@ mod tests {
         assert_eq!(WorkUnit::cpu_intensive(-1.0).intensity(), 0.0);
         let w = WorkUnit::cpu_intensive(1.0).with_intensity(0.25);
         assert_eq!(w.intensity(), 0.25);
-    }
-
-    #[test]
-    fn with_footprint_floors_at_1kb() {
-        let w = WorkUnit::cpu_intensive(1.0).with_footprint_kb(0.0);
-        assert_eq!(w.footprint_kb(), 1.0);
     }
 }

@@ -49,7 +49,7 @@ fn table_rows(heading: &str) -> Vec<Vec<String>> {
 }
 
 /// The catalogued modules: the table's module cell and the source file.
-const MODULES: [(&str, &str); 7] = [
+const MODULES: [(&str, &str); 8] = [
     ("health", "crates/core/src/health/mod.rs"),
     ("control", "crates/core/src/control.rs"),
     ("adaptive", "crates/core/src/adaptive.rs"),
@@ -57,6 +57,7 @@ const MODULES: [(&str, &str); 7] = [
     ("fleet::shard", "crates/core/src/fleet/shard.rs"),
     ("fleet::observe", "crates/core/src/fleet/observe.rs"),
     ("telemetry::journal", "crates/core/src/telemetry/journal.rs"),
+    ("os_sim::governor", "crates/os-sim/src/governor.rs"),
 ];
 
 #[test]
