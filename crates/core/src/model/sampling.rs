@@ -54,14 +54,6 @@ pub struct SamplingConfig {
     /// out across threads and is bit-identical to a serial run at any
     /// setting.
     pub parallelism: usize,
-    /// Fault schedule injected into every cell's meter and perf session
-    /// (empty = clean run, the default).
-    pub faults: simcpu::fault::FaultPlan,
-    /// Extra attempts granted to a cell whose meter trace came back
-    /// gapped (fewer windows than `samples_per_point`). Attempt 0 uses
-    /// the cell's canonical seed, so clean runs are byte-for-byte
-    /// unaffected by this knob; each retry re-derives a fresh meter seed.
-    pub max_retries: usize,
 }
 
 impl Default for SamplingConfig {
@@ -80,8 +72,6 @@ impl Default for SamplingConfig {
             max_frequencies: None,
             both_smt_levels: true,
             parallelism: 0,
-            faults: simcpu::fault::FaultPlan::none(),
-            max_retries: 2,
         }
     }
 }
@@ -282,22 +272,12 @@ struct SweepCell<'a> {
     point: &'a StressPoint,
 }
 
-/// Mixes a retry attempt into a cell's meter seed. Attempt 0 maps to 0 —
-/// XORing it in leaves the canonical seed untouched, so runs without
-/// retries keep their historical bit-exact traces.
-fn retry_salt(attempt: usize) -> u64 {
-    (attempt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
 /// Runs one calibration cell: spin up a fresh kernel and host, pin the
 /// frequency, warm up, then take `samples_per_point` observations.
-/// `attempt` > 0 reruns the cell with a re-derived meter seed after a
-/// gapped trace.
 fn sample_cell(
     machine: &MachineConfig,
     cfg: &SamplingConfig,
     cell: &SweepCell<'_>,
-    attempt: usize,
 ) -> Result<Vec<CalibrationSample>> {
     let SweepCell {
         freq,
@@ -323,18 +303,8 @@ fn sample_cell(
         PowerSpyConfig::default()
             .with_sample_period(meter_period)
             .with_noise_std_w(cfg.meter_noise_w)
-            .with_seed(
-                cfg.seed
-                    ^ ((fi as u64) << 32)
-                    ^ ((li as u64) << 16)
-                    ^ pi as u64
-                    ^ retry_salt(attempt),
-            )
-            .with_fault_plan(cfg.faults.clone()),
+            .with_seed(cfg.seed ^ ((fi as u64) << 32) ^ ((li as u64) << 16) ^ pi as u64),
     );
-    if !cfg.faults.is_empty() {
-        host.set_fault_plan(cfg.faults.clone());
-    }
     host.monitor(pid)?;
 
     // Per-cell invariants hoisted out of the observation loop: the
@@ -439,21 +409,7 @@ pub fn collect(machine: &MachineConfig, cfg: &SamplingConfig) -> Result<SampleSe
     }
 
     let workers = par::resolve_threads(cfg.parallelism);
-    let per_cell = par::par_map(&cells, workers, |_, cell| {
-        // A fault window (meter disconnect, dropout burst) can gap a
-        // cell's trace below the requested window count. Retry the cell
-        // with a re-derived meter seed up to `max_retries` times; the
-        // retry decision depends only on the cell's own output, so the
-        // sweep stays order- and thread-count-independent. The last
-        // attempt's (possibly short) result stands.
-        let mut out = sample_cell(machine, cfg, cell, 0)?;
-        let mut attempt = 0;
-        while out.len() < cfg.samples_per_point && attempt < cfg.max_retries {
-            attempt += 1;
-            out = sample_cell(machine, cfg, cell, attempt)?;
-        }
-        Ok::<_, Error>(out)
-    });
+    let per_cell = par::par_map(&cells, workers, |_, cell| sample_cell(machine, cfg, cell));
 
     let mut samples = Vec::with_capacity(cells.len() * cfg.samples_per_point);
     for result in per_cell {
@@ -564,48 +520,6 @@ mod tests {
         let serial = collect(&m, &serial_cfg).unwrap();
         let parallel = collect(&m, &parallel_cfg).unwrap();
         assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn faulted_collect_retries_and_stays_deterministic() {
-        use simcpu::fault::{FaultKind, FaultPlan, FaultWindow};
-        let m = presets::intel_i3_2120();
-        let mut cfg = SamplingConfig::quick();
-        cfg.grid.truncate(2);
-        cfg.max_frequencies = Some(2);
-        // Disconnect the meter over a stretch wide enough to gap whole
-        // observation windows, forcing the retry path.
-        cfg.faults = FaultPlan::from_windows(vec![FaultWindow {
-            kind: FaultKind::Disconnect,
-            start: Nanos::from_millis(100),
-            end: Nanos::from_millis(600),
-            magnitude: 0.0,
-        }]);
-        let a = collect(&m, &cfg).unwrap();
-        assert!(!a.samples.is_empty());
-        assert!(a
-            .samples
-            .iter()
-            .all(|s| s.power_w.is_finite() && s.power_w > 0.0));
-        let b = collect(&m, &cfg).unwrap();
-        assert_eq!(a, b, "retries are part of the deterministic schedule");
-        // Zero retries must also be deterministic, just sparser or equal.
-        cfg.max_retries = 0;
-        let c = collect(&m, &cfg).unwrap();
-        assert!(c.samples.len() <= a.samples.len());
-    }
-
-    #[test]
-    fn empty_fault_plan_is_bit_identical_to_default() {
-        let m = presets::intel_i3_2120();
-        let mut cfg = SamplingConfig::quick();
-        cfg.grid.truncate(1);
-        cfg.max_frequencies = Some(2);
-        let clean = collect(&m, &cfg).unwrap();
-        cfg.faults = simcpu::fault::FaultPlan::none();
-        cfg.max_retries = 9;
-        let knobs = collect(&m, &cfg).unwrap();
-        assert_eq!(clean, knobs, "retry knob alone must not perturb data");
     }
 
     #[test]

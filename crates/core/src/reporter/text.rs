@@ -1,16 +1,16 @@
-//! The text reporter: flattens every message it receives into
-//! seven-field rows and writes them in one of four [`Format`]s, to any
-//! `Write + Send` target (stdout, a file, a test's buffer). Meter and
+//! The text reporter: flattens every message it receives into CSV rows
+//! under one header row, schema `time_s,kind,scope,power_w,band_w,quality,trace`
+//! — loadable straight into gnuplot/pandas for Figure-3-style plots — to
+//! any `Write + Send` target (stdout, a file, a test's buffer). Meter and
 //! RAPL rows carry band 0, `full` quality and trace 0 (measurements, not
 //! traced estimates). `band_w` is the prediction-interval half-width —
-//! feed the CSV column to gnuplot's `errorbars`.
+//! feed the column to gnuplot's `errorbars`.
 //!
-//! In every format a line is *head · scope · tail*, and only the scope
-//! differs between most rows of a batch: a thousand-process tick reports
-//! some forty rows that ran and nine hundred and sixty idle ones with
-//! the same time, 0 W, band, quality and trace. Head and tail are
-//! therefore rendered once per run of rows that share those fields and
-//! copied around each row's scope.
+//! A line is *head · scope · tail*, and only the scope differs between
+//! most rows of a batch: a thousand-process tick reports some forty rows
+//! that ran and nine hundred and sixty idle ones with the same time, 0 W,
+//! band, quality and trace. Head and tail are therefore rendered once per
+//! run of rows that share those fields and copied around each row's scope.
 
 use crate::actor::{Actor, Context};
 use crate::frame::PowerBatch;
@@ -20,26 +20,6 @@ use os_sim::process::Pid;
 use simcpu::units::{Nanos, Watts};
 use std::cmp::Ordering;
 use std::io::Write;
-
-/// The line formats a [`TextReporter`] writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Format {
-    /// Human-readable lines:
-    /// `[     2.000s] machine    estimate 36.00 W ±1.25 [degraded]`.
-    Console,
-    /// One row per message under a header row, schema
-    /// `time_s,kind,scope,power_w,band_w,quality,trace` — loadable
-    /// straight into gnuplot/pandas for Figure-3-style plots.
-    Csv,
-    /// One self-describing JSON object per line, keys as the CSV schema.
-    Json,
-    /// InfluxDB line protocol (what the production PowerAPI ecosystem
-    /// exports; ready for `influx write` or Telegraf): measurement
-    /// `power`, tags `scope`/`kind`/`quality`, fields `power_w`, `band_w`,
-    /// `trace`, nanosecond timestamp —
-    /// `power,scope=pid42,kind=estimate,quality=full power_w=3.500,band_w=0.700,trace=6i 1000000000`.
-    Influx,
-}
 
 /// What a row reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,18 +131,17 @@ fn push_u64(mut v: u64, buf: &mut Vec<u8>) {
     buf.extend_from_slice(&digits[i..]);
 }
 
-/// Appends `x` as `{x:width$.N$}` prints it: the exact decimal expansion
-/// of the double, rounded half-to-even at `N` fractional digits and
-/// right-aligned to `width`. A double below 2⁵³ is `m · 2^-shift` with
-/// `m < 2⁵³`, so `m · 10^N` fits a `u64` and the shifted-out bits are the
-/// exact remainder the rounding decides on. The few inputs outside that
-/// form go through `core::fmt`, which is also what the tests hold the
-/// kernel to.
-fn push_fixed<const N: usize>(x: f64, width: usize, buf: &mut Vec<u8>) {
+/// Appends `x` as `{x:.N$}` prints it: the exact decimal expansion of
+/// the double, rounded half-to-even at `N` fractional digits. A double
+/// below 2⁵³ is `m · 2^-shift` with `m < 2⁵³`, so `m · 10^N` fits a `u64`
+/// and the shifted-out bits are the exact remainder the rounding decides
+/// on. The few inputs outside that form go through `core::fmt`, which is
+/// also what the tests hold the kernel to.
+fn push_fixed<const N: usize>(x: f64, buf: &mut Vec<u8>) {
     const { assert!(N >= 1 && N <= 3, "2^53 * 10^N must fit a u64") };
     let bits = x.to_bits();
     if bits >= FALLBACK_BITS {
-        let _ = write!(buf, "{x:width$.N$}");
+        let _ = write!(buf, "{x:.N$}");
         return;
     }
     let (exponent, fraction) = ((bits >> 52) as u32, bits & FRACTION);
@@ -202,140 +181,26 @@ fn push_fixed<const N: usize>(x: f64, width: usize, buf: &mut Vec<u8>) {
             break;
         }
     }
-    let text = &digits[i..];
-    buf.resize(buf.len() + width.saturating_sub(text.len()), b' ');
-    buf.extend_from_slice(text);
+    buf.extend_from_slice(&digits[i..]);
 }
 
-/// The row's timestamp as `format` prints it.
-fn push_time(at: Nanos, format: Format, buf: &mut Vec<u8>) {
-    match format {
-        Format::Console => push_fixed::<3>(at.as_secs_f64(), 10, buf),
-        Format::Csv | Format::Json => push_fixed::<3>(at.as_secs_f64(), 0, buf),
-        Format::Influx => push_u64(at.as_u64(), buf),
-    }
-}
-
-/// What a line opens with, up to where its scope goes.
-fn push_head(format: Format, time: &[u8], kind: Kind, buf: &mut Vec<u8>) {
-    match format {
-        Format::Console => {
-            buf.push(b'[');
-            buf.extend_from_slice(time);
-            buf.extend_from_slice(b"s] ");
-        }
-        Format::Csv => {
-            buf.extend_from_slice(time);
-            buf.push(b',');
-            buf.extend_from_slice(kind.label());
-            buf.push(b',');
-        }
-        // Hand-rolled: the schema is flat, and `kind`, `scope` and the
-        // quality label are generated identifiers (`[a-z0-9-]+`), never
-        // user input, so no escaping is required.
-        Format::Json => {
-            buf.extend_from_slice(b"{\"time_s\":");
-            buf.extend_from_slice(time);
-            buf.extend_from_slice(b",\"kind\":\"");
-            buf.extend_from_slice(kind.label());
-            buf.extend_from_slice(b"\",\"scope\":\"");
-        }
-        Format::Influx => buf.extend_from_slice(b"power,scope="),
-    }
-}
-
-/// The row's scope. The console shows a pid the way
-/// [`os_sim::process::Pid`] displays, labels measurements by their kind
-/// rather than their scope, and pads to ten characters; the
-/// machine-readable formats keep the label free of spaces.
-fn push_label(format: Format, kind: Kind, label: Label<'_>, buf: &mut Vec<u8>) {
-    let console = format == Format::Console;
-    let start = buf.len();
-    match label {
-        _ if console && kind != Kind::Estimate => buf.extend_from_slice(kind.label()),
-        Label::Pid(pid) => {
-            buf.extend_from_slice(if console { b"pid " } else { b"pid" });
-            push_u64(u64::from(pid.0), buf);
-        }
-        Label::Text(text) => buf.extend_from_slice(text),
-    }
-    if console {
-        // `{label:<10}` pads to ten characters, not bytes.
-        let chars = buf[start..].iter().filter(|&&b| b & 0xC0 != 0x80).count();
-        buf.resize(buf.len() + 10usize.saturating_sub(chars) + 1, b' ');
-    }
-}
-
-/// What follows the scope, through the newline.
-fn push_tail(format: Format, time: &[u8], f: &Fields, buf: &mut Vec<u8>) {
-    let (power, band) = (f64::from_bits(f.power), f64::from_bits(f.band));
-    let quality = f.quality.label().as_bytes();
-    match format {
-        Format::Console => {
-            buf.extend_from_slice(match f.kind {
-                Kind::Estimate => b"estimate ",
-                Kind::PowerSpy => b"measured ",
-                Kind::Rapl => b"package  ",
-            });
-            push_fixed::<2>(power, 0, buf);
-            buf.extend_from_slice(b" W");
-            // Show the prediction interval when the formula claims one.
-            if band > 0.0 {
-                buf.extend_from_slice(" ±".as_bytes());
-                push_fixed::<2>(band, 0, buf);
-            }
-            // Flag non-primary estimates so a human scanning the log sees
-            // degradation without checking another stream.
-            buf.extend_from_slice(match f.quality {
-                Quality::Full => b"\n",
-                Quality::Degraded => b" [degraded]\n",
-                Quality::Stale => b" [stale]\n",
-            });
-        }
-        Format::Csv => {
-            buf.push(b',');
-            push_fixed::<3>(power, 0, buf);
-            buf.push(b',');
-            push_fixed::<3>(band, 0, buf);
-            buf.push(b',');
-            buf.extend_from_slice(quality);
-            buf.push(b',');
-            push_u64(f.trace.0, buf);
-            buf.push(b'\n');
-        }
-        Format::Json => {
-            buf.extend_from_slice(b"\",\"power_w\":");
-            push_fixed::<3>(power, 0, buf);
-            buf.extend_from_slice(b",\"band_w\":");
-            push_fixed::<3>(band, 0, buf);
-            buf.extend_from_slice(b",\"quality\":\"");
-            buf.extend_from_slice(quality);
-            buf.extend_from_slice(b"\",\"trace\":");
-            push_u64(f.trace.0, buf);
-            buf.extend_from_slice(b"}\n");
-        }
-        Format::Influx => {
-            buf.extend_from_slice(b",kind=");
-            buf.extend_from_slice(f.kind.label());
-            buf.extend_from_slice(b",quality=");
-            buf.extend_from_slice(quality);
-            buf.extend_from_slice(b" power_w=");
-            push_fixed::<3>(power, 0, buf);
-            buf.extend_from_slice(b",band_w=");
-            push_fixed::<3>(band, 0, buf);
-            buf.extend_from_slice(b",trace=");
-            push_u64(f.trace.0, buf);
-            buf.extend_from_slice(b"i ");
-            buf.extend_from_slice(time);
-            buf.push(b'\n');
-        }
-    }
+/// What follows the scope, through the newline:
+/// `,power_w,band_w,quality,trace`.
+fn push_tail(f: &Fields, buf: &mut Vec<u8>) {
+    buf.push(b',');
+    push_fixed::<3>(f64::from_bits(f.power), buf);
+    buf.push(b',');
+    push_fixed::<3>(f64::from_bits(f.band), buf);
+    buf.push(b',');
+    buf.extend_from_slice(f.quality.label().as_bytes());
+    buf.push(b',');
+    push_u64(f.trace.0, buf);
+    buf.push(b'\n');
 }
 
 /// The lines of one message, and what consecutive rows reuse.
 struct Lines {
-    format: Format,
-    /// Whether the CSV header row is still owed.
+    /// Whether the header row is still owed.
     header_due: bool,
     /// The lines of the message being handled, written out in one call.
     buf: Vec<u8>,
@@ -343,6 +208,7 @@ struct Lines {
     /// their timestamp — which changes once a tick, the others more often.
     shared: Option<Fields>,
     time: Vec<u8>,
+    /// `time_s,kind,` — everything before the scope.
     head: Vec<u8>,
     tail: Vec<u8>,
     /// How many times the tail was rendered rather than copied.
@@ -351,10 +217,9 @@ struct Lines {
 }
 
 impl Lines {
-    fn new(format: Format) -> Lines {
+    fn new() -> Lines {
         Lines {
-            format,
-            header_due: format == Format::Csv,
+            header_due: true,
             buf: Vec::new(),
             shared: None,
             time: Vec::new(),
@@ -372,12 +237,15 @@ impl Lines {
         if self.shared != Some(fields) {
             if self.shared.map(|f| f.at) != Some(fields.at) {
                 self.time.clear();
-                push_time(fields.at, self.format, &mut self.time);
+                push_fixed::<3>(fields.at.as_secs_f64(), &mut self.time);
             }
             self.head.clear();
-            push_head(self.format, &self.time, fields.kind, &mut self.head);
+            self.head.extend_from_slice(&self.time);
+            self.head.push(b',');
+            self.head.extend_from_slice(fields.kind.label());
+            self.head.push(b',');
             self.tail.clear();
-            push_tail(self.format, &self.time, &fields, &mut self.tail);
+            push_tail(&fields, &mut self.tail);
             self.shared = Some(fields);
             #[cfg(test)]
             {
@@ -385,11 +253,18 @@ impl Lines {
             }
         }
         self.buf.extend_from_slice(&self.head);
-        push_label(self.format, fields.kind, label, &mut self.buf);
+        match label {
+            Label::Pid(pid) => {
+                self.buf.extend_from_slice(b"pid");
+                push_u64(u64::from(pid.0), &mut self.buf);
+            }
+            Label::Text(text) => self.buf.extend_from_slice(text),
+        }
         self.buf.extend_from_slice(&self.tail);
     }
 
-    /// Renders `msg` into `buf`; `false` for a message no format prints.
+    /// Renders `msg` into `buf`; `false` for a message the reporter does
+    /// not print.
     fn render(&mut self, msg: &Message) -> bool {
         self.buf.clear();
         match msg {
@@ -427,11 +302,11 @@ pub struct TextReporter<W: Write + Send> {
 }
 
 impl<W: Write + Send> TextReporter<W> {
-    /// Reports to any writer in `format`.
-    pub fn new(format: Format, out: W) -> TextReporter<W> {
+    /// Reports CSV rows to any writer.
+    pub fn new(out: W) -> TextReporter<W> {
         TextReporter {
             out,
-            lines: Lines::new(format),
+            lines: Lines::new(),
         }
     }
 }
@@ -458,9 +333,9 @@ mod tests {
     use parking_lot::Mutex;
     use std::sync::Arc;
 
-    /// One reported value, format-independent — the unit of the displaced
-    /// per-row renderer, kept as the oracle the run renderer is held to (and
-    /// itself held to `core::fmt` below).
+    /// One reported value — the unit of the displaced per-row renderer,
+    /// kept as the oracle the run renderer is held to (and itself held to
+    /// `core::fmt` below).
     struct Row<'a> {
         at: Nanos,
         /// `estimate`, `powerspy` or `rapl`.
@@ -492,38 +367,6 @@ mod tests {
         }
     }
 
-    fn console_line(time: &[u8], r: &Row<'_>, buf: &mut Vec<u8>) {
-        // Estimates are labelled by their scope, measurements by their kind.
-        let (label, verb) = match r.kind {
-            "powerspy" => (r.kind.as_bytes(), "measured"),
-            "rapl" => (r.kind.as_bytes(), "package "),
-            _ => (r.scope, r.kind),
-        };
-        buf.push(b'[');
-        buf.extend_from_slice(time);
-        buf.extend_from_slice(b"s] ");
-        // `{label:<10}` pads to ten characters, not bytes.
-        let chars = label.iter().filter(|&&b| b & 0xC0 != 0x80).count();
-        buf.extend_from_slice(label);
-        buf.resize(buf.len() + 10usize.saturating_sub(chars) + 1, b' ');
-        buf.extend_from_slice(verb.as_bytes());
-        buf.push(b' ');
-        push_fixed::<2>(r.power.as_f64(), 0, buf);
-        buf.extend_from_slice(b" W");
-        // Show the prediction interval when the formula claims one.
-        if r.band.as_f64() > 0.0 {
-            buf.extend_from_slice(" ±".as_bytes());
-            push_fixed::<2>(r.band.as_f64(), 0, buf);
-        }
-        // Flag non-primary estimates so a human scanning the log sees
-        // degradation without checking another stream.
-        buf.extend_from_slice(match r.quality {
-            Quality::Full => b"\n",
-            Quality::Degraded => b" [degraded]\n",
-            Quality::Stale => b" [stale]\n",
-        });
-    }
-
     fn csv_line(time: &[u8], r: &Row<'_>, buf: &mut Vec<u8>) {
         buf.extend_from_slice(time);
         buf.push(b',');
@@ -531,9 +374,9 @@ mod tests {
         buf.push(b',');
         buf.extend_from_slice(r.scope);
         buf.push(b',');
-        push_fixed::<3>(r.power.as_f64(), 0, buf);
+        push_fixed::<3>(r.power.as_f64(), buf);
         buf.push(b',');
-        push_fixed::<3>(r.band.as_f64(), 0, buf);
+        push_fixed::<3>(r.band.as_f64(), buf);
         buf.push(b',');
         buf.extend_from_slice(r.quality.label().as_bytes());
         buf.push(b',');
@@ -541,67 +384,12 @@ mod tests {
         buf.push(b'\n');
     }
 
-    /// Hand-rolled: the schema is flat, and `kind`, `scope` and the quality
-    /// label are generated identifiers (`[a-z0-9-]+`), never user input, so
-    /// no escaping is required.
-    fn json_line(time: &[u8], r: &Row<'_>, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(b"{\"time_s\":");
-        buf.extend_from_slice(time);
-        buf.extend_from_slice(b",\"kind\":\"");
-        buf.extend_from_slice(r.kind.as_bytes());
-        buf.extend_from_slice(b"\",\"scope\":\"");
-        buf.extend_from_slice(r.scope);
-        buf.extend_from_slice(b"\",\"power_w\":");
-        push_fixed::<3>(r.power.as_f64(), 0, buf);
-        buf.extend_from_slice(b",\"band_w\":");
-        push_fixed::<3>(r.band.as_f64(), 0, buf);
-        buf.extend_from_slice(b",\"quality\":\"");
-        buf.extend_from_slice(r.quality.label().as_bytes());
-        buf.extend_from_slice(b"\",\"trace\":");
-        push_u64(r.trace.0, buf);
-        buf.extend_from_slice(b"}\n");
-    }
-
-    fn influx_line(time: &[u8], r: &Row<'_>, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(b"power,scope=");
-        buf.extend_from_slice(r.scope);
-        buf.extend_from_slice(b",kind=");
-        buf.extend_from_slice(r.kind.as_bytes());
-        buf.extend_from_slice(b",quality=");
-        buf.extend_from_slice(r.quality.label().as_bytes());
-        buf.extend_from_slice(b" power_w=");
-        push_fixed::<3>(r.power.as_f64(), 0, buf);
-        buf.extend_from_slice(b",band_w=");
-        push_fixed::<3>(r.band.as_f64(), 0, buf);
-        buf.extend_from_slice(b",trace=");
-        push_u64(r.trace.0, buf);
-        buf.extend_from_slice(b"i ");
-        buf.extend_from_slice(time);
-        buf.push(b'\n');
-    }
-
-    /// Appends one line of `format` around the rendered timestamp `time`.
-    fn push_line(format: Format, time: &[u8], row: &Row<'_>, buf: &mut Vec<u8>) {
-        match format {
-            Format::Console => console_line(time, row, buf),
-            Format::Csv => csv_line(time, row, buf),
-            Format::Json => json_line(time, row, buf),
-            Format::Influx => influx_line(time, row, buf),
-        }
-    }
-
-    /// Renders an aggregate scope into a reused label buffer. The console
-    /// shows a pid the way [`os_sim::process::Pid`] displays; the
-    /// machine-readable formats keep the label free of spaces.
-    fn label_scope(scope: &Scope, format: Format, label: &mut Vec<u8>) {
+    /// Renders an aggregate scope into a reused label buffer.
+    fn label_scope(scope: &Scope, label: &mut Vec<u8>) {
         label.clear();
         match scope {
             Scope::Process(pid) => {
-                let prefix: &[u8] = match format {
-                    Format::Console => b"pid ",
-                    _ => b"pid",
-                };
-                label.extend_from_slice(prefix);
+                label.extend_from_slice(b"pid");
                 push_u64(u64::from(pid.0), label);
             }
             Scope::Group(g) => label.extend_from_slice(g.as_bytes()),
@@ -610,20 +398,20 @@ mod tests {
     }
 
     /// The displaced actor body: every row of `msg` rendered on its own.
-    fn render_by_row(format: Format, header_due: &mut bool, msg: &Message) -> Vec<u8> {
+    fn render_by_row(header_due: &mut bool, msg: &Message) -> Vec<u8> {
         let (mut buf, mut label, mut time) = (Vec::new(), Vec::new(), Vec::new());
         let mut line = |row: &Row<'_>| {
             if std::mem::take(header_due) {
                 buf.extend_from_slice(CSV_HEADER);
             }
             time.clear();
-            push_time(row.at, format, &mut time);
-            push_line(format, &time, row, &mut buf);
+            push_fixed::<3>(row.at.as_secs_f64(), &mut time);
+            csv_line(&time, row, &mut buf);
         };
         match msg {
             Message::AggregateBatch(b) => {
                 for a in b.iter() {
-                    label_scope(&a.scope, format, &mut label);
+                    label_scope(&a.scope, &mut label);
                     line(&Row {
                         at: a.timestamp,
                         kind: "estimate",
@@ -671,7 +459,7 @@ mod tests {
     }
 
     /// Every message shape, scope kind and quality, band shown and
-    /// hidden, traced and untraced — and a frame, which no format prints.
+    /// hidden, traced and untraced — and a frame, which is not printed.
     fn messages() -> Vec<Message> {
         use Quality::{Degraded, Full, Stale};
         let (t1, t2) = (Nanos::from_secs(1), Nanos::from_secs(2));
@@ -708,20 +496,6 @@ mod tests {
         ]
     }
 
-    const CONSOLE: &str = r#"[     2.000s] pid 42     estimate 3.50 W
-[     2.000s] machine    estimate 36.00 W ±1.25 [degraded]
-[     2.000s] powerspy   measured 35.10 W
-[     2.000s] rapl       package  10.00 W
-[     1.000s] pid 5      estimate 2.25 W ±0.84 [degraded]
-[     1.000s] powerspy   measured 33.00 W
-[     1.500s] machine    estimate 36.48 W ±1.20
-[     2.000s] rapl       package  9.00 W
-[     1.000s] pid 42     estimate 3.50 W ±0.70
-[     1.000s] vm-alpha   estimate 7.25 W [degraded]
-[     1.000s] vm-beta    estimate 1.00 W [stale]
-[     1.000s] powerspy   measured 35.10 W
-"#;
-
     const CSV: &str = r#"time_s,kind,scope,power_w,band_w,quality,trace
 2.000,estimate,pid42,3.500,0.000,full,0
 2.000,estimate,machine,36.000,1.250,degraded,0
@@ -737,98 +511,34 @@ mod tests {
 1.000,powerspy,machine,35.100,0.000,full,0
 "#;
 
-    const JSON: &str = r#"{"time_s":2.000,"kind":"estimate","scope":"pid42","power_w":3.500,"band_w":0.000,"quality":"full","trace":0}
-{"time_s":2.000,"kind":"estimate","scope":"machine","power_w":36.000,"band_w":1.250,"quality":"degraded","trace":0}
-{"time_s":2.000,"kind":"powerspy","scope":"machine","power_w":35.100,"band_w":0.000,"quality":"full","trace":0}
-{"time_s":2.000,"kind":"rapl","scope":"package","power_w":10.000,"band_w":0.000,"quality":"full","trace":0}
-{"time_s":1.000,"kind":"estimate","scope":"pid5","power_w":2.250,"band_w":0.840,"quality":"degraded","trace":42}
-{"time_s":1.000,"kind":"powerspy","scope":"machine","power_w":33.000,"band_w":0.000,"quality":"full","trace":0}
-{"time_s":1.500,"kind":"estimate","scope":"machine","power_w":36.480,"band_w":1.200,"quality":"full","trace":9}
-{"time_s":2.000,"kind":"rapl","scope":"package","power_w":9.000,"band_w":0.000,"quality":"full","trace":0}
-{"time_s":1.000,"kind":"estimate","scope":"pid42","power_w":3.500,"band_w":0.700,"quality":"full","trace":6}
-{"time_s":1.000,"kind":"estimate","scope":"vm-alpha","power_w":7.250,"band_w":0.000,"quality":"degraded","trace":6}
-{"time_s":1.000,"kind":"estimate","scope":"vm-beta","power_w":1.000,"band_w":0.000,"quality":"stale","trace":6}
-{"time_s":1.000,"kind":"powerspy","scope":"machine","power_w":35.100,"band_w":0.000,"quality":"full","trace":0}
-"#;
-
-    const INFLUX: &str = r#"power,scope=pid42,kind=estimate,quality=full power_w=3.500,band_w=0.000,trace=0i 2000000000
-power,scope=machine,kind=estimate,quality=degraded power_w=36.000,band_w=1.250,trace=0i 2000000000
-power,scope=machine,kind=powerspy,quality=full power_w=35.100,band_w=0.000,trace=0i 2000000000
-power,scope=package,kind=rapl,quality=full power_w=10.000,band_w=0.000,trace=0i 2000000000
-power,scope=pid5,kind=estimate,quality=degraded power_w=2.250,band_w=0.840,trace=42i 1000000000
-power,scope=machine,kind=powerspy,quality=full power_w=33.000,band_w=0.000,trace=0i 1000000000
-power,scope=machine,kind=estimate,quality=full power_w=36.480,band_w=1.200,trace=9i 1500000000
-power,scope=package,kind=rapl,quality=full power_w=9.000,band_w=0.000,trace=0i 2000000000
-power,scope=pid42,kind=estimate,quality=full power_w=3.500,band_w=0.700,trace=6i 1000000000
-power,scope=vm-alpha,kind=estimate,quality=degraded power_w=7.250,band_w=0.000,trace=6i 1000000000
-power,scope=vm-beta,kind=estimate,quality=stale power_w=1.000,band_w=0.000,trace=6i 1000000000
-power,scope=machine,kind=powerspy,quality=full power_w=35.100,band_w=0.000,trace=0i 1000000000
-"#;
-
     #[test]
-    fn every_format_writes_its_exact_bytes() {
-        for (format, expected) in [
-            (Format::Console, CONSOLE),
-            (Format::Csv, CSV),
-            (Format::Json, JSON),
-            (Format::Influx, INFLUX),
-        ] {
-            let buf = SharedBuf::default();
-            let mut sys = ActorSystem::new();
-            let r = sys.spawn("text", Box::new(TextReporter::new(format, buf.clone())));
-            for topic in [Topic::Aggregate, Topic::Meter, Topic::Rapl, Topic::Tick] {
-                sys.bus().subscribe(topic, &r);
-            }
-            for m in messages() {
-                sys.bus().publish(m);
-            }
-            sys.shutdown();
-            let text = String::from_utf8(buf.0.lock().clone()).unwrap();
-            assert_eq!(text, expected, "{format:?}");
+    fn csv_is_written_byte_for_byte() {
+        let buf = SharedBuf::default();
+        let mut sys = ActorSystem::new();
+        let r = sys.spawn("text", Box::new(TextReporter::new(buf.clone())));
+        for topic in [Topic::Aggregate, Topic::Meter, Topic::Rapl, Topic::Tick] {
+            sys.bus().subscribe(topic, &r);
         }
+        for m in messages() {
+            sys.bus().publish(m);
+        }
+        sys.shutdown();
+        assert_eq!(String::from_utf8(buf.0.lock().clone()).unwrap(), CSV);
     }
-    /// The formats as `core::fmt` writes them — what every line the
-    /// kernel builds must equal byte for byte.
-    fn line_by_fmt(format: Format, scope: &Scope, r: &Row<'_>) -> String {
+
+    /// A row as `core::fmt` writes it — what every line the kernel builds
+    /// must equal byte for byte.
+    fn line_by_fmt(scope: &Scope, r: &Row<'_>) -> String {
         let (at, power, band) = (r.at.as_secs_f64(), r.power.as_f64(), r.band.as_f64());
         let (kind, quality, trace) = (r.kind, r.quality.label(), r.trace);
         let scope = match (scope, r.kind) {
             (_, "powerspy") => "machine".to_string(),
             (_, "rapl") => "package".to_string(),
-            (Scope::Process(pid), _) if format == Format::Console => format!("{pid}"),
             (Scope::Process(pid), _) => format!("pid{}", pid.0),
             (Scope::Group(g), _) => g.to_string(),
             (Scope::Machine, _) => "machine".to_string(),
         };
-        match format {
-            Format::Console => {
-                let (label, verb) = match kind {
-                    "powerspy" => (kind, "measured"),
-                    "rapl" => (kind, "package "),
-                    _ => (scope.as_str(), kind),
-                };
-                let band = match band > 0.0 {
-                    true => format!(" ±{band:.2}"),
-                    false => String::new(),
-                };
-                let flag = match r.quality {
-                    Quality::Full => "",
-                    Quality::Degraded => " [degraded]",
-                    Quality::Stale => " [stale]",
-                };
-                format!("[{at:10.3}s] {label:<10} {verb} {power:.2} W{band}{flag}\n")
-            }
-            Format::Csv => {
-                format!("{at:.3},{kind},{scope},{power:.3},{band:.3},{quality},{trace}\n")
-            }
-            Format::Json => format!(
-                "{{\"time_s\":{at:.3},\"kind\":\"{kind}\",\"scope\":\"{scope}\",\"power_w\":{power:.3},\"band_w\":{band:.3},\"quality\":\"{quality}\",\"trace\":{trace}}}\n"
-            ),
-            Format::Influx => format!(
-                "power,scope={scope},kind={kind},quality={quality} power_w={power:.3},band_w={band:.3},trace={trace}i {}\n",
-                r.at.as_u64()
-            ),
-        }
+        format!("{at:.3},{kind},{scope},{power:.3},{band:.3},{quality},{trace}\n")
     }
 
     /// The next draw of the differential sweeps' seeded bit source.
@@ -864,23 +574,21 @@ power,scope=machine,kind=powerspy,quality=full power_w=35.100,band_w=0.000,trace
             };
             let (power, band) = (watts(next()), watts(next()).max(0.0));
             let at = Nanos(next() >> (next() % 40 + 8));
-            for format in [Format::Console, Format::Csv, Format::Json, Format::Influx] {
-                label_scope(&scope, format, &mut label);
-                let row = Row {
-                    at,
-                    kind,
-                    scope: scope_bytes.unwrap_or(&label),
-                    power: Watts(power),
-                    band: Watts(band),
-                    quality: [Full, Degraded, Stale][i % 3],
-                    trace: TraceId(next() >> (next() % 64)),
-                };
-                let (mut time, mut got) = (Vec::new(), Vec::new());
-                push_time(at, format, &mut time);
-                push_line(format, &time, &row, &mut got);
-                let want = line_by_fmt(format, &scope, &row);
-                assert_eq!(String::from_utf8_lossy(&got), want, "row {i}, {format:?}");
-            }
+            label_scope(&scope, &mut label);
+            let row = Row {
+                at,
+                kind,
+                scope: scope_bytes.unwrap_or(&label),
+                power: Watts(power),
+                band: Watts(band),
+                quality: [Full, Degraded, Stale][i % 3],
+                trace: TraceId(next() >> (next() % 64)),
+            };
+            let (mut time, mut got) = (Vec::new(), Vec::new());
+            push_fixed::<3>(at.as_secs_f64(), &mut time);
+            csv_line(&time, &row, &mut got);
+            let want = line_by_fmt(&scope, &row);
+            assert_eq!(String::from_utf8_lossy(&got), want, "row {i}");
         }
     }
 
@@ -964,34 +672,32 @@ power,scope=machine,kind=powerspy,quality=full power_w=35.100,band_w=0.000,trace
     #[test]
     fn runs_render_what_every_row_rendered_alone_does() {
         let rounds = if cfg!(debug_assertions) { 400 } else { 20_000 };
-        for format in [Format::Console, Format::Csv, Format::Json, Format::Influx] {
-            let mut seed = 2014;
-            let mut lines = Lines::new(format);
-            let mut header_due = format == Format::Csv;
-            let mut rows = 0;
-            for round in 0..rounds {
-                // Ticks mostly advance; sometimes two messages share one.
-                let at = Nanos((round - round % 3) * 250_000_000 + draw(&mut seed) % 2);
-                let msg = match draw(&mut seed) % 5 {
-                    0 => Message::Meter(at, Watts(palette(draw(&mut seed)))),
-                    1 => Message::Rapl(at, Watts(palette(draw(&mut seed)))),
-                    _ => Message::AggregateBatch(Arc::new(generated_batch(&mut seed, at))),
-                };
-                assert!(lines.render(&msg));
-                let want = render_by_row(format, &mut header_due, &msg);
-                assert_eq!(
-                    String::from_utf8_lossy(&lines.buf),
-                    String::from_utf8_lossy(&want),
-                    "round {round}, {format:?}: {msg:?}"
-                );
-                rows += want.iter().filter(|&&b| b == b'\n').count();
-            }
-            assert!(
-                lines.tails_rendered * 4 < rows * 3,
-                "{format:?}: {} tails for {rows} rows — the sweep must exercise reuse",
-                lines.tails_rendered
+        let mut seed = 2014;
+        let mut lines = Lines::new();
+        let mut header_due = true;
+        let mut rows = 0;
+        for round in 0..rounds {
+            // Ticks mostly advance; sometimes two messages share one.
+            let at = Nanos((round - round % 3) * 250_000_000 + draw(&mut seed) % 2);
+            let msg = match draw(&mut seed) % 5 {
+                0 => Message::Meter(at, Watts(palette(draw(&mut seed)))),
+                1 => Message::Rapl(at, Watts(palette(draw(&mut seed)))),
+                _ => Message::AggregateBatch(Arc::new(generated_batch(&mut seed, at))),
+            };
+            assert!(lines.render(&msg));
+            let want = render_by_row(&mut header_due, &msg);
+            assert_eq!(
+                String::from_utf8_lossy(&lines.buf),
+                String::from_utf8_lossy(&want),
+                "round {round}: {msg:?}"
             );
+            rows += want.iter().filter(|&&b| b == b'\n').count();
         }
+        assert!(
+            lines.tails_rendered * 4 < rows * 3,
+            "{} tails for {rows} rows — the sweep must exercise reuse",
+            lines.tails_rendered
+        );
     }
 
     #[test]
@@ -1021,38 +727,33 @@ power,scope=machine,kind=powerspy,quality=full power_w=35.100,band_w=0.000,trace
             },
         );
         let msg = Message::AggregateBatch(Arc::new(batch));
-        for format in [Format::Console, Format::Csv, Format::Json, Format::Influx] {
-            let mut lines = Lines::new(format);
-            assert!(lines.render(&msg));
-            assert_eq!(
-                lines.buf,
-                render_by_row(format, &mut (format == Format::Csv), &msg)
-            );
-            assert!(
-                lines.tails_rendered <= 42,
-                "{format:?}: {} tails for 40 active rows, one idle run and one machine row",
-                lines.tails_rendered
-            );
-        }
+        let mut lines = Lines::new();
+        assert!(lines.render(&msg));
+        assert_eq!(lines.buf, render_by_row(&mut true, &msg));
+        assert!(
+            lines.tails_rendered <= 42,
+            "{} tails for 40 active rows, one idle run and one machine row",
+            lines.tails_rendered
+        );
     }
 
-    /// `push_fixed::<N>(x, width)` against `format!("{x:width$.N$}")`.
-    fn check<const N: usize>(x: f64, width: usize) {
+    /// `push_fixed::<N>(x)` against `format!("{x:.N$}")`.
+    fn check<const N: usize>(x: f64) {
         let mut got = Vec::new();
-        push_fixed::<N>(x, width, &mut got);
+        push_fixed::<N>(x, &mut got);
         assert_eq!(
             String::from_utf8_lossy(&got),
-            format!("{x:width$.N$}"),
-            "x = {x:e} (bits {:#018x}), N = {N}, width = {width}",
+            format!("{x:.N$}"),
+            "x = {x:e} (bits {:#018x}), N = {N}",
             x.to_bits()
         );
     }
 
-    /// The three shapes the formats use.
+    /// The CSV's three decimals, and two: the kernel takes any `N` up to
+    /// three.
     fn check_all(x: f64) {
-        check::<2>(x, 0);
-        check::<3>(x, 0);
-        check::<3>(x, 10);
+        check::<2>(x);
+        check::<3>(x);
     }
 
     /// The sweep is sized for `cargo test --release -p powerapi
@@ -1114,20 +815,6 @@ power,scope=machine,kind=powerspy,quality=full power_w=35.100,band_w=0.000,trace
             // must round by the hair.
             for step in -3i64..=3 {
                 check_all(f64::from_bits(x.to_bits().wrapping_add(step as u64)));
-            }
-        }
-    }
-
-    #[test]
-    fn padding_equals_core_fmt_below_at_and_above_the_width() {
-        // 5, 9, 10 and 11 characters at three digits; one that grows a
-        // digit by rounding; the fallback arm's.
-        let values = [1.5, 99999.999, 123456.789, 1234567.891, 999999.9996];
-        let fallback = [-1.5, 9.1e15, f64::NAN, f64::INFINITY];
-        for x in values.into_iter().chain(fallback) {
-            for width in [0, 1, 5, 9, 10, 11, 12, 30] {
-                check::<2>(x, width);
-                check::<3>(x, width);
             }
         }
     }

@@ -35,7 +35,7 @@ use crate::frame::FramePool;
 use crate::health::{ModelHealth, ModelHealthSummary, ResidualMonitor};
 use crate::host::SimHost;
 use crate::msg::{AggregateReport, Message, Scope, Topic};
-use crate::reporter::{Format, MemoryHandle, MemoryReporter, TextReporter};
+use crate::reporter::{MemoryHandle, MemoryReporter, TextReporter};
 use crate::sensor::SensorStage;
 use crate::telemetry::export::{self, PostMortemReport};
 use crate::telemetry::{EventKind, Stage, Telemetry, TelemetrySummary, SELF_PID};
@@ -69,7 +69,6 @@ pub struct PowerApiBuilder {
     clock_period: Nanos,
     meter: PowerSpyConfig,
     dimension: Option<Dimension>,
-    idle_override: Option<f64>,
     hierarchy: Option<crate::hierarchy::Hierarchy>,
     /// The built-in reporters asked for: actor name, actor, topics.
     reporters: Vec<(&'static str, Box<dyn crate::actor::Actor>, &'static [Topic])>,
@@ -98,7 +97,6 @@ impl PowerApiBuilder {
             clock_period: Nanos::from_secs(1),
             meter: PowerSpyConfig::default(),
             dimension: None,
-            idle_override: None,
             hierarchy: None,
             reporters: Vec::new(),
             memory: None,
@@ -171,14 +169,6 @@ impl PowerApiBuilder {
         self
     }
 
-    /// Overrides the idle floor the machine aggregate adds (default: the
-    /// formula's `idle_w`).
-    #[must_use]
-    pub fn idle_w(mut self, idle_w: f64) -> PowerApiBuilder {
-        self.idle_override = Some(idle_w);
-        self
-    }
-
     /// Adds the in-memory reporter (required for [`PowerApi::finish`] to
     /// return data).
     #[must_use]
@@ -188,23 +178,11 @@ impl PowerApiBuilder {
         self.reporter("reporter-memory", reporter, REPORTED)
     }
 
-    /// Adds a text reporter writing `format` lines to `out` (pass
-    /// `std::io::stdout()` for the console). One reporter per format.
-    #[must_use]
-    pub fn report_to(self, format: Format, out: impl Write + Send + 'static) -> PowerApiBuilder {
-        let name = match format {
-            Format::Console => "reporter-console",
-            Format::Csv => "reporter-csv",
-            Format::Json => "reporter-json",
-            Format::Influx => "reporter-influx",
-        };
-        self.reporter(name, TextReporter::new(format, out), REPORTED)
-    }
-
-    /// Adds a CSV reporter writing to `out`.
+    /// Adds a CSV reporter writing to `out` (pass `std::io::stdout()` for
+    /// the console).
     #[must_use]
     pub fn report_to_csv(self, out: impl Write + Send + 'static) -> PowerApiBuilder {
-        self.report_to(Format::Csv, out)
+        self.reporter("reporter-csv", TextReporter::new(out), REPORTED)
     }
 
     /// Lists a built-in reporter for [`PowerApiBuilder::build`] to spawn.
@@ -414,7 +392,8 @@ impl PowerApiBuilder {
             ));
         }
         let dimension = self.dimension.unwrap_or(Dimension::both());
-        let idle_w = self.idle_override.unwrap_or_else(|| formula.idle_w());
+        // Read before the formula moves into its actor's factory.
+        let idle_w = formula.idle_w();
 
         let meter_config = self.meter.with_fault_plan(self.faults.clone());
         let telemetry = if self.telemetry {

@@ -173,8 +173,9 @@ fn conservation_survives_degraded_quality() {
     assert!(degraded > 0, "the stall must degrade some root flushes");
 }
 
-/// The root adds the aggregator's idle floor, so a builder `idle_w` that
-/// differs from the formula's still reconciles with the machine stream.
+/// The root adds the aggregator's idle floor, which is the formula's: a
+/// model whose idle line is overridden moves the root's floor with it and
+/// still reconciles with the machine stream.
 #[test]
 fn an_overridden_idle_floor_is_the_roots_floor() {
     let mut kernel = Kernel::new(presets::intel_i3_2120());
@@ -183,12 +184,22 @@ fn an_overridden_idle_floor_is_the_roots_floor() {
         "tenant-a/svc-web",
         vec![SteadyTask::boxed(WorkUnit::cpu_intensive(0.6))],
     );
-    let formula = paper_formula();
-    assert_ne!(formula.idle_w(), 40.0, "the override must differ");
+    let paper = PerFrequencyPowerModel::paper_i3_example();
+    assert_ne!(paper.idle_w(), 40.0, "the override must differ");
+    let text: String = paper
+        .to_text()
+        .lines()
+        .map(|l| match l.starts_with("idle ") {
+            true => "idle 40\n".to_string(),
+            false => format!("{l}\n"),
+        })
+        .collect();
+    let formula =
+        PerFrequencyFormula::new(PerFrequencyPowerModel::from_text(&text).expect("model"));
+    assert_eq!(formula.idle_w(), 40.0);
     let hierarchy = Hierarchy::new();
     let mut papi = PowerApi::builder(kernel)
         .formula(formula)
-        .idle_w(40.0)
         .report_to_memory()
         .quantum(Nanos::from_millis(2))
         .clock_period(Nanos::from_millis(500))

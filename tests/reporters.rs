@@ -1,8 +1,8 @@
-//! Reporter integration: every output format wired through the full
-//! runtime produces coherent, parseable output for the same run, and the
-//! text formats round-trip — parsing a line recovers the exact report
-//! (power and prediction band at the printed precision, quality tag,
-//! trace id) that went in.
+//! Reporter integration: the CSV reporter wired through the full runtime
+//! writes, row for row, what the memory reporter beside it received, and
+//! its lines round-trip — parsing a line recovers the exact report (power
+//! and prediction band at the printed precision, quality tag, trace id)
+//! that went in.
 
 use powerapi_suite::os_sim::kernel::Kernel;
 use powerapi_suite::os_sim::process::Pid;
@@ -11,7 +11,7 @@ use powerapi_suite::powerapi::actor::ActorSystem;
 use powerapi_suite::powerapi::formula::per_freq::PerFrequencyFormula;
 use powerapi_suite::powerapi::model::power_model::PerFrequencyPowerModel;
 use powerapi_suite::powerapi::msg::{AggregateReport, Message, Quality, Scope, Topic};
-use powerapi_suite::powerapi::reporter::{Format, TextReporter};
+use powerapi_suite::powerapi::reporter::TextReporter;
 use powerapi_suite::powerapi::runtime::PowerApi;
 use powerapi_suite::powerapi::telemetry::TraceId;
 use powerapi_suite::simcpu::presets;
@@ -40,21 +40,39 @@ impl SharedBuf {
     }
 }
 
+/// Every CSV row of a live run, as `core::fmt` writes the memory
+/// reporter's copy of the same value: time, kind, scope, watts and band at
+/// three decimals, quality and trace id.
+fn csv_row(
+    at: Nanos,
+    kind: &str,
+    scope: &str,
+    power: Watts,
+    band: Watts,
+    quality: Quality,
+    trace: TraceId,
+) -> String {
+    format!(
+        "{:.3},{kind},{scope},{:.3},{:.3},{},{}",
+        at.as_secs_f64(),
+        power.as_f64(),
+        band.as_f64(),
+        quality.label(),
+        trace.0
+    )
+}
+
 #[test]
-fn csv_json_and_influx_agree_on_the_same_run() {
+fn every_csv_row_matches_the_memory_reporter() {
     let mut kernel = Kernel::new(presets::intel_i3_2120());
     let pid = kernel.spawn("app", vec![SteadyTask::boxed(WorkUnit::cpu_intensive(1.0))]);
     let csv = SharedBuf::default();
-    let json = SharedBuf::default();
-    let influx = SharedBuf::default();
     let mut papi = PowerApi::builder(kernel)
         .formula(PerFrequencyFormula::new(
             PerFrequencyPowerModel::paper_i3_example(),
         ))
         .report_to_memory()
         .report_to_csv(csv.clone())
-        .report_to(Format::Json, json.clone())
-        .report_to(Format::Influx, influx.clone())
         .quantum(Nanos::from_millis(2))
         .clock_period(Nanos::from_millis(500))
         .build()
@@ -63,69 +81,61 @@ fn csv_json_and_influx_agree_on_the_same_run() {
     papi.run_for(Nanos::from_secs(3)).expect("run");
     let outcome = papi.finish().expect("shutdown");
 
-    // Ground truth for the comparison: the memory reporter.
-    let estimates = outcome.machine_estimates();
-    assert_eq!(estimates.len(), 6);
+    // Ground truth: the memory reporter, one stream per row kind.
+    let estimates: Vec<String> = outcome
+        .reports
+        .iter()
+        .map(|r| {
+            let scope = match &r.scope {
+                Scope::Process(p) => format!("pid{}", p.0),
+                Scope::Group(g) => g.to_string(),
+                Scope::Machine => "machine".to_string(),
+            };
+            csv_row(
+                r.timestamp,
+                "estimate",
+                &scope,
+                r.power,
+                r.band_w,
+                r.quality,
+                r.trace,
+            )
+        })
+        .collect();
+    let measured = |kind: &str, scope: &str, samples: &[(Nanos, Watts)]| -> Vec<String> {
+        samples
+            .iter()
+            .map(|&(at, w)| csv_row(at, kind, scope, w, Watts(0.0), Quality::Full, TraceId::NONE))
+            .collect()
+    };
+    let meter = measured("powerspy", "machine", &outcome.meter);
+    let rapl = measured("rapl", "package", &outcome.rapl);
 
-    // CSV: header + one row per message; machine rows match memory.
-    let csv_text = csv.text();
-    let mut lines = csv_text.lines();
+    let text = csv.text();
+    let mut lines = text.lines();
     assert_eq!(
         lines.next(),
         Some("time_s,kind,scope,power_w,band_w,quality,trace")
     );
-    let machine_rows: Vec<&str> = csv_text
-        .lines()
-        .filter(|l| l.contains(",estimate,machine,"))
-        .collect();
-    assert_eq!(machine_rows.len(), estimates.len());
-    for (row, (ts, w)) in machine_rows.iter().zip(&estimates) {
-        let cols: Vec<&str> = row.split(',').collect();
-        assert_eq!(cols.len(), 7);
-        assert!((cols[0].parse::<f64>().expect("time") - ts.as_secs_f64()).abs() < 1e-9);
-        assert!((cols[3].parse::<f64>().expect("power") - w.as_f64()).abs() < 0.001);
-        assert!(cols[4].parse::<f64>().expect("band") >= 0.0);
-        assert_eq!(cols[5], "full", "clean run, full quality");
-        assert!(cols[6].parse::<u64>().expect("trace id") > 0, "traced tick");
-    }
+    let rows: Vec<&str> = lines.collect();
+    let of_kind = |kind: &str| -> Vec<String> {
+        let tag = format!(",{kind},");
+        rows.iter()
+            .filter(|l| l.contains(&tag))
+            .map(|l| l.to_string())
+            .collect()
+    };
+    assert_eq!(of_kind("estimate"), estimates);
+    assert_eq!(of_kind("powerspy"), meter);
+    assert_eq!(of_kind("rapl"), rapl);
+    assert_eq!(rows.len(), estimates.len() + meter.len() + rapl.len());
 
-    // JSON lines: same count of machine estimates, balanced braces/quotes.
-    let json_text = json.text();
-    let machine_objs: Vec<&str> = json_text
-        .lines()
-        .filter(|l| l.contains("\"scope\":\"machine\"") && l.contains("\"kind\":\"estimate\""))
-        .collect();
-    assert_eq!(machine_objs.len(), estimates.len());
-    for l in json_text.lines() {
-        assert!(l.starts_with('{') && l.ends_with('}'), "{l}");
-        assert_eq!(l.matches('"').count() % 2, 0, "{l}");
-        assert!(l.contains("\"band_w\":"), "{l}");
-        assert!(l.contains("\"quality\":\""), "{l}");
-        assert!(l.contains("\"trace\":"), "{l}");
-    }
-
-    // Influx line protocol: measurement,tags fields timestamp.
-    let influx_text = influx.text();
-    let machine_points: Vec<&str> = influx_text
-        .lines()
-        .filter(|l| l.starts_with("power,scope=machine,kind=estimate,"))
-        .collect();
-    assert_eq!(machine_points.len(), estimates.len());
-    for (point, (ts, w)) in machine_points.iter().zip(&estimates) {
-        let parts: Vec<&str> = point.split(' ').collect();
-        assert_eq!(parts.len(), 3);
-        assert_eq!(parts[2].parse::<u64>().expect("ns ts"), ts.as_u64());
-        let field = parts[1].strip_prefix("power_w=").expect("field");
-        let watts = field.split(',').next().expect("first field");
-        assert!((watts.parse::<f64>().expect("watts") - w.as_f64()).abs() < 0.001);
-        assert!(parts[1].contains(",band_w="), "{point}");
-        assert!(parts[1].contains(",trace="), "{point}");
-    }
-
-    // Every format also carried the meter stream.
-    assert!(csv_text.contains(",powerspy,machine,"));
-    assert!(json_text.contains("\"kind\":\"powerspy\""));
-    assert!(influx_text.contains("kind=powerspy"));
+    // The run carried every row kind: process and machine estimates on
+    // traced ticks, and both measurement streams.
+    assert_eq!(outcome.machine_estimates().len(), 6);
+    assert_eq!(outcome.process_estimates(pid).len(), 6);
+    assert!(outcome.reports.iter().all(|r| r.trace != TraceId::NONE));
+    assert!(!meter.is_empty() && !rapl.is_empty());
 }
 
 /// What a parsed reporter line must recover.
@@ -225,7 +235,7 @@ fn run_reporter(actor: Box<dyn powerapi_suite::powerapi::actor::Actor>, buf: &Sh
 #[test]
 fn csv_rows_round_trip_exactly() {
     let buf = SharedBuf::default();
-    let text = run_reporter(Box::new(TextReporter::new(Format::Csv, buf.clone())), &buf);
+    let text = run_reporter(Box::new(TextReporter::new(buf.clone())), &buf);
     let mut lines = text.lines();
     assert_eq!(
         lines.next(),
@@ -243,79 +253,6 @@ fn csv_rows_round_trip_exactly() {
                 c[4].parse().expect("band"),
                 c[5],
                 c[6].parse().expect("trace"),
-            )
-        })
-        .collect();
-    assert_eq!(parsed, fixture().1);
-}
-
-#[test]
-fn json_lines_round_trip_exactly() {
-    let buf = SharedBuf::default();
-    let text = run_reporter(Box::new(TextReporter::new(Format::Json, buf.clone())), &buf);
-    // The schema is flat with a fixed key order, so a field-splitting
-    // parser is an honest JSON reader for these lines.
-    let parsed: Vec<Row> = text
-        .lines()
-        .map(|l| {
-            let body = l
-                .strip_prefix('{')
-                .and_then(|l| l.strip_suffix('}'))
-                .unwrap_or_else(|| panic!("not an object: {l}"));
-            let mut fields = std::collections::BTreeMap::new();
-            for kv in body.split(',') {
-                let (k, v) = kv.split_once(':').expect("key:value");
-                fields.insert(k.trim_matches('"'), v.trim_matches('"'));
-            }
-            row(
-                fields["time_s"].parse().expect("time"),
-                fields["kind"],
-                fields["scope"],
-                fields["power_w"].parse().expect("power"),
-                fields["band_w"].parse().expect("band"),
-                fields["quality"],
-                fields["trace"].parse().expect("trace"),
-            )
-        })
-        .collect();
-    assert_eq!(parsed, fixture().1);
-}
-
-#[test]
-fn influx_points_round_trip_exactly() {
-    let buf = SharedBuf::default();
-    let text = run_reporter(
-        Box::new(TextReporter::new(Format::Influx, buf.clone())),
-        &buf,
-    );
-    let parsed: Vec<Row> = text
-        .lines()
-        .map(|l| {
-            let parts: Vec<&str> = l.split(' ').collect();
-            assert_eq!(parts.len(), 3, "{l}");
-            let mut tags = std::collections::BTreeMap::new();
-            for tag in parts[0].split(',').skip(1) {
-                let (k, v) = tag.split_once('=').expect("tag");
-                tags.insert(k, v);
-            }
-            let mut fields = std::collections::BTreeMap::new();
-            for field in parts[1].split(',') {
-                let (k, v) = field.split_once('=').expect("field");
-                fields.insert(k, v);
-            }
-            let ns: u64 = parts[2].parse().expect("timestamp");
-            row(
-                ns as f64 / 1e9,
-                tags["kind"],
-                tags["scope"],
-                fields["power_w"].parse().expect("power"),
-                fields["band_w"].parse().expect("band"),
-                tags["quality"],
-                fields["trace"]
-                    .strip_suffix('i')
-                    .expect("integer field")
-                    .parse()
-                    .expect("trace"),
             )
         })
         .collect();
