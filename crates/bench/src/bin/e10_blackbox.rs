@@ -21,7 +21,7 @@ use powerapi::formula::per_freq::PerFrequencyFormula;
 use powerapi::model::power_model::PerFrequencyPowerModel;
 use powerapi::runtime::RunOutcome;
 use powerapi::telemetry::export::parse_json;
-use powerapi::telemetry::{parse_jsonl, EventKind, JournalEvent, Telemetry};
+use powerapi::telemetry::{parse_jsonl, EventKind, JournalEvent};
 use simcpu::fault::{FaultKind, FaultPlan};
 use simcpu::units::Nanos;
 use workloads::specjbb::SpecJbbConfig;
@@ -38,7 +38,7 @@ fn run_flight_recorded(
     jbb: &SpecJbbConfig,
     plan: FaultPlan,
     dump_dir: &std::path::Path,
-) -> (RunOutcome, Telemetry) {
+) -> RunOutcome {
     let (builder, pid) = chaos_pipeline(
         jbb,
         PerFrequencyFormula::new(PerFrequencyPowerModel::paper_i3_example()),
@@ -53,8 +53,7 @@ fn run_flight_recorded(
         .expect("pipeline");
     papi.monitor(pid).expect("monitor");
     papi.run_for(jbb.duration).expect("run");
-    let telemetry = papi.telemetry().clone();
-    (papi.finish().expect("finish"), telemetry)
+    papi.finish().expect("finish")
 }
 
 /// How often `kind` shows up in the dumped journal. Host-fault kinds
@@ -95,9 +94,9 @@ fn main() {
         plan.windows().len()
     );
     let dump_dir = std::path::Path::new("target/e10_blackbox");
-    let (outcome, telemetry) = run_flight_recorded(&jbb, plan.clone(), dump_dir);
+    let outcome = run_flight_recorded(&jbb, plan.clone(), dump_dir);
     if let Some(path) = &args.dump_trace {
-        dump_trace(&telemetry, None, path);
+        dump_trace(&outcome.telemetry, None, path);
     }
     let report = outcome
         .flight_recorder

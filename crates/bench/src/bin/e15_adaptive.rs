@@ -83,11 +83,7 @@ fn run_stock(
     period_s: u64,
     slots: usize,
     sampling: SamplingConfig,
-) -> (
-    Arm,
-    powerapi::runtime::RunOutcome,
-    powerapi::telemetry::Telemetry,
-) {
+) -> (Arm, powerapi::runtime::RunOutcome) {
     let jbb = SpecJbbConfig {
         duration,
         ..SpecJbbConfig::default()
@@ -105,7 +101,6 @@ fn run_stock(
         .expect("pipeline");
     papi.monitor(pid).expect("monitor");
     papi.run_for(duration).expect("run");
-    let telemetry = papi.telemetry().clone();
     let outcome = papi.finish().expect("finish");
     let report = score_outcome(&outcome).expect("scoring");
     let label = if adaptive {
@@ -122,7 +117,6 @@ fn run_stock(
             selfcost: outcome.selfcost,
         },
         outcome,
-        telemetry,
     )
 }
 
@@ -222,7 +216,7 @@ fn main() {
     let mut statics = Vec::new();
     for &slots in &[4usize, 2] {
         for &period_s in &[1u64, 2, 4, 8] {
-            let (arm, _, _) = run_stock(
+            let (arm, _) = run_stock(
                 stock_model.clone(),
                 stock_duration,
                 period_s,
@@ -246,10 +240,10 @@ fn main() {
         shed_slots: Some(2),
         ..SamplingConfig::default()
     };
-    let (adaptive, _outcome, telemetry) =
-        run_stock(stock_model.clone(), stock_duration, 1, 4, adaptive_cfg);
+    let (adaptive, outcome) = run_stock(stock_model.clone(), stock_duration, 1, 4, adaptive_cfg);
+    let telemetry = &outcome.telemetry;
     if let Some(path) = &args.dump_trace {
-        dump_trace(&telemetry, None, path);
+        dump_trace(telemetry, None, path);
     }
     let journal_events = telemetry.journal().events();
     let transitions = journal_events

@@ -15,7 +15,6 @@ use powerapi::formula::per_freq::PerFrequencyFormula;
 use powerapi::model::learn::{calibrate_cpuload, learn_model, LearnConfig};
 use powerapi::model::power_model::PerFrequencyPowerModel;
 use powerapi::runtime::RunOutcome;
-use powerapi::telemetry::Telemetry;
 use simcpu::fault::FaultPlan;
 use simcpu::presets;
 use simcpu::units::Nanos;
@@ -25,7 +24,6 @@ struct ChaosRun {
     outcome: RunOutcome,
     meter_stats: powermeter::powerspy::MeterFaultStats,
     counter_stats: perf_sim::session::CounterFaultStats,
-    telemetry: Telemetry,
 }
 
 fn run_pipeline(
@@ -40,12 +38,10 @@ fn run_pipeline(
     papi.run_for(jbb.duration).expect("run");
     let meter_stats = papi.meter_fault_stats();
     let counter_stats = papi.counter_fault_stats();
-    let telemetry = papi.telemetry().clone();
     ChaosRun {
         outcome: papi.finish().expect("finish"),
         meter_stats,
         counter_stats,
-        telemetry,
     }
 }
 
@@ -94,7 +90,7 @@ fn main() {
 
     println!("  [4/4] scoring…");
     if let Some(path) = &args.dump_trace {
-        dump_trace(&chaos.telemetry, None, path);
+        dump_trace(&chaos.outcome.telemetry, None, path);
     }
     let m = chaos.meter_stats;
     let c = chaos.counter_stats;

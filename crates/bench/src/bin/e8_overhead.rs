@@ -1,13 +1,13 @@
 //! Experiment E8 — the middleware watches itself. Measures what the
 //! telemetry layer (metrics registry, span tracing, self-overhead
-//! profiling, JSON-lines export) costs the pipeline, and demonstrates the
+//! profiling) costs the pipeline, and demonstrates the
 //! self-attribution path: the middleware's own busy time surfaces as a
 //! synthetic `powerapi` process in the regular power reports.
 //!
 //! Protocol: learn a model once, then replay the same 600 s SPECjbb
 //! excerpt with telemetry fully off and fully on (tracing + per-actor
-//! metrics + self-profiling + the event journal + JSON-lines export to
-//! a sink), alternating arms, twenty-one runs each. The best-of-arm wall
+//! metrics + self-profiling + the event journal), alternating arms,
+//! twenty-one runs each. The best-of-arm wall
 //! times are compared — min-of-N is the standard way to strip scheduler
 //! noise from a throughput measurement. The acceptance bar is the
 //! ISSUE's: telemetry may add **< 3 %** wall time. A final section
@@ -45,7 +45,7 @@ use powerapi::formula::per_freq::PerFrequencyFormula;
 use powerapi::model::learn::{learn_model, LearnConfig};
 use powerapi::model::power_model::PerFrequencyPowerModel;
 use powerapi::runtime::{PowerApi, RunOutcome};
-use powerapi::telemetry::{chrome_trace, dump_jsonl, Telemetry, SELF_PID};
+use powerapi::telemetry::{chrome_trace, dump_jsonl, Stage, Telemetry, SELF_PID};
 use simcpu::presets;
 use simcpu::units::Nanos;
 use std::io::Write;
@@ -77,19 +77,13 @@ const FLEET_SHARDS: usize = 2;
 /// often than the replay arms; the budget they are held to is the same.
 const FLEET_RUNS_FACTOR: usize = 15;
 
-/// A sink that counts bytes but keeps nothing — the export cost is paid,
-/// the memory is not.
-struct CountingSink(u64);
-
-impl Write for CountingSink {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0 += buf.len() as u64;
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
+/// The stages every instrumented replay must have timed.
+const PIPELINE: [Stage; 4] = [
+    Stage::Sensor,
+    Stage::Formula,
+    Stage::Aggregator,
+    Stage::Reporter,
+];
 
 /// Pulls `"key": <number>` out of flat JSON (`BENCH_overhead.json` is
 /// written below with globally unique keys, so no real parser needed).
@@ -110,7 +104,7 @@ fn replay(
     model: PerFrequencyPowerModel,
     jbb: &SpecJbbConfig,
     telemetry_on: bool,
-) -> (f64, RunOutcome, Telemetry) {
+) -> (f64, RunOutcome) {
     let mut kernel = Kernel::new(presets::intel_i3_2120());
     let pid = kernel.spawn("specjbb", specjbb::tasks(jbb));
     let mut builder = PowerApi::builder(kernel)
@@ -118,17 +112,14 @@ fn replay(
         .report_to_memory()
         .telemetry(telemetry_on);
     if telemetry_on {
-        builder = builder
-            .profile_self(SELF_WATTS_PER_CORE)
-            .report_telemetry_to(CountingSink(0));
+        builder = builder.profile_self(SELF_WATTS_PER_CORE);
     }
     let started = Instant::now();
     let mut papi = builder.build().expect("build");
     papi.monitor(pid).expect("monitor");
     papi.run_for(jbb.duration).expect("run");
-    let telemetry = papi.telemetry().clone();
     let outcome = papi.finish().expect("finish");
-    (started.elapsed().as_secs_f64(), outcome, telemetry)
+    (started.elapsed().as_secs_f64(), outcome)
 }
 
 /// One replay of the fleet-tracing arm; returns `Fleet::run` wall
@@ -221,17 +212,17 @@ fn main() {
     fleet_pairs(fleet_runs / 2);
     let mut off_s = Vec::new();
     let mut on_s = Vec::new();
-    let mut last_on: Option<(RunOutcome, Telemetry)> = None;
+    let mut last_on: Option<RunOutcome> = None;
     for i in 0..runs_per_arm {
-        let (t_off, _, _) = replay(model.clone(), &jbb, false);
-        let (t_on, outcome, hub) = replay(model.clone(), &jbb, true);
+        let (t_off, _) = replay(model.clone(), &jbb, false);
+        let (t_on, outcome) = replay(model.clone(), &jbb, true);
         println!("        run {}: off {t_off:.3} s, on {t_on:.3} s", i + 1);
         off_s.push(t_off);
         on_s.push(t_on);
-        last_on = Some((outcome, hub));
+        last_on = Some(outcome);
     }
     fleet_pairs(fleet_runs - fleet_runs / 2);
-    let (outcome, hub) = last_on.expect("at least one instrumented run");
+    let outcome = last_on.expect("at least one instrumented run");
     let best_off = off_s.iter().cloned().fold(f64::INFINITY, f64::min);
     let best_on = on_s.iter().cloned().fold(f64::INFINITY, f64::min);
     let overhead_pct = (best_on - best_off) / best_off * 100.0;
@@ -240,37 +231,43 @@ fn main() {
     section("wall-time overhead (best of each arm)");
     row("telemetry off", format!("{best_off:.3} s"));
     row(
-        "telemetry on (trace+metrics+profile+export)",
+        "telemetry on (trace+metrics+profile)",
         format!("{best_on:.3} s"),
     );
     row("added wall time", format!("{overhead_pct:+.2} %"));
 
-    // What the instrumented run saw about itself.
-    let t = &outcome.telemetry;
+    // What the instrumented run saw about itself: views of its hub.
+    let hub = &outcome.telemetry;
     section("per-stage handle latency (instrumented run)");
     println!(
         "  {:<12} {:>10} {:>10} {:>10} {:>10}",
         "stage", "count", "p50_ns", "p95_ns", "mean_ns"
     );
-    for stage in &t.stages {
-        println!(
-            "  {:<12} {:>10} {:>10} {:>10} {:>10}",
-            stage.stage,
-            stage.latency.count,
-            stage.latency.p50_ns,
-            stage.latency.p95_ns,
-            stage.latency.mean_ns
-        );
+    for stage in Stage::ALL {
+        let h = hub.stage_latency(stage);
+        if h.count() > 0 {
+            println!(
+                "  {:<12} {:>10} {:>10} {:>10} {:>10}",
+                stage.label(),
+                h.count(),
+                h.quantile(0.5),
+                h.quantile(0.95),
+                h.mean()
+            );
+        }
     }
-    row("ticks traced", t.ticks_traced);
-    row("messages handled", t.messages_handled);
+    let ticks_traced = hub.tracer().end_to_end().count();
+    let (messages_handled, middleware_busy_ns) = hub.handle_totals();
+    row("ticks traced", ticks_traced);
+    row("messages handled", messages_handled);
     row(
         "middleware busy (self-profiled)",
-        format!("{:.3} ms", t.overhead.middleware_busy_ns as f64 / 1e6),
+        format!("{:.3} ms", middleware_busy_ns as f64 / 1e6),
     );
+    let host_busy_ns = hub.overhead().host_ns() + hub.overhead().snapshot_ns();
     row(
         "host-model busy (snapshots + stepping)",
-        format!("{:.3} ms", t.overhead.host_busy_ns as f64 / 1e6),
+        format!("{:.3} ms", host_busy_ns as f64 / 1e6),
     );
 
     // Self-attribution: the middleware shows up as a process.
@@ -285,7 +282,7 @@ fn main() {
     row("mean self power", format!("{self_mean_w:.4} W"));
 
     if let Some(path) = &args.dump_trace {
-        dump_trace(&hub, None, path);
+        dump_trace(hub, None, path);
     }
 
     // Flight-recorder arms: what the shutdown-time exports cost, priced
@@ -333,7 +330,7 @@ fn main() {
     row("fleet journal events", fleet_events);
 
     let attributed = !self_trace.is_empty() && self_trace.iter().all(|(_, w)| w.0 >= 0.0);
-    let staged = t.stages.iter().all(|s| s.latency.count > 0);
+    let staged = PIPELINE.iter().all(|&s| hub.stage_latency(s).count() > 0);
     let traced_fleet = fleet_hops > 0 && fleet_events > 0;
     let ok = overhead_pct < budget_pct
         && fleet_overhead_pct < budget_pct
@@ -408,28 +405,14 @@ fn main() {
         writeln!(f, "  \"fleet_overhead_pct\": {fleet_overhead_pct:.3},").expect("write");
         writeln!(f, "  \"fleet_journey_hops\": {fleet_hops},").expect("write");
         writeln!(f, "  \"fleet_journal_events\": {fleet_events},").expect("write");
-        writeln!(f, "  \"ticks_traced\": {},", t.ticks_traced).expect("write");
-        writeln!(f, "  \"messages_handled\": {},", t.messages_handled).expect("write");
+        writeln!(f, "  \"ticks_traced\": {ticks_traced},").expect("write");
+        writeln!(f, "  \"messages_handled\": {messages_handled},").expect("write");
         writeln!(
             f,
             "  \"middleware_busy_ms\": {:.4},",
-            t.overhead.middleware_busy_ns as f64 / 1e6
+            middleware_busy_ns as f64 / 1e6
         )
         .expect("write");
-        writeln!(f, "  \"stages\": {{").expect("write");
-        for (i, stage) in t.stages.iter().enumerate() {
-            writeln!(
-                f,
-                "    \"{}\": {{\"count\": {}, \"p50_ns\": {}, \"p95_ns\": {}}}{}",
-                stage.stage,
-                stage.latency.count,
-                stage.latency.p50_ns,
-                stage.latency.p95_ns,
-                if i + 1 == t.stages.len() { "" } else { "," }
-            )
-            .expect("write");
-        }
-        writeln!(f, "  }},").expect("write");
         writeln!(f, "  \"self_pid\": {},", SELF_PID.0).expect("write");
         writeln!(f, "  \"self_power_reports\": {},", self_trace.len()).expect("write");
         writeln!(f, "  \"mean_self_power_w\": {self_mean_w:.4},").expect("write");
@@ -456,11 +439,11 @@ fn main() {
     // Wall-derived percentages never belong in a golden set; the
     // simulation-derived shape of the instrumented run does.
     let mut golden = Golden::new("e8_overhead", args.quick);
-    golden.push_exact("ticks_traced", t.ticks_traced as f64);
+    golden.push_exact("ticks_traced", ticks_traced as f64);
     golden.push_exact("self_power_reports", self_trace.len() as f64);
     golden.push_exact("fleet_journey_hops", fleet_hops as f64);
     golden.push_exact("fleet_journal_events", fleet_events as f64);
-    golden.push_exact("messages_handled", t.messages_handled as f64);
+    golden.push_exact("messages_handled", messages_handled as f64);
     golden.push_exact("journal_events", hub.journal().emitted() as f64);
     golden.push_exact("self_attributed", f64::from(attributed));
     golden.push_exact("all_stages_instrumented", f64::from(staged));

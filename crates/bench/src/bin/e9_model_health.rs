@@ -30,17 +30,12 @@ use simcpu::units::Nanos;
 /// ≈15–18 W thermal-leakage drift (0.30 W/°C amplified by the
 /// leakage→power→temperature feedback), so the two arms separate
 /// cleanly.
-fn run_arm(
-    machine: MachineConfig,
-    model: PerFrequencyPowerModel,
-    duration: Nanos,
-) -> (RunOutcome, powerapi::telemetry::Telemetry) {
+fn run_arm(machine: MachineConfig, model: PerFrequencyPowerModel, duration: Nanos) -> RunOutcome {
     let (builder, pid) = drift_pipeline(machine, model);
     let mut papi = builder.build().expect("pipeline");
     papi.monitor(pid).expect("monitor");
     papi.run_for(duration).expect("run");
-    let telemetry = papi.telemetry().clone();
-    (papi.finish().expect("finish"), telemetry)
+    papi.finish().expect("finish")
 }
 
 fn main() {
@@ -68,19 +63,19 @@ fn main() {
         "  [2/4] control arm: leak-free machine, {} s full load…",
         duration.as_secs_f64()
     );
-    let (control, _) = run_arm(cold_i3(), model.clone(), duration);
+    let control = run_arm(cold_i3(), model.clone(), duration);
     let ch = &control.model_health;
 
     println!(
         "  [3/4] drift arm: stock i3 (0.30 W/°C leakage), {} s full load…",
         duration.as_secs_f64()
     );
-    let (drift, drift_telemetry) = run_arm(presets::intel_i3_2120(), model, duration);
+    let drift = run_arm(presets::intel_i3_2120(), model, duration);
     let dh = &drift.model_health;
 
     println!("  [4/4] scoring…");
     if let Some(path) = &args.dump_trace {
-        dump_trace(&drift_telemetry, None, path);
+        dump_trace(&drift.telemetry, None, path);
     }
     section("residual monitor tallies");
     row("control residual ticks", ch.ticks);

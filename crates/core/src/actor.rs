@@ -537,7 +537,7 @@ impl Drop for ActorSystem {
 /// Per-actor telemetry handles, created once at spawn so the event loop
 /// never touches the registry's mutex. The two series are the one record
 /// of each handled message; every per-stage, count and busy-time figure
-/// is read from them ([`Telemetry::overhead_summary`]).
+/// is read from them ([`Telemetry::handle_totals`]).
 struct ActorInstruments {
     stage: Stage,
     handle_ns: Histogram,
@@ -1392,17 +1392,13 @@ mod tests {
         let sensor_queue = reg.histogram("powerapi_actor_queue_ns{actor=\"sensor\"}");
         assert_eq!(lag.count(), 3, "one lag per frame");
         assert_eq!(lag.sum(), sensor_queue.sum());
-        let summary = telemetry.summary();
-        assert_eq!(summary.messages_handled, 8);
-        assert_eq!(summary.overhead.messages, 8);
-        assert_eq!(
-            summary.overhead.middleware_busy_ns,
-            t.sum() + u.sum() + sense.sum()
-        );
-        assert!(summary.overhead.middleware_busy_ns > 0);
-        assert_eq!(summary.stage("formula").unwrap().latency.count, 5);
-        assert_eq!(summary.stage("sensor").unwrap().latency.count, 3);
-        assert_eq!(summary.ticks_traced, 3);
+        let (messages, busy_ns) = telemetry.handle_totals();
+        assert_eq!(messages, 8);
+        assert_eq!(busy_ns, t.sum() + u.sum() + sense.sum());
+        assert!(busy_ns > 0);
+        assert_eq!(telemetry.stage_latency(Stage::Formula).count(), 5);
+        assert_eq!(telemetry.stage_latency(Stage::Sensor).count(), 3);
+        assert_eq!(telemetry.tracer().end_to_end().count(), 3);
     }
 
     #[test]

@@ -107,6 +107,6 @@ pub mod prelude {
     pub use crate::model::learn::{learn_model, LearnConfig};
     pub use crate::model::power_model::PerFrequencyPowerModel;
     pub use crate::runtime::{PowerApi, PowerApiBuilder, RunOutcome};
-    pub use crate::telemetry::{Stage, Telemetry, TelemetrySummary, TraceId};
+    pub use crate::telemetry::{Stage, Telemetry, TraceId};
     pub use crate::Error as PowerApiError;
 }

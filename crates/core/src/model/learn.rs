@@ -99,7 +99,7 @@ pub fn measure_idle_power(machine: &MachineConfig, cfg: &LearnConfig) -> Result<
         machine,
         cfg.idle_duration,
         cfg.sampling.quantum,
-        cfg.sampling.meter_noise_w,
+        sampling::METER_NOISE_W,
         cfg.sampling.seed,
     )
 }
@@ -230,7 +230,7 @@ pub fn calibrate_cpuload(machine: MachineConfig, cfg: &LearnConfig) -> Result<Pe
         cfg.sampling.slots,
         powermeter::powerspy::PowerSpyConfig::default()
             .with_sample_period(Nanos::from_millis(100))
-            .with_noise_std_w(cfg.sampling.meter_noise_w)
+            .with_noise_std_w(sampling::METER_NOISE_W)
             .with_seed(cfg.sampling.seed ^ 0x10AD),
     );
     host.monitor(pid)?;

@@ -16,6 +16,11 @@ use simcpu::machine::MachineConfig;
 use simcpu::units::{MegaHertz, Nanos};
 use workloads::stress::{calibration_grid, quick_grid, StressPoint};
 
+/// PowerSpy noise (RMS watts) of every calibration and idle-floor
+/// meter: the meter's own default, so the model learns under the noise
+/// it will be scored against.
+pub const METER_NOISE_W: f64 = 0.35;
+
 /// Sampling configuration (Figure 1, steps 1–3).
 #[derive(Debug, Clone)]
 pub struct SamplingConfig {
@@ -36,8 +41,6 @@ pub struct SamplingConfig {
     pub events: Vec<Event>,
     /// PMU slots (fewer than `events.len()` exercises multiplexing).
     pub slots: usize,
-    /// Meter noise (RMS watts).
-    pub meter_noise_w: f64,
     /// Base RNG seed (each frequency/point derives its own).
     pub seed: u64,
     /// Cap on how many frequencies to sample (`None` = every P-state);
@@ -67,7 +70,6 @@ impl Default for SamplingConfig {
             quantum: Nanos::from_millis(1),
             events: PAPER_EVENTS.to_vec(),
             slots: 4,
-            meter_noise_w: 0.35,
             seed: 0x0F16_44EE,
             max_frequencies: None,
             both_smt_levels: true,
@@ -302,7 +304,7 @@ fn sample_cell(
         cfg.slots,
         PowerSpyConfig::default()
             .with_sample_period(meter_period)
-            .with_noise_std_w(cfg.meter_noise_w)
+            .with_noise_std_w(METER_NOISE_W)
             .with_seed(cfg.seed ^ ((fi as u64) << 32) ^ ((li as u64) << 16) ^ pi as u64),
     );
     host.monitor(pid)?;

@@ -3,9 +3,9 @@
 //! trace for programmatic use ([`MemoryReporter`]) and a CSV writer
 //! ([`TextReporter`]). Both also record meter and RAPL samples when
 //! subscribed to those topics, so measured-vs-estimated comparisons come
-//! for free. (The middleware's report on *itself* is not an actor: the
-//! tick loop streams it, see
-//! [`report_telemetry_to`](crate::runtime::PowerApiBuilder::report_telemetry_to).)
+//! for free. (The middleware's report on *itself* is not an actor: it is
+//! the telemetry hub, handed back as
+//! [`RunOutcome::telemetry`](crate::runtime::RunOutcome::telemetry).)
 
 pub mod memory;
 pub mod text;

@@ -38,7 +38,7 @@ use crate::msg::{AggregateReport, Message, Scope, Topic};
 use crate::reporter::{MemoryHandle, MemoryReporter, TextReporter};
 use crate::sensor::SensorStage;
 use crate::telemetry::export::{self, PostMortemReport};
-use crate::telemetry::{EventKind, Stage, Telemetry, TelemetrySummary, SELF_PID};
+use crate::telemetry::{EventKind, Stage, Telemetry, SELF_PID};
 use crate::{Error, Result};
 use os_sim::kernel::Kernel;
 use os_sim::process::Pid;
@@ -79,7 +79,6 @@ pub struct PowerApiBuilder {
     restart: RestartPolicy,
     degrade: Option<(Box<dyn PowerFormula>, Nanos)>,
     telemetry: bool,
-    telemetry_out: Option<Box<dyn Write + Send>>,
     profile_self: Option<f64>,
     model_health: bool,
     adaptive: Option<SamplingConfig>,
@@ -106,7 +105,6 @@ impl PowerApiBuilder {
             restart: RestartPolicy::Restart { max: 3 },
             degrade: None,
             telemetry: true,
-            telemetry_out: None,
             profile_self: None,
             model_health: false,
             adaptive: None,
@@ -307,17 +305,6 @@ impl PowerApiBuilder {
         self
     }
 
-    /// Streams the middleware's own health to `out`: one JSON-lines
-    /// [`Telemetry::json_snapshot`] per monitoring tick, written by the
-    /// tick loop itself (the line reads the hub, not the tick's messages,
-    /// so it needs no actor — and no thread woken every tick — of its
-    /// own) and flushed by [`PowerApi::finish`].
-    #[must_use]
-    pub fn report_telemetry_to(mut self, out: impl Write + Send + 'static) -> PowerApiBuilder {
-        self.telemetry_out = Some(Box::new(out));
-        self
-    }
-
     /// Enables online model-health monitoring: a [`ResidualMonitor`]
     /// actor compares each machine-level estimate against the live meter
     /// sample, feeds the residual to CUSUM and Page–Hinkley drift
@@ -367,7 +354,8 @@ impl PowerApiBuilder {
     ///
     /// [`Error::Middleware`] unless exactly one formula was given, when
     /// the PMU slot count, the quantum or the clock period is zero, or
-    /// when [`PowerApiBuilder::post_mortem_to`] is asked of a dark hub.
+    /// when [`PowerApiBuilder::post_mortem_to`] or
+    /// [`PowerApiBuilder::profile_self`] is asked of a dark hub.
     pub fn build(mut self) -> Result<PowerApi> {
         if self.formulas.len() != 1 {
             return Err(Error::Middleware(
@@ -389,6 +377,11 @@ impl PowerApiBuilder {
         if self.post_mortem_dir.is_some() && !self.telemetry {
             return Err(Error::Middleware(
                 "post_mortem_to requires telemetry (a dark hub records nothing to dump)".into(),
+            ));
+        }
+        if self.profile_self.is_some() && !self.telemetry {
+            return Err(Error::Middleware(
+                "profile_self requires telemetry (a dark hub times no handler to attribute)".into(),
             ));
         }
         let dimension = self.dimension.unwrap_or(Dimension::both());
@@ -414,12 +407,9 @@ impl PowerApiBuilder {
         let mut system = ActorSystem::with_telemetry(telemetry.clone());
         let bus = system.bus().clone();
         let options = SpawnOptions::default().restart(self.restart);
-        // Self-profiling reads the hub's busy time: nothing to read on a
-        // dark one.
-        let profile_self = self.profile_self.filter(|_| telemetry.enabled());
         let sensor = system.spawn_supervised(
             "sensor",
-            move || Box::new(SensorStage::new(profile_self)),
+            move || Box::new(SensorStage::new(self.profile_self)),
             options.stage(Stage::Sensor),
         );
         bus.subscribe(Topic::Tick, &sensor);
@@ -535,7 +525,6 @@ impl PowerApiBuilder {
             next_boundary,
             memory: self.memory,
             telemetry,
-            telemetry_out: self.telemetry_out,
             model_health,
             sampling,
             selfcost,
@@ -556,9 +545,6 @@ pub struct PowerApi {
     next_boundary: Nanos,
     memory: Option<MemoryHandle>,
     telemetry: Telemetry,
-    /// Where [`PowerApiBuilder::report_telemetry_to`] streams the hub's
-    /// per-tick snapshot lines.
-    telemetry_out: Option<Box<dyn Write + Send>>,
     /// Shared model-health handle + recalibration hook (when enabled).
     model_health: Option<(ModelHealth, RecalibrationTrigger)>,
     /// The adaptive sampling controller (when enabled): the runtime
@@ -661,9 +647,6 @@ impl PowerApi {
                 self.journal_fault_deltas(timestamp);
                 bus.publish(Message::Frame(Arc::new(frame)));
                 self.settle_selfcost_tick();
-                if let Some(out) = &mut self.telemetry_out {
-                    let _ = writeln!(out, "{}", self.telemetry.json_snapshot(timestamp));
-                }
                 self.advance_boundary();
                 batch = instrumented.then(Instant::now);
             }
@@ -802,7 +785,7 @@ impl PowerApi {
 
     /// Stops the pipeline, drains in-flight messages, and returns every
     /// collected report (empty unless `report_to_memory` was enabled)
-    /// together with the pipeline's health summary.
+    /// together with the pipeline's health summary and its telemetry hub.
     ///
     /// # Errors
     ///
@@ -813,9 +796,6 @@ impl PowerApi {
             .take()
             .ok_or_else(|| Error::Middleware("finish called twice".into()))?;
         let health = system.shutdown();
-        if let Some(out) = &mut self.telemetry_out {
-            let _ = out.flush();
-        }
         let (reports, meter, rapl) = match &self.memory {
             Some(h) => (h.aggregates(), h.meter(), h.rapl()),
             None => (Vec::new(), Vec::new(), Vec::new()),
@@ -841,7 +821,7 @@ impl PowerApi {
             meter,
             rapl,
             health,
-            telemetry: self.telemetry.summary(),
+            telemetry: self.telemetry,
             model_health,
             selfcost,
             flight_recorder,
@@ -900,7 +880,7 @@ impl std::fmt::Debug for PowerApi {
 }
 
 /// Everything a run produced.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct RunOutcome {
     /// All aggregate reports, in arrival order.
     pub reports: Vec<AggregateReport>,
@@ -912,11 +892,13 @@ pub struct RunOutcome {
     /// panics were caught and how many restarts the supervisors
     /// performed.
     pub health: ShutdownSummary,
-    /// What the observability hub saw: per-stage latency breakdown,
-    /// end-to-end tick latency, message totals, the middleware-vs-host
-    /// cost split, and the full Prometheus dump. All-zero when the
-    /// builder disabled telemetry.
-    pub telemetry: TelemetrySummary,
+    /// The observability hub the run recorded into, drained: every
+    /// figure is a view of it ([`Telemetry::stage_latency`],
+    /// [`Telemetry::tick_lag`], [`Telemetry::handle_totals`], the
+    /// tracer, the journal, [`Telemetry::render_prometheus`]). A
+    /// disabled hub, reading zero and rendering nothing, when the
+    /// builder turned telemetry off.
+    pub telemetry: Telemetry,
     /// What online model-health tracking observed: residual statistics,
     /// drift alarms, out-of-band ticks, recalibration requests. All-zero
     /// when the builder did not enable
@@ -1120,7 +1102,7 @@ mod tests {
         // The Prometheus dump carries the health series.
         assert!(out
             .telemetry
-            .prometheus
+            .render_prometheus()
             .contains("powerapi_model_residual_ticks_total"));
     }
 
@@ -1162,14 +1144,13 @@ mod tests {
             .unwrap();
         papi.monitor(pid).unwrap();
         papi.run_for(Nanos::from_secs(80)).unwrap();
-        let telemetry = papi.telemetry().clone();
         let out = papi.finish().unwrap();
         assert!(
             out.model_health.out_of_band_ticks > 0,
             "{:?}",
             out.model_health
         );
-        let journal = telemetry.journal();
+        let journal = out.telemetry.journal();
         assert_eq!(
             journal.count(EventKind::QualityDegraded),
             0,
@@ -1196,7 +1177,10 @@ mod tests {
         papi.run_for(Nanos::from_secs(2)).unwrap();
         let out = papi.finish().unwrap();
         assert_eq!(out.model_health, ModelHealthSummary::default());
-        assert!(!out.telemetry.prometheus.contains("powerapi_model_"));
+        assert!(!out
+            .telemetry
+            .render_prometheus()
+            .contains("powerapi_model_"));
     }
 
     #[test]
@@ -1257,8 +1241,28 @@ mod tests {
         assert_eq!(out.degraded_reports(), 0);
     }
 
+    /// Σ of the `powerapi_actor_{handle_ns_count,restarts_total,
+    /// panics_total}` series of `hub`'s registry, per family.
+    fn actor_series_sums(hub: &Telemetry) -> (u64, u64, u64) {
+        let reg = hub.registry();
+        let mut handled = 0;
+        for stage in Stage::ALL {
+            handled += hub.stage_latency(stage).count();
+        }
+        let sum_of = |family: &str| {
+            let mut total = 0;
+            reg.for_each_counter(family, |_, v| total += v);
+            total
+        };
+        (
+            handled,
+            sum_of("powerapi_actor_restarts_total"),
+            sum_of("powerapi_actor_panics_total"),
+        )
+    }
+
     #[test]
-    fn telemetry_summary_breaks_down_the_pipeline() {
+    fn the_outcome_hands_back_the_hub_it_recorded_into() {
         let (kernel, pid) = busy_kernel();
         let mut papi = PowerApi::builder(kernel)
             .formula(paper_formula())
@@ -1270,23 +1274,61 @@ mod tests {
         papi.monitor(pid).unwrap();
         papi.run_for(Nanos::from_secs(2)).unwrap();
         let out = papi.finish().unwrap();
-        let t = &out.telemetry;
-        assert!(t.enabled, "telemetry defaults on");
-        assert!(t.messages_handled > 0);
+        let hub = &out.telemetry;
+        assert!(hub.enabled(), "telemetry defaults on");
         // Every pipeline stage saw traffic and was timed.
-        for stage in ["sensor", "formula", "aggregator", "reporter"] {
-            let s = t.stage(stage).unwrap_or_else(|| panic!("no {stage}"));
-            assert!(s.latency.count > 0, "{stage} latency recorded");
+        for stage in [
+            Stage::Sensor,
+            Stage::Formula,
+            Stage::Aggregator,
+            Stage::Reporter,
+        ] {
+            assert!(hub.stage_latency(stage).count() > 0, "{stage:?} timed");
         }
+        // The Σ count of the handle series, by stage or by actor, is
+        // every message the bus delivered: each was handled once.
+        let (messages, busy_ns) = hub.handle_totals();
+        assert!(messages > 0 && busy_ns > 0);
+        assert_eq!(actor_series_sums(hub).0, messages);
+        let mut delivered = 0;
+        hub.registry()
+            .for_each_counter("powerapi_bus_delivered_total", |_, n| delivered += n);
+        assert_eq!(delivered, messages);
         // Each of the 4 ticks produced a traced end-to-end span.
-        assert_eq!(t.ticks_traced, 4, "{t:?}");
-        assert!(t.end_to_end.max_ns > 0);
+        assert_eq!(hub.tracer().end_to_end().count(), 4);
+        assert!(hub.tracer().end_to_end().max() > 0);
+        assert_eq!(hub.tick_lag().count(), 4, "one frame per tick");
         // Every report descends from a traced tick.
         assert!(out.reports.iter().all(|r| r.trace.is_traced()));
-        // Host time dwarfs middleware time on this workload.
-        assert!(t.overhead.host_busy_ns > 0);
-        assert!(t.overhead.middleware_busy_ns > 0);
-        assert!(t.prometheus.contains("powerapi_actor_handle_ns_count"));
+        assert!(hub.overhead().host_ns() > 0 && hub.overhead().snapshot_ns() > 0);
+        assert!(hub.journal().emitted() > 0, "actor starts and stops");
+    }
+
+    #[test]
+    fn shutdown_counts_are_the_registry_sums() {
+        /// Panics on every whole-second tick; the supervisor rebuilds it.
+        struct Flaky;
+        impl crate::actor::Actor for Flaky {
+            fn handle(&mut self, msg: Message, _: &crate::actor::Context) {
+                if let Message::Frame(f) = msg {
+                    assert!(f.timestamp.as_u64() % 1_000_000_000 != 0, "flaky");
+                }
+            }
+        }
+        let (kernel, pid) = busy_kernel();
+        let mut papi = PowerApi::builder(kernel)
+            .formula(paper_formula())
+            .with_supervised_actor("flaky", || Box::new(Flaky), vec![Topic::Tick])
+            .quantum(Nanos::from_millis(5))
+            .clock_period(Nanos::from_millis(500))
+            .build()
+            .unwrap();
+        papi.monitor(pid).unwrap();
+        papi.run_for(Nanos::from_secs(2)).unwrap();
+        let out = papi.finish().unwrap();
+        assert_eq!((out.health.restarts, out.health.panics), (2, 2));
+        let (_, restarts, panics) = actor_series_sums(&out.telemetry);
+        assert_eq!((out.health.restarts, out.health.panics), (restarts, panics));
     }
 
     #[test]
@@ -1296,6 +1338,7 @@ mod tests {
             .formula(paper_formula())
             .telemetry(false)
             .report_to_memory()
+            .model_health()
             .quantum(Nanos::from_millis(5))
             .clock_period(Nanos::from_millis(500))
             .build()
@@ -1303,51 +1346,35 @@ mod tests {
         papi.monitor(pid).unwrap();
         papi.run_for(Nanos::from_secs(1)).unwrap();
         let out = papi.finish().unwrap();
-        assert!(!out.telemetry.enabled);
-        assert_eq!(out.telemetry.messages_handled, 0);
+        let hub = &out.telemetry;
+        assert!(!hub.enabled());
+        assert_eq!(hub.handle_totals(), (0, 0));
+        assert_eq!(actor_series_sums(hub), (0, 0, 0));
+        assert_eq!(hub.tick_lag().count(), 0);
+        assert_eq!(hub.tracer().end_to_end().count(), 0);
+        assert_eq!((hub.journal().emitted(), hub.journal().dropped()), (0, 0));
+        assert_eq!(
+            (hub.overhead().host_ns(), hub.overhead().snapshot_ns()),
+            (0, 0)
+        );
+        assert_eq!(
+            hub.render_prometheus(),
+            "",
+            "no family, not even model health's"
+        );
         assert!(out.reports.iter().all(|r| !r.trace.is_traced()));
         assert_eq!(out.machine_estimates().len(), 2, "estimation unaffected");
     }
 
     #[test]
-    fn telemetry_lines_stream_one_per_tick_lit_or_dark() {
-        #[derive(Clone, Default)]
-        struct SharedBuf(Arc<parking_lot::Mutex<Vec<u8>>>);
-        impl Write for SharedBuf {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        for lit in [true, false] {
-            let (kernel, pid) = busy_kernel();
-            let buf = SharedBuf::default();
-            let mut papi = PowerApi::builder(kernel)
-                .formula(paper_formula())
-                .telemetry(lit)
-                .report_telemetry_to(buf.clone())
-                .report_to_memory()
-                .quantum(Nanos::from_millis(5))
-                .clock_period(Nanos::from_millis(500))
-                .build()
-                .unwrap();
-            papi.monitor(pid).unwrap();
-            papi.run_for(Nanos::from_secs(2)).unwrap();
-            papi.finish().unwrap();
-            let text = String::from_utf8(buf.0.lock().clone()).unwrap();
-            let lines: Vec<&str> = text.lines().collect();
-            assert_eq!(lines.len(), 4, "one snapshot per tick:\n{text}");
-            for (i, l) in lines.iter().enumerate() {
-                assert!(l.starts_with('{') && l.ends_with('}'), "{l}");
-                let at = format!("\"sim_time_s\":{:.3}", 0.5 * (i + 1) as f64);
-                assert!(l.contains(&at), "{l}");
-                assert!(l.contains(&format!("\"enabled\":{lit}")), "{l}");
-                assert!(l.contains("\"messages\":"), "{l}");
-            }
-        }
+    fn profile_self_requires_telemetry() {
+        let (kernel, _) = busy_kernel();
+        let err = PowerApi::builder(kernel)
+            .formula(paper_formula())
+            .telemetry(false)
+            .profile_self(12.0)
+            .build();
+        assert!(matches!(err, Err(Error::Middleware(m)) if m.contains("profile_self")));
     }
 
     #[test]
@@ -1372,6 +1399,11 @@ mod tests {
         assert!(own.iter().any(|(_, w)| w.as_f64() < 12.0));
         // The workload's own estimates are unaffected.
         assert_eq!(out.process_estimates(pid).len(), 4);
+        // The self-cost ledger rides with it.
+        assert!(out
+            .telemetry
+            .render_prometheus()
+            .contains("powerapi_selfcost_ticks_total"));
     }
 
     #[test]
@@ -1428,7 +1460,6 @@ mod tests {
         papi.run_for(Nanos::from_secs(20)).unwrap();
         let ctrl = papi.sampling_controller().expect("controller wired");
         assert!(ctrl.factor() > 1, "clean run backs off");
-        let hub = papi.telemetry().clone();
         let out = papi.finish().unwrap();
         let n = out.machine_estimates().len();
         assert!(
@@ -1442,7 +1473,7 @@ mod tests {
         assert!(out.selfcost.total_ns() >= out.selfcost.sensor_read_ns);
         // The measured columns are the hub's records, read at finish:
         // each stage's handler ns is the sum of its actors' series.
-        let prom = &out.telemetry.prometheus;
+        let prom = out.telemetry.render_prometheus();
         let sum_of = |actor: &str| {
             let key = format!("powerapi_actor_handle_ns_sum{{actor=\"{actor}\"}} ");
             let line = prom.lines().find_map(|l| l.strip_prefix(key.as_str()));
@@ -1461,14 +1492,14 @@ mod tests {
             assert_eq!(out.selfcost.stage_ns(stage), sum, "{stage:?}");
         }
         assert!(out.selfcost.stage_ns(Stage::Formula) > 0);
-        assert_eq!(out.selfcost.telemetry_ns, hub.overhead().snapshot_ns());
+        assert_eq!(
+            out.selfcost.telemetry_ns,
+            out.telemetry.overhead().snapshot_ns()
+        );
         assert!(out.selfcost.telemetry_ns > 0);
-        assert!(out
-            .telemetry
-            .prometheus
-            .contains("powerapi_selfcost_ticks_total"));
+        assert!(prom.contains("powerapi_selfcost_ticks_total"));
         // Backoff transitions were journaled.
-        assert!(out.telemetry.journal_events > 0);
+        assert!(out.telemetry.journal().count(EventKind::RateChange) > 0);
     }
 
     #[test]
@@ -1487,7 +1518,10 @@ mod tests {
         let out = papi.finish().unwrap();
         assert_eq!(out.machine_estimates().len(), 4, "full rate");
         assert_eq!(out.selfcost, SelfCostSummary::default());
-        assert!(!out.telemetry.prometheus.contains("powerapi_selfcost_"));
+        assert!(!out
+            .telemetry
+            .render_prometheus()
+            .contains("powerapi_selfcost_"));
     }
 
     #[test]
@@ -1546,7 +1580,7 @@ mod tests {
         assert!(std::fs::read_to_string(dir.join("metrics.prom"))
             .unwrap()
             .contains("powerapi_journal_events_total"));
-        assert!(out.telemetry.journal_events >= report.events as u64);
+        assert!(out.telemetry.journal().emitted() >= report.events as u64);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1563,11 +1597,10 @@ mod tests {
         papi.monitor(pid).unwrap();
         // Longer than a minute: the dump is not a trailing window.
         papi.run_for(Nanos::from_secs(70)).unwrap();
-        let telemetry = papi.telemetry().clone();
         let out = papi.finish().unwrap();
         let report = out.flight_recorder.as_ref().expect("an armed dump");
-        assert_eq!(report.events, telemetry.journal().len());
-        assert_eq!(report.spans, telemetry.tracer().spans().len());
+        assert_eq!(report.events, out.telemetry.journal().len());
+        assert_eq!(report.spans, out.telemetry.tracer().spans().len());
         let jsonl = std::fs::read_to_string(dir.join("journal.jsonl")).unwrap();
         let events = crate::telemetry::parse_jsonl(&jsonl).unwrap();
         assert!(

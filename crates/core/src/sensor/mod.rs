@@ -77,7 +77,7 @@ impl Actor for SensorStage {
         // One trace per tick, shared by every batch cut from the frame.
         let trace = ctx.telemetry().trace_for_tick(frame.timestamp);
         if let Some(wpc) = self.self_watts_per_core {
-            let busy = ctx.telemetry().overhead_summary().middleware_busy_ns;
+            let (_, busy) = ctx.telemetry().handle_totals();
             let wall = self.self_wall_prev.elapsed().as_nanos() as u64;
             let utilisation = busy.saturating_sub(self.self_busy_prev) as f64 / wall.max(1) as f64;
             self.self_busy_prev = busy;

@@ -18,6 +18,9 @@ use os_sim::task::TaskBehavior;
 use simcpu::units::Nanos;
 use simcpu::workunit::WorkUnit;
 
+/// Live heap size in KB at full load: 192 MB.
+pub const HEAP_KB: f64 = 196_608.0;
+
 /// Configuration of the benchmark run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpecJbbConfig {
@@ -25,20 +28,17 @@ pub struct SpecJbbConfig {
     pub threads: usize,
     /// Total run length.
     pub duration: Nanos,
-    /// Live heap size in KB at full load.
-    pub heap_kb: f64,
     /// Seed for per-thread phase jitter.
     pub seed: u64,
 }
 
 impl Default for SpecJbbConfig {
     /// 4 threads (the i3-2120's logical CPU count), 2500 s (the Figure 3
-    /// x-axis), 192 MB live heap.
+    /// x-axis).
     fn default() -> SpecJbbConfig {
         SpecJbbConfig {
             threads: 4,
             duration: Nanos::from_secs(2500),
-            heap_kb: 196_608.0,
             seed: 2013,
         }
     }
@@ -92,7 +92,7 @@ fn worker_script(config: &SpecJbbConfig, thread: usize) -> PhaseScript {
     // 1. Ramp-up: 10 load steps.
     for i in 0..10 {
         let load = 0.08 + (i as f64 / 9.0) * 0.92;
-        let heap = config.heap_kb * (0.3 + 0.7 * i as f64 / 9.0);
+        let heap = HEAP_KB * (0.3 + 0.7 * i as f64 / 9.0);
         script = script.then(transaction(load, heap), Nanos(ramp / 10));
     }
 
@@ -102,30 +102,27 @@ fn worker_script(config: &SpecJbbConfig, thread: usize) -> PhaseScript {
     let cycles = (plateau / cycle).max(1);
     for c in 0..cycles {
         let wobble = 0.9 + 0.1 * (((c as f64 + jitter) * 2.39996).sin().abs());
-        let heap_hot = config.heap_kb * (0.85 + 0.15 * jitter);
+        let heap_hot = HEAP_KB * (0.85 + 0.15 * jitter);
         script = script
             .then(transaction(wobble, heap_hot), Nanos(cycle * 55 / 100))
             .then(
-                transaction(wobble * 0.92, config.heap_kb * 0.7),
+                transaction(wobble * 0.92, HEAP_KB * 0.7),
                 Nanos(cycle * 30 / 100),
             )
             .then(gc_burst(heap_hot), Nanos(cycle * 10 / 100))
-            .then(
-                transaction(0.35, config.heap_kb * 0.5),
-                Nanos(cycle * 5 / 100),
-            );
+            .then(transaction(0.35, HEAP_KB * 0.5), Nanos(cycle * 5 / 100));
     }
     // Absorb the remainder of the plateau budget.
     let used = cycles * cycle;
     if plateau > used {
-        script = script.then(transaction(0.95, config.heap_kb), Nanos(plateau - used));
+        script = script.then(transaction(0.95, HEAP_KB), Nanos(plateau - used));
     }
 
     // 3. Response-throughput staircase: 90 % down to 10 %.
     for i in 0..9 {
         let load = 0.9 - 0.1 * i as f64;
         script = script.then(
-            transaction(load, config.heap_kb * (0.4 + 0.6 * load)),
+            transaction(load, HEAP_KB * (0.4 + 0.6 * load)),
             Nanos(steps / 9),
         );
     }

@@ -81,7 +81,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let started = Instant::now();
     papi.run_for(Nanos(ticks * TICK.as_u64()))?;
     let producer_us = started.elapsed().as_secs_f64() * 1e6 / ticks as f64;
-    let telemetry = papi.telemetry().clone();
     let outcome = papi.finish()?;
     let wall_us = started.elapsed().as_secs_f64() * 1e6 / ticks as f64;
     assert!(outcome.is_healthy(), "the pipeline shut down unhealthy");
@@ -98,7 +97,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "aggregator",
         "reporter-csv",
     ] {
-        let handle = telemetry
+        let handle = outcome
+            .telemetry
             .registry()
             .histogram(&format!("powerapi_actor_handle_ns{{actor=\"{actor}\"}}"));
         assert!(handle.count() > 0, "{actor} handled nothing");

@@ -49,7 +49,7 @@ fn table_rows(heading: &str) -> Vec<Vec<String>> {
 }
 
 /// The catalogued modules: the table's module cell and the source file.
-const MODULES: [(&str, &str); 8] = [
+const MODULES: [(&str, &str); 10] = [
     ("health", "crates/core/src/health/mod.rs"),
     ("control", "crates/core/src/control.rs"),
     ("adaptive", "crates/core/src/adaptive.rs"),
@@ -57,7 +57,9 @@ const MODULES: [(&str, &str); 8] = [
     ("fleet::shard", "crates/core/src/fleet/shard.rs"),
     ("fleet::observe", "crates/core/src/fleet/observe.rs"),
     ("telemetry::journal", "crates/core/src/telemetry/journal.rs"),
+    ("model::sampling", "crates/core/src/model/sampling.rs"),
     ("os_sim::governor", "crates/os-sim/src/governor.rs"),
+    ("workloads::specjbb", "crates/workloads/src/specjbb.rs"),
 ];
 
 #[test]
@@ -140,7 +142,7 @@ fn pipeline_families() -> BTreeSet<(String, String)> {
     papi.monitor(pid).expect("monitor");
     papi.run_for(Nanos::from_secs(2)).expect("run");
     let outcome = papi.finish().expect("finish");
-    families(&outcome.telemetry.prometheus)
+    families(&outcome.telemetry.render_prometheus())
 }
 
 /// What a telemetry-on fleet registers.

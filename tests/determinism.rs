@@ -31,7 +31,6 @@ fn run_once(seed: u64) -> RunOutcome {
         duration: Nanos::from_secs(20),
         threads: 2,
         seed,
-        ..SpecJbbConfig::default()
     };
     let mut kernel = Kernel::new(presets::intel_i3_2120());
     let pid = kernel.spawn("jbb", specjbb::tasks(&jbb));

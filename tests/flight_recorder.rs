@@ -49,10 +49,9 @@ fn journal_jsonl_round_trips_exactly_through_a_real_run() {
         .expect("pipeline");
     papi.monitor(pid).expect("monitor");
     papi.run_for(Nanos::from_secs(4)).expect("run");
-    let telemetry = papi.telemetry().clone();
-    papi.finish().expect("shutdown");
+    let outcome = papi.finish().expect("shutdown");
 
-    let events = telemetry.journal().events();
+    let events = outcome.telemetry.journal().events();
     assert!(
         events.iter().any(|e| e.kind == EventKind::ActorStart),
         "the supervisor journals actor starts"

@@ -127,7 +127,11 @@ fn hierarchy_leaves_match_flat_groups_bit_for_bit() {
     // The builder bound the run's telemetry hub to the hierarchy.
     let flushes = format!("powerapi_hierarchy_flushes_total {}", hierarchy.ticks());
     assert!(
-        outcome.telemetry.prometheus.lines().any(|l| l == flushes),
+        outcome
+            .telemetry
+            .render_prometheus()
+            .lines()
+            .any(|l| l == flushes),
         "one counted flush per audited tick: {flushes}"
     );
     for (leaf, members) in [("vm-alpha", &[a, b][..]), ("vm-beta", &[c][..])] {
