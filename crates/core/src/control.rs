@@ -1,96 +1,23 @@
-//! Closed-loop power capping: PowerAPI estimates driving actuation.
+//! The pipeline's control stage: what it does with its own estimates.
 //!
 //! The paper motivates "the development of adaptive strategies that can
-//! cope with the sporadic nature of these \[renewable\] energy feeds" (§2)
-//! and wants to "act and … optimize their energy consumptions by playing
-//! with the scheduling" (§1). This module closes the loop: a
-//! [`CapControlActor`] watches the machine-level estimates on the bus and
-//! adjusts a shared set-point that a [`CappedGovernor`] (a drop-in
-//! `cpufreq` governor) enforces by stepping the DVFS ladder.
-//!
-//! The control law is a simple hysteresis stepper — over the cap: step
-//! one P-state down; comfortably under (below `cap · headroom`): step up
-//! — which is how production RAPL/powercap daemons behave at 1 Hz
-//! granularity.
+//! cope with the sporadic nature of these \[renewable\] energy feeds"
+//! (§2). The one loop the pipeline closes is its own sampling rate: a
+//! [`RateControlActor`] watches the machine-level estimates on the bus
+//! and feeds in-band/breach verdicts to the [`SamplingController`] the
+//! producer reads at each tick boundary. Beside it, the
+//! [`RecalibrationTrigger`] is the hook the model-health monitor raises
+//! on drift, with [`RECALIBRATION_COOLDOWN`] collapsing alarm bursts into
+//! one request. The pipeline actuates nothing outside itself.
 
 use crate::actor::{Actor, Context};
 use crate::adaptive::{RateCause, RateTransition, SamplingController, GUARD_FRACTION};
 use crate::health::ModelHealth;
 use crate::msg::{AggregateReport, Message, Quality, Scope};
 use crate::telemetry::EventKind;
-use os_sim::governor::CpufreqGovernor;
 use parking_lot::Mutex;
-use simcpu::freq::PStateTable;
-use simcpu::units::{MegaHertz, Nanos};
+use simcpu::units::Nanos;
 use std::sync::Arc;
-
-#[derive(Debug)]
-struct CapState {
-    cap_w: f64,
-    /// −1 = step down, +1 = step up, 0 = hold; consumed by the governor.
-    pending: i32,
-    last_estimate_w: f64,
-}
-
-/// Shared handle between the control actor (which writes the verdict on
-/// the loop thread) and the governor (which takes it mid-slice on the
-/// producer thread). Nothing orders the two inside a `run_for`, so a
-/// verdict lands at a deterministic quantum only when the caller runs
-/// period-sized slices and calls [`PowerApi::settle`] between them — and
-/// settles before [`PowerCap::set_cap_w`], so the new budget judges only
-/// estimates published after it.
-///
-/// [`PowerApi::settle`]: crate::runtime::PowerApi::settle
-#[derive(Debug, Clone)]
-pub struct PowerCap {
-    state: Arc<Mutex<CapState>>,
-    headroom: f64,
-}
-
-impl PowerCap {
-    /// Creates a cap at `cap_w` watts with 8 % step-up headroom.
-    pub fn new(cap_w: f64) -> PowerCap {
-        PowerCap {
-            state: Arc::new(Mutex::new(CapState {
-                cap_w: cap_w.max(0.0),
-                pending: 0,
-                last_estimate_w: 0.0,
-            })),
-            headroom: 0.92,
-        }
-    }
-
-    /// The current cap in watts.
-    pub fn cap_w(&self) -> f64 {
-        self.state.lock().cap_w
-    }
-
-    /// Re-targets the cap at runtime (e.g. tracking a solar feed).
-    pub fn set_cap_w(&self, cap_w: f64) {
-        self.state.lock().cap_w = cap_w.max(0.0);
-    }
-
-    /// The most recent machine estimate the controller saw.
-    pub fn last_estimate_w(&self) -> f64 {
-        self.state.lock().last_estimate_w
-    }
-
-    fn on_estimate(&self, estimate_w: f64) {
-        let mut s = self.state.lock();
-        s.last_estimate_w = estimate_w;
-        s.pending = if estimate_w > s.cap_w {
-            -1
-        } else if estimate_w < s.cap_w * self.headroom {
-            1
-        } else {
-            0
-        };
-    }
-
-    fn take_pending(&self) -> i32 {
-        std::mem::take(&mut self.state.lock().pending)
-    }
-}
 
 #[derive(Debug)]
 struct TriggerState {
@@ -109,16 +36,14 @@ pub const RECALIBRATION_COOLDOWN: Nanos = Nanos::from_secs(30);
 
 /// Control hook the model-health monitor pulls when drift is detected:
 /// "this model no longer matches the hardware — schedule a calibration
-/// sweep". The health monitor fires it on the loop thread; the consumer
-/// (an operator loop between `run_for` slices, after
-/// [`PowerApi::settle`], or [`RunOutcome`] after the loop has stopped)
-/// takes the request with [`take_pending`]. [`RECALIBRATION_COOLDOWN`]
-/// collapses the alarm bursts a sustained drift produces into one
-/// request per window.
+/// sweep". The health monitor fires it on the loop thread;
+/// [`PowerApi::finish`] reads it after the loop has stopped (the
+/// request count into [`RunOutcome::model_health`], a latched request
+/// as a post-mortem reason). [`RECALIBRATION_COOLDOWN`] collapses the
+/// alarm bursts a sustained drift produces into one request per window.
 ///
-/// [`PowerApi::settle`]: crate::runtime::PowerApi::settle
-/// [`RunOutcome`]: crate::runtime::RunOutcome
-/// [`take_pending`]: RecalibrationTrigger::take_pending
+/// [`PowerApi::finish`]: crate::runtime::PowerApi::finish
+/// [`RunOutcome::model_health`]: crate::runtime::RunOutcome::model_health
 #[derive(Debug, Clone)]
 pub struct RecalibrationTrigger {
     state: Arc<Mutex<TriggerState>>,
@@ -177,33 +102,6 @@ impl RecalibrationTrigger {
     /// When the most recent request was raised.
     pub fn last_fired(&self) -> Option<Nanos> {
         self.state.lock().last_fired
-    }
-}
-
-/// The bus-side half: feeds machine estimates into the cap state.
-/// Subscribe it to [`Topic::Aggregate`].
-///
-/// [`Topic::Aggregate`]: crate::msg::Topic::Aggregate
-#[derive(Debug, Clone)]
-pub struct CapControlActor {
-    cap: PowerCap,
-}
-
-impl CapControlActor {
-    /// Creates the actor around a shared cap handle.
-    pub fn new(cap: PowerCap) -> CapControlActor {
-        CapControlActor { cap }
-    }
-}
-
-impl Actor for CapControlActor {
-    fn handle(&mut self, msg: Message, _ctx: &Context) {
-        let Message::AggregateBatch(b) = msg else {
-            return;
-        };
-        for a in b.reports.iter().filter(|a| a.scope == Scope::Machine) {
-            self.cap.on_estimate(a.power.as_f64());
-        }
     }
 }
 
@@ -312,108 +210,9 @@ impl Actor for RateControlActor {
     }
 }
 
-/// The kernel-side half: a `cpufreq` governor that walks the P-state
-/// ladder as the controller demands. All cores follow one global
-/// frequency (package-level capping, like RAPL's PL1).
-#[derive(Debug, Clone)]
-pub struct CappedGovernor {
-    cap: PowerCap,
-    current_idx: usize,
-    initialized: bool,
-}
-
-impl CappedGovernor {
-    /// Creates the governor; it starts at the highest P-state (cap
-    /// enforcement only ever needs to pull *down* from there).
-    pub fn new(cap: PowerCap) -> CappedGovernor {
-        CappedGovernor {
-            cap,
-            current_idx: 0,
-            initialized: false,
-        }
-    }
-}
-
-impl CpufreqGovernor for CappedGovernor {
-    fn select(&mut self, core: usize, _utilization: f64, table: &PStateTable) -> MegaHertz {
-        let freqs = table.frequencies();
-        if !self.initialized {
-            self.current_idx = freqs.len() - 1;
-            self.initialized = true;
-        }
-        // Apply the controller's verdict once per governor round (core 0
-        // leads; other cores follow the same index).
-        if core == 0 {
-            match self.cap.take_pending() {
-                d if d < 0 && self.current_idx > 0 => self.current_idx -= 1,
-                d if d > 0 && self.current_idx + 1 < freqs.len() => self.current_idx += 1,
-                _ => {}
-            }
-        }
-        freqs[self.current_idx.min(freqs.len() - 1)]
-    }
-
-    fn name(&self) -> &'static str {
-        "powercap"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcpu::freq::ladder;
-
-    fn table() -> PStateTable {
-        PStateTable::without_turbo(ladder(&[1600, 2000, 2400, 2800, 3300], 0.85, 1.05).unwrap())
-            .unwrap()
-    }
-
-    #[test]
-    fn cap_handle_roundtrip() {
-        let cap = PowerCap::new(50.0);
-        assert_eq!(cap.cap_w(), 50.0);
-        cap.set_cap_w(40.0);
-        assert_eq!(cap.cap_w(), 40.0);
-        cap.set_cap_w(-5.0);
-        assert_eq!(cap.cap_w(), 0.0);
-        cap.on_estimate(38.0);
-        assert_eq!(cap.last_estimate_w(), 38.0);
-    }
-
-    #[test]
-    fn governor_steps_down_when_over_cap() {
-        let cap = PowerCap::new(50.0);
-        let mut g = CappedGovernor::new(cap.clone());
-        let t = table();
-        assert_eq!(g.select(0, 1.0, &t), MegaHertz(3300), "starts at max");
-        cap.on_estimate(60.0); // over cap
-        assert_eq!(g.select(0, 1.0, &t), MegaHertz(2800));
-        cap.on_estimate(55.0);
-        assert_eq!(g.select(0, 1.0, &t), MegaHertz(2400));
-        // Verdict consumed: holding without new estimates.
-        assert_eq!(g.select(0, 1.0, &t), MegaHertz(2400));
-        assert_eq!(g.name(), "powercap");
-    }
-
-    #[test]
-    fn governor_steps_up_with_headroom_and_floors() {
-        let cap = PowerCap::new(50.0);
-        let mut g = CappedGovernor::new(cap.clone());
-        let t = table();
-        g.select(0, 1.0, &t);
-        // Walk down to the floor.
-        for _ in 0..10 {
-            cap.on_estimate(99.0);
-            g.select(0, 1.0, &t);
-        }
-        assert_eq!(g.select(0, 1.0, &t), MegaHertz(1600), "clamps at min");
-        // Comfortably under: walk back up.
-        cap.on_estimate(30.0);
-        assert_eq!(g.select(0, 1.0, &t), MegaHertz(2000));
-        // In the hysteresis band (0.92 · 50 = 46): hold.
-        cap.on_estimate(47.0);
-        assert_eq!(g.select(0, 1.0, &t), MegaHertz(2000));
-    }
 
     #[test]
     fn trigger_latches_until_consumed() {
@@ -544,18 +343,5 @@ mod tests {
         sys.shutdown();
         assert_eq!(ctrl.factor(), 1, "guard snapped back inside the band");
         assert_eq!(ctrl.transitions(), 2);
-    }
-
-    #[test]
-    fn secondary_cores_follow_without_consuming_verdicts() {
-        let cap = PowerCap::new(50.0);
-        let mut g = CappedGovernor::new(cap.clone());
-        let t = table();
-        g.select(0, 1.0, &t);
-        cap.on_estimate(60.0);
-        // Core 1 asks first: must not consume the pending verdict.
-        assert_eq!(g.select(1, 1.0, &t), MegaHertz(3300));
-        assert_eq!(g.select(0, 1.0, &t), MegaHertz(2800));
-        assert_eq!(g.select(1, 1.0, &t), MegaHertz(2800), "follows the leader");
     }
 }

@@ -73,7 +73,6 @@ pub struct PowerApiBuilder {
     /// The built-in reporters asked for: actor name, actor, topics.
     reporters: Vec<(&'static str, Box<dyn crate::actor::Actor>, &'static [Topic])>,
     memory: Option<MemoryHandle>,
-    extra: Vec<(String, Box<dyn crate::actor::Actor>, Vec<Topic>)>,
     extra_supervised: Vec<(String, ActorFactory, Vec<Topic>)>,
     faults: FaultPlan,
     restart: RestartPolicy,
@@ -99,7 +98,6 @@ impl PowerApiBuilder {
             hierarchy: None,
             reporters: Vec::new(),
             memory: None,
-            extra: Vec::new(),
             extra_supervised: Vec::new(),
             faults: FaultPlan::none(),
             restart: RestartPolicy::Restart { max: 3 },
@@ -216,27 +214,12 @@ impl PowerApiBuilder {
         self
     }
 
-    /// Plugs a custom actor into the pipeline, subscribed to the given
-    /// topics — the extension point for controllers (e.g.
-    /// [`CapControlActor`]) and bespoke reporters. Extra actors are
-    /// spawned downstream of the built-in stages.
-    ///
-    /// [`CapControlActor`]: crate::control::CapControlActor
-    #[must_use]
-    pub fn with_actor(
-        mut self,
-        name: impl Into<String>,
-        actor: Box<dyn crate::actor::Actor>,
-        topics: Vec<Topic>,
-    ) -> PowerApiBuilder {
-        self.extra.push((name.into(), actor, topics));
-        self
-    }
-
-    /// Plugs a *supervised* custom actor into the pipeline: `factory`
-    /// rebuilds it after a handler panic per the configured restart
-    /// policy (see [`PowerApiBuilder::supervision`]). The chaos-injection
-    /// harness uses this to survive its own induced panics.
+    /// Plugs a custom actor into the pipeline, subscribed to `topics` and
+    /// spawned downstream of the built-in stages, ahead of the reporters.
+    /// `factory` builds it at [`PowerApiBuilder::build`] and rebuilds it
+    /// after a handler panic per the configured restart policy (see
+    /// [`PowerApiBuilder::supervision`]). The chaos-injection harness
+    /// uses this to survive its own induced panics.
     #[must_use]
     pub fn with_supervised_actor(
         mut self,
@@ -492,15 +475,9 @@ impl PowerApiBuilder {
         let selfcost = (telemetry.enabled() && (self.profile_self.is_some() || sampling.is_some()))
             .then(|| SelfCostLedger::register(telemetry.registry()));
 
-        // Extra actors (controllers, custom aggregators) sit between the
-        // built-in pipeline and the reporters so their final flushes still
-        // reach the reporters during ordered shutdown.
-        for (name, actor, topics) in self.extra {
-            let r = system.spawn(name, actor);
-            for t in topics {
-                bus.subscribe(t, &r);
-            }
-        }
+        // Extra actors sit between the built-in pipeline and the reporters
+        // so their final flushes still reach the reporters during ordered
+        // shutdown.
         for (name, factory, topics) in self.extra_supervised {
             let r = system.spawn_supervised(name, factory, options);
             for t in topics {
@@ -717,7 +694,9 @@ impl PowerApi {
     fn advance_boundary(&mut self) {
         let factor = match &self.sampling {
             Some(s) => {
-                self.settle();
+                if let Some(system) = &self.system {
+                    system.settle();
+                }
                 s.factor().max(1)
             }
             None => 1,
@@ -742,37 +721,9 @@ impl PowerApi {
         }
     }
 
-    /// Returns once the pipeline has handled everything published so far
-    /// and everything that caused ([`ActorSystem::settle`]). Call it
-    /// between `run_for` slices before reading or writing a handle the
-    /// actors share — a [`PowerCap`](crate::control::PowerCap) set-point,
-    /// the [`ModelHealth`] view — so the access lands at a tick boundary.
-    /// A no-op after [`PowerApi::finish`].
-    pub fn settle(&self) {
-        if let Some(system) = &self.system {
-            system.settle();
-        }
-    }
-
     /// The observability hub (disabled unless the builder enabled it).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    /// The live model-health view (`None` unless the builder enabled
-    /// [`PowerApiBuilder::model_health`]). Readable mid-run: operator
-    /// loops read `out_of_band()` / `alarms()` between `run_for` slices,
-    /// after [`PowerApi::settle`].
-    pub fn model_health(&self) -> Option<&ModelHealth> {
-        self.model_health.as_ref().map(|(h, _)| h)
-    }
-
-    /// The recalibration hook (`None` unless model health is enabled).
-    /// Take [`RecalibrationTrigger::take_pending`] between `run_for`
-    /// slices, after [`PowerApi::settle`], to schedule calibration sweeps
-    /// on drift.
-    pub fn recalibration_trigger(&self) -> Option<&RecalibrationTrigger> {
-        self.model_health.as_ref().map(|(_, t)| t)
     }
 
     /// The adaptive sampling controller (`None` unless the builder
@@ -1092,8 +1043,6 @@ mod tests {
             .build()
             .unwrap();
         papi.monitor(pid).unwrap();
-        assert!(papi.model_health().is_some());
-        assert!(papi.recalibration_trigger().is_some());
         papi.run_for(Nanos::from_secs(8)).unwrap();
         let out = papi.finish().unwrap();
         let mh = &out.model_health;
@@ -1172,8 +1121,6 @@ mod tests {
             .build()
             .unwrap();
         papi.monitor(pid).unwrap();
-        assert!(papi.model_health().is_none());
-        assert!(papi.recalibration_trigger().is_none());
         papi.run_for(Nanos::from_secs(2)).unwrap();
         let out = papi.finish().unwrap();
         assert_eq!(out.model_health, ModelHealthSummary::default());

@@ -373,15 +373,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Visits every gauge under `prefix`, by the same rules.
-    pub fn for_each_gauge(&self, prefix: &str, mut visit: impl FnMut(&str, i64)) {
-        let reg = self.inner.lock().expect("metrics registry");
-        let series = reg.gauges.range::<str, _>((Included(prefix), Unbounded));
-        for (name, g) in series.take_while(|(name, _)| name.starts_with(prefix)) {
-            visit(name, g.get());
-        }
-    }
-
     /// Renders the whole registry in the Prometheus text exposition
     /// format (one `# TYPE` header per base name).
     pub fn render_prometheus(&self) -> String {

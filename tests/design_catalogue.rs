@@ -10,6 +10,11 @@
 //! fully featured host pipeline and a fleet register. A family added
 //! without a row, or a row whose family is no longer registered, fails
 //! here.
+//!
+//! "Hand-offs" (under "Actor runtime") lists the handles the producer
+//! and the actor loop share. A row naming a type its file does not
+//! declare, or a handle count in the prose that is not the number of
+//! rows, fails here.
 
 use powerapi_suite::os_sim::kernel::Kernel;
 use powerapi_suite::os_sim::task::SteadyTask;
@@ -29,17 +34,25 @@ use powerapi_suite::simcpu::workunit::WorkUnit;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
-/// The rows of the DESIGN.md table under `### {heading}`, split into
-/// trimmed cells (the leading and trailing empty cells dropped).
-fn table_rows(heading: &str) -> Vec<Vec<String>> {
+/// The DESIGN.md text after the line that starts with `lead` (a `### `
+/// heading or a paragraph's bold lead-in), up to the next heading.
+fn section(lead: &str) -> String {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("read DESIGN.md");
     let (_, section) = design
-        .split_once(&format!("\n### {heading}\n"))
-        .unwrap_or_else(|| panic!("DESIGN.md has a \"{heading}\" section"));
+        .split_once(&format!("\n{lead}"))
+        .unwrap_or_else(|| panic!("DESIGN.md has a \"{lead}\" section"));
     let section = section.split("\n#").next().expect("split yields a head");
-    section
+    section.to_string()
+}
+
+/// The rows of the first DESIGN.md table after `lead`, split into
+/// trimmed cells (the leading and trailing empty cells dropped).
+fn table_rows(lead: &str) -> Vec<Vec<String>> {
+    section(lead)
         .lines()
+        .skip_while(|l| !l.starts_with('|'))
+        .take_while(|l| l.starts_with('|'))
         .filter(|l| l.starts_with("| `"))
         .map(|row| {
             let cells: Vec<String> = row.split('|').map(|c| c.trim().to_string()).collect();
@@ -87,7 +100,7 @@ fn design_md_fixed_constants_table_matches_the_code() {
 
     // `| `NAME` | `value` | `module` | why |`
     let mut listed = BTreeMap::new();
-    for cells in table_rows("Fixed constants") {
+    for cells in table_rows("### Fixed constants") {
         let [name, value, module, why] = &cells[..] else {
             panic!("a row of four cells: {cells:?}");
         };
@@ -177,7 +190,7 @@ fn design_md_metric_families_table_matches_the_registry() {
     code.extend(fleet_families());
     // `| `family` | type | registered by | what it answers |`
     let mut listed = BTreeSet::new();
-    for cells in table_rows("Metric families") {
+    for cells in table_rows("### Metric families") {
         let [family, kind, owner, answers] = &cells[..] else {
             panic!("a row of four cells: {cells:?}");
         };
@@ -191,5 +204,55 @@ fn design_md_metric_families_table_matches_the_registry() {
     assert_eq!(
         listed, code,
         "DESIGN.md's \"Metric families\" table (left) against the registry (right)"
+    );
+}
+
+#[test]
+fn design_md_hand_offs_table_matches_the_code() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    const LEAD: &str = "**Hand-offs.**";
+    // `| `Type` [ledger] (`file`) | written by | read by | what orders it |`
+    let rows = table_rows(LEAD);
+    for cells in &rows {
+        let [handle, written, read, orders] = &cells[..] else {
+            panic!("a row of four cells: {cells:?}");
+        };
+        assert!(
+            !written.is_empty() && !read.is_empty() && !orders.is_empty(),
+            "{handle}: the table says who writes it, who reads it and what orders the read"
+        );
+        let (types, file) = handle
+            .split_once(" (`")
+            .unwrap_or_else(|| panic!("{handle}: `Type` (`file`)"));
+        let file = file.trim_end_matches("`)");
+        let source = std::fs::read_to_string(root.join("crates/core/src").join(file))
+            .unwrap_or_else(|e| panic!("{handle}: read {file}: {e}"));
+        let named: Vec<&str> = types.split('`').skip(1).step_by(2).collect();
+        assert!(!named.is_empty(), "{handle}: names a type");
+        for ty in named {
+            assert!(
+                source.contains(&format!("\npub struct {ty} ")),
+                "{handle}: {file} declares no `pub struct {ty}`"
+            );
+        }
+    }
+    let count = section(LEAD)
+        .split_whitespace()
+        .next()
+        .map(|w| {
+            let words = [
+                "One", "Two", "Three", "Four", "Five", "Six", "Seven", "Eight",
+            ];
+            words
+                .iter()
+                .position(|n| *n == w)
+                .unwrap_or_else(|| panic!("\"{LEAD} {w} handles …\" spells a count"))
+                + 1
+        })
+        .expect("the lead-in is followed by prose");
+    assert_eq!(
+        count,
+        rows.len(),
+        "the prose's handle count against the table's rows"
     );
 }

@@ -10,7 +10,6 @@ use powerapi_suite::os_sim::task::{PeriodicTask, SteadyTask};
 use powerapi_suite::perf_sim::events::PAPER_EVENTS;
 use powerapi_suite::powerapi::actor::{Actor, Context};
 use powerapi_suite::powerapi::adaptive::SamplingConfig;
-use powerapi_suite::powerapi::control::{CapControlActor, CappedGovernor, PowerCap};
 use powerapi_suite::powerapi::formula::per_freq::PerFrequencyFormula;
 use powerapi_suite::powerapi::hierarchy::Hierarchy;
 use powerapi_suite::powerapi::model::learn::{learn_model, LearnConfig};
@@ -228,7 +227,11 @@ fn run_tenant_churn(jitter_seed: u64) -> BTreeMap<(Nanos, String), u64> {
         .quantum(Nanos::from_millis(2))
         .clock_period(Nanos::from_millis(250))
         .hierarchy(&hierarchy)
-        .with_actor("jitter", Box::new(Jitter(jitter_seed)), vec![Topic::Tick])
+        .with_supervised_actor(
+            "jitter",
+            move || Box::new(Jitter(jitter_seed)),
+            vec![Topic::Tick],
+        )
         .build()
         .expect("pipeline builds");
     papi.monitor(base).expect("monitor");
@@ -334,7 +337,11 @@ fn run_adaptive(
         .report_to_memory()
         .quantum(Nanos::from_millis(10))
         .clock_period(Nanos::from_secs(1))
-        .with_actor("jitter", Box::new(Jitter(jitter_seed)), vec![Topic::Tick])
+        .with_supervised_actor(
+            "jitter",
+            move || Box::new(Jitter(jitter_seed)),
+            vec![Topic::Tick],
+        )
         .build()
         .expect("pipeline builds");
     papi.monitor(pid).expect("monitor");
@@ -377,75 +384,5 @@ fn adaptive_sampling_is_deterministic_under_loop_delays() {
             "delay seed {seed}: sensor reads diverged"
         );
         assert!(run.0 == expected.0, "delay seed {seed}: reports diverged");
-    }
-}
-
-/// Full load under a power cap that tightens halfway, run one clock
-/// period at a time and settled in between, with `jitter_seed` delaying
-/// the loop: the meter trace and the machine estimates, as raw bits.
-fn run_capped(model: &PerFrequencyPowerModel, jitter_seed: u64) -> (Vec<(Nanos, u64)>, ReportBits) {
-    let mut kernel = Kernel::new(presets::intel_i3_2120());
-    let cap = PowerCap::new(50.0);
-    kernel.set_governor(Box::new(CappedGovernor::new(cap.clone())));
-    let pid = kernel.spawn(
-        "load",
-        (0..4)
-            .map(|_| SteadyTask::boxed(WorkUnit::cpu_intensive(1.0)))
-            .collect(),
-    );
-    let period = Nanos::from_millis(500);
-    let mut papi = PowerApi::builder(kernel)
-        .formula(PerFrequencyFormula::new(model.clone()))
-        .report_to_memory()
-        .quantum(Nanos::from_millis(2))
-        .clock_period(period)
-        .with_actor(
-            "cap-controller",
-            Box::new(CapControlActor::new(cap.clone())),
-            vec![Topic::Aggregate],
-        )
-        .with_actor("jitter", Box::new(Jitter(jitter_seed)), vec![Topic::Tick])
-        .build()
-        .expect("pipeline builds");
-    papi.monitor(pid).expect("monitor");
-    for slice in 0..40 {
-        // The governor takes the verdict mid-slice: settled, it is the
-        // one on the aggregate the previous slice's last tick flushed.
-        papi.run_for(period).expect("run");
-        papi.settle();
-        if slice == 20 {
-            cap.set_cap_w(42.0);
-        }
-    }
-    let outcome = papi.finish().expect("shutdown");
-    let meter = outcome
-        .meter
-        .iter()
-        .map(|(at, w)| (*at, w.as_f64().to_bits()))
-        .collect();
-    let mut machine = report_bits(&outcome);
-    machine.retain(|r| r.1 == Scope::Machine);
-    (meter, machine)
-}
-
-/// A cap verdict reaches the governor at the same quantum whatever the
-/// loop's lag, once the caller settles between period-sized slices.
-#[test]
-fn capping_is_deterministic_under_loop_delays() {
-    let model = learn_model(presets::intel_i3_2120(), &LearnConfig::quick()).expect("learn");
-    let expected = run_capped(&model, 0);
-    let watts = |i: usize| f64::from_bits(expected.1[i].2);
-    let (first, last) = (watts(0), watts(expected.1.len() - 1));
-    // Without the settles the loop, slowed by the jitter, would hand the
-    // governor no verdict before the run ended.
-    assert!(
-        last < first - 10.0,
-        "the cap must bite within the run: {first:.1} W -> {last:.1} W"
-    );
-    for seed in 1..20 {
-        assert!(
-            run_capped(&model, seed) == expected,
-            "delay seed {seed}: meter trace or estimates diverged"
-        );
     }
 }

@@ -241,6 +241,7 @@ impl Actor for Gate {
 #[test]
 fn a_rehomed_pid_lands_in_the_leaf_its_tick_recorded() {
     let (open, gate) = mpsc::channel();
+    let mut gate = Some(gate);
     let mut kernel = Kernel::new(presets::intel_i3_2120());
     let pid = kernel.spawn_in_cgroup(
         "web",
@@ -255,7 +256,11 @@ fn a_rehomed_pid_lands_in_the_leaf_its_tick_recorded() {
         .quantum(Nanos::from_millis(2))
         .clock_period(Nanos::from_millis(500))
         .hierarchy(&hierarchy)
-        .with_actor("gate", Box::new(Gate(Some(gate))), vec![Topic::Tick])
+        .with_supervised_actor(
+            "gate",
+            move || Box::new(Gate(gate.take())),
+            vec![Topic::Tick],
+        )
         .build()
         .expect("pipeline builds");
     papi.monitor(pid).expect("monitor");
